@@ -23,7 +23,7 @@ from .errors import ClosedOrbitWarning
 MAX_SAMPLE_POINTS = 160
 SELFADJOINT_FLAG_TOL = 1e-6
 
-__all__ = ["AnalysisResult", "analyze", "curve_rows", "CURVE_COLUMNS"]
+__all__ = ["AnalysisResult", "analyze", "curve_rows"]
 
 
 @dataclass
@@ -218,9 +218,6 @@ def _curve_columns(m):
         cols += [f"k_eig_{i+1}_re", f"k_eig_{i+1}_im"]
     cols += ["tr_K", "det_G"]
     return cols
-
-
-CURVE_COLUMNS = _curve_columns
 
 
 def curve_rows(result: AnalysisResult):

@@ -45,29 +45,12 @@ class FrameTransport:
     def det_G(self, t):
         return float(np.linalg.det(self.G(t)))
 
-    def K_frame(self, t):
-        """Curvature in the working frame at the trajectory point c(t)."""
-        x = self.x(t)
-        if self.pair.sode is not None:
-            return pair_mod.curvature_at(self.pair, x)
-        h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
-        lo, hi = 0.0, self.T
-
-        def flow(s):
-            # prefer the trajectory's own dense output as the flow of X
-            if lo <= t + s <= hi:
-                return self.x(t + s)
-            fld = self.pair.field_callable()
-            if s >= 0:
-                return ode.integrate(fld, x, s, rel_tol=1e-12, abs_tol=1e-14).at(s)
-            return ode.integrate(lambda z: -fld(z), x, -s, rel_tol=1e-12, abs_tol=1e-14).at(-s)
-
-        dX_H1 = pair_mod.flow_derivative_H1(self.pair, x, h=h, flow=flow)
-        return pair_mod.curvature_frame(self.pair, x, dX_H1=dX_H1)
-
     def K_normal(self, t):
-        G = self.G(t)
-        return np.linalg.solve(G, self.K_frame(t) @ G)
+        """Curvature in the normal frame at c(t): G^-1 K(c(t)) G."""
+        n = self.pair.n
+        z = self.joint.at(t)
+        G = z[n:].reshape(self.m, self.m)
+        return np.linalg.solve(G, pair_mod.curvature_at(self.pair, z[:n]) @ G)
 
     def grid(self, per_step=ode.SAMPLES_PER_STEP):
         return self.joint.grid(per_step)
@@ -87,17 +70,12 @@ def transport_normal_frame(pair, traj, G0=None) -> FrameTransport:
     if abs(np.linalg.det(G0)) < 1e-300:
         raise ValueError("G0 must be invertible")
 
-    if pair.sode is not None:
-        H1_at = lambda x: pair_mod._sode_H1(pair, x)
-    else:
-        H1_at = lambda x: pair_mod.extract_H(pair, x).H1
-
     fld = pair.field_callable()
 
     def rhs(z):
         x = z[:n]
         G = z[n:].reshape(m, m)
-        dG = -0.5 * H1_at(x) @ G
+        dG = -0.5 * pair_mod.H1_at(pair, x) @ G
         return np.concatenate([fld(x), dG.ravel()])
 
     z0 = np.concatenate([traj.x0, G0.ravel()])

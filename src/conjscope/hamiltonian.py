@@ -17,15 +17,11 @@ import numpy as np
 
 from . import pair as pair_mod
 from .errors import DegenerateMetric
-from .scalar import ExprProgram, HyperDual, evaluate, parse
+from .scalar import HyperDual, evaluate
 
 __all__ = ["SemiHamiltonianModel", "check_lagrangian", "induced_metric",
            "check_semi_invariance", "check_K_selfadjoint", "canonical_sigma",
            "horizontal_lagrangian_residual", "metric_constancy_residual"]
-
-
-def _as_expr(e):
-    return e if isinstance(e, ExprProgram) else parse(e)
 
 
 @dataclass(frozen=True)
@@ -39,7 +35,7 @@ class SemiHamiltonianModel:
     def __post_init__(self):
         object.__setattr__(
             self, "sigma",
-            tuple(tuple(_as_expr(e) for e in row) for row in self.sigma))
+            tuple(tuple(pair_mod._as_expr(e) for e in row) for row in self.sigma))
         n = self.pair.n
         if len(self.sigma) != n or any(len(row) != n for row in self.sigma):
             raise ValueError("sigma must be an n x n matrix of expressions")

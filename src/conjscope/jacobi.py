@@ -33,23 +33,20 @@ __all__ = ["JacobiSolution", "ConjugateTime", "integrate_jacobi",
 class JacobiSolution:
     m: int
     K_normal: object              # callable t -> (m, m)
-    joint: object                 # Trajectory of (vec P, vec Q)
+    joint: object                 # Trajectory of (t, vec P, vec Q)
 
     @property
     def T(self):
         return self.joint.T
 
     def P(self, t):
-        return self.joint.at(t)[: self.m * self.m].reshape(self.m, self.m)
+        return self.joint.at(t)[1:1 + self.m * self.m].reshape(self.m, self.m)
 
     def Q(self, t):
-        return self.joint.at(t)[self.m * self.m:].reshape(self.m, self.m)
+        return self.joint.at(t)[1 + self.m * self.m:].reshape(self.m, self.m)
 
     def sigma_min(self, t):
         return float(np.linalg.svd(self.P(t), compute_uv=False)[-1])
-
-    def det_P(self, t):
-        return float(np.linalg.det(self.P(t)))
 
     def grid(self, per_step=ode.SAMPLES_PER_STEP):
         return self.joint.grid(per_step)
@@ -86,28 +83,7 @@ def integrate_jacobi(K_normal, m, T, rel_tol=JACOBI_REL_TOL, abs_tol=JACOBI_ABS_
 
     z0 = np.concatenate([[0.0], np.zeros(mm), np.eye(m).ravel()])
     joint = ode.integrate(rhs_aug, z0, T, rel_tol=rel_tol, abs_tol=abs_tol)
-    return JacobiSolution(m=m, K_normal=K_normal, joint=_TimeStripped(joint))
-
-
-class _TimeStripped:
-    """Adapter removing the leading quadrature coordinate from a Trajectory."""
-
-    def __init__(self, traj):
-        self._traj = traj
-
-    @property
-    def T(self):
-        return self._traj.T
-
-    @property
-    def steps(self):
-        return self._traj.steps
-
-    def at(self, t):
-        return self._traj.at(t)[1:]
-
-    def grid(self, per_step=ode.SAMPLES_PER_STEP):
-        return self._traj.grid(per_step)
+    return JacobiSolution(m=m, K_normal=K_normal, joint=joint)
 
 
 def _rank_events(sigma_min, det_like, grid, zero_tol, t_floor=0.0,
@@ -146,32 +122,44 @@ def _kernel(matrix, scale, rank_tol):
     return len(idx), tuple(Vt[i] for i in idx)
 
 
-def find_conjugate_times(js: JacobiSolution, rank_tol=RANK_TOL, zero_tol=DETECT_TOL):
-    """Detected conjugate times on (0, T] with multiplicity and kernel basis.
+def _conjugate_times(matrix_at, grid, rank_tol, zero_tol):
+    """Rank drops of a matrix track that vanishes structurally at t = 0.
 
-    Multiplicity counts singular values of P(t*) below rank_tol times the
-    largest singular value seen along the whole run (the pointwise maximum is
-    useless at a full-rank drop, where every singular value vanishes)."""
-    grid = js.grid()
-    svals = np.array([np.linalg.svd(js.P(t), compute_uv=False) for t in grid])
+    Multiplicity counts singular values of the matrix at t* below rank_tol
+    times the largest singular value seen on the whole grid (the pointwise
+    maximum is useless at a full-rank drop, where every singular value
+    vanishes).  Square tracks add the determinant as a signed companion."""
+    samples = [matrix_at(t) for t in grid]
+    svals = np.array([np.linalg.svd(C, compute_uv=False) for C in samples])
     scale = float(np.max(svals[:, 0]))
     if scale == 0.0:
         return []
-    det_values = np.array([js.det_P(t) for t in grid])
-    # P(0) = 0 is structural: events inside the first dense subinterval are
-    # sign noise of the determinant, not conjugate times
-    events = _rank_events(js.sigma_min, js.det_P, grid, zero_tol, t_floor=grid[1],
+    sigma_min = lambda t: float(np.linalg.svd(matrix_at(t), compute_uv=False)[-1])
+    det_like = det_values = None
+    if samples[0].shape[0] == samples[0].shape[1]:
+        det_like = lambda t: float(np.linalg.det(matrix_at(t)))
+        det_values = np.array([np.linalg.det(C) for C in samples])
+    # events inside the first dense subinterval are sign noise of the
+    # structural zero at t = 0, not conjugate times
+    events = _rank_events(sigma_min, det_like, grid, zero_tol, t_floor=grid[1],
                           sigma_values=svals[:, -1], det_values=det_values)
     out = []
     for t_star, mode in events:
-        mult, kernel = _kernel(js.P(t_star), scale, rank_tol)
+        C = matrix_at(t_star)
+        mult, kernel = _kernel(C, scale, rank_tol)
         if mult == 0:
             # dip passed the zero tolerance but no singular value clears the
             # rank cut; classify with the most conservative reading
-            mult, kernel = 1, (np.linalg.svd(js.P(t_star))[2][-1],)
+            mult, kernel = 1, (np.linalg.svd(C)[2][-1],)
         out.append(ConjugateTime(t_star=float(t_star), multiplicity=mult,
                                  kernel_basis=kernel, mode=mode))
     return out
+
+
+def find_conjugate_times(js: JacobiSolution, rank_tol=RANK_TOL, zero_tol=DETECT_TOL):
+    """Detected conjugate times on (0, T] with multiplicity and kernel basis:
+    the rank drops of P, which vanishes at t = 0 by construction."""
+    return _conjugate_times(js.P, js.grid(), rank_tol, zero_tol)
 
 
 def index_functional(K_normal, w, r, times=None):
@@ -242,24 +230,4 @@ def variational_oracle(pair, x0, T, rel_tol=JACOBI_REL_TOL, abs_tol=JACOBI_ABS_T
             raise RegularityViolation("decomposition basis ill-conditioned along the trajectory")
         return coeffs[pair.m:, :]
 
-    grid = joint.grid()
-    samples = [transverse(t) for t in grid]
-    svals = np.array([np.linalg.svd(C, compute_uv=False) for C in samples])
-    scale = float(np.max(svals[:, 0]))
-    if scale == 0.0:
-        return []
-    sig = lambda t: float(np.linalg.svd(transverse(t), compute_uv=False)[-1])
-    det_like = (lambda t: float(np.linalg.det(transverse(t)))) if square else None
-    det_values = (np.array([np.linalg.det(C) for C in samples]) if square else None)
-    # the transverse block vanishes structurally at t = 0
-    events = _rank_events(sig, det_like, grid, zero_tol, t_floor=grid[1],
-                          sigma_values=svals[:, -1], det_values=det_values)
-    out = []
-    for t_star, mode in events:
-        C = transverse(t_star)
-        mult, kernel = _kernel(C, scale, rank_tol)
-        if mult == 0:
-            mult, kernel = 1, (np.linalg.svd(C)[2][-1],)
-        out.append(ConjugateTime(t_star=float(t_star), multiplicity=mult,
-                                 kernel_basis=kernel, mode=mode))
-    return out
+    return _conjugate_times(transverse, joint.grid(), rank_tol, zero_tol)

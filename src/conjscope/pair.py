@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ode, scalar
+from . import scalar
 from .errors import RegularityViolation
 from .scalar import ExprProgram, HyperDual, evaluate, parse
 
@@ -29,7 +29,6 @@ __all__ = [
     "lift_sode",
     "bracket",
     "extract_H",
-    "point_frame_data",
     "curvature_frame",
     "sode_curvature",
     "flow_derivative_H1",
@@ -130,9 +129,6 @@ class GenericPair:
         return lambda x: self.X_at(x)
 
 
-DynamicPairModel = SODEModel | GenericPair
-
-
 def lift_sode(model: SODEModel) -> GenericPair:
     """Total-derivative lift: X = d/dt + sum y_i d/dx_i + sum F_i d/dy_i with
     V spanned by the d/dy_i; the t coordinate is dropped for autonomous
@@ -154,7 +150,7 @@ def lift_sode(model: SODEModel) -> GenericPair:
                        params=dict(model.params), sode=model)
 
 
-def as_pair(model: DynamicPairModel) -> GenericPair:
+def as_pair(model: SODEModel | GenericPair) -> GenericPair:
     return lift_sode(model) if isinstance(model, SODEModel) else model
 
 
@@ -296,51 +292,36 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
     return data
 
 
-def point_frame_data(pair: GenericPair, x) -> PointFrameData:
-    return extract_H(pair, x)
-
-
 def curvature_frame(pair: GenericPair, x, dX_H1=None, data=None):
     """Curvature matrix K = -H0 + X(H1)/2 - H1^2/4 in the working frame.
 
-    ``dX_H1`` is the derivative of H1 along the flow; if omitted it is taken
-    exactly from the second-order model when available and otherwise by a
-    central difference of H1 along two short flow arcs."""
+    ``dX_H1`` is the derivative of H1 along X; if omitted it is taken from
+    ``flow_derivative_H1``."""
     if data is None:
         data = extract_H(pair, x)
     if dX_H1 is None:
-        if pair.sode is not None:
-            dX_H1 = _sode_dX_H1(pair, x)
-        else:
-            dX_H1 = flow_derivative_H1(pair, x)
+        dX_H1 = flow_derivative_H1(pair, x)
     return -data.H0 + 0.5 * dX_H1 - 0.25 * (data.H1 @ data.H1)
 
 
-def flow_derivative_H1(pair: GenericPair, x, h=None, flow=None):
-    """Central difference of H1 along the flow of X through x.
+def flow_derivative_H1(pair: GenericPair, x):
+    """X(H1) at x, the derivative of H1 along the vector X(x).
 
-    ``flow(s)`` may supply points on the trajectory directly (s in a
-    neighbourhood of 0); otherwise two short high-accuracy integrations
-    produce the flow points."""
+    X(H1)(x) = DH1(x) X(x) depends on x alone, so it is approximated by the
+    central difference of H1 over the segment x +- h X(x), h = 1e-4 (1 + |x|),
+    with O(h^2) truncation error; no trajectory or flow is involved."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
-    if flow is None:
-        fld = pair.field_callable()
-        fwd = ode.integrate(fld, x, h, rel_tol=1e-12, abs_tol=1e-14).at(h)
-        bwd_traj = ode.integrate(lambda z: -fld(z), x, h, rel_tol=1e-12, abs_tol=1e-14)
-        bwd = bwd_traj.at(h)
-    else:
-        fwd, bwd = flow(h), flow(-h)
-    H1p = extract_H(pair, fwd).H1
-    H1m = extract_H(pair, bwd).H1
+    h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
+    step = h * pair.X_at(x)
+    H1p = extract_H(pair, x + step).H1
+    H1m = extract_H(pair, x - step).H1
     return (H1p - H1m) / (2.0 * h)
 
 
 # -- closed-form path for second-order systems -------------------------------
 
-def _sode_point(pair_or_model, x):
-    model = pair_or_model.sode if isinstance(pair_or_model, GenericPair) else pair_or_model
+def _sode_point(pair: GenericPair, x):
+    model = pair.sode
     x = np.asarray(x, dtype=float)
     m = model.m
     if model.autonomous:
@@ -358,7 +339,7 @@ def sode_curvature(model: SODEModel, t, x, y):
                 + (1/2) sum_k y_k d2F_i/dx_k dy_j + (1/2) d2F_i/dt dy_j,
 
     with every partial taken by hyper-dual AD.  The derivative of H1 along X
-    is exact here (no flow differencing)."""
+    is exact here (no finite difference)."""
     m = model.m
     env = model.force_bindings(t, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     F_val = np.array([evaluate(f, env) for f in model.F], dtype=float)
@@ -407,20 +388,21 @@ def _sode_H1(pair: GenericPair, x):
     return H1
 
 
-def _sode_dX_H1(pair: GenericPair, x):
-    model, t, xs, ys = _sode_point(pair, x)
-    data = extract_H(pair, x)
-    K = sode_curvature(model, t, xs, ys)
-    # invert the curvature formula: X(H1) = 2 (K + H0 + H1^2/4)
-    return 2.0 * (K + data.H0 + 0.25 * data.H1 @ data.H1)
+def H1_at(pair: GenericPair, x):
+    """H1 at x: closed form -dF/dy for lifted second-order systems, the
+    bracket relation otherwise."""
+    if pair.sode is not None:
+        return _sode_H1(pair, x)
+    return extract_H(pair, x).H1
 
 
-def curvature_at(pair: GenericPair, x, data=None):
-    """Curvature in the working frame, exact for lifted second-order systems."""
+def curvature_at(pair: GenericPair, x):
+    """Curvature in the working frame: closed form for lifted second-order
+    systems, ``curvature_frame`` otherwise."""
     if pair.sode is not None:
         model, t, xs, ys = _sode_point(pair, x)
         return sode_curvature(model, t, xs, ys)
-    return curvature_frame(pair, x, data=data)
+    return curvature_frame(pair, x)
 
 
 # -- canonical splitting ------------------------------------------------------
@@ -451,7 +433,7 @@ def split_and_project(pair: GenericPair, x, dX_H1=None):
     # H1 (the frozen extension differs from the true frame by a vertical
     # field with nonzero X-derivative).
     if dX_H1 is None:
-        dX_H1 = _sode_dX_H1(pair, x) if pair.sode is not None else flow_derivative_H1(pair, x)
+        dX_H1 = flow_derivative_H1(pair, x)
     _, _, _, XXV = brackets_at(pair, x)
     XXVh = XXV - 0.5 * (XV @ H1)          # [X, XV_j - V (H1)_j] with H1 frozen
     coeff = pinv @ XXVh
@@ -503,25 +485,21 @@ def check_regularity(pair: GenericPair, points) -> RegularityReport:
     rows = []
     ok = True
     for x in points:
-        x = np.asarray(x, dtype=float)
-        x_val, V, XV, XXV = brackets_at(pair, x)
-        D = np.hstack([V, XV])
-        sol, *_ = np.linalg.lstsq(D, XXV, rcond=None)
-        cond_D = _cond(D)
-        scale = np.linalg.norm(XXV)
-        residual = float(np.linalg.norm(D @ sol - XXV) / (scale if scale > 0 else 1.0))
+        data = extract_H(pair, x, raise_on_violation=False)
+        x, residual = data.point, data.residual
         weak = False
         if residual > INVARIANCE_TOL:
-            Dx = np.hstack([D, x_val[:, None]])
-            sol2, *_ = np.linalg.lstsq(Dx, XXV, rcond=None)
-            res2 = float(np.linalg.norm(Dx @ sol2 - XXV) / (scale if scale > 0 else 1.0))
+            Dx = np.hstack([data.V, data.XV, data.X[:, None]])
+            sol2, *_ = np.linalg.lstsq(Dx, data.XXV, rcond=None)
+            scale = np.linalg.norm(data.XXV)
+            res2 = float(np.linalg.norm(Dx @ sol2 - data.XXV) / (scale if scale > 0 else 1.0))
             weak = res2 <= INVARIANCE_TOL
-        x_norm = float(np.linalg.norm(x_val))
+        x_norm = float(np.linalg.norm(data.X))
         r1 = x_norm > 1e-10 * (1.0 + float(np.linalg.norm(x)))
-        r2 = cond_D <= COND_LIMIT
+        r2 = data.cond_D <= COND_LIMIT
         inv = residual <= INVARIANCE_TOL
         ok = ok and r1 and r2 and inv
-        rows.append(RegularityPoint(point=x, X_norm=x_norm, cond_D=cond_D,
+        rows.append(RegularityPoint(point=x, X_norm=x_norm, cond_D=data.cond_D,
                                     residual=residual, weak_invariance_only=weak,
                                     r1_ok=r1, r2_ok=r2, inv_ok=inv))
     return RegularityReport(points=tuple(rows), all_ok=ok)

@@ -4,7 +4,9 @@ Hyper-dual numbers carry two first-order perturbation directions and their
 mixed second-order term, so a single evaluation of an expression yields the
 value, two directional derivatives and one mixed second partial.  All other
 modules obtain the partial derivatives of user-supplied fields through this
-machinery; nothing in the package ever finite-differences an expression.
+machinery.  The one finite difference in the package is X(H1) for generic
+pairs (``pair.flow_derivative_H1``), which needs a third derivative of the
+fields along X.
 """
 
 from __future__ import annotations
@@ -440,10 +442,6 @@ class ExprProgram:
 
     def pretty(self):
         return _pretty(self.ast, 0)
-
-    @property
-    def text(self):
-        return self.pretty()
 
 
 def parse(text: str) -> ExprProgram:

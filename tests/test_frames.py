@@ -168,3 +168,42 @@ def test_constant_coordinates_have_constant_norm():
         g = frames.invariant_metric_at(ft, t)
         norms.append(u @ g @ u)
     assert np.max(np.abs(np.array(norms) - norms[0])) < 1e-8
+
+
+def _generic_dancing_transport():
+    # the dancing pair with its second-order origin hidden, so curvature takes
+    # the generic path
+    entry = catalog.ENTRIES["dancing"]
+    model, _ = entry.build({"F": "sin(x1)"})
+    pr = pm.lift_sode(model)
+    gen = pm.GenericPair(coords=pr.coords, X=pr.X, vframe=pr.vframe)
+    _, _, ft = _transport(gen, entry.default_x0, entry.default_T)
+    return pr, gen, ft
+
+
+def test_generic_K_normal_is_curvature_at_the_transported_point():
+    _, gen, ft = _generic_dancing_transport()
+    for t in (0.0, 2.7, ft.T):
+        G = ft.G(t)
+        expected = np.linalg.solve(G, pm.curvature_at(gen, ft.x(t)) @ G)
+        assert np.array_equal(ft.K_normal(t), expected)
+
+
+def test_generic_K_normal_starts_no_ode_solve(monkeypatch):
+    _, _, ft = _generic_dancing_transport()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("curvature evaluation started an ODE solve")
+
+    monkeypatch.setattr(ode, "integrate", no_solve)
+    for t in (0.0, 1e-9, 2.7, ft.T - 1e-9, ft.T):
+        assert np.all(np.isfinite(ft.K_normal(t)))
+
+
+def test_generic_curvature_matches_closed_form_on_dancing_trajectory():
+    pr, _, ft = _generic_dancing_transport()
+    for t in ft.grid():
+        G = ft.G(t)
+        K_exact = np.linalg.solve(G, pm.curvature_at(pr, ft.x(t)) @ G)   # closed form
+        scale = max(np.max(np.abs(K_exact)), 1.0)
+        assert np.max(np.abs(ft.K_normal(t) - K_exact)) < 4e-8 * scale
