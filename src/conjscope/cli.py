@@ -323,7 +323,9 @@ def main(argv=None):
     try:
         return args.fn(args)
     except RegularityViolation as err:
-        print(f"regularity failure: {err}", file=sys.stderr)
+        point = ", ".join(f"{v:.6g}" for v in err.point)
+        print(f"regularity failure: {err} [condition {err.cond}, residual {err.residual:.3e},"
+              f" point ({point})]", file=sys.stderr)
         return 2
     except (ConjscopeError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -52,11 +52,15 @@ class NonFiniteState(ConjscopeError):
 
 
 class RegularityViolation(ConjscopeError):
-    """The dynamic pair fails a regularity or invariance condition at a point."""
+    """The dynamic pair fails a regularity or invariance condition at a point.
 
-    def __init__(self, message, cond=None, residual=None):
+    ``cond`` names the condition ("R2", "I"), ``residual`` is the measured
+    value that failed it and ``point`` the state where it failed."""
+
+    def __init__(self, message, cond=None, residual=None, point=None):
         self.cond = cond
         self.residual = residual
+        self.point = point
         super().__init__(message)
 
 

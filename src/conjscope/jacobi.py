@@ -208,7 +208,7 @@ def variational_oracle(pair, x0, T, rel_tol=JACOBI_REL_TOL, abs_tol=JACOBI_ABS_T
         x = z[:n]
         M = z[n:].reshape(n, n)
         env = pair.bindings(x)
-        x_val, J_X = pair_mod._jacobian(pair.X, pair.coords, env, x)
+        x_val, J_X = pair_mod._jacobian(pair.X, pair.coords, env)
         return np.concatenate([x_val, (J_X @ M).ravel()])
 
     z0 = np.concatenate([x0, np.eye(n).ravel()])
@@ -226,8 +226,11 @@ def variational_oracle(pair, x0, T, rel_tol=JACOBI_REL_TOL, abs_tol=JACOBI_ABS_T
         cols = [data.V, data.XV] if square else [data.V, data.XV, data.X[:, None]]
         basis = np.hstack(cols)
         coeffs, *_ = np.linalg.lstsq(basis, M @ V0, rcond=None)
-        if pair_mod._cond(basis) > pair_mod.COND_LIMIT:
-            raise RegularityViolation("decomposition basis ill-conditioned along the trajectory")
+        cond = pair_mod._cond(basis)
+        if cond > pair_mod.COND_LIMIT:
+            raise RegularityViolation(
+                f"decomposition basis ill-conditioned along the trajectory (cond={cond:.3e})",
+                cond="R2", residual=cond, point=x)
         return coeffs[pair.m:, :]
 
     return _conjugate_times(transverse, joint.grid(), rank_tol, zero_tol)

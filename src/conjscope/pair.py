@@ -16,7 +16,7 @@ import numpy as np
 
 from . import scalar
 from .errors import RegularityViolation
-from .scalar import ExprProgram, HyperDual, evaluate, parse
+from .scalar import ExprProgram, evaluate, parse
 
 COND_LIMIT = 1e8
 INVARIANCE_TOL = 1e-6
@@ -156,57 +156,28 @@ def as_pair(model: SODEModel | GenericPair) -> GenericPair:
 
 # -- jets of expression-valued vector fields ---------------------------------
 
-def _field_values(exprs, env):
-    return [evaluate(e, env) for e in exprs]
-
-
-def _jet(exprs, coords, base_env, x, u):
+def _jet(exprs, coords, env, u):
     """Value, Jacobian and direction-contracted Hessian of a vector field.
 
-    Returns (val[k], J[k,n], Hu[k,n]) with Hu[i,b] = sum_j u_j d2 f_i / dx_b dx_j,
-    all real; one hyper-dual evaluation per (component, coordinate) pair.
-    """
-    n = len(coords)
-    k = len(exprs)
-    val = np.zeros(k)
-    J = np.zeros((k, n))
-    Hu = np.zeros((k, n))
-    for b in range(n):
-        env = dict(base_env)
-        for idx, name in enumerate(coords):
-            env[name] = HyperDual(x[idx], u[idx], 1.0 if idx == b else 0.0, 0.0)
-        for i, e in enumerate(exprs):
-            out = evaluate(e, env)
-            if not isinstance(out, HyperDual):
-                out = HyperDual(float(out))
-            if b == 0:
-                val[i] = out.re
-            J[i, b] = out.e2
-            Hu[i, b] = out.e12
+    ``env`` binds every variable at the point and ``u`` maps names to the
+    components of the direction.  Returns (val[k], J[k,n], Hu[k,n]) with
+    Hu[i,b] = sum_j u_j d2 f_i / dx_b dx_j over the n names in ``coords``;
+    one engine call per coordinate."""
+    J = np.empty((len(exprs), len(coords)))
+    Hu = np.empty_like(J)
+    for b, name in enumerate(coords):
+        val, _, J[:, b], Hu[:, b] = scalar.second_partials(exprs, env, u, name)
     return val, J, Hu
 
 
-def _jacobian(exprs, coords, base_env, x):
-    """Value and Jacobian, two columns per hyper-dual evaluation."""
+def _jacobian(exprs, coords, env):
+    """Value and Jacobian over the names in ``coords``, two columns per
+    engine call."""
     n = len(coords)
-    k = len(exprs)
-    val = np.zeros(k)
-    J = np.zeros((k, n))
+    J = np.empty((len(exprs), n))
     for b in range(0, n, 2):
-        b2 = b + 1 if b + 1 < n else b
-        env = dict(base_env)
-        for idx, name in enumerate(coords):
-            env[name] = HyperDual(x[idx], 1.0 if idx == b else 0.0,
-                                  1.0 if idx == b2 else 0.0, 0.0)
-        for i, e in enumerate(exprs):
-            out = evaluate(e, env)
-            if not isinstance(out, HyperDual):
-                out = HyperDual(float(out))
-            if b == 0:
-                val[i] = out.re
-            J[i, b] = out.e1
-            if b2 != b:
-                J[i, b2] = out.e2
+        b2 = min(b + 1, n - 1)
+        val, J[:, b], J[:, b2], _ = scalar.second_partials(exprs, env, coords[b], coords[b2])
     return val, J
 
 
@@ -219,10 +190,9 @@ def _cond(D):
 
 def bracket(pair: GenericPair, A_exprs, B_exprs, x):
     """Lie bracket [A, B](x) = (DB)(x) A(x) - (DA)(x) B(x), Jacobians by AD."""
-    x = np.asarray(x, dtype=float)
-    env = pair.bindings(x)
-    a_val, Ja = _jacobian(tuple(_as_expr(e) for e in A_exprs), pair.coords, env, x)
-    b_val, Jb = _jacobian(tuple(_as_expr(e) for e in B_exprs), pair.coords, env, x)
+    env = pair.bindings(np.asarray(x, dtype=float))
+    a_val, Ja = _jacobian(tuple(_as_expr(e) for e in A_exprs), pair.coords, env)
+    b_val, Jb = _jacobian(tuple(_as_expr(e) for e in B_exprs), pair.coords, env)
     return Jb @ a_val - Ja @ b_val
 
 
@@ -243,23 +213,25 @@ class PointFrameData:
 
 
 def brackets_at(pair: GenericPair, x):
-    """V, [X,V], [X,[X,V]] at x, all m columns, exact AD."""
-    x = np.asarray(x, dtype=float)
-    env = pair.bindings(x)
+    """X, V, [X,V], [X,[X,V]] at x, all m columns, exact AD."""
+    env = pair.bindings(np.asarray(x, dtype=float))
     n, m = pair.n, pair.m
-    x_val = np.array(_field_values(pair.X, env), dtype=float)
-    _, J_X, Hu_X = _jet(pair.X, pair.coords, env, x, x_val)
-    V = np.zeros((n, m))
+    x_val, J_X = _jacobian(pair.X, pair.coords, env)
+    u = dict(zip(pair.coords, x_val))
+    # one jet of all frame columns stacked: rows j*n .. j*n + n - 1 are V_j
+    v_all, J_all, Hu_all = _jet([e for col in pair.vframe for e in col], pair.coords, env, u)
+    V = v_all.reshape(m, n).T
     XV = np.zeros((n, m))
     XXV = np.zeros((n, m))
     JX_x = J_X @ x_val
-    for j, col in enumerate(pair.vframe):
-        v_val, J_V, Hu_V = _jet(col, pair.coords, env, x, x_val)
-        V[:, j] = v_val
+    for j in range(m):
+        v_val, J_V, Hu_V = V[:, j], J_all[j * n:(j + 1) * n], Hu_all[j * n:(j + 1) * n]
+        # second derivative of X along X and V_j
+        *_, d2X_xv = scalar.second_partials(pair.X, env, u, dict(zip(pair.coords, v_val)))
         xv = J_V @ x_val - J_X @ v_val
         XV[:, j] = xv
         # directional derivative of the bracket field along X, then bracket again
-        dW = Hu_V @ x_val + J_V @ JX_x - Hu_X @ v_val - J_X @ (J_V @ x_val)
+        dW = Hu_V @ x_val + J_V @ JX_x - d2X_xv - J_X @ (J_V @ x_val)
         XXV[:, j] = dW - J_X @ xv
     return x_val, V, XV, XXV
 
@@ -270,6 +242,7 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
     Least squares when the ambient dimension exceeds 2m; reports the
     conditioning of the 2m-column matrix and the relative residual, which is
     the numerical witness of the invariance condition."""
+    x = np.asarray(x, dtype=float)
     x_val, V, XV, XXV = brackets_at(pair, x)
     D = np.hstack([V, XV])
     m = pair.m
@@ -281,12 +254,12 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
         if cond_D > COND_LIMIT:
             raise RegularityViolation(
                 f"frame + bracket matrix ill-conditioned (cond={cond_D:.3e})",
-                cond="R2", residual=cond_D)
+                cond="R2", residual=cond_D, point=x)
         if residual > INVARIANCE_TOL:
             raise RegularityViolation(
                 f"iterated bracket leaves span[V | XV] (residual={residual:.3e})",
-                cond="I", residual=residual)
-    data = PointFrameData(point=np.asarray(x, dtype=float), X=x_val, V=V, XV=XV,
+                cond="I", residual=residual, point=x)
+    data = PointFrameData(point=x, X=x_val, V=V, XV=XV,
                           XXV=XXV, H0=sol[:m, :], H1=sol[m:, :],
                           cond_D=cond_D, residual=residual)
     return data
@@ -336,56 +309,31 @@ def sode_curvature(model: SODEModel, t, x, y):
 
         K^i_j = -dF_i/dx_j - (1/4) sum_k dF_i/dy_k dF_k/dy_j
                 + (1/2) sum_k F_k d2F_i/dy_k dy_j
-                + (1/2) sum_k y_k d2F_i/dx_k dy_j + (1/2) d2F_i/dt dy_j,
+                + (1/2) sum_k y_k d2F_i/dx_k dy_j + (1/2) d2F_i/dt dy_j.
 
-    with every partial taken by hyper-dual AD.  The derivative of H1 along X
-    is exact here (no finite difference)."""
+    The last three terms are the Hessian of F contracted with the lifted
+    field X = (1, y, F), so one jet of F along X gives all of it:
+    K = -dF/dx - (1/4) (dF/dy)^2 + (1/2) Hu[:, y].  The derivative of H1
+    along X is exact here (no finite difference)."""
     m = model.m
     env = model.force_bindings(t, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    F_val = np.array([evaluate(f, env) for f in model.F], dtype=float)
-
-    dFdx = np.zeros((m, m))
-    dFdy = np.zeros((m, m))
-    d2_yy = np.zeros((m, m, m))    # [i, k, j] = d2 F_i / dy_k dy_j
-    d2_xy = np.zeros((m, m, m))    # [i, k, j] = d2 F_i / dx_k dy_j
-    d2_ty = np.zeros((m, m))
-
-    for i, f in enumerate(model.F):
-        fv = f.free_vars
-        for j in range(m):
-            yj = f"y{j+1}"
-            for k in range(m):
-                xk, yk = f"x{k+1}", f"y{k+1}"
-                if xk in fv or yj in fv:
-                    _, d_xk, d_yj, d2 = scalar.second_partials(f, env, xk, yj)
-                    dFdx[i, k] = d_xk
-                    dFdy[i, j] = d_yj
-                    d2_xy[i, k, j] = d2
-                if yk in fv or yj in fv:
-                    _, _, _, d2 = scalar.second_partials(f, env, yk, yj)
-                    d2_yy[i, k, j] = d2
-            if not model.autonomous and ("t" in fv or yj in fv):
-                _, _, _, d2 = scalar.second_partials(f, env, "t", yj)
-                d2_ty[i, j] = d2
-
-    y_arr = np.asarray(y, dtype=float)
-    K = -dFdx - 0.25 * dFdy @ dFdy
-    K += 0.5 * np.einsum("k,ikj->ij", F_val, d2_yy)
-    K += 0.5 * np.einsum("k,ikj->ij", y_arr, d2_xy)
-    K += 0.5 * d2_ty
-    return K
+    F_val = [evaluate(f, env) for f in model.F]
+    xs = [f"x{k+1}" for k in range(m)]
+    ys = [f"y{k+1}" for k in range(m)]
+    u = dict(zip(xs + ys, [env[name] for name in ys] + F_val))
+    if not model.autonomous:
+        u["t"] = 1.0
+    _, J, Hu = _jet(model.F, xs + ys, env, u)
+    dFdy = J[:, m:]
+    return -J[:, :m] - 0.25 * dFdy @ dFdy + 0.5 * Hu[:, m:]
 
 
 def _sode_H1(pair: GenericPair, x):
+    """H1 = -dF/dy in closed form."""
     model, t, xs, ys = _sode_point(pair, x)
     env = model.force_bindings(t, xs, ys)
-    m = model.m
-    H1 = np.zeros((m, m))
-    for i, f in enumerate(model.F):
-        for j in range(m):
-            _, _, d_yj, _ = scalar.second_partials(f, env, f"x{j+1}", f"y{j+1}")
-            H1[i, j] = -d_yj
-    return H1
+    _, J = _jacobian(model.F, [f"y{k+1}" for k in range(model.m)], env)
+    return -J
 
 
 def H1_at(pair: GenericPair, x):

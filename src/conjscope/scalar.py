@@ -2,11 +2,14 @@
 
 Hyper-dual numbers carry two first-order perturbation directions and their
 mixed second-order term, so a single evaluation of an expression yields the
-value, two directional derivatives and one mixed second partial.  All other
-modules obtain the partial derivatives of user-supplied fields through this
-machinery.  The one finite difference in the package is X(H1) for generic
-pairs (``pair.flow_derivative_H1``), which needs a third derivative of the
-fields along X.
+value, two directional derivatives and one mixed second partial.  The
+components are floats (the algebra does not nest), and the value slot is
+bitwise equal to plain evaluation.  ``second_partials`` is the one seeding
+entry point: every other module obtains the derivatives of user-supplied
+fields through it, one expression or a whole vector field per call, along
+coordinate or arbitrary directions.  The one finite difference in the
+package is X(H1) for generic pairs (``pair.flow_derivative_H1``), which needs
+a third derivative of the fields along X.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownFunction
 
@@ -29,20 +34,9 @@ __all__ = [
 ]
 
 
-def _real(x):
-    """Innermost real value of a possibly nested hyper-dual scalar."""
-    while isinstance(x, HyperDual):
-        x = x.re
-    return x
-
-
 class HyperDual:
-    """Truncated algebra over eps1, eps2 with eps1^2 = eps2^2 = 0, eps1*eps2 kept.
-
-    Components may themselves be HyperDual, which nests the algebra and gives
-    higher mixed derivatives; everything below is written against the generic
-    component ring.
-    """
+    """Truncated algebra over eps1, eps2 with eps1^2 = eps2^2 = 0, eps1*eps2
+    kept; all four components are floats."""
 
     __slots__ = ("re", "e1", "e2", "e12")
 
@@ -87,26 +81,14 @@ class HyperDual:
 
     __rmul__ = __mul__
 
-    def _reciprocal(self):
-        r = self.re
-        if _real(r) == 0.0:
-            raise ZeroDivisionError("hyper-dual division by zero")
-        inv = 1.0 / r
-        inv2 = inv * inv
-        return HyperDual(
-            inv,
-            -self.e1 * inv2,
-            -self.e2 * inv2,
-            2.0 * self.e1 * self.e2 * inv2 * inv - self.e12 * inv2,
-        )
+    # value slots below are computed exactly as plain evaluation computes
+    # them, so zero-seed evaluation is bitwise identical to it
 
     def __truediv__(self, b):
         if isinstance(b, HyperDual):
             r = b.re
-            if _real(r) == 0.0:
+            if r == 0.0:
                 raise ZeroDivisionError("hyper-dual division by zero")
-            # real slot computed directly so zero-seed evaluation is bitwise
-            # identical to plain evaluation
             q = self.re / r
             inv = 1.0 / r
             inv2 = inv * inv
@@ -120,22 +102,20 @@ class HyperDual:
         return HyperDual(self.re / b, self.e1 / b, self.e2 / b, self.e12 / b)
 
     def __rtruediv__(self, b):
-        return self._reciprocal() * b
+        r = self.re
+        if r == 0.0:
+            raise ZeroDivisionError("hyper-dual division by zero")
+        q = b / r
+        inv = 1.0 / r
+        return self._lift(q, -q * inv, 2.0 * q * inv * inv)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("hyper-dual pow requires an integer exponent")
-        if n == 0:
-            return HyperDual(1.0)
-        out = None
-        base = self
-        k = abs(n)
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            base = base * base
-            k >>= 1
-        return out._reciprocal() if n < 0 else out
+        r = self.re
+        f1 = n * r ** (n - 1) if n != 0 else 0.0
+        f2 = n * (n - 1) * r ** (n - 2) if n not in (0, 1) else 0.0
+        return self._lift(r ** n, f1, f2)
 
     # -- chain rule for elementary functions --------------------------------
 
@@ -149,38 +129,38 @@ class HyperDual:
         )
 
     def sin(self):
-        s, c = _sin(self.re), _cos(self.re)
+        s, c = math.sin(self.re), math.cos(self.re)
         return self._lift(s, c, -s)
 
     def cos(self):
-        s, c = _sin(self.re), _cos(self.re)
+        s, c = math.sin(self.re), math.cos(self.re)
         return self._lift(c, -s, -c)
 
     def tan(self):
-        t = _tan(self.re)
+        t = math.tan(self.re)
         d = 1.0 + t * t
         return self._lift(t, d, 2.0 * t * d)
 
     def exp(self):
-        v = _exp(self.re)
+        v = math.exp(self.re)
         return self._lift(v, v, v)
 
     def log(self):
-        if _real(self.re) <= 0.0:
+        if self.re <= 0.0:
             raise DomainError("log of non-positive value")
         inv = 1.0 / self.re
-        return self._lift(_log(self.re), inv, -inv * inv)
+        return self._lift(math.log(self.re), inv, -inv * inv)
 
     def sqrt(self):
-        if _real(self.re) <= 0.0:
+        if self.re <= 0.0:
             raise DomainError("sqrt of non-positive value (not differentiable at 0)")
-        s = _sqrt(self.re)
+        s = math.sqrt(self.re)
         d = 0.5 / s
         return self._lift(s, d, -0.5 * d / self.re)
 
     def __abs__(self):
-        sgn = 1.0 if _real(self.re) >= 0.0 else -1.0
-        return self._lift(self.re * sgn, sgn, 0.0)
+        sgn = 1.0 if self.re >= 0.0 else -1.0
+        return self._lift(abs(self.re), sgn, 0.0)
 
 
 def _sin(x):
@@ -490,7 +470,7 @@ def _pretty(node, parent_level):
 
 
 def evaluate(prog: ExprProgram, bindings):
-    """Evaluate over any scalar-like ring (floats or HyperDual, nested or not).
+    """Evaluate over floats or HyperDual scalars.
 
     ``bindings`` must cover every free variable; DomainError is raised for
     log/sqrt/division domain failures and carries the offending subexpression.
@@ -515,14 +495,14 @@ def _eval(node, env):
         return _eval(node.a, env) * _eval(node.b, env)
     if tp is Div:
         den = _eval(node.b, env)
-        if _real(den) == 0.0:
+        if (den.re if type(den) is HyperDual else den) == 0.0:
             raise DomainError("division by zero", _pretty(node, 0))
         return _eval(node.a, env) / den
     if tp is Neg:
         return -_eval(node.a, env)
     if tp is Pow:
         base = _eval(node.base, env)
-        if node.exponent < 0 and _real(base) == 0.0:
+        if node.exponent < 0 and (base.re if type(base) is HyperDual else base) == 0.0:
             raise DomainError("zero base with negative exponent", _pretty(node, 0))
         if isinstance(base, HyperDual):
             return base ** node.exponent
@@ -538,24 +518,31 @@ def _eval(node, env):
     raise TypeError(f"unknown node {node!r}")
 
 
-def second_partials(prog: ExprProgram, point, i, j):
-    """Value, d/di, d/dj and d2/didj of ``prog`` at a real point.
+def _parts(out):
+    if isinstance(out, HyperDual):
+        return out.re, out.e1, out.e2, out.e12
+    return float(out), 0.0, 0.0, 0.0
 
-    ``point`` maps every free variable to a real; ``i`` and ``j`` are variable
-    names (equal names give the pure second derivative).
+
+def second_partials(progs, point, i, j):
+    """Value, d/di, d/dj and d2/didj at a real point.
+
+    ``progs`` is one ExprProgram, giving a tuple of four floats, or a
+    sequence of them, giving four arrays with one entry per program (the rows
+    of a 4 x len(progs) array).  ``point`` maps every free variable to a real.  ``i`` and ``j`` are
+    variable names (equal names give the pure second derivative) or mappings
+    from name to direction component, which give directional derivatives;
+    only the names they mention are seeded, every other binding stays a float.
     """
-    env = {}
-    for name, value in point.items():
-        env[name] = HyperDual(
-            float(value),
-            1.0 if name == i else 0.0,
-            1.0 if name == j else 0.0,
-            0.0,
-        )
-    out = evaluate(prog, env)
-    if not isinstance(out, HyperDual):
-        out = HyperDual(float(out))
-    return out.re, out.e1, out.e2, out.e12
+    di = {i: 1.0} if isinstance(i, str) else i
+    dj = {j: 1.0} if isinstance(j, str) else j
+    env = dict(point)
+    for name in {**di, **dj}:
+        env[name] = HyperDual(float(point[name]), float(di.get(name, 0.0)),
+                              float(dj.get(name, 0.0)), 0.0)
+    if isinstance(progs, ExprProgram):
+        return _parts(evaluate(progs, env))
+    return np.array([_parts(evaluate(p, env)) for p in progs], dtype=float).reshape(-1, 4).T
 
 
 # -- small AST builders used by model constructors ---------------------------

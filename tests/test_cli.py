@@ -79,7 +79,7 @@ def test_missing_system_is_usage_error(capsys):
     assert run_cli(["analyze", "--system", "not-a-system", "--T", "4"]) == 1
 
 
-def test_regularity_failure_exit_code(tmp_path):
+def test_regularity_failure_exit_code(tmp_path, capsys):
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(
         "[system]\n"
@@ -94,6 +94,9 @@ def test_regularity_failure_exit_code(tmp_path):
         "T = 1.0\n")
     code = run_cli(["analyze", "--config", str(cfg)])
     assert code == 2
+    err = capsys.readouterr().err
+    assert "condition R2" in err
+    assert "point (0.5, 0.5)" in err
 
 
 def test_config_file_sode(tmp_path):

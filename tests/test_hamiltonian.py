@@ -79,6 +79,19 @@ def test_semi_invariance_detects_non_preserving_field():
     assert res > 1e-3
 
 
+def test_semi_invariance_point_dependent_sigma():
+    # rotation field X = (p, -q) preserves q^2 + p^2 and dq^dp, so it preserves
+    # (1 + q^2 + p^2) dq^dp; for (1 + q) dq^dp the Lie derivative is p dq^dp
+    pr = pm.GenericPair(coords=("q", "p"), X=("p", "-q"), vframe=(("0", "1"),))
+    invariant = ham.SemiHamiltonianModel(
+        pair=pr, sigma=(("0", "1 + q^2 + p^2"), ("-(1 + q^2 + p^2)", "0")))
+    pts = [np.array([0.3, 0.7]), np.array([-1.1, 0.4]), np.array([0.8, -1.5])]
+    assert ham.check_semi_invariance(invariant, pts) <= 1e-12
+    drifting = ham.SemiHamiltonianModel(pair=pr, sigma=(("0", "1 + q"), ("-(1 + q)", "0")))
+    assert ham.check_semi_invariance(drifting, [np.array([0.2, 0.7])]) > 1e-3
+    assert ham.check_semi_invariance(drifting, [np.array([0.2, 0.0])]) == 0.0
+
+
 def test_selfadjoint_residual_values():
     assert ham.check_K_selfadjoint(np.eye(2), np.zeros((2, 2))) == 0.0
     P_hess = np.array([[1.2, 0.1], [0.1, 0.8]])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conjscope import scalar
 from conjscope.errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownFunction
@@ -113,16 +114,6 @@ def test_domain_errors_carry_subexpression():
         evaluate(parse("x^-1"), {"x": 0.0})
 
 
-def test_nested_hyperdual_components():
-    # components may themselves be hyper-dual: third mixed derivative of x^3
-    inner = HyperDual(2.0, 1.0, 0.0, 0.0)
-    outer = HyperDual(inner, HyperDual(0.0), HyperDual(1.0), HyperDual(0.0))
-    out = evaluate(parse("x^3"), {"x": outer})
-    # outer.e2 = d/dx x^3 = 3x^2 as inner dual; its e1 slot = d/dx 3x^2 = 6x
-    assert out.e2.re == 12.0
-    assert out.e2.e1 == 12.0  # seeded direction 1 on the inner level
-
-
 def _finite_difference_check(prog, point, i, j, h1=1e-5, h2=5e-4):
     # first partials at h1; the second-derivative stencil needs the larger h2
     # to stay above the double-precision roundoff floor of the FD oracle
@@ -180,3 +171,114 @@ def test_abs_and_tan():
     assert evaluate(parse("abs(x)"), {"x": -3.5}) == 3.5
     out = evaluate(parse("tan(x)"), {"x": HyperDual(0.3, 1, 0, 0)})
     assert abs(out.e1 - 1.0 / math.cos(0.3) ** 2) < 1e-14
+
+
+# -- property tests over random expression trees ------------------------------
+
+NAMES = ("x", "y", "z")
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def trees(functions=tuple(scalar._FUNCTIONS)):
+    # constants are non-negative: the parser reads a minus sign as Neg, so it
+    # never produces a negative Const
+    leaves = st.one_of(
+        st.sampled_from(NAMES).map(scalar.Var),
+        st.floats(0.0, 4.0).map(scalar.Const),
+    )
+
+    def extend(children):
+        binary = st.sampled_from((scalar.Add, scalar.Sub, scalar.Mul, scalar.Div))
+        return st.one_of(
+            children.map(scalar.Neg),
+            st.builds(lambda op, a, b: op(a, b), binary, children, children),
+            st.builds(scalar.Pow, children, st.integers(-3, 4)),
+            st.builds(scalar.Call, st.sampled_from(functions), children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def program(tree):
+    order = []
+    scalar._free_vars(tree, set(), order)
+    return scalar.ExprProgram(tree, tuple(order))
+
+
+points = st.fixed_dictionaries({n: st.floats(-2.0, 2.0) for n in NAMES})
+directions = st.dictionaries(st.sampled_from(NAMES), st.floats(-2.0, 2.0))
+
+# failures of evaluation at a drawn point: the draw is rejected, not the engine
+EVAL_ERRORS = (DomainError, ZeroDivisionError, OverflowError, ValueError)
+
+
+def engine(progs, point, i, j):
+    try:
+        out = second_partials(progs, point, i, j)
+    except EVAL_ERRORS:
+        assume(False)
+    assume(np.all(np.isfinite(out)))
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(trees())
+def test_property_pretty_parse_roundtrip(tree):
+    prog = program(tree)
+    assert parse(prog.pretty()) == prog
+
+
+@PROPERTY_SETTINGS
+@given(trees(), points, directions, directions)
+def test_property_value_slot_bitwise_equals_evaluate(tree, point, i, j):
+    prog = program(tree)
+    val = engine(prog, point, i, j)[0]
+    assert val.hex() == float(evaluate(prog, point)).hex()
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(trees(), min_size=1, max_size=4), points, directions, directions)
+def test_property_sequence_form_bitwise_equals_single_form(tree_list, point, i, j):
+    progs = [program(t) for t in tree_list]
+    arrays = engine(progs, point, i, j)
+    for k, prog in enumerate(progs):
+        single = engine(prog, point, i, j)
+        assert [a[k].hex() for a in arrays] == [float(v).hex() for v in single]
+
+
+def _to_sympy(sp, node, symbols):
+    def rec(n):
+        return _to_sympy(sp, n, symbols)
+
+    tp = type(node)
+    if tp is scalar.Const:
+        return sp.Rational(node.value)
+    if tp is scalar.Var:
+        return symbols[node.name]
+    if tp is scalar.Neg:
+        return -rec(node.a)
+    if tp is scalar.Pow:
+        return rec(node.base) ** node.exponent
+    if tp is scalar.Call:
+        fn = {"sin": sp.sin, "cos": sp.cos, "tan": sp.tan, "exp": sp.exp,
+              "log": sp.log, "sqrt": sp.sqrt}[node.fn]
+        return fn(rec(node.arg))
+    a, b = rec(node.a), rec(node.b)
+    return {scalar.Add: a + b, scalar.Sub: a - b, scalar.Mul: a * b, scalar.Div: a / b}[tp]
+
+
+# abs is left out: its derivative at a zero argument is a convention, not sympy's
+@PROPERTY_SETTINGS
+@given(trees(("sin", "cos", "tan", "exp", "log", "sqrt")), points, directions, directions)
+def test_property_engine_matches_sympy_directional_derivatives(tree, point, i, j):
+    sp = pytest.importorskip("sympy")
+    out = engine(program(tree), point, i, j)
+    symbols = {n: sp.Symbol(n, real=True) for n in NAMES}
+    f = _to_sympy(sp, tree, symbols)
+    d_i = sum((c * sp.diff(f, symbols[n]) for n, c in i.items()), sp.Integer(0))
+    d_j = sum((c * sp.diff(f, symbols[n]) for n, c in j.items()), sp.Integer(0))
+    d_ij = sum((c * sp.diff(d_i, symbols[n]) for n, c in j.items()), sp.Integer(0))
+    subs = {symbols[n]: sp.Rational(v) for n, v in point.items()}
+    for got, ref in zip(out, (f, d_i, d_j, d_ij)):
+        exact = float(ref.evalf(40, subs=subs))
+        assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
