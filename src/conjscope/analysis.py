@@ -1,11 +1,12 @@
 """End-to-end analysis pipeline and the report it produces.
 
-One call runs: trajectory integration, regularity sampling, normal-frame
-transport, normal curvature sampling, Jacobi integration, conjugate-time
-detection, the bound verdicts, and (when a 2-form is supplied) the
-semi-Hamiltonian checks.  The report is a plain nested dict that serializes
-to JSON losslessly and deterministically: no timestamps, no environment
-data, keys sorted at emission.
+One call runs: the normal-frame transport (solved jointly with, and so
+serving as, the trajectory), regularity sampling, normal curvature sampling,
+Jacobi integration, conjugate-time detection, the bound verdicts, and (when a
+2-form is supplied) the semi-Hamiltonian checks.  The normal frame is
+orthonormal, so the bounds read the normal curvature alone, with no metric.
+The report is a plain nested dict that serializes to JSON losslessly and
+deterministically: no timestamps, no environment data, keys sorted at emission.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class AnalysisResult:
     """Everything the pipeline produced, plus the JSON-ready report dict."""
 
     pair: object
-    trajectory: object
     transport: object
     jacobi_solution: object
     conjugate_times: list
@@ -51,15 +51,15 @@ def _full_x0(model, pair, x0):
     return x0
 
 
-def _closed_orbit_suspected(traj):
-    grid = traj.grid()
-    x0 = traj.at(0.0)
-    dist = lambda t: float(np.linalg.norm(traj.at(t) - x0))
+def _closed_orbit_suspected(ft):
+    grid = ft.grid()
+    x0 = ft.x(0.0)
+    dist = lambda t: float(np.linalg.norm(ft.x(t) - x0))
     vals = np.array([dist(t) for t in grid])
     scale = float(np.max(vals))
     if scale == 0.0:
         return True
-    mask = grid >= 0.1 * traj.T
+    mask = grid >= 0.1 * ft.T
     cand = np.where(mask)[0]
     if len(cand) == 0:
         return False
@@ -79,16 +79,6 @@ def _subsample(ts, cap=MAX_SAMPLE_POINTS):
     return ts[np.unique(idx)]
 
 
-def _sigma_min_dips(js, grid, track):
-    """Interior local minima of the smallest singular value of P, refined."""
-    dips = []
-    for i in range(1, len(grid) - 1):
-        if track[i] <= track[i - 1] and track[i] <= track[i + 1]:
-            t_min, v_min = ode.refine_minimum(js.sigma_min, grid[i - 1], grid[i + 1])
-            dips.append({"t": float(t_min), "value": float(v_min)})
-    return dips
-
-
 def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
             abs_tol=ode.DEFAULT_ABS_TOL, rank_tol=jacobi.RANK_TOL,
             zero_tol=jacobi.DETECT_TOL, G0=None, system_name=None,
@@ -106,35 +96,33 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     T = float(T)
     m = pair.m
 
-    traj = ode.integrate(pair.field_callable(), x0_full, T, rel_tol=rel_tol, abs_tol=abs_tol)
+    ft = frames.transport_normal_frame(pair, x0_full, T, G0=G0, rel_tol=rel_tol, abs_tol=abs_tol)
 
-    reg_points = [traj.at(t) for t in _subsample(traj.steps)]
+    reg_points = [ft.x(t) for t in _subsample(ft.joint.steps)]
     regularity = pair_mod.check_regularity(pair, reg_points)
 
-    closed = _closed_orbit_suspected(traj)
+    closed = _closed_orbit_suspected(ft)
     if closed:
         warnings.warn("trajectory appears to revisit its initial point; "
                       "conjugate-point analysis assumes a non-closed trajectory",
                       ClosedOrbitWarning, stacklevel=2)
 
-    ft = frames.transport_normal_frame(pair, traj, G0=G0)
     js = jacobi.integrate_jacobi(ft.K_normal, m, T)
     cts = jacobi.find_conjugate_times(js, rank_tol=rank_tol, zero_tol=zero_tol)
 
     grid = ft.grid()
     K_track = [ft.K_normal(t) for t in grid]
-    eye = np.eye(m)
-    g_track = [eye] * len(grid)
-    brep = bounds_mod.bounds_report(K_track, g_track, grid, m, T,
+    brep = bounds_mod.bounds_report(K_track, grid, m, T,
                                     [(c.t_star, c.multiplicity) for c in cts])
 
-    sig_track = np.array([js.sigma_min(t) for t in grid])
-    dips = _sigma_min_dips(js, grid, sig_track)
+    sigma_track = js.sigma_min(grid)
+    dips = [{"t": float(t), "value": float(v)}
+            for t, v in ode.refined_minima(js.sigma_min, grid, sigma_track, interior=True)]
 
     ham_section = None
     if sigma is not None:
         sh = hamiltonian.SemiHamiltonianModel(pair=pair, sigma=sigma)
-        pts = [traj.at(t) for t in _subsample(traj.steps, 12)]
+        pts = [ft.x(t) for t in _subsample(ft.joint.steps, 12)]
         metric_info = hamiltonian.induced_metric(sh, x0_full)
         K0 = pair_mod.curvature_at(pair, x0_full)
         selfadj = hamiltonian.check_K_selfadjoint(metric_info["g"], K0)
@@ -169,10 +157,16 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
         "trajectory": {
             "x0": [float(v) for v in x0_full],
             "T": T,
-            "rel_tol": rel_tol,
-            "abs_tol": abs_tol,
-            "steps": int(traj.n_steps),
-            "rhs_evals": int(traj.n_rhs_evals),
+            "rel_tol": ft.joint.rel_tol,
+            "abs_tol": ft.joint.abs_tol,
+            "steps": int(ft.joint.n_steps),
+            "rhs_evals": int(ft.joint.n_rhs_evals),
+        },
+        "jacobi": {
+            "rel_tol": js.joint.rel_tol,
+            "abs_tol": js.joint.abs_tol,
+            "steps": int(js.joint.n_steps),
+            "rhs_evals": int(js.joint.n_rhs_evals),
         },
         "tolerances": {"rank_tol": rank_tol, "zero_tol": zero_tol},
         "regularity": {
@@ -206,10 +200,10 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
         "hamiltonian": ham_section,
     }
 
-    return AnalysisResult(pair=pair, trajectory=traj, transport=ft,
+    return AnalysisResult(pair=pair, transport=ft,
                           jacobi_solution=js, conjugate_times=cts, bounds=brep,
                           report=report, grid=grid, K_track=K_track,
-                          sigma_min_track=sig_track)
+                          sigma_min_track=sigma_track)
 
 
 def _curve_columns(m):

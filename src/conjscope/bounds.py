@@ -1,11 +1,12 @@
 """Curvature estimates for conjugate-time location, checked against detections.
 
 Three bounds are evaluated along a trajectory from samples of the normal
-curvature matrix:
+curvature matrix K.  The normal frame is orthonormal (the Jacobi equation in
+it is P'' + K P = 0 with the identity as metric), so the bounds take no metric:
 
-* an upper curvature bound gives an interval free of conjugate times
-  (no conjugate time before pi / sqrt(lambda_max), Cartan-Hadamard style);
-* a positive lower bound on the trace of a metric-symmetric curvature forces
+* an upper bound on the symmetric part of K gives an interval free of
+  conjugate times (none before pi / sqrt(lambda_max), Cartan-Hadamard style);
+* a positive lower bound on the trace of a symmetric curvature forces
   a conjugate time before pi * sqrt(m / kappa) (Bonnet-Myers style);
 * constant eigenlines of the normal curvature reduce to scalar oscillation
   problems whose zeros must reappear among the detected conjugate times
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh
 
 from . import ode
 
@@ -56,29 +56,27 @@ class BoundsReport:
     verdicts: dict                # name -> consistent | violated | not_applicable
 
 
-def _sym_part_max_eig(K, g):
-    """Largest eigenvalue of the g-symmetric part of K."""
-    N = 0.5 * (K.T @ g + g @ K)
-    vals = eigh(N, g, eigvals_only=True)
-    return float(vals[-1])
+def _sym_part_max_eig(K):
+    """Largest eigenvalue of the symmetric part of K."""
+    return float(np.linalg.eigvalsh(0.5 * (K + K.T))[-1])
 
 
-def theorem_safe_interval(K_samples, g_samples, T):
+def theorem_safe_interval(K_samples, T):
     """Upper curvature bound and the interval it clears of conjugate times.
 
     Returns (lambda, t_c): no conjugate times in (0, t_c); t_c = T when
     lambda <= 0, else min(T, pi / sqrt(lambda))."""
-    lam = max(_sym_part_max_eig(K, g) for K, g in zip(K_samples, g_samples))
+    lam = max(_sym_part_max_eig(K) for K in K_samples)
     t_c = T if lam <= 0.0 else min(T, np.pi / np.sqrt(lam))
     return lam, t_c
 
 
-def theorem_trace_bound(K_samples, g_samples, m, T):
-    """Trace bound: with gK symmetric and tr K >= kappa > 0 along the
+def theorem_trace_bound(K_samples, m, T):
+    """Trace bound: with K symmetric and tr K >= kappa > 0 along the
     trajectory, a conjugate time exists by T* = pi sqrt(m / kappa).
 
-    Returns (T* or None, kappa or None, symmetry residual, reason)."""
-    residual = symmetry_residual(K_samples, g_samples)
+    Returns (T* or None, kappa, symmetry residual, reason)."""
+    residual = symmetry_residual(K_samples)
     kappa = min(float(np.trace(K)) for K in K_samples)
     if residual > SYMMETRY_TOL:
         return None, kappa, residual, "curvature not symmetric for the metric"
@@ -90,14 +88,14 @@ def theorem_trace_bound(K_samples, g_samples, m, T):
     return T_star, kappa, residual, "hypotheses hold"
 
 
-def symmetry_residual(K_samples, g_samples):
+def symmetry_residual(K_samples):
+    """Largest relative size of the skew part of K over the samples."""
     worst = 0.0
-    for K, g in zip(K_samples, g_samples):
-        gK = g @ K
-        scale = np.linalg.norm(gK)
+    for K in K_samples:
+        scale = np.linalg.norm(K)
         if scale == 0.0:
             continue
-        worst = max(worst, float(np.linalg.norm(gK - gK.T) / scale))
+        worst = max(worst, float(np.linalg.norm(K - K.T) / scale))
     return worst
 
 
@@ -154,7 +152,7 @@ def sturm_zeros(ts, lam_track, T, rel_tol=1e-11, abs_tol=1e-13):
     return [t for t, mode in events if mode == "sign_change" and t > grid[0]]
 
 
-def bounds_report(K_samples, g_samples, ts, m, T, detected_times) -> BoundsReport:
+def bounds_report(K_samples, ts, m, T, detected_times) -> BoundsReport:
     """Assemble every bound and its verdict against the detected times.
 
     ``detected_times`` is a list of (t, multiplicity) pairs from the Jacobi
@@ -162,14 +160,13 @@ def bounds_report(K_samples, g_samples, ts, m, T, detected_times) -> BoundsRepor
     ``violated`` otherwise (which indicates an implementation bug), and
     ``not_applicable`` when a bound's hypotheses fail numerically."""
     K_samples = [np.asarray(K, dtype=float) for K in K_samples]
-    g_samples = [np.asarray(g, dtype=float) for g in g_samples]
     det = sorted(t for t, _ in detected_times)
 
-    lam, t_c = theorem_safe_interval(K_samples, g_samples, T)
+    lam, t_c = theorem_safe_interval(K_samples, T)
     safe_ok = all(t >= t_c - VERDICT_SLACK for t in det)
     verdicts = {"max_eig_bound": "consistent" if safe_ok else "violated"}
 
-    T_star, kappa, sym_res, reason = theorem_trace_bound(K_samples, g_samples, m, T)
+    T_star, kappa, sym_res, reason = theorem_trace_bound(K_samples, m, T)
     if T_star is None:
         verdicts["trace_bound"] = "not_applicable"
     else:
@@ -196,7 +193,7 @@ def bounds_report(K_samples, g_samples, ts, m, T, detected_times) -> BoundsRepor
 
     return BoundsReport(
         lambda_max=lam,
-        trK_min=kappa if kappa is not None else min(float(np.trace(K)) for K in K_samples),
+        trK_min=kappa,
         symmetry_residual=sym_res,
         safe_interval=(0.0, t_c),
         trace_bound_time=T_star,

@@ -274,9 +274,8 @@ def dancing_curvature_closed_form(F_prog, t, x1, x2, y1, y2):
     off-diagonal entry follow from the second equation's structure."""
     F_prog = F_prog if isinstance(F_prog, scalar.ExprProgram) else scalar.parse(F_prog)
     env = {"t": t, "x1": x1, "y1": y1}
-    Fv, dF_t, dF_y1a, _ = scalar.second_partials(F_prog, env, "t", "y1")
+    Fv, dF_t, _, d2_ty1 = scalar.second_partials(F_prog, env, "t", "y1")
     _, dF_x1, dF_y1, d2_x1y1 = scalar.second_partials(F_prog, env, "x1", "y1")
-    _, _, _, d2_ty1 = scalar.second_partials(F_prog, env, "t", "y1")
     _, _, _, d2_y1y1 = scalar.second_partials(F_prog, env, "y1", "y1")
 
     XF = dF_t + y1 * dF_x1 + Fv * dF_y1

@@ -4,8 +4,8 @@ A working frame of the distribution becomes a normal frame along a trajectory
 after multiplication by the matrix solution G of the transport equation
 X(G) = -H1 G / 2; the curvature matrix expressed in that frame is the
 coefficient matrix of the Jacobi equation.  The transport is integrated as an
-augmented state alongside the base point so G and the trajectory stay
-consistent to integrator tolerance.
+augmented state alongside the base point, so the joint solution is the
+trajectory itself and G is consistent with it to integrator tolerance.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class FrameTransport:
     """Joint dense solution of the trajectory and the frame transport."""
 
     pair: object
-    trajectory: object            # the plain trajectory this transport tracks
-    G0: np.ndarray
     joint: object                 # Trajectory of the (x, vec G) system
     m: int
 
@@ -56,8 +54,9 @@ class FrameTransport:
         return self.joint.grid(per_step)
 
 
-def transport_normal_frame(pair, traj, G0=None) -> FrameTransport:
-    """Integrate G' = -H1(c(t)) G / 2 jointly with the trajectory.
+def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
+                           abs_tol=ode.DEFAULT_ABS_TOL) -> FrameTransport:
+    """Integrate x' = X(x) from x0 over [0, T] jointly with G' = -H1(x) G / 2.
 
     G0 defaults to the identity.  Raises SingularG if |det G| collapses
     relative to |det G0| (analytically impossible: det G obeys a linear
@@ -78,10 +77,10 @@ def transport_normal_frame(pair, traj, G0=None) -> FrameTransport:
         dG = -0.5 * pair_mod.H1_at(pair, x) @ G
         return np.concatenate([fld(x), dG.ravel()])
 
-    z0 = np.concatenate([traj.x0, G0.ravel()])
-    joint = ode.integrate(rhs, z0, traj.T, rel_tol=traj.rel_tol, abs_tol=traj.abs_tol)
+    z0 = np.concatenate([np.asarray(x0, dtype=float), G0.ravel()])
+    joint = ode.integrate(rhs, z0, T, rel_tol=rel_tol, abs_tol=abs_tol)
 
-    ft = FrameTransport(pair=pair, trajectory=traj, G0=G0, joint=joint, m=m)
+    ft = FrameTransport(pair=pair, joint=joint, m=m)
     det0 = abs(np.linalg.det(G0))
     for t in joint.steps:
         if abs(ft.det_G(t)) < 1e-12 * det0:

@@ -32,7 +32,6 @@ __all__ = ["JacobiSolution", "ConjugateTime", "integrate_jacobi",
 @dataclass(frozen=True)
 class JacobiSolution:
     m: int
-    K_normal: object              # callable t -> (m, m)
     joint: object                 # Trajectory of (t, vec P, vec Q)
 
     @property
@@ -40,13 +39,15 @@ class JacobiSolution:
         return self.joint.T
 
     def P(self, t):
-        return self.joint.at(t)[1:1 + self.m * self.m].reshape(self.m, self.m)
+        """P(t); an array of times gives the stack of shape (len(t), m, m)."""
+        z = self.joint.at(t)[1:1 + self.m * self.m]
+        return np.moveaxis(z, 0, -1).reshape(np.shape(t) + (self.m, self.m))
 
     def Q(self, t):
         return self.joint.at(t)[1 + self.m * self.m:].reshape(self.m, self.m)
 
     def sigma_min(self, t):
-        return float(np.linalg.svd(self.P(t), compute_uv=False)[-1])
+        return np.linalg.svd(self.P(t), compute_uv=False).min(axis=-1)
 
     def grid(self, per_step=ode.SAMPLES_PER_STEP):
         return self.joint.grid(per_step)
@@ -83,7 +84,7 @@ def integrate_jacobi(K_normal, m, T, rel_tol=JACOBI_REL_TOL, abs_tol=JACOBI_ABS_
 
     z0 = np.concatenate([[0.0], np.zeros(mm), np.eye(m).ravel()])
     joint = ode.integrate(rhs_aug, z0, T, rel_tol=rel_tol, abs_tol=abs_tol)
-    return JacobiSolution(m=m, K_normal=K_normal, joint=joint)
+    return JacobiSolution(m=m, joint=joint)
 
 
 def _rank_events(sigma_min, det_like, grid, zero_tol, t_floor=0.0,

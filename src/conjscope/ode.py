@@ -21,7 +21,7 @@ DEFAULT_ABS_TOL = 1e-12
 DEFAULT_ZERO_TOL = 1e-9
 SAMPLES_PER_STEP = 8
 
-__all__ = ["Trajectory", "integrate", "locate_events", "refine_minimum", "dense_grid"]
+__all__ = ["Trajectory", "integrate", "locate_events", "refine_minimum", "refined_minima", "dense_grid"]
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,19 @@ def refine_minimum(f, a, b, tol=1e-12, max_iter=200):
     return x2, f2
 
 
+def refined_minima(f, grid, values, interior=False):
+    """(t_min, f_min) of each discrete local minimum of the samples ``values``
+    of f on ``grid``, refined over its two neighbouring intervals.  The last
+    grid point counts when not above its left neighbour, unless ``interior``."""
+    last = len(grid) - 1
+    out = []
+    for i in range(1, last if interior else last + 1):
+        right = min(i + 1, last)
+        if values[i] <= values[i - 1] and values[i] <= values[right]:
+            out.append(refine_minimum(f, grid[i - 1], grid[right]))
+    return out
+
+
 def _bisect(f, a, b, fa, fb, tol=1e-13, max_iter=200):
     for _ in range(max_iter):
         mid = 0.5 * (a + b)
@@ -188,13 +201,9 @@ def locate_events(f, grid, zero_tol=DEFAULT_ZERO_TOL, values=None):
     if values[-1] == 0.0:
         events.append((grid[-1], "touch"))
 
-    absf = np.abs(values)
-    for i in range(1, len(grid)):
-        right = min(i + 1, len(grid) - 1)
-        if absf[i] <= absf[i - 1] and (right == i or absf[i] <= absf[right]):
-            t_min, f_min = refine_minimum(lambda t: abs(f(t)), grid[i - 1], grid[right])
-            if f_min <= zero_tol * scale and t_min > grid[0] + 1e-12 * (1 + abs(grid[0])):
-                events.append((t_min, "touch"))
+    for t_min, f_min in refined_minima(lambda t: abs(f(t)), grid, np.abs(values)):
+        if f_min <= zero_tol * scale and t_min > grid[0] + 1e-12 * (1 + abs(grid[0])):
+            events.append((t_min, "touch"))
 
     events.sort(key=lambda ev: ev[0])
     merged = []

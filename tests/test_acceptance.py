@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conjscope import analysis, bounds, catalog, jacobi, ode, pair as pm, scalar
+from conjscope import analysis, bounds, catalog, jacobi, pair as pm, scalar
 from conjscope import frames
 
 TOL_TIME = 1e-6
@@ -196,8 +196,7 @@ def test_criterion_08_structural_invariants(runs):
     model2 = pm.SODEModel(m=2, F=("-x1 - 0.4*y1 + 0.2*y2", "-2*x2 - 0.3*y2"),
                           autonomous=True)
     pr2 = pm.lift_sode(model2)
-    traj = ode.integrate(pr2.field_callable(), [0.5, -0.3, 0.2, 0.4], 4.0)
-    ft = frames.transport_normal_frame(pr2, traj)
+    ft = frames.transport_normal_frame(pr2, [0.5, -0.3, 0.2, 0.4], 4.0)
     h = 1e-5
     for t in (0.9, 2.1, 3.4):
         H1 = pm.extract_H(pr2, ft.x(t)).H1
@@ -220,11 +219,10 @@ def test_criterion_08_structural_invariants(runs):
 
     # conjugate times do not depend on the transport seed
     pr3 = pm.lift_sode(pm.SODEModel(m=2, F=("-x1", "-x2"), autonomous=True))
-    traj3 = ode.integrate(pr3.field_callable(), [0.2, -0.1, 1.0, 0.4], 4.0)
     reference = None
     for _ in range(3):
         G0 = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
-        ft3 = frames.transport_normal_frame(pr3, traj3, G0=G0)
+        ft3 = frames.transport_normal_frame(pr3, [0.2, -0.1, 1.0, 0.4], 4.0, G0=G0)
         js3 = jacobi.integrate_jacobi(ft3.K_normal, 2, 4.0)
         times = [c.t_star for c in jacobi.find_conjugate_times(js3)]
         if reference is None:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conjscope import analysis, catalog, pair as pm
+from conjscope import analysis, catalog, jacobi, ode, pair as pm
 from conjscope.errors import ClosedOrbitWarning
 
 
@@ -96,3 +96,43 @@ def test_x0_length_validation():
         analysis.analyze(model, x0=(0.3,), T=4.0)
     with pytest.raises(ValueError):
         analysis.analyze(model, x0=(0.3, 0.7), T=None)
+
+
+@pytest.mark.parametrize("name, params, x0, T, n_tracks", [
+    ("harmonic", {"omega": 1.0}, (0.3, 0.7), 3.0, 1),
+    ("perturbed_pair", {"eps": 0.0}, (0.2, -0.1, 1.0, 0.4), 4.0, 2),
+    ("perturbed_pair", {"eps": 0.05}, (0.2, -0.1, 1.0, 0.4), 4.0, 0),
+])
+def test_analyze_solves_transport_jacobi_and_one_per_eigenline(monkeypatch, name, params, x0, T,
+                                                               n_tracks):
+    # the transport is the trajectory: no separate solve of X alone
+    solves = []
+    integrate = ode.integrate
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "integrate", counting)
+    model, _ = catalog.build(name, params)
+    res = analysis.analyze(model, x0=x0, T=T)
+    assert len(res.bounds.eigenline_tracks) == n_tracks
+    assert len(solves) == 2 + n_tracks
+
+
+def test_report_states_the_transport_and_jacobi_solves():
+    model, _ = catalog.build("perturbed_pair", {"eps": 0.05})
+    res = analysis.analyze(model, x0=(0.2, -0.1, 1.0, 0.4), T=4.0, rel_tol=1e-9, abs_tol=1e-11)
+    rep = res.report["trajectory"]
+    joint = res.transport.joint
+    assert rep["steps"] == joint.n_steps
+    assert rep["rhs_evals"] == joint.n_rhs_evals
+    assert (rep["rel_tol"], rep["abs_tol"]) == (joint.rel_tol, joint.abs_tol) == (1e-9, 1e-11)
+    joint = res.jacobi_solution.joint
+    assert res.report["jacobi"] == {
+        "rel_tol": jacobi.JACOBI_REL_TOL,
+        "abs_tol": jacobi.JACOBI_ABS_TOL,
+        "steps": joint.n_steps,
+        "rhs_evals": joint.n_rhs_evals,
+    }
+    assert (joint.rel_tol, joint.abs_tol) == (jacobi.JACOBI_REL_TOL, jacobi.JACOBI_ABS_TOL)

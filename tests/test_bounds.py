@@ -7,40 +7,40 @@ from conjscope import bounds, catalog
 
 def _const_samples(K, n=50, T=10.0):
     ts = np.linspace(0, T, n)
-    return [np.asarray(K, dtype=float)] * n, [np.eye(len(K))] * n, ts
+    return [np.asarray(K, dtype=float)] * n, ts
 
 
 def test_safe_interval_harmonic():
-    Ks, gs, ts = _const_samples([[1.0]])
-    lam, t_c = bounds.theorem_safe_interval(Ks, gs, 10.0)
+    Ks, ts = _const_samples([[1.0]])
+    lam, t_c = bounds.theorem_safe_interval(Ks, 10.0)
     assert lam == 1.0
     assert abs(t_c - math.pi) < 1e-12
 
 
 def test_safe_interval_negative_curvature():
-    Ks, gs, ts = _const_samples([[-1.0]])
-    lam, t_c = bounds.theorem_safe_interval(Ks, gs, 10.0)
+    Ks, ts = _const_samples([[-1.0]])
+    lam, t_c = bounds.theorem_safe_interval(Ks, 10.0)
     assert lam == -1.0 and t_c == 10.0
 
 
 def test_safe_interval_skew_part_ignored():
     eps = 0.3
-    Ks, gs, ts = _const_samples([[1.0, eps], [-eps, 1.0]])
-    lam, t_c = bounds.theorem_safe_interval(Ks, gs, 10.0)
+    Ks, ts = _const_samples([[1.0, eps], [-eps, 1.0]])
+    lam, t_c = bounds.theorem_safe_interval(Ks, 10.0)
     assert abs(lam - 1.0) < 1e-12
     assert abs(t_c - math.pi) < 1e-12
 
 
 def test_trace_bound_scalar():
-    Ks, gs, ts = _const_samples([[4.0]])
-    T_star, kappa, res, reason = bounds.theorem_trace_bound(Ks, gs, 1, 10.0)
+    Ks, ts = _const_samples([[4.0]])
+    T_star, kappa, res, reason = bounds.theorem_trace_bound(Ks, 1, 10.0)
     assert abs(T_star - math.pi / 2) < 1e-12
     assert kappa == 4.0 and res == 0.0
 
 
 def test_trace_bound_identity_2d():
-    Ks, gs, ts = _const_samples(np.eye(2))
-    T_star, *_ = bounds.theorem_trace_bound(Ks, gs, 2, 10.0)
+    Ks, ts = _const_samples(np.eye(2))
+    T_star, *_ = bounds.theorem_trace_bound(Ks, 2, 10.0)
     assert abs(T_star - math.pi * math.sqrt(2 / 2.0)) < 1e-12
     # the first detected time pi respects the bound
     assert math.pi <= T_star + 1e-6
@@ -48,8 +48,8 @@ def test_trace_bound_identity_2d():
 
 def test_trace_bound_refused_for_nonsymmetric():
     eps = 0.3
-    Ks, gs, ts = _const_samples([[1.0, eps], [-eps, 1.0]])
-    T_star, kappa, res, reason = bounds.theorem_trace_bound(Ks, gs, 2, 10.0)
+    Ks, ts = _const_samples([[1.0, eps], [-eps, 1.0]])
+    T_star, kappa, res, reason = bounds.theorem_trace_bound(Ks, 2, 10.0)
     assert T_star is None
     assert "symmetric" in reason
     assert res > 0.1
@@ -109,17 +109,16 @@ def test_dancing_sturm_zeros_match_detected_times():
 def test_lambda_max_invariant_under_orthogonal_frame_change():
     rng = np.random.default_rng(8)
     Ks = [rng.normal(size=(3, 3)) for _ in range(7)]
-    gs = [np.eye(3)] * 7
-    lam, _ = bounds.theorem_safe_interval(Ks, gs, 5.0)
+    lam, _ = bounds.theorem_safe_interval(Ks, 5.0)
     Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     Ks_rot = [Q.T @ K @ Q for K in Ks]
-    lam_rot, _ = bounds.theorem_safe_interval(Ks_rot, gs, 5.0)
+    lam_rot, _ = bounds.theorem_safe_interval(Ks_rot, 5.0)
     assert abs(lam - lam_rot) < 1e-10
 
 
 def test_bounds_report_verdicts_consistent_for_harmonic():
-    Ks, gs, ts = _const_samples([[1.0]], n=40, T=7.0)
-    rep = bounds.bounds_report(Ks, gs, ts, 1, 7.0, [(math.pi, 1), (2 * math.pi, 1)])
+    Ks, ts = _const_samples([[1.0]], n=40, T=7.0)
+    rep = bounds.bounds_report(Ks, ts, 1, 7.0, [(math.pi, 1), (2 * math.pi, 1)])
     assert rep.verdicts["max_eig_bound"] == "consistent"
     assert rep.verdicts["trace_bound"] == "consistent"
     assert rep.verdicts["sturm_bound"] == "consistent"
@@ -128,6 +127,6 @@ def test_bounds_report_verdicts_consistent_for_harmonic():
 
 def test_bounds_report_flags_violation():
     # a fabricated detection inside the safe interval must be flagged
-    Ks, gs, ts = _const_samples([[1.0]], n=40, T=7.0)
-    rep = bounds.bounds_report(Ks, gs, ts, 1, 7.0, [(1.0, 1)])
+    Ks, ts = _const_samples([[1.0]], n=40, T=7.0)
+    rep = bounds.bounds_report(Ks, ts, 1, 7.0, [(1.0, 1)])
     assert rep.verdicts["max_eig_bound"] == "violated"

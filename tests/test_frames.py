@@ -7,14 +7,13 @@ from conjscope.errors import ZeroDirection
 
 def _transport(model, x0, T, G0=None):
     pr = pm.lift_sode(model) if isinstance(model, pm.SODEModel) else model
-    traj = ode.integrate(pr.field_callable(), x0, T)
-    return pr, traj, frames.transport_normal_frame(pr, traj, G0=G0)
+    return pr, frames.transport_normal_frame(pr, x0, T, G0=G0)
 
 
 def test_velocity_independent_force_keeps_G_constant():
     model = pm.SODEModel(m=1, F=("-x1",), autonomous=True)
     G0 = np.array([[1.7]])
-    _, _, ft = _transport(model, [0.3, 0.7], 5.0, G0=G0)
+    _, ft = _transport(model, [0.3, 0.7], 5.0, G0=G0)
     for t in np.linspace(0, 5, 9):
         assert np.allclose(ft.G(t), G0, atol=1e-12)
         assert np.allclose(ft.K_normal(t), [[1.0]], atol=1e-10)
@@ -23,7 +22,7 @@ def test_velocity_independent_force_keeps_G_constant():
 def test_damped_oscillator_transport_and_metric():
     gamma = 0.4
     model = pm.SODEModel(m=1, F=(f"-x1 - {2*gamma}*y1",), autonomous=True)
-    _, _, ft = _transport(model, [1.0, 0.0], 6.0)
+    _, ft = _transport(model, [1.0, 0.0], 6.0)
     for t in (0.5, 2.0, 4.5):
         assert abs(ft.G(t)[0, 0] - np.exp(-gamma * t)) < 1e-9
         assert abs(ft.K_normal(t)[0, 0] - (1 - gamma**2)) < 1e-9
@@ -33,7 +32,7 @@ def test_damped_oscillator_transport_and_metric():
 
 def test_transported_frame_is_orthonormal_for_its_metric():
     model = pm.SODEModel(m=2, F=("-x1 - 0.4*y1", "-2*x2 + 0.1*y2"), autonomous=True)
-    _, _, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
+    _, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
     for t in (0.0, 1.3, 3.9):
         G = ft.G(t)
         g = frames.invariant_metric_at(ft, t)
@@ -42,7 +41,7 @@ def test_transported_frame_is_orthonormal_for_its_metric():
 
 def test_identity_metric_when_H1_vanishes():
     model = pm.SODEModel(m=2, F=("-x1", "-3*x2"), autonomous=True)
-    _, _, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
+    _, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
     for t in (0.0, 2.0, 4.0):
         assert np.allclose(frames.invariant_metric_at(ft, t), np.eye(2), atol=1e-12)
 
@@ -54,9 +53,9 @@ def test_dancing_transport_follows_eigenvector_fields():
     x0 = np.array([2.5, -2.0, 0.6, 0.1])
     c0 = x0[3] / (x0[2] - x0[1])
     G0 = np.array([[0.0, 1.0], [1.0, c0]])     # columns: d/dy2 and d/dy1 + c d/dy2
-    pr, traj, ft = _transport(model, x0, 6.0, G0=G0)
+    pr, ft = _transport(model, x0, 6.0, G0=G0)
     for t in np.linspace(0.0, 6.0, 13):
-        s = traj.at(t)
+        s = ft.x(t)
         c = s[3] / (s[2] - s[1])
         G = ft.G(t)
         col0 = G[:, 0] / np.linalg.norm(G[:, 0])
@@ -67,9 +66,23 @@ def test_dancing_transport_follows_eigenvector_fields():
         assert abs(cross) / np.linalg.norm(col1) < 1e-8
 
 
+@pytest.mark.parametrize("name", ["dancing", "mechanical", "perturbed_pair"])
+def test_transport_x_slice_matches_plain_trajectory(name):
+    # the joint (x, G) solve replaces the plain solve of X; at the same
+    # tolerances its x slice stays on the plain trajectory
+    entry = catalog.ENTRIES[name]
+    model, _ = entry.build()
+    pr, ft = _transport(model, entry.default_x0, entry.default_T)
+    traj = ode.integrate(pr.field_callable(), entry.default_x0, entry.default_T,
+                         rel_tol=ft.joint.rel_tol, abs_tol=ft.joint.abs_tol)
+    for t in ft.grid():
+        x = traj.at(t)
+        assert np.max(np.abs(ft.x(t) - x)) < 1e-8 * (1.0 + np.max(np.abs(x)))
+
+
 def test_H1_recomputed_in_transported_frame_vanishes():
     model = pm.SODEModel(m=2, F=("-x1 - 0.4*y1 + 0.2*y2", "-2*x2 - 0.3*y2"), autonomous=True)
-    pr, traj, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
+    pr, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
     h = 1e-5
     for t in (0.7, 2.0, 3.3):
         x = ft.x(t)
@@ -83,7 +96,7 @@ def test_H1_recomputed_in_transported_frame_vanishes():
 def test_detG_matches_trace_integral():
     from scipy.integrate import simpson
     model = pm.SODEModel(m=2, F=("-x1 - 0.4*y1 + 0.2*y2", "-2*x2 - 0.3*y2"), autonomous=True)
-    pr, traj, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
+    pr, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
     ts = np.linspace(0, 4.0, 801)
     trH1 = np.array([np.trace(pm.extract_H(pr, ft.x(t)).H1) for t in ts])
     for t_end_idx in (200, 800):
@@ -99,12 +112,11 @@ def test_conjugate_times_independent_of_G0():
     model = pm.SODEModel(m=2, F=("-x1 - 0.3*y1", "-x2 - 0.6*y2"), autonomous=True)
     pr = pm.lift_sode(model)
     x0 = [0.2, -0.1, 1.0, 0.4]
-    traj = ode.integrate(pr.field_callable(), x0, 4.0)
     rng = np.random.default_rng(9)
     reference = None
     for _ in range(10):
         G0 = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
-        ft = frames.transport_normal_frame(pr, traj, G0=G0)
+        ft = frames.transport_normal_frame(pr, x0, 4.0, G0=G0)
         js = jacobi.integrate_jacobi(ft.K_normal, 2, 4.0)
         times = [c.t_star for c in jacobi.find_conjugate_times(js)]
         if reference is None:
@@ -160,7 +172,7 @@ def test_sup_directional_curvature_is_max_symmetrized_eigenvalue():
 
 def test_constant_coordinates_have_constant_norm():
     model = pm.SODEModel(m=2, F=("-x1 - 0.4*y1 + 0.2*y2", "-2*x2 - 0.3*y2"), autonomous=True)
-    _, _, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
+    _, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
     coeff = np.array([0.8, -0.5])              # constant coordinates in the normal frame
     norms = []
     for t in np.linspace(0, 4, 21):
@@ -177,7 +189,7 @@ def _generic_dancing_transport():
     model, _ = entry.build({"F": "sin(x1)"})
     pr = pm.lift_sode(model)
     gen = pm.GenericPair(coords=pr.coords, X=pr.X, vframe=pr.vframe)
-    _, _, ft = _transport(gen, entry.default_x0, entry.default_T)
+    _, ft = _transport(gen, entry.default_x0, entry.default_T)
     return pr, gen, ft
 
 

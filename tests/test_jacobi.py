@@ -74,6 +74,18 @@ def test_sigma_min_positive_for_small_t():
         assert js.sigma_min(t) > 0
 
 
+def test_P_and_sigma_min_sample_arrays_of_times():
+    K = np.array([[1.3, 0.4], [0.4, 0.6]])
+    js = jacobi.integrate_jacobi(lambda t: K, 2, 6.0)
+    ts = js.grid()
+    P, sig = js.P(ts), js.sigma_min(ts)
+    assert P.shape == (len(ts), 2, 2) and sig.shape == (len(ts),)
+    for i in range(0, len(ts), 7):
+        scale = 1e-13 * (1.0 + np.max(np.abs(js.P(ts[i]))))
+        assert np.max(np.abs(P[i] - js.P(ts[i]))) < scale
+        assert abs(sig[i] - js.sigma_min(ts[i])) < scale
+
+
 def test_PtQ_symmetry_for_symmetric_K():
     K = np.array([[1.3, 0.4], [0.4, 0.6]])
     js = jacobi.integrate_jacobi(lambda t: K, 2, 6.0)

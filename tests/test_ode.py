@@ -124,3 +124,15 @@ def test_dense_grid_subdivision():
 def test_refine_minimum_kink():
     t, v = ode.refine_minimum(lambda t: abs(t - 0.7371), 0.0, 2.0)
     assert abs(t - 0.7371) < 1e-10 and v < 1e-10
+
+
+def test_refined_minima_interior_rule():
+    # |cos| has interior zeros at pi/2 and 3pi/2 and falls to the right edge
+    f = lambda t: abs(math.cos(t))
+    grid = np.linspace(0.0, 1.95 * math.pi, 40)
+    values = np.array([f(t) for t in grid])
+    interior = ode.refined_minima(f, grid, values, interior=True)
+    assert [round(t, 9) for t, _ in interior] == [round(math.pi / 2, 9), round(1.5 * math.pi, 9)]
+    assert all(v < 1e-10 for _, v in interior)
+    everywhere = ode.refined_minima(lambda t: math.cos(t), grid, np.cos(grid))
+    assert len(everywhere) == 1 and abs(everywhere[0][0] - math.pi) < 1e-6
