@@ -55,7 +55,7 @@ def _closed_orbit_suspected(ft):
     grid = ft.grid()
     x0 = ft.x(0.0)
     dist = lambda t: float(np.linalg.norm(ft.x(t) - x0))
-    vals = np.array([dist(t) for t in grid])
+    vals = np.linalg.norm(ft.x(grid) - x0[:, None], axis=0)
     scale = float(np.max(vals))
     if scale == 0.0:
         return True

@@ -12,13 +12,14 @@ neither required nor checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import pair as pair_mod
 from . import scalar
 from .errors import DegenerateMetric
-from .scalar import evaluate
+from .scalar import Field, evaluate
 
 __all__ = ["SemiHamiltonianModel", "check_lagrangian", "induced_metric",
            "check_semi_invariance", "check_K_selfadjoint", "canonical_sigma",
@@ -41,17 +42,20 @@ class SemiHamiltonianModel:
         if len(self.sigma) != n or any(len(row) != n for row in self.sigma):
             raise ValueError("sigma must be an n x n matrix of expressions")
 
+    @cached_property
+    def sigma_field(self):
+        """The n x n components row by row as one Field."""
+        return Field(e for row in self.sigma for e in row)
+
     def bindings(self, x):
         env = dict(self.pair.params)
         env.update(self.params)
-        for name, value in zip(self.pair.coords, x):
-            env[name] = value
+        env.update(zip(self.pair.coords, np.asarray(x, dtype=float).tolist()))
         return env
 
     def sigma_at(self, x, check=True):
-        env = self.bindings(x)
         n = self.pair.n
-        S = np.array([[evaluate(e, env) for e in row] for row in self.sigma], dtype=float)
+        S = evaluate(self.sigma_field, self.bindings(x)).reshape(n, n)
         if check:
             scale = np.linalg.norm(S)
             if scale > 0 and np.linalg.norm(S + S.T) > 1e-12 * scale:
@@ -130,14 +134,13 @@ def check_semi_invariance(model: SemiHamiltonianModel, points):
     sigma along X and the Jacobian of X give the residual exactly."""
     pr = model.pair
     n = pr.n
-    sigma = [e for row in model.sigma for e in row]
     worst = 0.0
     for x in points:
         x = np.asarray(x, dtype=float)
         data = pair_mod.extract_H(pr, x, raise_on_violation=False)
         S0 = model.sigma_at(x)
-        _, XS, _, _ = scalar.second_partials(sigma, model.bindings(x),
-                                             dict(zip(pr.coords, data.X)), {})
+        _, XS, _, _ = scalar.second_partials(model.sigma_field, model.bindings(x),
+                                             dict(zip(pr.coords, data.X.tolist())), {})
         _, DX = pair_mod._jacobian(pr.X, pr.coords, pr.bindings(x))
         L = XS.reshape(n, n) + DX.T @ S0 + S0 @ DX
 

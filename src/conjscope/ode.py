@@ -66,7 +66,11 @@ class Trajectory:
             if idx < len(self.steps) and self.steps[idx] == t_arr:
                 return self.states[idx].copy()
             return np.asarray(self._sol(float(t_arr)), dtype=float)
-        return np.asarray(self._sol(t_arr), dtype=float)
+        out = np.asarray(self._sol(t_arr), dtype=float)
+        idx = np.minimum(np.searchsorted(self.steps, t_arr), len(self.steps) - 1)
+        hit = self.steps[idx] == t_arr
+        out[:, hit] = self.states[idx[hit]].T
+        return out
 
     def grid(self, per_step=SAMPLES_PER_STEP):
         return dense_grid(self.steps, per_step)

@@ -11,12 +11,13 @@ splitting and checks the regularity conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import scalar
 from .errors import RegularityViolation
-from .scalar import ExprProgram, evaluate, parse
+from .scalar import ExprProgram, Field, evaluate, parse
 
 COND_LIMIT = 1e8
 INVARIANCE_TOL = 1e-6
@@ -56,7 +57,7 @@ class SODEModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "F", tuple(_as_expr(f) for f in self.F))
+        object.__setattr__(self, "F", Field(_as_expr(f) for f in self.F))
         if len(self.F) != self.m:
             raise ValueError(f"expected {self.m} force components, got {len(self.F)}")
         if self.autonomous:
@@ -95,7 +96,7 @@ class GenericPair:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
-        object.__setattr__(self, "X", tuple(_as_expr(e) for e in self.X))
+        object.__setattr__(self, "X", Field(_as_expr(e) for e in self.X))
         object.__setattr__(
             self, "vframe",
             tuple(tuple(_as_expr(e) for e in col) for col in self.vframe),
@@ -115,15 +116,19 @@ class GenericPair:
     def m(self):
         return len(self.vframe)
 
+    @cached_property
+    def stacked(self):
+        """X followed by the m frame columns as one Field, so that one kernel
+        call jets the whole pair."""
+        return Field(self.X + tuple(e for col in self.vframe for e in col))
+
     def bindings(self, x):
         env = dict(self.params)
-        for name, value in zip(self.coords, x):
-            env[name] = value
+        env.update(zip(self.coords, np.asarray(x, dtype=float).tolist()))
         return env
 
     def X_at(self, x):
-        env = self.bindings(x)
-        return np.array([evaluate(e, env) for e in self.X], dtype=float)
+        return evaluate(self.X, self.bindings(x))
 
     def field_callable(self):
         return lambda x: self.X_at(x)
@@ -162,22 +167,14 @@ def _jet(exprs, coords, env, u):
     ``env`` binds every variable at the point and ``u`` maps names to the
     components of the direction.  Returns (val[k], J[k,n], Hu[k,n]) with
     Hu[i,b] = sum_j u_j d2 f_i / dx_b dx_j over the n names in ``coords``;
-    one engine call per coordinate."""
-    J = np.empty((len(exprs), len(coords)))
-    Hu = np.empty_like(J)
-    for b, name in enumerate(coords):
-        val, _, J[:, b], Hu[:, b] = scalar.second_partials(exprs, env, u, name)
+    one engine call."""
+    val, _, J, Hu = scalar.second_partials(exprs, env, u, coords)
     return val, J, Hu
 
 
 def _jacobian(exprs, coords, env):
-    """Value and Jacobian over the names in ``coords``, two columns per
-    engine call."""
-    n = len(coords)
-    J = np.empty((len(exprs), n))
-    for b in range(0, n, 2):
-        b2 = min(b + 1, n - 1)
-        val, J[:, b], J[:, b2], _ = scalar.second_partials(exprs, env, coords[b], coords[b2])
+    """Value and Jacobian over the names in ``coords``; one engine call."""
+    val, _, J, _ = scalar.second_partials(exprs, env, {}, coords)
     return val, J
 
 
@@ -212,28 +209,32 @@ class PointFrameData:
     residual: float               # relative residual of XXV outside span [V | XV]
 
 
+def _rows(A, rows):
+    """A applied to each row of ``rows``."""
+    return (A @ rows[..., None])[..., 0]
+
+
 def brackets_at(pair: GenericPair, x):
     """X, V, [X,V], [X,[X,V]] at x, all m columns, exact AD."""
-    env = pair.bindings(np.asarray(x, dtype=float))
+    env = pair.bindings(x)
     n, m = pair.n, pair.m
-    x_val, J_X = _jacobian(pair.X, pair.coords, env)
-    u = dict(zip(pair.coords, x_val))
-    # one jet of all frame columns stacked: rows j*n .. j*n + n - 1 are V_j
-    v_all, J_all, Hu_all = _jet([e for col in pair.vframe for e in col], pair.coords, env, u)
-    V = v_all.reshape(m, n).T
-    XV = np.zeros((n, m))
-    XXV = np.zeros((n, m))
-    JX_x = J_X @ x_val
-    for j in range(m):
-        v_val, J_V, Hu_V = V[:, j], J_all[j * n:(j + 1) * n], Hu_all[j * n:(j + 1) * n]
-        # second derivative of X along X and V_j
-        *_, d2X_xv = scalar.second_partials(pair.X, env, u, dict(zip(pair.coords, v_val)))
-        xv = J_V @ x_val - J_X @ v_val
-        XV[:, j] = xv
-        # directional derivative of the bracket field along X, then bracket again
-        dW = Hu_V @ x_val + J_V @ JX_x - d2X_xv - J_X @ (J_V @ x_val)
-        XXV[:, j] = dW - J_X @ xv
-    return x_val, V, XV, XXV
+    x_val = evaluate(pair.X, env)
+    # one jet of X and all frame columns stacked along u = X(x): rows 0 .. n-1
+    # are X, rows (j+1)*n .. (j+2)*n - 1 are V_j
+    val, J, Hu = _jet(pair.stacked, pair.coords, env, dict(zip(pair.coords, x_val.tolist())))
+    J_X, Hu_X = J[:n], Hu[:n]
+    J_V, Hu_V = J[n:].reshape(m, n, n), Hu[n:].reshape(m, n, n)
+    # row j of each (m, n) array below belongs to V_j; stacked matrix-vector
+    # products round as one product per column does (a matrix-matrix product
+    # does not)
+    V_rows = val[n:].reshape(m, n)
+    JV_x = J_V @ x_val
+    XV_rows = JV_x - _rows(J_X, V_rows)
+    # directional derivative of the bracket fields along X, with the second
+    # derivative of X along X and V_j, then bracket again
+    dW = Hu_V @ x_val + J_V @ (J_X @ x_val) - _rows(Hu_X, V_rows) - _rows(J_X, JV_x)
+    XXV = (dW - _rows(J_X, XV_rows)).T.copy()
+    return x_val, V_rows.T, XV_rows.T.copy(), XXV
 
 
 def extract_H(pair: GenericPair, x, raise_on_violation=True):
@@ -317,10 +318,10 @@ def sode_curvature(model: SODEModel, t, x, y):
     along X is exact here (no finite difference)."""
     m = model.m
     env = model.force_bindings(t, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    F_val = [evaluate(f, env) for f in model.F]
+    F_val = evaluate(model.F, env)
     xs = [f"x{k+1}" for k in range(m)]
     ys = [f"y{k+1}" for k in range(m)]
-    u = dict(zip(xs + ys, [env[name] for name in ys] + F_val))
+    u = dict(zip(xs + ys, [env[name] for name in ys] + F_val.tolist()))
     if not model.autonomous:
         u["t"] = 1.0
     _, J, Hu = _jet(model.F, xs + ys, env, u)
@@ -329,10 +330,22 @@ def sode_curvature(model: SODEModel, t, x, y):
 
 
 def _sode_H1(pair: GenericPair, x):
-    """H1 = -dF/dy in closed form."""
+    """H1 = -dF/dy in closed form.
+
+    The y names are seeded two per engine call, as i and j of one hyper-dual
+    evaluation, so one call serves m <= 2 and both names are hyper-dual in
+    both derivatives.  ``_jacobian`` seeds each column alone, which rounds a
+    division whose numerator and denominator depend on different y names
+    (the dancing force) differently in the last bit; on dancing that moves
+    the conjugate time by 5e-13."""
     model, t, xs, ys = _sode_point(pair, x)
     env = model.force_bindings(t, xs, ys)
-    _, J = _jacobian(model.F, [f"y{k+1}" for k in range(model.m)], env)
+    m = model.m
+    names = [f"y{k+1}" for k in range(m)]
+    J = np.empty((m, m))
+    for b in range(0, m, 2):
+        b2 = min(b + 1, m - 1)
+        _, J[:, b], J[:, b2], _ = scalar.second_partials(model.F, env, names[b], names[b2])
     return -J
 
 

@@ -1,22 +1,33 @@
-"""Expression language and hyper-dual forward-mode automatic differentiation.
+"""Expression language and forward-mode automatic differentiation by
+compiled jet kernels.
 
-Hyper-dual numbers carry two first-order perturbation directions and their
-mixed second-order term, so a single evaluation of an expression yields the
-value, two directional derivatives and one mixed second partial.  The
-components are floats (the algebra does not nest), and the value slot is
-bitwise equal to plain evaluation.  ``second_partials`` is the one seeding
-entry point: every other module obtains the derivatives of user-supplied
-fields through it, one expression or a whole vector field per call, along
-coordinate or arbitrary directions.  The one finite difference in the
-package is X(H1) for generic pairs (``pair.flow_derivative_H1``), which needs
-a third derivative of the fields along X.
+Expressions are parsed into immutable trees (``ExprProgram``).  Evaluation and
+differentiation run generated straight-line Python over float locals, one
+kernel per program or per ``Field`` (a tuple of programs, such as a vector
+field) and per seeding pattern.  A kernel carries the hyper-dual slots of
+every node (Fike & Alonso, AIAA 2011-886): the value, the derivative e1 along
+a direction i, and per direction j the derivative e2 and the mixed second
+derivative e12, so one call yields the value, the Jacobian and the Hessian
+contracted with i of a whole field (forward-mode Taylor propagation, Griewank
+& Walther, *Evaluating Derivatives*, 2008).  Slots that are statically zero
+are left out of the generated code, and the value slot is bitwise equal to
+plain evaluation.
+
+Kernels are compiled on first use and cached on the program or Field that
+owns them, so they live exactly as long as it does: nothing compiles at parse
+or build time, and no module-level cache holds programs.  ``second_partials``
+is the one seeding entry point: every other module obtains the derivatives of
+user-supplied fields through it.  The one finite difference in the package is
+X(H1) for generic pairs (``pair.flow_derivative_H1``), which needs a third
+derivative of the fields along X.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +36,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownFuncti
 __all__ = [
     "HyperDual",
     "ExprProgram",
+    "Field",
     "parse",
     "evaluate",
     "second_partials",
@@ -35,8 +47,10 @@ __all__ = [
 
 
 class HyperDual:
-    """Truncated algebra over eps1, eps2 with eps1^2 = eps2^2 = 0, eps1*eps2
-    kept; all four components are floats."""
+    """re + e1 eps1 + e2 eps2 + e12 eps1 eps2 with eps1^2 = eps2^2 = 0, all
+    four components floats.  ``evaluate`` accepts these as bindings (with a
+    zero e12 slot) and then returns them; the algebra itself is carried out by
+    the compiled kernels."""
 
     __slots__ = ("re", "e1", "e2", "e12")
 
@@ -49,165 +63,8 @@ class HyperDual:
     def __repr__(self):
         return f"HyperDual({self.re!r}, {self.e1!r}, {self.e2!r}, {self.e12!r})"
 
-    # -- ring operations ---------------------------------------------------
 
-    def __add__(self, b):
-        if isinstance(b, HyperDual):
-            return HyperDual(self.re + b.re, self.e1 + b.e1, self.e2 + b.e2, self.e12 + b.e12)
-        return HyperDual(self.re + b, self.e1, self.e2, self.e12)
-
-    __radd__ = __add__
-
-    def __sub__(self, b):
-        if isinstance(b, HyperDual):
-            return HyperDual(self.re - b.re, self.e1 - b.e1, self.e2 - b.e2, self.e12 - b.e12)
-        return HyperDual(self.re - b, self.e1, self.e2, self.e12)
-
-    def __rsub__(self, b):
-        return HyperDual(b - self.re, -self.e1, -self.e2, -self.e12)
-
-    def __neg__(self):
-        return HyperDual(-self.re, -self.e1, -self.e2, -self.e12)
-
-    def __mul__(self, b):
-        if isinstance(b, HyperDual):
-            return HyperDual(
-                self.re * b.re,
-                self.re * b.e1 + self.e1 * b.re,
-                self.re * b.e2 + self.e2 * b.re,
-                self.re * b.e12 + self.e1 * b.e2 + self.e2 * b.e1 + self.e12 * b.re,
-            )
-        return HyperDual(self.re * b, self.e1 * b, self.e2 * b, self.e12 * b)
-
-    __rmul__ = __mul__
-
-    # value slots below are computed exactly as plain evaluation computes
-    # them, so zero-seed evaluation is bitwise identical to it
-
-    def __truediv__(self, b):
-        if isinstance(b, HyperDual):
-            r = b.re
-            if r == 0.0:
-                raise ZeroDivisionError("hyper-dual division by zero")
-            q = self.re / r
-            inv = 1.0 / r
-            inv2 = inv * inv
-            return HyperDual(
-                q,
-                self.e1 * inv - self.re * b.e1 * inv2,
-                self.e2 * inv - self.re * b.e2 * inv2,
-                self.e12 * inv - (self.e1 * b.e2 + self.e2 * b.e1) * inv2
-                - self.re * b.e12 * inv2 + 2.0 * self.re * b.e1 * b.e2 * inv2 * inv,
-            )
-        return HyperDual(self.re / b, self.e1 / b, self.e2 / b, self.e12 / b)
-
-    def __rtruediv__(self, b):
-        r = self.re
-        if r == 0.0:
-            raise ZeroDivisionError("hyper-dual division by zero")
-        q = b / r
-        inv = 1.0 / r
-        return self._lift(q, -q * inv, 2.0 * q * inv * inv)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("hyper-dual pow requires an integer exponent")
-        r = self.re
-        f1 = n * r ** (n - 1) if n != 0 else 0.0
-        f2 = n * (n - 1) * r ** (n - 2) if n not in (0, 1) else 0.0
-        return self._lift(r ** n, f1, f2)
-
-    # -- chain rule for elementary functions --------------------------------
-
-    def _lift(self, f0, f1, f2):
-        # f0, f1, f2: value, first and second derivative at self.re
-        return HyperDual(
-            f0,
-            f1 * self.e1,
-            f1 * self.e2,
-            f1 * self.e12 + f2 * (self.e1 * self.e2),
-        )
-
-    def sin(self):
-        s, c = math.sin(self.re), math.cos(self.re)
-        return self._lift(s, c, -s)
-
-    def cos(self):
-        s, c = math.sin(self.re), math.cos(self.re)
-        return self._lift(c, -s, -c)
-
-    def tan(self):
-        t = math.tan(self.re)
-        d = 1.0 + t * t
-        return self._lift(t, d, 2.0 * t * d)
-
-    def exp(self):
-        v = math.exp(self.re)
-        return self._lift(v, v, v)
-
-    def log(self):
-        if self.re <= 0.0:
-            raise DomainError("log of non-positive value")
-        inv = 1.0 / self.re
-        return self._lift(math.log(self.re), inv, -inv * inv)
-
-    def sqrt(self):
-        if self.re <= 0.0:
-            raise DomainError("sqrt of non-positive value (not differentiable at 0)")
-        s = math.sqrt(self.re)
-        d = 0.5 / s
-        return self._lift(s, d, -0.5 * d / self.re)
-
-    def __abs__(self):
-        sgn = 1.0 if self.re >= 0.0 else -1.0
-        return self._lift(abs(self.re), sgn, 0.0)
-
-
-def _sin(x):
-    return x.sin() if isinstance(x, HyperDual) else math.sin(x)
-
-
-def _cos(x):
-    return x.cos() if isinstance(x, HyperDual) else math.cos(x)
-
-
-def _tan(x):
-    return x.tan() if isinstance(x, HyperDual) else math.tan(x)
-
-
-def _exp(x):
-    return x.exp() if isinstance(x, HyperDual) else math.exp(x)
-
-
-def _log(x):
-    if isinstance(x, HyperDual):
-        return x.log()
-    if x <= 0.0:
-        raise DomainError("log of non-positive value")
-    return math.log(x)
-
-
-def _sqrt(x):
-    if isinstance(x, HyperDual):
-        return x.sqrt()
-    if x < 0.0:
-        raise DomainError("sqrt of negative value")
-    return math.sqrt(x)
-
-
-def _abs(x):
-    return abs(x)
-
-
-_FUNCTIONS = {
-    "sin": _sin,
-    "cos": _cos,
-    "tan": _tan,
-    "exp": _exp,
-    "log": _log,
-    "sqrt": _sqrt,
-    "abs": _abs,
-}
+_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 
 
 # -- abstract syntax tree ----------------------------------------------------
@@ -412,10 +269,12 @@ def _free_vars(node, seen, order):
 @dataclass(frozen=True)
 class ExprProgram:
     """A parsed expression: the tree plus its variable names in order of
-    first appearance.  Immutable; safe to evaluate concurrently."""
+    first appearance.  Immutable; safe to evaluate concurrently.  Its
+    compiled kernels are cached on it, keyed by seeding pattern."""
 
     ast: object
     free_vars: tuple
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, bindings):
         return evaluate(self, bindings)
@@ -469,86 +328,401 @@ def _pretty(node, parent_level):
     return f"({s})" if level < parent_level else s
 
 
-def evaluate(prog: ExprProgram, bindings):
-    """Evaluate over floats or HyperDual scalars.
 
-    ``bindings`` must cover every free variable; DomainError is raised for
-    log/sqrt/division domain failures and carries the offending subexpression.
-    """
-    for name in prog.free_vars:
-        if name not in bindings:
-            raise UnboundVariable(name)
-    return _eval(prog.ast, bindings)
+# -- compiled jet kernels -----------------------------------------------------
+#
+# A kernel is generated from the trees of a program or a Field and a seeding
+# pattern: the names seeded along i (e1), and per direction j the names seeded
+# along it (e2).  A seed given as a name has the unit component, written into
+# the code; a seed given as a mapping has its components read at call time.
+# Every slot is computed by the hyper-dual formula of its node, term for term
+# and in the same order, with the terms of statically zero slots left out.
+#
+# Each direction j is its own projection: its e2 and e12 slots, and the e1
+# slots they read, are computed as a hyper-dual evaluation seeded along i and
+# that j alone computes them.  A node counts as hyper-dual in a projection
+# when it depends on a name seeded there, and division and sqrt take their
+# formula and domain check from that.  So one column of a multi-direction call
+# is bitwise equal to the single-direction call.  Identical expressions are
+# computed once, which shares the value slots and every e1 slot that does not
+# depend on the projection.
 
+_KERNEL_GLOBALS = {
+    "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
+    "_log": math.log, "_sqrt": math.sqrt, "_abs": abs, "_DomainError": DomainError,
+    "_INF": math.inf, "_NAN": math.nan,
+}
 
-def _eval(node, env):
-    tp = type(node)
-    if tp is Const:
-        return node.value
-    if tp is Var:
-        return env[node.name]
-    if tp is Add:
-        return _eval(node.a, env) + _eval(node.b, env)
-    if tp is Sub:
-        return _eval(node.a, env) - _eval(node.b, env)
-    if tp is Mul:
-        return _eval(node.a, env) * _eval(node.b, env)
-    if tp is Div:
-        den = _eval(node.b, env)
-        if (den.re if type(den) is HyperDual else den) == 0.0:
-            raise DomainError("division by zero", _pretty(node, 0))
-        return _eval(node.a, env) / den
-    if tp is Neg:
-        return -_eval(node.a, env)
-    if tp is Pow:
-        base = _eval(node.base, env)
-        if node.exponent < 0 and (base.re if type(base) is HyperDual else base) == 0.0:
-            raise DomainError("zero base with negative exponent", _pretty(node, 0))
-        if isinstance(base, HyperDual):
-            return base ** node.exponent
-        return float(base) ** node.exponent
-    if tp is Call:
-        arg = _eval(node.arg, env)
-        try:
-            return _FUNCTIONS[node.fn](arg)
-        except DomainError as err:
-            raise DomainError(str(err), _pretty(node, 0)) from None
-        except ValueError as err:
-            raise DomainError(str(err), _pretty(node, 0)) from None
-    raise TypeError(f"unknown node {node!r}")
+_NONE3 = (None, None, None)
 
 
-def _parts(out):
-    if isinstance(out, HyperDual):
-        return out.re, out.e1, out.e2, out.e12
-    return float(out), 0.0, 0.0, 0.0
+def _literal(value):
+    if math.isnan(value):
+        return "_NAN"
+    if math.isinf(value):
+        return "_INF" if value > 0 else "(-_INF)"
+    return repr(value) if math.copysign(1.0, value) > 0 else f"({value!r})"
+
+
+def _is_atom(expr):
+    # a local name or a literal; compound expressions all hold a space or a call
+    return " " not in expr and (expr.isidentifier() or expr[0].isdigit() or expr.startswith("(-"))
+
+
+def _chain(*factors):
+    """Left-to-right product of atoms; None when a factor is statically zero.
+    Unit factors are dropped, which is exact."""
+    if None in factors:
+        return None
+    kept = [f for f in factors if f != "1.0"]
+    return " * ".join(kept) if kept else "1.0"
+
+
+def _sum(*terms):
+    """Left-to-right sum of (sign, term) with statically zero terms left out."""
+    out = None
+    for sign, term in terms:
+        if term is None:
+            continue
+        if out is None:
+            out = term if sign == "+" else f"-{term}"
+        else:
+            out = f"{out} {sign} {term}"
+    return out
+
+
+class _Codegen:
+    """Writes the body of one kernel ``_kernel(env, d1, d2)``: ``env`` binds
+    the names, ``d1`` and ``d2[c]`` hold the components of mapping seeds."""
+
+    def __init__(self, projections):
+        self.projections = projections
+        self.zero = (_NONE3,) * len(projections)
+        self.head = []
+        self.body = []
+        self.memo = {}
+        self.names = {}
+        self.seeds = {}
+
+    def emit(self, expr, where=None):
+        """Local holding ``expr``; with ``where``, a ValueError of the
+        expression (a math call on an infinite argument) is a DomainError."""
+        if expr is None or _is_atom(expr):
+            return expr
+        name = self.memo.get(expr)
+        if name is None:
+            name = self.memo[expr] = f"t{len(self.memo)}"
+            if where is None:
+                self.body.append(f"    {name} = {expr}")
+            else:
+                self.body += ["    try:", f"        {name} = {expr}",
+                              "    except ValueError as err:",
+                              f"        raise _DomainError(str(err), {where!r}) from None"]
+        return name
+
+    def check(self, cond, message, node):
+        self.body.append(f"    if {cond}: raise _DomainError({message!r}, {_pretty(node, 0)!r})")
+
+    def load(self, name):
+        if name not in self.names:
+            self.names[name] = f"x{len(self.names)}"
+            self.head.append(f"    {self.names[name]} = float(env[{name!r}])")
+
+    def seed(self, key, name, source):
+        if key is None:
+            return None
+        if isinstance(key, str):
+            return "1.0" if key == name else None
+        if name not in key:
+            return None
+        local = self.seeds.get((source, name))
+        if local is None:
+            local = self.seeds[(source, name)] = f"s{len(self.seeds)}"
+            self.head.append(f"    {local} = float({source}[{name!r}])")
+        return local
+
+    # -- nodes: each returns (value, slots), one (e1, e2, e12) per projection
+
+    def gen(self, node):
+        tp = type(node)
+        if tp is Const:
+            return _literal(node.value), self.zero
+        if tp is Var:
+            name = node.name
+            slots = tuple((self.seed(ik, name, "d1"), self.seed(jk, name, f"d2[{c}]"), None)
+                          for ik, jk, c in self.projections)
+            return self.names[name], slots
+        if tp is Neg:
+            v, ps = self.gen(node.a)
+            return self.emit(f"-{v}"), tuple(
+                tuple(self.emit(None if x is None else f"-{x}") for x in p) for p in ps)
+        if tp is Add or tp is Sub:
+            return self.additive(node, "+" if tp is Add else "-")
+        if tp is Mul:
+            return self.mul(node)
+        if tp is Div:
+            return self.div(node)
+        if tp is Pow:
+            return self.pow(node)
+        if tp is Call:
+            return self.func(node)
+        raise TypeError(f"unknown node {node!r}")
+
+    def additive(self, node, op):
+        pv, ps = self.gen(node.a)
+        qv, qs = self.gen(node.b)
+        slots = tuple(
+            tuple(self.emit(_sum(("+", x), (op, y))) for x, y in zip(p, q))
+            for p, q in zip(ps, qs))
+        return self.emit(f"{pv} {op} {qv}"), slots
+
+    def mul(self, node):
+        pv, ps = self.gen(node.a)
+        qv, qs = self.gen(node.b)
+        slots = []
+        for (pa, pb, pc), (qa, qb, qc) in zip(ps, qs):
+            slots.append((
+                self.emit(_sum(("+", _chain(pv, qa)), ("+", _chain(pa, qv)))),
+                self.emit(_sum(("+", _chain(pv, qb)), ("+", _chain(pb, qv)))),
+                self.emit(_sum(("+", _chain(pv, qc)), ("+", _chain(pa, qb)),
+                               ("+", _chain(pb, qa)), ("+", _chain(pc, qv)))),
+            ))
+        return self.emit(f"{pv} * {qv}"), tuple(slots)
+
+    def div(self, node):
+        # the denominator is evaluated and checked before the numerator
+        qv, qs = self.gen(node.b)
+        if not (_is_atom(qv) and qv[0].isdigit() and float(qv) != 0.0):
+            self.check(f"{qv} == 0.0", "division by zero", node)
+        pv, ps = self.gen(node.a)
+        val = self.emit(f"{pv} / {qv}")
+        slots = []
+        for p, q in zip(ps, qs):
+            (pa, pb, pc), (qa, qb, qc) = p, q
+            if q == _NONE3:
+                slots.append(tuple(self.emit(None if x is None else f"{x} / {qv}") for x in p))
+            elif p != _NONE3:
+                inv = self.emit(f"1.0 / {qv}")
+                inv2 = self.emit(f"{inv} * {inv}")
+                cross = self.emit(_sum(("+", _chain(pa, qb)), ("+", _chain(pb, qa))))
+                slots.append((
+                    self.emit(_sum(("+", _chain(pa, inv)), ("-", _chain(pv, qa, inv2)))),
+                    self.emit(_sum(("+", _chain(pb, inv)), ("-", _chain(pv, qb, inv2)))),
+                    self.emit(_sum(("+", _chain(pc, inv)), ("-", _chain(cross, inv2)),
+                                   ("-", _chain(pv, qc, inv2)),
+                                   ("+", _chain("2.0", pv, qa, qb, inv2, inv)))),
+                ))
+            else:
+                # a numerator that is plain in this projection
+                inv = self.emit(f"1.0 / {qv}")
+                f1 = self.emit(f"-{val} * {inv}")
+                f2 = self.emit(f"2.0 * {val} * {inv} * {inv}")
+                slots.append(self.lift(q, f1, f2))
+        return val, tuple(slots)
+
+    def lift(self, slot, f1, f2):
+        """Chain rule through a scalar function with derivatives f1, f2 (f2
+        None when it is zero)."""
+        if slot == _NONE3:
+            return slot
+        a, b, c = slot
+        return (self.emit(_chain(f1, a)), self.emit(_chain(f1, b)),
+                self.emit(_sum(("+", _chain(f1, c)),
+                               ("+", _chain(f2, self.emit(_chain(a, b)))))))
+
+    def power(self, r, k):
+        return "1.0" if k == 0 else r if k == 1 else self.emit(f"{r} ** {k}")
+
+    def pow(self, node):
+        rv, rs = self.gen(node.base)
+        n = node.exponent
+        if n < 0:
+            self.check(f"{rv} == 0.0", "zero base with negative exponent", node)
+        val = self.power(rv, n)
+        if rs == self.zero:
+            return val, rs
+        if n == 0:
+            f1 = f2 = "0.0"
+        else:
+            p1 = self.power(rv, n - 1)
+            f1 = repr(float(n)) if n == 1 else self.emit(f"{n} * {p1}")
+            f2 = None if n == 1 else self.emit(f"{n * (n - 1)} * {self.power(rv, n - 2)}")
+        return val, tuple(self.lift(s, f1, f2) for s in rs)
+
+    def func(self, node):
+        rv, rs = self.gen(node.arg)
+        fn = node.fn
+        hd = rs != self.zero
+        where = _pretty(node, 0)
+        if fn == "log":
+            self.check(f"{rv} <= 0.0", "log of non-positive value", node)
+        elif fn == "sqrt":
+            if hd:
+                self.check(f"{rv} <= 0.0",
+                           "sqrt of non-positive value (not differentiable at 0)", node)
+            else:
+                self.check(f"{rv} < 0.0", "sqrt of negative value", node)
+        val = self.emit(f"_{fn}({rv})", where if fn in ("sin", "cos", "tan") else None)
+        if not hd:
+            return val, rs
+        if fn == "sin":
+            f1, f2 = self.emit(f"_cos({rv})", where), self.emit(f"-{val}")
+        elif fn == "cos":
+            s = self.emit(f"_sin({rv})", where)
+            f1, f2 = self.emit(f"-{s}"), self.emit(f"-{val}")
+        elif fn == "tan":
+            f1 = self.emit(f"1.0 + {val} * {val}")
+            f2 = self.emit(f"2.0 * {val} * {f1}")
+        elif fn == "exp":
+            f1 = f2 = val
+        elif fn == "log":
+            f1 = self.emit(f"1.0 / {rv}")
+            f2 = self.emit(f"-{f1} * {f1}")
+        elif fn == "sqrt":
+            f1 = self.emit(f"0.5 / {val}")
+            f2 = self.emit(f"-0.5 * {f1} / {rv}")
+        else:
+            f1, f2 = self.emit(f"1.0 if {rv} >= 0.0 else -1.0"), None
+        return val, tuple(self.lift(s, f1, f2) for s in rs)
+
+
+def _compile(progs, key):
+    """Kernel of the sequence ``progs`` for ``key``: None (plain values) or
+    (i seed, j seeds, multi).  Returns the function, which returns the flat
+    outputs that are not statically zero, their positions in the flat output
+    (None when it returns every output) and the flat size."""
+    if key is None:
+        projections, out_cols = (), 0
+    else:
+        ikey, jkeys, multi = key
+        columns = [(ikey, jk, c) for c, jk in enumerate(jkeys)]
+        projections = tuple([(ikey, None, None)] + columns if multi else columns)
+        out_cols = len(jkeys)
+    gen = _Codegen(projections)
+    for prog in progs:
+        for name in prog.free_vars:
+            gen.load(name)
+    results = [gen.gen(prog.ast) for prog in progs]
+    out = [v for v, _ in results]
+    if projections:
+        first = len(projections) - out_cols
+        out += [s[0][0] for _, s in results]
+        out += [s[first + c][1] for _, s in results for c in range(out_cols)]
+        out += [s[first + c][2] for _, s in results for c in range(out_cols)]
+    live = [k for k, o in enumerate(out) if o is not None]
+    source = "\n".join(["def _kernel(env, d1, d2):", *gen.head, *gen.body,
+                        f"    return ({''.join(out[k] + ', ' for k in live)})"])
+    namespace = {}
+    exec(compile(source, "<jet kernel>", "exec"), _KERNEL_GLOBALS, namespace)
+    index = None if len(live) == len(out) else np.array(live, dtype=np.intp)
+    return namespace["_kernel"], index, len(out)
+
+
+class Field(tuple):
+    """Immutable tuple of ExprPrograms (a vector field, or several stacked)
+    that owns the kernels compiled for the whole sequence."""
+
+    def __new__(cls, progs):
+        self = super().__new__(cls, progs)
+        self._kernels = {}
+        return self
+
+
+def _kernel(progs, key):
+    if isinstance(progs, (ExprProgram, Field)):
+        owner, seq = progs, progs
+        if isinstance(progs, ExprProgram):
+            seq = (progs,)
+    else:
+        owner = seq = Field(progs)    # a throwaway sequence compiles per call
+    kernel = owner._kernels.get(key)
+    if kernel is None:
+        kernel = owner._kernels[key] = _compile(seq, key)
+    return kernel
+
+
+def _call(fn, point, i, cols):
+    try:
+        return fn(point, i, cols)
+    except KeyError as err:
+        raise UnboundVariable(err.args[0]) from None
+
+
+def evaluate(progs, bindings):
+    """Value of one program (a float) or of a sequence of them (an array).
+
+    ``bindings`` must cover every free variable.  The bindings of one program
+    may also be HyperDual values with a zero e12 slot, which gives a
+    HyperDual.  DomainError is raised for log/sqrt/division domain failures
+    and carries the offending subexpression."""
+    single = isinstance(progs, ExprProgram)
+    fn = _kernel(progs, None)[0]
+    try:
+        out = _call(fn, bindings, None, None)
+    except TypeError:
+        duals = {n: b for n, b in bindings.items() if isinstance(b, HyperDual)}
+        if not (single and duals):
+            raise
+        if any(b.e12 != 0.0 for b in duals.values()):
+            raise ValueError("HyperDual bindings must have a zero e12 slot") from None
+        point = {**bindings, **{n: b.re for n, b in duals.items()}}
+        return HyperDual(*second_partials(progs, point, {n: b.e1 for n, b in duals.items()},
+                                          {n: b.e2 for n, b in duals.items()}))
+    return out[0] if single else np.array(out, dtype=float)
+
+
+def _seed_key(d):
+    return d if isinstance(d, str) else tuple(d)
 
 
 def second_partials(progs, point, i, j):
     """Value, d/di, d/dj and d2/didj at a real point.
 
-    ``progs`` is one ExprProgram, giving a tuple of four floats, or a
-    sequence of them, giving four arrays with one entry per program (the rows
-    of a 4 x len(progs) array).  ``point`` maps every free variable to a real.  ``i`` and ``j`` are
-    variable names (equal names give the pure second derivative) or mappings
-    from name to direction component, which give directional derivatives;
-    only the names they mention are seeded, every other binding stays a float.
-    """
-    di = {i: 1.0} if isinstance(i, str) else i
-    dj = {j: 1.0} if isinstance(j, str) else j
-    env = dict(point)
-    for name in {**di, **dj}:
-        env[name] = HyperDual(float(point[name]), float(di.get(name, 0.0)),
-                              float(dj.get(name, 0.0)), 0.0)
-    if isinstance(progs, ExprProgram):
-        return _parts(evaluate(progs, env))
-    return np.array([_parts(evaluate(p, env)) for p in progs], dtype=float).reshape(-1, 4).T
+    ``progs`` is one ExprProgram or a sequence of them (a Field keeps its
+    kernels; any other sequence compiles on every call).  ``point`` maps every
+    free variable to a real.  ``i`` and ``j`` are variable names (equal names
+    give the pure second derivative) or mappings from name to direction
+    component, which give directional derivatives; only the names they
+    mention are seeded.  ``j`` may also be a sequence of names or mappings.
+
+    One program and one j give four floats; a sequence of k programs gives
+    four arrays (the rows of a 4 x k array).  A sequence of ncols directions
+    j gives the value and d/di (floats, or arrays of k), then d/dj and
+    d2/didj with one entry per direction (ncols, or k x ncols arrays).  With
+    one j, d/di is computed as the hyper-dual evaluation seeded along i and j
+    computes it; with a sequence, as seeded along i alone (the two can differ
+    in the last bit where a division's numerator depends on j only)."""
+    multi = not isinstance(j, (str, dict, Mapping))
+    cols = tuple(j) if multi else (j,)
+    fn, index, size = _kernel(progs, (_seed_key(i), tuple(_seed_key(c) for c in cols), multi))
+    live = _call(fn, point, i, cols)
+    if index is None:
+        flat = np.array(live, dtype=float)
+    else:
+        flat = np.zeros(size)
+        flat[index] = live
+    single = isinstance(progs, ExprProgram)
+    if not multi:
+        return tuple(flat.tolist()) if single else flat.reshape(4, -1)
+    nc = len(cols)
+    if single:
+        return (*flat[:2].tolist(), flat[2:2 + nc], flat[2 + nc:])
+    k = size // (2 + 2 * nc)
+    e2 = flat[2 * k:].reshape(2, k, nc)
+    return flat[:k], flat[k:2 * k], e2[0], e2[1]
 
 
 # -- small AST builders used by model constructors ---------------------------
 
+def _const_node(value):
+    """A negative constant is built as the negation of its magnitude, the
+    tree the parser gives for its printed form (IEEE negation is exact)."""
+    value = float(value)
+    return Neg(Const(-value)) if math.copysign(1.0, value) < 0 else Const(value)
+
+
 def const_expr(value) -> ExprProgram:
-    return ExprProgram(Const(float(value)), ())
+    return ExprProgram(_const_node(value), ())
 
 
 def var_expr(name) -> ExprProgram:
@@ -562,7 +736,7 @@ def linear_combination(progs, coeffs) -> ExprProgram:
         c = float(c)
         if c == 0.0:
             continue
-        term = prog.ast if c == 1.0 else Mul(Const(c), prog.ast)
+        term = prog.ast if c == 1.0 else Mul(_const_node(c), prog.ast)
         node = term if node is None else Add(node, term)
     if node is None:
         return const_expr(0.0)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conjscope import analysis, catalog, jacobi, ode, pair as pm
+from conjscope import analysis, catalog, frames, jacobi, ode, pair as pm
 from conjscope.errors import ClosedOrbitWarning
 
 
@@ -136,3 +136,35 @@ def test_report_states_the_transport_and_jacobi_solves():
         "rhs_evals": joint.n_rhs_evals,
     }
     assert (joint.rel_tol, joint.abs_tol) == (jacobi.JACOBI_REL_TOL, jacobi.JACOBI_ABS_TOL)
+
+
+def _closed_orbit_pointwise(ft):
+    # reference: one dense lookup per grid point
+    grid = ft.grid()
+    x0 = ft.x(0.0)
+    dist = lambda t: float(np.linalg.norm(ft.x(t) - x0))
+    vals = np.array([dist(t) for t in grid])
+    scale = float(np.max(vals))
+    if scale == 0.0:
+        return True
+    cand = np.where(grid >= 0.1 * ft.T)[0]
+    if len(cand) == 0:
+        return False
+    i = cand[int(np.argmin(vals[cand]))]
+    _, d_min = ode.refine_minimum(dist, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
+    return d_min < 1e-6 * scale
+
+
+@pytest.mark.parametrize("name, x0, T", [(name, None, None) for name in catalog.ENTRIES]
+                         + [("harmonic", (0.3, 0.7), 7.0)])
+def test_batched_closed_orbit_check_matches_pointwise(name, x0, T):
+    entry = catalog.ENTRIES[name]
+    model, _ = catalog.build(name)
+    pair = pm.as_pair(model)
+    x0 = analysis._full_x0(model, pair, entry.default_x0 if x0 is None else x0)
+    ft = frames.transport_normal_frame(pair, x0, entry.default_T if T is None else T)
+    assert analysis._closed_orbit_suspected(ft) == _closed_orbit_pointwise(ft)
+    grid = ft.grid()
+    batched = np.linalg.norm(ft.x(grid) - ft.x(0.0)[:, None], axis=0)
+    pointwise = [np.linalg.norm(ft.x(t) - ft.x(0.0)) for t in grid]
+    assert np.allclose(batched, pointwise, rtol=1e-14, atol=1e-15)

@@ -113,6 +113,16 @@ def test_dense_evaluation_vectorized():
         traj.at(5.5)
 
 
+def test_dense_evaluation_at_step_endpoints_returns_stored_states():
+    # the array path agrees bitwise with the stored states, as the scalar path does
+    traj = ode.integrate(lambda x: np.array([x[1], -x[0]]), [0.0, 1.0], 20 * math.pi)
+    assert traj.n_steps > 500
+    assert traj.at(traj.steps).T.tobytes() == traj.states.tobytes()
+    # endpoints mixed with points inside steps
+    block = traj.at(np.concatenate([traj.steps[::7], traj.grid()[1::5]]))
+    assert block[:, :len(traj.steps[::7])].T.tobytes() == traj.states[::7].tobytes()
+
+
 def test_dense_grid_subdivision():
     steps = np.array([0.0, 1.0, 3.0])
     grid = ode.dense_grid(steps, per_step=4)

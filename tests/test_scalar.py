@@ -1,12 +1,66 @@
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conjscope import scalar
+from conjscope import catalog, pair as pair_mod, scalar
 from conjscope.errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownFunction
-from conjscope.scalar import HyperDual, evaluate, parse, second_partials
+from conjscope.scalar import (Const, ExprProgram, HyperDual, Mul, Neg, Pow, Var, const_expr,
+                              evaluate, linear_combination, parse, second_partials, var_expr)
+
+
+# -- reference interpreter: the test oracle of compiled evaluation -----------
+
+def _ref_log(x):
+    if x <= 0.0:
+        raise DomainError("log of non-positive value")
+    return math.log(x)
+
+
+def _ref_sqrt(x):
+    if x < 0.0:
+        raise DomainError("sqrt of negative value")
+    return math.sqrt(x)
+
+
+REF_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+                 "log": _ref_log, "sqrt": _ref_sqrt, "abs": abs}
+
+
+def reference(node, env):
+    """Recursive float evaluation of a tree: the denominator is evaluated and
+    checked before the numerator, and domain failures carry the printed
+    offending node."""
+    tp = type(node)
+    if tp is scalar.Const:
+        return node.value
+    if tp is scalar.Var:
+        return float(env[node.name])
+    if tp is scalar.Neg:
+        return -reference(node.a, env)
+    if tp is scalar.Div:
+        den = reference(node.b, env)
+        if den == 0.0:
+            raise DomainError("division by zero", scalar._pretty(node, 0))
+        return reference(node.a, env) / den
+    if tp is scalar.Pow:
+        base = reference(node.base, env)
+        if node.exponent < 0 and base == 0.0:
+            raise DomainError("zero base with negative exponent", scalar._pretty(node, 0))
+        return base ** node.exponent
+    if tp is scalar.Call:
+        arg = reference(node.arg, env)
+        try:
+            return REF_FUNCTIONS[node.fn](arg)
+        except (DomainError, ValueError) as err:
+            raise DomainError(str(err), scalar._pretty(node, 0)) from None
+    a, b = reference(node.a, env), reference(node.b, env)
+    return {scalar.Add: a + b, scalar.Sub: a - b, scalar.Mul: a * b}[tp]
 
 
 def test_parse_tree_shape():
@@ -108,10 +162,61 @@ def test_unbound_variable():
 def test_domain_errors_carry_subexpression():
     with pytest.raises(DomainError):
         evaluate(parse("log(x)"), {"x": -1.0})
-    with pytest.raises(DomainError):
-        evaluate(parse("1/(x - 1)"), {"x": 1.0})
-    with pytest.raises(DomainError):
-        evaluate(parse("x^-1"), {"x": 0.0})
+    cases = (("2*log(x - 1)", 0.5, "log(x - 1)"), ("y + 1/(x - 1)", 1.0, "1/(x - 1)"),
+             ("y*x^-1", 0.0, "x^-1"))
+    for text, x, where in cases:
+        prog, point = parse(text), {"x": x, "y": 2.0}
+        calls = (lambda: evaluate(prog, point),
+                 lambda: second_partials(prog, point, "x", "y"),
+                 lambda: second_partials(scalar.Field([prog, prog]), point, {"y": 1.0}, ["x", "y"]))
+        for call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert err.value.where == where
+
+
+def test_sqrt_domain_check_depends_on_differentiation():
+    # sqrt is differentiable only on positive arguments; a plain value at 0 is fine
+    assert evaluate(parse("sqrt(x)"), {"x": 0.0}) == 0.0
+    assert second_partials(parse("x*sqrt(y)"), {"x": 1.0, "y": 0.0}, "x", "x")[0] == 0.0
+    with pytest.raises(DomainError, match="not differentiable") as err:
+        second_partials(parse("x*sqrt(y)"), {"x": 1.0, "y": 0.0}, "x", ["x", "y"])
+    assert err.value.where == "sqrt(y)"
+    with pytest.raises(DomainError, match="sqrt of negative value"):
+        evaluate(parse("sqrt(x)"), {"x": -1e-300})
+
+
+def test_direction_columns_take_their_own_division_formula():
+    # numerators depend on x only and denominators on y only: in column x the
+    # denominator is a plain value, in column y the numerator is
+    progs = scalar.Field([parse("x*x/y"), parse("sin(x)/(y*y - 1)")])
+    for x in np.linspace(0.1, 2.0, 20):
+        point = {"x": x, "y": 3.0 + x}
+        _, _, e2, e12 = second_partials(progs, point, {}, ["x", "y"])
+        for k, prog in enumerate(progs):
+            for b, name in enumerate(("x", "y")):
+                single = second_partials(prog, point, {}, name)
+                assert (e2[k, b].hex(), e12[k, b].hex()) == (single[2].hex(), single[3].hex())
+
+
+def test_negative_constant_base_is_parenthesised():
+    # Python reads -0.5 ** 2 as -(0.5 ** 2)
+    assert evaluate(ExprProgram(Pow(Const(-0.5), 2), ()), {}) == 0.25
+    assert evaluate(ExprProgram(Pow(Const(-0.5), 3), ()), {}) == -0.125
+    prog = ExprProgram(Mul(Pow(Const(-0.5), 2), Var("x")), ("x",))
+    assert second_partials(prog, {"x": 4.0}, "x", "x") == (1.0, 0.25, 0.25, 0.0)
+
+
+def test_builders_make_negative_constants_as_negations():
+    x, y = var_expr("x"), var_expr("y")
+    prog = linear_combination([x], [-0.5])
+    assert prog.ast == Mul(Neg(Const(0.5)), Var("x"))
+    assert evaluate(prog, {"x": 0.3}).hex() == (-0.5 * 0.3).hex()
+    assert const_expr(-3.25).ast == Neg(Const(3.25))
+    assert math.copysign(1.0, evaluate(const_expr(-0.0), {})) == -1.0
+    for built in (prog, linear_combination([x, y], [2.0, -1.0]), const_expr(-3.25),
+                  const_expr(-0.0), const_expr(1.5)):
+        assert parse(built.pretty()) == built
 
 
 def _finite_difference_check(prog, point, i, j, h1=1e-5, h2=5e-4):
@@ -179,12 +284,12 @@ NAMES = ("x", "y", "z")
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
-def trees(functions=tuple(scalar._FUNCTIONS)):
-    # constants are non-negative: the parser reads a minus sign as Neg, so it
-    # never produces a negative Const
+def trees(functions=scalar._FUNCTIONS, negative=False):
+    # the parser reads a minus sign as Neg, so it never produces a negative
+    # Const, and trees with one do not survive printing and parsing
     leaves = st.one_of(
         st.sampled_from(NAMES).map(scalar.Var),
-        st.floats(0.0, 4.0).map(scalar.Const),
+        st.floats(-4.0 if negative else 0.0, 4.0).map(scalar.Const),
     )
 
     def extend(children):
@@ -217,7 +322,7 @@ def engine(progs, point, i, j):
         out = second_partials(progs, point, i, j)
     except EVAL_ERRORS:
         assume(False)
-    assume(np.all(np.isfinite(out)))
+    assume(all(np.all(np.isfinite(part)) for part in out))
     return out
 
 
@@ -226,6 +331,35 @@ def engine(progs, point, i, j):
 def test_property_pretty_parse_roundtrip(tree):
     prog = program(tree)
     assert parse(prog.pretty()) == prog
+
+
+def _outcome(fn):
+    try:
+        return fn().hex()
+    except DomainError as err:
+        return ("DomainError", str(err), err.where)
+    except (ZeroDivisionError, OverflowError, ValueError) as err:
+        return type(err).__name__
+
+
+@PROPERTY_SETTINGS
+@given(trees(negative=True), points)
+def test_property_evaluate_bitwise_equals_reference_interpreter(tree, point):
+    prog = program(tree)
+    assert _outcome(lambda: evaluate(prog, point)) == _outcome(lambda: reference(tree, point))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(trees(negative=True), min_size=1, max_size=3), points, directions,
+       st.lists(st.one_of(st.sampled_from(NAMES), directions), min_size=1, max_size=3))
+def test_property_direction_columns_bitwise_equal_single_direction(tree_list, point, i, js):
+    progs = [program(t) for t in tree_list]
+    val, _, e2, e12 = engine(scalar.Field(progs), point, i, js)
+    for k, prog in enumerate(progs):
+        for b, j in enumerate(js):
+            single = second_partials(prog, point, i, j)
+            assert [val[k].hex(), e2[k, b].hex(), e12[k, b].hex()] == \
+                [float(single[s]).hex() for s in (0, 2, 3)]
 
 
 @PROPERTY_SETTINGS
@@ -282,3 +416,75 @@ def test_property_engine_matches_sympy_directional_derivatives(tree, point, i, j
     for got, ref in zip(out, (f, d_i, d_j, d_ij)):
         exact = float(ref.evalf(40, subs=subs))
         assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+# -- kernel lifetime ------------------------------------------------------------
+
+def _count_compiles(monkeypatch):
+    keys = []
+    compile_kernel = scalar._compile
+
+    def counting(progs, key):
+        keys.append(key)
+        return compile_kernel(progs, key)
+
+    monkeypatch.setattr(scalar, "_compile", counting)
+    return keys
+
+
+def _planar_pair():
+    return pair_mod.GenericPair(coords=("q", "p"), X=("p", "-q - a*q^3"),
+                                vframe=(("0", "1"),), params={"a": 0.3})
+
+
+def test_building_models_compiles_no_kernel(monkeypatch):
+    keys = _count_compiles(monkeypatch)
+    for name in catalog.ENTRIES:
+        catalog.build(name)
+    pr = _planar_pair()
+    assert keys == []
+    pr.X_at([0.1, 0.2])
+    pair_mod.brackets_at(pr, [0.1, 0.2])
+    pair_mod.brackets_at(pr, [0.3, -0.2])
+    assert len(keys) == 2          # plain X, then the jet of X and the frame
+
+
+def test_kernels_are_freed_with_their_programs():
+    point = {"x": 0.3, "y": 0.7}
+    prog = parse("x*sin(y)")
+    evaluate(prog, point)
+    second_partials(prog, point, "x", "y")
+    assert len(prog._kernels) == 2
+    ref = weakref.ref(prog)
+    del prog
+    gc.collect()
+    assert ref() is None
+    # a plain list compiles a throwaway kernel that dies with the call
+    progs = [parse("x + y"), parse("x*y")]
+    refs = [weakref.ref(p) for p in progs]
+    second_partials(progs, point, {}, ["x", "y"])
+    del progs
+    gc.collect()
+    assert all(r() is None for r in refs)
+    pr = _planar_pair()
+    pair_mod.extract_H(pr, [0.4, 0.1])
+    ref = weakref.ref(pr)
+    del pr
+    gc.collect()
+    assert ref() is None
+
+
+def test_lazy_compilation_under_threads():
+    points = [np.array([0.1 * k, 0.5 - 0.05 * k]) for k in range(40)]
+    expected = [pair_mod.brackets_at(_planar_pair(), x) for x in points]
+    pr = _planar_pair()             # no kernel yet: the threads race to compile
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda x: pair_mod.brackets_at(pr, x), points, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(got, expected):
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+    assert len(pr.X._kernels) == 1 and len(pr.stacked._kernels) == 1
