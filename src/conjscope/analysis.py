@@ -218,6 +218,7 @@ def curve_rows(result: AnalysisResult):
     """Rows of the curves table: t, sigma_min(P), curvature eigenvalues
     (real/imag, sorted by real part), trace, det G."""
     m = result.pair.m
+    det_G = result.transport.det_G(result.grid)
     rows = []
     for idx, t in enumerate(result.grid):
         K = result.K_track[idx]
@@ -225,6 +226,6 @@ def curve_rows(result: AnalysisResult):
         row = [float(t), float(result.sigma_min_track[idx])]
         for z in eig:
             row += [float(z.real), float(z.imag)]
-        row += [float(np.trace(K)), float(result.transport.det_G(t))]
+        row += [float(np.trace(K)), float(det_G[idx])]
         rows.append(row)
     return _curve_columns(m), rows

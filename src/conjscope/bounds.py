@@ -148,8 +148,7 @@ def sturm_zeros(ts, lam_track, T, rel_tol=1e-11, abs_tol=1e-13):
 
     traj = ode.integrate(rhs, [0.0, 0.0, 1.0], T, rel_tol=rel_tol, abs_tol=abs_tol)
     grid = traj.grid()
-    events = ode.locate_events(lambda t: traj.at(t)[1], grid)
-    return [t for t, mode in events if mode == "sign_change" and t > grid[0]]
+    return ode.locate_events(lambda t: traj.at(t)[1], grid, traj.at(grid)[1])
 
 
 def bounds_report(K_samples, ts, m, T, detected_times) -> BoundsReport:

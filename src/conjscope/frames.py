@@ -37,11 +37,12 @@ class FrameTransport:
         return self.joint.at(t)[: self.pair.n]
 
     def G(self, t):
-        n = self.pair.n
-        return self.joint.at(t)[n:].reshape(self.m, self.m)
+        """G(t); an array of times gives the stack of shape (len(t), m, m)."""
+        z = self.joint.at(t)[self.pair.n:]
+        return np.moveaxis(z, 0, -1).reshape(np.shape(t) + (self.m, self.m))
 
     def det_G(self, t):
-        return float(np.linalg.det(self.G(t)))
+        return np.linalg.det(self.G(t))
 
     def K_normal(self, t):
         """Curvature in the normal frame at c(t): G^-1 K(c(t)) G."""
@@ -80,12 +81,11 @@ def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
     z0 = np.concatenate([np.asarray(x0, dtype=float), G0.ravel()])
     joint = ode.integrate(rhs, z0, T, rel_tol=rel_tol, abs_tol=abs_tol)
 
-    ft = FrameTransport(pair=pair, joint=joint, m=m)
-    det0 = abs(np.linalg.det(G0))
-    for t in joint.steps:
-        if abs(ft.det_G(t)) < 1e-12 * det0:
-            raise SingularG(f"|det G| collapsed at t={t}")
-    return ft
+    dets = np.abs(np.linalg.det(joint.states[:, n:].reshape(-1, m, m)))
+    collapsed = np.flatnonzero(dets < 1e-12 * abs(np.linalg.det(G0)))
+    if len(collapsed):
+        raise SingularG(f"|det G| collapsed at t={joint.steps[collapsed[0]]}")
+    return FrameTransport(pair=pair, joint=joint, m=m)
 
 
 def invariant_metric_at(ft: FrameTransport, t):

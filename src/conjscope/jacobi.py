@@ -87,30 +87,26 @@ def integrate_jacobi(K_normal, m, T, rel_tol=JACOBI_REL_TOL, abs_tol=JACOBI_ABS_
     return JacobiSolution(m=m, joint=joint)
 
 
-def _rank_events(sigma_min, det_like, grid, zero_tol, t_floor=0.0,
-                 sigma_values=None, det_values=None):
-    """Zeros of a nonnegative singular-value track.
+def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, t_floor):
+    """Zeros of a nonnegative singular-value track past t_floor.
 
     Sign changes of the signed determinant-like companion (when available)
-    give odd-multiplicity crossings; dips of the track itself catch tangential
-    zeros.  Returns merged, sorted (t, mode) events past t_floor."""
+    give odd-multiplicity crossings; refined minima of the track below
+    zero_tol times its largest sample give tangential zeros (touches).  Events
+    within MERGE_TOL of each other count once, and a sign change wins over a
+    touch.  Returns sorted (t, mode) events."""
     events = []
     if det_like is not None:
-        for t, mode in ode.locate_events(det_like, grid, zero_tol=zero_tol,
-                                         values=det_values):
-            if mode == "sign_change" and t > t_floor:
-                events.append((t, "sign_change"))
-    for t, mode in ode.locate_events(sigma_min, grid, zero_tol=zero_tol,
-                                     values=sigma_values):
-        if t <= t_floor:
-            continue
-        if any(abs(t - s) < MERGE_TOL * (1.0 + abs(t)) for s, _ in events):
-            continue
-        events.append((t, "touch"))
-    events.sort(key=lambda ev: ev[0])
+        events += [(t, "sign_change") for t in ode.locate_events(det_like, grid, det_values)]
+    cut = zero_tol * float(np.max(sigma_values))
+    if cut > 0.0:                 # an identically zero track has no isolated zeros
+        events += [(t, "touch") for t, v in ode.refined_minima(sigma_min, grid, sigma_values)
+                   if v <= cut]
     merged = []
-    for t, mode in events:
+    for t, mode in sorted(ev for ev in events if ev[0] > t_floor):
         if merged and abs(t - merged[-1][0]) < MERGE_TOL * (1.0 + abs(t)):
+            if merged[-1][1] == "touch" and mode == "sign_change":
+                merged[-1] = (t, mode)
             continue
         merged.append((t, mode))
     return merged
@@ -126,24 +122,26 @@ def _kernel(matrix, scale, rank_tol):
 def _conjugate_times(matrix_at, grid, rank_tol, zero_tol):
     """Rank drops of a matrix track that vanishes structurally at t = 0.
 
-    Multiplicity counts singular values of the matrix at t* below rank_tol
-    times the largest singular value seen on the whole grid (the pointwise
-    maximum is useless at a full-rank drop, where every singular value
-    vanishes).  Square tracks add the determinant as a signed companion."""
-    samples = [matrix_at(t) for t in grid]
-    svals = np.array([np.linalg.svd(C, compute_uv=False) for C in samples])
+    ``matrix_at`` maps a time to the matrix and an array of times to the
+    stack, so the grid is sampled once, with one batched SVD.  Multiplicity
+    counts singular values of the matrix at t* below rank_tol times the
+    largest singular value seen on the whole grid (the pointwise maximum is
+    useless at a full-rank drop, where every singular value vanishes).
+    Square tracks add the determinant as a signed companion."""
+    samples = matrix_at(grid)
+    svals = np.linalg.svd(samples, compute_uv=False)
     scale = float(np.max(svals[:, 0]))
     if scale == 0.0:
         return []
     sigma_min = lambda t: float(np.linalg.svd(matrix_at(t), compute_uv=False)[-1])
     det_like = det_values = None
-    if samples[0].shape[0] == samples[0].shape[1]:
+    if samples.shape[1] == samples.shape[2]:
         det_like = lambda t: float(np.linalg.det(matrix_at(t)))
-        det_values = np.array([np.linalg.det(C) for C in samples])
+        det_values = np.linalg.det(samples)
     # events inside the first dense subinterval are sign noise of the
     # structural zero at t = 0, not conjugate times
-    events = _rank_events(sigma_min, det_like, grid, zero_tol, t_floor=grid[1],
-                          sigma_values=svals[:, -1], det_values=det_values)
+    events = _rank_events(sigma_min, svals[:, -1], det_like, det_values, grid, zero_tol,
+                          t_floor=grid[1])
     out = []
     for t_star, mode in events:
         C = matrix_at(t_star)
@@ -219,19 +217,22 @@ def variational_oracle(pair, x0, T, rel_tol=JACOBI_REL_TOL, abs_tol=JACOBI_ABS_T
     V0 = data0.V                  # columns form the transported basis seeds
     square = (n == 2 * pair.m)
 
-    def transverse(t):
-        z = joint.at(t)
+    def block(z):
         x = z[:n]
         M = z[n:].reshape(n, n)
         data = pair_mod.extract_H(pair, x)
-        cols = [data.V, data.XV] if square else [data.V, data.XV, data.X[:, None]]
-        basis = np.hstack(cols)
-        coeffs, *_ = np.linalg.lstsq(basis, M @ V0, rcond=None)
-        cond = pair_mod._cond(basis)
+        # a square basis is extract_H's D, whose SVD is reused
+        basis = np.hstack([data.V, data.XV] if square else [data.V, data.XV, data.X[:, None]])
+        coeffs, cond, _ = pair_mod._lstsq(basis, M @ V0, data.D_svd if square else None)
         if cond > pair_mod.COND_LIMIT:
             raise RegularityViolation(
                 f"decomposition basis ill-conditioned along the trajectory (cond={cond:.3e})",
                 cond="R2", residual=cond, point=x)
         return coeffs[pair.m:, :]
+
+    def transverse(t):
+        """Transverse block at t; an array of times gives the stack."""
+        z = joint.at(t)
+        return np.array([block(zk) for zk in z.T]) if np.ndim(t) else block(z)
 
     return _conjugate_times(transverse, joint.grid(), rank_tol, zero_tol)

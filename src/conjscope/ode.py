@@ -4,6 +4,11 @@ Integration uses an explicit Dormand-Prince 5(4) pair with a quartic
 continuous extension (scipy's RK45) wrapped behind a Trajectory value that
 owns the step mesh, the per-step interpolants and the evaluation grid used
 everywhere else for sampling, event search and report curves.
+
+Event search comes in two kinds, both over samples the caller has already
+taken on a grid: ``locate_events`` refines sign changes by bisection, and
+``refined_minima`` refines discrete minima by golden-section search (the
+caller decides which minima count as touching zero).
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .errors import NonFiniteState, StepSizeUnderflow
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
-DEFAULT_ZERO_TOL = 1e-9
 SAMPLES_PER_STEP = 8
 
 __all__ = ["Trajectory", "integrate", "locate_events", "refine_minimum", "refined_minima", "dense_grid"]
@@ -47,14 +51,6 @@ class Trajectory:
     @property
     def T(self):
         return self.t_span[1]
-
-    @property
-    def segments(self):
-        """(t_left, t_right, interpolation coefficient array) per step."""
-        out = []
-        for interp in self._sol.interpolants:
-            out.append((interp.t_old, interp.t, interp.Q))
-        return out
 
     def at(self, t):
         """Dense evaluation; scalar t -> (n,), array t -> (n, len(t))."""
@@ -175,46 +171,21 @@ def _bisect(f, a, b, fa, fb, tol=1e-13, max_iter=200):
     return 0.5 * (a + b)
 
 
-def locate_events(f, grid, zero_tol=DEFAULT_ZERO_TOL, values=None):
-    """Zeros of a scalar function sampled on ``grid``.
+def locate_events(f, grid, values):
+    """Sign changes of a scalar function f sampled as ``values`` on ``grid``.
 
-    Sign changes between adjacent grid points are refined by bisection and
-    reported as ``sign_change``.  Every interior discrete minimum of |f| is
-    refined by golden-section search and reported as ``touch`` when the
-    refined minimum lies below zero_tol * scale, with scale = max |f| over the
-    grid.  Events at the left edge of the grid are not reported.  Pass
-    ``values`` to reuse samples of f on the grid.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if values is None:
-        values = np.array([f(t) for t in grid], dtype=float)
-    else:
-        values = np.asarray(values, dtype=float)
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return []
-
+    Each change of sign between adjacent samples is refined by bisection of
+    f; a sample that is exactly zero counts when its two neighbours have
+    opposite signs.  Nothing is reported at the edges of the grid, and zeros
+    where f touches without changing sign are not found here (refine the
+    minima of |f| with ``refined_minima`` for those).  Returns the sorted
+    times."""
     events = []
     for i in range(len(grid) - 1):
         fa, fb = values[i], values[i + 1]
-        if fa == 0.0 and i > 0:
-            events.append((grid[i], "sign_change" if values[i - 1] * fb < 0 else "touch"))
+        if fa == 0.0:
+            if i > 0 and values[i - 1] * fb < 0.0:
+                events.append(grid[i])
         elif fa * fb < 0.0:
-            t_star = _bisect(f, grid[i], grid[i + 1], fa, fb)
-            events.append((t_star, "sign_change"))
-    if values[-1] == 0.0:
-        events.append((grid[-1], "touch"))
-
-    for t_min, f_min in refined_minima(lambda t: abs(f(t)), grid, np.abs(values)):
-        if f_min <= zero_tol * scale and t_min > grid[0] + 1e-12 * (1 + abs(grid[0])):
-            events.append((t_min, "touch"))
-
-    events.sort(key=lambda ev: ev[0])
-    merged = []
-    for t, mode in events:
-        if merged and abs(t - merged[-1][0]) < 1e-9 * (1.0 + abs(t)):
-            if merged[-1][1] == "touch" and mode == "sign_change":
-                merged[-1] = (merged[-1][0], "sign_change")
-            continue
-        merged.append((t, mode))
-    return merged
+            events.append(_bisect(f, grid[i], grid[i + 1], fa, fb))
+    return events

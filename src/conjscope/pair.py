@@ -178,11 +178,21 @@ def _jacobian(exprs, coords, env):
     return val, J
 
 
-def _cond(D):
-    s = np.linalg.svd(D, compute_uv=False)
-    if s[-1] <= 0.0 or not np.all(np.isfinite(s)):
-        return float("inf")
-    return float(s[0] / s[-1])
+def _lstsq(D, B, svd=None):
+    """Least-squares solution S of D S = B, the condition number of D and the
+    relative residual |D S - B| / |B|, all from one SVD of D (``svd`` passes
+    one already taken, as returned by ``np.linalg.svd(D, full_matrices=False)``).
+
+    Singular values at or below numpy lstsq's cutoff eps * max(D.shape) * s_max
+    are dropped, so a singular D (cond = inf) still gives a finite solution
+    and residual."""
+    U, s, Vt = np.linalg.svd(D, full_matrices=False) if svd is None else svd
+    keep = s > np.finfo(float).eps * max(D.shape) * s[0]
+    S = Vt[keep].T @ ((U[:, keep].T @ B) / s[keep, None])
+    cond = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
+    scale = np.linalg.norm(B)
+    residual = float(np.linalg.norm(D @ S - B) / (scale if scale > 0 else 1.0))
+    return S, cond, residual
 
 
 def bracket(pair: GenericPair, A_exprs, B_exprs, x):
@@ -207,6 +217,7 @@ class PointFrameData:
     H1: np.ndarray
     cond_D: float
     residual: float               # relative residual of XXV outside span [V | XV]
+    D_svd: tuple                  # reduced SVD (U, s, Vt) of D = [V | XV]
 
 
 def _rows(A, rows):
@@ -247,10 +258,8 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
     x_val, V, XV, XXV = brackets_at(pair, x)
     D = np.hstack([V, XV])
     m = pair.m
-    sol, *_ = np.linalg.lstsq(D, XXV, rcond=None)
-    cond_D = _cond(D)
-    scale = np.linalg.norm(XXV)
-    residual = float(np.linalg.norm(D @ sol - XXV) / (scale if scale > 0 else 1.0))
+    D_svd = np.linalg.svd(D, full_matrices=False)
+    sol, cond_D, residual = _lstsq(D, XXV, D_svd)
     if raise_on_violation:
         if cond_D > COND_LIMIT:
             raise RegularityViolation(
@@ -260,22 +269,16 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
             raise RegularityViolation(
                 f"iterated bracket leaves span[V | XV] (residual={residual:.3e})",
                 cond="I", residual=residual, point=x)
-    data = PointFrameData(point=x, X=x_val, V=V, XV=XV,
+    return PointFrameData(point=x, X=x_val, V=V, XV=XV,
                           XXV=XXV, H0=sol[:m, :], H1=sol[m:, :],
-                          cond_D=cond_D, residual=residual)
-    return data
+                          cond_D=cond_D, residual=residual, D_svd=D_svd)
 
 
-def curvature_frame(pair: GenericPair, x, dX_H1=None, data=None):
-    """Curvature matrix K = -H0 + X(H1)/2 - H1^2/4 in the working frame.
-
-    ``dX_H1`` is the derivative of H1 along X; if omitted it is taken from
-    ``flow_derivative_H1``."""
-    if data is None:
-        data = extract_H(pair, x)
-    if dX_H1 is None:
-        dX_H1 = flow_derivative_H1(pair, x)
-    return -data.H0 + 0.5 * dX_H1 - 0.25 * (data.H1 @ data.H1)
+def curvature_frame(pair: GenericPair, x):
+    """Curvature matrix K = -H0 + X(H1)/2 - H1^2/4 in the working frame, with
+    the derivative X(H1) of H1 along X from ``flow_derivative_H1``."""
+    data = extract_H(pair, x)
+    return -data.H0 + 0.5 * flow_derivative_H1(pair, x) - 0.25 * (data.H1 @ data.H1)
 
 
 def flow_derivative_H1(pair: GenericPair, x):
@@ -368,7 +371,7 @@ def curvature_at(pair: GenericPair, x):
 
 # -- canonical splitting ------------------------------------------------------
 
-def split_and_project(pair: GenericPair, x, dX_H1=None):
+def split_and_project(pair: GenericPair, x):
     """Vertical/horizontal splitting of span[V | XV] at x.
 
     Returns projector matrices on the ambient space (valid on the span), the
@@ -393,12 +396,9 @@ def split_and_project(pair: GenericPair, x, dX_H1=None):
     # extension of the horizontal frame, corrected by the flow derivative of
     # H1 (the frozen extension differs from the true frame by a vertical
     # field with nonzero X-derivative).
-    if dX_H1 is None:
-        dX_H1 = flow_derivative_H1(pair, x)
-    _, _, _, XXV = brackets_at(pair, x)
-    XXVh = XXV - 0.5 * (XV @ H1)          # [X, XV_j - V (H1)_j] with H1 frozen
+    XXVh = data.XXV - 0.5 * (XV @ H1)     # [X, XV_j - V (H1)_j] with H1 frozen
     coeff = pinv @ XXVh
-    B = coeff[:m, :] - 0.5 * dX_H1
+    B = coeff[:m, :] - 0.5 * flow_derivative_H1(pair, x)
     return {
         "pi_V": pi_V,
         "pi_H": pi_H,
@@ -450,10 +450,7 @@ def check_regularity(pair: GenericPair, points) -> RegularityReport:
         x, residual = data.point, data.residual
         weak = False
         if residual > INVARIANCE_TOL:
-            Dx = np.hstack([data.V, data.XV, data.X[:, None]])
-            sol2, *_ = np.linalg.lstsq(Dx, data.XXV, rcond=None)
-            scale = np.linalg.norm(data.XXV)
-            res2 = float(np.linalg.norm(Dx @ sol2 - data.XXV) / (scale if scale > 0 else 1.0))
+            _, _, res2 = _lstsq(np.hstack([data.V, data.XV, data.X[:, None]]), data.XXV)
             weak = res2 <= INVARIANCE_TOL
         x_norm = float(np.linalg.norm(data.X))
         r1 = x_norm > 1e-10 * (1.0 + float(np.linalg.norm(x)))

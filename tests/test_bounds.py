@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from conjscope import bounds, catalog
+from conjscope import bounds, catalog, ode
 
 
 def _const_samples(K, n=50, T=10.0):
@@ -82,6 +82,18 @@ def test_sturm_zeros_constant():
     assert len(zeros) == 2
     assert abs(zeros[0] - math.pi) < 1e-8
     assert abs(zeros[1] - 2 * math.pi) < 1e-8
+
+
+def test_sturm_zeros_search_sign_changes_only(monkeypatch):
+    # y(0) = 0 and every later zero of y is a sign change: no minimum search
+    calls = []
+    refine = ode.refine_minimum
+    monkeypatch.setattr(ode, "refine_minimum",
+                        lambda *args, **kwargs: calls.append(args) or refine(*args, **kwargs))
+    ts = np.linspace(0.0, 7.0, 40)
+    zeros = bounds.sturm_zeros(ts, np.ones_like(ts), 7.0)
+    assert len(zeros) == 2
+    assert calls == []
 
 
 def test_sturm_zero_before_bound_for_large_track():

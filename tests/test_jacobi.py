@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conjscope import catalog, jacobi, pair as pm
+from conjscope import catalog, jacobi, ode, pair as pm
 from conjscope.errors import EndpointNotZero
 
 
@@ -47,6 +47,47 @@ def test_find_conjugate_times_scalar():
     assert [(round(c.t_star, 6), c.multiplicity) for c in out] == [
         (round(math.pi, 6), 1), (round(2 * math.pi, 6), 1)]
     assert all(abs(c.t_star - k * math.pi) < 1e-6 for c, k in zip(out, (1, 2)))
+    assert all(c.mode == "sign_change" for c in out)
+
+
+def test_rank_events_touches_and_merge():
+    grid = np.linspace(0, 2, 300)
+    # a double root of the track is one touch; a positive minimum is none
+    double = lambda t: (t - 1.0) ** 2
+    events = jacobi._rank_events(double, double(grid), None, None, grid, 1e-10, grid[1])
+    assert len(events) == 1
+    t, mode = events[0]
+    assert abs(t - 1.0) < 1e-6 and mode == "touch"
+    lifted = lambda t: (t - 1.0) ** 2 + 0.01
+    assert jacobi._rank_events(lifted, lifted(grid), None, None, grid, 1e-9, grid[1]) == []
+    # the track's touch at a sign change of the companion merges into the
+    # sign change, which keeps its bisected time
+    det = lambda t: t - 1.0
+    t_sign, = ode.locate_events(det, grid, det(grid))
+    events = jacobi._rank_events(lambda t: abs(det(t)), np.abs(det(grid)), det, det(grid),
+                                 grid, 1e-8, grid[1])
+    assert events == [(t_sign, "sign_change")]
+
+
+def test_harmonic_detection_refines_only_sigma_min_minima(monkeypatch):
+    # m = 1: sigma_min = |det P|, so refining both would double the searches
+    js = jacobi.integrate_jacobi(lambda t: np.array([[1.0]]), 1, 7.0)
+    grid = js.grid()
+    sig = js.sigma_min(grid)
+    last = len(grid) - 1
+    expected = [(grid[i - 1], grid[min(i + 1, last)]) for i in range(1, last + 1)
+                if sig[i] <= sig[i - 1] and sig[i] <= sig[min(i + 1, last)]]
+    searched = []
+    refine = ode.refine_minimum
+
+    def spy(f, a, b, *args, **kwargs):
+        searched.append((a, b))
+        return refine(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(ode, "refine_minimum", spy)
+    out = jacobi.find_conjugate_times(js)
+    assert len(out) == 2
+    assert searched == expected
 
 
 def test_find_conjugate_times_double_touch():

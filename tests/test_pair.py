@@ -56,7 +56,7 @@ def test_nested_bracket_harmonic():
     assert np.allclose(data.XXV[:, 0], [0.0, -1.0])
     assert np.allclose(data.H0, [[-1.0]])
     assert np.allclose(data.H1, [[0.0]])
-    K = pm.curvature_frame(pr, [0.3, 0.7], dX_H1=np.zeros((1, 1)), data=data)
+    K = pm.curvature_frame(pr, [0.3, 0.7])
     assert np.allclose(K, [[1.0]])
 
 
@@ -74,6 +74,27 @@ def test_extract_H_degenerate_frame_raises():
     pr = pm.GenericPair(coords=("a", "b"), X=("b", "-a"), vframe=(("b", "-a"),))
     with pytest.raises(RegularityViolation):
         pm.extract_H(pr, [0.6, 0.2])
+
+
+def test_lstsq_one_svd_matches_numpy():
+    rng = np.random.default_rng(3)
+    for shape in ((6, 4), (5, 4), (4, 4)):
+        D = rng.standard_normal(shape)
+        B = rng.standard_normal((shape[0], 2))
+        S, cond, residual = pm._lstsq(D, B)
+        ref = np.linalg.lstsq(D, B, rcond=None)[0]
+        assert np.allclose(S, ref, rtol=1e-12, atol=1e-12)
+        s = np.linalg.svd(D, compute_uv=False)
+        assert abs(cond - s[0] / s[-1]) <= 1e-12 * cond
+        assert abs(residual - np.linalg.norm(D @ ref - B) / np.linalg.norm(B)) <= 1e-12
+    # a singular D (a zero column, as [X, X] = 0 gives): infinite condition
+    # number, lstsq's minimum-norm solution and a finite residual
+    D = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+    B = np.array([[1.0], [0.0], [1.0]])
+    S, cond, residual = pm._lstsq(D, B)
+    assert cond == float("inf")
+    assert np.allclose(S, np.linalg.lstsq(D, B, rcond=None)[0], atol=1e-14)
+    assert 0.0 < residual < 1.0
 
 
 def test_curvature_formula_direct():
