@@ -1,9 +1,10 @@
 """End-to-end analysis pipeline and the report it produces.
 
 One call runs: the normal-frame transport (solved jointly with, and so
-serving as, the trajectory), regularity sampling, normal curvature sampling,
-Jacobi integration, conjugate-time detection, the bound verdicts, and (when a
-2-form is supplied) the semi-Hamiltonian checks.  The normal frame is
+serving as, the trajectory), regularity sampling, normal curvature sampling
+(one (N, m, m) array over the transport grid), Jacobi integration,
+conjugate-time detection, the bound verdicts, and (when a 2-form is supplied)
+the semi-Hamiltonian checks.  The normal frame is
 orthonormal, so the bounds read the normal curvature alone, with no metric.
 The report is a plain nested dict that serializes to JSON losslessly and
 deterministically: no timestamps, no environment data, keys sorted at emission.
@@ -38,7 +39,7 @@ class AnalysisResult:
     bounds: object
     report: dict
     grid: np.ndarray
-    K_track: list
+    K_track: np.ndarray           # (len(grid), m, m) normal curvature samples
     sigma_min_track: np.ndarray
 
 
@@ -98,8 +99,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
 
     ft = frames.transport_normal_frame(pair, x0_full, T, G0=G0, rel_tol=rel_tol, abs_tol=abs_tol)
 
-    reg_points = [ft.x(t) for t in _subsample(ft.joint.steps)]
-    regularity = pair_mod.check_regularity(pair, reg_points)
+    regularity = pair_mod.check_regularity(pair, ft.x(_subsample(ft.joint.steps)).T)
 
     closed = _closed_orbit_suspected(ft)
     if closed:
@@ -111,7 +111,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     cts = jacobi.find_conjugate_times(js, rank_tol=rank_tol, zero_tol=zero_tol)
 
     grid = ft.grid()
-    K_track = [ft.K_normal(t) for t in grid]
+    K_track = ft.K_normal(grid)
     brep = bounds_mod.bounds_report(K_track, grid, m, T,
                                     [(c.t_star, c.multiplicity) for c in cts])
 
@@ -122,7 +122,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     ham_section = None
     if sigma is not None:
         sh = hamiltonian.SemiHamiltonianModel(pair=pair, sigma=sigma)
-        pts = [ft.x(t) for t in _subsample(ft.joint.steps, 12)]
+        pts = ft.x(_subsample(ft.joint.steps, 12)).T
         metric_info = hamiltonian.induced_metric(sh, x0_full)
         K0 = pair_mod.curvature_at(pair, x0_full)
         selfadj = hamiltonian.check_K_selfadjoint(metric_info["g"], K0)
@@ -217,15 +217,9 @@ def _curve_columns(m):
 def curve_rows(result: AnalysisResult):
     """Rows of the curves table: t, sigma_min(P), curvature eigenvalues
     (real/imag, sorted by real part), trace, det G."""
-    m = result.pair.m
-    det_G = result.transport.det_G(result.grid)
-    rows = []
-    for idx, t in enumerate(result.grid):
-        K = result.K_track[idx]
-        eig = sorted(np.linalg.eigvals(K), key=lambda z: (z.real, z.imag))
-        row = [float(t), float(result.sigma_min_track[idx])]
-        for z in eig:
-            row += [float(z.real), float(z.imag)]
-        row += [float(np.trace(K)), float(det_G[idx])]
-        rows.append(row)
-    return _curve_columns(m), rows
+    eig = np.sort_complex(np.linalg.eigvals(result.K_track))
+    table = np.column_stack([result.grid, result.sigma_min_track,
+                             np.stack([eig.real, eig.imag], axis=2).reshape(len(eig), -1),
+                             np.trace(result.K_track, axis1=1, axis2=2),
+                             result.transport.det_G(result.grid)])
+    return _curve_columns(result.pair.m), table.tolist()

@@ -1,8 +1,10 @@
 """Curvature estimates for conjugate-time location, checked against detections.
 
 Three bounds are evaluated along a trajectory from samples of the normal
-curvature matrix K.  The normal frame is orthonormal (the Jacobi equation in
-it is P'' + K P = 0 with the identity as metric), so the bounds take no metric:
+curvature matrix K, one (N, m, m) array (a list of N matrices also works)
+read with batched array expressions.  The normal frame is orthonormal (the
+Jacobi equation in it is P'' + K P = 0 with the identity as metric), so the
+bounds take no metric:
 
 * an upper bound on the symmetric part of K gives an interval free of
   conjugate times (none before pi / sqrt(lambda_max), Cartan-Hadamard style);
@@ -38,7 +40,6 @@ __all__ = ["BoundsReport", "EigenlineTrack", "theorem_safe_interval",
 @dataclass(frozen=True)
 class EigenlineTrack:
     direction: np.ndarray         # unit vector, constant in the normal frame
-    eigenvalues: np.ndarray       # track lambda(t) on the sample grid
     kappa: float                  # inf of the track
     predicted_first_zero: float | None
     sturm_zeros: tuple
@@ -56,17 +57,13 @@ class BoundsReport:
     verdicts: dict                # name -> consistent | violated | not_applicable
 
 
-def _sym_part_max_eig(K):
-    """Largest eigenvalue of the symmetric part of K."""
-    return float(np.linalg.eigvalsh(0.5 * (K + K.T))[-1])
-
-
 def theorem_safe_interval(K_samples, T):
     """Upper curvature bound and the interval it clears of conjugate times.
 
     Returns (lambda, t_c): no conjugate times in (0, t_c); t_c = T when
     lambda <= 0, else min(T, pi / sqrt(lambda))."""
-    lam = max(_sym_part_max_eig(K) for K in K_samples)
+    Ks = np.asarray(K_samples, dtype=float)
+    lam = float(np.max(np.linalg.eigvalsh(0.5 * (Ks + np.swapaxes(Ks, 1, 2)))[:, -1]))
     t_c = T if lam <= 0.0 else min(T, np.pi / np.sqrt(lam))
     return lam, t_c
 
@@ -77,7 +74,7 @@ def theorem_trace_bound(K_samples, m, T):
 
     Returns (T* or None, kappa, symmetry residual, reason)."""
     residual = symmetry_residual(K_samples)
-    kappa = min(float(np.trace(K)) for K in K_samples)
+    kappa = float(np.min(np.trace(np.asarray(K_samples, dtype=float), axis1=1, axis2=2)))
     if residual > SYMMETRY_TOL:
         return None, kappa, residual, "curvature not symmetric for the metric"
     if kappa <= 0.0:
@@ -90,13 +87,11 @@ def theorem_trace_bound(K_samples, m, T):
 
 def symmetry_residual(K_samples):
     """Largest relative size of the skew part of K over the samples."""
-    worst = 0.0
-    for K in K_samples:
-        scale = np.linalg.norm(K)
-        if scale == 0.0:
-            continue
-        worst = max(worst, float(np.linalg.norm(K - K.T) / scale))
-    return worst
+    Ks = np.asarray(K_samples, dtype=float)
+    scale = np.linalg.norm(Ks, axis=(1, 2))
+    skew = np.linalg.norm(Ks - np.swapaxes(Ks, 1, 2), axis=(1, 2))
+    live = scale != 0.0
+    return float(np.max(skew[live] / scale[live], initial=0.0))
 
 
 def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
@@ -105,13 +100,13 @@ def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
     The initial matrix is diagonalized; a real eigenvector e survives when
     K(t) e stays parallel to e (relative tolerance ``tol``) along the whole
     sample set.  Returns (direction, eigenvalue track) pairs."""
-    K0 = np.asarray(K_samples[0], dtype=float)
-    m = K0.shape[0]
-    sup_norm = max(float(np.linalg.norm(np.asarray(K, dtype=float))) for K in K_samples)
-    if sup_norm <= 1e-12:
+    Ks = np.asarray(K_samples, dtype=float)
+    m = Ks.shape[1]
+    norms = np.linalg.norm(Ks, axis=(1, 2))
+    if np.max(norms) <= 1e-12:
         # identically zero curvature: every direction is a parallel eigenline
-        return [(np.eye(m)[:, i], np.zeros(len(K_samples))) for i in range(m)]
-    vals, vecs = np.linalg.eig(K0)
+        return [(np.eye(m)[:, i], np.zeros(len(Ks))) for i in range(m)]
+    vals, vecs = np.linalg.eig(Ks[0])
     lines = []
     for idx in range(len(vals)):
         if abs(vals[idx].imag) > 1e-9 * (1.0 + abs(vals[idx])):
@@ -122,16 +117,9 @@ def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
         e = v.real / np.linalg.norm(v.real)
         if any(abs(abs(e @ prev) - 1.0) < 1e-8 for prev, _ in lines):
             continue
-        track = np.empty(len(K_samples))
-        ok = True
-        for k, K in enumerate(K_samples):
-            K = np.asarray(K, dtype=float)
-            lam = float(e @ K @ e)
-            track[k] = lam
-            if np.linalg.norm(K @ e - lam * e) > tol * max(np.linalg.norm(K), 1e-14):
-                ok = False
-                break
-        if ok:
+        track = (e[None, :] @ Ks @ e[:, None])[:, 0, 0]      # rounds as e^T K, then . e
+        residual = np.linalg.norm(Ks @ e - track[:, None] * e, axis=1)
+        if not np.any(residual > tol * np.maximum(norms, 1e-14)):
             lines.append((e, track))
     return lines
 
@@ -158,7 +146,7 @@ def bounds_report(K_samples, ts, m, T, detected_times) -> BoundsReport:
     pipeline.  Verdicts: ``consistent`` when the detections respect the bound,
     ``violated`` otherwise (which indicates an implementation bug), and
     ``not_applicable`` when a bound's hypotheses fail numerically."""
-    K_samples = [np.asarray(K, dtype=float) for K in K_samples]
+    K_samples = np.asarray(K_samples, dtype=float)
     det = sorted(t for t, _ in detected_times)
 
     lam, t_c = theorem_safe_interval(K_samples, T)
@@ -174,15 +162,19 @@ def bounds_report(K_samples, ts, m, T, detected_times) -> BoundsReport:
 
     lines = detect_parallel_eigenlines(K_samples)
     tracks = []
+    solved = []                   # (track, zeros): equal tracks share one solve
     sturm_ok = True
     for e, track in lines:
         kappa_i = float(np.min(track))
         predicted = float(np.pi / np.sqrt(kappa_i)) if kappa_i > 0 else None
-        zeros = sturm_zeros(ts, track, T)
+        zeros = next((z for tr, z in solved if np.array_equal(tr, track)), None)
+        if zeros is None:
+            zeros = sturm_zeros(ts, track, T)
+            solved.append((track, zeros))
         for z in zeros:
             if not any(abs(z - t) <= VERDICT_SLACK * (1.0 + abs(z)) for t in det):
                 sturm_ok = False
-        tracks.append(EigenlineTrack(direction=e, eigenvalues=track, kappa=kappa_i,
+        tracks.append(EigenlineTrack(direction=e, kappa=kappa_i,
                                      predicted_first_zero=predicted,
                                      sturm_zeros=tuple(zeros)))
     if not tracks:

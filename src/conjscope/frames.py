@@ -36,20 +36,28 @@ class FrameTransport:
     def x(self, t):
         return self.joint.at(t)[: self.pair.n]
 
+    def _x_and_G(self, t):
+        z = self.joint.at(t)
+        n = self.pair.n
+        return z[:n], np.moveaxis(z[n:], 0, -1).reshape(np.shape(t) + (self.m, self.m))
+
     def G(self, t):
         """G(t); an array of times gives the stack of shape (len(t), m, m)."""
-        z = self.joint.at(t)[self.pair.n:]
-        return np.moveaxis(z, 0, -1).reshape(np.shape(t) + (self.m, self.m))
+        return self._x_and_G(t)[1]
 
     def det_G(self, t):
         return np.linalg.det(self.G(t))
 
     def K_normal(self, t):
-        """Curvature in the normal frame at c(t): G^-1 K(c(t)) G."""
-        n = self.pair.n
-        z = self.joint.at(t)
-        G = z[n:].reshape(self.m, self.m)
-        return np.linalg.solve(G, pair_mod.curvature_at(self.pair, z[:n]) @ G)
+        """Curvature in the normal frame at c(t): G^-1 K(c(t)) G; an array of
+        times gives the stack of shape (len(t), m, m) from one dense lookup
+        and one batched solve."""
+        x, G = self._x_and_G(t)
+        if np.ndim(t) == 0:
+            K = pair_mod.curvature_at(self.pair, x)
+        else:
+            K = np.array([pair_mod.curvature_at(self.pair, xk) for xk in x.T])
+        return np.linalg.solve(G, K @ G)
 
     def grid(self, per_step=ode.SAMPLES_PER_STEP):
         return self.joint.grid(per_step)

@@ -182,9 +182,7 @@ def horizontal_lagrangian_residual(model: SemiHamiltonianModel, ft, ts):
     frame vectors [X, W_i] with W = V G along the trajectory."""
     pr = model.pair
     worst = 0.0
-    for t in ts:
-        x = ft.x(t)
-        G = ft.G(t)
+    for x, G in zip(ft.x(ts).T, ft.G(ts)):
         S = model.sigma_at(x)
         data = pair_mod.extract_H(pr, x, raise_on_violation=False)
         H = data.XV @ G - 0.5 * data.V @ (data.H1 @ G)
@@ -202,15 +200,13 @@ def metric_constancy_residual(model: SemiHamiltonianModel, ft, ts):
     transported normal frame (they are constant for invariant sigma)."""
     pr = model.pair
 
-    def g_normal(t):
-        x = ft.x(t)
-        G = ft.G(t)
+    def g_normal(x, G):
         S = model.sigma_at(x)
         data = pair_mod.extract_H(pr, x, raise_on_violation=False)
         W = data.V @ G
         XW = data.XV @ G - 0.5 * data.V @ (data.H1 @ G)
         return XW.T @ S @ W
 
-    g0 = g_normal(ts[0])
-    scale = max(np.linalg.norm(g0), 1e-300)
-    return max(float(np.linalg.norm(g_normal(t) - g0) / scale) for t in ts)
+    gs = [g_normal(x, G) for x, G in zip(ft.x(ts).T, ft.G(ts))]
+    scale = max(np.linalg.norm(gs[0]), 1e-300)
+    return max(float(np.linalg.norm(g - gs[0]) / scale) for g in gs)

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownFunction
 
 __all__ = [
-    "HyperDual",
     "ExprProgram",
     "Field",
     "parse",
@@ -44,24 +43,6 @@ __all__ = [
     "var_expr",
     "linear_combination",
 ]
-
-
-class HyperDual:
-    """re + e1 eps1 + e2 eps2 + e12 eps1 eps2 with eps1^2 = eps2^2 = 0, all
-    four components floats.  ``evaluate`` accepts these as bindings (with a
-    zero e12 slot) and then returns them; the algebra itself is carried out by
-    the compiled kernels."""
-
-    __slots__ = ("re", "e1", "e2", "e12")
-
-    def __init__(self, re, e1=0.0, e2=0.0, e12=0.0):
-        self.re = re
-        self.e1 = e1
-        self.e2 = e2
-        self.e12 = e12
-
-    def __repr__(self):
-        return f"HyperDual({self.re!r}, {self.e1!r}, {self.e2!r}, {self.e12!r})"
 
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
@@ -651,24 +632,11 @@ def _call(fn, point, i, cols):
 def evaluate(progs, bindings):
     """Value of one program (a float) or of a sequence of them (an array).
 
-    ``bindings`` must cover every free variable.  The bindings of one program
-    may also be HyperDual values with a zero e12 slot, which gives a
-    HyperDual.  DomainError is raised for log/sqrt/division domain failures
-    and carries the offending subexpression."""
-    single = isinstance(progs, ExprProgram)
-    fn = _kernel(progs, None)[0]
-    try:
-        out = _call(fn, bindings, None, None)
-    except TypeError:
-        duals = {n: b for n, b in bindings.items() if isinstance(b, HyperDual)}
-        if not (single and duals):
-            raise
-        if any(b.e12 != 0.0 for b in duals.values()):
-            raise ValueError("HyperDual bindings must have a zero e12 slot") from None
-        point = {**bindings, **{n: b.re for n, b in duals.items()}}
-        return HyperDual(*second_partials(progs, point, {n: b.e1 for n, b in duals.items()},
-                                          {n: b.e2 for n, b in duals.items()}))
-    return out[0] if single else np.array(out, dtype=float)
+    ``bindings`` must cover every free variable with a real.  Derivatives
+    come from ``second_partials``.  DomainError is raised for log/sqrt/division
+    domain failures and carries the offending subexpression."""
+    out = _call(_kernel(progs, None)[0], bindings, None, None)
+    return out[0] if isinstance(progs, ExprProgram) else np.array(out, dtype=float)
 
 
 def _seed_key(d):

@@ -98,14 +98,15 @@ def test_x0_length_validation():
         analysis.analyze(model, x0=(0.3, 0.7), T=None)
 
 
-@pytest.mark.parametrize("name, params, x0, T, n_tracks", [
-    ("harmonic", {"omega": 1.0}, (0.3, 0.7), 3.0, 1),
-    ("perturbed_pair", {"eps": 0.0}, (0.2, -0.1, 1.0, 0.4), 4.0, 2),
-    ("perturbed_pair", {"eps": 0.05}, (0.2, -0.1, 1.0, 0.4), 4.0, 0),
+@pytest.mark.parametrize("name, params, x0, T, n_tracks, n_distinct", [
+    ("harmonic", {"omega": 1.0}, (0.3, 0.7), 3.0, 1, 1),
+    ("perturbed_pair", {"eps": 0.0}, (0.2, -0.1, 1.0, 0.4), 4.0, 2, 1),
+    ("perturbed_pair", {"eps": 0.05}, (0.2, -0.1, 1.0, 0.4), 4.0, 0, 0),
 ])
 def test_analyze_solves_transport_jacobi_and_one_per_eigenline(monkeypatch, name, params, x0, T,
-                                                               n_tracks):
-    # the transport is the trajectory: no separate solve of X alone
+                                                               n_tracks, n_distinct):
+    # the transport is the trajectory: no separate solve of X alone, and
+    # eigenlines with equal tracks share one Sturm solve
     solves = []
     integrate = ode.integrate
 
@@ -117,7 +118,7 @@ def test_analyze_solves_transport_jacobi_and_one_per_eigenline(monkeypatch, name
     model, _ = catalog.build(name, params)
     res = analysis.analyze(model, x0=x0, T=T)
     assert len(res.bounds.eigenline_tracks) == n_tracks
-    assert len(solves) == 2 + n_tracks
+    assert len(solves) == 2 + n_distinct
 
 
 def test_report_states_the_transport_and_jacobi_solves():
@@ -168,3 +169,69 @@ def test_batched_closed_orbit_check_matches_pointwise(name, x0, T):
     batched = np.linalg.norm(ft.x(grid) - ft.x(0.0)[:, None], axis=0)
     pointwise = [np.linalg.norm(ft.x(t) - ft.x(0.0)) for t in grid]
     assert np.allclose(batched, pointwise, rtol=1e-14, atol=1e-15)
+
+
+def test_analyze_reads_the_curvature_track_in_one_call(monkeypatch):
+    # scalar K_normal calls belong to the Jacobi right-hand side alone
+    calls = []
+    in_jacobi = []
+    K_normal = frames.FrameTransport.K_normal
+    integrate_jacobi = jacobi.integrate_jacobi
+
+    def recording(self, t):
+        calls.append((np.ndim(t), bool(in_jacobi)))
+        return K_normal(self, t)
+
+    def jacobi_solve(*args, **kwargs):
+        in_jacobi.append(1)
+        try:
+            return integrate_jacobi(*args, **kwargs)
+        finally:
+            in_jacobi.pop()
+
+    monkeypatch.setattr(frames.FrameTransport, "K_normal", recording)
+    monkeypatch.setattr(jacobi, "integrate_jacobi", jacobi_solve)
+    model, sigma = catalog.build("mechanical")
+    entry = catalog.ENTRIES["mechanical"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T, sigma=sigma)
+    outside = [ndim for ndim, inside in calls if not inside]
+    assert outside == [1]
+    assert all(ndim == 0 for ndim, inside in calls if inside) and len(calls) > 1
+    assert res.K_track.shape == (len(res.grid), 2, 2)
+
+
+def _curve_rows_per_row(result):
+    # reference: one eigvals call and one trace per row
+    det_G = result.transport.det_G(result.grid)
+    rows = []
+    for idx, t in enumerate(result.grid):
+        K = result.K_track[idx]
+        eig = sorted(np.linalg.eigvals(K), key=lambda z: (z.real, z.imag))
+        row = [float(t), float(result.sigma_min_track[idx])]
+        for z in eig:
+            row += [float(z.real), float(z.imag)]
+        row += [float(np.trace(K)), float(det_G[idx])]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name, params", [
+    ("harmonic", {}), ("dancing", {}), ("mechanical", {}),
+    ("perturbed_pair", {"eps": 0.0}), ("perturbed_pair", {"eps": 0.05}),
+])
+def test_curve_rows_match_per_row_reference(name, params):
+    entry = catalog.ENTRIES[name]
+    model, _ = catalog.build(name, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T)
+    columns, rows = analysis.curve_rows(res)
+    reference = _curve_rows_per_row(res)
+    assert len(columns) == len(rows[0])
+    assert rows == reference
+    assert [math.copysign(1.0, v) for row in rows for v in row] == \
+        [math.copysign(1.0, v) for row in reference for v in row]
+    if params.get("eps"):
+        assert any(row[3] != 0.0 for row in rows)    # complex curvature eigenvalues

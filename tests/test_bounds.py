@@ -142,3 +142,64 @@ def test_bounds_report_flags_violation():
     Ks, ts = _const_samples([[1.0]], n=40, T=7.0)
     rep = bounds.bounds_report(Ks, ts, 1, 7.0, [(1.0, 1)])
     assert rep.verdicts["max_eig_bound"] == "violated"
+
+
+def _random_track(seed=3, n=30, m=3):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(m, m)) for _ in range(n)]
+
+
+def test_bounds_take_a_list_or_a_stacked_array():
+    # random samples sharing the eigenline e1, random symmetric samples and
+    # a constant diagonal track
+    Ks = []
+    for K in _random_track():
+        K[1:, 0] = 0.0
+        Ks.append(K)
+    sym = [K + K.T for K in _random_track(seed=4)]
+    for samples in (Ks, sym, _const_samples(np.diag([1.0, 2.0]))[0]):
+        stacked = np.array(samples)
+        for fn, args in ((bounds.theorem_safe_interval, (5.0,)),
+                         (bounds.theorem_trace_bound, (3, 5.0)),
+                         (bounds.symmetry_residual, ())):
+            assert fn(samples, *args) == fn(stacked, *args)
+        listed = bounds.detect_parallel_eigenlines(samples)
+        batched = bounds.detect_parallel_eigenlines(stacked)
+        assert len(listed) == len(batched)
+        for (e1, tr1), (e2, tr2) in zip(listed, batched):
+            assert np.array_equal(e1, e2) and np.array_equal(tr1, tr2)
+
+
+def test_eigenline_track_is_the_pointwise_quadratic_form():
+    Ks = []
+    for K in _random_track(seed=6, n=200):
+        K[1:, 0] = 0.0
+        Ks.append(K)
+    (e, track), = [line for line in bounds.detect_parallel_eigenlines(Ks)
+                   if abs(line[0][0]) == 1.0]
+    assert np.array_equal(track, [e @ K @ e for K in Ks])
+
+
+def test_eigenlines_reject_a_direction_failing_only_at_the_last_sample():
+    K0 = np.diag([1.0, 2.0])
+    Kt = np.array([[1.0, 0.5], [0.5, 2.0]])
+    assert len(bounds.detect_parallel_eigenlines([K0] * 10)) == 2
+    assert bounds.detect_parallel_eigenlines([K0] * 9 + [Kt]) == []
+    assert bounds.detect_parallel_eigenlines(np.array([K0] * 9 + [Kt])) == []
+
+
+def test_equal_tracks_share_one_sturm_solve(monkeypatch):
+    calls = []
+    solve = bounds.sturm_zeros
+    monkeypatch.setattr(bounds, "sturm_zeros",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    Ks, ts = _const_samples(np.eye(2), n=40, T=7.0)
+    rep = bounds.bounds_report(Ks, ts, 2, 7.0, [(math.pi, 2), (2 * math.pi, 2)])
+    assert len(rep.eigenline_tracks) == 2 and len(calls) == 1
+    assert rep.eigenline_tracks[0].sturm_zeros == rep.eigenline_tracks[1].sturm_zeros
+    assert rep.verdicts["sturm_bound"] == "consistent"
+    Ks, ts = _const_samples(np.diag([1.0, 4.0]), n=40, T=7.0)
+    rep = bounds.bounds_report(Ks, ts, 2, 7.0, [(math.pi / 2, 1), (math.pi, 2), (1.5 * math.pi, 1),
+                                               (2 * math.pi, 2)])
+    assert len(calls) == 3
+    assert [len(tr.sturm_zeros) for tr in rep.eigenline_tracks] == [2, 4]

@@ -219,3 +219,30 @@ def test_generic_curvature_matches_closed_form_on_dancing_trajectory():
         K_exact = np.linalg.solve(G, pm.curvature_at(pr, ft.x(t)) @ G)   # closed form
         scale = max(np.max(np.abs(K_exact)), 1.0)
         assert np.max(np.abs(ft.K_normal(t) - K_exact)) < 4e-8 * scale
+
+
+def _K_normal_stack_and_pointwise(ft):
+    grid = ft.grid()
+    stacked = ft.K_normal(grid)
+    assert stacked.shape == (len(grid), ft.m, ft.m)
+    return grid, stacked, np.array([ft.K_normal(t) for t in grid])
+
+
+def test_K_normal_on_a_grid_matches_scalar_calls():
+    # the batched dense lookup may differ from the scalar one in the last bit
+    model, _ = catalog.build("dancing", {"F": "sin(x1)"})
+    entry = catalog.ENTRIES["dancing"]
+    _, ft = _transport(model, entry.default_x0, entry.default_T)
+    _, stacked, pointwise = _K_normal_stack_and_pointwise(ft)
+    assert np.max(np.abs(stacked - pointwise)) <= 1e-15 * max(np.max(np.abs(pointwise)), 1.0)
+
+
+def test_generic_K_normal_on_a_grid_matches_scalar_calls():
+    # the central difference behind generic X(H1) amplifies last-bit lookup
+    # differences by about 1/h; assembled from the same lookups it is exact
+    _, gen, ft = _generic_dancing_transport()
+    grid, stacked, pointwise = _K_normal_stack_and_pointwise(ft)
+    assert np.max(np.abs(stacked - pointwise)) <= 1e-11 * max(np.max(np.abs(pointwise)), 1.0)
+    assembled = [np.linalg.solve(G, pm.curvature_at(gen, x) @ G)
+                 for x, G in zip(ft.x(grid).T, ft.G(grid))]
+    assert np.array_equal(stacked, assembled)
