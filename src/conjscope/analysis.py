@@ -1,11 +1,11 @@
 """End-to-end analysis pipeline and the report it produces.
 
-One call runs: the normal-frame transport (solved jointly with, and so
-serving as, the trajectory), regularity sampling, normal curvature sampling
-(one (N, m, m) array over the transport grid), Jacobi integration,
-conjugate-time detection, the bound verdicts, and (when a 2-form is supplied)
-the semi-Hamiltonian checks.  The normal frame is
-orthonormal, so the bounds read the normal curvature alone, with no metric.
+One call runs: one ODE solve of the trajectory, the normal-frame transport
+and the Jacobi matrices; regularity sampling; then, all on that solve's
+grid, conjugate-time detection, normal curvature sampling (one (N, m, m)
+array), the bound verdicts and (when a 2-form is supplied) the
+semi-Hamiltonian checks.  The normal frame is orthonormal, so the bounds read
+the normal curvature alone, with no metric.
 The report is a plain nested dict that serializes to JSON losslessly and
 deterministically: no timestamps, no environment data, keys sorted at emission.
 """
@@ -41,15 +41,6 @@ class AnalysisResult:
     grid: np.ndarray
     K_track: np.ndarray           # (len(grid), m, m) normal curvature samples
     sigma_min_track: np.ndarray
-
-
-def _full_x0(model, pair, x0):
-    x0 = np.asarray(x0, dtype=float)
-    if isinstance(model, pair_mod.SODEModel) and not model.autonomous and len(x0) == 2 * model.m:
-        return np.concatenate([[0.0], x0])
-    if len(x0) != pair.n:
-        raise ValueError(f"x0 must have {pair.n} components (got {len(x0)})")
-    return x0
 
 
 def _closed_orbit_suspected(ft):
@@ -89,15 +80,17 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     ``sigma`` optionally supplies the coordinate matrix of a 2-form for the
     semi-Hamiltonian checks.  ``x0`` is the 2m state (position, velocity) for
     second-order models; a leading time coordinate is added automatically for
-    nonautonomous systems."""
+    nonautonomous systems.  ``rel_tol`` and ``abs_tol`` set the one ODE solve."""
     pair = pair_mod.as_pair(model)
     if x0 is None or T is None:
         raise ValueError("x0 and T are required")
-    x0_full = _full_x0(model, pair, x0)
+    x0_full = pair_mod.full_x0(model, pair, x0)
     T = float(T)
     m = pair.m
 
     ft = frames.transport_normal_frame(pair, x0_full, T, G0=G0, rel_tol=rel_tol, abs_tol=abs_tol)
+    js = ft.jacobi_solution
+    grid = ft.grid()
 
     regularity = pair_mod.check_regularity(pair, ft.x(_subsample(ft.joint.steps)).T)
 
@@ -107,10 +100,8 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
                       "conjugate-point analysis assumes a non-closed trajectory",
                       ClosedOrbitWarning, stacklevel=2)
 
-    js = jacobi.integrate_jacobi(ft.K_normal, m, T)
     cts = jacobi.find_conjugate_times(js, rank_tol=rank_tol, zero_tol=zero_tol)
 
-    grid = ft.grid()
     K_track = ft.K_normal(grid)
     brep = bounds_mod.bounds_report(K_track, grid, m, T,
                                     [(c.t_star, c.multiplicity) for c in cts])

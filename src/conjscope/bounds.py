@@ -124,7 +124,7 @@ def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
     return lines
 
 
-def sturm_zeros(ts, lam_track, T, rel_tol=1e-11, abs_tol=1e-13):
+def sturm_zeros(ts, lam_track, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEFAULT_ABS_TOL):
     """Zeros on (0, T] of y'' = -lam(t) y, y(0) = 0, y'(0) = 1 with lam
     interpolated through the samples."""
     ts = np.asarray(ts, dtype=float)

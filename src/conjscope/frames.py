@@ -3,9 +3,9 @@
 A working frame of the distribution becomes a normal frame along a trajectory
 after multiplication by the matrix solution G of the transport equation
 X(G) = -H1 G / 2; the curvature matrix expressed in that frame is the
-coefficient matrix of the Jacobi equation.  The transport is integrated as an
-augmented state alongside the base point, so the joint solution is the
-trajectory itself and G is consistent with it to integrator tolerance.
+coefficient matrix of the Jacobi equation.  The base point, G and the Jacobi
+matrices are one ODE solve, so the joint solution is the trajectory itself
+and G, P, Q are consistent with it to integrator tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ode, pair as pair_mod
+from . import jacobi, ode, pair as pair_mod
 from .errors import SingularG, ZeroDirection
 
 __all__ = ["FrameTransport", "transport_normal_frame", "invariant_metric_at",
@@ -23,11 +23,18 @@ __all__ = ["FrameTransport", "transport_normal_frame", "invariant_metric_at",
 
 @dataclass(frozen=True)
 class FrameTransport:
-    """Joint dense solution of the trajectory and the frame transport."""
+    """Trajectory and frame view of the joint (x, vec G, vec P, vec Q) solve."""
 
     pair: object
-    joint: object                 # Trajectory of the (x, vec G) system
-    m: int
+    jacobi_solution: jacobi.JacobiSolution
+
+    @property
+    def joint(self):
+        return self.jacobi_solution.joint
+
+    @property
+    def m(self):
+        return self.jacobi_solution.m
 
     @property
     def T(self):
@@ -39,7 +46,8 @@ class FrameTransport:
     def _x_and_G(self, t):
         z = self.joint.at(t)
         n = self.pair.n
-        return z[:n], np.moveaxis(z[n:], 0, -1).reshape(np.shape(t) + (self.m, self.m))
+        G = z[n:n + self.m * self.m]
+        return z[:n], np.moveaxis(G, 0, -1).reshape(np.shape(t) + (self.m, self.m))
 
     def G(self, t):
         """G(t); an array of times gives the stack of shape (len(t), m, m)."""
@@ -65,7 +73,8 @@ class FrameTransport:
 
 def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
                            abs_tol=ode.DEFAULT_ABS_TOL) -> FrameTransport:
-    """Integrate x' = X(x) from x0 over [0, T] jointly with G' = -H1(x) G / 2.
+    """Integrate x' = X(x) from x0 over [0, T] jointly with G' = -H1(x) G / 2
+    and the Jacobi system in the normal curvature G^-1 K(x) G.
 
     G0 defaults to the identity.  Raises SingularG if |det G| collapses
     relative to |det G0| (analytically impossible: det G obeys a linear
@@ -80,20 +89,21 @@ def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
 
     fld = pair.field_callable()
 
-    def rhs(z):
+    def base(z):
         x = z[:n]
         G = z[n:].reshape(m, m)
-        dG = -0.5 * pair_mod.H1_at(pair, x) @ G
-        return np.concatenate([fld(x), dG.ravel()])
+        H1, K = pair_mod.H1_and_curvature_at(pair, x)
+        dz = np.concatenate([fld(x), (-0.5 * H1 @ G).ravel()])
+        return dz, np.linalg.solve(G, K @ G)
 
     z0 = np.concatenate([np.asarray(x0, dtype=float), G0.ravel()])
-    joint = ode.integrate(rhs, z0, T, rel_tol=rel_tol, abs_tol=abs_tol)
+    js = jacobi.integrate_jacobi(base, z0, m, T, rel_tol=rel_tol, abs_tol=abs_tol)
 
-    dets = np.abs(np.linalg.det(joint.states[:, n:].reshape(-1, m, m)))
+    dets = np.abs(np.linalg.det(js.joint.states[:, n:n + m * m].reshape(-1, m, m)))
     collapsed = np.flatnonzero(dets < 1e-12 * abs(np.linalg.det(G0)))
     if len(collapsed):
-        raise SingularG(f"|det G| collapsed at t={joint.steps[collapsed[0]]}")
-    return FrameTransport(pair=pair, joint=joint, m=m)
+        raise SingularG(f"|det G| collapsed at t={js.joint.steps[collapsed[0]]}")
+    return FrameTransport(pair=pair, jacobi_solution=js)
 
 
 def invariant_metric_at(ft: FrameTransport, t):

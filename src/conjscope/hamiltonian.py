@@ -93,7 +93,7 @@ def check_lagrangian(model: SemiHamiltonianModel, points):
     return worst
 
 
-def induced_metric(model: SemiHamiltonianModel, x, normalize_sign=True):
+def induced_metric(model: SemiHamiltonianModel, x):
     """Metric g_ij = sigma([X, V_i], V_j) at x.
 
     If the metric comes out negative definite it is flipped to its negative
@@ -113,7 +113,7 @@ def induced_metric(model: SemiHamiltonianModel, x, normalize_sign=True):
         raise DegenerateMetric(f"induced metric degenerate at {x} (smallest sv {svals[-1]:.3e})")
     flipped = False
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if normalize_sign and np.all(eigs < 0):
+    if np.all(eigs < 0):
         g = -g
         flipped = True
     return {"g": g, "flipped": flipped, "symmetry_residual": sym_res,

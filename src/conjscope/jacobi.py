@@ -1,11 +1,12 @@
 """Jacobi matrix system, conjugate times and the variational-flow oracle.
 
 In a normal frame the Jacobi equation reduces to the matrix system
-P' = Q, Q' = -K(t) P with P(0) = 0, Q(0) = I; conjugate times are the
-parameter values where P loses rank, with multiplicity equal to the rank
-drop.  The variational oracle instead pushes the vertical subspace forward
-with the linearized flow and watches its transverse components directly,
-providing an independent detection path for cross-validation.
+P' = Q, Q' = -K P with P(0) = 0, Q(0) = I, solved together with the system
+whose state K is read at; conjugate times are the parameter values where P
+loses rank, with multiplicity equal to the rank drop.  The variational oracle
+instead pushes the vertical subspace forward with the linearized flow and
+watches its transverse components directly, providing an independent
+detection path for cross-validation.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .errors import EndpointNotZero, RegularityViolation
 DETECT_TOL = 1e-8        # refined singular-value dip counted as zero, x scale
 RANK_TOL = 1e-7          # singular values below this x scale count into the kernel
 MERGE_TOL = 1e-6
-JACOBI_REL_TOL = 1e-11
-JACOBI_ABS_TOL = 1e-13
 
 __all__ = ["JacobiSolution", "ConjugateTime", "integrate_jacobi",
            "find_conjugate_times", "index_functional", "variational_oracle"]
@@ -32,7 +31,8 @@ __all__ = ["JacobiSolution", "ConjugateTime", "integrate_jacobi",
 @dataclass(frozen=True)
 class JacobiSolution:
     m: int
-    joint: object                 # Trajectory of (t, vec P, vec Q)
+    joint: object                 # Trajectory of (z, vec P, vec Q)
+    offset: int                   # dimension of the base state z
 
     @property
     def T(self):
@@ -40,11 +40,11 @@ class JacobiSolution:
 
     def P(self, t):
         """P(t); an array of times gives the stack of shape (len(t), m, m)."""
-        z = self.joint.at(t)[1:1 + self.m * self.m]
+        z = self.joint.at(t)[self.offset:self.offset + self.m * self.m]
         return np.moveaxis(z, 0, -1).reshape(np.shape(t) + (self.m, self.m))
 
     def Q(self, t):
-        return self.joint.at(t)[1 + self.m * self.m:].reshape(self.m, self.m)
+        return self.joint.at(t)[self.offset + self.m * self.m:].reshape(self.m, self.m)
 
     def sigma_min(self, t):
         return np.linalg.svd(self.P(t), compute_uv=False).min(axis=-1)
@@ -69,22 +69,21 @@ class ConjugateTime:
         }
 
 
-def integrate_jacobi(K_normal, m, T, rel_tol=JACOBI_REL_TOL, abs_tol=JACOBI_ABS_TOL) -> JacobiSolution:
-    """Integrate P' = Q, Q' = -K(t) P from P(0)=0, Q(0)=I with dense output."""
-    mm = m * m
+def integrate_jacobi(base, z0, m, T, rel_tol=ode.DEFAULT_REL_TOL,
+                     abs_tol=ode.DEFAULT_ABS_TOL) -> JacobiSolution:
+    """Integrate z' = f(z) from z0 together with P' = Q, Q' = -K(z) P from
+    P(0) = 0, Q(0) = I, with dense output; ``base(z)`` returns (f(z), K(z))."""
+    z0 = np.asarray(z0, dtype=float)
+    k, mm = len(z0), m * m
 
-    # time enters through an explicit quadrature variable so the matrix system
-    # can reuse the autonomous integrator interface
-    def rhs_aug(z):
-        t = z[0]
-        P = z[1:1 + mm].reshape(m, m)
-        K = np.asarray(K_normal(t), dtype=float)
-        Q = z[1 + mm:].reshape(m, m)
-        return np.concatenate([[1.0], Q.ravel(), (-K @ P).ravel()])
+    def rhs(w):
+        dz, K = base(w[:k])
+        P = w[k:k + mm].reshape(m, m)
+        return np.concatenate([dz, w[k + mm:], (-K @ P).ravel()])
 
-    z0 = np.concatenate([[0.0], np.zeros(mm), np.eye(m).ravel()])
-    joint = ode.integrate(rhs_aug, z0, T, rel_tol=rel_tol, abs_tol=abs_tol)
-    return JacobiSolution(m=m, joint=joint)
+    w0 = np.concatenate([z0, np.zeros(mm), np.eye(m).ravel()])
+    joint = ode.integrate(rhs, w0, T, rel_tol=rel_tol, abs_tol=abs_tol)
+    return JacobiSolution(m=m, joint=joint, offset=k)
 
 
 def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, t_floor):
@@ -184,7 +183,7 @@ def index_functional(K_normal, w, r, times=None):
     return float(simpson(integrand, x=ts))
 
 
-def variational_oracle(pair, x0, T, rel_tol=JACOBI_REL_TOL, abs_tol=JACOBI_ABS_TOL,
+def variational_oracle(pair, x0, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEFAULT_ABS_TOL,
                        rank_tol=RANK_TOL, zero_tol=DETECT_TOL):
     """Conjugate times straight from the definition.
 
@@ -198,10 +197,7 @@ def variational_oracle(pair, x0, T, rel_tol=JACOBI_REL_TOL, abs_tol=JACOBI_ABS_T
     model = pair
     pair = pair_mod.as_pair(pair)
     n = pair.n
-    x0 = np.asarray(x0, dtype=float)
-    if (isinstance(model, pair_mod.SODEModel) and not model.autonomous
-            and len(x0) == 2 * model.m):
-        x0 = np.concatenate([[0.0], x0])
+    x0 = pair_mod.full_x0(model, pair, x0)
 
     def rhs(z):
         x = z[:n]

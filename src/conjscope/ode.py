@@ -21,8 +21,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import NonFiniteState, StepSizeUnderflow
 
-DEFAULT_REL_TOL = 1e-10
-DEFAULT_ABS_TOL = 1e-12
+DEFAULT_REL_TOL = 1e-11
+DEFAULT_ABS_TOL = 1e-13
 SAMPLES_PER_STEP = 8
 
 __all__ = ["Trajectory", "integrate", "locate_events", "refine_minimum", "refined_minima", "dense_grid"]
@@ -83,8 +83,7 @@ def dense_grid(steps, per_step=SAMPLES_PER_STEP):
     return np.concatenate(parts)
 
 
-def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL,
-              max_step=np.inf) -> Trajectory:
+def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL) -> Trajectory:
     """Integrate x' = field(x) over [0, T] with dense output.
 
     Deterministic for fixed inputs.  Raises NonFiniteState if the right-hand
@@ -101,7 +100,7 @@ def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL,
         return dx
 
     sol = solve_ivp(rhs, (0.0, float(T)), x0, method="RK45", dense_output=True,
-                    rtol=rel_tol, atol=abs_tol, max_step=max_step)
+                    rtol=rel_tol, atol=abs_tol)
     if sol.status != 0:
         raise StepSizeUnderflow(sol.message)
     if not np.all(np.isfinite(sol.y)):

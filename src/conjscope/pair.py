@@ -159,6 +159,18 @@ def as_pair(model: SODEModel | GenericPair) -> GenericPair:
     return lift_sode(model) if isinstance(model, SODEModel) else model
 
 
+def full_x0(model, pair: GenericPair, x0):
+    """The initial point on the pair's space: a leading t = 0 is added to the
+    2m state of a nonautonomous second-order model.  Raises ValueError when
+    the length does not fit the pair."""
+    x0 = np.asarray(x0, dtype=float)
+    if isinstance(model, SODEModel) and not model.autonomous and len(x0) == 2 * model.m:
+        return np.concatenate([[0.0], x0])
+    if len(x0) != pair.n:
+        raise ValueError(f"x0 must have {pair.n} components (got {len(x0)})")
+    return x0
+
+
 # -- jets of expression-valued vector fields ---------------------------------
 
 def _jet(exprs, coords, env, u):
@@ -274,11 +286,15 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
                           cond_D=cond_D, residual=residual, D_svd=D_svd)
 
 
+def _bracket_H1_K(pair: GenericPair, x):
+    data = extract_H(pair, x)
+    return data.H1, -data.H0 + 0.5 * flow_derivative_H1(pair, x) - 0.25 * (data.H1 @ data.H1)
+
+
 def curvature_frame(pair: GenericPair, x):
     """Curvature matrix K = -H0 + X(H1)/2 - H1^2/4 in the working frame, with
     the derivative X(H1) of H1 along X from ``flow_derivative_H1``."""
-    data = extract_H(pair, x)
-    return -data.H0 + 0.5 * flow_derivative_H1(pair, x) - 0.25 * (data.H1 @ data.H1)
+    return _bracket_H1_K(pair, x)[1]
 
 
 def flow_derivative_H1(pair: GenericPair, x):
@@ -319,6 +335,11 @@ def sode_curvature(model: SODEModel, t, x, y):
     field X = (1, y, F), so one jet of F along X gives all of it:
     K = -dF/dx - (1/4) (dF/dy)^2 + (1/2) Hu[:, y].  The derivative of H1
     along X is exact here (no finite difference)."""
+    return _closed_form_H1_K(model, t, x, y)[1]
+
+
+def _closed_form_H1_K(model: SODEModel, t, x, y):
+    """H1 = -dF/dy and the curvature of ``sode_curvature`` from one jet."""
     m = model.m
     env = model.force_bindings(t, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     F_val = evaluate(model.F, env)
@@ -329,43 +350,23 @@ def sode_curvature(model: SODEModel, t, x, y):
         u["t"] = 1.0
     _, J, Hu = _jet(model.F, xs + ys, env, u)
     dFdy = J[:, m:]
-    return -J[:, :m] - 0.25 * dFdy @ dFdy + 0.5 * Hu[:, m:]
+    return -dFdy, -J[:, :m] - 0.25 * dFdy @ dFdy + 0.5 * Hu[:, m:]
 
 
-def _sode_H1(pair: GenericPair, x):
-    """H1 = -dF/dy in closed form.
-
-    The y names are seeded two per engine call, as i and j of one hyper-dual
-    evaluation, so one call serves m <= 2 and both names are hyper-dual in
-    both derivatives.  ``_jacobian`` seeds each column alone, which rounds a
-    division whose numerator and denominator depend on different y names
-    (the dancing force) differently in the last bit; on dancing that moves
-    the conjugate time by 5e-13."""
-    model, t, xs, ys = _sode_point(pair, x)
-    env = model.force_bindings(t, xs, ys)
-    m = model.m
-    names = [f"y{k+1}" for k in range(m)]
-    J = np.empty((m, m))
-    for b in range(0, m, 2):
-        b2 = min(b + 1, m - 1)
-        _, J[:, b], J[:, b2], _ = scalar.second_partials(model.F, env, names[b], names[b2])
-    return -J
-
-
-def H1_at(pair: GenericPair, x):
-    """H1 at x: closed form -dF/dy for lifted second-order systems, the
-    bracket relation otherwise."""
+def H1_and_curvature_at(pair: GenericPair, x):
+    """(H1, K) at x from one evaluation: one jet of the force for lifted
+    second-order systems, one bracket relation and its derivative along X
+    otherwise."""
     if pair.sode is not None:
-        return _sode_H1(pair, x)
-    return extract_H(pair, x).H1
+        return _closed_form_H1_K(*_sode_point(pair, x))
+    return _bracket_H1_K(pair, x)
 
 
 def curvature_at(pair: GenericPair, x):
     """Curvature in the working frame: closed form for lifted second-order
     systems, ``curvature_frame`` otherwise."""
     if pair.sode is not None:
-        model, t, xs, ys = _sode_point(pair, x)
-        return sode_curvature(model, t, xs, ys)
+        return sode_curvature(*_sode_point(pair, x))
     return curvature_frame(pair, x)
 
 

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from conjscope import ode, pair as pair_mod
+from conjscope import jacobi, ode, pair as pair_mod
+
+
+def jacobi_in_time(K, m, T):
+    """Jacobi solution for a curvature given as a function of time: the base
+    system is t' = 1 from t = 0, and K(t) is read at its state."""
+    one = np.ones(1)
+    return jacobi.integrate_jacobi(lambda z: (one, np.asarray(K(z[0]), dtype=float)), [0.0], m, T)
 
 
 def random_sode(rng, m, autonomous=True, scale=1.0):

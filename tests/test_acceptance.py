@@ -12,6 +12,8 @@ import pytest
 from conjscope import analysis, bounds, catalog, jacobi, pair as pm, scalar
 from conjscope import frames
 
+from conftest import jacobi_in_time
+
 TOL_TIME = 1e-6
 
 
@@ -211,7 +213,7 @@ def test_criterion_08_structural_invariants(runs):
 
     # P^T Q symmetry for symmetric curvature input
     Ksym = np.array([[1.3, 0.4], [0.4, 0.6]])
-    js = jacobi.integrate_jacobi(lambda t: Ksym, 2, 6.0)
+    js = jacobi_in_time(lambda t: Ksym, 2, 6.0)
     for t in np.linspace(0.3, 6.0, 9):
         P, Q = js.P(t), js.Q(t)
         assert np.linalg.norm(P.T @ Q - Q.T @ P) < 1e-8 * max(
@@ -223,7 +225,7 @@ def test_criterion_08_structural_invariants(runs):
     for _ in range(3):
         G0 = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
         ft3 = frames.transport_normal_frame(pr3, [0.2, -0.1, 1.0, 0.4], 4.0, G0=G0)
-        js3 = jacobi.integrate_jacobi(ft3.K_normal, 2, 4.0)
+        js3 = ft3.jacobi_solution
         times = [c.t_star for c in jacobi.find_conjugate_times(js3)]
         if reference is None:
             reference = times

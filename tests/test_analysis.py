@@ -105,8 +105,8 @@ def test_x0_length_validation():
 ])
 def test_analyze_solves_transport_jacobi_and_one_per_eigenline(monkeypatch, name, params, x0, T,
                                                                n_tracks, n_distinct):
-    # the transport is the trajectory: no separate solve of X alone, and
-    # eigenlines with equal tracks share one Sturm solve
+    # the trajectory, the transport and the Jacobi matrices are one solve,
+    # and eigenlines with equal tracks share one Sturm solve
     solves = []
     integrate = ode.integrate
 
@@ -118,25 +118,85 @@ def test_analyze_solves_transport_jacobi_and_one_per_eigenline(monkeypatch, name
     model, _ = catalog.build(name, params)
     res = analysis.analyze(model, x0=x0, T=T)
     assert len(res.bounds.eigenline_tracks) == n_tracks
-    assert len(solves) == 2 + n_distinct
+    assert len(solves) == 1 + n_distinct
 
 
-def test_report_states_the_transport_and_jacobi_solves():
+def _check_report_states_the_solve(expected, **tols):
+    # both blocks state the one solve, at the tolerances it ran with
     model, _ = catalog.build("perturbed_pair", {"eps": 0.05})
-    res = analysis.analyze(model, x0=(0.2, -0.1, 1.0, 0.4), T=4.0, rel_tol=1e-9, abs_tol=1e-11)
+    res = analysis.analyze(model, x0=(0.2, -0.1, 1.0, 0.4), T=4.0, **tols)
     rep = res.report["trajectory"]
     joint = res.transport.joint
     assert rep["steps"] == joint.n_steps
     assert rep["rhs_evals"] == joint.n_rhs_evals
-    assert (rep["rel_tol"], rep["abs_tol"]) == (joint.rel_tol, joint.abs_tol) == (1e-9, 1e-11)
+    assert (rep["rel_tol"], rep["abs_tol"]) == (joint.rel_tol, joint.abs_tol) == expected
     joint = res.jacobi_solution.joint
     assert res.report["jacobi"] == {
-        "rel_tol": jacobi.JACOBI_REL_TOL,
-        "abs_tol": jacobi.JACOBI_ABS_TOL,
+        "rel_tol": expected[0],
+        "abs_tol": expected[1],
         "steps": joint.n_steps,
         "rhs_evals": joint.n_rhs_evals,
     }
-    assert (joint.rel_tol, joint.abs_tol) == (jacobi.JACOBI_REL_TOL, jacobi.JACOBI_ABS_TOL)
+    assert (joint.rel_tol, joint.abs_tol) == expected
+
+
+def test_report_states_the_transport_and_jacobi_solves():
+    _check_report_states_the_solve((1e-9, 1e-11), rel_tol=1e-9, abs_tol=1e-11)
+
+
+def test_report_states_the_default_tolerances():
+    assert (ode.DEFAULT_REL_TOL, ode.DEFAULT_ABS_TOL) == (1e-11, 1e-13)
+    _check_report_states_the_solve((1e-11, 1e-13))
+
+
+def test_transport_and_jacobi_views_share_one_solution_and_grid():
+    model, _ = catalog.build("sphere_spray")
+    entry = catalog.ENTRIES["sphere_spray"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T)
+    assert res.transport.joint is res.jacobi_solution.joint
+    assert np.array_equal(res.grid, res.jacobi_solution.grid())
+    assert len(res.K_track) == len(res.sigma_min_track) == len(res.grid)
+
+
+def test_no_dense_lookup_while_analyze_integrates(monkeypatch):
+    # every right-hand side reads the state it is given; dense output is read
+    # only once a solve is done
+    integrating = []
+    lookups = []
+    integrate = ode.integrate
+    at = ode.Trajectory.at
+
+    def tracking_integrate(*args, **kwargs):
+        integrating.append(1)
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            integrating.pop()
+
+    def tracking_at(self, t):
+        lookups.append(bool(integrating))
+        return at(self, t)
+
+    monkeypatch.setattr(ode, "integrate", tracking_integrate)
+    monkeypatch.setattr(ode.Trajectory, "at", tracking_at)
+    for name in ("perturbed_pair", "dancing"):
+        entry = catalog.ENTRIES[name]
+        model, sigma = catalog.build(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            analysis.analyze(model, x0=entry.default_x0, T=entry.default_T, sigma=sigma)
+    assert lookups and not any(lookups)
+
+
+def test_oracle_and_analyze_reject_a_wrong_length_x0_alike():
+    model, _ = catalog.build("harmonic")
+    message = r"x0 must have 2 components \(got 3\)"
+    with pytest.raises(ValueError, match=message):
+        analysis.analyze(model, x0=[0.3, 0.7, 0.1], T=3.0)
+    with pytest.raises(ValueError, match=message):
+        jacobi.variational_oracle(model, [0.3, 0.7, 0.1], 3.0)
 
 
 def _closed_orbit_pointwise(ft):
@@ -162,7 +222,7 @@ def test_batched_closed_orbit_check_matches_pointwise(name, x0, T):
     entry = catalog.ENTRIES[name]
     model, _ = catalog.build(name)
     pair = pm.as_pair(model)
-    x0 = analysis._full_x0(model, pair, entry.default_x0 if x0 is None else x0)
+    x0 = pm.full_x0(model, pair, entry.default_x0 if x0 is None else x0)
     ft = frames.transport_normal_frame(pair, x0, entry.default_T if T is None else T)
     assert analysis._closed_orbit_suspected(ft) == _closed_orbit_pointwise(ft)
     grid = ft.grid()
@@ -172,7 +232,8 @@ def test_batched_closed_orbit_check_matches_pointwise(name, x0, T):
 
 
 def test_analyze_reads_the_curvature_track_in_one_call(monkeypatch):
-    # scalar K_normal calls belong to the Jacobi right-hand side alone
+    # the Jacobi right-hand side reads the curvature at its own state, so the
+    # track is the only K_normal call
     calls = []
     in_jacobi = []
     K_normal = frames.FrameTransport.K_normal
@@ -198,7 +259,7 @@ def test_analyze_reads_the_curvature_track_in_one_call(monkeypatch):
         res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T, sigma=sigma)
     outside = [ndim for ndim, inside in calls if not inside]
     assert outside == [1]
-    assert all(ndim == 0 for ndim, inside in calls if inside) and len(calls) > 1
+    assert len(calls) == 1
     assert res.K_track.shape == (len(res.grid), 2, 2)
 
 

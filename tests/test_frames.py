@@ -117,7 +117,7 @@ def test_conjugate_times_independent_of_G0():
     for _ in range(10):
         G0 = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
         ft = frames.transport_normal_frame(pr, x0, 4.0, G0=G0)
-        js = jacobi.integrate_jacobi(ft.K_normal, 2, 4.0)
+        js = ft.jacobi_solution
         times = [c.t_star for c in jacobi.find_conjugate_times(js)]
         if reference is None:
             reference = times

@@ -7,24 +7,26 @@ import pytest
 from conjscope import catalog, jacobi, ode, pair as pm
 from conjscope.errors import EndpointNotZero
 
+from conftest import jacobi_in_time
+
 
 def test_scalar_harmonic_PQ():
     omega = 2.0
-    js = jacobi.integrate_jacobi(lambda t: np.array([[omega**2]]), 1, 5.0)
+    js = jacobi_in_time(lambda t: np.array([[omega**2]]), 1, 5.0)
     for t in np.linspace(0.1, 5.0, 9):
         assert abs(js.P(t)[0, 0] - math.sin(omega * t) / omega) < 1e-8
         assert abs(js.Q(t)[0, 0] - math.cos(omega * t)) < 1e-8
 
 
 def test_zero_curvature_linear_growth():
-    js = jacobi.integrate_jacobi(lambda t: np.zeros((2, 2)), 2, 3.0)
+    js = jacobi_in_time(lambda t: np.zeros((2, 2)), 2, 3.0)
     for t in (0.5, 1.7, 3.0):
         assert np.allclose(js.P(t), t * np.eye(2), atol=1e-9)
         assert np.allclose(js.Q(t), np.eye(2), atol=1e-10)
 
 
 def test_initial_conditions_exact():
-    js = jacobi.integrate_jacobi(lambda t: np.eye(2), 2, 1.0)
+    js = jacobi_in_time(lambda t: np.eye(2), 2, 1.0)
     assert np.array_equal(js.P(0.0), np.zeros((2, 2)))
     assert np.array_equal(js.Q(0.0), np.eye(2))
 
@@ -32,7 +34,7 @@ def test_initial_conditions_exact():
 def test_skew_block_matches_complex_closed_form():
     eps = 0.15
     K = np.array([[1.0, eps], [-eps, 1.0]])
-    js = jacobi.integrate_jacobi(lambda t: K, 2, 6.0)
+    js = jacobi_in_time(lambda t: K, 2, 6.0)
     w = cmath.sqrt(1 - 1j * eps)
     for t in np.linspace(0.3, 6.0, 8):
         expected = abs(cmath.sin(w * t) / w)
@@ -42,7 +44,7 @@ def test_skew_block_matches_complex_closed_form():
 
 
 def test_find_conjugate_times_scalar():
-    js = jacobi.integrate_jacobi(lambda t: np.array([[1.0]]), 1, 7.0)
+    js = jacobi_in_time(lambda t: np.array([[1.0]]), 1, 7.0)
     out = jacobi.find_conjugate_times(js)
     assert [(round(c.t_star, 6), c.multiplicity) for c in out] == [
         (round(math.pi, 6), 1), (round(2 * math.pi, 6), 1)]
@@ -71,7 +73,7 @@ def test_rank_events_touches_and_merge():
 
 def test_harmonic_detection_refines_only_sigma_min_minima(monkeypatch):
     # m = 1: sigma_min = |det P|, so refining both would double the searches
-    js = jacobi.integrate_jacobi(lambda t: np.array([[1.0]]), 1, 7.0)
+    js = jacobi_in_time(lambda t: np.array([[1.0]]), 1, 7.0)
     grid = js.grid()
     sig = js.sigma_min(grid)
     last = len(grid) - 1
@@ -91,7 +93,7 @@ def test_harmonic_detection_refines_only_sigma_min_minima(monkeypatch):
 
 
 def test_find_conjugate_times_double_touch():
-    js = jacobi.integrate_jacobi(lambda t: np.eye(2), 2, 7.0)
+    js = jacobi_in_time(lambda t: np.eye(2), 2, 7.0)
     out = jacobi.find_conjugate_times(js)
     assert len(out) == 2
     for c, k in zip(out, (1, 2)):
@@ -105,19 +107,19 @@ def test_find_conjugate_times_double_touch():
 
 def test_no_conjugate_times_for_skew_perturbation():
     K = np.array([[1.0, 0.05], [-0.05, 1.0]])
-    js = jacobi.integrate_jacobi(lambda t: K, 2, 3 * math.pi)
+    js = jacobi_in_time(lambda t: K, 2, 3 * math.pi)
     assert jacobi.find_conjugate_times(js) == []
 
 
 def test_sigma_min_positive_for_small_t():
-    js = jacobi.integrate_jacobi(lambda t: np.eye(2), 2, 1.0)
+    js = jacobi_in_time(lambda t: np.eye(2), 2, 1.0)
     for t in (1e-3, 0.1, 0.5):
         assert js.sigma_min(t) > 0
 
 
 def test_P_and_sigma_min_sample_arrays_of_times():
     K = np.array([[1.3, 0.4], [0.4, 0.6]])
-    js = jacobi.integrate_jacobi(lambda t: K, 2, 6.0)
+    js = jacobi_in_time(lambda t: K, 2, 6.0)
     ts = js.grid()
     P, sig = js.P(ts), js.sigma_min(ts)
     assert P.shape == (len(ts), 2, 2) and sig.shape == (len(ts),)
@@ -129,7 +131,7 @@ def test_P_and_sigma_min_sample_arrays_of_times():
 
 def test_PtQ_symmetry_for_symmetric_K():
     K = np.array([[1.3, 0.4], [0.4, 0.6]])
-    js = jacobi.integrate_jacobi(lambda t: K, 2, 6.0)
+    js = jacobi_in_time(lambda t: K, 2, 6.0)
     for t in np.linspace(0.2, 6.0, 13):
         P, Q = js.P(t), js.Q(t)
         drift = np.linalg.norm(P.T @ Q - Q.T @ P)
@@ -141,7 +143,7 @@ def test_PtQ_symmetry_for_time_varying_symmetric_K():
         return np.array([[1.0 + 0.3 * math.sin(t), 0.2 * math.cos(t)],
                          [0.2 * math.cos(t), 0.8 - 0.1 * math.sin(2 * t)]])
 
-    js = jacobi.integrate_jacobi(K, 2, 6.0)
+    js = jacobi_in_time(K, 2, 6.0)
     for t in np.linspace(0.2, 6.0, 13):
         P, Q = js.P(t), js.Q(t)
         drift = np.linalg.norm(P.T @ Q - Q.T @ P)
@@ -195,7 +197,7 @@ def test_index_nonnegative_when_no_conjugate_time():
 
 def test_scalar_lower_bound_forces_zero_before_pi_over_sqrt_kappa():
     lam = lambda t: 1.0 + 0.5 * math.sin(t) ** 2          # >= kappa = 1
-    js = jacobi.integrate_jacobi(lambda t: np.array([[lam(t)]]), 1, 4.0)
+    js = jacobi_in_time(lambda t: np.array([[lam(t)]]), 1, 4.0)
     out = jacobi.find_conjugate_times(js)
     assert out and out[0].t_star <= math.pi + 1e-6
 

@@ -250,3 +250,23 @@ def test_dancing_conditioning_blows_up_near_singular_set():
         conds.append(data.cond_D)
     assert conds[-1] > 1e4 * conds[0]
     assert conds == sorted(conds)
+
+
+@pytest.mark.parametrize("name", ["dancing", "mechanical", "perturbed_pair", "sphere_spray"])
+def test_H1_and_curvature_at_matches_the_separate_readings(name):
+    # one evaluation gives the transport's H1 and the curvature: K is the
+    # K of curvature_at, and H1 that of the bracket relation
+    from conjscope import catalog
+    model, _ = catalog.build(name)
+    pr = pm.lift_sode(model)
+    gen = pm.GenericPair(coords=pr.coords, X=pr.X, vframe=pr.vframe, params=pr.params)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        x = catalog.ENTRIES[name].default_x0 + rng.uniform(-0.05, 0.05, size=pr.n)
+        H1, K = pm.H1_and_curvature_at(pr, x)
+        assert np.array_equal(K, pm.curvature_at(pr, x))
+        bracket_H1 = pm.extract_H(pr, x).H1
+        assert np.max(np.abs(H1 - bracket_H1)) <= 1e-12 * max(np.max(np.abs(bracket_H1)), 1.0)
+        H1_gen, K_gen = pm.H1_and_curvature_at(gen, x)
+        assert np.array_equal(K_gen, pm.curvature_frame(gen, x))
+        assert np.array_equal(H1_gen, pm.extract_H(gen, x).H1)
