@@ -1,11 +1,11 @@
 """End-to-end analysis pipeline and the report it produces.
 
 One call runs: one ODE solve of the trajectory, the normal-frame transport
-and the Jacobi matrices; regularity sampling; then, all on that solve's
-grid, conjugate-time detection, normal curvature sampling (one (N, m, m)
-array), the bound verdicts and (when a 2-form is supplied) the
-semi-Hamiltonian checks.  The normal frame is orthonormal, so the bounds read
-the normal curvature alone, with no metric.
+and the Jacobi fields (no curvature in it); regularity sampling; then, all on
+that solve's grid, detection and the sigma_min curve (one batched SVD of P),
+the normal curvature samples (one (N, m, m) array), the bound verdicts and
+(when a 2-form is supplied) the semi-Hamiltonian checks.  The normal frame is
+orthonormal, so the bounds read the normal curvature alone, with no metric.
 The report is a plain nested dict that serializes to JSON losslessly and
 deterministically: no timestamps, no environment data, keys sorted at emission.
 """
@@ -73,7 +73,7 @@ def _subsample(ts, cap=MAX_SAMPLE_POINTS):
 
 def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
             abs_tol=ode.DEFAULT_ABS_TOL, rank_tol=jacobi.RANK_TOL,
-            zero_tol=jacobi.DETECT_TOL, G0=None, system_name=None,
+            zero_tol=jacobi.DETECT_TOL, system_name=None,
             params_used=None) -> AnalysisResult:
     """Run the full pipeline on a model (second-order system or generic pair).
 
@@ -88,9 +88,9 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     T = float(T)
     m = pair.m
 
-    ft = frames.transport_normal_frame(pair, x0_full, T, G0=G0, rel_tol=rel_tol, abs_tol=abs_tol)
+    ft = frames.transport_normal_frame(pair, x0_full, T, rel_tol=rel_tol, abs_tol=abs_tol)
     js = ft.jacobi_solution
-    grid = ft.grid()
+    grid, _, P_svals = js.grid_samples
 
     regularity = pair_mod.check_regularity(pair, ft.x(_subsample(ft.joint.steps)).T)
 
@@ -106,7 +106,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     brep = bounds_mod.bounds_report(K_track, grid, m, T,
                                     [(c.t_star, c.multiplicity) for c in cts])
 
-    sigma_track = js.sigma_min(grid)
+    sigma_track = P_svals[:, -1]
     dips = [{"t": float(t), "value": float(v)}
             for t, v in ode.refined_minima(js.sigma_min, grid, sigma_track, interior=True)]
 

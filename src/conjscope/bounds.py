@@ -124,7 +124,7 @@ def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
     return lines
 
 
-def sturm_zeros(ts, lam_track, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEFAULT_ABS_TOL):
+def sturm_zeros(ts, lam_track, T):
     """Zeros on (0, T] of y'' = -lam(t) y, y(0) = 0, y'(0) = 1 with lam
     interpolated through the samples."""
     ts = np.asarray(ts, dtype=float)
@@ -134,7 +134,7 @@ def sturm_zeros(ts, lam_track, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEFAU
         t, y, dy = z
         return np.array([1.0, dy, -float(lam(min(max(t, ts[0]), ts[-1]))) * y])
 
-    traj = ode.integrate(rhs, [0.0, 0.0, 1.0], T, rel_tol=rel_tol, abs_tol=abs_tol)
+    traj = ode.integrate(rhs, [0.0, 0.0, 1.0], T)
     grid = traj.grid()
     return ode.locate_events(lambda t: traj.at(t)[1], grid, traj.at(grid)[1])
 

@@ -177,18 +177,22 @@ def check_K_selfadjoint(g, K):
 
 # -- transported-frame diagnostics --------------------------------------------
 
+def _transported_frames(model: SemiHamiltonianModel, ft, ts):
+    """sigma, the transported frame W = V G and its horizontal partner
+    XV G - V H1 G / 2 at each time of ``ts``."""
+    for x, G in zip(ft.x(ts).T, ft.G(ts)):
+        data = pair_mod.extract_H(model.pair, x, raise_on_violation=False)
+        yield model.sigma_at(x), data.V @ G, data.XV @ G - 0.5 * data.V @ (data.H1 @ G)
+
+
 def horizontal_lagrangian_residual(model: SemiHamiltonianModel, ft, ts):
     """Max relative residual of sigma on pairs of transported horizontal
     frame vectors [X, W_i] with W = V G along the trajectory."""
-    pr = model.pair
     worst = 0.0
-    for x, G in zip(ft.x(ts).T, ft.G(ts)):
-        S = model.sigma_at(x)
-        data = pair_mod.extract_H(pr, x, raise_on_violation=False)
-        H = data.XV @ G - 0.5 * data.V @ (data.H1 @ G)
+    for S, _, H in _transported_frames(model, ft, ts):
         scale = max(np.linalg.norm(S), 1e-300)
-        for i in range(pr.m):
-            for j in range(i + 1, pr.m):
+        for i in range(H.shape[1]):
+            for j in range(i + 1, H.shape[1]):
                 num = abs(H[:, i] @ S @ H[:, j])
                 den = scale * max(np.linalg.norm(H[:, i]) * np.linalg.norm(H[:, j]), 1e-300)
                 worst = max(worst, num / den)
@@ -198,15 +202,6 @@ def horizontal_lagrangian_residual(model: SemiHamiltonianModel, ft, ts):
 def metric_constancy_residual(model: SemiHamiltonianModel, ft, ts):
     """Sup relative drift of the induced metric coefficients expressed in the
     transported normal frame (they are constant for invariant sigma)."""
-    pr = model.pair
-
-    def g_normal(x, G):
-        S = model.sigma_at(x)
-        data = pair_mod.extract_H(pr, x, raise_on_violation=False)
-        W = data.V @ G
-        XW = data.XV @ G - 0.5 * data.V @ (data.H1 @ G)
-        return XW.T @ S @ W
-
-    gs = [g_normal(x, G) for x, G in zip(ft.x(ts).T, ft.G(ts))]
+    gs = [XW.T @ S @ W for S, W, XW in _transported_frames(model, ft, ts)]
     scale = max(np.linalg.norm(gs[0]), 1e-300)
     return max(float(np.linalg.norm(g - gs[0]) / scale) for g in gs)

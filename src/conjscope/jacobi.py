@@ -1,17 +1,20 @@
-"""Jacobi matrix system, conjugate times and the variational-flow oracle.
+"""Jacobi fields, conjugate times and the variational-flow oracle.
 
-In a normal frame the Jacobi equation reduces to the matrix system
-P' = Q, Q' = -K P with P(0) = 0, Q(0) = I, solved together with the system
-whose state K is read at; conjugate times are the parameter values where P
-loses rank, with multiplicity equal to the rank drop.  The variational oracle
-instead pushes the vertical subspace forward with the linearized flow and
-watches its transverse components directly, providing an independent
-detection path for cross-validation.
+A Jacobi field J = V a + XV b is a V-vector pushed along the flow of X; with
+[X, XV] = V H0 + XV H1 its coefficients obey a' = -H0 b, b' = -a - H1 b, solved
+together with the normal-frame transport G' = -H1 G / 2 and the system the
+structure matrices are read at, so no curvature enters the solve.  In the
+normal frame P = -G^-1 b solves P'' = -K P with P(0) = 0, Q(0) = P'(0) = I;
+conjugate times are the rank drops of P, with multiplicity the rank drop.  The
+variational oracle instead pushes the vertical subspace forward with the
+linearized flow and watches its transverse components directly, providing an
+independent detection path for cross-validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import simpson
@@ -31,26 +34,40 @@ __all__ = ["JacobiSolution", "ConjugateTime", "integrate_jacobi",
 @dataclass(frozen=True)
 class JacobiSolution:
     m: int
-    joint: object                 # Trajectory of (z, vec P, vec Q)
+    joint: object                 # Trajectory of (z, vec G, vec a, vec b)
     offset: int                   # dimension of the base state z
+    base: object                  # z -> (z', H0, H1)
 
-    @property
-    def T(self):
-        return self.joint.T
+    def blocks(self, t):
+        """(z, G, a, b) at t from one dense lookup; an array of times gives z
+        of shape (offset, len(t)) and the stacks of shape (len(t), m, m)."""
+        w = self.joint.at(t)
+        mats = np.moveaxis(w[self.offset:], 0, -1).reshape(np.shape(t) + (3, self.m, self.m))
+        return (w[:self.offset], *np.moveaxis(mats, -3, 0))
 
     def P(self, t):
-        """P(t); an array of times gives the stack of shape (len(t), m, m)."""
-        z = self.joint.at(t)[self.offset:self.offset + self.m * self.m]
-        return np.moveaxis(z, 0, -1).reshape(np.shape(t) + (self.m, self.m))
+        """P(t) = -G^-1 b; an array of times gives the stack of shape (len(t), m, m)."""
+        _, G, _, b = self.blocks(t)
+        return -np.linalg.solve(G, b)
 
     def Q(self, t):
-        return self.joint.at(t)[self.offset + self.m * self.m:].reshape(self.m, self.m)
+        """Q(t) = P'(t) = G^-1 (a + H1 b / 2), with H1 read from ``base``."""
+        z, G, a, b = self.blocks(t)
+        H1 = (np.array([self.base(zk)[2] for zk in z.T]) if np.ndim(t)
+              else self.base(z)[2])
+        return np.linalg.solve(G, a + 0.5 * H1 @ b)
 
     def sigma_min(self, t):
         return np.linalg.svd(self.P(t), compute_uv=False).min(axis=-1)
 
-    def grid(self, per_step=ode.SAMPLES_PER_STEP):
-        return self.joint.grid(per_step)
+    def grid(self):
+        return self.joint.grid()
+
+    @cached_property
+    def grid_samples(self):
+        """(grid, P on it, its singular values): one lookup and one batched
+        SVD, shared by detection and the sigma_min curve."""
+        return _sampled(self.P, self.grid())
 
 
 @dataclass(frozen=True)
@@ -69,21 +86,23 @@ class ConjugateTime:
         }
 
 
-def integrate_jacobi(base, z0, m, T, rel_tol=ode.DEFAULT_REL_TOL,
+def integrate_jacobi(base, z0, G0, T, rel_tol=ode.DEFAULT_REL_TOL,
                      abs_tol=ode.DEFAULT_ABS_TOL) -> JacobiSolution:
-    """Integrate z' = f(z) from z0 together with P' = Q, Q' = -K(z) P from
-    P(0) = 0, Q(0) = I, with dense output; ``base(z)`` returns (f(z), K(z))."""
-    z0 = np.asarray(z0, dtype=float)
-    k, mm = len(z0), m * m
+    """Integrate z' = f(z) from z0 together with G' = -H1 G / 2,
+    a' = -H0 b, b' = -a - H1 b from G(0) = a(0) = G0, b(0) = 0, with dense
+    output; ``base(z)`` returns (f(z), H0(z), H1(z))."""
+    G0 = np.asarray(G0, dtype=float)
+    k, m = len(z0), len(G0)
 
     def rhs(w):
-        dz, K = base(w[:k])
-        P = w[k:k + mm].reshape(m, m)
-        return np.concatenate([dz, w[k + mm:], (-K @ P).ravel()])
+        dz, H0, H1 = base(w[:k])
+        G, a, b = w[k:].reshape(3, m, m)
+        return np.concatenate([dz, (-0.5 * H1 @ G).ravel(), (-H0 @ b).ravel(),
+                               (-a - H1 @ b).ravel()])
 
-    w0 = np.concatenate([z0, np.zeros(mm), np.eye(m).ravel()])
+    w0 = np.concatenate([z0, G0.ravel(), G0.ravel(), np.zeros(m * m)])
     joint = ode.integrate(rhs, w0, T, rel_tol=rel_tol, abs_tol=abs_tol)
-    return JacobiSolution(m=m, joint=joint, offset=k)
+    return JacobiSolution(m=m, joint=joint, offset=k, base=base)
 
 
 def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, t_floor):
@@ -112,23 +131,27 @@ def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, 
 
 
 def _kernel(matrix, scale, rank_tol):
-    U, s, Vt = np.linalg.svd(matrix)
-    cut = rank_tol * scale
-    idx = [i for i in range(len(s)) if s[i] < cut]
-    return len(idx), tuple(Vt[i] for i in idx)
+    _, s, Vt = np.linalg.svd(matrix)
+    kernel = tuple(Vt[s < rank_tol * scale])
+    return len(kernel), kernel
 
 
-def _conjugate_times(matrix_at, grid, rank_tol, zero_tol):
+def _sampled(matrix_at, grid):
+    """(grid, the stack of matrices on it, their singular values)."""
+    samples = matrix_at(grid)
+    return grid, samples, np.linalg.svd(samples, compute_uv=False)
+
+
+def _conjugate_times(matrix_at, sampled, rank_tol, zero_tol):
     """Rank drops of a matrix track that vanishes structurally at t = 0.
 
-    ``matrix_at`` maps a time to the matrix and an array of times to the
-    stack, so the grid is sampled once, with one batched SVD.  Multiplicity
-    counts singular values of the matrix at t* below rank_tol times the
-    largest singular value seen on the whole grid (the pointwise maximum is
-    useless at a full-rank drop, where every singular value vanishes).
-    Square tracks add the determinant as a signed companion."""
-    samples = matrix_at(grid)
-    svals = np.linalg.svd(samples, compute_uv=False)
+    ``matrix_at`` maps a time to the matrix and ``sampled`` holds the grid,
+    the stack on it and its singular values (see ``_sampled``).
+    Multiplicity counts singular values of the matrix at t* below rank_tol
+    times the largest singular value seen on the whole grid (the pointwise
+    maximum is useless at a full-rank drop, where every singular value
+    vanishes).  Square tracks add the determinant as a signed companion."""
+    grid, samples, svals = sampled
     scale = float(np.max(svals[:, 0]))
     if scale == 0.0:
         return []
@@ -157,7 +180,7 @@ def _conjugate_times(matrix_at, grid, rank_tol, zero_tol):
 def find_conjugate_times(js: JacobiSolution, rank_tol=RANK_TOL, zero_tol=DETECT_TOL):
     """Detected conjugate times on (0, T] with multiplicity and kernel basis:
     the rank drops of P, which vanishes at t = 0 by construction."""
-    return _conjugate_times(js.P, js.grid(), rank_tol, zero_tol)
+    return _conjugate_times(js.P, js.grid_samples, rank_tol, zero_tol)
 
 
 def index_functional(K_normal, w, r, times=None):
@@ -231,4 +254,4 @@ def variational_oracle(pair, x0, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEF
         z = joint.at(t)
         return np.array([block(zk) for zk in z.T]) if np.ndim(t) else block(z)
 
-    return _conjugate_times(transverse, joint.grid(), rank_tol, zero_tol)
+    return _conjugate_times(transverse, _sampled(transverse, joint.grid()), rank_tol, zero_tol)

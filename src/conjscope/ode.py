@@ -68,8 +68,8 @@ class Trajectory:
         out[:, hit] = self.states[idx[hit]].T
         return out
 
-    def grid(self, per_step=SAMPLES_PER_STEP):
-        return dense_grid(self.steps, per_step)
+    def grid(self):
+        return dense_grid(self.steps)
 
 
 def dense_grid(steps, per_step=SAMPLES_PER_STEP):

@@ -3,9 +3,9 @@
 A pair is either given directly (expression-valued X and a frame of V) or
 lifted from a system of second order ODEs x'' = F(t, x, x').  The module
 computes Lie brackets and iterated brackets exactly through hyper-dual AD,
-extracts the structure matrices H0, H1 of the iterated bracket relation,
-evaluates the curvature operator, builds the canonical vertical/horizontal
-splitting and checks the regularity conditions.
+extracts the structure matrices H0, H1 of the iterated bracket relation (the
+Jacobi solve reads them alone), evaluates the curvature operator, builds the
+canonical vertical/horizontal splitting and checks the regularity conditions.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "lift_sode",
     "bracket",
     "extract_H",
+    "structure_at",
     "curvature_frame",
     "sode_curvature",
     "flow_derivative_H1",
@@ -286,15 +287,11 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
                           cond_D=cond_D, residual=residual, D_svd=D_svd)
 
 
-def _bracket_H1_K(pair: GenericPair, x):
-    data = extract_H(pair, x)
-    return data.H1, -data.H0 + 0.5 * flow_derivative_H1(pair, x) - 0.25 * (data.H1 @ data.H1)
-
-
 def curvature_frame(pair: GenericPair, x):
     """Curvature matrix K = -H0 + X(H1)/2 - H1^2/4 in the working frame, with
     the derivative X(H1) of H1 along X from ``flow_derivative_H1``."""
-    return _bracket_H1_K(pair, x)[1]
+    data = extract_H(pair, x)
+    return -data.H0 + 0.5 * flow_derivative_H1(pair, x) - 0.25 * (data.H1 @ data.H1)
 
 
 def flow_derivative_H1(pair: GenericPair, x):
@@ -333,13 +330,15 @@ def sode_curvature(model: SODEModel, t, x, y):
 
     The last three terms are the Hessian of F contracted with the lifted
     field X = (1, y, F), so one jet of F along X gives all of it:
-    K = -dF/dx - (1/4) (dF/dy)^2 + (1/2) Hu[:, y].  The derivative of H1
+    K = -dF/dx - (1/4) (dF/dy)^2 + (1/2) X(dF/dy).  The derivative of H1
     along X is exact here (no finite difference)."""
-    return _closed_form_H1_K(model, t, x, y)[1]
+    dFdx, dFdy, X_dFdy = _force_jet(model, t, x, y)
+    return -dFdx - 0.25 * dFdy @ dFdy + 0.5 * X_dFdy
 
 
-def _closed_form_H1_K(model: SODEModel, t, x, y):
-    """H1 = -dF/dy and the curvature of ``sode_curvature`` from one jet."""
+def _force_jet(model: SODEModel, t, x, y):
+    """dF/dx, dF/dy and the derivative X(dF/dy) of dF/dy along the lifted
+    field X = (1, y, F), from one jet of the force."""
     m = model.m
     env = model.force_bindings(t, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     F_val = evaluate(model.F, env)
@@ -349,17 +348,18 @@ def _closed_form_H1_K(model: SODEModel, t, x, y):
     if not model.autonomous:
         u["t"] = 1.0
     _, J, Hu = _jet(model.F, xs + ys, env, u)
-    dFdy = J[:, m:]
-    return -dFdy, -J[:, :m] - 0.25 * dFdy @ dFdy + 0.5 * Hu[:, m:]
+    return J[:, :m], J[:, m:], Hu[:, m:]
 
 
-def H1_and_curvature_at(pair: GenericPair, x):
-    """(H1, K) at x from one evaluation: one jet of the force for lifted
-    second-order systems, one bracket relation and its derivative along X
-    otherwise."""
+def structure_at(pair: GenericPair, x):
+    """(H0, H1) of the bracket relation [X, XV] = V H0 + XV H1 at x: one jet
+    of the force for lifted second-order systems (H1 = -dF/dy,
+    H0 = dF/dx - X(dF/dy)), one ``extract_H`` otherwise."""
     if pair.sode is not None:
-        return _closed_form_H1_K(*_sode_point(pair, x))
-    return _bracket_H1_K(pair, x)
+        dFdx, dFdy, X_dFdy = _force_jet(*_sode_point(pair, x))
+        return dFdx - X_dFdy, -dFdy
+    data = extract_H(pair, x)
+    return data.H0, data.H1
 
 
 def curvature_at(pair: GenericPair, x):

@@ -257,9 +257,6 @@ class ExprProgram:
     free_vars: tuple
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __call__(self, bindings):
-        return evaluate(self, bindings)
-
     def pretty(self):
         return _pretty(self.ast, 0)
 

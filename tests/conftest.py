@@ -8,9 +8,11 @@ from conjscope import jacobi, ode, pair as pair_mod
 
 def jacobi_in_time(K, m, T):
     """Jacobi solution for a curvature given as a function of time: the base
-    system is t' = 1 from t = 0, and K(t) is read at its state."""
-    one = np.ones(1)
-    return jacobi.integrate_jacobi(lambda z: (one, np.asarray(K(z[0]), dtype=float)), [0.0], m, T)
+    system is t' = 1 from t = 0 with H0 = -K(t), H1 = 0 and G0 = I, so
+    P'' = -K P."""
+    one, zero = np.ones(1), np.zeros((m, m))
+    return jacobi.integrate_jacobi(lambda z: (one, -np.asarray(K(z[0]), dtype=float), zero),
+                                   [0.0], np.eye(m), T)
 
 
 def random_sode(rng, m, autonomous=True, scale=1.0):

@@ -232,8 +232,8 @@ def test_batched_closed_orbit_check_matches_pointwise(name, x0, T):
 
 
 def test_analyze_reads_the_curvature_track_in_one_call(monkeypatch):
-    # the Jacobi right-hand side reads the curvature at its own state, so the
-    # track is the only K_normal call
+    # the Jacobi right-hand side reads no curvature, so the track is the only
+    # K_normal call
     calls = []
     in_jacobi = []
     K_normal = frames.FrameTransport.K_normal
@@ -296,3 +296,75 @@ def test_curve_rows_match_per_row_reference(name, params):
         [math.copysign(1.0, v) for row in reference for v in row]
     if params.get("eps"):
         assert any(row[3] != 0.0 for row in rows)    # complex curvature eigenvalues
+
+
+# V = {d/dc, d/dd + c d/da} on R^4 is not integrable: [V1, V2] = d/da
+NONHOLONOMIC_FRAME = (("0", "0", "1", "0"), ("c", "0", "0", "1"))
+NONHOLONOMIC_X0 = (0.3, -0.2, 0.1, 0.4)
+
+
+def _nonholonomic(X):
+    return pm.GenericPair(coords=("a", "b", "c", "d"), X=X, vframe=NONHOLONOMIC_FRAME)
+
+
+@pytest.mark.parametrize("X, count", [
+    (("c", "d", "-a - 0.1*b + 0.2*a*c", "-b + 0.3*a - 0.1*c*d"), 1),
+    (("c + 0.5*d", "d", "-2*a + 0.1*b^2", "-b - 0.2*a*d"), 8),
+])
+def test_jacobi_route_matches_the_oracle_on_nonintegrable_pairs(X, count):
+    # the solve reads the bracket relation alone, so no finite-difference
+    # curvature error reaches the conjugate times
+    pair = _nonholonomic(X)
+    res = analysis.analyze(pair, x0=NONHOLONOMIC_X0, T=12.0)
+    oracle = jacobi.variational_oracle(pair, NONHOLONOMIC_X0, 12.0)
+    assert res.report["regularity"]["all_ok"]
+    assert len(res.conjugate_times) == len(oracle) == count
+    for c, o in zip(res.conjugate_times, oracle):
+        assert c.multiplicity == o.multiplicity
+        assert abs(c.t_star - o.t_star) <= 1e-11
+
+
+def test_generic_jacobi_solve_takes_no_curvature_derivative(monkeypatch):
+    # X(H1) (the finite difference) is read by the curvature samples after
+    # the solve, never by its right-hand side
+    calls = []
+    solving = []
+    flow_derivative_H1 = pm.flow_derivative_H1
+    integrate = ode.integrate
+
+    def recording(*args, **kwargs):
+        calls.append(bool(solving))
+        return flow_derivative_H1(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        solving.append(1)
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(pm, "flow_derivative_H1", recording)
+    monkeypatch.setattr(ode, "integrate", solve)
+    pair = _nonholonomic(("c", "d", "-a - 0.1*b + 0.2*a*c", "-b + 0.3*a - 0.1*c*d"))
+    res = analysis.analyze(pair, x0=NONHOLONOMIC_X0, T=3.0)
+    assert not any(calls)
+    assert len(calls) == len(res.grid)
+
+
+def test_analyze_samples_P_on_the_grid_once(monkeypatch):
+    # detection's batched SVD of P also gives the sigma_min curve
+    calls = []
+    P = jacobi.JacobiSolution.P
+
+    def recording(self, t):
+        calls.append(np.ndim(t))
+        return P(self, t)
+
+    monkeypatch.setattr(jacobi.JacobiSolution, "P", recording)
+    model, _ = catalog.build("perturbed_pair", {"eps": 0.05})
+    entry = catalog.ENTRIES["perturbed_pair"]
+    res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T)
+    assert calls.count(1) == 1
+    samples = P(res.jacobi_solution, res.grid)
+    assert np.array_equal(res.sigma_min_track,
+                          np.linalg.svd(samples, compute_uv=False).min(axis=-1))

@@ -234,3 +234,23 @@ def _pipeline_times(model, x0, T):
         warnings.simplefilter("ignore")
         res = analysis.analyze(model, x0=x0, T=T)
     return res.conjugate_times
+
+
+@pytest.mark.parametrize("name, params", [("dancing", {}), ("perturbed_pair", {"eps": 0.05}),
+                                          ("sphere_spray", {})])
+def test_Q_is_the_derivative_of_P(name, params):
+    # Q = G^-1 (a + H1 b / 2) is read from the solve, not integrated
+    from conjscope import frames
+    model, _ = catalog.build(name, params)
+    entry = catalog.ENTRIES[name]
+    pr = pm.lift_sode(model)
+    js = frames.transport_normal_frame(pr, pm.full_x0(model, pr, entry.default_x0),
+                                       entry.default_T).jacobi_solution
+    h = 1e-4
+    ts = np.linspace(0.1, js.joint.T - 0.1, 41)
+    Q = js.Q(ts)
+    fd = (js.P(ts + h) - js.P(ts - h)) / (2.0 * h)
+    for Qi, fdi, t in zip(Q, fd, ts):
+        scale = max(1.0, np.max(np.abs(Qi)))
+        assert np.max(np.abs(Qi - fdi)) <= 1e-7 * scale
+        assert np.max(np.abs(js.Q(t) - Qi)) <= 1e-13 * scale

@@ -252,10 +252,12 @@ def test_dancing_conditioning_blows_up_near_singular_set():
     assert conds == sorted(conds)
 
 
-@pytest.mark.parametrize("name", ["dancing", "mechanical", "perturbed_pair", "sphere_spray"])
-def test_H1_and_curvature_at_matches_the_separate_readings(name):
-    # one evaluation gives the transport's H1 and the curvature: K is the
-    # K of curvature_at, and H1 that of the bracket relation
+@pytest.mark.parametrize("name", ["dancing", "mechanical", "perturbed_pair", "sphere_spray",
+                                  "harmonic"])
+def test_structure_at_matches_the_bracket_relation(name):
+    # one force jet (H1 = -dF/dy, H0 = dF/dx - X(dF/dy)) solves the bracket
+    # relation of the same lift read as a generic pair, whose structure_at is
+    # extract_H's own
     from conjscope import catalog
     model, _ = catalog.build(name)
     pr = pm.lift_sode(model)
@@ -263,10 +265,9 @@ def test_H1_and_curvature_at_matches_the_separate_readings(name):
     rng = np.random.default_rng(17)
     for _ in range(5):
         x = catalog.ENTRIES[name].default_x0 + rng.uniform(-0.05, 0.05, size=pr.n)
-        H1, K = pm.H1_and_curvature_at(pr, x)
-        assert np.array_equal(K, pm.curvature_at(pr, x))
-        bracket_H1 = pm.extract_H(pr, x).H1
-        assert np.max(np.abs(H1 - bracket_H1)) <= 1e-12 * max(np.max(np.abs(bracket_H1)), 1.0)
-        H1_gen, K_gen = pm.H1_and_curvature_at(gen, x)
-        assert np.array_equal(K_gen, pm.curvature_frame(gen, x))
-        assert np.array_equal(H1_gen, pm.extract_H(gen, x).H1)
+        data = pm.extract_H(gen, x)
+        H0_gen, H1_gen = pm.structure_at(gen, x)
+        assert np.array_equal(H0_gen, data.H0)
+        assert np.array_equal(H1_gen, data.H1)
+        for H, ref in zip(pm.structure_at(pr, x), (data.H0, data.H1)):
+            assert np.max(np.abs(H - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
