@@ -115,9 +115,9 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
         sh = hamiltonian.SemiHamiltonianModel(pair=pair, sigma=sigma)
         pts = ft.x(_subsample(ft.joint.steps, 12)).T
         metric_info = hamiltonian.induced_metric(sh, x0_full)
-        K0 = pair_mod.curvature_at(pair, x0_full)
-        selfadj = hamiltonian.check_K_selfadjoint(metric_info["g"], K0)
-        ham_ts = _subsample(grid, 24)
+        # G(0) = I, so the first normal curvature sample is K at x0
+        selfadj = hamiltonian.check_K_selfadjoint(metric_info["g"], K_track[0])
+        ham_frames = list(hamiltonian.transported_frames(sh, ft, _subsample(grid, 24)))
         flags = []
         if selfadj > SELFADJOINT_FLAG_TOL:
             flags.append("curvature_not_selfadjoint")
@@ -130,8 +130,8 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
             "metric_eigenvalues": [float(v) for v in metric_info["eigenvalues"]],
             "metric_flipped": bool(metric_info["flipped"]),
             "selfadjoint_residual": float(selfadj),
-            "horizontal_lagrangian_residual": hamiltonian.horizontal_lagrangian_residual(sh, ft, ham_ts),
-            "metric_constancy_residual": hamiltonian.metric_constancy_residual(sh, ft, ham_ts),
+            "horizontal_lagrangian_residual": hamiltonian.horizontal_lagrangian_residual(ham_frames),
+            "metric_constancy_residual": hamiltonian.metric_constancy_residual(ham_frames),
             "flags": flags,
         }
 

@@ -23,7 +23,8 @@ from .scalar import Field, evaluate
 
 __all__ = ["SemiHamiltonianModel", "check_lagrangian", "induced_metric",
            "check_semi_invariance", "check_K_selfadjoint", "canonical_sigma",
-           "horizontal_lagrangian_residual", "metric_constancy_residual"]
+           "transported_frames", "horizontal_lagrangian_residual",
+           "metric_constancy_residual"]
 
 
 @dataclass(frozen=True)
@@ -75,22 +76,23 @@ def canonical_sigma(m, coords=None):
     return tuple(tuple(row) for row in rows)
 
 
+def _isotropy_residual(S, V):
+    """Max relative residual of sigma (matrix S) on pairs of columns of V."""
+    scale = max(np.linalg.norm(S), 1e-300)
+    worst = 0.0
+    for i in range(V.shape[1]):
+        for j in range(i + 1, V.shape[1]):
+            num = abs(V[:, i] @ S @ V[:, j])
+            den = scale * max(np.linalg.norm(V[:, i]) * np.linalg.norm(V[:, j]), 1e-300)
+            worst = max(worst, num / den)
+    return worst
+
+
 def check_lagrangian(model: SemiHamiltonianModel, points):
     """Max relative residual of sigma(V_i, V_j) over the points: zero means
     the distribution is sigma-isotropic (the Lagrangian condition)."""
-    pr = model.pair
-    worst = 0.0
-    for x in points:
-        S = model.sigma_at(x)
-        data = pair_mod.extract_H(pr, x, raise_on_violation=False)
-        V = data.V
-        scale = max(np.linalg.norm(S), 1e-300)
-        for i in range(pr.m):
-            for j in range(i + 1, pr.m):
-                num = abs(V[:, i] @ S @ V[:, j])
-                den = scale * max(np.linalg.norm(V[:, i]) * np.linalg.norm(V[:, j]), 1e-300)
-                worst = max(worst, num / den)
-    return worst
+    return max([0.0] + [_isotropy_residual(model.sigma_at(x), pair_mod.frame_at(model.pair, x)[0])
+                        for x in points])
 
 
 def induced_metric(model: SemiHamiltonianModel, x):
@@ -101,12 +103,12 @@ def induced_metric(model: SemiHamiltonianModel, x):
     singular value collapses."""
     pr = model.pair
     S = model.sigma_at(x)
-    data = pair_mod.extract_H(pr, x, raise_on_violation=False)
+    V, XV = pair_mod.frame_at(pr, x)
     m = pr.m
     g = np.empty((m, m))
     for i in range(m):
         for j in range(m):
-            g[i, j] = data.XV[:, i] @ S @ data.V[:, j]
+            g[i, j] = XV[:, i] @ S @ V[:, j]
     sym_res = float(np.linalg.norm(g - g.T) / max(np.linalg.norm(g), 1e-300))
     svals = np.linalg.svd(g, compute_uv=False)
     if svals[-1] < 1e-10 * max(svals[0], 1e-300):
@@ -177,31 +179,23 @@ def check_K_selfadjoint(g, K):
 
 # -- transported-frame diagnostics --------------------------------------------
 
-def _transported_frames(model: SemiHamiltonianModel, ft, ts):
+def transported_frames(model: SemiHamiltonianModel, ft, ts):
     """sigma, the transported frame W = V G and its horizontal partner
-    XV G - V H1 G / 2 at each time of ``ts``."""
+    XV G - V H1 G / 2 at each time of ``ts``; both residuals below read them."""
     for x, G in zip(ft.x(ts).T, ft.G(ts)):
         data = pair_mod.extract_H(model.pair, x, raise_on_violation=False)
         yield model.sigma_at(x), data.V @ G, data.XV @ G - 0.5 * data.V @ (data.H1 @ G)
 
 
-def horizontal_lagrangian_residual(model: SemiHamiltonianModel, ft, ts):
+def horizontal_lagrangian_residual(frames):
     """Max relative residual of sigma on pairs of transported horizontal
-    frame vectors [X, W_i] with W = V G along the trajectory."""
-    worst = 0.0
-    for S, _, H in _transported_frames(model, ft, ts):
-        scale = max(np.linalg.norm(S), 1e-300)
-        for i in range(H.shape[1]):
-            for j in range(i + 1, H.shape[1]):
-                num = abs(H[:, i] @ S @ H[:, j])
-                den = scale * max(np.linalg.norm(H[:, i]) * np.linalg.norm(H[:, j]), 1e-300)
-                worst = max(worst, num / den)
-    return worst
+    frame vectors [X, W_i] with W = V G, over ``transported_frames``."""
+    return max([0.0] + [_isotropy_residual(S, H) for S, _, H in frames])
 
 
-def metric_constancy_residual(model: SemiHamiltonianModel, ft, ts):
-    """Sup relative drift of the induced metric coefficients expressed in the
-    transported normal frame (they are constant for invariant sigma)."""
-    gs = [XW.T @ S @ W for S, W, XW in _transported_frames(model, ft, ts)]
+def metric_constancy_residual(frames):
+    """Sup relative drift over ``transported_frames`` of the induced metric
+    coefficients in the transported normal frame (constant for invariant sigma)."""
+    gs = [XW.T @ S @ W for S, W, XW in frames]
     scale = max(np.linalg.norm(gs[0]), 1e-300)
     return max(float(np.linalg.norm(g - gs[0]) / scale) for g in gs)

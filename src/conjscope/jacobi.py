@@ -6,14 +6,15 @@ together with the normal-frame transport G' = -H1 G / 2 and the system the
 structure matrices are read at, so no curvature enters the solve.  In the
 normal frame P = -G^-1 b solves P'' = -K P with P(0) = 0, Q(0) = P'(0) = I;
 conjugate times are the rank drops of P, with multiplicity the rank drop.  The
-variational oracle instead pushes the vertical subspace forward with the
-linearized flow and watches its transverse components directly, providing an
-independent detection path for cross-validation.
+variational oracle applies the definition instead: it pushes V(x0) along the
+flow, W' = DX W, and finds the rank drops of [V(c(t)) | W(t)].  It takes
+first derivatives of the pair only and shares nothing with the Jacobi route
+but the events-to-conjugate-times tail, so it cross-validates detection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -74,7 +75,7 @@ class JacobiSolution:
 class ConjugateTime:
     t_star: float
     multiplicity: int
-    kernel_basis: tuple           # right singular vectors spanning ker P(t*)
+    kernel_basis: tuple           # orthonormal, in coordinates of V(x0) (oracle: of W)
     mode: str                     # "sign_change" | "touch"
 
     def as_dict(self):
@@ -118,8 +119,8 @@ def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, 
         events += [(t, "sign_change") for t in ode.locate_events(det_like, grid, det_values)]
     cut = zero_tol * float(np.max(sigma_values))
     if cut > 0.0:                 # an identically zero track has no isolated zeros
-        events += [(t, "touch") for t, v in ode.refined_minima(sigma_min, grid, sigma_values)
-                   if v <= cut]
+        events += [(t, "touch") for t, v in ode.refined_minima(sigma_min, grid, sigma_values,
+                                                                cut=cut) if v <= cut]
     merged = []
     for t, mode in sorted(ev for ev in events if ev[0] > t_floor):
         if merged and abs(t - merged[-1][0]) < MERGE_TOL * (1.0 + abs(t)):
@@ -143,7 +144,7 @@ def _sampled(matrix_at, grid):
 
 
 def _conjugate_times(matrix_at, sampled, rank_tol, zero_tol):
-    """Rank drops of a matrix track that vanishes structurally at t = 0.
+    """Rank drops of a matrix track that drops rank structurally at t = 0.
 
     ``matrix_at`` maps a time to the matrix and ``sampled`` holds the grid,
     the stack on it and its singular values (see ``_sampled``).
@@ -161,7 +162,7 @@ def _conjugate_times(matrix_at, sampled, rank_tol, zero_tol):
         det_like = lambda t: float(np.linalg.det(matrix_at(t)))
         det_values = np.linalg.det(samples)
     # events inside the first dense subinterval are sign noise of the
-    # structural zero at t = 0, not conjugate times
+    # structural rank drop at t = 0, not conjugate times
     events = _rank_events(sigma_min, svals[:, -1], det_like, det_values, grid, zero_tol,
                           t_floor=grid[1])
     out = []
@@ -206,52 +207,60 @@ def index_functional(K_normal, w, r, times=None):
     return float(simpson(integrand, x=ts))
 
 
+def _orthonormal(A):
+    """Q of A = Q R with R's diagonal positive, which moves continuously with
+    A (Gram-Schmidt); stacks factor batched."""
+    Q, R = np.linalg.qr(A)
+    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+
+
 def variational_oracle(pair, x0, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEFAULT_ABS_TOL,
                        rank_tol=RANK_TOL, zero_tol=DETECT_TOL):
-    """Conjugate times straight from the definition.
+    """Conjugate times straight from the definition: t > 0 is conjugate when
+    the flow carries a nonzero vector of V(x0) into V(c(t)).
 
-    Integrates the flow linearization M' = DX(c(t)) M, M(0) = I, pushes a
-    basis of the vertical space at x0 forward, and solves
-    [V(c(t)) | XV(c(t)) | X(c(t))] coeffs = M(t) v_j at each t.  The rows of
-    the XV block together with the X row measure transversality; conjugate
-    times are the rank drops of that block.  (On lifted second-order systems
-    the X row vanishes identically, so including it matches intersecting with
-    the vertical space alone.)"""
+    Integrates x' = X(x), W' = DX(x) W from W(0) = V(x0) (n + n m states)
+    and returns the rank drops of [V(c(t)) | W(t)] with both halves
+    orthonormalised, so the rank cut stays put while W grows with the flow:
+    the singular values are sqrt(1 +- cos) of the principal angles between
+    the halves, at most m of them vanish, and for n = 2m the determinant
+    keeps the sign of det[V | W].  Takes first derivatives of the pair
+    only; kernel bases are coordinates in V(x0).  Raises
+    RegularityViolation (R2) where [V | XV] is ill-conditioned."""
     model = pair
     pair = pair_mod.as_pair(pair)
-    n = pair.n
+    n, m = pair.n, pair.m
     x0 = pair_mod.full_x0(model, pair, x0)
 
     def rhs(z):
-        x = z[:n]
-        M = z[n:].reshape(n, n)
-        env = pair.bindings(x)
-        x_val, J_X = pair_mod._jacobian(pair.X, pair.coords, env)
-        return np.concatenate([x_val, (J_X @ M).ravel()])
+        x_val, J_X = pair_mod._jacobian(pair.X, pair.coords, pair.bindings(z[:n]))
+        return np.concatenate([x_val, (J_X @ z[n:].reshape(n, m)).ravel()])
 
-    z0 = np.concatenate([x0, np.eye(n).ravel()])
-    joint = ode.integrate(rhs, z0, T, rel_tol=rel_tol, abs_tol=abs_tol)
+    V0, _ = pair_mod.frame_at(pair, x0)
+    joint = ode.integrate(rhs, np.concatenate([x0, V0.ravel()]), T,
+                          rel_tol=rel_tol, abs_tol=abs_tol)
 
-    data0 = pair_mod.extract_H(pair, x0)
-    V0 = data0.V                  # columns form the transported basis seeds
-    square = (n == 2 * pair.m)
-
-    def block(z):
-        x = z[:n]
-        M = z[n:].reshape(n, n)
-        data = pair_mod.extract_H(pair, x)
-        # a square basis is extract_H's D, whose SVD is reused
-        basis = np.hstack([data.V, data.XV] if square else [data.V, data.XV, data.X[:, None]])
-        coeffs, cond, _ = pair_mod._lstsq(basis, M @ V0, data.D_svd if square else None)
-        if cond > pair_mod.COND_LIMIT:
+    def track(t):
+        """[V | W], halves orthonormalised, at t; an array of times gives the
+        stack.  D = [V | XV] is only read for R2."""
+        z = joint.at(np.atleast_1d(t))
+        D = np.array([np.hstack(pair_mod.frame_at(pair, x)) for x in z[:n].T])
+        cond = np.linalg.cond(D)
+        bad = cond > pair_mod.COND_LIMIT
+        if bad.any():
+            k = int(np.argmax(bad))           # the first ill-conditioned sample
             raise RegularityViolation(
-                f"decomposition basis ill-conditioned along the trajectory (cond={cond:.3e})",
-                cond="R2", residual=cond, point=x)
-        return coeffs[pair.m:, :]
+                f"frame + bracket matrix ill-conditioned along the trajectory (cond={cond[k]:.3e})",
+                cond="R2", residual=float(cond[k]), point=z[:n, k])
+        W = np.moveaxis(z[n:], 0, -1).reshape(-1, n, m)
+        out = np.concatenate([_orthonormal(D[..., :m]), _orthonormal(W)], axis=-1)
+        return out if np.ndim(t) else out[0]
 
-    def transverse(t):
-        """Transverse block at t; an array of times gives the stack."""
-        z = joint.at(t)
-        return np.array([block(zk) for zk in z.T]) if np.ndim(t) else block(z)
+    def in_V0(c):
+        # (a, b) in the kernel has V a + W R^-1 b = 0, with R = Q^T W
+        W = joint.at(c.t_star)[n:].reshape(n, m)
+        coeffs = np.linalg.solve(_orthonormal(W).T @ W, np.array(c.kernel_basis)[:, m:].T)
+        return replace(c, kernel_basis=tuple(np.linalg.qr(coeffs)[0].T))
 
-    return _conjugate_times(transverse, _sampled(transverse, joint.grid()), rank_tol, zero_tol)
+    return [in_V0(c) for c in _conjugate_times(track, _sampled(track, joint.grid()),
+                                               rank_tol, zero_tol)]

@@ -8,7 +8,8 @@ everywhere else for sampling, event search and report curves.
 Event search comes in two kinds, both over samples the caller has already
 taken on a grid: ``locate_events`` refines sign changes by bisection, and
 ``refined_minima`` refines discrete minima by golden-section search (the
-caller decides which minima count as touching zero).
+caller decides which minima count as touching zero, and may pass its cut so
+that minima that cannot reach it are not refined).
 """
 
 from __future__ import annotations
@@ -142,17 +143,30 @@ def refine_minimum(f, a, b, tol=1e-12, max_iter=200):
     return x2, f2
 
 
-def refined_minima(f, grid, values, interior=False):
+def refined_minima(f, grid, values, interior=False, cut=None):
     """(t_min, f_min) of each discrete local minimum of the samples ``values``
     of f on ``grid``, refined over its two neighbouring intervals.  The last
-    grid point counts when not above its left neighbour, unless ``interior``."""
+    grid point counts when not above its left neighbour, unless ``interior``.
+
+    With ``cut``, only minima that can fall to ``cut`` are refined.  Near a
+    kink |t - t0| or a parabola about its minimum, f falls below the sample
+    by at most the slope to the steeper neighbour times the wider interval;
+    a sample above ``cut`` by more than that is a plateau or a shallow dip."""
     last = len(grid) - 1
     out = []
     for i in range(1, last if interior else last + 1):
         right = min(i + 1, last)
-        if values[i] <= values[i - 1] and values[i] <= values[right]:
+        if values[i] <= values[i - 1] and values[i] <= values[right] and (
+                cut is None or values[i] - _reach(grid, values, i, right) <= cut):
             out.append(refine_minimum(f, grid[i - 1], grid[right]))
     return out
+
+
+def _reach(grid, values, i, right):
+    sides = [(grid[i] - grid[i - 1], values[i - 1] - values[i])]
+    if right > i:
+        sides.append((grid[right] - grid[i], values[right] - values[i]))
+    return max(rise / h for h, rise in sides) * max(h for h, _ in sides)
 
 
 def _bisect(f, a, b, fa, fb, tol=1e-13, max_iter=200):

@@ -191,15 +191,14 @@ def _jacobian(exprs, coords, env):
     return val, J
 
 
-def _lstsq(D, B, svd=None):
+def _lstsq(D, B):
     """Least-squares solution S of D S = B, the condition number of D and the
-    relative residual |D S - B| / |B|, all from one SVD of D (``svd`` passes
-    one already taken, as returned by ``np.linalg.svd(D, full_matrices=False)``).
+    relative residual |D S - B| / |B|, all from one SVD of D.
 
     Singular values at or below numpy lstsq's cutoff eps * max(D.shape) * s_max
     are dropped, so a singular D (cond = inf) still gives a finite solution
     and residual."""
-    U, s, Vt = np.linalg.svd(D, full_matrices=False) if svd is None else svd
+    U, s, Vt = np.linalg.svd(D, full_matrices=False)
     keep = s > np.finfo(float).eps * max(D.shape) * s[0]
     S = Vt[keep].T @ ((U[:, keep].T @ B) / s[keep, None])
     cond = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
@@ -230,7 +229,6 @@ class PointFrameData:
     H1: np.ndarray
     cond_D: float
     residual: float               # relative residual of XXV outside span [V | XV]
-    D_svd: tuple                  # reduced SVD (U, s, Vt) of D = [V | XV]
 
 
 def _rows(A, rows):
@@ -238,22 +236,34 @@ def _rows(A, rows):
     return (A @ rows[..., None])[..., 0]
 
 
+def _first_brackets(pair: GenericPair, x_val, val, J):
+    """DX, the stack DV_j, the rows V_j and DV_j X, and the rows of
+    [X, V_j] = DV_j X - DX V_j, from X(x) and a jet of ``pair.stacked``
+    (rows 0 .. n-1 are X, rows (j+1)*n .. (j+2)*n - 1 are V_j).  Stacked
+    matrix-vector products round as one product per column does."""
+    n, m = pair.n, pair.m
+    J_X, J_V = J[:n], J[n:].reshape(m, n, n)
+    V_rows = val[n:].reshape(m, n)
+    JV_x = J_V @ x_val
+    return J_X, J_V, V_rows, JV_x, JV_x - _rows(J_X, V_rows)
+
+
+def frame_at(pair: GenericPair, x):
+    """V and [X, V] at x (n x m each) from one first-order jet of the pair."""
+    val, J = _jacobian(pair.stacked, pair.coords, pair.bindings(x))
+    _, _, V_rows, _, XV_rows = _first_brackets(pair, val[:pair.n], val, J)
+    return V_rows.T, XV_rows.T
+
+
 def brackets_at(pair: GenericPair, x):
     """X, V, [X,V], [X,[X,V]] at x, all m columns, exact AD."""
     env = pair.bindings(x)
     n, m = pair.n, pair.m
     x_val = evaluate(pair.X, env)
-    # one jet of X and all frame columns stacked along u = X(x): rows 0 .. n-1
-    # are X, rows (j+1)*n .. (j+2)*n - 1 are V_j
+    # one jet of X and all frame columns stacked along u = X(x)
     val, J, Hu = _jet(pair.stacked, pair.coords, env, dict(zip(pair.coords, x_val.tolist())))
-    J_X, Hu_X = J[:n], Hu[:n]
-    J_V, Hu_V = J[n:].reshape(m, n, n), Hu[n:].reshape(m, n, n)
-    # row j of each (m, n) array below belongs to V_j; stacked matrix-vector
-    # products round as one product per column does (a matrix-matrix product
-    # does not)
-    V_rows = val[n:].reshape(m, n)
-    JV_x = J_V @ x_val
-    XV_rows = JV_x - _rows(J_X, V_rows)
+    J_X, J_V, V_rows, JV_x, XV_rows = _first_brackets(pair, x_val, val, J)
+    Hu_X, Hu_V = Hu[:n], Hu[n:].reshape(m, n, n)
     # directional derivative of the bracket fields along X, with the second
     # derivative of X along X and V_j, then bracket again
     dW = Hu_V @ x_val + J_V @ (J_X @ x_val) - _rows(Hu_X, V_rows) - _rows(J_X, JV_x)
@@ -269,10 +279,8 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
     the numerical witness of the invariance condition."""
     x = np.asarray(x, dtype=float)
     x_val, V, XV, XXV = brackets_at(pair, x)
-    D = np.hstack([V, XV])
     m = pair.m
-    D_svd = np.linalg.svd(D, full_matrices=False)
-    sol, cond_D, residual = _lstsq(D, XXV, D_svd)
+    sol, cond_D, residual = _lstsq(np.hstack([V, XV]), XXV)
     if raise_on_violation:
         if cond_D > COND_LIMIT:
             raise RegularityViolation(
@@ -284,7 +292,7 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
                 cond="I", residual=residual, point=x)
     return PointFrameData(point=x, X=x_val, V=V, XV=XV,
                           XXV=XXV, H0=sol[:m, :], H1=sol[m:, :],
-                          cond_D=cond_D, residual=residual, D_svd=D_svd)
+                          cond_D=cond_D, residual=residual)
 
 
 def curvature_frame(pair: GenericPair, x):

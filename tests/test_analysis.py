@@ -324,6 +324,30 @@ def test_jacobi_route_matches_the_oracle_on_nonintegrable_pairs(X, count):
         assert abs(c.t_star - o.t_star) <= 1e-11
 
 
+def test_point_dependent_frame_change_keeps_times_and_curvature():
+    # V -> V A(x) on mechanical: the second-order lift and the changed
+    # generic pair have the same conjugate times and curvature eigenvalues
+    model, _ = catalog.build("mechanical", {"quart": 0.4, "c": 0.15})
+    x0 = catalog.ENTRIES["mechanical"].default_x0
+    lift = pm.lift_sode(model)
+    changed = pm.GenericPair(
+        coords=lift.coords, X=lift.X, params=lift.params,
+        vframe=(("0", "0", "1 + 0.3*x1^2", "0.1*y1"), ("0", "0", "0.2*x2", "1 + 0.2*sin(x1)")))
+    ts = np.linspace(0.5, 7.5, 15)
+    times, eigs = [], []
+    for pair in (model, changed):
+        res = analysis.analyze(pair, x0=x0, T=8.0)
+        oracle = jacobi.variational_oracle(pair, x0, 8.0)
+        assert [c.multiplicity for c in res.conjugate_times] == [c.multiplicity for c in oracle]
+        assert len(oracle) == 4
+        for c, o in zip(res.conjugate_times, oracle):
+            assert abs(c.t_star - o.t_star) <= 1e-11
+        times.append([c.t_star for c in res.conjugate_times])
+        eigs.append(np.sort_complex(np.linalg.eigvals(res.transport.K_normal(ts))))
+    assert np.max(np.abs(np.subtract(*times))) <= 1e-11
+    assert np.max(np.abs(eigs[0] - eigs[1])) <= 1e-9 * np.max(np.abs(eigs[0]))
+
+
 def test_generic_jacobi_solve_takes_no_curvature_derivative(monkeypatch):
     # X(H1) (the finite difference) is read by the curvature samples after
     # the solve, never by its right-hand side

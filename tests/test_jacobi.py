@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conjscope import catalog, jacobi, ode, pair as pm
-from conjscope.errors import EndpointNotZero
+from conjscope.errors import EndpointNotZero, RegularityViolation
 
 from conftest import jacobi_in_time
 
@@ -225,6 +225,98 @@ def test_variational_oracle_nonautonomous_lift():
     assert len(out) == len(ft_out)
     for a, b in zip(out, ft_out):
         assert abs(a.t_star - b.t_star) < 1e-6
+
+
+def test_variational_oracle_multiplicity_does_not_grow_with_the_horizon():
+    # x1'' = 4 x1, x2'' = -x2: the pushed frame grows like cosh(2t) while
+    # V(c(t)) stays fixed; only the x2 direction returns to V, at k pi
+    model = pm.SODEModel(m=2, F=("4*x1", "-x2"), autonomous=True)
+    for T in (7.0, 10.0, 14.0):
+        out = jacobi.variational_oracle(model, (0.1, 0.2, 0.3, 0.4), T)
+        assert len(out) == int(T / math.pi)
+        for k, c in enumerate(out, start=1):
+            assert abs(c.t_star - k * math.pi) < 1e-9
+            assert c.multiplicity == len(c.kernel_basis) == 1
+            assert abs(abs(c.kernel_basis[0][1]) - 1.0) < 1e-9
+
+
+def test_variational_oracle_raises_R2_on_a_degenerate_frame():
+    # V = X: [X, X] = 0, so [V | XV] loses rank at every point
+    pr = pm.GenericPair(coords=("a", "b"), X=("b", "-a"), vframe=(("b", "-a"),))
+    with pytest.raises(RegularityViolation) as info:
+        jacobi.variational_oracle(pr, [0.6, 0.2], 3.0)
+    assert info.value.cond == "R2"
+    assert info.value.residual > pm.COND_LIMIT
+    assert np.allclose(info.value.point, [0.6, 0.2])
+
+
+def test_variational_oracle_solves_no_bracket_relation(monkeypatch):
+    calls = []
+
+    def recording(name):
+        original = getattr(pm, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("extract_H", "brackets_at"):
+        monkeypatch.setattr(pm, name, recording(name))
+    model, _ = catalog.build("perturbed_pair")
+    entry = catalog.ENTRIES["perturbed_pair"]
+    out = jacobi.variational_oracle(model, entry.default_x0, entry.default_T)
+    assert out and not calls
+
+
+@pytest.mark.parametrize("model, x0", [
+    (catalog.build("perturbed_pair", {"eps": 0.05})[0], [0.2, -0.1, 1.0, 0.4]),
+    (pm.SODEModel(m=1, F=("-x1 - 0.1*t*y1",)), [0.5, 0.2]),
+])
+def test_variational_oracle_integrates_the_point_and_the_pushed_frame(monkeypatch, model, x0):
+    # x' = X(x), W' = DX(x) W: n + n m states, not the n x n linearization
+    sizes = []
+    integrate = ode.integrate
+
+    def recording(f, z0, *args, **kwargs):
+        sizes.append(len(z0))
+        return integrate(f, z0, *args, **kwargs)
+
+    monkeypatch.setattr(ode, "integrate", recording)
+    pr = pm.lift_sode(model)
+    jacobi.variational_oracle(model, x0, 4.0)
+    assert sizes == [pr.n + pr.n * pr.m]
+
+
+# random second-order systems of the crosscheck kind, handed over as generic pairs
+KERNEL_CASES = [
+    (("-0.41*x1 + 0.063*x2 - 0.624*y1 - 0.633*y2 + 0.392*x2*y2 - 0.695*y2^2",
+      "-0.245*x1 - 0.43*x2 - 0.317*y1 + 0.107*y2 - 0.679*x1*y1 - 0.597*x2*y1"),
+     (0.2085, 0.6572, 0.911, 0.9856)),
+    (("-0.929*x1 + 0.24*x2 + 0.874*x3 - 0.67*y1 - 0.242*y2 + 0.782*y3 + 0.403*x1*y1 + 0.694*x2*x3",
+      "-0.642*x1 - 1.552*x2 - 0.023*x3 - 0.165*y1 - 0.302*y2 + 0.339*y3 + 0.719*y1*y2 + 0.391*x3*y3",
+      "0.093*x1 + 0.279*x2 - 0.609*x3 + 0.28*y1 + 0.187*y2 - 0.834*y3 - 0.326*x1*y2 - 0.433*y2*y3"),
+     (-0.3007, -0.4991, 0.6124, 0.4642, 0.504, -0.1465)),
+    (("-0.911*x1 - 0.865*x2 - 0.954*y1 + 0.644*y2 - 0.904*x2*y2",
+      "-0.519*x1 - 0.186*x2 + 0.465*y1 - 0.889*y2 - 0.913*x1*y1 + 0.412*x2*y2"),
+     (-0.5232, 0.63, 0.7253, -0.5513)),
+]
+
+
+@pytest.mark.parametrize("F, x0", KERNEL_CASES)
+def test_variational_oracle_kernel_spans_the_jacobi_kernel(F, x0):
+    # both are coordinates in V(x0): the Jacobi route starts from G0 = I
+    from conjscope import analysis
+    pr = pm.lift_sode(pm.SODEModel(m=len(F), F=F, autonomous=True))
+    generic = pm.GenericPair(coords=pr.coords, X=pr.X, vframe=pr.vframe)
+    found = analysis.analyze(generic, x0=x0, T=6.0).conjugate_times
+    oracle = jacobi.variational_oracle(generic, x0, 6.0)
+    assert found and [c.multiplicity for c in found] == [c.multiplicity for c in oracle]
+    for c, o in zip(found, oracle):
+        basis = np.array(o.kernel_basis).T
+        assert np.allclose(basis.T @ basis, np.eye(o.multiplicity), atol=1e-14)
+        for k in c.kernel_basis:
+            assert np.linalg.norm(k - basis @ (basis.T @ k)) <= 1e-11
 
 
 def _pipeline_times(model, x0, T):

@@ -143,3 +143,21 @@ def test_refined_minima_interior_rule():
     assert all(v < 1e-10 for _, v in interior)
     everywhere = ode.refined_minima(lambda t: math.cos(t), grid, np.cos(grid))
     assert len(everywhere) == 1 and abs(everywhere[0][0] - math.pi) < 1e-6
+
+
+def test_refined_minima_cut_skips_plateaus_and_keeps_zeros():
+    # a kink, a parabola touching zero and a plateau carrying rounding noise,
+    # sampled on a grid whose spacing jumps by a factor of ten
+    grid = np.concatenate([np.linspace(0.0, 1.0, 41), np.linspace(1.0, 3.0, 9)[1:]])
+    kink = lambda t: abs(t - 0.313)
+    touch = lambda t: 4.0 * (t - 1.1) ** 2
+    rng = np.random.default_rng(5)
+    noise = dict(zip(grid, 0.5 + 1e-16 * rng.standard_normal(len(grid))))
+    plateau = lambda t: noise.get(t, 0.5)
+    for f, zero in ((kink, 0.313), (touch, 1.1)):
+        values = np.array([f(t) for t in grid])
+        found = [t for t, v in ode.refined_minima(f, grid, values, cut=1e-8) if v <= 1e-8]
+        assert found and all(abs(t - zero) < 1e-4 for t in found)
+    values = np.array([plateau(t) for t in grid])
+    assert len(ode.refined_minima(plateau, grid, values)) > 5
+    assert ode.refined_minima(plateau, grid, values, cut=1e-8) == []
