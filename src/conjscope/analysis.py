@@ -117,7 +117,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
         metric_info = hamiltonian.induced_metric(sh, x0_full)
         # G(0) = I, so the first normal curvature sample is K at x0
         selfadj = hamiltonian.check_K_selfadjoint(metric_info["g"], K_track[0])
-        ham_frames = list(hamiltonian.transported_frames(sh, ft, _subsample(grid, 24)))
+        ham_frames = hamiltonian.transported_frames(sh, ft, _subsample(grid, 24))
         flags = []
         if selfadj > SELFADJOINT_FLAG_TOL:
             flags.append("curvature_not_selfadjoint")
@@ -135,7 +135,6 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
             "flags": flags,
         }
 
-    weak_count = sum(1 for p in regularity.points if p.weak_invariance_only)
     report = {
         "system": {
             "name": system_name or type(model).__name__,
@@ -164,8 +163,8 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
             "all_ok": bool(regularity.all_ok),
             "worst_cond": float(regularity.worst_cond),
             "worst_residual": float(regularity.worst_residual),
-            "points_checked": len(regularity.points),
-            "weak_invariance_points": int(weak_count),
+            "points_checked": len(regularity.cond_D),
+            "weak_invariance_points": int(np.sum(regularity.weak_invariance_only)),
         },
         "closed_orbit_suspected": bool(closed),
         "conjugate_times": [c.as_dict() for c in cts],

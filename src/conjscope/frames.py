@@ -7,7 +7,8 @@ coefficient matrix of the Jacobi equation.  The base point, G and the Jacobi
 fields are one ODE solve, whose right-hand side reads only the structure
 matrices H0, H1 of the bracket relation; the normal curvature is computed
 afterwards, on whatever times it is asked for, from the transported point and
-G.
+G: on an array of times, one dense lookup, one curvature call per block of
+points and one batched solve.
 """
 
 from __future__ import annotations
@@ -54,13 +55,10 @@ class FrameTransport:
 
     def K_normal(self, t):
         """Curvature in the normal frame at c(t): G^-1 K(c(t)) G; an array of
-        times gives the stack of shape (len(t), m, m) from one dense lookup
-        and one batched solve."""
+        times gives the stack of shape (len(t), m, m) from one dense lookup,
+        one ``curvature_at`` call per block of points and one batched solve."""
         x, G = self.jacobi_solution.blocks(t)[:2]
-        if np.ndim(t) == 0:
-            K = pair_mod.curvature_at(self.pair, x)
-        else:
-            K = np.array([pair_mod.curvature_at(self.pair, xk) for xk in x.T])
+        K = pair_mod.on_blocks(lambda xs: pair_mod.curvature_at(self.pair, xs), x)
         return np.linalg.solve(G, K @ G)
 
     def grid(self):

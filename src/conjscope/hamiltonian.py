@@ -19,6 +19,7 @@ import numpy as np
 from . import pair as pair_mod
 from . import scalar
 from .errors import DegenerateMetric
+from .pair import _T, _fro, _norms, on_blocks
 from .scalar import Field, evaluate
 
 __all__ = ["SemiHamiltonianModel", "check_lagrangian", "induced_metric",
@@ -49,17 +50,20 @@ class SemiHamiltonianModel:
         return Field(e for row in self.sigma for e in row)
 
     def bindings(self, x):
-        env = dict(self.pair.params)
+        """The parameters and the coordinates of one point (n,) or of an
+        (n, N) stack, as ``GenericPair.bindings``."""
+        env = self.pair.bindings(x)
         env.update(self.params)
-        env.update(zip(self.pair.coords, np.asarray(x, dtype=float).tolist()))
         return env
 
     def sigma_at(self, x, check=True):
+        """The n x n matrix of sigma at x; a stack (n, N) gives N matrices."""
         n = self.pair.n
-        S = evaluate(self.sigma_field, self.bindings(x)).reshape(n, n)
+        S = evaluate(self.sigma_field, self.bindings(x))
+        S = S.reshape(S.shape[:-1] + (n, n))
         if check:
-            scale = np.linalg.norm(S)
-            if scale > 0 and np.linalg.norm(S + S.T) > 1e-12 * scale:
+            scale = _fro(S)
+            if np.any((scale > 0) & (_fro(S + _T(S)) > 1e-12 * scale)):
                 raise ValueError("sigma matrix is not antisymmetric at the evaluated point")
         return S
 
@@ -77,22 +81,23 @@ def canonical_sigma(m, coords=None):
 
 
 def _isotropy_residual(S, V):
-    """Max relative residual of sigma (matrix S) on pairs of columns of V."""
-    scale = max(np.linalg.norm(S), 1e-300)
-    worst = 0.0
-    for i in range(V.shape[1]):
-        for j in range(i + 1, V.shape[1]):
-            num = abs(V[:, i] @ S @ V[:, j])
-            den = scale * max(np.linalg.norm(V[:, i]) * np.linalg.norm(V[:, j]), 1e-300)
-            worst = max(worst, num / den)
-    return worst
+    """Max relative residual of sigma (matrix S) on pairs of columns of V,
+    over every (S, V) of a stack; 0 for an empty stack or one column."""
+    i, j = np.triu_indices(V.shape[-1], 1)
+    scale = np.maximum(_fro(S), 1e-300)
+    norms = _norms(_T(V))
+    num = np.abs((_T(V) @ S @ V)[..., i, j])
+    den = scale[..., None] * np.maximum(norms[..., i] * norms[..., j], 1e-300)
+    return float(np.max(num / den, initial=0.0))
 
 
 def check_lagrangian(model: SemiHamiltonianModel, points):
-    """Max relative residual of sigma(V_i, V_j) over the points: zero means
-    the distribution is sigma-isotropic (the Lagrangian condition)."""
-    return max([0.0] + [_isotropy_residual(model.sigma_at(x), pair_mod.frame_at(model.pair, x)[0])
-                        for x in points])
+    """Max relative residual of sigma(V_i, V_j) over the rows of ``points``
+    (N x n): zero means the distribution is sigma-isotropic (the Lagrangian
+    condition)."""
+    xs = np.asarray(points, dtype=float).T
+    S, V = on_blocks(lambda b: (model.sigma_at(b), pair_mod.frame_at(model.pair, b)[0]), xs)
+    return _isotropy_residual(S, V)
 
 
 def induced_metric(model: SemiHamiltonianModel, x):
@@ -181,21 +186,27 @@ def check_K_selfadjoint(g, K):
 
 def transported_frames(model: SemiHamiltonianModel, ft, ts):
     """sigma, the transported frame W = V G and its horizontal partner
-    XV G - V H1 G / 2 at each time of ``ts``; both residuals below read them."""
-    for x, G in zip(ft.x(ts).T, ft.G(ts)):
-        data = pair_mod.extract_H(model.pair, x, raise_on_violation=False)
-        yield model.sigma_at(x), data.V @ G, data.XV @ G - 0.5 * data.V @ (data.H1 @ G)
+    XV G - V H1 G / 2 at the times ``ts``: three stacks along ``ts``, from
+    one ``extract_H`` call per block.  Both residuals below read them."""
+    def at(xs):
+        data = pair_mod.extract_H(model.pair, xs, raise_on_violation=False)
+        return model.sigma_at(xs), data.V, data.XV, data.H1
+
+    S, V, XV, H1 = on_blocks(at, ft.x(ts))
+    G = ft.G(ts)
+    return S, V @ G, XV @ G - 0.5 * V @ (H1 @ G)
 
 
 def horizontal_lagrangian_residual(frames):
     """Max relative residual of sigma on pairs of transported horizontal
     frame vectors [X, W_i] with W = V G, over ``transported_frames``."""
-    return max([0.0] + [_isotropy_residual(S, H) for S, _, H in frames])
+    S, _, H = frames
+    return _isotropy_residual(S, H)
 
 
 def metric_constancy_residual(frames):
     """Sup relative drift over ``transported_frames`` of the induced metric
     coefficients in the transported normal frame (constant for invariant sigma)."""
-    gs = [XW.T @ S @ W for S, W, XW in frames]
-    scale = max(np.linalg.norm(gs[0]), 1e-300)
-    return max(float(np.linalg.norm(g - gs[0]) / scale) for g in gs)
+    S, W, XW = frames
+    gs = _T(XW) @ S @ W
+    return float(np.max(_fro(gs - gs[0])) / max(_fro(gs[0]), 1e-300))

@@ -18,18 +18,16 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from . import ode, pair as pair_mod
-from .errors import EndpointNotZero, RegularityViolation
+from .errors import RegularityViolation
 
 DETECT_TOL = 1e-8        # refined singular-value dip counted as zero, x scale
 RANK_TOL = 1e-7          # singular values below this x scale count into the kernel
 MERGE_TOL = 1e-6
 
 __all__ = ["JacobiSolution", "ConjugateTime", "integrate_jacobi",
-           "find_conjugate_times", "index_functional", "variational_oracle"]
+           "find_conjugate_times", "variational_oracle"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class JacobiSolution:
     m: int
     joint: object                 # Trajectory of (z, vec G, vec a, vec b)
     offset: int                   # dimension of the base state z
-    base: object                  # z -> (z', H0, H1)
+    base: object                  # z -> (z', H0, H1); also maps (offset, N) stacks
 
     def blocks(self, t):
         """(z, G, a, b) at t from one dense lookup; an array of times gives z
@@ -52,10 +50,10 @@ class JacobiSolution:
         return -np.linalg.solve(G, b)
 
     def Q(self, t):
-        """Q(t) = P'(t) = G^-1 (a + H1 b / 2), with H1 read from ``base``."""
+        """Q(t) = P'(t) = G^-1 (a + H1 b / 2), with H1 read from ``base``, one
+        call per block of points for an array of times."""
         z, G, a, b = self.blocks(t)
-        H1 = (np.array([self.base(zk)[2] for zk in z.T]) if np.ndim(t)
-              else self.base(z)[2])
+        H1 = pair_mod.on_blocks(lambda zs: self.base(zs)[2], z)
         return np.linalg.solve(G, a + 0.5 * H1 @ b)
 
     def sigma_min(self, t):
@@ -184,29 +182,6 @@ def find_conjugate_times(js: JacobiSolution, rank_tol=RANK_TOL, zero_tol=DETECT_
     return _conjugate_times(js.P, js.grid_samples, rank_tol, zero_tol)
 
 
-def index_functional(K_normal, w, r, times=None):
-    """Quadrature of the second-variation integrand over [0, r].
-
-    ``w`` is an (N, m) array of section samples on a uniform grid (or the grid
-    ``times``), vanishing at both ends; derivatives come from a cubic spline
-    through the samples; the metric is the identity of the normal frame."""
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    if w.shape[0] == 1:
-        w = w.T
-    N = w.shape[0]
-    ts = np.linspace(0.0, r, N) if times is None else np.asarray(times, dtype=float)
-    w_max = float(np.max(np.abs(w))) or 1.0
-    if np.linalg.norm(w[0]) > 1e-10 * w_max or np.linalg.norm(w[-1]) > 1e-10 * w_max:
-        raise EndpointNotZero("section must vanish at both endpoints")
-    spline = CubicSpline(ts, w, axis=0)
-    dw = spline(ts, 1)
-    integrand = np.empty(N)
-    for i, t in enumerate(ts):
-        K = np.asarray(K_normal(t), dtype=float)
-        integrand[i] = dw[i] @ dw[i] - (K @ w[i]) @ w[i]
-    return float(simpson(integrand, x=ts))
-
-
 def _orthonormal(A):
     """Q of A = Q R with R's diagonal positive, which moves continuously with
     A (Gram-Schmidt); stacks factor batched."""
@@ -244,7 +219,8 @@ def variational_oracle(pair, x0, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEF
         """[V | W], halves orthonormalised, at t; an array of times gives the
         stack.  D = [V | XV] is only read for R2."""
         z = joint.at(np.atleast_1d(t))
-        D = np.array([np.hstack(pair_mod.frame_at(pair, x)) for x in z[:n].T])
+        D = np.concatenate(pair_mod.on_blocks(lambda xs: pair_mod.frame_at(pair, xs), z[:n]),
+                           axis=-1)
         cond = np.linalg.cond(D)
         bad = cond > pair_mod.COND_LIMIT
         if bad.any():

@@ -6,11 +6,16 @@ computes Lie brackets and iterated brackets exactly through hyper-dual AD,
 extracts the structure matrices H0, H1 of the iterated bracket relation (the
 Jacobi solve reads them alone), evaluates the curvature operator, builds the
 canonical vertical/horizontal splitting and checks the regularity conditions.
+
+The bracket, structure and curvature functions take one point or a stack of
+points, and readers of a grid call them once per block of BLOCK points
+(``on_blocks``): one array-kernel call jets a whole block, and the linear
+algebra after it is batched over the block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -21,6 +26,7 @@ from .scalar import ExprProgram, Field, evaluate, parse
 
 COND_LIMIT = 1e8
 INVARIANCE_TOL = 1e-6
+_EPS = np.finfo(float).eps
 
 __all__ = [
     "SODEModel",
@@ -124,8 +130,11 @@ class GenericPair:
         return Field(self.X + tuple(e for col in self.vframe for e in col))
 
     def bindings(self, x):
+        """The parameters and the coordinates of x: reals for one point
+        (n,), arrays over the points for an (n, N) stack."""
+        x = np.asarray(x, dtype=float)
         env = dict(self.params)
-        env.update(zip(self.coords, np.asarray(x, dtype=float).tolist()))
+        env.update(zip(self.coords, x.tolist() if x.ndim == 1 else x))
         return env
 
     def X_at(self, x):
@@ -173,14 +182,76 @@ def full_x0(model, pair: GenericPair, x0):
 
 
 # -- jets of expression-valued vector fields ---------------------------------
+#
+# Every function below takes one point x of shape (n,) or a stack of N points
+# as the columns of an (n, N) array, and is written once, for stacks: a point
+# is a stack of one, and its outputs lose the leading point axis that the
+# outputs of a stack carry.  A stack binds each coordinate to an array, so
+# one array-kernel call jets every point (``scalar.second_partials``); one
+# point binds reals and runs the scalar kernel, whose outputs ``_lead`` gives
+# the point axis.  Each point of a stack goes through the same per-point
+# matrix products as it does alone, so it gives the same bits.
+
+# points per call on a grid: bounds the memory of the jets of a block, which
+# for a generic curvature cover three points per grid point
+BLOCK = 64
+
+
+def on_blocks(fn, x):
+    """``fn`` over the points of x: one call for one point or for a stack of
+    at most BLOCK points, otherwise one call per BLOCK columns, with the
+    outputs (an array or a tuple of arrays) joined along the point axis."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1 or x.shape[1] <= BLOCK:
+        return fn(x)
+    parts = [fn(x[:, k:k + BLOCK]) for k in range(0, x.shape[1], BLOCK)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _stack(x):
+    """x as an (n, N) stack, and whether it was one point."""
+    x = np.asarray(x, dtype=float)
+    return (x[:, None], True) if x.ndim == 1 else (x, False)
+
+
+def _lead(one, *arrays):
+    """Outputs of a one-point evaluation with the point axis of a stack's."""
+    return tuple(a[None] for a in arrays) if one else arrays
+
+
+def _unstack(one, *arrays):
+    return tuple(a[0] for a in arrays) if one else arrays
+
+
+def _T(A):
+    """Each matrix of a stack transposed."""
+    return A.swapaxes(-1, -2)
+
+
+def _rows(A, rows):
+    """A applied to each vector of a stack ``rows`` (stacks broadcast)."""
+    return (A @ rows[..., None])[..., 0]
+
+
+def _norms(rows):
+    """Euclidean norm of each row, summed along the row alone."""
+    return np.sqrt(np.add.reduce(np.square(rows, order="C"), axis=-1))
+
+
+def _fro(A):
+    """Frobenius norm of each matrix of a stack."""
+    return _norms(A.reshape(A.shape[:-2] + (-1,)))
+
 
 def _jet(exprs, coords, env, u):
     """Value, Jacobian and direction-contracted Hessian of a vector field.
 
-    ``env`` binds every variable at the point and ``u`` maps names to the
+    ``env`` binds every variable at the points and ``u`` maps names to the
     components of the direction.  Returns (val[k], J[k,n], Hu[k,n]) with
-    Hu[i,b] = sum_j u_j d2 f_i / dx_b dx_j over the n names in ``coords``;
-    one engine call."""
+    Hu[i,b] = sum_j u_j d2 f_i / dx_b dx_j over the n names in ``coords``,
+    each with a leading point axis for bindings of arrays; one engine call."""
     val, _, J, Hu = scalar.second_partials(exprs, env, u, coords)
     return val, J, Hu
 
@@ -193,17 +264,19 @@ def _jacobian(exprs, coords, env):
 
 def _lstsq(D, B):
     """Least-squares solution S of D S = B, the condition number of D and the
-    relative residual |D S - B| / |B|, all from one SVD of D.
+    relative residual |D S - B| / |B|, all from one SVD of D; stacks of D
+    and B solve matrix by matrix in one batched SVD.
 
     Singular values at or below numpy lstsq's cutoff eps * max(D.shape) * s_max
     are dropped, so a singular D (cond = inf) still gives a finite solution
     and residual."""
     U, s, Vt = np.linalg.svd(D, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(D.shape) * s[0]
-    S = Vt[keep].T @ ((U[:, keep].T @ B) / s[keep, None])
-    cond = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
-    scale = np.linalg.norm(B)
-    residual = float(np.linalg.norm(D @ S - B) / (scale if scale > 0 else 1.0))
+    keep = s > _EPS * max(D.shape[-2:]) * s[..., :1]
+    S = _T(Vt) @ ((_T(U) @ B) / np.where(keep, s, np.inf)[..., None])
+    cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf),
+                     where=s[..., -1] > 0.0)
+    scale = _fro(B)
+    residual = _fro(D @ S - B) / np.where(scale > 0, scale, 1.0)
     return S, cond, residual
 
 
@@ -218,7 +291,8 @@ def bracket(pair: GenericPair, A_exprs, B_exprs, x):
 @dataclass(frozen=True)
 class PointFrameData:
     """Frame, first and second iterated brackets and the structure matrices
-    of the relation [X,[X,V]] = V H0 + [X,V] H1 at one point."""
+    of the relation [X,[X,V]] = V H0 + [X,V] H1 at one point, or at a stack
+    of points (every field then has a leading point axis)."""
 
     point: np.ndarray
     X: np.ndarray
@@ -230,45 +304,66 @@ class PointFrameData:
     cond_D: float
     residual: float               # relative residual of XXV outside span [V | XV]
 
-
-def _rows(A, rows):
-    """A applied to each row of ``rows``."""
-    return (A @ rows[..., None])[..., 0]
+    def at(self, k):
+        """The data of point k (an index or a slice) of a stack."""
+        return PointFrameData(*(v[k] for v in vars(self).values()))
 
 
 def _first_brackets(pair: GenericPair, x_val, val, J):
     """DX, the stack DV_j, the rows V_j and DV_j X, and the rows of
-    [X, V_j] = DV_j X - DX V_j, from X(x) and a jet of ``pair.stacked``
-    (rows 0 .. n-1 are X, rows (j+1)*n .. (j+2)*n - 1 are V_j).  Stacked
-    matrix-vector products round as one product per column does."""
+    [X, V_j] = DV_j X - DX V_j, from X and a jet of ``pair.stacked`` at a
+    stack of points (rows 0 .. n-1 of a point's jet are X, rows
+    (j+1)*n .. (j+2)*n - 1 are V_j)."""
     n, m = pair.n, pair.m
-    J_X, J_V = J[:n], J[n:].reshape(m, n, n)
-    V_rows = val[n:].reshape(m, n)
-    JV_x = J_V @ x_val
-    return J_X, J_V, V_rows, JV_x, JV_x - _rows(J_X, V_rows)
+    N = len(val)
+    J_X, J_V = J[:, :n], J[:, n:].reshape(N, m, n, n)
+    V_rows = val[:, n:].reshape(N, m, n)
+    JV_x = _rows(J_V, x_val[:, None])
+    return J_X, J_V, V_rows, JV_x, JV_x - V_rows @ _T(J_X)
 
 
 def frame_at(pair: GenericPair, x):
     """V and [X, V] at x (n x m each) from one first-order jet of the pair."""
-    val, J = _jacobian(pair.stacked, pair.coords, pair.bindings(x))
-    _, _, V_rows, _, XV_rows = _first_brackets(pair, val[:pair.n], val, J)
-    return V_rows.T, XV_rows.T
+    one = np.ndim(x) == 1
+    val, J = _lead(one, *_jacobian(pair.stacked, pair.coords, pair.bindings(x)))
+    _, _, V_rows, _, XV_rows = _first_brackets(pair, val[:, :pair.n], val, J)
+    return _unstack(one, _T(V_rows), _T(XV_rows))
 
 
 def brackets_at(pair: GenericPair, x):
     """X, V, [X,V], [X,[X,V]] at x, all m columns, exact AD."""
+    one = np.ndim(x) == 1
     env = pair.bindings(x)
     n, m = pair.n, pair.m
     x_val = evaluate(pair.X, env)
     # one jet of X and all frame columns stacked along u = X(x)
-    val, J, Hu = _jet(pair.stacked, pair.coords, env, dict(zip(pair.coords, x_val.tolist())))
+    val, J, Hu = _lead(one, *_jet(pair.stacked, pair.coords, env, dict(zip(pair.coords, x_val.T))))
+    x_val, = _lead(one, x_val)
     J_X, J_V, V_rows, JV_x, XV_rows = _first_brackets(pair, x_val, val, J)
-    Hu_X, Hu_V = Hu[:n], Hu[n:].reshape(m, n, n)
+    Hu_X, Hu_V = Hu[:, :n], Hu[:, n:].reshape(len(val), m, n, n)
     # directional derivative of the bracket fields along X, with the second
     # derivative of X along X and V_j, then bracket again
-    dW = Hu_V @ x_val + J_V @ (J_X @ x_val) - _rows(Hu_X, V_rows) - _rows(J_X, JV_x)
-    XXV = (dW - _rows(J_X, XV_rows)).T.copy()
-    return x_val, V_rows.T, XV_rows.T.copy(), XXV
+    dW = (_rows(Hu_V, x_val[:, None]) + _rows(J_V, _rows(J_X, x_val)[:, None])
+          - V_rows @ _T(Hu_X) - JV_x @ _T(J_X))
+    XXV = dW - XV_rows @ _T(J_X)
+    return _unstack(one, x_val, _T(V_rows), _T(XV_rows), _T(XXV))
+
+
+def _raise_first_violation(points, cond_D, residual):
+    """RegularityViolation at the first point, in stack order, whose [V | XV]
+    is ill-conditioned (R2) or whose iterated bracket leaves its span (I)."""
+    bad = (cond_D > COND_LIMIT) | (residual > INVARIANCE_TOL)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    x = points[:, k]
+    if cond_D[k] > COND_LIMIT:
+        raise RegularityViolation(
+            f"frame + bracket matrix ill-conditioned (cond={cond_D[k]:.3e})",
+            cond="R2", residual=float(cond_D[k]), point=x)
+    raise RegularityViolation(
+        f"iterated bracket leaves span[V | XV] (residual={residual[k]:.3e})",
+        cond="I", residual=float(residual[k]), point=x)
 
 
 def extract_H(pair: GenericPair, x, raise_on_violation=True):
@@ -276,44 +371,45 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
 
     Least squares when the ambient dimension exceeds 2m; reports the
     conditioning of the 2m-column matrix and the relative residual, which is
-    the numerical witness of the invariance condition."""
-    x = np.asarray(x, dtype=float)
-    x_val, V, XV, XXV = brackets_at(pair, x)
+    the numerical witness of the invariance condition.  On a stack the
+    violation raised is the first in stack order."""
+    xs, one = _stack(x)
+    x_val, V, XV, XXV = _lead(one, *brackets_at(pair, x))
     m = pair.m
-    sol, cond_D, residual = _lstsq(np.hstack([V, XV]), XXV)
+    sol, cond_D, residual = _lstsq(np.concatenate([V, XV], axis=-1), XXV)
     if raise_on_violation:
-        if cond_D > COND_LIMIT:
-            raise RegularityViolation(
-                f"frame + bracket matrix ill-conditioned (cond={cond_D:.3e})",
-                cond="R2", residual=cond_D, point=x)
-        if residual > INVARIANCE_TOL:
-            raise RegularityViolation(
-                f"iterated bracket leaves span[V | XV] (residual={residual:.3e})",
-                cond="I", residual=residual, point=x)
-    return PointFrameData(point=x, X=x_val, V=V, XV=XV,
-                          XXV=XXV, H0=sol[:m, :], H1=sol[m:, :],
-                          cond_D=cond_D, residual=residual)
+        _raise_first_violation(xs, cond_D, residual)
+    return PointFrameData(*_unstack(one, xs.T, x_val, V, XV, XXV, sol[:, :m], sol[:, m:],
+                                    cond_D, residual))
 
 
 def curvature_frame(pair: GenericPair, x):
     """Curvature matrix K = -H0 + X(H1)/2 - H1^2/4 in the working frame, with
-    the derivative X(H1) of H1 along X from ``flow_derivative_H1``."""
-    data = extract_H(pair, x)
-    return -data.H0 + 0.5 * flow_derivative_H1(pair, x) - 0.25 * (data.H1 @ data.H1)
+    H0, H1 and the derivative X(H1) of H1 along X from ``flow_derivative_H1``."""
+    data, XH1 = flow_derivative_H1(pair, x)
+    return -data.H0 + 0.5 * XH1 - 0.25 * (data.H1 @ data.H1)
 
 
 def flow_derivative_H1(pair: GenericPair, x):
-    """X(H1) at x, the derivative of H1 along the vector X(x).
+    """X(H1) at x, the derivative of H1 along the vector X(x), together with
+    the ``extract_H`` data at x: (data, X(H1)).
 
     X(H1)(x) = DH1(x) X(x) depends on x alone, so it is approximated by the
     central difference of H1 over the segment x +- h X(x), h = 1e-4 (1 + |x|),
-    with O(h^2) truncation error; no trajectory or flow is involved."""
-    x = np.asarray(x, dtype=float)
-    h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
-    step = h * pair.X_at(x)
-    H1p = extract_H(pair, x + step).H1
-    H1m = extract_H(pair, x - step).H1
-    return (H1p - H1m) / (2.0 * h)
+    with O(h^2) truncation error; no trajectory or flow is involved.  One
+    ``extract_H`` call reads the stack that interleaves x, x + h X(x) and
+    x - h X(x) point by point, so the first RegularityViolation is the one
+    that evaluating the points one at a time in that order raises."""
+    xs, one = _stack(x)
+    n, N = xs.shape
+    h = 1e-4 * (1.0 + _norms(xs.T))
+    step = h[:, None] * pair.X_at(xs)
+    points = np.stack([xs, xs + step.T, xs - step.T], axis=-1).reshape(n, 3 * N)
+    data = extract_H(pair, points)
+    H1 = data.H1.reshape((N, 3) + data.H1.shape[1:])
+    XH1 = (H1[:, 1] - H1[:, 2]) / (2.0 * h[:, None, None])
+    at_x = data.at(slice(0, None, 3))
+    return (at_x.at(0), XH1[0]) if one else (at_x, XH1)
 
 
 # -- closed-form path for second-order systems -------------------------------
@@ -339,7 +435,8 @@ def sode_curvature(model: SODEModel, t, x, y):
     The last three terms are the Hessian of F contracted with the lifted
     field X = (1, y, F), so one jet of F along X gives all of it:
     K = -dF/dx - (1/4) (dF/dy)^2 + (1/2) X(dF/dy).  The derivative of H1
-    along X is exact here (no finite difference)."""
+    along X is exact here (no finite difference).  x and y may be (m, N)
+    stacks, with t a real or N times."""
     dFdx, dFdy, X_dFdy = _force_jet(model, t, x, y)
     return -dFdx - 0.25 * dFdy @ dFdy + 0.5 * X_dFdy
 
@@ -350,13 +447,13 @@ def _force_jet(model: SODEModel, t, x, y):
     m = model.m
     env = model.force_bindings(t, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     F_val = evaluate(model.F, env)
-    xs = [f"x{k+1}" for k in range(m)]
-    ys = [f"y{k+1}" for k in range(m)]
-    u = dict(zip(xs + ys, [env[name] for name in ys] + F_val.tolist()))
+    x_names = [f"x{k+1}" for k in range(m)]
+    y_names = [f"y{k+1}" for k in range(m)]
+    u = dict(zip(x_names + y_names, [env[name] for name in y_names] + list(F_val.T)))
     if not model.autonomous:
         u["t"] = 1.0
-    _, J, Hu = _jet(model.F, xs + ys, env, u)
-    return J[:, :m], J[:, m:], Hu[:, m:]
+    _, J, Hu = _jet(model.F, x_names + y_names, env, u)
+    return J[..., :m], J[..., m:], Hu[..., m:]
 
 
 def structure_at(pair: GenericPair, x):
@@ -388,7 +485,7 @@ def split_and_project(pair: GenericPair, x):
     coordinates of the horizontal part of [X, .] on V) and B (vertical part
     of [X, .] on the horizontal frame).  The composition -B A reproduces the
     curvature matrix."""
-    data = extract_H(pair, x)
+    data, XH1 = flow_derivative_H1(pair, x)
     V, XV, H1 = data.V, data.XV, data.H1
     m = pair.m
     Hcols = XV - 0.5 * V @ H1
@@ -407,7 +504,7 @@ def split_and_project(pair: GenericPair, x):
     # field with nonzero X-derivative).
     XXVh = data.XXV - 0.5 * (XV @ H1)     # [X, XV_j - V (H1)_j] with H1 frozen
     coeff = pinv @ XXVh
-    B = coeff[:m, :] - 0.5 * flow_derivative_H1(pair, x)
+    B = coeff[:m, :] - 0.5 * XH1
     return {
         "pi_V": pi_V,
         "pi_H": pi_H,
@@ -435,38 +532,56 @@ class RegularityPoint:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    points: tuple
-    all_ok: bool
+    """The checks of each point, as arrays along the checked points;
+    ``points`` views them one point at a time."""
+
+    point: np.ndarray             # (N, n)
+    X_norm: np.ndarray
+    cond_D: np.ndarray
+    residual: np.ndarray
+    weak_invariance_only: np.ndarray
+    r1_ok: np.ndarray
+    r2_ok: np.ndarray
+    inv_ok: np.ndarray
+
+    @property
+    def all_ok(self):
+        return bool(np.all(self.r1_ok & self.r2_ok & self.inv_ok))
+
+    @cached_property
+    def points(self):
+        return tuple(RegularityPoint(*row) for row in zip(*(getattr(self, f.name)
+                                                            for f in fields(self))))
 
     @property
     def worst_cond(self):
-        return max(p.cond_D for p in self.points)
+        return float(np.max(self.cond_D))
 
     @property
     def worst_residual(self):
-        return max(p.residual for p in self.points)
+        return float(np.max(self.residual))
+
+
+def _regularity(pair, xs):
+    """X norm, cond[V | XV], residual and weak invariance at a stack."""
+    data = extract_H(pair, xs, raise_on_violation=False)
+    weak = np.zeros(len(data.residual), dtype=bool)
+    out = data.residual > INVARIANCE_TOL
+    if out.any():
+        D = np.concatenate([data.V, data.XV, data.X[:, :, None]], axis=-1)
+        weak[out] = _lstsq(D[out], data.XXV[out])[2] <= INVARIANCE_TOL
+    return _norms(data.X), data.cond_D, data.residual, weak
 
 
 def check_regularity(pair: GenericPair, points) -> RegularityReport:
     """Pointwise check of X != 0, full rank of [V | XV], and invariance of the
-    span under bracketing with X.  When the strict invariance residual fails
+    span under bracketing with X, at the rows of ``points`` (N x n), one
+    ``extract_H`` call per block.  When the strict invariance residual fails
     but the residual modulo X passes, the point is flagged as weakly invariant
     only; no modular computations are attempted beyond the diagnostic."""
-    rows = []
-    ok = True
-    for x in points:
-        data = extract_H(pair, x, raise_on_violation=False)
-        x, residual = data.point, data.residual
-        weak = False
-        if residual > INVARIANCE_TOL:
-            _, _, res2 = _lstsq(np.hstack([data.V, data.XV, data.X[:, None]]), data.XXV)
-            weak = res2 <= INVARIANCE_TOL
-        x_norm = float(np.linalg.norm(data.X))
-        r1 = x_norm > 1e-10 * (1.0 + float(np.linalg.norm(x)))
-        r2 = data.cond_D <= COND_LIMIT
-        inv = residual <= INVARIANCE_TOL
-        ok = ok and r1 and r2 and inv
-        rows.append(RegularityPoint(point=x, X_norm=x_norm, cond_D=data.cond_D,
-                                    residual=residual, weak_invariance_only=weak,
-                                    r1_ok=r1, r2_ok=r2, inv_ok=inv))
-    return RegularityReport(points=tuple(rows), all_ok=ok)
+    xs = np.asarray(points, dtype=float).T
+    x_norm, cond_D, residual, weak = on_blocks(lambda b: _regularity(pair, b), xs)
+    return RegularityReport(point=xs.T, X_norm=x_norm, cond_D=cond_D, residual=residual,
+                            weak_invariance_only=weak,
+                            r1_ok=x_norm > 1e-10 * (1.0 + _norms(xs.T)),
+                            r2_ok=cond_D <= COND_LIMIT, inv_ok=residual <= INVARIANCE_TOL)

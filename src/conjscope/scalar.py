@@ -2,20 +2,27 @@
 compiled jet kernels.
 
 Expressions are parsed into immutable trees (``ExprProgram``).  Evaluation and
-differentiation run generated straight-line Python over float locals, one
-kernel per program or per ``Field`` (a tuple of programs, such as a vector
-field) and per seeding pattern.  A kernel carries the hyper-dual slots of
-every node (Fike & Alonso, AIAA 2011-886): the value, the derivative e1 along
-a direction i, and per direction j the derivative e2 and the mixed second
-derivative e12, so one call yields the value, the Jacobian and the Hessian
-contracted with i of a whole field (forward-mode Taylor propagation, Griewank
-& Walther, *Evaluating Derivatives*, 2008).  Slots that are statically zero
-are left out of the generated code, and the value slot is bitwise equal to
-plain evaluation.
+differentiation run generated straight-line code, one kernel per program or
+per ``Field`` (a tuple of programs, such as a vector field) and per seeding
+pattern.  A kernel carries the hyper-dual slots of every node (Fike & Alonso,
+AIAA 2011-886): the value, the derivative e1 along a direction i, and per
+direction j the derivative e2 and the mixed second derivative e12, so one call
+yields the value, the Jacobian and the Hessian contracted with i of a whole
+field (forward-mode Taylor propagation, Griewank & Walther, *Evaluating
+Derivatives*, 2008).  Slots that are statically zero are left out of the
+generated code, and the value slot is bitwise equal to plain evaluation.
+
+The generated statements are written out twice.  The scalar kernel runs them
+over float locals at one point; the ODE right-hand sides call it.  The array
+kernel runs them over numpy arrays, one entry per point, so a whole block of
+a grid costs one call; each of its columns is bitwise equal to the scalar
+kernel at that point, and a failure at any point raises the error of the
+lowest failing point.  A binding of arrays selects it.
 
 Kernels are compiled on first use and cached on the program or Field that
 owns them, so they live exactly as long as it does: nothing compiles at parse
-or build time, and no module-level cache holds programs.  ``second_partials``
+or build time, no array kernel compiles before its first call over points,
+and no module-level cache holds programs.  ``second_partials``
 is the one seeding entry point: every other module obtains the derivatives of
 user-supplied fields through it.  The one finite difference in the package is
 X(H1) for generic pairs (``pair.flow_derivative_H1``), which needs a third
@@ -24,7 +31,9 @@ derivative of the fields along X.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -324,11 +333,49 @@ def _pretty(node, parent_level):
 # is bitwise equal to the single-direction call.  Identical expressions are
 # computed once, which shares the value slots and every e1 slot that does not
 # depend on the projection.
+#
+# The same generated statements make two kernels.  The scalar kernel binds
+# floats and runs on float locals.  The array kernel binds, per name, a float
+# or an array over N points, and every local is then a float or an array.
+# Arithmetic is elementwise IEEE in both, so each column of an array call is
+# bitwise the scalar call at that point.  numpy's transcendental and power
+# loops need not round as libm and Python's float power do (exp, log, tan and
+# integer powers differ in the last bit on x86-64 with numpy 2.4), so the
+# array kernel applies those functions point by point; sqrt and abs are
+# exact and stay ufuncs.  A domain check fires in the array kernel when it holds at any
+# point, and any failure of an array call re-runs the scalar kernel point by
+# point, which raises the error of the lowest failing point.
 
-_KERNEL_GLOBALS = {
+def _array_op(on_array, on_float):
+    """One operation of the array kernel: ``on_array`` for an array local,
+    ``on_float`` for a float one (a local that no array name reaches)."""
+    return lambda a, *args: (on_array(a, *args) if isinstance(a, np.ndarray)
+                             else on_float(a, *args))
+
+
+def _pointwise(fn):
+    return lambda a, *args: np.array([fn(v, *args) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _sign(a):
+    return 1.0 if a >= 0.0 else -1.0
+
+
+_SCALAR_GLOBALS = {
     "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
     "_log": math.log, "_sqrt": math.sqrt, "_abs": abs, "_DomainError": DomainError,
     "_INF": math.inf, "_NAN": math.nan,
+}
+
+_ARRAY_GLOBALS = {
+    **{f"_{fn}": _array_op(_pointwise(getattr(math, fn)), getattr(math, fn))
+       for fn in ("sin", "cos", "tan", "exp", "log")},
+    "_sqrt": _array_op(np.sqrt, math.sqrt),
+    "_abs": _array_op(np.abs, abs),
+    "_pow": _array_op(_pointwise(operator.pow), operator.pow),
+    "_sign": _array_op(lambda a: np.where(a >= 0.0, 1.0, -1.0), _sign),
+    "_load": _array_op(lambda a: np.asarray(a, dtype=float) if a.ndim else float(a), float),
+    "_any": np.any, "_DomainError": DomainError, "_INF": math.inf, "_NAN": math.nan,
 }
 
 _NONE3 = (None, None, None)
@@ -370,8 +417,12 @@ def _sum(*terms):
 
 
 class _Codegen:
-    """Writes the body of one kernel ``_kernel(env, d1, d2)``: ``env`` binds
-    the names, ``d1`` and ``d2[c]`` hold the components of mapping seeds."""
+    """Generates the statements of one kernel ``_kernel(env, d1, d2)``:
+    ``env`` binds the names, ``d1`` and ``d2[c]`` hold the components of
+    mapping seeds.  ``head`` holds the loads as (local, source) and ``body``
+    the statements as ("let", local, expr, array expr or None, where) and
+    ("check", condition, message, where); ``_source`` writes them out as the
+    scalar or the array kernel."""
 
     def __init__(self, projections):
         self.projections = projections
@@ -382,29 +433,25 @@ class _Codegen:
         self.names = {}
         self.seeds = {}
 
-    def emit(self, expr, where=None):
-        """Local holding ``expr``; with ``where``, a ValueError of the
-        expression (a math call on an infinite argument) is a DomainError."""
+    def emit(self, expr, where=None, array=None):
+        """Local holding ``expr`` (``array`` in the array kernel, when they
+        differ); with ``where``, a ValueError of the expression (a math call
+        on an infinite argument) is a DomainError."""
         if expr is None or _is_atom(expr):
             return expr
         name = self.memo.get(expr)
         if name is None:
             name = self.memo[expr] = f"t{len(self.memo)}"
-            if where is None:
-                self.body.append(f"    {name} = {expr}")
-            else:
-                self.body += ["    try:", f"        {name} = {expr}",
-                              "    except ValueError as err:",
-                              f"        raise _DomainError(str(err), {where!r}) from None"]
+            self.body.append(("let", name, expr, array, where))
         return name
 
     def check(self, cond, message, node):
-        self.body.append(f"    if {cond}: raise _DomainError({message!r}, {_pretty(node, 0)!r})")
+        self.body.append(("check", cond, message, _pretty(node, 0)))
 
     def load(self, name):
         if name not in self.names:
             self.names[name] = f"x{len(self.names)}"
-            self.head.append(f"    {self.names[name]} = float(env[{name!r}])")
+            self.head.append((self.names[name], f"env[{name!r}]"))
 
     def seed(self, key, name, source):
         if key is None:
@@ -416,7 +463,7 @@ class _Codegen:
         local = self.seeds.get((source, name))
         if local is None:
             local = self.seeds[(source, name)] = f"s{len(self.seeds)}"
-            self.head.append(f"    {local} = float({source}[{name!r}])")
+            self.head.append((local, f"{source}[{name!r}]"))
         return local
 
     # -- nodes: each returns (value, slots), one (e1, e2, e12) per projection
@@ -509,7 +556,7 @@ class _Codegen:
                                ("+", _chain(f2, self.emit(_chain(a, b)))))))
 
     def power(self, r, k):
-        return "1.0" if k == 0 else r if k == 1 else self.emit(f"{r} ** {k}")
+        return "1.0" if k == 0 else r if k == 1 else self.emit(f"{r} ** {k}", array=f"_pow({r}, {k})")
 
     def pow(self, node):
         rv, rs = self.gen(node.base)
@@ -560,15 +607,38 @@ class _Codegen:
             f1 = self.emit(f"0.5 / {val}")
             f2 = self.emit(f"-0.5 * {f1} / {rv}")
         else:
-            f1, f2 = self.emit(f"1.0 if {rv} >= 0.0 else -1.0"), None
+            f1 = self.emit(f"1.0 if {rv} >= 0.0 else -1.0", array=f"_sign({rv})")
+            f2 = None
         return val, tuple(self.lift(s, f1, f2) for s in rs)
 
 
+def _source(head, body, outputs, array):
+    """Text of the scalar or the array kernel of the statements of a
+    ``_Codegen``, returning ``outputs``."""
+    lines = ["def _kernel(env, d1, d2):"]
+    lines += [f"    {local} = {'_load' if array else 'float'}({src})" for local, src in head]
+    for kind, *rest in body:
+        if kind == "check":
+            cond, message, where = rest
+            lines.append(f"    if {f'_any({cond})' if array else cond}: "
+                         f"raise _DomainError({message!r}, {where!r})")
+            continue
+        name, expr, array_expr, where = rest
+        if array:
+            lines.append(f"    {name} = {array_expr or expr}")
+        elif where is None:
+            lines.append(f"    {name} = {expr}")
+        else:
+            lines += ["    try:", f"        {name} = {expr}",
+                      "    except ValueError as err:",
+                      f"        raise _DomainError(str(err), {where!r}) from None"]
+    lines.append(f"    return ({''.join(o + ', ' for o in outputs)})")
+    return "\n".join(lines)
+
+
 def _compile(progs, key):
-    """Kernel of the sequence ``progs`` for ``key``: None (plain values) or
-    (i seed, j seeds, multi).  Returns the function, which returns the flat
-    outputs that are not statically zero, their positions in the flat output
-    (None when it returns every output) and the flat size."""
+    """Kernels of the sequence ``progs`` for ``key``: None (plain values) or
+    (i seed, j seeds, multi)."""
     if key is None:
         projections, out_cols = (), 0
     else:
@@ -587,13 +657,43 @@ def _compile(progs, key):
         out += [s[0][0] for _, s in results]
         out += [s[first + c][1] for _, s in results for c in range(out_cols)]
         out += [s[first + c][2] for _, s in results for c in range(out_cols)]
-    live = [k for k, o in enumerate(out) if o is not None]
-    source = "\n".join(["def _kernel(env, d1, d2):", *gen.head, *gen.body,
-                        f"    return ({''.join(out[k] + ', ' for k in live)})"])
+    return _Kernel(gen, out)
+
+
+class _Kernel:
+    """The two kernels of one sequence and key.  Both return the flat
+    outputs that are not statically zero; ``live`` holds their positions in
+    the flat output (``index`` as an array, None when every output is
+    returned) and ``size`` its length.  The scalar kernel is compiled with
+    the object and the array kernel, written from the same statements, on
+    its first call over points."""
+
+    def __init__(self, gen, out):
+        live = [k for k, o in enumerate(out) if o is not None]
+        outputs = [out[k] for k in live]
+        self.live = live
+        self.index = None if len(live) == len(out) else np.array(live, dtype=np.intp)
+        self.size = len(out)
+        self.scalar = _build(_source(gen.head, gen.body, outputs, False), _SCALAR_GLOBALS)
+        self._array_source = _source(gen.head, gen.body, outputs, True)
+        self._array = None
+
+    @property
+    def array(self):
+        # the source is dropped only once the kernel is set, so a thread
+        # that finds no source finds the kernel
+        if self._array is None:
+            source = self._array_source
+            if source is not None:
+                self._array = _build(source, _ARRAY_GLOBALS)
+                self._array_source = None
+        return self._array
+
+
+def _build(source, namespace_globals):
     namespace = {}
-    exec(compile(source, "<jet kernel>", "exec"), _KERNEL_GLOBALS, namespace)
-    index = None if len(live) == len(out) else np.array(live, dtype=np.intp)
-    return namespace["_kernel"], index, len(out)
+    exec(compile(source, "<jet kernel>", "exec"), namespace_globals, namespace)
+    return namespace["_kernel"]
 
 
 class Field(tuple):
@@ -619,21 +719,83 @@ def _kernel(progs, key):
     return kernel
 
 
-def _call(fn, point, i, cols):
+def _count(point):
+    """Number of points of a point of arrays; None for a point of reals."""
+    for v in point.values():
+        if isinstance(v, np.ndarray) and v.ndim:
+            return len(v)
+    return None
+
+
+def _select(binding, k):
+    """Point k of a binding or a mapping seed of arrays; names pass through."""
+    if binding is None or isinstance(binding, str):
+        return binding
+    return {name: v[k] if isinstance(v, np.ndarray) and v.ndim else v
+            for name, v in binding.items()}
+
+
+_EVAL_ERRORS = (DomainError, ValueError, OverflowError, ZeroDivisionError)
+
+
+def _run(progs, key, point, i, cols):
+    """The kernel of ``progs`` for ``key``, its outputs that are not
+    statically zero at ``point`` and the number of points: floats and None
+    at a point of reals; at a point of arrays over N points, arrays over
+    them (or floats, which hold at every point) and N.  One point runs the
+    scalar kernel."""
+    kernel = _kernel(progs, key)
+    count = _count(point)
     try:
-        return fn(point, i, cols)
+        if count is None:
+            return kernel, kernel.scalar(point, i, cols), None
+        return kernel, _run_points(kernel, point, i, cols, count), count
     except KeyError as err:
         raise UnboundVariable(err.args[0]) from None
+
+
+def _run_points(kernel, point, i, cols, count):
+    """Outputs of ``kernel`` at a point of arrays over ``count`` points."""
+    def scalar_at(k):
+        return kernel.scalar(_select(point, k), _select(i, k),
+                             None if cols is None else tuple(_select(c, k) for c in cols))
+
+    if count == 1:
+        return scalar_at(0)
+    try:
+        with np.errstate(all="ignore"):
+            return kernel.array(point, i, cols)
+    except _EVAL_ERRORS:
+        for k in range(count):        # the lowest failing point raises its own error
+            scalar_at(k)
+        raise
+
+
+def _fill(kernel, live, parts):
+    """Write the outputs of an array call into ``parts``: zeroed arrays with
+    a leading point axis that hold the flat output in order, each row-major
+    after that axis.  Returns ``parts``."""
+    rows = [part.reshape(len(part), -1) for part in parts]
+    edges = np.cumsum([0] + [r.shape[1] for r in rows]).tolist()
+    for c, value in zip(kernel.live, live):
+        p = bisect.bisect_right(edges, c) - 1
+        rows[p][:, c - edges[p]] = value
+    return parts
 
 
 def evaluate(progs, bindings):
     """Value of one program (a float) or of a sequence of them (an array).
 
-    ``bindings`` must cover every free variable with a real.  Derivatives
-    come from ``second_partials``.  DomainError is raised for log/sqrt/division
-    domain failures and carries the offending subexpression."""
-    out = _call(_kernel(progs, None)[0], bindings, None, None)
-    return out[0] if isinstance(progs, ExprProgram) else np.array(out, dtype=float)
+    ``bindings`` must cover every free variable with a real, or with arrays
+    over N points (names that are reals hold at every point), which gives
+    N values (an N x k array for a sequence).  Derivatives come from
+    ``second_partials``.  DomainError is raised for log/sqrt/division domain
+    failures and carries the offending subexpression."""
+    kernel, live, count = _run(progs, None, bindings, None, None)
+    if count is None:
+        return live[0] if isinstance(progs, ExprProgram) else np.array(live, dtype=float)
+    out, = _fill(kernel, live, [np.zeros((count, kernel.size))])
+    return out[:, 0] if isinstance(progs, ExprProgram) else out
 
 
 def _seed_key(d):
@@ -641,7 +803,7 @@ def _seed_key(d):
 
 
 def second_partials(progs, point, i, j):
-    """Value, d/di, d/dj and d2/didj at a real point.
+    """Value, d/di, d/dj and d2/didj at a real point, or at N points.
 
     ``progs`` is one ExprProgram or a sequence of them (a Field keeps its
     kernels; any other sequence compiles on every call).  ``point`` maps every
@@ -656,25 +818,42 @@ def second_partials(progs, point, i, j):
     d2/didj with one entry per direction (ncols, or k x ncols arrays).  With
     one j, d/di is computed as the hyper-dual evaluation seeded along i and j
     computes it; with a sequence, as seeded along i alone (the two can differ
-    in the last bit where a division's numerator depends on j only)."""
+    in the last bit where a division's numerator depends on j only).
+
+    A point of arrays over N points (and direction components that are
+    reals or such arrays) runs the array kernel once and gives every output
+    above with a leading axis of length N, each row bitwise equal to the
+    call at that point."""
     multi = not isinstance(j, (str, dict, Mapping))
     cols = tuple(j) if multi else (j,)
-    fn, index, size = _kernel(progs, (_seed_key(i), tuple(_seed_key(c) for c in cols), multi))
-    live = _call(fn, point, i, cols)
-    if index is None:
-        flat = np.array(live, dtype=float)
-    else:
-        flat = np.zeros(size)
-        flat[index] = live
+    kernel, live, N = _run(progs, (_seed_key(i), tuple(_seed_key(c) for c in cols), multi),
+                           point, i, cols)
     single = isinstance(progs, ExprProgram)
-    if not multi:
-        return tuple(flat.tolist()) if single else flat.reshape(4, -1)
     nc = len(cols)
-    if single:
-        return (*flat[:2].tolist(), flat[2:2 + nc], flat[2 + nc:])
-    k = size // (2 + 2 * nc)
-    e2 = flat[2 * k:].reshape(2, k, nc)
-    return flat[:k], flat[k:2 * k], e2[0], e2[1]
+    if N is None:
+        if kernel.index is None:
+            flat = np.array(live, dtype=float)
+        else:
+            flat = np.zeros(kernel.size)
+            flat[kernel.index] = live
+        if not multi:
+            return tuple(flat.tolist()) if single else flat.reshape(4, -1)
+        if single:
+            return (*flat[:2].tolist(), flat[2:2 + nc], flat[2 + nc:])
+        k = kernel.size // (2 + 2 * nc)
+        e2 = flat[2 * k:].reshape(2, k, nc)
+        return flat[:k], flat[k:2 * k], e2[0], e2[1]
+    # a point of arrays: the same outputs with a leading point axis
+    if not multi:
+        if single:
+            return tuple(_fill(kernel, live, [np.zeros(N) for _ in range(4)]))
+        out = np.zeros((4, N, kernel.size // 4))
+        _fill(kernel, live, list(out))
+        return out
+    k = 1 if single else kernel.size // (2 + 2 * nc)
+    head = (N,) if single else (N, k)
+    return tuple(_fill(kernel, live, [np.zeros(head), np.zeros(head),
+                                      np.zeros(head + (nc,)), np.zeros(head + (nc,))]))
 
 
 # -- small AST builders used by model constructors ---------------------------

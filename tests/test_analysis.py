@@ -356,9 +356,9 @@ def test_generic_jacobi_solve_takes_no_curvature_derivative(monkeypatch):
     flow_derivative_H1 = pm.flow_derivative_H1
     integrate = ode.integrate
 
-    def recording(*args, **kwargs):
-        calls.append(bool(solving))
-        return flow_derivative_H1(*args, **kwargs)
+    def recording(pair, x):
+        calls.append((bool(solving), np.array(x)))
+        return flow_derivative_H1(pair, x)
 
     def solve(*args, **kwargs):
         solving.append(1)
@@ -371,8 +371,27 @@ def test_generic_jacobi_solve_takes_no_curvature_derivative(monkeypatch):
     monkeypatch.setattr(ode, "integrate", solve)
     pair = _nonholonomic(("c", "d", "-a - 0.1*b + 0.2*a*c", "-b + 0.3*a - 0.1*c*d"))
     res = analysis.analyze(pair, x0=NONHOLONOMIC_X0, T=3.0)
-    assert not any(calls)
-    assert len(calls) == len(res.grid)
+    assert not any(inside for inside, _ in calls)
+    # the curvature samples difference H1 once at each grid point
+    sampled = np.concatenate([x for _, x in calls], axis=1)
+    assert np.array_equal(sampled, res.transport.x(res.grid))
+
+
+def test_generic_curvature_track_takes_one_call_per_block(monkeypatch):
+    blocks = []
+    curvature_at = pm.curvature_at
+
+    def recording(pair, x):
+        blocks.append(np.shape(x))
+        return curvature_at(pair, x)
+
+    monkeypatch.setattr(pm, "curvature_at", recording)
+    pair = _nonholonomic(("c", "d", "-a - 0.1*b + 0.2*a*c", "-b + 0.3*a - 0.1*c*d"))
+    res = analysis.analyze(pair, x0=NONHOLONOMIC_X0, T=3.0)
+    assert len(res.grid) > pm.BLOCK
+    assert len(blocks) == -(-len(res.grid) // pm.BLOCK)
+    assert all(shape == (pair.n, pm.BLOCK) for shape in blocks[:-1])
+    assert sum(shape[1] for shape in blocks) == len(res.grid)
 
 
 def test_analyze_samples_P_on_the_grid_once(monkeypatch):

