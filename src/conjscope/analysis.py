@@ -2,10 +2,11 @@
 
 One call runs: one ODE solve of the trajectory, the normal-frame transport
 and the Jacobi fields (no curvature in it); regularity sampling; then, all on
-that solve's grid, detection and the sigma_min curve (one batched SVD of P),
-the normal curvature samples (one (N, m, m) array), the bound verdicts and
-(when a 2-form is supplied) the semi-Hamiltonian checks.  The normal frame is
-orthonormal, so the bounds read the normal curvature alone, with no metric.
+that solve's grid and its one dense lookup (``Trajectory.grid``), the
+closed-orbit distances, detection on a scale-free track, the sigma_min curve
+of P, the normal curvature samples (one (N, m, m) array), the bound verdicts
+and (when a 2-form is supplied) the semi-Hamiltonian checks.  The normal frame
+is orthonormal, so the bounds read the normal curvature alone, with no metric.
 The report is a plain nested dict that serializes to JSON losslessly and
 deterministically: no timestamps, no environment data, keys sorted at emission.
 """
@@ -51,15 +52,11 @@ def _closed_orbit_suspected(ft):
     scale = float(np.max(vals))
     if scale == 0.0:
         return True
-    mask = grid >= 0.1 * ft.T
-    cand = np.where(mask)[0]
+    cand = np.flatnonzero(grid >= 0.1 * ft.T)
     if len(cand) == 0:
         return False
-    i_rel = int(np.argmin(vals[cand]))
-    i = cand[i_rel]
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    _, d_min = ode.refine_minimum(dist, lo, hi)
+    i = cand[np.argmin(vals[cand])]
+    _, d_min = ode.refine_minimum(dist, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
     return d_min < 1e-6 * scale
 
 
@@ -90,7 +87,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
 
     ft = frames.transport_normal_frame(pair, x0_full, T, rel_tol=rel_tol, abs_tol=abs_tol)
     js = ft.jacobi_solution
-    grid, _, P_svals = js.grid_samples
+    grid = js.grid()
 
     regularity = pair_mod.check_regularity(pair, ft.x(_subsample(ft.joint.steps)).T)
 
@@ -106,7 +103,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     brep = bounds_mod.bounds_report(K_track, grid, m, T,
                                     [(c.t_star, c.multiplicity) for c in cts])
 
-    sigma_track = P_svals[:, -1]
+    sigma_track = js.sigma_min(grid)
     dips = [{"t": float(t), "value": float(v)}
             for t, v in ode.refined_minima(js.sigma_min, grid, sigma_track, interior=True)]
 

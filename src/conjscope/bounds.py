@@ -12,7 +12,9 @@ bounds take no metric:
   a conjugate time before pi * sqrt(m / kappa) (Bonnet-Myers style);
 * constant eigenlines of the normal curvature reduce to scalar oscillation
   problems whose zeros must reappear among the detected conjugate times
-  (Sturm comparison).
+  (Sturm comparison); when m of them span the frame the Jacobi equation
+  decouples along them, and each detected time must have as its
+  multiplicity the number of lines whose zeros fall on it.
 
 Every verdict compares a bound against the detected conjugate times with a
 fixed slack; the bounds are sharp for the harmonic oscillator, so the safe
@@ -164,6 +166,7 @@ def bounds_report(K_samples, ts, m, T, detected_times) -> BoundsReport:
     tracks = []
     solved = []                   # (track, zeros): equal tracks share one solve
     sturm_ok = True
+    near = lambda z, t: abs(z - t) <= VERDICT_SLACK * (1.0 + abs(z))
     for e, track in lines:
         kappa_i = float(np.min(track))
         predicted = float(np.pi / np.sqrt(kappa_i)) if kappa_i > 0 else None
@@ -171,16 +174,17 @@ def bounds_report(K_samples, ts, m, T, detected_times) -> BoundsReport:
         if zeros is None:
             zeros = sturm_zeros(ts, track, T)
             solved.append((track, zeros))
-        for z in zeros:
-            if not any(abs(z - t) <= VERDICT_SLACK * (1.0 + abs(z)) for t in det):
-                sturm_ok = False
+        if not all(any(near(z, t) for t in det) for z in zeros):
+            sturm_ok = False
         tracks.append(EigenlineTrack(direction=e, kappa=kappa_i,
                                      predicted_first_zero=predicted,
                                      sturm_zeros=tuple(zeros)))
-    if not tracks:
-        verdicts["sturm_bound"] = "not_applicable"
-    else:
-        verdicts["sturm_bound"] = "consistent" if sturm_ok else "violated"
+    if len(tracks) == m:
+        # the lines span the frame: multiplicity counts the lines vanishing there
+        sturm_ok &= all(mult == sum(any(near(z, t) for z in tr.sturm_zeros) for tr in tracks)
+                        for t, mult in detected_times)
+    verdicts["sturm_bound"] = ("not_applicable" if not tracks
+                               else "consistent" if sturm_ok else "violated")
 
     return BoundsReport(
         lambda_max=lam,

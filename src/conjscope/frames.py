@@ -7,8 +7,8 @@ coefficient matrix of the Jacobi equation.  The base point, G and the Jacobi
 fields are one ODE solve, whose right-hand side reads only the structure
 matrices H0, H1 of the bracket relation; the normal curvature is computed
 afterwards, on whatever times it is asked for, from the transported point and
-G: on an array of times, one dense lookup, one curvature call per block of
-points and one batched solve.
+G: on an array of times, one dense lookup (on the grid, the one every grid
+reader shares), one curvature call per block of points and one batched solve.
 """
 
 from __future__ import annotations

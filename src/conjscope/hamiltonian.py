@@ -12,7 +12,7 @@ neither required nor checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -109,22 +109,16 @@ def induced_metric(model: SemiHamiltonianModel, x):
     pr = model.pair
     S = model.sigma_at(x)
     V, XV = pair_mod.frame_at(pr, x)
-    m = pr.m
-    g = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            g[i, j] = XV[:, i] @ S @ V[:, j]
+    g = XV.T @ S @ V
     sym_res = float(np.linalg.norm(g - g.T) / max(np.linalg.norm(g), 1e-300))
     svals = np.linalg.svd(g, compute_uv=False)
     if svals[-1] < 1e-10 * max(svals[0], 1e-300):
         raise DegenerateMetric(f"induced metric degenerate at {x} (smallest sv {svals[-1]:.3e})")
-    flipped = False
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if np.all(eigs < 0):
-        g = -g
-        flipped = True
-    return {"g": g, "flipped": flipped, "symmetry_residual": sym_res,
-            "eigenvalues": np.sort(eigs if not flipped else -eigs)}
+    flipped = bool(np.all(eigs < 0))
+    sign = -1.0 if flipped else 1.0
+    return {"g": sign * g, "flipped": flipped, "symmetry_residual": sym_res,
+            "eigenvalues": np.sort(sign * eigs)}
 
 
 # -- invariance of sigma along X (condition on the Lie derivative) ------------
@@ -138,37 +132,32 @@ def check_semi_invariance(model: SemiHamiltonianModel, points):
     sides differ by Y^T L Z, where L = X(S) + DX^T S + S DX is the coordinate
     matrix of the Lie derivative L_X sigma (S the matrix of sigma, X(S) its
     derivative along X, DX the Jacobian of X), so one first-order jet of
-    sigma along X and the Jacobian of X give the residual exactly."""
+    sigma along X and the Jacobian of X give the residual exactly.  The
+    points are read as one stack: one bracket jet, one jet of sigma along X
+    with per-point directions and one Jacobian of X per block."""
     pr = model.pair
-    n = pr.n
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        data = pair_mod.extract_H(pr, x, raise_on_violation=False)
-        S0 = model.sigma_at(x)
-        _, XS, _, _ = scalar.second_partials(model.sigma_field, model.bindings(x),
-                                             dict(zip(pr.coords, data.X.tolist())), {})
-        _, DX = pair_mod._jacobian(pr.X, pr.coords, pr.bindings(x))
-        L = XS.reshape(n, n) + DX.T @ S0 + S0 @ DX
 
-        basis_val = [data.V[:, j] for j in range(pr.m)] + [data.XV[:, j] for j in range(pr.m)]
-        basis_brk = [data.XV[:, j] for j in range(pr.m)] + [data.XXV[:, j] for j in range(pr.m)]
+    def at(xs):
+        x_val, V, XV, XXV = pair_mod.brackets_at(pr, xs)
+        S = model.sigma_at(xs)
+        _, XS, _, _ = scalar.second_partials(model.sigma_field, model.bindings(xs),
+                                             dict(zip(pr.coords, x_val.T)), {})
+        _, DX = pair_mod._jacobian(pr.X, pr.coords, pr.bindings(xs))
+        L = XS.reshape(S.shape) + _T(DX) @ S + S @ DX
+        return S, L, np.concatenate([V, XV], axis=-1), np.concatenate([XV, XXV], axis=-1)
 
-        scale = max(np.linalg.norm(S0), 1e-300) * max(
-            max(np.linalg.norm(v) for v in basis_val) ** 2, 1e-300)
-        for a in range(len(basis_val)):
-            for b in range(a + 1, len(basis_val)):
-                rhs = float(basis_brk[a] @ S0 @ basis_val[b] + basis_val[a] @ S0 @ basis_brk[b])
-                diff = float(basis_val[a] @ L @ basis_val[b])
-                bracket_scale = max(
-                    scale,
-                    abs(rhs + diff),
-                    np.linalg.norm(S0) * np.linalg.norm(basis_brk[a]) * np.linalg.norm(basis_val[b]),
-                    np.linalg.norm(S0) * np.linalg.norm(basis_val[a]) * np.linalg.norm(basis_brk[b]),
-                    1e-300,
-                )
-                worst = max(worst, abs(diff) / bracket_scale)
-    return worst
+    # the basis fields (frame, then first brackets) and their brackets with X
+    S, L, val, brk = on_blocks(at, np.asarray(points, dtype=float).T)
+    diff = _T(val) @ L @ val
+    rhs = _T(brk) @ S @ val + _T(val) @ S @ brk
+    norm_S = _fro(S)[:, None, None]
+    norm_val, norm_brk = _norms(_T(val))[:, :, None], _norms(_T(brk))[:, :, None]
+    scale = np.maximum(norm_S, 1e-300) * np.maximum(np.max(norm_val, axis=1, keepdims=True) ** 2,
+                                                    1e-300)
+    bracket_scale = reduce(np.maximum, [scale, np.abs(rhs + diff), norm_S * norm_brk * _T(norm_val),
+                                        norm_S * norm_val * _T(norm_brk), 1e-300])
+    a, b = np.triu_indices(val.shape[-1], 1)
+    return float(np.max((np.abs(diff) / bracket_scale)[:, a, b], initial=0.0))
 
 
 def check_K_selfadjoint(g, K):

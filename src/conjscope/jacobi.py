@@ -10,20 +10,23 @@ variational oracle applies the definition instead: it pushes V(x0) along the
 flow, W' = DX W, and finds the rank drops of [V(c(t)) | W(t)].  It takes
 first derivatives of the pair only and shares nothing with the Jacobi route
 but the events-to-conjugate-times tail, so it cross-validates detection.
+Both routes hand that tail a scale-free track, built from orthonormalised
+stacks, whose singular values measure principal angles between subspaces
+(Bjorck & Golub, 1973): the rank and zero cuts are absolute, whatever the
+growth of the fields along the flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import ode, pair as pair_mod
 from .errors import RegularityViolation
 
-DETECT_TOL = 1e-8        # refined singular-value dip counted as zero, x scale
-RANK_TOL = 1e-7          # singular values below this x scale count into the kernel
+DETECT_TOL = 1e-8        # refined dip of a scale-free track counted as zero
+RANK_TOL = 1e-7          # singular values of a scale-free track below this count into the kernel
 MERGE_TOL = 1e-6
 
 __all__ = ["JacobiSolution", "ConjugateTime", "integrate_jacobi",
@@ -62,18 +65,12 @@ class JacobiSolution:
     def grid(self):
         return self.joint.grid()
 
-    @cached_property
-    def grid_samples(self):
-        """(grid, P on it, its singular values): one lookup and one batched
-        SVD, shared by detection and the sigma_min curve."""
-        return _sampled(self.P, self.grid())
-
 
 @dataclass(frozen=True)
 class ConjugateTime:
     t_star: float
     multiplicity: int
-    kernel_basis: tuple           # orthonormal, in coordinates of V(x0) (oracle: of W)
+    kernel_basis: tuple           # orthonormal, in coordinates of V(x0), peaks positive
     mode: str                     # "sign_change" | "touch"
 
     def as_dict(self):
@@ -108,17 +105,15 @@ def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, 
     """Zeros of a nonnegative singular-value track past t_floor.
 
     Sign changes of the signed determinant-like companion (when available)
-    give odd-multiplicity crossings; refined minima of the track below
-    zero_tol times its largest sample give tangential zeros (touches).  Events
-    within MERGE_TOL of each other count once, and a sign change wins over a
-    touch.  Returns sorted (t, mode) events."""
+    give odd-multiplicity crossings; refined minima of the track at or below
+    zero_tol give tangential zeros (touches).  Events within MERGE_TOL of
+    each other count once, and a sign change wins over a touch.  Returns
+    sorted (t, mode) events."""
     events = []
     if det_like is not None:
         events += [(t, "sign_change") for t in ode.locate_events(det_like, grid, det_values)]
-    cut = zero_tol * float(np.max(sigma_values))
-    if cut > 0.0:                 # an identically zero track has no isolated zeros
-        events += [(t, "touch") for t, v in ode.refined_minima(sigma_min, grid, sigma_values,
-                                                                cut=cut) if v <= cut]
+    events += [(t, "touch") for t, v in ode.refined_minima(sigma_min, grid, sigma_values,
+                                                            cut=zero_tol) if v <= zero_tol]
     merged = []
     for t, mode in sorted(ev for ev in events if ev[0] > t_floor):
         if merged and abs(t - merged[-1][0]) < MERGE_TOL * (1.0 + abs(t)):
@@ -129,31 +124,15 @@ def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, 
     return merged
 
 
-def _kernel(matrix, scale, rank_tol):
-    _, s, Vt = np.linalg.svd(matrix)
-    kernel = tuple(Vt[s < rank_tol * scale])
-    return len(kernel), kernel
-
-
-def _sampled(matrix_at, grid):
-    """(grid, the stack of matrices on it, their singular values)."""
+def _conjugate_times(matrix_at, grid, rank_tol, zero_tol):
+    """Rank drops of a scale-free matrix track that drops rank structurally
+    at t = 0; ``matrix_at`` maps a time to the matrix and ``grid`` to the
+    stack on it.  The singular values measure principal angles (they lie in
+    [0, sqrt 2]), so both cuts are absolute: multiplicity counts those at t*
+    below rank_tol.  Square tracks add the determinant as a signed
+    companion.  Kernel bases are in the coordinates of the track's columns."""
     samples = matrix_at(grid)
-    return grid, samples, np.linalg.svd(samples, compute_uv=False)
-
-
-def _conjugate_times(matrix_at, sampled, rank_tol, zero_tol):
-    """Rank drops of a matrix track that drops rank structurally at t = 0.
-
-    ``matrix_at`` maps a time to the matrix and ``sampled`` holds the grid,
-    the stack on it and its singular values (see ``_sampled``).
-    Multiplicity counts singular values of the matrix at t* below rank_tol
-    times the largest singular value seen on the whole grid (the pointwise
-    maximum is useless at a full-rank drop, where every singular value
-    vanishes).  Square tracks add the determinant as a signed companion."""
-    grid, samples, svals = sampled
-    scale = float(np.max(svals[:, 0]))
-    if scale == 0.0:
-        return []
+    svals = np.linalg.svd(samples, compute_uv=False)
     sigma_min = lambda t: float(np.linalg.svd(matrix_at(t), compute_uv=False)[-1])
     det_like = det_values = None
     if samples.shape[1] == samples.shape[2]:
@@ -165,21 +144,43 @@ def _conjugate_times(matrix_at, sampled, rank_tol, zero_tol):
                           t_floor=grid[1])
     out = []
     for t_star, mode in events:
-        C = matrix_at(t_star)
-        mult, kernel = _kernel(C, scale, rank_tol)
-        if mult == 0:
-            # dip passed the zero tolerance but no singular value clears the
-            # rank cut; classify with the most conservative reading
-            mult, kernel = 1, (np.linalg.svd(C)[2][-1],)
-        out.append(ConjugateTime(t_star=float(t_star), multiplicity=mult,
+        _, s, Vt = np.linalg.svd(matrix_at(t_star))
+        # a dip that passed the zero cut while no singular value clears the
+        # rank cut takes the most conservative reading, multiplicity 1
+        kernel = tuple(Vt[s < rank_tol]) or (Vt[-1],)
+        out.append(ConjugateTime(t_star=float(t_star), multiplicity=len(kernel),
                                  kernel_basis=kernel, mode=mode))
     return out
 
 
+def _mapped_back(c, stack):
+    """``c`` with each kernel vector k, read on the columns of Q for
+    ``stack`` = Q R (``_orthonormal``; the trailing entries of k when the
+    track puts other columns first), mapped back to R^-1 k.  The basis is
+    orthonormalised and each vector signed so that its largest-magnitude
+    entry is positive, so that equal analyses report equal bases."""
+    k = np.array(c.kernel_basis)[:, -stack.shape[-1]:]
+    basis = np.linalg.qr(np.linalg.solve(_orthonormal(stack).T @ stack, k.T))[0].T
+    peak = basis[np.arange(len(basis)), np.argmax(np.abs(basis), axis=1)]
+    return replace(c, kernel_basis=tuple(basis * np.sign(peak)[:, None]))
+
+
 def find_conjugate_times(js: JacobiSolution, rank_tol=RANK_TOL, zero_tol=DETECT_TOL):
     """Detected conjugate times on (0, T] with multiplicity and kernel basis:
-    the rank drops of P, which vanishes at t = 0 by construction."""
-    return _conjugate_times(js.P, js.grid_samples, rank_tol, zero_tol)
+    the rank drops of P = -G^-1 b, which vanishes at t = 0 by construction,
+    read on b^ = -b R^-1, the top block of the orthonormalised working-frame
+    stack [-b; a] = Q R.  b^ has the rank of P, the sign of det P (det G and
+    det R are positive) and as singular values the sines of the principal
+    angles between V and the Jacobi fields, in [0, 1] however the fields
+    grow, so ``rank_tol`` and ``zero_tol`` are absolute.  Kernel bases map
+    back through R^-1 to coordinates in V(x0)."""
+    def stack(t):
+        _, _, a, b = js.blocks(t)
+        return np.concatenate([-b, a], axis=-2)
+
+    track = lambda t: _orthonormal(stack(t))[..., :js.m, :]
+    return [_mapped_back(c, stack(c.t_star))
+            for c in _conjugate_times(track, js.grid(), rank_tol, zero_tol)]
 
 
 def _orthonormal(A):
@@ -232,11 +233,6 @@ def variational_oracle(pair, x0, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEF
         out = np.concatenate([_orthonormal(D[..., :m]), _orthonormal(W)], axis=-1)
         return out if np.ndim(t) else out[0]
 
-    def in_V0(c):
-        # (a, b) in the kernel has V a + W R^-1 b = 0, with R = Q^T W
-        W = joint.at(c.t_star)[n:].reshape(n, m)
-        coeffs = np.linalg.solve(_orthonormal(W).T @ W, np.array(c.kernel_basis)[:, m:].T)
-        return replace(c, kernel_basis=tuple(np.linalg.qr(coeffs)[0].T))
-
-    return [in_V0(c) for c in _conjugate_times(track, _sampled(track, joint.grid()),
-                                               rank_tol, zero_tol)]
+    # (a, b) in the kernel has V a + W R^-1 b = 0, with W = Q R
+    return [_mapped_back(c, joint.at(c.t_star)[n:].reshape(n, m))
+            for c in _conjugate_times(track, joint.grid(), rank_tol, zero_tol)]

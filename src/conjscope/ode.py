@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -54,7 +55,10 @@ class Trajectory:
         return self.t_span[1]
 
     def at(self, t):
-        """Dense evaluation; scalar t -> (n,), array t -> (n, len(t))."""
+        """Dense evaluation; scalar t -> (n,), array t -> (n, len(t)).  Every
+        reader of the array ``grid()`` shares one cached, read-only lookup."""
+        if np.ndim(t) and t is self.grid():
+            return self._grid_states
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < self.t_span[0] - 1e-12) or np.any(t_arr > self.t_span[1] + 1e-12):
             raise ValueError(f"dense evaluation outside [{self.t_span[0]}, {self.t_span[1]}]")
@@ -70,18 +74,28 @@ class Trajectory:
         return out
 
     def grid(self):
-        return dense_grid(self.steps)
+        """``dense_grid`` of the steps: one read-only array, computed once."""
+        return self._grid
+
+    @cached_property
+    def _grid(self):
+        return _read_only(dense_grid(self.steps))
+
+    @cached_property
+    def _grid_states(self):
+        return _read_only(self.at(self._grid.copy()))   # a copy is looked up
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def dense_grid(steps, per_step=SAMPLES_PER_STEP):
     """Every accepted step subdivided into ``per_step`` pieces."""
     steps = np.asarray(steps, dtype=float)
-    parts = [
-        np.linspace(steps[i], steps[i + 1], per_step, endpoint=False)
-        for i in range(len(steps) - 1)
-    ]
-    parts.append(steps[-1:])
-    return np.concatenate(parts)
+    parts = [np.linspace(a, b, per_step, endpoint=False) for a, b in zip(steps[:-1], steps[1:])]
+    return np.concatenate(parts + [steps[-1:]])
 
 
 def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL) -> Trajectory:

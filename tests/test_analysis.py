@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from conjscope import analysis, catalog, frames, jacobi, ode, pair as pm
 from conjscope.errors import ClosedOrbitWarning
@@ -411,3 +412,33 @@ def test_analyze_samples_P_on_the_grid_once(monkeypatch):
     samples = P(res.jacobi_solution, res.grid)
     assert np.array_equal(res.sigma_min_track,
                           np.linalg.svd(samples, compute_uv=False).min(axis=-1))
+
+
+@pytest.mark.parametrize("name", ["perturbed_pair", "dancing"])
+def test_analyze_and_curve_rows_interpolate_the_grid_once(monkeypatch, name):
+    # the closed-orbit distances, the detection track, the sigma_min curve,
+    # the curvature samples and det G in the curves all read one lookup
+    looked_up = []
+    call = scipy.integrate.OdeSolution.__call__
+
+    def recording(self, t):
+        if np.ndim(t) == 1:
+            looked_up.append(np.array(t))
+        return call(self, t)
+
+    monkeypatch.setattr(scipy.integrate.OdeSolution, "__call__", recording)
+    entry = catalog.ENTRIES[name]
+    model, _ = catalog.build(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T)
+    _, rows = analysis.curve_rows(res)
+    assert sum(np.array_equal(t, res.grid) for t in looked_up) == 1
+    assert not res.grid.flags.writeable
+    # the shared lookup gives the bits a fresh one gives
+    fresh = res.grid.copy()
+    js = res.jacobi_solution
+    assert res.K_track.tobytes() == res.transport.K_normal(fresh).tobytes()
+    assert res.sigma_min_track.tobytes() == js.sigma_min(fresh).tobytes()
+    assert [row[-1] for row in rows] == res.transport.det_G(fresh).tolist()
+    assert sum(np.array_equal(t, res.grid) for t in looked_up) == 4    # fresh ones did look up

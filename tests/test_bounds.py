@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 
-from conjscope import bounds, catalog, ode
+from conjscope import analysis, bounds, catalog, ode, pair as pm
 
 
 def _const_samples(K, n=50, T=10.0):
@@ -203,3 +204,36 @@ def test_equal_tracks_share_one_sturm_solve(monkeypatch):
                                                (2 * math.pi, 2)])
     assert len(calls) == 3
     assert [len(tr.sturm_zeros) for tr in rep.eigenline_tracks] == [2, 4]
+
+
+def test_sturm_verdict_counts_multiplicity():
+    # x1'' = 4 x1, x2'' = -x2: two parallel eigenlines span the frame and only
+    # the second vanishes, at k pi, so every conjugate time is simple
+    model = pm.SODEModel(m=2, F=("4*x1", "-x2"), autonomous=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = analysis.analyze(model, x0=(0.1, 0.2, 0.3, 0.4), T=12.0)
+    assert [c.multiplicity for c in res.conjugate_times] == [1, 1, 1]
+    assert res.report["bounds"]["verdicts"]["sturm_bound"] == "consistent"
+    # the multiplicities a rank cut scaled by the largest singular value on
+    # the grid reads there: pi counted twice
+    doubled = [(c.t_star, 2 if k == 0 else 1) for k, c in enumerate(res.conjugate_times)]
+    rep = bounds.bounds_report(res.K_track, res.grid, 2, 12.0, doubled)
+    assert rep.verdicts["sturm_bound"] == "violated"
+    # a time no line vanishes at is flagged too, and so is a missing one
+    spurious = [(1.0, 1)] + [(c.t_star, 1) for c in res.conjugate_times]
+    assert bounds.bounds_report(res.K_track, res.grid, 2, 12.0, spurious) \
+        .verdicts["sturm_bound"] == "violated"
+    missing = [(c.t_star, 1) for c in res.conjugate_times[1:]]
+    assert bounds.bounds_report(res.K_track, res.grid, 2, 12.0, missing) \
+        .verdicts["sturm_bound"] == "violated"
+
+
+def test_sturm_verdict_ignores_multiplicity_when_lines_do_not_span():
+    # one eigenline of a 2 x 2 curvature with a complex pair elsewhere: the
+    # Jacobi equation does not decouple, so only the zeros are compared
+    K = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, -1.0, 2.0]])
+    Ks, ts = _const_samples(K, n=40, T=7.0)
+    rep = bounds.bounds_report(Ks, ts, 3, 7.0, [(1.0, 1), (math.pi, 3), (2 * math.pi, 1)])
+    assert len(rep.eigenline_tracks) == 1
+    assert rep.verdicts["sturm_bound"] == "consistent"

@@ -54,6 +54,18 @@ def test_report_deterministic(tmp_path):
     assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
 
 
+def test_repeated_analysis_writes_identical_reports(tmp_path):
+    # kernel vectors carry a fixed sign, so equal runs write equal bytes
+    args = ["analyze", "--system", "mechanical", "--out"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli(args + [str(out1)]) == 0
+    assert run_cli(args + [str(out2)]) == 0
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    report = json.loads((out1 / "report.json").read_text())
+    vectors = [k for c in report["conjugate_times"] for k in c["kernel_basis"]]
+    assert vectors and all(max(k, key=abs) > 0.0 for k in vectors)
+
+
 def test_report_roundtrip(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["analyze", "--system", "harmonic", "--T", "4",

@@ -1,12 +1,15 @@
 import cmath
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from conjscope import catalog, jacobi, ode, pair as pm
+from conjscope import analysis, catalog, jacobi, ode, pair as pm, scalar
 from conjscope.errors import EndpointNotZero, RegularityViolation
 
 from conftest import jacobi_in_time
@@ -264,6 +267,88 @@ def test_variational_oracle_multiplicity_does_not_grow_with_the_horizon():
             assert abs(c.t_star - k * math.pi) < 1e-9
             assert c.multiplicity == len(c.kernel_basis) == 1
             assert abs(abs(c.kernel_basis[0][1]) - 1.0) < 1e-9
+
+
+def _both_routes(model, x0, T):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = analysis.analyze(model, x0=x0, T=T)
+        return res, jacobi.variational_oracle(model, x0, T)
+
+
+@pytest.mark.parametrize("T", [7.0, 12.0, 16.0, 20.0])
+def test_multiplicity_does_not_grow_with_the_horizon_on_either_route(T):
+    # x1'' = 4 x1, x2'' = -x2: P = diag(sinh(2t)/2, sin t), so every k pi is
+    # simple however far the hyperbolic column has grown; a rank cut scaled
+    # by the largest singular value on the grid reads 2 at pi from T = 12 on
+    model = pm.SODEModel(m=2, F=("4*x1", "-x2"), autonomous=True)
+    res, oracle = _both_routes(model, (0.1, 0.2, 0.3, 0.4), T)
+    for found in (res.conjugate_times, oracle):
+        assert len(found) == int(T / math.pi)
+        for k, c in enumerate(found, start=1):
+            assert abs(c.t_star - k * math.pi) < 1e-9
+            assert c.multiplicity == len(c.kernel_basis) == 1
+            assert np.allclose(c.kernel_basis[0], [0.0, 1.0], atol=1e-9)
+    assert "violated" not in res.report["bounds"]["verdicts"].values()
+
+
+# sqrt(lambda) in {1/2, 1, 3/2, 2}: the times k pi / sqrt(lambda) are multiples
+# of pi / 6, so distinct times lie pi / 6 apart and none is near a horizon;
+# growth e^(sqrt|lambda| T) stays within what the solve's tolerances resolve
+SPECTRUM = (0.25, 1.0, 2.25, 4.0, -0.04, -0.25, -1.0)
+MIXING = 0.3          # S = I + U(-0.3, 0.3): diagonally dominant, invertible
+
+
+def _expected_times(lam, T):
+    """{k pi / sqrt(l): number of (l, k) giving it} over the positive l."""
+    counts = {}
+    for l in lam:
+        if l > 0:
+            omega = Fraction(math.sqrt(l))
+            for k in range(1, int(T * math.sqrt(l) / math.pi) + 1):
+                counts[k / omega] = counts.get(k / omega, 0) + 1
+    return [(float(r) * math.pi, mult) for r, mult in sorted(counts.items())]
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(lam=st.lists(st.sampled_from(SPECTRUM), min_size=2, max_size=3),
+       mix=st.lists(st.floats(-MIXING, MIXING), min_size=9, max_size=9),
+       T=st.sampled_from((7.0, 12.0, 20.0)))
+@example(lam=[1.0, 1.0, -0.25], mix=[0.2, -0.1, 0.3, 0.0, 0.1, -0.3, 0.25, 0.05, -0.2], T=20.0)
+@example(lam=[4.0, -1.0, 1.0], mix=[-0.3, 0.2, 0.1, 0.3, -0.2, 0.0, 0.1, 0.1, 0.3], T=20.0)
+def test_property_linear_systems_match_their_closed_form_times(lam, mix, T):
+    # x'' = -A x with A = S diag(lambda) S^-1: conjugate times k pi / sqrt(l)
+    # for every l > 0, multiplicity the number of (l, k) that coincide there
+    m = len(lam)
+    S = np.eye(m) + np.reshape(mix[:m * m], (m, m))
+    A = S @ np.diag(lam) @ np.linalg.inv(S)
+    xs = [scalar.var_expr(f"x{j+1}") for j in range(m)]
+    model = pm.SODEModel(m=m, F=tuple(scalar.linear_combination(xs, -row) for row in A),
+                         autonomous=True)
+    res, oracle = _both_routes(model, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)[:2 * m], T)
+    expected = _expected_times(lam, T)
+    for found in (res.conjugate_times, oracle):
+        assert [c.multiplicity for c in found] == [mult for _, mult in expected]
+        for c, (t, _) in zip(found, expected):
+            assert abs(c.t_star - t) < 1e-6        # 3.4e-8 seen with e^20 growth
+    # the eigenlines of A span the frame, so the Sturm verdict counts multiplicity
+    assert len(res.bounds.eigenline_tracks) == m
+    assert "violated" not in res.report["bounds"]["verdicts"].values()
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_kernel_bases_have_a_positive_largest_entry(name):
+    # the sign of a kernel vector is fixed, not left to the SVD
+    entry = catalog.ENTRIES[name]
+    model, _ = catalog.build(name)
+    res, oracle = _both_routes(model, entry.default_x0, entry.default_T)
+    vectors = [k for c in res.conjugate_times + oracle for k in c.kernel_basis]
+    assert vectors
+    for k in vectors:
+        assert k[np.argmax(np.abs(k))] > 0.0
+    for c in res.conjugate_times + oracle:
+        basis = np.array(c.kernel_basis)
+        assert np.allclose(basis @ basis.T, np.eye(c.multiplicity), atol=1e-14)
 
 
 def test_variational_oracle_raises_R2_on_a_degenerate_frame():
