@@ -89,7 +89,8 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     js = ft.jacobi_solution
     grid = js.grid()
 
-    regularity = pair_mod.check_regularity(pair, ft.x(_subsample(ft.joint.steps)).T)
+    # points at accepted steps are the stored states, read without a lookup
+    regularity = pair_mod.check_regularity(pair, _subsample(ft.joint.states)[:, :pair.n])
 
     closed = _closed_orbit_suspected(ft)
     if closed:
@@ -110,7 +111,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     ham_section = None
     if sigma is not None:
         sh = hamiltonian.SemiHamiltonianModel(pair=pair, sigma=sigma)
-        pts = ft.x(_subsample(ft.joint.steps, 12)).T
+        pts = _subsample(ft.joint.states, 12)[:, :pair.n]
         metric_info = hamiltonian.induced_metric(sh, x0_full)
         # G(0) = I, so the first normal curvature sample is K at x0
         selfadj = hamiltonian.check_K_selfadjoint(metric_info["g"], K_track[0])

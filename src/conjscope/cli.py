@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 regularity failure along the
 trajectory, 3 a bound verdict came back ``violated`` (which points at an
-implementation bug, not at the mathematics).  Report JSON is deterministic:
-same arguments, byte-identical output.
+implementation bug, not at the mathematics).  A report with both failures
+exits 3, and a sweep exits with the largest code of its values.  Report JSON
+is deterministic: same arguments, byte-identical output.
 """
 
 from __future__ import annotations
@@ -187,13 +188,19 @@ def cmd_analyze(args):
     if args.csv:
         _write_curves(sys.stdout, columns, rows)
 
-    if not report["regularity"]["all_ok"]:
-        print("regularity check failed along the trajectory", file=sys.stderr)
-        return 2
+    code = _exit_code(report)
+    if code:
+        print("a bound verdict is 'violated'; this indicates a bug" if code == 3
+              else "regularity check failed along the trajectory", file=sys.stderr)
+    return code
+
+
+def _exit_code(report):
+    """3 when a bound verdict is ``violated``, else 2 when the regularity
+    check failed along the trajectory, else 0."""
     if any(v == "violated" for v in report["bounds"]["verdicts"].values()):
-        print("a bound verdict is 'violated'; this indicates a bug", file=sys.stderr)
         return 3
-    return 0
+    return 0 if report["regularity"]["all_ok"] else 2
 
 
 def _sweep_values(spec):
@@ -226,7 +233,6 @@ def cmd_sweep(args):
     header = [name, "first_conjugate_time", "n_conjugate_times", "min_sigma_min_dip",
               "verdict_max_eig_bound", "verdict_trace_bound", "verdict_sturm_bound"]
     lines = [",".join(header)]
-    worst = 0
     for value, result in zip(values, results):
         rep = result.report
         cts = rep["conjugate_times"]
@@ -241,10 +247,6 @@ def cmd_sweep(args):
             verdicts["trace_bound"],
             verdicts["sturm_bound"],
         ]))
-        if not rep["regularity"]["all_ok"]:
-            worst = max(worst, 2)
-        if any(v == "violated" for v in verdicts.values()):
-            worst = max(worst, 3)
     text = "\n".join(lines) + "\n"
     if args.out:
         out = Path(args.out)
@@ -252,7 +254,7 @@ def cmd_sweep(args):
         (out / "sweep.csv").write_text(text)
     else:
         sys.stdout.write(text)
-    return worst
+    return max((_exit_code(result.report) for result in results), default=0)
 
 
 def cmd_catalog(args):

@@ -4,16 +4,19 @@ A working frame of the distribution becomes a normal frame along a trajectory
 after multiplication by the matrix solution G of the transport equation
 X(G) = -H1 G / 2; the curvature matrix expressed in that frame is the
 coefficient matrix of the Jacobi equation.  The base point, G and the Jacobi
-fields are one ODE solve, whose right-hand side reads only the structure
-matrices H0, H1 of the bracket relation; the normal curvature is computed
-afterwards, on whatever times it is asked for, from the transported point and
-G: on an array of times, one dense lookup (on the grid, the one every grid
-reader shares), one curvature call per block of points and one batched solve.
+fields are one ODE solve, whose right-hand side makes one pair call,
+``pair.structure_at``, for X and the structure matrices H0, H1 of the bracket
+relation, so no field is evaluated twice per step.  The normal curvature is
+computed afterwards, on whatever times it is asked for, from the transported
+point and G: on an array of times, one dense lookup (on the grid, the one
+every grid reader shares), one curvature call per block of points and one
+batched solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -78,9 +81,8 @@ def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
     if abs(np.linalg.det(G0)) < 1e-300:
         raise ValueError("G0 must be invertible")
 
-    fld = pair.field_callable()
-    js = jacobi.integrate_jacobi(lambda x: (fld(x), *pair_mod.structure_at(pair, x)),
-                                 x0, G0, T, rel_tol=rel_tol, abs_tol=abs_tol)
+    js = jacobi.integrate_jacobi(partial(pair_mod.structure_at, pair), x0, G0, T,
+                                 rel_tol=rel_tol, abs_tol=abs_tol)
 
     dets = np.abs(np.linalg.det(js.joint.states[:, n:n + m * m].reshape(-1, m, m)))
     collapsed = np.flatnonzero(dets < 1e-12 * abs(np.linalg.det(G0)))

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ode, pair as pair_mod
-from .errors import RegularityViolation
 
 DETECT_TOL = 1e-8        # refined dip of a scale-free track counted as zero
 RANK_TOL = 1e-7          # singular values of a scale-free track below this count into the kernel
@@ -222,13 +221,7 @@ def variational_oracle(pair, x0, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEF
         z = joint.at(np.atleast_1d(t))
         D = np.concatenate(pair_mod.on_blocks(lambda xs: pair_mod.frame_at(pair, xs), z[:n]),
                            axis=-1)
-        cond = np.linalg.cond(D)
-        bad = cond > pair_mod.COND_LIMIT
-        if bad.any():
-            k = int(np.argmax(bad))           # the first ill-conditioned sample
-            raise RegularityViolation(
-                f"frame + bracket matrix ill-conditioned along the trajectory (cond={cond[k]:.3e})",
-                cond="R2", residual=float(cond[k]), point=z[:n, k])
+        pair_mod._raise_first_violation(z[:n], np.linalg.cond(D))
         W = np.moveaxis(z[n:], 0, -1).reshape(-1, n, m)
         out = np.concatenate([_orthonormal(D[..., :m]), _orthonormal(W)], axis=-1)
         return out if np.ndim(t) else out[0]

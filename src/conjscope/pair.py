@@ -349,7 +349,7 @@ def brackets_at(pair: GenericPair, x):
     return _unstack(one, x_val, _T(V_rows), _T(XV_rows), _T(XXV))
 
 
-def _raise_first_violation(points, cond_D, residual):
+def _raise_first_violation(points, cond_D, residual=0.0):
     """RegularityViolation at the first point, in stack order, whose [V | XV]
     is ill-conditioned (R2) or whose iterated bracket leaves its span (I)."""
     bad = (cond_D > COND_LIMIT) | (residual > INVARIANCE_TOL)
@@ -415,14 +415,10 @@ def flow_derivative_H1(pair: GenericPair, x):
 # -- closed-form path for second-order systems -------------------------------
 
 def _sode_point(pair: GenericPair, x):
-    model = pair.sode
-    x = np.asarray(x, dtype=float)
-    m = model.m
-    if model.autonomous:
-        t, xs, ys = 0.0, x[:m], x[m:]
-    else:
-        t, xs, ys = x[0], x[1:m + 1], x[m + 1:]
-    return model, t, xs, ys
+    """The model, t, x and y of a point or a stack of the lifted space."""
+    model, x = pair.sode, np.asarray(x, dtype=float)
+    t, x = (0.0, x) if model.autonomous else (x[0], x[1:])
+    return model, t, x[:model.m], x[model.m:]
 
 
 def sode_curvature(model: SODEModel, t, x, y):
@@ -437,13 +433,13 @@ def sode_curvature(model: SODEModel, t, x, y):
     K = -dF/dx - (1/4) (dF/dy)^2 + (1/2) X(dF/dy).  The derivative of H1
     along X is exact here (no finite difference).  x and y may be (m, N)
     stacks, with t a real or N times."""
-    dFdx, dFdy, X_dFdy = _force_jet(model, t, x, y)
+    _, dFdx, dFdy, X_dFdy = _force_jet(model, t, x, y)
     return -dFdx - 0.25 * dFdy @ dFdy + 0.5 * X_dFdy
 
 
 def _force_jet(model: SODEModel, t, x, y):
-    """dF/dx, dF/dy and the derivative X(dF/dy) of dF/dy along the lifted
-    field X = (1, y, F), from one jet of the force."""
+    """F, dF/dx, dF/dy and the derivative X(dF/dy) of dF/dy along the lifted
+    field X = (1, y, F), from one evaluation and one jet of the force."""
     m = model.m
     env = model.force_bindings(t, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     F_val = evaluate(model.F, env)
@@ -453,18 +449,22 @@ def _force_jet(model: SODEModel, t, x, y):
     if not model.autonomous:
         u["t"] = 1.0
     _, J, Hu = _jet(model.F, x_names + y_names, env, u)
-    return J[..., :m], J[..., m:], Hu[..., m:]
+    return F_val, J[..., :m], J[..., m:], Hu[..., m:]
 
 
 def structure_at(pair: GenericPair, x):
-    """(H0, H1) of the bracket relation [X, XV] = V H0 + XV H1 at x: one jet
-    of the force for lifted second-order systems (H1 = -dF/dy,
-    H0 = dF/dx - X(dF/dy)), one ``extract_H`` otherwise."""
+    """X and the structure matrices (H0, H1) of [X, XV] = V H0 + XV H1 at x,
+    the base of the joint Jacobi solve: one evaluation and one jet of the
+    force for lifted second-order systems (X = (1, y, F), without the 1 when
+    autonomous; H1 = -dF/dy, H0 = dF/dx - X(dF/dy)), one ``extract_H``
+    otherwise.  X is (n,) at a point and (n, N) on a stack."""
     if pair.sode is not None:
-        dFdx, dFdy, X_dFdy = _force_jet(*_sode_point(pair, x))
-        return dFdx - X_dFdy, -dFdy
+        model, t, xs, ys = _sode_point(pair, x)
+        F, dFdx, dFdy, X_dFdy = _force_jet(model, t, xs, ys)
+        X = np.concatenate(([] if model.autonomous else [np.ones_like(ys[:1])]) + [ys, F.T])
+        return X, dFdx - X_dFdy, -dFdy
     data = extract_H(pair, x)
-    return data.H0, data.H1
+    return data.X.T, data.H0, data.H1
 
 
 def curvature_at(pair: GenericPair, x):

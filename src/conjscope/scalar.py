@@ -9,8 +9,11 @@ AIAA 2011-886): the value, the derivative e1 along a direction i, and per
 direction j the derivative e2 and the mixed second derivative e12, so one call
 yields the value, the Jacobian and the Hessian contracted with i of a whole
 field (forward-mode Taylor propagation, Griewank & Walther, *Evaluating
-Derivatives*, 2008).  Slots that are statically zero are left out of the
-generated code, and the value slot is bitwise equal to plain evaluation.
+Derivatives*, 2008).  A request is one i and a sequence of directions j (a
+single j is a sequence of one); e1 is always seeded along i alone, so no
+derivative depends on how it was requested.  Slots that are statically zero
+are left out of the generated code, and the value slot is bitwise equal to
+plain evaluation.
 
 The generated statements are written out twice.  The scalar kernel runs them
 over float locals at one point; the ODE right-hand sides call it.  The array
@@ -325,14 +328,15 @@ def _pretty(node, parent_level):
 # Every slot is computed by the hyper-dual formula of its node, term for term
 # and in the same order, with the terms of statically zero slots left out.
 #
-# Each direction j is its own projection: its e2 and e12 slots, and the e1
-# slots they read, are computed as a hyper-dual evaluation seeded along i and
-# that j alone computes them.  A node counts as hyper-dual in a projection
-# when it depends on a name seeded there, and division and sqrt take their
-# formula and domain check from that.  So one column of a multi-direction call
-# is bitwise equal to the single-direction call.  Identical expressions are
-# computed once, which shares the value slots and every e1 slot that does not
-# depend on the projection.
+# A request is an i seed and a sequence of directions j.  The e1 slots are
+# computed as the hyper-dual evaluation seeded along i alone, and each
+# direction j is its own projection: its e2 and e12 slots, and the e1 slots
+# they read, are computed as the evaluation seeded along i and that j alone.
+# A node counts as hyper-dual in a projection when it depends on a name seeded
+# there, and division and sqrt take their formula and domain check from that.
+# So no output depends on the other directions of the request.  Identical
+# expressions are computed once, which shares the value slots and every e1
+# slot that does not depend on the projection.
 #
 # The same generated statements make two kernels.  The scalar kernel binds
 # floats and runs on float locals.  The array kernel binds, per name, a float
@@ -638,14 +642,11 @@ def _source(head, body, outputs, array):
 
 def _compile(progs, key):
     """Kernels of the sequence ``progs`` for ``key``: None (plain values) or
-    (i seed, j seeds, multi)."""
-    if key is None:
-        projections, out_cols = (), 0
-    else:
-        ikey, jkeys, multi = key
-        columns = [(ikey, jk, c) for c, jk in enumerate(jkeys)]
-        projections = tuple([(ikey, None, None)] + columns if multi else columns)
-        out_cols = len(jkeys)
+    (i seed, j seeds)."""
+    projections = ()
+    if key is not None:
+        ikey, jkeys = key
+        projections = ((ikey, None, None),) + tuple((ikey, jk, c) for c, jk in enumerate(jkeys))
     gen = _Codegen(projections)
     for prog in progs:
         for name in prog.free_vars:
@@ -653,10 +654,10 @@ def _compile(progs, key):
     results = [gen.gen(prog.ast) for prog in progs]
     out = [v for v, _ in results]
     if projections:
-        first = len(projections) - out_cols
+        cols = range(1, len(projections))
         out += [s[0][0] for _, s in results]
-        out += [s[first + c][1] for _, s in results for c in range(out_cols)]
-        out += [s[first + c][2] for _, s in results for c in range(out_cols)]
+        out += [s[c][1] for _, s in results for c in cols]
+        out += [s[c][2] for _, s in results for c in cols]
     return _Kernel(gen, out)
 
 
@@ -812,46 +813,44 @@ def second_partials(progs, point, i, j):
     component, which give directional derivatives; only the names they
     mention are seeded.  ``j`` may also be a sequence of names or mappings.
 
-    One program and one j give four floats; a sequence of k programs gives
-    four arrays (the rows of a 4 x k array).  A sequence of ncols directions
-    j gives the value and d/di (floats, or arrays of k), then d/dj and
-    d2/didj with one entry per direction (ncols, or k x ncols arrays).  With
-    one j, d/di is computed as the hyper-dual evaluation seeded along i and j
-    computes it; with a sequence, as seeded along i alone (the two can differ
-    in the last bit where a division's numerator depends on j only).
+    A sequence of ncols directions j gives the value and d/di (floats, or
+    arrays of k for a sequence of k programs), then d/dj and d2/didj with one
+    entry per direction (ncols, or k x ncols arrays).  A single j is the
+    request of one direction and gives its column: four floats for one
+    program, four arrays (the rows of a 4 x k array) for k.  d/di is always
+    the hyper-dual evaluation seeded along i alone, and each column the
+    evaluation seeded along i and its j alone, so no output depends on how
+    many directions are requested with it.
 
     A point of arrays over N points (and direction components that are
     reals or such arrays) runs the array kernel once and gives every output
     above with a leading axis of length N, each row bitwise equal to the
     call at that point."""
-    multi = not isinstance(j, (str, dict, Mapping))
-    cols = tuple(j) if multi else (j,)
-    kernel, live, N = _run(progs, (_seed_key(i), tuple(_seed_key(c) for c in cols), multi),
+    one = isinstance(j, (str, Mapping))
+    cols = (j,) if one else tuple(j)
+    kernel, live, N = _run(progs, (_seed_key(i), tuple(_seed_key(c) for c in cols)),
                            point, i, cols)
     single = isinstance(progs, ExprProgram)
     nc = len(cols)
+    k = kernel.size // (2 + 2 * nc)
     if N is None:
         if kernel.index is None:
             flat = np.array(live, dtype=float)
         else:
             flat = np.zeros(kernel.size)
             flat[kernel.index] = live
-        if not multi:
+        if one:
             return tuple(flat.tolist()) if single else flat.reshape(4, -1)
         if single:
             return (*flat[:2].tolist(), flat[2:2 + nc], flat[2 + nc:])
-        k = kernel.size // (2 + 2 * nc)
         e2 = flat[2 * k:].reshape(2, k, nc)
         return flat[:k], flat[k:2 * k], e2[0], e2[1]
     # a point of arrays: the same outputs with a leading point axis
-    if not multi:
-        if single:
-            return tuple(_fill(kernel, live, [np.zeros(N) for _ in range(4)]))
-        out = np.zeros((4, N, kernel.size // 4))
-        _fill(kernel, live, list(out))
-        return out
-    k = 1 if single else kernel.size // (2 + 2 * nc)
     head = (N,) if single else (N, k)
+    if one:
+        out = np.zeros((4,) + head)
+        _fill(kernel, live, list(out))
+        return tuple(out) if single else out
     return tuple(_fill(kernel, live, [np.zeros(head), np.zeros(head),
                                       np.zeros(head + (nc,)), np.zeros(head + (nc,))]))
 

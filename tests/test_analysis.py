@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 
 from conjscope import analysis, catalog, frames, jacobi, ode, pair as pm
+from conjscope import hamiltonian
 from conjscope.errors import ClosedOrbitWarning
 
 
@@ -412,6 +413,47 @@ def test_analyze_samples_P_on_the_grid_once(monkeypatch):
     samples = P(res.jacobi_solution, res.grid)
     assert np.array_equal(res.sigma_min_track,
                           np.linalg.svd(samples, compute_uv=False).min(axis=-1))
+
+
+def test_step_point_samples_read_the_stored_states(monkeypatch):
+    # the regularity and Hamiltonian samples sit on accepted steps, where a
+    # dense lookup returns the stored state: analyze takes them from the
+    # states, bitwise the same points, and looks none of them up
+    looked_up = []
+    call = scipy.integrate.OdeSolution.__call__
+
+    def recording(self, t):
+        if np.ndim(t) == 1:
+            looked_up.append(np.array(t))
+        return call(self, t)
+
+    sampled = {}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(model, points, *args, **kwargs):
+            sampled[name] = np.array(points)
+            return original(model, points, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(pm, "check_regularity")
+    spy(hamiltonian, "check_lagrangian")
+    monkeypatch.setattr(scipy.integrate.OdeSolution, "__call__", recording)
+    model, sigma = catalog.build("mechanical")
+    entry = catalog.ENTRIES["mechanical"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T, sigma=sigma)
+    ft = res.transport
+    steps = ft.joint.steps
+    assert not [t for t in looked_up if np.isin(t, steps).all()]
+    assert len(sampled["check_regularity"]) == analysis.MAX_SAMPLE_POINTS
+    assert len(sampled["check_lagrangian"]) == 12
+    assert sampled["check_regularity"].tobytes() == \
+        ft.x(analysis._subsample(steps)).T.tobytes()
+    assert sampled["check_lagrangian"].tobytes() == \
+        ft.x(analysis._subsample(steps, 12)).T.tobytes()
 
 
 @pytest.mark.parametrize("name", ["perturbed_pair", "dancing"])

@@ -1,6 +1,9 @@
 import json
 import math
 import warnings
+from types import SimpleNamespace
+
+import pytest
 
 from conjscope import cli
 
@@ -210,6 +213,31 @@ def test_sweep_harmonic_first_times(tmp_path):
     for line, omega in zip(lines, (1.0, 2.0, 4.0)):
         first = float(line.split(",")[1])
         assert abs(first - math.pi / omega) < 1e-6
+
+
+def _stub_report(all_ok, verdict):
+    verdicts = {"max_eig_bound": verdict, "trace_bound": "consistent",
+                "sturm_bound": "consistent"}
+    return {"regularity": {"all_ok": all_ok}, "bounds": {"verdicts": verdicts},
+            "conjugate_times": [], "sigma_min_dips": []}
+
+
+@pytest.mark.parametrize("all_ok, verdict, code", [
+    (True, "consistent", 0), (False, "consistent", 2), (True, "violated", 3),
+    (False, "violated", 3)])
+def test_analyze_and_sweep_share_one_exit_code_rule(monkeypatch, tmp_path, capsys,
+                                                    all_ok, verdict, code):
+    # a violated verdict (a bug) outranks a regularity failure, in analyze as
+    # in sweep, which exits with the largest code of its values
+    reports = iter([_stub_report(True, "consistent"), _stub_report(all_ok, verdict),
+                    _stub_report(all_ok, verdict)])
+    monkeypatch.setattr(cli, "_run_analysis",
+                        lambda args, overrides=None: SimpleNamespace(report=next(reports)))
+    monkeypatch.setattr(cli.analysis, "curve_rows", lambda result: (["t"], []))
+    monkeypatch.setenv("CONJSCOPE_THREADS", "1")
+    assert run_cli(["sweep", "--system", "harmonic", "--sweep", "omega=1,2",
+                    "--out", str(tmp_path / "sweep")]) == code
+    assert run_cli(["analyze", "--system", "harmonic", "--out", str(tmp_path / "run")]) == code
 
 
 def test_catalog_listing(capsys):

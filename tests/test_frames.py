@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conjscope import catalog, frames, jacobi, ode, pair as pm
+from conjscope import scalar
 from conjscope.errors import ZeroDirection
 
 
@@ -246,3 +247,35 @@ def test_generic_K_normal_on_a_grid_matches_scalar_calls():
     assembled = [np.linalg.solve(G, pm.curvature_at(gen, x) @ G)
                  for x, G in zip(ft.x(grid).T, ft.G(grid))]
     assert np.array_equal(stacked, assembled)
+
+
+@pytest.mark.parametrize("kind", ["autonomous", "nonautonomous", "generic"])
+def test_joint_solve_makes_one_field_evaluation_per_rhs_call(monkeypatch, kind):
+    # the base of the joint solve is the pair call structure_at, which gives X
+    # with (H0, H1): one scalar.evaluate per right-hand-side evaluation, on a
+    # lifted second-order system (the force) and on a generic pair (X)
+    calls = []
+    evaluate = scalar.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(scalar, "evaluate", counting)
+    monkeypatch.setattr(pm, "evaluate", counting)
+    model = pm.SODEModel(m=2, F=("-x1 - 0.2*y1*x2 + 0.1*t", "-2*x2 + 0.3*sin(t)*y2 - 0.1*y1"),
+                         autonomous=False)
+    if kind == "autonomous":
+        model, _ = catalog.build("perturbed_pair", {"eps": 0.05})
+    pr = pm.lift_sode(model)
+    if kind == "generic":
+        pr = pm.GenericPair(coords=pr.coords, X=pr.X, vframe=pr.vframe, params=pr.params)
+    x0 = pm.full_x0(model, pr, [0.3, -0.2, 1.0, 0.4])
+    ft = frames.transport_normal_frame(pr, x0, 3.0)
+    js = ft.jacobi_solution
+    assert js.base.func is pm.structure_at and js.base.args == (pr,)
+    assert len(calls) == js.joint.n_rhs_evals > 0
+    # X is the pair's own field, bitwise, at a point and on a stack
+    z = js.joint.states[::7, :pr.n]
+    assert np.array_equal(js.base(z[3])[0], pr.X_at(z[3]))
+    assert np.array_equal(js.base(z.T)[0], pr.X_at(z.T).T)

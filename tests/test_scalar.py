@@ -199,6 +199,22 @@ def test_direction_columns_take_their_own_division_formula():
                 assert (e2[k, b].hex(), e12[k, b].hex()) == (single[2].hex(), single[3].hex())
 
 
+def test_single_direction_d_di_is_the_one_column_request():
+    # d/di is the evaluation seeded along i alone, however j is written, also
+    # where a division's numerator depends on j only (a plain value along i)
+    rng = np.random.default_rng(0)
+    draws = rng.uniform(-2.0, 2.0, size=(2000, 2))
+    stack = {"x": draws[:, 0], "y": draws[:, 1]}
+    for text in ("y/(x*x + 1)", "sin(y)/(x - 3)", "(y*y + 2)/exp(x)"):
+        prog = parse(text)
+        for x, y in draws.tolist():
+            point = {"x": x, "y": y}
+            assert second_partials(prog, point, "x", "y")[1].hex() == \
+                second_partials(prog, point, "x", ["y"])[1].hex()
+        assert second_partials(prog, stack, "x", "y")[1].tobytes() == \
+            second_partials(prog, stack, "x", ["y"])[1].tobytes()
+
+
 def test_negative_constant_base_is_parenthesised():
     # Python reads -0.5 ** 2 as -(0.5 ** 2)
     assert evaluate(ExprProgram(Pow(Const(-0.5), 2), ()), {}) == 0.25
@@ -367,6 +383,17 @@ def test_property_direction_columns_bitwise_equal_single_direction(tree_list, po
             single = second_partials(prog, point, i, j)
             assert [val[k].hex(), e2[k, b].hex(), e12[k, b].hex()] == \
                 [float(single[s]).hex() for s in (0, 2, 3)]
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(trees(negative=True), min_size=1, max_size=3), points, directions,
+       st.lists(st.one_of(st.sampled_from(NAMES), directions), min_size=1, max_size=3))
+def test_property_d_di_does_not_depend_on_the_directions_requested(tree_list, point, i, js):
+    progs = [program(t) for t in tree_list]
+    d_i = engine(scalar.Field(progs), point, i, js)[1]
+    for k, prog in enumerate(progs):
+        for j in js:
+            assert float(second_partials(prog, point, i, j)[1]).hex() == d_i[k].hex()
 
 
 def _point_stack(draw_points):
