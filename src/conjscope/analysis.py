@@ -1,8 +1,8 @@
 """End-to-end analysis pipeline and the report it produces.
 
 One call runs: one ODE solve of the trajectory, the normal-frame transport
-and the Jacobi fields (no curvature in it); regularity sampling; then, all on
-that solve's grid and its one dense lookup (``Trajectory.grid``), the
+and the Jacobi fields (no curvature in it); then, all on that solve's grid
+and its one dense lookup (``Trajectory.grid``), regularity sampling, the
 closed-orbit distances, detection on a scale-free track, the sigma_min curve
 of P, the normal curvature samples (one (N, m, m) array), the bound verdicts
 and (when a 2-form is supplied) the semi-Hamiltonian checks.  The normal frame
@@ -89,8 +89,9 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     js = ft.jacobi_solution
     grid = js.grid()
 
-    # points at accepted steps are the stored states, read without a lookup
-    regularity = pair_mod.check_regularity(pair, _subsample(ft.joint.states)[:, :pair.n])
+    # every sample point is a row of the grid's one cached lookup
+    points = ft.x(grid).T
+    regularity = pair_mod.check_regularity(pair, _subsample(points))
 
     closed = _closed_orbit_suspected(ft)
     if closed:
@@ -111,11 +112,12 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     ham_section = None
     if sigma is not None:
         sh = hamiltonian.SemiHamiltonianModel(pair=pair, sigma=sigma)
-        pts = _subsample(ft.joint.states, 12)[:, :pair.n]
+        pts = _subsample(points, 12)
         metric_info = hamiltonian.induced_metric(sh, x0_full)
         # G(0) = I, so the first normal curvature sample is K at x0
         selfadj = hamiltonian.check_K_selfadjoint(metric_info["g"], K_track[0])
-        ham_frames = hamiltonian.transported_frames(sh, ft, _subsample(grid, 24))
+        ham_frames = hamiltonian.transported_frames(sh, _subsample(points, 24).T,
+                                                    _subsample(ft.G(grid), 24))
         flags = []
         if selfadj > SELFADJOINT_FLAG_TOL:
             flags.append("curvature_not_selfadjoint")

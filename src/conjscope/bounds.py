@@ -128,7 +128,10 @@ def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
 
 def sturm_zeros(ts, lam_track, T):
     """Zeros on (0, T] of y'' = -lam(t) y, y(0) = 0, y'(0) = 1 with lam
-    interpolated through the samples."""
+    interpolated through the samples.  Sign changes are located on the
+    solve's grid; T itself counts when y vanishes there within the verdicts'
+    slack, |y(T)| <= VERDICT_SLACK |y'(T)|, as detection counts a touch at
+    the last grid point."""
     ts = np.asarray(ts, dtype=float)
     lam = CubicSpline(ts, np.asarray(lam_track, dtype=float))
 
@@ -138,7 +141,11 @@ def sturm_zeros(ts, lam_track, T):
 
     traj = ode.integrate(rhs, [0.0, 0.0, 1.0], T)
     grid = traj.grid()
-    return ode.locate_events(lambda t: traj.at(t)[1], grid, traj.at(grid)[1])
+    zeros = ode.locate_events(lambda t: traj.at(t)[1], grid, traj.at(grid)[1])
+    _, y, dy = traj.states[-1]
+    if abs(y) <= VERDICT_SLACK * abs(dy) and not (zeros and T - zeros[-1] <= VERDICT_SLACK):
+        zeros.append(float(T))
+    return zeros
 
 
 def bounds_report(K_samples, ts, m, T, detected_times) -> BoundsReport:

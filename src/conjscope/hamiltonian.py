@@ -173,16 +173,16 @@ def check_K_selfadjoint(g, K):
 
 # -- transported-frame diagnostics --------------------------------------------
 
-def transported_frames(model: SemiHamiltonianModel, ft, ts):
+def transported_frames(model: SemiHamiltonianModel, x, G):
     """sigma, the transported frame W = V G and its horizontal partner
-    XV G - V H1 G / 2 at the times ``ts``: three stacks along ``ts``, from
-    one ``extract_H`` call per block.  Both residuals below read them."""
+    XV G - V H1 G / 2 at the points ``x`` (n, N) of a trajectory, where the
+    normal-frame transport is ``G`` (N, m, m): three stacks along the points,
+    from one ``extract_H`` call per block.  Both residuals below read them."""
     def at(xs):
         data = pair_mod.extract_H(model.pair, xs, raise_on_violation=False)
         return model.sigma_at(xs), data.V, data.XV, data.H1
 
-    S, V, XV, H1 = on_blocks(at, ft.x(ts))
-    G = ft.G(ts)
+    S, V, XV, H1 = on_blocks(at, x)
     return S, V @ G, XV @ G - 0.5 * V @ (H1 @ G)
 
 

@@ -13,7 +13,11 @@ but the events-to-conjugate-times tail, so it cross-validates detection.
 Both routes hand that tail a scale-free track, built from orthonormalised
 stacks, whose singular values measure principal angles between subspaces
 (Bjorck & Golub, 1973): the rank and zero cuts are absolute, whatever the
-growth of the fields along the flow.
+growth of the fields along the flow.  The tail samples the track on the
+solve's grid and then resamples the two grid intervals around every dip that
+can reach the zero cut (``ode.dip_points``), evaluating only the new points,
+so conjugate times closer together than the grid spacing fall in separate
+intervals wherever the steps happen to put the samples.
 """
 
 from __future__ import annotations
@@ -129,18 +133,30 @@ def _conjugate_times(matrix_at, grid, rank_tol, zero_tol):
     stack on it.  The singular values measure principal angles (they lie in
     [0, sqrt 2]), so both cuts are absolute: multiplicity counts those at t*
     below rank_tol.  Square tracks add the determinant as a signed
-    companion.  Kernel bases are in the coordinates of the track's columns."""
+    companion.  Both are searched on ``grid`` merged with ``ode.dip_points``
+    of the track.  Kernel bases are in the coordinates of the track's
+    columns."""
+    # events inside the first dense subinterval are sign noise of the
+    # structural rank drop at t = 0, not conjugate times
+    t_floor = grid[1]
     samples = matrix_at(grid)
-    svals = np.linalg.svd(samples, compute_uv=False)
+    sigma_values = np.linalg.svd(samples, compute_uv=False)[:, -1]
+    # resample around every dip that can reach the zero cut, so that zeros
+    # closer than the grid spacing fall in separate intervals
+    extra = ode.dip_points(grid, sigma_values, zero_tol)
+    if len(extra):
+        new = matrix_at(extra)
+        order = np.argsort(np.concatenate([grid, extra]))
+        merge = lambda old, added: np.concatenate([old, added])[order]
+        sigma_values = merge(sigma_values, np.linalg.svd(new, compute_uv=False)[:, -1])
+        grid, samples = merge(grid, extra), merge(samples, new)
     sigma_min = lambda t: float(np.linalg.svd(matrix_at(t), compute_uv=False)[-1])
     det_like = det_values = None
     if samples.shape[1] == samples.shape[2]:
         det_like = lambda t: float(np.linalg.det(matrix_at(t)))
         det_values = np.linalg.det(samples)
-    # events inside the first dense subinterval are sign noise of the
-    # structural rank drop at t = 0, not conjugate times
-    events = _rank_events(sigma_min, svals[:, -1], det_like, det_values, grid, zero_tol,
-                          t_floor=grid[1])
+    events = _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol,
+                          t_floor)
     out = []
     for t_star, mode in events:
         _, s, Vt = np.linalg.svd(matrix_at(t_star))

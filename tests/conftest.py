@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45
+from scipy.integrate import DOP853
 
 from conjscope import jacobi, ode, pair as pair_mod
 
@@ -47,8 +47,8 @@ def _stays_bounded(field, x0, T):
             raise FloatingPointError("non-finite derivative")
         return dx
 
-    solver = RK45(rhs, 0.0, np.asarray(x0, dtype=float), T,
-                  rtol=ode.DEFAULT_REL_TOL, atol=ode.DEFAULT_ABS_TOL)
+    solver = DOP853(rhs, 0.0, np.asarray(x0, dtype=float), T,
+                    rtol=ode.DEFAULT_REL_TOL, atol=ode.DEFAULT_ABS_TOL)
     while solver.status == "running":
         solver.step()
         if np.max(np.abs(solver.y)) > STATE_BOUND:

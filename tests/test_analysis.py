@@ -147,8 +147,8 @@ def test_report_states_the_transport_and_jacobi_solves():
 
 
 def test_report_states_the_default_tolerances():
-    assert (ode.DEFAULT_REL_TOL, ode.DEFAULT_ABS_TOL) == (1e-11, 1e-13)
-    _check_report_states_the_solve((1e-11, 1e-13))
+    assert (ode.DEFAULT_REL_TOL, ode.DEFAULT_ABS_TOL) == (1e-13, 1e-15)
+    _check_report_states_the_solve((1e-13, 1e-15))
 
 
 def test_transport_and_jacobi_views_share_one_solution_and_grid():
@@ -416,15 +416,15 @@ def test_analyze_samples_P_on_the_grid_once(monkeypatch):
 
 
 def test_step_point_samples_read_the_stored_states(monkeypatch):
-    # the regularity and Hamiltonian samples sit on accepted steps, where a
-    # dense lookup returns the stored state: analyze takes them from the
-    # states, bitwise the same points, and looks none of them up
+    # the regularity and Hamiltonian samples, and the 24 points of the
+    # transported frames, are grid points: analyze reads them from the one
+    # cached lookup of the grid and looks none of them up again
     looked_up = []
     call = scipy.integrate.OdeSolution.__call__
 
     def recording(self, t):
         if np.ndim(t) == 1:
-            looked_up.append(np.array(t))
+            looked_up.append((self, np.array(t)))
         return call(self, t)
 
     sampled = {}
@@ -439,6 +439,7 @@ def test_step_point_samples_read_the_stored_states(monkeypatch):
 
     spy(pm, "check_regularity")
     spy(hamiltonian, "check_lagrangian")
+    spy(hamiltonian, "transported_frames")
     monkeypatch.setattr(scipy.integrate.OdeSolution, "__call__", recording)
     model, sigma = catalog.build("mechanical")
     entry = catalog.ENTRIES["mechanical"]
@@ -446,14 +447,17 @@ def test_step_point_samples_read_the_stored_states(monkeypatch):
         warnings.simplefilter("ignore")
         res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T, sigma=sigma)
     ft = res.transport
-    steps = ft.joint.steps
-    assert not [t for t in looked_up if np.isin(t, steps).all()]
+    grid = ft.grid()
+    on_grid = [t for sol, t in looked_up if sol is ft.joint._sol and np.isin(t, grid).all()]
+    assert len(on_grid) == 1 and np.array_equal(on_grid[0], grid)
     assert len(sampled["check_regularity"]) == analysis.MAX_SAMPLE_POINTS
     assert len(sampled["check_lagrangian"]) == 12
     assert sampled["check_regularity"].tobytes() == \
-        ft.x(analysis._subsample(steps)).T.tobytes()
+        ft.x(analysis._subsample(grid)).T.tobytes()
     assert sampled["check_lagrangian"].tobytes() == \
-        ft.x(analysis._subsample(steps, 12)).T.tobytes()
+        ft.x(analysis._subsample(grid, 12)).T.tobytes()
+    assert sampled["transported_frames"].tobytes() == \
+        ft.x(analysis._subsample(grid, 24)).tobytes()
 
 
 @pytest.mark.parametrize("name", ["perturbed_pair", "dancing"])

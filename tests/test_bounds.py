@@ -237,3 +237,24 @@ def test_sturm_verdict_ignores_multiplicity_when_lines_do_not_span():
     rep = bounds.bounds_report(Ks, ts, 3, 7.0, [(1.0, 1), (math.pi, 3), (2 * math.pi, 1)])
     assert len(rep.eigenline_tracks) == 1
     assert rep.verdicts["sturm_bound"] == "consistent"
+
+
+def test_sturm_verdict_counts_a_zero_at_the_horizon():
+    # detection counts a touch at the last grid point: y = sin t vanishes at
+    # T = 3 pi without a sign change on the solve's grid, and the line zero
+    # there is reported, once
+    Ks, ts = _const_samples(np.eye(2), n=60, T=3 * math.pi)
+    rep = bounds.bounds_report(Ks, ts, 2, 3 * math.pi,
+                               [(k * math.pi, 2) for k in (1, 2, 3)])
+    assert [len(tr.sturm_zeros) for tr in rep.eigenline_tracks] == [3, 3]
+    assert abs(rep.eigenline_tracks[0].sturm_zeros[-1] - 3 * math.pi) <= bounds.VERDICT_SLACK
+    assert rep.verdicts["sturm_bound"] == "consistent"
+
+
+def test_sturm_zeros_add_no_zero_short_of_the_horizon():
+    # |y(T)| = sin(1e-3) is far above the slack times |y'(T)|
+    T = 3 * math.pi - 1e-3
+    ts = np.linspace(0.0, T, 60)
+    zeros = bounds.sturm_zeros(ts, np.ones_like(ts), T)
+    assert len(zeros) == 2
+    assert all(abs(z - k * math.pi) < 1e-8 for z, k in zip(zeros, (1, 2)))

@@ -101,13 +101,26 @@ def test_rank_events_touches_and_merge():
 
 
 def test_harmonic_detection_refines_only_sigma_min_minima(monkeypatch):
-    # m = 1: sigma_min = |det P|, so refining both would double the searches
+    # m = 1: sigma_min = |det P|, so refining both would double the searches;
+    # the minima are searched on the detection grid, the solve's grid with
+    # DIP_POINTS / 2 points inside each interval next to a dip of the track
     js = jacobi_in_time(lambda t: np.array([[1.0]]), 1, 7.0)
-    grid = js.grid()
-    sig = js.sigma_min(grid)
-    last = len(grid) - 1
-    expected = [(grid[i - 1], grid[min(i + 1, last)]) for i in range(1, last + 1)
+
+    def minima(grid):
+        sig = js.sigma_min(grid)
+        last = len(grid) - 1
+        return [i for i in range(1, last + 1)
                 if sig[i] <= sig[i - 1] and sig[i] <= sig[min(i + 1, last)]]
+
+    grid = js.grid()
+    dips = minima(grid)
+    assert [round(grid[i], 2) for i in dips] == [round(math.pi, 2), round(2 * math.pi, 2)]
+    inside = [np.linspace(grid[j - 1], grid[j], ode.DIP_POINTS // 2 + 2)[1:-1]
+              for i in dips for j in (i, i + 1)]
+    fine = np.sort(np.concatenate([grid, *inside]))
+    assert len(fine) == len(grid) + 2 * ode.DIP_POINTS
+    last = len(fine) - 1
+    expected = [(fine[i - 1], fine[min(i + 1, last)]) for i in minima(fine)]
     searched = []
     refine = ode.refine_minimum
 
@@ -316,6 +329,10 @@ def _expected_times(lam, T):
        T=st.sampled_from((7.0, 12.0, 20.0)))
 @example(lam=[1.0, 1.0, -0.25], mix=[0.2, -0.1, 0.3, 0.0, 0.1, -0.3, 0.25, 0.05, -0.2], T=20.0)
 @example(lam=[4.0, -1.0, 1.0], mix=[-0.3, 0.2, 0.1, 0.3, -0.2, 0.0, 0.1, 0.1, 0.3], T=20.0)
+# times 1.6e-3 apart, closer than the grid spacing: detection resolves them
+# by resampling around each dip, wherever the steps put the samples
+@example(lam=[1.0, 1.001], mix=[0.2, -0.1, 0.3, 0.0, 0.1, -0.3, 0.25, 0.05, -0.2], T=4.0)
+@example(lam=[1.0, 1.001], mix=[0.2, -0.1, 0.3, 0.0, 0.1, -0.3, 0.25, 0.05, -0.2], T=7.0)
 def test_property_linear_systems_match_their_closed_form_times(lam, mix, T):
     # x'' = -A x with A = S diag(lambda) S^-1: conjugate times k pi / sqrt(l)
     # for every l > 0, multiplicity the number of (l, k) that coincide there
@@ -334,6 +351,24 @@ def test_property_linear_systems_match_their_closed_form_times(lam, mix, T):
     # the eigenlines of A span the frame, so the Sturm verdict counts multiplicity
     assert len(res.bounds.eigenline_tracks) == m
     assert "violated" not in res.report["bounds"]["verdicts"].values()
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("harmonic", lambda t: 6.8e-13),
+    ("sphere_spray", lambda t: 1.1e-12),
+    # touches: the time is golden-section refined to refine_minimum's tolerance
+    ("perturbed_pair", lambda t: 1e-12 * (1.0 + 2.0 * t)),
+])
+def test_catalog_defaults_match_their_closed_form_times(name, bound):
+    # conjugate times at k pi on both routes, within the errors of the
+    # earlier RK45 solve at 1e-11 / 1e-13, or of the touches' refinement
+    entry = catalog.ENTRIES[name]
+    model, _ = catalog.build(name)
+    res, oracle = _both_routes(model, entry.default_x0, entry.default_T)
+    for found in (res.conjugate_times, oracle):
+        assert len(found) == int(entry.default_T / math.pi + 1e-9)
+        for k, c in enumerate(found, start=1):
+            assert abs(c.t_star - k * math.pi) <= bound(k * math.pi)
 
 
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))

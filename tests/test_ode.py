@@ -110,7 +110,7 @@ def test_dense_evaluation_vectorized():
 
 def test_dense_evaluation_at_step_endpoints_returns_stored_states():
     # the array path agrees bitwise with the stored states, as the scalar path does
-    traj = ode.integrate(lambda x: np.array([x[1], -x[0]]), [0.0, 1.0], 20 * math.pi)
+    traj = ode.integrate(lambda x: np.array([x[1], -x[0]]), [0.0, 1.0], 24 * math.pi)
     assert traj.n_steps > 500
     assert traj.at(traj.steps).T.tobytes() == traj.states.tobytes()
     for i in range(0, len(traj.steps), 7):
@@ -161,3 +161,15 @@ def test_refined_minima_cut_skips_plateaus_and_keeps_zeros():
     values = np.array([plateau(t) for t in grid])
     assert len(ode.refined_minima(plateau, grid, values)) > 5
     assert ode.refined_minima(plateau, grid, values, cut=1e-8) == []
+
+
+def test_dip_points_resample_each_interval_next_to_a_dip_once():
+    # dips at 1 and 2 share the interval [1, 2], the last point counts, and
+    # the shallow minimum at 4 cannot fall to the cut
+    grid = np.arange(7.0)
+    values = np.array([4.0, 0.0, 0.0, 4.0, 3.0, 4.0, 0.0])
+    extra = ode.dip_points(grid, values, 1e-8)
+    inside = [np.linspace(j - 1.0, j, ode.DIP_POINTS // 2 + 2)[1:-1] for j in (1, 2, 3, 6)]
+    assert extra.tobytes() == np.concatenate(inside).tobytes()
+    assert len(np.unique(np.concatenate([grid, extra]))) == len(grid) + 4 * ode.DIP_POINTS // 2
+    assert ode.dip_points(grid, values + 10.0, 1e-8).size == 0
