@@ -5,8 +5,12 @@ and the Jacobi fields (no curvature in it); then, all on that solve's grid
 and its one dense lookup (``Trajectory.grid``), regularity sampling, the
 closed-orbit distances, detection on a scale-free track, the sigma_min curve
 of P, the normal curvature samples (one (N, m, m) array), the bound verdicts
-and (when a 2-form is supplied) the semi-Hamiltonian checks.  The normal frame
-is orthonormal, so the bounds read the normal curvature alone, with no metric.
+and (when a 2-form is supplied) the semi-Hamiltonian checks.  Three readers
+look beyond the grid: detection resamples around its dips, the bounds refine
+their extrema locally, and a grid shorter than MAX_SAMPLE_POINTS gives way
+to that many evenly spaced regularity and Hamiltonian samples.  The normal
+frame is orthonormal, so the bounds read the normal curvature alone, with no
+metric.
 The report is a plain nested dict that serializes to JSON losslessly and
 deterministically: no timestamps, no environment data, keys sorted at emission.
 """
@@ -77,7 +81,13 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     ``sigma`` optionally supplies the coordinate matrix of a 2-form for the
     semi-Hamiltonian checks.  ``x0`` is the 2m state (position, velocity) for
     second-order models; a leading time coordinate is added automatically for
-    nonautonomous systems.  ``rel_tol`` and ``abs_tol`` set the one ODE solve."""
+    nonautonomous systems.  ``rel_tol`` and ``abs_tol`` set the one ODE solve.
+
+    The report's ``sigma_min_dips`` and the ``sigma_min_P`` column of
+    ``curve_rows`` read sigma_min(P), the Jacobi matrix in the normal frame,
+    not the scale-free track b^ that detection cuts at ``zero_tol``: P grows
+    with the fields, so a dip does not show how close detection came to its
+    cut."""
     pair = pair_mod.as_pair(model)
     if x0 is None or T is None:
         raise ValueError("x0 and T are required")
@@ -89,8 +99,12 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     js = ft.jacobi_solution
     grid = js.grid()
 
-    # every sample point is a row of the grid's one cached lookup
-    points = ft.x(grid).T
+    # the sample points are rows of the grid's one cached lookup, or of
+    # MAX_SAMPLE_POINTS evenly spaced times when the grid is shorter
+    sample_ts = (grid if len(grid) >= MAX_SAMPLE_POINTS
+                 else np.linspace(0.0, T, MAX_SAMPLE_POINTS))
+    sample_x, sample_G = js.blocks(sample_ts)[:2]
+    points = sample_x.T
     regularity = pair_mod.check_regularity(pair, _subsample(points))
 
     closed = _closed_orbit_suspected(ft)
@@ -103,7 +117,8 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
 
     K_track = ft.K_normal(grid)
     brep = bounds_mod.bounds_report(K_track, grid, m, T,
-                                    [(c.t_star, c.multiplicity) for c in cts])
+                                    [(c.t_star, c.multiplicity) for c in cts],
+                                    K_at=ft.K_normal)
 
     sigma_track = js.sigma_min(grid)
     dips = [{"t": float(t), "value": float(v)}
@@ -117,7 +132,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
         # G(0) = I, so the first normal curvature sample is K at x0
         selfadj = hamiltonian.check_K_selfadjoint(metric_info["g"], K_track[0])
         ham_frames = hamiltonian.transported_frames(sh, _subsample(points, 24).T,
-                                                    _subsample(ft.G(grid), 24))
+                                                    _subsample(sample_G, 24))
         flags = []
         if selfadj > SELFADJOINT_FLAG_TOL:
             flags.append("curvature_not_selfadjoint")

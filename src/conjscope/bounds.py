@@ -16,6 +16,14 @@ bounds take no metric:
   decouples along them, and each detected time must have as its
   multiplicity the number of lines whose zeros fall on it.
 
+The figures the bounds read (the largest eigenvalue of the symmetric part,
+the smallest trace, the symmetry residual and each eigenline's infimum) are
+extrema of the samples.  When ``bounds_report`` can evaluate K at new times,
+it adds REFINE_ROUNDS rounds of REFINE_POINTS samples across the two
+intervals next to each extremum, so the figures do not move with the
+sampling grid.  The Sturm coefficient is a quintic interpolating spline
+through the samples.
+
 Every verdict compares a bound against the detected conjugate times with a
 fixed slack; the bounds are sharp for the harmonic oscillator, so the safe
 interval is half-open.
@@ -26,13 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import make_interp_spline
 
 from . import ode
 
 VERDICT_SLACK = 1e-6
 SYMMETRY_TOL = 1e-6
 EIGENLINE_TOL = 1e-6
+REFINE_ROUNDS = 2
+REFINE_POINTS = 16        # samples per round across an extremum's two intervals
 
 __all__ = ["BoundsReport", "EigenlineTrack", "theorem_safe_interval",
            "theorem_trace_bound", "detect_parallel_eigenlines", "sturm_zeros",
@@ -42,7 +52,7 @@ __all__ = ["BoundsReport", "EigenlineTrack", "theorem_safe_interval",
 @dataclass(frozen=True)
 class EigenlineTrack:
     direction: np.ndarray         # unit vector, constant in the normal frame
-    kappa: float                  # inf of the track
+    kappa: float                  # inf of the track, refined like the other figures
     predicted_first_zero: float | None
     sturm_zeros: tuple
 
@@ -59,13 +69,33 @@ class BoundsReport:
     verdicts: dict                # name -> consistent | violated | not_applicable
 
 
+def _max_sym_eig(Ks):
+    """Largest eigenvalue of the symmetric part of each matrix of a stack."""
+    return np.linalg.eigvalsh(0.5 * (Ks + np.swapaxes(Ks, 1, 2)))[:, -1]
+
+
+def _trace(Ks):
+    return np.trace(Ks, axis1=1, axis2=2)
+
+
+def _skew_ratio(Ks):
+    """Relative size of the skew part of each matrix (0 for a zero matrix)."""
+    scale = np.linalg.norm(Ks, axis=(1, 2))
+    skew = np.linalg.norm(Ks - np.swapaxes(Ks, 1, 2), axis=(1, 2))
+    return np.divide(skew, scale, out=np.zeros_like(scale), where=scale != 0.0)
+
+
+def _along(e):
+    """e^T K e of each matrix of a stack."""
+    return lambda Ks: (e[None, :] @ Ks @ e[:, None])[:, 0, 0]      # rounds as e^T K, then . e
+
+
 def theorem_safe_interval(K_samples, T):
     """Upper curvature bound and the interval it clears of conjugate times.
 
     Returns (lambda, t_c): no conjugate times in (0, t_c); t_c = T when
     lambda <= 0, else min(T, pi / sqrt(lambda))."""
-    Ks = np.asarray(K_samples, dtype=float)
-    lam = float(np.max(np.linalg.eigvalsh(0.5 * (Ks + np.swapaxes(Ks, 1, 2)))[:, -1]))
+    lam = float(np.max(_max_sym_eig(np.asarray(K_samples, dtype=float))))
     t_c = T if lam <= 0.0 else min(T, np.pi / np.sqrt(lam))
     return lam, t_c
 
@@ -76,7 +106,7 @@ def theorem_trace_bound(K_samples, m, T):
 
     Returns (T* or None, kappa, symmetry residual, reason)."""
     residual = symmetry_residual(K_samples)
-    kappa = float(np.min(np.trace(np.asarray(K_samples, dtype=float), axis1=1, axis2=2)))
+    kappa = float(np.min(_trace(np.asarray(K_samples, dtype=float))))
     if residual > SYMMETRY_TOL:
         return None, kappa, residual, "curvature not symmetric for the metric"
     if kappa <= 0.0:
@@ -89,11 +119,43 @@ def theorem_trace_bound(K_samples, m, T):
 
 def symmetry_residual(K_samples):
     """Largest relative size of the skew part of K over the samples."""
-    Ks = np.asarray(K_samples, dtype=float)
-    scale = np.linalg.norm(Ks, axis=(1, 2))
-    skew = np.linalg.norm(Ks - np.swapaxes(Ks, 1, 2), axis=(1, 2))
-    live = scale != 0.0
-    return float(np.max(skew[live] / scale[live], initial=0.0))
+    return float(np.max(_skew_ratio(np.asarray(K_samples, dtype=float)), initial=0.0))
+
+
+def _local_samples(figures, K_samples, ts, K_at):
+    """K (read by ``K_at``, an array of times -> the stack of K there) at
+    the times that refine the smallest sample of each figure, a map from a
+    stack of K to one value per matrix, over ``K_samples`` on ``ts``.
+
+    Each of REFINE_ROUNDS rounds reads REFINE_POINTS evenly spaced times
+    across the two intervals next to each figure's smallest sample so far,
+    every figure in one ``K_at`` call (windows that coincide are read
+    once).  Returns the stack of every matrix read."""
+    ts = np.asarray(ts, dtype=float)
+    samples = []
+    for f in figures:
+        v = f(K_samples)
+        near = np.unique(np.clip(np.argmin(v) + np.arange(-1, 2), 0, len(ts) - 1))
+        samples.append((ts[near], v[near]))
+    read = []
+    for _ in range(REFINE_ROUNDS):
+        windows = []
+        for t, v in samples:
+            k = int(np.argmin(v))
+            lo, hi = t[max(k - 1, 0)], t[min(k + 1, len(t) - 1)]
+            windows.append(np.linspace(lo, hi, REFINE_POINTS + 2)[1:-1])
+        times, where = np.unique(np.concatenate(windows), return_inverse=True)
+        read.append(K_at(times))
+        per_figure = read[-1][where].reshape((len(figures), REFINE_POINTS) + K_samples.shape[1:])
+        samples = [_merged(t, v, w, f(K))
+                   for (t, v), w, f, K in zip(samples, windows, figures, per_figure)]
+    return np.concatenate(read)
+
+
+def _merged(t, v, t_new, v_new):
+    """The samples (t, v) and (t_new, v_new) as one pair sorted by time."""
+    order = np.argsort(np.concatenate([t, t_new]), kind="stable")
+    return np.concatenate([t, t_new])[order], np.concatenate([v, v_new])[order]
 
 
 def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
@@ -119,7 +181,7 @@ def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
         e = v.real / np.linalg.norm(v.real)
         if any(abs(abs(e @ prev) - 1.0) < 1e-8 for prev, _ in lines):
             continue
-        track = (e[None, :] @ Ks @ e[:, None])[:, 0, 0]      # rounds as e^T K, then . e
+        track = _along(e)(Ks)
         residual = np.linalg.norm(Ks @ e - track[:, None] * e, axis=1)
         if not np.any(residual > tol * np.maximum(norms, 1e-14)):
             lines.append((e, track))
@@ -128,12 +190,12 @@ def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
 
 def sturm_zeros(ts, lam_track, T):
     """Zeros on (0, T] of y'' = -lam(t) y, y(0) = 0, y'(0) = 1 with lam
-    interpolated through the samples.  Sign changes are located on the
-    solve's grid; T itself counts when y vanishes there within the verdicts'
-    slack, |y(T)| <= VERDICT_SLACK |y'(T)|, as detection counts a touch at
-    the last grid point."""
+    the quintic spline interpolating the samples.  Sign changes are located
+    on the solve's grid; T itself counts when y vanishes there within the
+    verdicts' slack, |y(T)| <= VERDICT_SLACK |y'(T)|, as detection counts a
+    touch at the last grid point."""
     ts = np.asarray(ts, dtype=float)
-    lam = CubicSpline(ts, np.asarray(lam_track, dtype=float))
+    lam = make_interp_spline(ts, np.asarray(lam_track, dtype=float), k=5)
 
     def rhs(z):
         t, y, dy = z
@@ -148,34 +210,44 @@ def sturm_zeros(ts, lam_track, T):
     return zeros
 
 
-def bounds_report(K_samples, ts, m, T, detected_times) -> BoundsReport:
+def bounds_report(K_samples, ts, m, T, detected_times, K_at=None) -> BoundsReport:
     """Assemble every bound and its verdict against the detected times.
 
     ``detected_times`` is a list of (t, multiplicity) pairs from the Jacobi
-    pipeline.  Verdicts: ``consistent`` when the detections respect the bound,
-    ``violated`` otherwise (which indicates an implementation bug), and
-    ``not_applicable`` when a bound's hypotheses fail numerically."""
+    pipeline.  With ``K_at`` (an array of times -> the stack of K there),
+    the figures lambda_max, trK_min, the symmetry residual and each
+    eigenline's kappa read the samples together with local ones around
+    each figure's extremum among them (``_local_samples``), so the bound
+    times and verdicts read refined figures.  Verdicts: ``consistent`` when
+    the detections respect the bound, ``violated`` otherwise (which
+    indicates an implementation bug), and ``not_applicable`` when a bound's
+    hypotheses fail numerically."""
     K_samples = np.asarray(K_samples, dtype=float)
     det = sorted(t for t, _ in detected_times)
+    lines = detect_parallel_eigenlines(K_samples)
+    Ks = K_samples
+    if K_at is not None:
+        figures = [lambda K: -_max_sym_eig(K), _trace, lambda K: -_skew_ratio(K)]
+        local = _local_samples(figures + [_along(e) for e, _ in lines], K_samples, ts, K_at)
+        Ks = np.concatenate([K_samples, local])
 
-    lam, t_c = theorem_safe_interval(K_samples, T)
+    lam, t_c = theorem_safe_interval(Ks, T)
     safe_ok = all(t >= t_c - VERDICT_SLACK for t in det)
     verdicts = {"max_eig_bound": "consistent" if safe_ok else "violated"}
 
-    T_star, kappa, sym_res, reason = theorem_trace_bound(K_samples, m, T)
+    T_star, kappa, sym_res, reason = theorem_trace_bound(Ks, m, T)
     if T_star is None:
         verdicts["trace_bound"] = "not_applicable"
     else:
         hit = any(t <= T_star + VERDICT_SLACK for t in det)
         verdicts["trace_bound"] = "consistent" if hit else "violated"
 
-    lines = detect_parallel_eigenlines(K_samples)
     tracks = []
     solved = []                   # (track, zeros): equal tracks share one solve
     sturm_ok = True
     near = lambda z, t: abs(z - t) <= VERDICT_SLACK * (1.0 + abs(z))
     for e, track in lines:
-        kappa_i = float(np.min(track))
+        kappa_i = float(np.min(_along(e)(Ks)))
         predicted = float(np.pi / np.sqrt(kappa_i)) if kappa_i > 0 else None
         zeros = next((z for tr, z in solved if np.array_equal(tr, track)), None)
         if zeros is None:

@@ -1,4 +1,4 @@
-"""Normal-frame transport, normal curvature matrix and invariant metrics.
+"""Normal-frame transport and the normal curvature matrix.
 
 A working frame of the distribution becomes a normal frame along a trajectory
 after multiplication by the matrix solution G of the transport equation
@@ -21,10 +21,9 @@ from functools import partial
 import numpy as np
 
 from . import jacobi, ode, pair as pair_mod
-from .errors import SingularG, ZeroDirection
+from .errors import SingularG
 
-__all__ = ["FrameTransport", "transport_normal_frame", "invariant_metric_at",
-           "directional_curvature"]
+__all__ = ["FrameTransport", "transport_normal_frame"]
 
 
 @dataclass(frozen=True)
@@ -90,21 +89,3 @@ def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
         raise SingularG(f"|det G| collapsed at t={js.joint.steps[collapsed[0]]}")
     return FrameTransport(pair=pair, jacobi_solution=js)
 
-
-def invariant_metric_at(ft: FrameTransport, t):
-    """Metric on the distribution (working-frame coordinates) that makes the
-    transported normal frame orthonormal: (G G^T)^{-1} at t."""
-    G = ft.G(t)
-    return np.linalg.inv(G @ G.T)
-
-
-def directional_curvature(K, g, v):
-    """Rayleigh-type quotient g(Kv, v) / g(v, v)."""
-    K = np.asarray(K, dtype=float)
-    g = np.asarray(g, dtype=float)
-    v = np.asarray(v, dtype=float)
-    denom = float(v @ g @ v)
-    scale = 1e-14 * max(float(v @ v), 1e-300) * float(np.linalg.norm(g))
-    if abs(denom) <= scale:
-        raise ZeroDirection("direction is g-null")
-    return float((K @ v) @ g @ v) / denom

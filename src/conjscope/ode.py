@@ -7,7 +7,8 @@ per accepted step, 12 for the step (the derivative at its end is the next
 step's first stage) and 3 for the dense output.  A Trajectory value wraps
 it and owns the step mesh, the per-step interpolants and the evaluation
 grid used everywhere else for sampling, event search and report curves;
-the steps are long, so the grid cuts each into ``SAMPLES_PER_STEP`` pieces.
+the grid cuts each step into ``SAMPLES_PER_STEP`` pieces, and readers that
+need a finer spacing somewhere resample there (``dip_points``).
 
 Event search comes in two kinds, both over samples the caller has already
 taken on a grid: ``locate_events`` refines sign changes by bisection, and
@@ -31,8 +32,8 @@ from .errors import NonFiniteState, StepSizeUnderflow
 
 DEFAULT_REL_TOL = 1e-13
 DEFAULT_ABS_TOL = 1e-15
-SAMPLES_PER_STEP = 48
-DIP_POINTS = 32           # extra samples around each dip of a detection track
+SAMPLES_PER_STEP = 8
+DIP_POINTS = 256          # extra samples around each dip of a detection track
 
 __all__ = ["Trajectory", "integrate", "locate_events", "refine_minimum", "refined_minima",
            "dip_points", "dense_grid"]

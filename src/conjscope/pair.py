@@ -34,7 +34,6 @@ __all__ = [
     "PointFrameData",
     "RegularityReport",
     "lift_sode",
-    "bracket",
     "extract_H",
     "structure_at",
     "curvature_frame",
@@ -278,14 +277,6 @@ def _lstsq(D, B):
     scale = _fro(B)
     residual = _fro(D @ S - B) / np.where(scale > 0, scale, 1.0)
     return S, cond, residual
-
-
-def bracket(pair: GenericPair, A_exprs, B_exprs, x):
-    """Lie bracket [A, B](x) = (DB)(x) A(x) - (DA)(x) B(x), Jacobians by AD."""
-    env = pair.bindings(np.asarray(x, dtype=float))
-    a_val, Ja = _jacobian(tuple(_as_expr(e) for e in A_exprs), pair.coords, env)
-    b_val, Jb = _jacobian(tuple(_as_expr(e) for e in B_exprs), pair.coords, env)
-    return Jb @ a_val - Ja @ b_val
 
 
 @dataclass(frozen=True)

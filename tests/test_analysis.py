@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conjscope import analysis, catalog, frames, jacobi, ode, pair as pm
+from conjscope import analysis, bounds, catalog, frames, jacobi, ode, pair as pm
 from conjscope import hamiltonian
 from conjscope.errors import ClosedOrbitWarning
 
@@ -233,16 +233,28 @@ def test_batched_closed_orbit_check_matches_pointwise(name, x0, T):
     assert np.allclose(batched, pointwise, rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("name, T", [("harmonic", 1.0), ("sphere_spray", 2.0)])
+def test_regularity_coverage_does_not_depend_on_the_grid(name, T):
+    # grids shorter than MAX_SAMPLE_POINTS give way to that many evenly
+    # spaced times (harmonic at T = 1 takes 9 steps, a 73-point grid)
+    model, _ = catalog.build(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = analysis.analyze(model, x0=catalog.ENTRIES[name].default_x0, T=T)
+    assert len(res.grid) < analysis.MAX_SAMPLE_POINTS
+    assert res.report["regularity"]["points_checked"] == analysis.MAX_SAMPLE_POINTS
+
+
 def test_analyze_reads_the_curvature_track_in_one_call(monkeypatch):
     # the Jacobi right-hand side reads no curvature, so the track is the only
-    # K_normal call
+    # K_normal call on the grid; the bounds add one call per refinement round
     calls = []
     in_jacobi = []
     K_normal = frames.FrameTransport.K_normal
     integrate_jacobi = jacobi.integrate_jacobi
 
     def recording(self, t):
-        calls.append((np.ndim(t), bool(in_jacobi)))
+        calls.append((np.array(t), bool(in_jacobi)))
         return K_normal(self, t)
 
     def jacobi_solve(*args, **kwargs):
@@ -259,9 +271,11 @@ def test_analyze_reads_the_curvature_track_in_one_call(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T, sigma=sigma)
-    outside = [ndim for ndim, inside in calls if not inside]
-    assert outside == [1]
-    assert len(calls) == 1
+    assert not any(inside for _, inside in calls)
+    assert np.array_equal(calls[0][0], res.grid)
+    refinement = [t for t, _ in calls[1:]]
+    assert len(refinement) == bounds.REFINE_ROUNDS <= 2
+    assert all(t.ndim == 1 and 0.0 <= t.min() and t.max() <= res.grid[-1] for t in refinement)
     assert res.K_track.shape == (len(res.grid), 2, 2)
 
 
@@ -374,26 +388,44 @@ def test_generic_jacobi_solve_takes_no_curvature_derivative(monkeypatch):
     pair = _nonholonomic(("c", "d", "-a - 0.1*b + 0.2*a*c", "-b + 0.3*a - 0.1*c*d"))
     res = analysis.analyze(pair, x0=NONHOLONOMIC_X0, T=3.0)
     assert not any(inside for inside, _ in calls)
-    # the curvature samples difference H1 once at each grid point
-    sampled = np.concatenate([x for _, x in calls], axis=1)
+    # the curvature samples difference H1 once at each grid point, in
+    # ceil(N / BLOCK) blocks; the bounds' refinement adds one block per round
+    grid_blocks = -(-len(res.grid) // pm.BLOCK)
+    sampled = np.concatenate([x for _, x in calls[:grid_blocks]], axis=1)
     assert np.array_equal(sampled, res.transport.x(res.grid))
+    assert len(calls) - grid_blocks == bounds.REFINE_ROUNDS <= 2
 
 
 def test_generic_curvature_track_takes_one_call_per_block(monkeypatch):
     blocks = []
     curvature_at = pm.curvature_at
+    solving = []
+    integrate = ode.integrate
 
     def recording(pair, x):
-        blocks.append(np.shape(x))
+        blocks.append((np.shape(x), bool(solving)))
         return curvature_at(pair, x)
 
+    def solve(*args, **kwargs):
+        solving.append(1)
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            solving.pop()
+
     monkeypatch.setattr(pm, "curvature_at", recording)
+    monkeypatch.setattr(ode, "integrate", solve)
     pair = _nonholonomic(("c", "d", "-a - 0.1*b + 0.2*a*c", "-b + 0.3*a - 0.1*c*d"))
     res = analysis.analyze(pair, x0=NONHOLONOMIC_X0, T=3.0)
+    assert not any(inside for _, inside in blocks)
     assert len(res.grid) > pm.BLOCK
-    assert len(blocks) == -(-len(res.grid) // pm.BLOCK)
-    assert all(shape == (pair.n, pm.BLOCK) for shape in blocks[:-1])
-    assert sum(shape[1] for shape in blocks) == len(res.grid)
+    grid_blocks = -(-len(res.grid) // pm.BLOCK)
+    shapes = [shape for shape, _ in blocks]
+    assert all(shape == (pair.n, pm.BLOCK) for shape in shapes[:grid_blocks - 1])
+    assert sum(shape[1] for shape in shapes[:grid_blocks]) == len(res.grid)
+    # the bounds' refinement: one block per round
+    assert len(shapes) - grid_blocks == bounds.REFINE_ROUNDS <= 2
+    assert all(shape[1] <= pm.BLOCK for shape in shapes[grid_blocks:])
 
 
 def test_analyze_samples_P_on_the_grid_once(monkeypatch):

