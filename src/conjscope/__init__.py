@@ -8,7 +8,9 @@ their position, and checks semi-Hamiltonian structure when a 2-form is
 supplied.  Most users start from `catalog.build` or the `conjscope` CLI.
 """
 
-from . import analysis, bounds, catalog, cli, frames, hamiltonian, jacobi, ode, pair, scalar
+import importlib
+
+from . import analysis, bounds, catalog, frames, hamiltonian, jacobi, ode, pair, scalar
 from .analysis import analyze
 from .errors import ConjscopeError
 from .pair import GenericPair, SODEModel, lift_sode
@@ -20,3 +22,11 @@ __all__ = [
     "ode", "pair", "scalar", "analyze", "ConjscopeError", "GenericPair",
     "SODEModel", "lift_sode", "__version__",
 ]
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so that ``python -m conjscope.cli`` runs
+    # the module once, as __main__, rather than after a package import
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

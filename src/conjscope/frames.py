@@ -6,7 +6,9 @@ X(G) = -H1 G / 2; the curvature matrix expressed in that frame is the
 coefficient matrix of the Jacobi equation.  The base point, G and the Jacobi
 fields are one ODE solve, whose right-hand side makes one pair call,
 ``pair.structure_at``, for X and the structure matrices H0, H1 of the bracket
-relation, so no field is evaluated twice per step.  The normal curvature is
+relation, so no field is evaluated twice per step.  On a generic pair that
+call screens each point with a QR solve and a condition estimate, and leaves
+the SVD, which decides and reports regularity, to the points that fail.  The normal curvature is
 computed afterwards, on whatever times it is asked for, from the transported
 point and G: on an array of times, one dense lookup (on the grid, the one
 every grid reader shares), one curvature call per block of points and one

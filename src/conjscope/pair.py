@@ -10,7 +10,9 @@ canonical vertical/horizontal splitting and checks the regularity conditions.
 The bracket, structure and curvature functions take one point or a stack of
 points, and readers of a grid call them once per block of BLOCK points
 (``on_blocks``): one array-kernel call jets a whole block, and the linear
-algebra after it is batched over the block.
+algebra after it is batched over the block, except the screened QR solve of
+``structure_at``, which the Jacobi right-hand side calls at one point at a
+time and which goes point by point on a stack.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgels as _dgels, dtrcon as _dtrcon
 
 from . import scalar
 from .errors import RegularityViolation
@@ -357,13 +360,42 @@ def _raise_first_violation(points, cond_D, residual=0.0):
         cond="I", residual=float(residual[k]), point=x)
 
 
-def extract_H(pair: GenericPair, x, raise_on_violation=True):
-    """Solve [V | XV] (H0; H1) = XXV column-wise.
+def _screened_solve(D, B):
+    """Least-squares solution S of D S = B for one point from one QR solve
+    (LAPACK dgels) and a 1-norm condition estimate of its R factor (dtrcon),
+    or None when the point fails a conservative screen: a failed or
+    non-finite solve, an estimate above COND_LIMIT / (10 k) for the k
+    columns of D (cond_2 <= k cond_1, and the estimate may fall below
+    cond_1), a relative residual above INVARIANCE_TOL / 10 (read from the
+    trailing rows of the solve), or a wide D.  With these margins a point
+    that passes is regular by the SVD's reading too, unless the estimate
+    falls more than ten times below cond_1, which the 1-norm estimator
+    rarely does (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, 15.3); a point that fails is left to the SVD."""
+    n, k = D.shape
+    if n < k:
+        return None
+    qr, S, info = _dgels(D, B)
+    if info != 0:
+        return None
+    rcond, info = _dtrcon(qr[:k])
+    out = S[k:].ravel()            # Q2^T B: |D S - B| is its norm
+    if (info != 0 or not rcond > 10.0 * k / COND_LIMIT or not np.isfinite(S).all()
+            or out @ out > (0.1 * INVARIANCE_TOL) ** 2 * np.vdot(B, B)):
+        return None
+    return S[:k]
 
-    Least squares when the ambient dimension exceeds 2m; reports the
-    conditioning of the 2m-column matrix and the relative residual, which is
-    the numerical witness of the invariance condition.  On a stack the
-    violation raised is the first in stack order."""
+
+def extract_H(pair: GenericPair, x, raise_on_violation=True):
+    """Solve [V | XV] (H0; H1) = XXV column-wise, with the diagnostics.
+
+    One SVD of the 2m-column matrix (least squares when the ambient
+    dimension exceeds 2m) gives its condition number and the relative
+    residual, the numerical witness of the invariance condition; this is
+    the solve that decides and reports regularity.  The Jacobi solve does
+    not call it at every point: ``structure_at`` screens with a QR solve and
+    a condition estimate, and calls on this SVD only where the screen
+    fails.  On a stack the violation raised is the first in stack order."""
     xs, one = _stack(x)
     x_val, V, XV, XXV = _lead(one, *brackets_at(pair, x))
     m = pair.m
@@ -447,15 +479,31 @@ def structure_at(pair: GenericPair, x):
     """X and the structure matrices (H0, H1) of [X, XV] = V H0 + XV H1 at x,
     the base of the joint Jacobi solve: one evaluation and one jet of the
     force for lifted second-order systems (X = (1, y, F), without the 1 when
-    autonomous; H1 = -dF/dy, H0 = dF/dx - X(dF/dy)), one ``extract_H``
-    otherwise.  X is (n,) at a point and (n, N) on a stack."""
+    autonomous; H1 = -dF/dy, H0 = dF/dx - X(dF/dy)), one ``brackets_at``
+    and one screened QR solve per point otherwise (``_screened_solve``).  A
+    point that fails the screen is solved by ``extract_H``'s SVD, which
+    raises the RegularityViolation that ``extract_H`` raises; on a stack,
+    the first in stack order.  X is (n,) at a point and (n, N) on a stack."""
     if pair.sode is not None:
         model, t, xs, ys = _sode_point(pair, x)
         F, dFdx, dFdy, X_dFdy = _force_jet(model, t, xs, ys)
         X = np.concatenate(([] if model.autonomous else [np.ones_like(ys[:1])]) + [ys, F.T])
         return X, dFdx - X_dFdy, -dFdy
-    data = extract_H(pair, x)
-    return data.X.T, data.H0, data.H1
+    xs, one = _stack(x)
+    x_val, V, XV, XXV = _lead(one, *brackets_at(pair, x))
+    D = np.concatenate([V, XV], axis=-1)
+    sol = []
+    for k in range(len(D)):
+        S = _screened_solve(D[k], XXV[k])
+        if S is None:
+            S, cond_D, residual = _lstsq(D[k:k + 1], XXV[k:k + 1])
+            _raise_first_violation(xs[:, k:k + 1], cond_D, residual)
+            S = S[0]
+        sol.append(S)
+    sol = np.array(sol)
+    m = pair.m
+    X, H0, H1 = _unstack(one, x_val, sol[:, :m], sol[:, m:])
+    return X.T, H0, H1
 
 
 def curvature_at(pair: GenericPair, x):

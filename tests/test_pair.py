@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -261,12 +263,24 @@ def test_dancing_conditioning_blows_up_near_singular_set():
     assert conds == sorted(conds)
 
 
+def _exact_residual(D, H0, H1, B):
+    """|D [H0; H1] - B|^2 (Frobenius) of the floats given, in exact rational
+    arithmetic, so that no rounding of the check itself enters."""
+    S = np.vstack([H0, H1])
+    return sum((sum(Fraction(D[i, k]) * Fraction(S[k, j]) for k in range(D.shape[1]))
+                - Fraction(B[i, j])) ** 2
+               for i in range(D.shape[0]) for j in range(B.shape[1]))
+
+
 @pytest.mark.parametrize("name", ["dancing", "mechanical", "perturbed_pair", "sphere_spray",
                                   "harmonic"])
 def test_structure_at_matches_the_bracket_relation(name):
     # one force jet (H1 = -dF/dy, H0 = dF/dx - X(dF/dy)) solves the bracket
-    # relation of the same lift read as a generic pair, whose structure_at is
-    # extract_H's own
+    # relation of the same lift read as a generic pair, whose structure_at
+    # (one QR solve) agrees with extract_H's SVD to rounding; the exact
+    # residual it leaves in the relation is no larger than the SVD's, or
+    # than eps |XXV| where both are rounding (one dancing point reads
+    # 3.6e-17 against 3.4e-17, relative)
     from conjscope import catalog
     model, _ = catalog.build(name)
     pr = pm.lift_sode(model)
@@ -275,11 +289,100 @@ def test_structure_at_matches_the_bracket_relation(name):
     for _ in range(5):
         x = catalog.ENTRIES[name].default_x0 + rng.uniform(-0.05, 0.05, size=pr.n)
         data = pm.extract_H(gen, x)
-        _, H0_gen, H1_gen = pm.structure_at(gen, x)
-        assert np.array_equal(H0_gen, data.H0)
-        assert np.array_equal(H1_gen, data.H1)
+        X_gen, H0_gen, H1_gen = pm.structure_at(gen, x)
+        assert np.array_equal(X_gen, data.X)
+        D = np.hstack([data.V, data.XV])
+        for H, ref in ((H0_gen, data.H0), (H1_gen, data.H1)):
+            assert np.max(np.abs(H - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+        floor = Fraction(np.finfo(float).eps * np.linalg.norm(data.XXV)) ** 2
+        assert _exact_residual(D, H0_gen, H1_gen, data.XXV) <= \
+            max(_exact_residual(D, data.H0, data.H1, data.XXV), floor)
         for H, ref in zip(pm.structure_at(pr, x)[1:], (data.H0, data.H1)):
             assert np.max(np.abs(H - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def _dancing_generic():
+    from conjscope import catalog
+    model, _ = catalog.build("dancing", {"F": "sin(x1)"})
+    pr = pm.lift_sode(model)
+    return pm.GenericPair(coords=pr.coords, X=pr.X, vframe=pr.vframe, params=pr.params)
+
+
+def _raised(fn, pair, x):
+    with pytest.raises(RegularityViolation) as err:
+        fn(pair, x)
+    return err.value
+
+
+_DANCING_SINGULAR = [1.2, 0.1, 0.1 + 3.0e-3, 0.3]
+_DANCING_REGULAR = [1.2, 0.1, 0.1 + 0.5, 0.3]
+
+
+@pytest.mark.parametrize("pair, x, cond, figure", [
+    # near the singular set y1 = x2 of the dancing pair: cond[V | XV] > 1e8
+    (_dancing_generic(), _DANCING_SINGULAR, "R2", None),
+    # the weakly invariant pair of test_weak_invariance_diagnostic: the
+    # iterated bracket leaves span[V | XV] (n = 3 > 2m)
+    (pm.GenericPair(coords=("t", "x1", "y1"), X=("1 + 0.1*y1^2", "y1", "-x1"),
+                    vframe=(("0", "0", "1"),)), [0.0, 0.4, 0.7], "I", None),
+    # V = X: [X, X] = 0 exactly, so [V | XV] is exactly singular
+    (pm.GenericPair(coords=("a", "b"), X=("b + 0.1*a^2", "-a"),
+                    vframe=(("b + 0.1*a^2", "-a"),)), [0.3, 0.7], "R2", float("inf")),
+])
+def test_structure_at_raises_what_extract_H_raises(pair, x, cond, figure):
+    # a point that fails the QR screen is decided by extract_H's SVD, so the
+    # violation, its figure and its point are extract_H's own
+    ref = _raised(pm.extract_H, pair, x)
+    err = _raised(pm.structure_at, pair, x)
+    assert err.cond == ref.cond == cond
+    assert err.residual == ref.residual
+    assert figure is None or err.residual == figure
+    assert np.array_equal(err.point, ref.point)
+
+
+def test_structure_at_on_a_stack_raises_its_first_violation():
+    gen = _dancing_generic()
+    ref = _raised(pm.extract_H, gen, _DANCING_SINGULAR)
+    stack = np.array([_DANCING_REGULAR, _DANCING_SINGULAR, _DANCING_REGULAR]).T
+    err = _raised(pm.structure_at, gen, stack)
+    assert (err.cond, err.residual) == (ref.cond, ref.residual)
+    assert np.array_equal(err.point, ref.point)
+
+
+def test_structure_at_passes_the_dancing_pair_away_from_its_singular_set():
+    gen = _dancing_generic()
+    data = pm.extract_H(gen, _DANCING_REGULAR)
+    _, H0, H1 = pm.structure_at(gen, _DANCING_REGULAR)
+    for H, ref in ((H0, data.H0), (H1, data.H1)):
+        assert np.max(np.abs(H - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (5, 4), (7, 6)])
+def test_screened_solve_matches_numpy(shape):
+    rng = np.random.default_rng(11)
+    n, k = shape
+    D = rng.standard_normal(shape) + 3.0 * np.eye(n, k)
+    S_true = rng.standard_normal((k, k // 2 or 1))
+    # a relative residual of about 1e-9, below the screen's cut, when n > k
+    B = D @ S_true + 1e-9 * rng.standard_normal((n, S_true.shape[1]))
+    S = pm._screened_solve(D, B)
+    ref = np.linalg.lstsq(D, B, rcond=None)[0]
+    assert np.allclose(S, ref, rtol=1e-12, atol=1e-12)
+    if n > k:
+        # a residual past INVARIANCE_TOL / 10 fails the screen
+        assert pm._screened_solve(D, B + 1e-6 * np.linalg.norm(B) * rng.standard_normal(B.shape)) \
+            is None
+    # an exactly singular D, and one with cond_2 = COND_LIMIT / 2, which the
+    # SVD passes but the screen leaves to it (cond_1 >= cond_2 / k)
+    singular = D.copy()
+    singular[:, -1] = 0.0
+    assert pm._screened_solve(singular, B) is None
+    U, _, Vt = np.linalg.svd(D, full_matrices=False)
+    s = np.geomspace(1.0, 2.0 / pm.COND_LIMIT, k)
+    assert pm._screened_solve((U * s) @ Vt, B) is None
+    assert pm._screened_solve(np.where(D > 1.0, np.nan, D), B) is None
+    # a wide D (fewer rows than columns) is left to the SVD too
+    assert pm._screened_solve(D[:, :1].T, B[:1]) is None
 
 
 def test_curvature_on_a_stack_raises_the_first_pointwise_violation():
