@@ -51,8 +51,8 @@ class AnalysisResult:
 def _closed_orbit_suspected(ft):
     grid = ft.grid()
     x0 = ft.x(0.0)
-    dist = lambda t: float(np.linalg.norm(ft.x(t) - x0))
-    vals = np.linalg.norm(ft.x(grid) - x0[:, None], axis=0)
+    dist = lambda ts: np.linalg.norm(ft.x(ts) - x0[:, None], axis=0)
+    vals = dist(grid)
     scale = float(np.max(vals))
     if scale == 0.0:
         return True

@@ -234,7 +234,7 @@ def perturbed_pair_oracle(eps, T, samples=4096, t_lo=1.0):
     w = cmath.sqrt(1 + 1j * eps)
 
     def envelope(t):
-        return abs(cmath.sin(w * t)) / abs(w)
+        return np.abs(np.sin(w * t)) / abs(w)
 
     times = []
     if eps == 0.0:
@@ -244,7 +244,7 @@ def perturbed_pair_oracle(eps, T, samples=4096, t_lo=1.0):
             k += 1
 
     ts = np.linspace(t_lo, T, samples)
-    vals = np.array([envelope(t) for t in ts])
+    vals = envelope(ts)
     i_min = int(np.argmin(vals))
     lo = ts[max(i_min - 1, 0)]
     hi = ts[min(i_min + 1, samples - 1)]

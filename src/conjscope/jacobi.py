@@ -17,7 +17,10 @@ growth of the fields along the flow.  The tail samples the track on the
 solve's grid and then resamples the two grid intervals around every dip that
 can reach the zero cut (``ode.dip_points``), evaluating only the new points,
 so conjugate times closer together than the grid spacing fall in separate
-intervals wherever the steps happen to put the samples.
+intervals wherever the steps happen to put the samples.  The events are then
+refined together, the track's minima in one ``ode.refine_minimum`` call and
+the determinant's sign changes in one ``ode.locate_events`` call, each round
+reading the track on the samples of every open bracket as one stack.
 """
 
 from __future__ import annotations
@@ -150,10 +153,10 @@ def _conjugate_times(matrix_at, grid, rank_tol, zero_tol):
         merge = lambda old, added: np.concatenate([old, added])[order]
         sigma_values = merge(sigma_values, np.linalg.svd(new, compute_uv=False)[:, -1])
         grid, samples = merge(grid, extra), merge(samples, new)
-    sigma_min = lambda t: float(np.linalg.svd(matrix_at(t), compute_uv=False)[-1])
+    sigma_min = lambda ts: np.linalg.svd(matrix_at(ts), compute_uv=False)[:, -1]
     det_like = det_values = None
     if samples.shape[1] == samples.shape[2]:
-        det_like = lambda t: float(np.linalg.det(matrix_at(t)))
+        det_like = lambda ts: np.linalg.det(matrix_at(ts))
         det_values = np.linalg.det(samples)
     events = _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol,
                           t_floor)

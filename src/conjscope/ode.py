@@ -11,17 +11,19 @@ the grid cuts each step into ``SAMPLES_PER_STEP`` pieces, and readers that
 need a finer spacing somewhere resample there (``dip_points``).
 
 Event search comes in two kinds, both over samples the caller has already
-taken on a grid: ``locate_events`` refines sign changes by bisection, and
-``refined_minima`` refines discrete minima by golden-section search (the
-caller decides which minima count as touching zero, and may pass its cut so
-that minima that cannot reach it are not refined).  ``dip_points`` gives
+taken on a grid: ``locate_events`` refines sign changes, and
+``refined_minima`` refines discrete minima (the caller decides which minima
+count as touching zero, and may pass its cut so that minima that cannot reach
+it are not refined).  Both refine all their brackets together by
+multisection: each round samples ``SECTION_POINTS`` evenly spaced points
+inside every open bracket in one call of f, which maps an array of times to
+an array of values, and keeps a sub-interval of each.  ``dip_points`` gives
 extra times around those minima, for a caller that resamples before it
 searches, so that zeros closer together than the grid spacing separate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,6 +36,7 @@ DEFAULT_REL_TOL = 1e-13
 DEFAULT_ABS_TOL = 1e-15
 SAMPLES_PER_STEP = 8
 DIP_POINTS = 256          # extra samples around each dip of a detection track
+SECTION_POINTS = 16       # samples per bracket and round of the event searches
 
 __all__ = ["Trajectory", "integrate", "locate_events", "refine_minimum", "refined_minima",
            "dip_points", "dense_grid"]
@@ -142,36 +145,58 @@ def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL) ->
     )
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _multisect(f, lo, hi, narrow, tol):
+    """Shrink every bracket [lo_i, hi_i] (1-d arrays, narrowed in place) by
+    rounds of ``SECTION_POINTS`` evenly spaced interior samples, one call of
+    f over the samples of every open bracket per round.  ``narrow(idx, ts,
+    values)`` returns the new ends of the brackets ``idx`` from their times
+    ``ts`` (ends included, shape (len(idx), SECTION_POINTS + 2)) and interior
+    ``values``; a bracket closes once its width falls below ``tol(lo, hi)``.
+    A bracket's rounds depend on its own ends and samples alone."""
+    idx = np.arange(len(lo))
+    while idx.size:
+        h = (hi[idx] - lo[idx]) / (SECTION_POINTS + 1)
+        inner = lo[idx, None] + h[:, None] * np.arange(1, SECTION_POINTS + 1)
+        ts = np.column_stack([lo[idx], inner, hi[idx]])
+        values = np.asarray(f(inner.ravel()), dtype=float).reshape(inner.shape)
+        lo[idx], hi[idx] = narrow(idx, ts, values)
+        idx = idx[hi[idx] - lo[idx] >= tol(lo[idx], hi[idx])]
 
 
-def refine_minimum(f, a, b, tol=1e-12, max_iter=200):
-    """Golden-section minimum of f on [a, b]; returns (t_min, f_min)."""
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a < tol * (1.0 + abs(a) + abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
+def _brackets(a, b):
+    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return lo.shape, lo.ravel().copy(), hi.ravel().copy()
+
+
+def refine_minimum(f, a, b, tol=1e-12):
+    """Minimum of f on every bracket [a, b] by multisection; returns (t_min,
+    f_min) of the shape of the bracket ends (scalars or equal-shape arrays).
+    ``f`` maps an array of times to an array of values.  Each round keeps the
+    two sub-intervals around the smallest sample, until the bracket is
+    narrower than tol (1 + |a| + |b|); the result is that sample."""
+    shape, lo, hi = _brackets(a, b)
+    t_min, f_min = np.empty_like(lo), np.empty_like(lo)
+
+    def narrow(idx, ts, values):
+        rows, k = np.arange(len(idx)), np.argmin(values, axis=1) + 1
+        t_min[idx], f_min[idx] = ts[rows, k], values[rows, k - 1]
+        return ts[rows, k - 1], ts[rows, k + 1]
+
+    _multisect(f, lo, hi, narrow, lambda lo, hi: tol * (1.0 + np.abs(lo) + np.abs(hi)))
+    return t_min.reshape(shape)[()], f_min.reshape(shape)[()]
 
 
 def refined_minima(f, grid, values, interior=False, cut=None):
     """(t_min, f_min) of each discrete local minimum of the samples ``values``
     of f on ``grid`` (``_minima``), refined over its two neighbouring
-    intervals."""
-    return [refine_minimum(f, grid[i - 1], grid[right])
-            for i, right in _minima(grid, values, interior, cut)]
+    intervals; one ``refine_minimum`` call takes every bracket, so f maps an
+    array of times to an array of values."""
+    found = np.array(_minima(grid, values, interior, cut), dtype=int).reshape(-1, 2)
+    if not len(found):
+        return []
+    grid = np.asarray(grid, dtype=float)
+    t_min, f_min = refine_minimum(f, grid[found[:, 0] - 1], grid[found[:, 1]])
+    return list(zip(t_min.tolist(), f_min.tolist()))
 
 
 def _minima(grid, values, interior=False, cut=None):
@@ -211,36 +236,32 @@ def _reach(grid, values, i, right):
     return max(rise / h for h, rise in sides) * max(h for h, _ in sides)
 
 
-def _bisect(f, a, b, fa, fb, tol=1e-13, max_iter=200):
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        if b - a < tol * (1.0 + abs(mid)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def locate_events(f, grid, values):
     """Sign changes of a scalar function f sampled as ``values`` on ``grid``.
 
-    Each change of sign between adjacent samples is refined by bisection of
-    f; a sample that is exactly zero counts when its two neighbours have
-    opposite signs.  Nothing is reported at the edges of the grid, and zeros
-    where f touches without changing sign are not found here (refine the
-    minima of |f| with ``refined_minima`` for those).  Returns the sorted
-    times."""
-    events = []
-    for i in range(len(grid) - 1):
-        fa, fb = values[i], values[i + 1]
-        if fa == 0.0:
-            if i > 0 and values[i - 1] * fb < 0.0:
-                events.append(grid[i])
-        elif fa * fb < 0.0:
-            events.append(_bisect(f, grid[i], grid[i + 1], fa, fb))
-    return events
+    ``f`` maps an array of times to an array of values.  Every change of sign
+    between adjacent samples is refined by multisection, all together: each
+    round keeps the first sub-interval whose ends differ in sign, until it is
+    narrower than 1e-13 (1 + |mid|), and returns its midpoint; a sample that
+    is exactly zero ahead of the first change is returned.  A grid sample that is exactly zero counts when
+    its two neighbours have opposite signs.  Nothing is reported at the edges
+    of the grid, and zeros where f touches without changing sign are not
+    found here (refine the minima of |f| with ``refined_minima`` for those).
+    Returns the sorted times."""
+    grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    change = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    zero = 1 + np.flatnonzero((values[1:-1] == 0.0) & (values[:-2] * values[2:] < 0.0))
+    _, lo, hi = _brackets(grid[change], grid[change + 1])
+    negative = values[change] < 0.0
+
+    def narrow(idx, ts, values):
+        # keep the sub-interval that ends at the first sample exactly zero or
+        # across zero from the left end (the right end when none is); a zero
+        # closes its bracket on itself
+        zero = np.column_stack([values == 0.0, np.zeros(len(idx), bool)])
+        across = np.column_stack([(values < 0.0) != negative[idx, None], np.ones(len(idx), bool)])
+        rows, k = np.arange(len(idx)), np.argmax(zero | across, axis=1) + 1
+        return np.where(zero[rows, k - 1], ts[rows, k], ts[rows, k - 1]), ts[rows, k]
+
+    _multisect(f, lo, hi, narrow, lambda lo, hi: 1e-13 * (1.0 + np.abs(0.5 * (lo + hi))))
+    return np.sort(np.concatenate([0.5 * (lo + hi), grid[zero]])).tolist()

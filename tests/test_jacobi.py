@@ -92,7 +92,7 @@ def test_rank_events_touches_and_merge():
     lifted = lambda t: (t - 1.0) ** 2 + 0.01
     assert jacobi._rank_events(lifted, lifted(grid), None, None, grid, 1e-9, grid[1]) == []
     # the track's touch at a sign change of the companion merges into the
-    # sign change, which keeps its bisected time
+    # sign change, which keeps its refined time
     det = lambda t: t - 1.0
     t_sign, = ode.locate_events(det, grid, det(grid))
     events = jacobi._rank_events(lambda t: abs(det(t)), np.abs(det(grid)), det, det(grid),
@@ -125,7 +125,7 @@ def test_harmonic_detection_refines_only_sigma_min_minima(monkeypatch):
     refine = ode.refine_minimum
 
     def spy(f, a, b, *args, **kwargs):
-        searched.append((a, b))
+        searched.extend(zip(a, b))
         return refine(f, a, b, *args, **kwargs)
 
     monkeypatch.setattr(ode, "refine_minimum", spy)
@@ -375,7 +375,7 @@ def test_close_pairs_separate_on_both_routes(T):
 @pytest.mark.parametrize("name, bound", [
     ("harmonic", lambda t: 6.8e-13),
     ("sphere_spray", lambda t: 1.1e-12),
-    # touches: the time is golden-section refined to refine_minimum's tolerance
+    # touches: the time is refined by multisection to refine_minimum's tolerance
     ("perturbed_pair", lambda t: 1e-12 * (1.0 + 2.0 * t)),
 ])
 def test_catalog_defaults_match_their_closed_form_times(name, bound):

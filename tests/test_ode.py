@@ -59,7 +59,7 @@ def test_nonfinite_state_detected():
 
 def test_locate_events_sin():
     grid = np.linspace(0, 7, 500)
-    events = ode.locate_events(math.sin, grid, np.sin(grid))
+    events = ode.locate_events(np.sin, grid, np.sin(grid))
     assert len(events) == 2
     t1, t2 = events
     assert abs(t1 - math.pi) < 1e-9
@@ -135,13 +135,13 @@ def test_refine_minimum_kink():
 
 def test_refined_minima_interior_rule():
     # |cos| has interior zeros at pi/2 and 3pi/2 and falls to the right edge
-    f = lambda t: abs(math.cos(t))
+    f = lambda t: np.abs(np.cos(t))
     grid = np.linspace(0.0, 1.95 * math.pi, 40)
     values = np.array([f(t) for t in grid])
     interior = ode.refined_minima(f, grid, values, interior=True)
     assert [round(t, 9) for t, _ in interior] == [round(math.pi / 2, 9), round(1.5 * math.pi, 9)]
     assert all(v < 1e-10 for _, v in interior)
-    everywhere = ode.refined_minima(lambda t: math.cos(t), grid, np.cos(grid))
+    everywhere = ode.refined_minima(np.cos, grid, np.cos(grid))
     assert len(everywhere) == 1 and abs(everywhere[0][0] - math.pi) < 1e-6
 
 
@@ -153,12 +153,12 @@ def test_refined_minima_cut_skips_plateaus_and_keeps_zeros():
     touch = lambda t: 4.0 * (t - 1.1) ** 2
     rng = np.random.default_rng(5)
     noise = dict(zip(grid, 0.5 + 1e-16 * rng.standard_normal(len(grid))))
-    plateau = lambda t: noise.get(t, 0.5)
+    plateau = lambda ts: np.array([noise.get(t, 0.5) for t in ts])
     for f, zero in ((kink, 0.313), (touch, 1.1)):
         values = np.array([f(t) for t in grid])
         found = [t for t, v in ode.refined_minima(f, grid, values, cut=1e-8) if v <= 1e-8]
         assert found and all(abs(t - zero) < 1e-4 for t in found)
-    values = np.array([plateau(t) for t in grid])
+    values = plateau(grid)
     assert len(ode.refined_minima(plateau, grid, values)) > 5
     assert ode.refined_minima(plateau, grid, values, cut=1e-8) == []
 
@@ -173,3 +173,71 @@ def test_dip_points_resample_each_interval_next_to_a_dip_once():
     assert extra.tobytes() == np.concatenate(inside).tobytes()
     assert len(np.unique(np.concatenate([grid, extra]))) == len(grid) + 4 * ode.DIP_POINTS // 2
     assert ode.dip_points(grid, values + 10.0, 1e-8).size == 0
+
+
+def _counted(f):
+    calls = []
+
+    def wrapped(ts):
+        calls.append(np.array(ts))
+        return f(ts)
+    return wrapped, calls
+
+
+def test_batched_searches_refine_each_bracket_as_if_alone():
+    # brackets of widths 1e-5 to 1, asymmetric about their zero or minimum,
+    # refined in one call: each lands within its stopping width, and each
+    # result is bitwise the result of refining that bracket by itself
+    widths = np.logspace(-5.0, 0.0, 9)
+    roots = np.arange(1, 10) * math.pi
+    grid = np.sort(np.concatenate([roots - 0.37 * widths, roots + 0.63 * widths]))
+    events = ode.locate_events(np.sin, grid, np.sin(grid))
+    assert len(events) == len(roots)
+    for t, root, a, b in zip(events, roots, grid[::2], grid[1::2]):
+        assert abs(t - root) < 1e-13 * (1.0 + abs(t))
+        assert ode.locate_events(np.sin, [a, b], np.sin([a, b])) == [t]
+    c = 0.7371
+    lo, hi = c - 0.37 * widths, c + 0.63 * widths
+    for f in (lambda t: np.abs(t - c), lambda t: (t - c) ** 2):
+        t_min, f_min = ode.refine_minimum(f, lo, hi)
+        assert t_min.shape == f_min.shape == widths.shape
+        assert np.all(np.abs(t_min - c) < 1e-12 * (1.0 + np.abs(lo) + np.abs(hi)))
+        assert np.array_equal(f_min, f(t_min))
+        for k in range(len(widths)):
+            alone = ode.refine_minimum(f, lo[k], hi[k])
+            assert np.ndim(alone[0]) == 0
+            assert (alone[0], alone[1]) == (t_min[k], f_min[k])
+    t_min, _ = ode.refine_minimum(lambda t: np.abs(t - c), lo.reshape(3, 3), hi.reshape(3, 3))
+    assert t_min.shape == (3, 3)
+
+
+def _search_calls(k):
+    # k kinks and k sign changes of equal widths: (minimum, sign-change) calls of f
+    kink, kink_calls = _counted(lambda t: np.abs(np.sin(t - 0.25)))
+    shifts = np.linspace(0.0, 0.5, k)
+    ode.refine_minimum(kink, 0.1 + shifts, 1.1 + shifts)
+    roots = np.arange(1, k + 1) * math.pi
+    grid = np.sort(np.concatenate([roots - 0.3, roots + 0.4]))
+    sine, sine_calls = _counted(np.sin)
+    assert len(ode.locate_events(sine, grid, np.sin(grid))) == k
+    assert len(kink_calls[0]) == len(sine_calls[0]) == k * ode.SECTION_POINTS
+    return len(kink_calls), len(sine_calls)
+
+
+def test_search_rounds_do_not_grow_with_the_number_of_brackets():
+    assert _search_calls(20) == _search_calls(1)
+
+
+def test_exact_zero_at_a_section_point_is_returned():
+    # the third of the first round's evenly spaced samples is exactly 3
+    f, calls = _counted(lambda t: t - 3.0)
+    hi = ode.SECTION_POINTS + 1.0
+    assert ode.locate_events(f, [0.0, hi], [-3.0, hi - 3.0]) == [3.0]
+    assert len(calls) == 1 and 3.0 in calls[0]
+
+
+def test_a_bracket_narrower_than_the_tolerance_returns_a_sampled_point():
+    f, calls = _counted(lambda t: (t - 2.0) ** 2)
+    t_min, f_min = ode.refine_minimum(f, 2.0, 2.0 + 1e-13)
+    assert len(calls) == 1
+    assert t_min in calls[0] and f_min == f(np.array([t_min]))[0]
