@@ -2,15 +2,16 @@
 
 One call runs: one ODE solve of the trajectory, the normal-frame transport
 and the Jacobi fields (no curvature in it); then, all on that solve's grid
-and its one dense lookup (``Trajectory.grid``), regularity sampling, the
-closed-orbit distances, detection on a scale-free track, the sigma_min curve
-of P, the normal curvature samples (one (N, m, m) array), the bound verdicts
-and (when a 2-form is supplied) the semi-Hamiltonian checks.  Three readers
-look beyond the grid: detection resamples around its dips, the bounds refine
-their extrema locally, and a grid shorter than MAX_SAMPLE_POINTS gives way
-to that many evenly spaced regularity and Hamiltonian samples.  The normal
-frame is orthonormal, so the bounds read the normal curvature alone, with no
-metric.
+and its one dense lookup (``Trajectory.grid``), the closed-orbit distances,
+detection on a scale-free track, the sigma_min curve of P, the normal
+curvature samples (one (N, m, m) array) and the bound verdicts.  Detection
+resamples around its dips and the bounds refine their extrema locally.
+Regularity and (when a 2-form is supplied) the semi-Hamiltonian checks read
+MAX_SAMPLE_POINTS evenly spaced times, one more dense lookup: unlike the
+grid, which follows the step-size control, these times depend on T alone,
+so the figures they give follow the trajectory, not the arithmetic of the
+solve.  The normal frame is orthonormal, so the bounds read the normal
+curvature alone, with no metric.
 The report is a plain nested dict that serializes to JSON losslessly and
 deterministically: no timestamps, no environment data, keys sorted at emission.
 """
@@ -64,17 +65,13 @@ def _closed_orbit_suspected(ft):
     return d_min < 1e-6 * scale
 
 
-def _subsample(ts, cap=MAX_SAMPLE_POINTS):
-    ts = np.asarray(ts)
-    if len(ts) <= cap:
-        return ts
-    idx = np.linspace(0, len(ts) - 1, cap).round().astype(int)
-    return ts[np.unique(idx)]
+def _subsample(ts, cap):
+    """``cap`` rows of ``ts``, evenly spread by index (``ts`` has more)."""
+    return ts[np.unique(np.linspace(0, len(ts) - 1, cap).round().astype(int))]
 
 
 def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
-            abs_tol=ode.DEFAULT_ABS_TOL, rank_tol=jacobi.RANK_TOL,
-            zero_tol=jacobi.DETECT_TOL, system_name=None,
+            abs_tol=ode.DEFAULT_ABS_TOL, rank_tol=jacobi.RANK_TOL, system_name=None,
             params_used=None) -> AnalysisResult:
     """Run the full pipeline on a model (second-order system or generic pair).
 
@@ -85,9 +82,9 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
 
     The report's ``sigma_min_dips`` and the ``sigma_min_P`` column of
     ``curve_rows`` read sigma_min(P), the Jacobi matrix in the normal frame,
-    not the scale-free track b^ that detection cuts at ``zero_tol``: P grows
-    with the fields, so a dip does not show how close detection came to its
-    cut."""
+    not the scale-free track b^ that detection cuts at ``jacobi.DETECT_TOL``:
+    P grows with the fields, so a dip does not show how close detection came
+    to its cut."""
     pair = pair_mod.as_pair(model)
     if x0 is None or T is None:
         raise ValueError("x0 and T are required")
@@ -99,13 +96,9 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
     js = ft.jacobi_solution
     grid = js.grid()
 
-    # the sample points are rows of the grid's one cached lookup, or of
-    # MAX_SAMPLE_POINTS evenly spaced times when the grid is shorter
-    sample_ts = (grid if len(grid) >= MAX_SAMPLE_POINTS
-                 else np.linspace(0.0, T, MAX_SAMPLE_POINTS))
-    sample_x, sample_G = js.blocks(sample_ts)[:2]
+    sample_x, sample_G = js.blocks(np.linspace(0.0, T, MAX_SAMPLE_POINTS))[:2]
     points = sample_x.T
-    regularity = pair_mod.check_regularity(pair, _subsample(points))
+    regularity = pair_mod.check_regularity(pair, points)
 
     closed = _closed_orbit_suspected(ft)
     if closed:
@@ -113,7 +106,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
                       "conjugate-point analysis assumes a non-closed trajectory",
                       ClosedOrbitWarning, stacklevel=2)
 
-    cts = jacobi.find_conjugate_times(js, rank_tol=rank_tol, zero_tol=zero_tol)
+    cts = jacobi.find_conjugate_times(js, rank_tol=rank_tol)
 
     K_track = ft.K_normal(grid)
     brep = bounds_mod.bounds_report(K_track, grid, m, T,
@@ -173,7 +166,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
             "steps": int(js.joint.n_steps),
             "rhs_evals": int(js.joint.n_rhs_evals),
         },
-        "tolerances": {"rank_tol": rank_tol, "zero_tol": zero_tol},
+        "tolerances": {"rank_tol": rank_tol, "zero_tol": jacobi.DETECT_TOL},
         "regularity": {
             "all_ok": bool(regularity.all_ok),
             "worst_cond": float(regularity.worst_cond),

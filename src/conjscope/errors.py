@@ -68,14 +68,6 @@ class SingularG(ConjscopeError):
     """Frame transport matrix lost invertibility (numerical breakdown)."""
 
 
-class ZeroDirection(ConjscopeError):
-    """Directional curvature requested along a g-null direction."""
-
-
-class EndpointNotZero(ConjscopeError):
-    """Index-functional section does not vanish at an endpoint."""
-
-
 class DegenerateMetric(ConjscopeError):
     """Induced metric is numerically degenerate."""
 

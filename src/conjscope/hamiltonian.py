@@ -11,7 +11,7 @@ neither required nor checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -34,7 +34,6 @@ class SemiHamiltonianModel:
 
     pair: pair_mod.GenericPair
     sigma: tuple                  # n x n ExprPrograms, antisymmetric pointwise
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(
@@ -49,34 +48,24 @@ class SemiHamiltonianModel:
         """The n x n components row by row as one Field."""
         return Field(e for row in self.sigma for e in row)
 
-    def bindings(self, x):
-        """The parameters and the coordinates of one point (n,) or of an
-        (n, N) stack, as ``GenericPair.bindings``."""
-        env = self.pair.bindings(x)
-        env.update(self.params)
-        return env
-
-    def sigma_at(self, x, check=True):
-        """The n x n matrix of sigma at x; a stack (n, N) gives N matrices."""
+    def sigma_at(self, x):
+        """The n x n matrix of sigma at x; a stack (n, N) gives N matrices.
+        Raises ValueError where it is not antisymmetric."""
         n = self.pair.n
-        S = evaluate(self.sigma_field, self.bindings(x))
+        S = evaluate(self.sigma_field, self.pair.bindings(x))
         S = S.reshape(S.shape[:-1] + (n, n))
-        if check:
-            scale = _fro(S)
-            if np.any((scale > 0) & (_fro(S + _T(S)) > 1e-12 * scale)):
-                raise ValueError("sigma matrix is not antisymmetric at the evaluated point")
+        scale = _fro(S)
+        if np.any((scale > 0) & (_fro(S + _T(S)) > 1e-12 * scale)):
+            raise ValueError("sigma matrix is not antisymmetric at the evaluated point")
         return S
 
 
-def canonical_sigma(m, coords=None):
-    """Matrix of sum dx_i ^ dy_i on coordinates (x1..xm, y1..ym); a leading t
-    coordinate (odd total dimension) gets a zero row and column."""
-    offset = 0 if coords is None or len(coords) == 2 * m else 1
-    n = 2 * m + offset
-    rows = [["0"] * n for _ in range(n)]
+def canonical_sigma(m):
+    """Matrix of sum dx_i ^ dy_i on coordinates (x1..xm, y1..ym)."""
+    rows = [["0"] * (2 * m) for _ in range(2 * m)]
     for i in range(m):
-        rows[offset + i][offset + m + i] = "1"
-        rows[offset + m + i][offset + i] = "-1"
+        rows[i][m + i] = "1"
+        rows[m + i][i] = "-1"
     return tuple(tuple(row) for row in rows)
 
 
@@ -140,7 +129,7 @@ def check_semi_invariance(model: SemiHamiltonianModel, points):
     def at(xs):
         x_val, V, XV, XXV = pair_mod.brackets_at(pr, xs)
         S = model.sigma_at(xs)
-        _, XS, _, _ = scalar.second_partials(model.sigma_field, model.bindings(xs),
+        _, XS, _, _ = scalar.second_partials(model.sigma_field, pr.bindings(xs),
                                              dict(zip(pr.coords, x_val.T)), {})
         _, DX = pair_mod._jacobian(pr.X, pr.coords, pr.bindings(xs))
         L = XS.reshape(S.shape) + _T(DX) @ S + S @ DX

@@ -44,7 +44,6 @@ class JacobiSolution:
     m: int
     joint: object                 # Trajectory of (z, vec G, vec a, vec b)
     offset: int                   # dimension of the base state z
-    base: object                  # z -> (z', H0, H1); also maps (offset, N) stacks
 
     def blocks(self, t):
         """(z, G, a, b) at t from one dense lookup; an array of times gives z
@@ -57,13 +56,6 @@ class JacobiSolution:
         """P(t) = -G^-1 b; an array of times gives the stack of shape (len(t), m, m)."""
         _, G, _, b = self.blocks(t)
         return -np.linalg.solve(G, b)
-
-    def Q(self, t):
-        """Q(t) = P'(t) = G^-1 (a + H1 b / 2), with H1 read from ``base``, one
-        call per block of points for an array of times."""
-        z, G, a, b = self.blocks(t)
-        H1 = pair_mod.on_blocks(lambda zs: self.base(zs)[2], z)
-        return np.linalg.solve(G, a + 0.5 * H1 @ b)
 
     def sigma_min(self, t):
         return np.linalg.svd(self.P(t), compute_uv=False).min(axis=-1)
@@ -104,7 +96,7 @@ def integrate_jacobi(base, z0, G0, T, rel_tol=ode.DEFAULT_REL_TOL,
 
     w0 = np.concatenate([z0, G0.ravel(), G0.ravel(), np.zeros(m * m)])
     joint = ode.integrate(rhs, w0, T, rel_tol=rel_tol, abs_tol=abs_tol)
-    return JacobiSolution(m=m, joint=joint, offset=k, base=base)
+    return JacobiSolution(m=m, joint=joint, offset=k)
 
 
 def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, t_floor):
@@ -130,7 +122,7 @@ def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, 
     return merged
 
 
-def _conjugate_times(matrix_at, grid, rank_tol, zero_tol):
+def _conjugate_times(matrix_at, grid, rank_tol):
     """Rank drops of a scale-free matrix track that drops rank structurally
     at t = 0; ``matrix_at`` maps a time to the matrix and ``grid`` to the
     stack on it.  The singular values measure principal angles (they lie in
@@ -146,7 +138,7 @@ def _conjugate_times(matrix_at, grid, rank_tol, zero_tol):
     sigma_values = np.linalg.svd(samples, compute_uv=False)[:, -1]
     # resample around every dip that can reach the zero cut, so that zeros
     # closer than the grid spacing fall in separate intervals
-    extra = ode.dip_points(grid, sigma_values, zero_tol)
+    extra = ode.dip_points(grid, sigma_values, DETECT_TOL)
     if len(extra):
         new = matrix_at(extra)
         order = np.argsort(np.concatenate([grid, extra]))
@@ -158,7 +150,7 @@ def _conjugate_times(matrix_at, grid, rank_tol, zero_tol):
     if samples.shape[1] == samples.shape[2]:
         det_like = lambda ts: np.linalg.det(matrix_at(ts))
         det_values = np.linalg.det(samples)
-    events = _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol,
+    events = _rank_events(sigma_min, sigma_values, det_like, det_values, grid, DETECT_TOL,
                           t_floor)
     out = []
     for t_star, mode in events:
@@ -183,14 +175,14 @@ def _mapped_back(c, stack):
     return replace(c, kernel_basis=tuple(basis * np.sign(peak)[:, None]))
 
 
-def find_conjugate_times(js: JacobiSolution, rank_tol=RANK_TOL, zero_tol=DETECT_TOL):
+def find_conjugate_times(js: JacobiSolution, rank_tol=RANK_TOL):
     """Detected conjugate times on (0, T] with multiplicity and kernel basis:
     the rank drops of P = -G^-1 b, which vanishes at t = 0 by construction,
     read on b^ = -b R^-1, the top block of the orthonormalised working-frame
     stack [-b; a] = Q R.  b^ has the rank of P, the sign of det P (det G and
     det R are positive) and as singular values the sines of the principal
     angles between V and the Jacobi fields, in [0, 1] however the fields
-    grow, so ``rank_tol`` and ``zero_tol`` are absolute.  Kernel bases map
+    grow, so ``rank_tol`` and DETECT_TOL are absolute.  Kernel bases map
     back through R^-1 to coordinates in V(x0)."""
     def stack(t):
         _, _, a, b = js.blocks(t)
@@ -198,7 +190,7 @@ def find_conjugate_times(js: JacobiSolution, rank_tol=RANK_TOL, zero_tol=DETECT_
 
     track = lambda t: _orthonormal(stack(t))[..., :js.m, :]
     return [_mapped_back(c, stack(c.t_star))
-            for c in _conjugate_times(track, js.grid(), rank_tol, zero_tol)]
+            for c in _conjugate_times(track, js.grid(), rank_tol)]
 
 
 def _orthonormal(A):
@@ -209,7 +201,7 @@ def _orthonormal(A):
 
 
 def variational_oracle(pair, x0, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEFAULT_ABS_TOL,
-                       rank_tol=RANK_TOL, zero_tol=DETECT_TOL):
+                       rank_tol=RANK_TOL):
     """Conjugate times straight from the definition: t > 0 is conjugate when
     the flow carries a nonzero vector of V(x0) into V(c(t)).
 
@@ -247,4 +239,4 @@ def variational_oracle(pair, x0, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEF
 
     # (a, b) in the kernel has V a + W R^-1 b = 0, with W = Q R
     return [_mapped_back(c, joint.at(c.t_star)[n:].reshape(n, m))
-            for c in _conjugate_times(track, joint.grid(), rank_tol, zero_tol)]
+            for c in _conjugate_times(track, joint.grid(), rank_tol)]

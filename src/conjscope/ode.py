@@ -37,6 +37,7 @@ DEFAULT_ABS_TOL = 1e-15
 SAMPLES_PER_STEP = 8
 DIP_POINTS = 256          # extra samples around each dip of a detection track
 SECTION_POINTS = 16       # samples per bracket and round of the event searches
+MINIMUM_TOL = 1e-12       # relative width at which a minimum's bracket closes
 
 __all__ = ["Trajectory", "integrate", "locate_events", "refine_minimum", "refined_minima",
            "dip_points", "dense_grid"]
@@ -52,7 +53,6 @@ class Trajectory:
     value exactly.
     """
 
-    x0: np.ndarray
     t_span: tuple
     steps: np.ndarray
     states: np.ndarray          # shape (len(steps), n)
@@ -133,7 +133,6 @@ def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL) ->
     if not np.all(np.isfinite(sol.y)):
         raise NonFiniteState("integration produced non-finite state")
     return Trajectory(
-        x0=x0,
         t_span=(0.0, float(T)),
         steps=sol.t,
         states=sol.y.T.copy(),
@@ -168,12 +167,12 @@ def _brackets(a, b):
     return lo.shape, lo.ravel().copy(), hi.ravel().copy()
 
 
-def refine_minimum(f, a, b, tol=1e-12):
+def refine_minimum(f, a, b):
     """Minimum of f on every bracket [a, b] by multisection; returns (t_min,
     f_min) of the shape of the bracket ends (scalars or equal-shape arrays).
     ``f`` maps an array of times to an array of values.  Each round keeps the
     two sub-intervals around the smallest sample, until the bracket is
-    narrower than tol (1 + |a| + |b|); the result is that sample."""
+    narrower than MINIMUM_TOL (1 + |a| + |b|); the result is that sample."""
     shape, lo, hi = _brackets(a, b)
     t_min, f_min = np.empty_like(lo), np.empty_like(lo)
 
@@ -182,7 +181,7 @@ def refine_minimum(f, a, b, tol=1e-12):
         t_min[idx], f_min[idx] = ts[rows, k], values[rows, k - 1]
         return ts[rows, k - 1], ts[rows, k + 1]
 
-    _multisect(f, lo, hi, narrow, lambda lo, hi: tol * (1.0 + np.abs(lo) + np.abs(hi)))
+    _multisect(f, lo, hi, narrow, lambda lo, hi: MINIMUM_TOL * (1.0 + np.abs(lo) + np.abs(hi)))
     return t_min.reshape(shape)[()], f_min.reshape(shape)[()]
 
 

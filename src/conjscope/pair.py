@@ -4,20 +4,19 @@ A pair is either given directly (expression-valued X and a frame of V) or
 lifted from a system of second order ODEs x'' = F(t, x, x').  The module
 computes Lie brackets and iterated brackets exactly through hyper-dual AD,
 extracts the structure matrices H0, H1 of the iterated bracket relation (the
-Jacobi solve reads them alone), evaluates the curvature operator, builds the
-canonical vertical/horizontal splitting and checks the regularity conditions.
+Jacobi solve reads them alone), evaluates the curvature operator and checks
+the regularity conditions.
 
-The bracket, structure and curvature functions take one point or a stack of
-points, and readers of a grid call them once per block of BLOCK points
-(``on_blocks``): one array-kernel call jets a whole block, and the linear
-algebra after it is batched over the block, except the screened QR solve of
-``structure_at``, which the Jacobi right-hand side calls at one point at a
-time and which goes point by point on a stack.
+The bracket and curvature functions take one point or a stack of points, and
+readers of a grid call them once per block of BLOCK points (``on_blocks``):
+one array-kernel call jets a whole block, and the linear algebra after it is
+batched over the block.  ``structure_at``, the Jacobi right-hand side's one
+pair call, takes one point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "curvature_frame",
     "sode_curvature",
     "flow_derivative_H1",
-    "split_and_project",
     "check_regularity",
 ]
 
@@ -185,14 +183,15 @@ def full_x0(model, pair: GenericPair, x0):
 
 # -- jets of expression-valued vector fields ---------------------------------
 #
-# Every function below takes one point x of shape (n,) or a stack of N points
-# as the columns of an (n, N) array, and is written once, for stacks: a point
-# is a stack of one, and its outputs lose the leading point axis that the
-# outputs of a stack carry.  A stack binds each coordinate to an array, so
-# one array-kernel call jets every point (``scalar.second_partials``); one
-# point binds reals and runs the scalar kernel, whose outputs ``_lead`` gives
-# the point axis.  Each point of a stack goes through the same per-point
-# matrix products as it does alone, so it gives the same bits.
+# Every function below but ``structure_at`` takes one point x of shape (n,) or
+# a stack of N points as the columns of an (n, N) array, and is written once,
+# for stacks: a point is a stack of one, and its outputs lose the leading
+# point axis that the outputs of a stack carry.  A stack binds each coordinate
+# to an array, so one array-kernel call jets every point
+# (``scalar.second_partials``); one point binds reals and runs the scalar
+# kernel, whose outputs ``_lead`` gives the point axis.  Each point of a stack
+# goes through the same per-point matrix products as it does alone, so it
+# gives the same bits.
 
 # points per call on a grid: bounds the memory of the jets of a block, which
 # for a generic curvature cover three points per grid point
@@ -476,34 +475,26 @@ def _force_jet(model: SODEModel, t, x, y):
 
 
 def structure_at(pair: GenericPair, x):
-    """X and the structure matrices (H0, H1) of [X, XV] = V H0 + XV H1 at x,
-    the base of the joint Jacobi solve: one evaluation and one jet of the
-    force for lifted second-order systems (X = (1, y, F), without the 1 when
-    autonomous; H1 = -dF/dy, H0 = dF/dx - X(dF/dy)), one ``brackets_at``
-    and one screened QR solve per point otherwise (``_screened_solve``).  A
-    point that fails the screen is solved by ``extract_H``'s SVD, which
-    raises the RegularityViolation that ``extract_H`` raises; on a stack,
-    the first in stack order.  X is (n,) at a point and (n, N) on a stack."""
+    """X and the structure matrices (H0, H1) of [X, XV] = V H0 + XV H1 at the
+    point x, the base of the joint Jacobi solve: one evaluation and one jet
+    of the force for lifted second-order systems (X = (1, y, F), without the
+    1 when autonomous; H1 = -dF/dy, H0 = dF/dx - X(dF/dy)), one
+    ``brackets_at`` and one screened QR solve otherwise (``_screened_solve``).
+    A point that fails the screen is solved by ``extract_H``'s SVD, which
+    raises the RegularityViolation that ``extract_H`` raises."""
     if pair.sode is not None:
         model, t, xs, ys = _sode_point(pair, x)
         F, dFdx, dFdy, X_dFdy = _force_jet(model, t, xs, ys)
-        X = np.concatenate(([] if model.autonomous else [np.ones_like(ys[:1])]) + [ys, F.T])
+        X = np.concatenate(([] if model.autonomous else [[1.0]]) + [ys, F])
         return X, dFdx - X_dFdy, -dFdy
-    xs, one = _stack(x)
-    x_val, V, XV, XXV = _lead(one, *brackets_at(pair, x))
-    D = np.concatenate([V, XV], axis=-1)
-    sol = []
-    for k in range(len(D)):
-        S = _screened_solve(D[k], XXV[k])
-        if S is None:
-            S, cond_D, residual = _lstsq(D[k:k + 1], XXV[k:k + 1])
-            _raise_first_violation(xs[:, k:k + 1], cond_D, residual)
-            S = S[0]
-        sol.append(S)
-    sol = np.array(sol)
-    m = pair.m
-    X, H0, H1 = _unstack(one, x_val, sol[:, :m], sol[:, m:])
-    return X.T, H0, H1
+    x_val, V, XV, XXV = brackets_at(pair, x)
+    D = np.concatenate([V, XV], axis=1)
+    S = _screened_solve(D, XXV)
+    if S is None:
+        S, cond_D, residual = _lstsq(D[None], XXV[None])
+        _raise_first_violation(np.asarray(x, dtype=float)[:, None], cond_D, residual)
+        S = S[0]
+    return x_val, S[:pair.m], S[pair.m:]
 
 
 def curvature_at(pair: GenericPair, x):
@@ -514,65 +505,11 @@ def curvature_at(pair: GenericPair, x):
     return curvature_frame(pair, x)
 
 
-# -- canonical splitting ------------------------------------------------------
-
-def split_and_project(pair: GenericPair, x):
-    """Vertical/horizontal splitting of span[V | XV] at x.
-
-    Returns projector matrices on the ambient space (valid on the span), the
-    horizontal frame columns XV - V H1/2, and the morphism matrices A (frame
-    coordinates of the horizontal part of [X, .] on V) and B (vertical part
-    of [X, .] on the horizontal frame).  The composition -B A reproduces the
-    curvature matrix."""
-    data, XH1 = flow_derivative_H1(pair, x)
-    V, XV, H1 = data.V, data.XV, data.H1
-    m = pair.m
-    Hcols = XV - 0.5 * V @ H1
-    D = np.hstack([V, Hcols])
-    pinv = np.linalg.pinv(D)
-    pi_V = V @ pinv[:m, :]
-    pi_H = Hcols @ pinv[m:, :]
-
-    # A: decompose [X, V_j] = XV_j over [V | Hcols]
-    coeff_XV = pinv @ XV
-    A = coeff_XV[m:, :]
-
-    # B: vertical coefficients of [X, H_j] for the frozen-coefficient
-    # extension of the horizontal frame, corrected by the flow derivative of
-    # H1 (the frozen extension differs from the true frame by a vertical
-    # field with nonzero X-derivative).
-    XXVh = data.XXV - 0.5 * (XV @ H1)     # [X, XV_j - V (H1)_j] with H1 frozen
-    coeff = pinv @ XXVh
-    B = coeff[:m, :] - 0.5 * XH1
-    return {
-        "pi_V": pi_V,
-        "pi_H": pi_H,
-        "vertical_frame": V,
-        "horizontal_frame": Hcols,
-        "A": A,
-        "B": B,
-        "data": data,
-    }
-
-
 # -- regularity ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RegularityPoint:
-    point: np.ndarray
-    X_norm: float
-    cond_D: float
-    residual: float
-    weak_invariance_only: bool
-    r1_ok: bool
-    r2_ok: bool
-    inv_ok: bool
-
-
-@dataclass(frozen=True)
 class RegularityReport:
-    """The checks of each point, as arrays along the checked points;
-    ``points`` views them one point at a time."""
+    """The checks of each point, as arrays along the checked points."""
 
     point: np.ndarray             # (N, n)
     X_norm: np.ndarray
@@ -586,11 +523,6 @@ class RegularityReport:
     @property
     def all_ok(self):
         return bool(np.all(self.r1_ok & self.r2_ok & self.inv_ok))
-
-    @cached_property
-    def points(self):
-        return tuple(RegularityPoint(*row) for row in zip(*(getattr(self, f.name)
-                                                            for f in fields(self))))
 
     @property
     def worst_cond(self):

@@ -53,7 +53,6 @@ __all__ = [
     "second_partials",
     "const_expr",
     "var_expr",
-    "linear_combination",
 ]
 
 
@@ -871,18 +870,3 @@ def const_expr(value) -> ExprProgram:
 def var_expr(name) -> ExprProgram:
     return ExprProgram(Var(name), (name,))
 
-
-def linear_combination(progs, coeffs) -> ExprProgram:
-    """Expression for sum(coeffs[k] * progs[k]) with constant coefficients."""
-    node = None
-    for prog, c in zip(progs, coeffs):
-        c = float(c)
-        if c == 0.0:
-            continue
-        term = prog.ast if c == 1.0 else Mul(_const_node(c), prog.ast)
-        node = term if node is None else Add(node, term)
-    if node is None:
-        return const_expr(0.0)
-    order = []
-    _free_vars(node, set(), order)
-    return ExprProgram(node, tuple(order))

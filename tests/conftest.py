@@ -1,10 +1,12 @@
-"""Shared fixtures: random polynomial second-order systems with screening."""
+"""Shared fixtures: random polynomial second-order systems with screening,
+and the references the tests read: Q = P', the vertical/horizontal
+splitting, and linear combinations of expressions."""
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853
 
-from conjscope import jacobi, ode, pair as pair_mod
+from conjscope import jacobi, ode, pair as pair_mod, scalar
 
 STATE_BOUND = 30.0
 
@@ -16,6 +18,55 @@ def jacobi_in_time(K, m, T):
     one, zero = np.ones(1), np.zeros((m, m))
     return jacobi.integrate_jacobi(lambda z: (one, -np.asarray(K(z[0]), dtype=float), zero),
                                    [0.0], np.eye(m), T)
+
+
+def jacobi_Q(js, t, H1_at=None):
+    """Q(t) = P'(t) = G^-1 (a + H1 b / 2) of a ``jacobi.JacobiSolution``, with
+    H1 = ``H1_at(z)`` at the base state z(t), or zero without ``H1_at`` (as
+    for ``jacobi_in_time``); an array of times gives the stack of shape
+    (len(t), m, m), one ``H1_at`` call per time."""
+    z, G, a, b = js.blocks(t)
+    if H1_at is None:
+        H1 = np.zeros_like(G)
+    elif np.ndim(t):
+        H1 = np.array([H1_at(zk) for zk in z.T])
+    else:
+        H1 = H1_at(z)
+    return np.linalg.solve(G, a + 0.5 * H1 @ b)
+
+
+def split_and_project(pair, x):
+    """Vertical/horizontal splitting of span[V | XV] at x.
+
+    Returns projector matrices on the ambient space (valid on the span), the
+    horizontal frame columns XV - V H1/2, and the morphism matrices A (frame
+    coordinates of the horizontal part of [X, .] on V) and B (vertical part
+    of [X, .] on the horizontal frame).  The composition -B A reproduces the
+    curvature matrix."""
+    data, XH1 = pair_mod.flow_derivative_H1(pair, x)
+    V, XV, H1 = data.V, data.XV, data.H1
+    m = pair.m
+    Hcols = XV - 0.5 * V @ H1
+    pinv = np.linalg.pinv(np.hstack([V, Hcols]))
+    # A: decompose [X, V_j] = XV_j over [V | Hcols]
+    A = (pinv @ XV)[m:, :]
+    # B: vertical coefficients of [X, H_j] for the frozen-coefficient
+    # extension of the horizontal frame, corrected by the flow derivative of
+    # H1 (the frozen extension differs from the true frame by a vertical
+    # field with nonzero X-derivative)
+    XXVh = data.XXV - 0.5 * (XV @ H1)     # [X, XV_j - V (H1)_j] with H1 frozen
+    B = (pinv @ XXVh)[:m, :] - 0.5 * XH1
+    return {"pi_V": V @ pinv[:m, :], "pi_H": Hcols @ pinv[m:, :], "vertical_frame": V,
+            "horizontal_frame": Hcols, "A": A, "B": B, "data": data}
+
+
+def linear_combination(progs, coeffs):
+    """Expression for sum(coeffs[k] * progs[k]) with constant coefficients,
+    parsed from its printed form: each term (c)*(prog), or (prog) for c = 1,
+    joined left to right; zero coefficients drop out."""
+    terms = [f"({p.pretty()})" if c == 1.0 else f"({c!r})*({p.pretty()})"
+             for p, c in zip(progs, map(float, coeffs)) if c != 0.0]
+    return scalar.parse(" + ".join(terms)) if terms else scalar.const_expr(0.0)
 
 
 def random_sode(rng, m, autonomous=True, scale=1.0):

@@ -9,10 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conjscope import analysis, bounds, catalog, jacobi, pair as pm, scalar
+from conjscope import analysis, bounds, catalog, jacobi, pair as pm
 from conjscope import frames
 
-from conftest import jacobi_in_time
+from conftest import jacobi_Q, jacobi_in_time, linear_combination, split_and_project
 
 TOL_TIME = 1e-6
 
@@ -180,7 +180,7 @@ def test_criterion_08_structural_invariants(runs):
     K = pm.curvature_at(pr, x)
     for _ in range(3):
         G = rng.normal(size=(2, 2)) + 2.5 * np.eye(2)
-        cols = [tuple(scalar.linear_combination([pr.vframe[0][i], pr.vframe[1][i]], G[:, j])
+        cols = [tuple(linear_combination([pr.vframe[0][i], pr.vframe[1][i]], G[:, j])
                       for i in range(4)) for j in range(2)]
         pr_tw = pm.GenericPair(coords=pr.coords, X=pr.X, vframe=tuple(cols))
         K_tw = pm.curvature_frame(pr_tw, x)
@@ -190,7 +190,7 @@ def test_criterion_08_structural_invariants(runs):
     # curvature equals the composition of the splitting morphisms
     for _ in range(5):
         xx = rng.uniform(-0.5, 0.5, size=4)
-        sp = pm.split_and_project(pr, xx)
+        sp = split_and_project(pr, xx)
         assert np.max(np.abs(-sp["B"] @ sp["A"] - pm.curvature_at(pr, xx))) < 1e-8
 
     # transported frame: H1 vanishes, det G tracks the trace integral
@@ -215,7 +215,7 @@ def test_criterion_08_structural_invariants(runs):
     Ksym = np.array([[1.3, 0.4], [0.4, 0.6]])
     js = jacobi_in_time(lambda t: Ksym, 2, 6.0)
     for t in np.linspace(0.3, 6.0, 9):
-        P, Q = js.P(t), js.Q(t)
+        P, Q = js.P(t), jacobi_Q(js, t)
         assert np.linalg.norm(P.T @ Q - Q.T @ P) < 1e-8 * max(
             1.0, np.linalg.norm(P) * np.linalg.norm(Q))
 

@@ -235,8 +235,8 @@ def test_batched_closed_orbit_check_matches_pointwise(name, x0, T):
 
 @pytest.mark.parametrize("name, T", [("harmonic", 1.0), ("sphere_spray", 2.0)])
 def test_regularity_coverage_does_not_depend_on_the_grid(name, T):
-    # grids shorter than MAX_SAMPLE_POINTS give way to that many evenly
-    # spaced times (harmonic at T = 1 takes 9 steps, a 73-point grid)
+    # regularity reads MAX_SAMPLE_POINTS evenly spaced times, however short
+    # the grid (harmonic at T = 1 takes 9 steps, a 73-point grid)
     model, _ = catalog.build(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -448,9 +448,9 @@ def test_analyze_samples_P_on_the_grid_once(monkeypatch):
 
 
 def test_step_point_samples_read_the_stored_states(monkeypatch):
-    # the regularity and Hamiltonian samples, and the 24 points of the
-    # transported frames, are grid points: analyze reads them from the one
-    # cached lookup of the grid and looks none of them up again
+    # analyze looks the grid up once; the regularity and Hamiltonian samples,
+    # and the 24 points of the transported frames, are rows of one more
+    # lookup, of MAX_SAMPLE_POINTS evenly spaced times
     looked_up = []
     call = scipy.integrate.OdeSolution.__call__
 
@@ -482,14 +482,31 @@ def test_step_point_samples_read_the_stored_states(monkeypatch):
     grid = ft.grid()
     on_grid = [t for sol, t in looked_up if sol is ft.joint._sol and np.isin(t, grid).all()]
     assert len(on_grid) == 1 and np.array_equal(on_grid[0], grid)
+    sample_ts = np.linspace(0.0, entry.default_T, analysis.MAX_SAMPLE_POINTS)
+    assert sum(sol is ft.joint._sol and np.array_equal(t, sample_ts) for sol, t in looked_up) == 1
     assert len(sampled["check_regularity"]) == analysis.MAX_SAMPLE_POINTS
     assert len(sampled["check_lagrangian"]) == 12
-    assert sampled["check_regularity"].tobytes() == \
-        ft.x(analysis._subsample(grid)).T.tobytes()
+    assert sampled["check_regularity"].tobytes() == ft.x(sample_ts).T.tobytes()
     assert sampled["check_lagrangian"].tobytes() == \
-        ft.x(analysis._subsample(grid, 12)).T.tobytes()
+        ft.x(analysis._subsample(sample_ts, 12)).T.tobytes()
     assert sampled["transported_frames"].tobytes() == \
-        ft.x(analysis._subsample(grid, 24)).tobytes()
+        ft.x(analysis._subsample(sample_ts, 24)).tobytes()
+
+
+def test_regularity_figures_do_not_follow_the_step_control():
+    # a tighter tolerance moves dancing's steps (72 to 78 at the defaults);
+    # the regularity samples are evenly spaced times, so worst_cond moves by
+    # rounding only, where grid-row samples moved it by 1.5e-5
+    model, _ = catalog.build("dancing")
+    entry = catalog.ENTRIES["dancing"]
+    conds = []
+    for rel_tol in (1e-13, 5e-14):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T,
+                                   rel_tol=rel_tol)
+        conds.append(res.report["regularity"]["worst_cond"])
+    assert abs(conds[1] - conds[0]) <= 1e-12 * conds[0]
 
 
 @pytest.mark.parametrize("name", ["perturbed_pair", "dancing"])

@@ -6,6 +6,8 @@ import pytest
 from conjscope import catalog, pair as pm, scalar
 from conjscope.errors import MissingParam, UnknownEntry
 
+from conftest import split_and_project
+
 
 def test_entry_names():
     assert catalog.entry_names() == [
@@ -80,7 +82,7 @@ def test_dancing_eigenvector_fields_are_parallel():
         x1, x2, y2 = rng.uniform(-1.5, 1.5, size=3)
         y1 = x2 + np.sign(rng.standard_normal()) * rng.uniform(0.2, 2.0)
         x = [x1, x2, y1, y2]
-        sp = pm.split_and_project(pr, x)
+        sp = split_and_project(pr, x)
         data = sp["data"]
         # vertical coordinates of [X, V_j] are H1[:, j] / 2
         coeffs = 0.5 * data.H1

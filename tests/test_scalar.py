@@ -11,7 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from conjscope import catalog, pair as pair_mod, scalar
 from conjscope.errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownFunction
 from conjscope.scalar import (Const, ExprProgram, Mul, Neg, Pow, Var, const_expr,
-                              evaluate, linear_combination, parse, second_partials, var_expr)
+                              evaluate, parse, second_partials, var_expr)
+
+from conftest import linear_combination
 
 
 # -- reference interpreter: the test oracle of compiled evaluation -----------
