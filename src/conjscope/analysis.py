@@ -1,10 +1,11 @@
 """End-to-end analysis pipeline and the report it produces.
 
-One call runs: one ODE solve of the trajectory, the normal-frame transport
+One call runs one ODE solve: the trajectory, the normal-frame transport
 and the Jacobi fields (no curvature in it); then, all on that solve's grid
 and its one dense lookup (``Trajectory.grid``), the closed-orbit distances,
 detection on a scale-free track, the sigma_min curve of P, the normal
-curvature samples (one (N, m, m) array) and the bound verdicts.  Detection
+curvature samples (one (N, m, m) array) and the bound verdicts (the Sturm
+comparison is solved exactly on a spline's pieces, not integrated).  Detection
 resamples around its dips and the bounds refine their extrema locally.
 Regularity and (when a 2-form is supplied) the semi-Hamiltonian checks read
 MAX_SAMPLE_POINTS evenly spaced times, one more dense lookup: unlike the

@@ -22,7 +22,9 @@ extrema of the samples.  When ``bounds_report`` can evaluate K at new times,
 it adds REFINE_ROUNDS rounds of REFINE_POINTS samples across the two
 intervals next to each extremum, so the figures do not move with the
 sampling grid.  The Sturm coefficient is a quintic interpolating spline
-through the samples.
+through the samples, and its scalar equation is solved exactly on the
+spline's polynomial pieces by Taylor series (Pruess, SIAM J. Numer. Anal.
+10, 1973; Corliss & Chang, ACM TOMS 8, 1982), with no ODE solve.
 
 Every verdict compares a bound against the detected conjugate times with a
 fixed slack; the bounds are sharp for the harmonic oscillator, so the safe
@@ -31,18 +33,22 @@ interval is half-open.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from . import ode
+from .errors import NonFiniteState
 
 VERDICT_SLACK = 1e-6
 SYMMETRY_TOL = 1e-6
 EIGENLINE_TOL = 1e-6
 REFINE_ROUNDS = 2
 REFINE_POINTS = 16        # samples per round across an extremum's two intervals
+PIECE_PHASE = 0.5         # bound on sqrt(max |lam|) times the length of a Sturm series piece
+ROUNDING = np.finfo(float).eps
 
 __all__ = ["BoundsReport", "EigenlineTrack", "theorem_safe_interval",
            "theorem_trace_bound", "detect_parallel_eigenlines", "sturm_zeros",
@@ -190,24 +196,87 @@ def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
 
 def sturm_zeros(ts, lam_track, T):
     """Zeros on (0, T] of y'' = -lam(t) y, y(0) = 0, y'(0) = 1 with lam
-    the quintic spline interpolating the samples.  Sign changes are located
-    on the solve's grid; T itself counts when y vanishes there within the
-    verdicts' slack, |y(T)| <= VERDICT_SLACK |y'(T)|, as detection counts a
-    touch at the last grid point."""
+    the quintic spline interpolating the samples (held at its end values
+    outside them), solved exactly piece by piece (``_series_pieces``).
+    Sign changes are located between the nodes of the pieces, at most one
+    zero apart, and refined on each piece's series; T itself counts when y
+    vanishes there within the verdicts' slack, |y(T)| <= VERDICT_SLACK
+    |y'(T)|, as detection counts a touch at the last grid point."""
+    if T <= 0:
+        raise ValueError("T must be positive")
     ts = np.asarray(ts, dtype=float)
     lam = make_interp_spline(ts, np.asarray(lam_track, dtype=float), k=5)
+    nodes, series = _series_pieces(lam, ts, T)
+    h = np.diff(nodes)
+    # u(h), v(h) / h and h u'(h), v'(h) on each piece
+    (u0, v0), (u1, v1) = series.sum(axis=0), (np.arange(len(series))[:, None, None] * series).sum(0)
+    # chain the transfer matrices [[u, v], [u', v']](h) from (y, y') = (0, 1)
+    y, dy = [0.0], [1.0]
+    for a, b, c, d in zip(u0.tolist(), (h * v0).tolist(), (u1 / h).tolist(), v1.tolist()):
+        y.append(a * y[-1] + b * dy[-1])
+        dy.append(c * y[-2] + d * dy[-1])
+    y, dy = np.array(y), np.array(dy)
+    if not np.all(np.isfinite(y) & np.isfinite(dy)):
+        raise NonFiniteState("non-finite Sturm solution")
+    # y on piece i is sum_k (y_i u_k + h_i y'_i v_k) s^k, s = (t - t_i) / h_i
+    coeffs = y[:-1] * series[:, 0] + h * dy[:-1] * series[:, 1]
 
-    def rhs(z):
-        t, y, dy = z
-        return np.array([1.0, dy, -float(lam(min(max(t, ts[0]), ts[-1]))) * y])
+    def y_at(t):
+        i = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(h) - 1)
+        s, c = (t - nodes[i]) / h[i], coeffs[:, i]
+        value = c[-1]
+        for row in c[-2::-1]:
+            value = value * s + row
+        return value
 
-    traj = ode.integrate(rhs, [0.0, 0.0, 1.0], T)
-    grid = traj.grid()
-    zeros = ode.locate_events(lambda t: traj.at(t)[1], grid, traj.at(grid)[1])
-    _, y, dy = traj.states[-1]
-    if abs(y) <= VERDICT_SLACK * abs(dy) and not (zeros and T - zeros[-1] <= VERDICT_SLACK):
+    zeros = ode.locate_events(y_at, nodes, y)
+    if abs(y[-1]) <= VERDICT_SLACK * abs(dy[-1]) and not (zeros and T - zeros[-1] <= VERDICT_SLACK):
         zeros.append(float(T))
     return zeros
+
+
+def _series_pieces(lam, ts, T):
+    """Nodes 0 = t_0 < ... < t_n = T and the Taylor coefficients (K, 2, n),
+    in s = (t - t_i) / h_i, of the two basis solutions of y'' = -lam y on
+    each piece: u (1, 0) and v / h (0, 1).
+
+    The pieces are the spline's (its repeated end knots give none), each
+    cut into equal sub-pieces so that sqrt(sum_j |p_j| h^j) h <= PIECE_PHASE
+    for lam(t_i + r) = sum_j p_j r^j: the phase of a solution across a piece
+    stays below pi, so a piece holds at most one zero, and the series sum
+    with no cancellation beyond rounding.  With q_j = p_j h^(j+2), about
+    each sub-piece's left end, the coefficients obey
+    c_(k+2) = -sum_(j <= min(5, k)) q_j c_(k-j) / ((k+1)(k+2)); they are
+    summed until the last two terms of a solution and of its derivative
+    fall below rounding on every piece."""
+    breaks = np.unique(np.clip(np.concatenate([[0.0, T], lam.t]), 0.0, T))
+    h = np.diff(breaks)
+    phase = np.sqrt(np.sum(np.abs(_taylor(lam, ts, breaks[:-1])) * h ** np.arange(6)[:, None],
+                           axis=0)) * h
+    cuts = np.maximum(1, np.ceil(phase / PIECE_PHASE)).astype(int)
+    first = np.repeat(np.cumsum(cuts) - cuts, cuts)
+    nodes = np.append(np.repeat(breaks[:-1], cuts)
+                      + np.repeat(h / cuts, cuts) * (np.arange(first.size) - first), T)
+    h = np.diff(nodes)
+    q = _taylor(lam, ts, nodes[:-1]) * h ** np.arange(2, 8)[:, None]
+    series = [np.array([np.ones_like(h), np.zeros_like(h)]),
+              np.array([np.zeros_like(h), np.ones_like(h)])]
+    k = 0
+    while k * np.max(np.abs(series[-2])) + (k + 1) * np.max(np.abs(series[-1])) > ROUNDING:
+        series.append(-sum(q[j] * series[k - j] for j in range(min(5, k) + 1))
+                      / ((k + 1) * (k + 2)))
+        k += 1
+    return nodes, np.array(series)
+
+
+def _taylor(lam, ts, t):
+    """Taylor coefficients (6, len(t)) of the spline about each t (from the
+    right at a knot); constant past the samples' ends."""
+    inside = (t >= ts[0]) & (t < ts[-1])
+    t = np.clip(t, ts[0], ts[-1])
+    p = np.array([lam(t, nu=j) / math.factorial(j) for j in range(6)])
+    p[1:, ~inside] = 0.0
+    return p
 
 
 def bounds_report(K_samples, ts, m, T, detected_times, K_at=None) -> BoundsReport:

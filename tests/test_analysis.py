@@ -100,27 +100,34 @@ def test_x0_length_validation():
         analysis.analyze(model, x0=(0.3, 0.7), T=None)
 
 
-@pytest.mark.parametrize("name, params, x0, T, n_tracks, n_distinct", [
-    ("harmonic", {"omega": 1.0}, (0.3, 0.7), 3.0, 1, 1),
-    ("perturbed_pair", {"eps": 0.0}, (0.2, -0.1, 1.0, 0.4), 4.0, 2, 1),
-    ("perturbed_pair", {"eps": 0.05}, (0.2, -0.1, 1.0, 0.4), 4.0, 0, 0),
-])
-def test_analyze_solves_transport_jacobi_and_one_per_eigenline(monkeypatch, name, params, x0, T,
-                                                               n_tracks, n_distinct):
-    # the trajectory, the transport and the Jacobi matrices are one solve,
-    # and eigenlines with equal tracks share one Sturm solve
+def _counting_solves(monkeypatch):
     solves = []
     integrate = ode.integrate
+    monkeypatch.setattr(ode, "integrate",
+                        lambda *args, **kwargs: solves.append(1) or integrate(*args, **kwargs))
+    return solves
 
-    def counting(*args, **kwargs):
-        solves.append(1)
-        return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(ode, "integrate", counting)
-    model, _ = catalog.build(name, params)
-    res = analysis.analyze(model, x0=x0, T=T)
-    assert len(res.bounds.eigenline_tracks) == n_tracks
-    assert len(solves) == 1 + n_distinct
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_analyze_is_one_ode_solve(monkeypatch, name):
+    # the trajectory, the transport and the Jacobi matrices are one solve; the
+    # Sturm comparison along each eigenline is solved on its spline's pieces
+    solves = _counting_solves(monkeypatch)
+    entry = catalog.ENTRIES[name]
+    model, sigma = catalog.build(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T, sigma=sigma)
+    assert res.bounds.eigenline_tracks
+    assert len(solves) == 1
+
+
+def test_variational_oracle_is_one_ode_solve(monkeypatch):
+    solves = _counting_solves(monkeypatch)
+    entry = catalog.ENTRIES["dancing"]
+    model, _ = catalog.build("dancing")
+    assert jacobi.variational_oracle(model, entry.default_x0, entry.default_T)
+    assert len(solves) == 1
 
 
 def _check_report_states_the_solve(expected, **tols):

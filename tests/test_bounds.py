@@ -2,8 +2,10 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 from conjscope import analysis, bounds, catalog, ode, pair as pm
+from conjscope.errors import NonFiniteState
 
 
 def _const_samples(K, n=50, T=10.0):
@@ -249,6 +251,50 @@ def test_sturm_verdict_counts_a_zero_at_the_horizon():
     assert [len(tr.sturm_zeros) for tr in rep.eigenline_tracks] == [3, 3]
     assert abs(rep.eigenline_tracks[0].sturm_zeros[-1] - 3 * math.pi) <= bounds.VERDICT_SLACK
     assert rep.verdicts["sturm_bound"] == "consistent"
+
+
+def test_sturm_zeros_match_the_airy_zeros():
+    # y'' = -(1 + t/2) y: with z = -2^(-1/3) (t + 2), y = Bi(z0) Ai(z) - Ai(z0) Bi(z)
+    from scipy.optimize import brentq
+    from scipy.special import airy
+
+    def exact(t):
+        ai, _, bi, _ = airy(-2.0 ** (-1.0 / 3.0) * (t + 2.0))
+        return bi0 * ai - ai0 * bi
+
+    ai0, _, bi0, _ = airy(-2.0 ** (2.0 / 3.0))
+    fine = np.linspace(0.0, 12.0, 4001)
+    values = exact(fine)
+    roots = [brentq(exact, a, b, xtol=1e-15, rtol=1e-15)
+             for a, b, fa, fb in zip(fine[1:-1], fine[2:], values[1:-1], values[2:]) if fa * fb < 0]
+    ts = np.linspace(0.0, 12.0, 800)
+    zeros = bounds.sturm_zeros(ts, 1.0 + ts / 2.0, 12.0)
+    assert len(roots) == len(zeros) == 7
+    assert all(abs(z - r) <= 1e-12 for z, r in zip(zeros, roots))
+
+
+@pytest.mark.parametrize("lam, T, n", [(400.0, 2.0, 20), (2500.0, 2.0, 20), (1e4, 1.0, 30)])
+def test_sturm_zeros_of_a_fast_oscillation_on_a_coarse_grid(lam, T, n):
+    # many zeros per sample interval: every k pi / sqrt(lam) is found
+    ts = np.linspace(0.0, T, n)
+    zeros = bounds.sturm_zeros(ts, np.full(n, lam), T)
+    exact = np.pi / np.sqrt(lam) * np.arange(1, int(T * np.sqrt(lam) / np.pi) + 1)
+    assert len(zeros) == len(exact)
+    assert np.max(np.abs(np.array(zeros) - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_sturm_zeros_none_without_positive_curvature(lam):
+    # y = t and y = sinh t never vanish again, at T neither
+    ts = np.linspace(0.0, 5.0, 40)
+    assert bounds.sturm_zeros(ts, np.full(40, lam), 5.0) == []
+
+
+def test_sturm_zeros_raise_on_an_overflowing_solution():
+    # y = sinh(1000 t) / 1000 overflows before T = 1
+    ts = np.linspace(0.0, 1.0, 30)
+    with pytest.raises(NonFiniteState):
+        bounds.sturm_zeros(ts, np.full(30, -1e6), 1.0)
 
 
 def test_sturm_zeros_add_no_zero_short_of_the_horizon():
