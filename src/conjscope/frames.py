@@ -4,11 +4,12 @@ A working frame of the distribution becomes a normal frame along a trajectory
 after multiplication by the matrix solution G of the transport equation
 X(G) = -H1 G / 2; the curvature matrix expressed in that frame is the
 coefficient matrix of the Jacobi equation.  The base point, G and the Jacobi
-fields are one ODE solve, whose right-hand side makes one pair call,
-``pair.structure_at``, for X and the structure matrices H0, H1 of the bracket
-relation, so no field is evaluated twice per step.  On a generic pair that
-call screens the point with a QR solve and a condition estimate, and leaves
-the SVD, which decides and reports regularity, to a point that fails.  The
+fields are one ODE solve, whose right-hand side (``pair.joint_rhs``) is one
+call of a compiled field kernel per evaluation: on a lifted second-order
+system it gives the whole derivative, and on a generic pair X with the
+brackets, from which a QR solve with a condition estimate reads the
+structure matrices H0, H1 of the bracket relation and leaves the SVD, which
+decides and reports regularity, to a point that fails the screen.  The
 normal curvature is computed afterwards, on whatever times it is asked for,
 from the transported point and G: on an array of times, one dense lookup (on
 the grid, the one every grid reader shares), one curvature call per block of
@@ -18,7 +19,6 @@ points and one batched solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
     if abs(np.linalg.det(G0)) < 1e-300:
         raise ValueError("G0 must be invertible")
 
-    js = jacobi.integrate_jacobi(partial(pair_mod.structure_at, pair), x0, G0, T,
+    js = jacobi.integrate_jacobi(pair_mod.joint_rhs(pair), x0, G0, T,
                                  rel_tol=rel_tol, abs_tol=abs_tol)
 
     dets = np.abs(np.linalg.det(js.joint.states[:, n:n + m * m].reshape(-1, m, m)))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ode, pair as pair_mod
+from . import ode, pair as pair_mod, scalar
 
 DETECT_TOL = 1e-8        # refined dip of a scale-free track counted as zero
 RANK_TOL = 1e-7          # singular values of a scale-free track below this count into the kernel
@@ -80,23 +80,18 @@ class ConjugateTime:
         }
 
 
-def integrate_jacobi(base, z0, G0, T, rel_tol=ode.DEFAULT_REL_TOL,
+def integrate_jacobi(rhs, z0, G0, T, rel_tol=ode.DEFAULT_REL_TOL,
                      abs_tol=ode.DEFAULT_ABS_TOL) -> JacobiSolution:
-    """Integrate z' = f(z) from z0 together with G' = -H1 G / 2,
-    a' = -H0 b, b' = -a - H1 b from G(0) = a(0) = G0, b(0) = 0, with dense
-    output; ``base(z)`` returns (f(z), H0(z), H1(z))."""
+    """Integrate the joint state w = (z, vec G, vec a, vec b) of z' = f(z),
+    G' = -H1 G / 2, a' = -H0 b, b' = -a - H1 b, with the structure matrices
+    H0, H1 read at z, from z0, G(0) = a(0) = G0, b(0) = 0, with dense
+    output.  ``rhs(w)`` gives the whole w' in one call (``pair.joint_rhs``
+    compiles it for a pair)."""
     G0 = np.asarray(G0, dtype=float)
-    k, m = len(z0), len(G0)
-
-    def rhs(w):
-        dz, H0, H1 = base(w[:k])
-        G, a, b = w[k:].reshape(3, m, m)
-        return np.concatenate([dz, (-0.5 * H1 @ G).ravel(), (-H0 @ b).ravel(),
-                               (-a - H1 @ b).ravel()])
-
+    m = len(G0)
     w0 = np.concatenate([z0, G0.ravel(), G0.ravel(), np.zeros(m * m)])
     joint = ode.integrate(rhs, w0, T, rel_tol=rel_tol, abs_tol=abs_tol)
-    return JacobiSolution(m=m, joint=joint, offset=k)
+    return JacobiSolution(m=m, joint=joint, offset=len(z0))
 
 
 def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, t_floor):
@@ -200,31 +195,36 @@ def _orthonormal(A):
     return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
+def _flow_algebra(gen, jet, m):
+    """x' = X and W' = DX W of the state (x, vec W), W n x m."""
+    n = len(jet.val)
+    W = [gen.state(n + k) for k in range(n * m)]
+    return list(jet.val) + [gen.dot(zip(jet.dj[r], W[c::m])) for r in range(n) for c in range(m)]
+
+
 def variational_oracle(pair, x0, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEFAULT_ABS_TOL,
                        rank_tol=RANK_TOL):
     """Conjugate times straight from the definition: t > 0 is conjugate when
     the flow carries a nonzero vector of V(x0) into V(c(t)).
 
-    Integrates x' = X(x), W' = DX(x) W from W(0) = V(x0) (n + n m states)
-    and returns the rank drops of [V(c(t)) | W(t)] with both halves
-    orthonormalised, so the rank cut stays put while W grows with the flow:
-    the singular values are sqrt(1 +- cos) of the principal angles between
-    the halves, at most m of them vanish, and for n = 2m the determinant
-    keeps the sign of det[V | W].  Takes first derivatives of the pair
-    only; kernel bases are coordinates in V(x0).  Raises
-    RegularityViolation (R2) where [V | XV] is ill-conditioned."""
+    Integrates x' = X(x), W' = DX(x) W from W(0) = V(x0) (n + n m states,
+    one call of a field kernel of X per evaluation) and returns the rank
+    drops of [V(c(t)) | W(t)] with both halves orthonormalised, so the rank
+    cut stays put while W grows with the flow: the singular values are
+    sqrt(1 +- cos) of the principal angles between the halves, at most m of
+    them vanish, and for n = 2m the determinant keeps the sign of
+    det[V | W].  Takes first derivatives of the pair only; kernel bases are
+    coordinates in V(x0).  Raises RegularityViolation (R2) where [V | XV]
+    is ill-conditioned."""
     model = pair
     pair = pair_mod.as_pair(pair)
     n, m = pair.n, pair.m
     x0 = pair_mod.full_x0(model, pair, x0)
 
-    def rhs(z):
-        x_val, J_X = pair_mod._jacobian(pair.X, pair.coords, pair.bindings(z[:n]))
-        return np.concatenate([x_val, (J_X @ z[n:].reshape(n, m)).ravel()])
-
+    kernel = scalar.field_kernel(pair.X, pair.coords, None, pair.coords, _flow_algebra, m)
     V0, _ = pair_mod.frame_at(pair, x0)
-    joint = ode.integrate(rhs, np.concatenate([x0, V0.ravel()]), T,
-                          rel_tol=rel_tol, abs_tol=abs_tol)
+    joint = ode.integrate(lambda z: scalar.run_field(kernel, z.tolist(), pair.params),
+                          np.concatenate([x0, V0.ravel()]), T, rel_tol=rel_tol, abs_tol=abs_tol)
 
     def track(t):
         """[V | W], halves orthonormalised, at t; an array of times gives the

@@ -38,6 +38,7 @@ SAMPLES_PER_STEP = 8
 DIP_POINTS = 256          # extra samples around each dip of a detection track
 SECTION_POINTS = 16       # samples per bracket and round of the event searches
 MINIMUM_TOL = 1e-12       # relative width at which a minimum's bracket closes
+EVENT_ULPS = 4            # float spacings at which a sign change's bracket closes
 
 __all__ = ["Trajectory", "integrate", "locate_events", "refine_minimum", "refined_minima",
            "dip_points", "dense_grid"]
@@ -122,7 +123,7 @@ def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL) ->
 
     def rhs(t, x):
         dx = np.asarray(field(x), dtype=float)
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             raise NonFiniteState(f"non-finite derivative at t={t}")
         return dx
 
@@ -144,13 +145,14 @@ def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL) ->
     )
 
 
-def _multisect(f, lo, hi, narrow, tol):
+def _multisect(f, lo, hi, narrow, closed):
     """Shrink every bracket [lo_i, hi_i] (1-d arrays, narrowed in place) by
     rounds of ``SECTION_POINTS`` evenly spaced interior samples, one call of
     f over the samples of every open bracket per round.  ``narrow(idx, ts,
     values)`` returns the new ends of the brackets ``idx`` from their times
     ``ts`` (ends included, shape (len(idx), SECTION_POINTS + 2)) and interior
-    ``values``; a bracket closes once its width falls below ``tol(lo, hi)``.
+    ``values``; a bracket closes once ``closed(lo, hi)`` holds for it, or
+    when a round leaves it as it was (its samples have run into its ends).
     A bracket's rounds depend on its own ends and samples alone."""
     idx = np.arange(len(lo))
     while idx.size:
@@ -158,8 +160,10 @@ def _multisect(f, lo, hi, narrow, tol):
         inner = lo[idx, None] + h[:, None] * np.arange(1, SECTION_POINTS + 1)
         ts = np.column_stack([lo[idx], inner, hi[idx]])
         values = np.asarray(f(inner.ravel()), dtype=float).reshape(inner.shape)
+        before = lo[idx], hi[idx]
         lo[idx], hi[idx] = narrow(idx, ts, values)
-        idx = idx[hi[idx] - lo[idx] >= tol(lo[idx], hi[idx])]
+        still = (lo[idx] == before[0]) & (hi[idx] == before[1])
+        idx = idx[~(closed(lo[idx], hi[idx]) | still)]
 
 
 def _brackets(a, b):
@@ -181,7 +185,8 @@ def refine_minimum(f, a, b):
         t_min[idx], f_min[idx] = ts[rows, k], values[rows, k - 1]
         return ts[rows, k - 1], ts[rows, k + 1]
 
-    _multisect(f, lo, hi, narrow, lambda lo, hi: MINIMUM_TOL * (1.0 + np.abs(lo) + np.abs(hi)))
+    _multisect(f, lo, hi, narrow,
+               lambda lo, hi: hi - lo < MINIMUM_TOL * (1.0 + np.abs(lo) + np.abs(hi)))
     return t_min.reshape(shape)[()], f_min.reshape(shape)[()]
 
 
@@ -241,12 +246,13 @@ def locate_events(f, grid, values):
     ``f`` maps an array of times to an array of values.  Every change of sign
     between adjacent samples is refined by multisection, all together: each
     round keeps the first sub-interval whose ends differ in sign, until it is
-    narrower than 1e-13 (1 + |mid|), and returns its midpoint; a sample that
-    is exactly zero ahead of the first change is returned.  A grid sample that is exactly zero counts when
-    its two neighbours have opposite signs.  Nothing is reported at the edges
-    of the grid, and zeros where f touches without changing sign are not
-    found here (refine the minima of |f| with ``refined_minima`` for those).
-    Returns the sorted times."""
+    at most EVENT_ULPS spacings of floats wide at its larger end, or a round
+    no longer narrows it, and returns its midpoint; a sample that is exactly
+    zero ahead of the first change is returned.  A grid sample that is
+    exactly zero counts when its two neighbours have opposite signs.
+    Nothing is reported at the edges of the grid, and zeros where f touches
+    without changing sign are not found here (refine the minima of |f| with
+    ``refined_minima`` for those).  Returns the sorted times."""
     grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
     change = np.flatnonzero(values[:-1] * values[1:] < 0.0)
     zero = 1 + np.flatnonzero((values[1:-1] == 0.0) & (values[:-2] * values[2:] < 0.0))
@@ -262,5 +268,6 @@ def locate_events(f, grid, values):
         rows, k = np.arange(len(idx)), np.argmax(zero | across, axis=1) + 1
         return np.where(zero[rows, k - 1], ts[rows, k], ts[rows, k - 1]), ts[rows, k]
 
-    _multisect(f, lo, hi, narrow, lambda lo, hi: 1e-13 * (1.0 + np.abs(0.5 * (lo + hi))))
+    _multisect(f, lo, hi, narrow, lambda lo, hi: hi - lo <= EVENT_ULPS * np.spacing(
+        np.maximum(np.abs(lo), np.abs(hi))))
     return np.sort(np.concatenate([0.5 * (lo + hi), grid[zero]])).tolist()

@@ -10,8 +10,14 @@ the regularity conditions.
 The bracket and curvature functions take one point or a stack of points, and
 readers of a grid call them once per block of BLOCK points (``on_blocks``):
 one array-kernel call jets a whole block, and the linear algebra after it is
-batched over the block.  ``structure_at``, the Jacobi right-hand side's one
-pair call, takes one point.
+batched over the block.  The iterated brackets of a pair and the jet of a
+second-order force are each one field kernel (``scalar.field_kernel``),
+which emits the bracket algebra after the jet, so ``brackets_at`` and
+``_force_jet`` are its scalar form at one point and its array form on a
+stack.  ``joint_rhs`` gives the right-hand side of the joint Jacobi solve:
+one call of a force kernel that also emits the products for lifted
+second-order systems, and ``structure_at`` (the bracket kernel and a
+screened QR solve) followed by the products otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
     "lift_sode",
     "extract_H",
     "structure_at",
+    "joint_rhs",
     "curvature_frame",
     "sode_curvature",
     "flow_derivative_H1",
@@ -76,6 +83,23 @@ class SODEModel:
     def coord_names(self):
         names = [f"x{i+1}" for i in range(self.m)] + [f"y{i+1}" for i in range(self.m)]
         return tuple(names if self.autonomous else ["t"] + names)
+
+    @cached_property
+    def lifted(self):
+        """The lifted pair (``lift_sode``)."""
+        return _lift(self)
+
+    @cached_property
+    def jet_kernel(self):
+        """The force kernel of F, dF/dx, dF/dy and X(dF/dy) (``_force_jet``),
+        compiled on first use."""
+        return _force_kernel(self, _force_algebra)
+
+    @cached_property
+    def joint_kernel(self):
+        """The force kernel of the joint Jacobi right-hand side
+        (``joint_rhs``), compiled on first use."""
+        return _force_kernel(self, _joint_algebra)
 
     def force_bindings(self, t, x, y):
         env = dict(self.params)
@@ -129,6 +153,14 @@ class GenericPair:
         call jets the whole pair."""
         return Field(self.X + tuple(e for col in self.vframe for e in col))
 
+    @cached_property
+    def bracket_kernel(self):
+        """The kernel of X, D = [V | XV] and XXV (``_bracket_outputs``),
+        compiled on first use."""
+        return scalar.field_kernel(self.stacked, self.coords,
+                                   scalar.Along(tuple((c, k) for k, c in enumerate(self.coords))),
+                                   self.coords, _bracket_algebra)
+
     def bindings(self, x):
         """The parameters and the coordinates of x: reals for one point
         (n,), arrays over the points for an (n, N) stack."""
@@ -147,7 +179,12 @@ class GenericPair:
 def lift_sode(model: SODEModel) -> GenericPair:
     """Total-derivative lift: X = d/dt + sum y_i d/dx_i + sum F_i d/dy_i with
     V spanned by the d/dy_i; the t coordinate is dropped for autonomous
-    systems."""
+    systems.  Built once per model and kept on it, with the kernels it
+    compiles."""
+    return model.lifted
+
+
+def _lift(model: SODEModel) -> GenericPair:
     m = model.m
     names = model.coord_names
     n = len(names)
@@ -183,13 +220,14 @@ def full_x0(model, pair: GenericPair, x0):
 
 # -- jets of expression-valued vector fields ---------------------------------
 #
-# Every function below but ``structure_at`` takes one point x of shape (n,) or
-# a stack of N points as the columns of an (n, N) array, and is written once,
-# for stacks: a point is a stack of one, and its outputs lose the leading
-# point axis that the outputs of a stack carry.  A stack binds each coordinate
-# to an array, so one array-kernel call jets every point
-# (``scalar.second_partials``); one point binds reals and runs the scalar
-# kernel, whose outputs ``_lead`` gives the point axis.  Each point of a stack
+# Every function below but ``structure_at`` and ``joint_rhs`` takes one point
+# x of shape (n,) or a stack of N points as the columns of an (n, N) array,
+# and is written once, for stacks: a point is a stack of one, and its outputs
+# lose the leading point axis that the outputs of a stack carry.  A stack
+# binds each coordinate to an array, so one array-kernel call jets every
+# point (``scalar.second_partials``, ``scalar.run_field``); one point binds
+# reals and runs the scalar kernel, whose outputs ``_lead`` gives the point
+# axis.  Each point of a stack
 # goes through the same per-point matrix products as it does alone, so it
 # gives the same bits.
 
@@ -246,17 +284,6 @@ def _fro(A):
     return _norms(A.reshape(A.shape[:-2] + (-1,)))
 
 
-def _jet(exprs, coords, env, u):
-    """Value, Jacobian and direction-contracted Hessian of a vector field.
-
-    ``env`` binds every variable at the points and ``u`` maps names to the
-    components of the direction.  Returns (val[k], J[k,n], Hu[k,n]) with
-    Hu[i,b] = sum_j u_j d2 f_i / dx_b dx_j over the n names in ``coords``,
-    each with a leading point axis for bindings of arrays; one engine call."""
-    val, _, J, Hu = scalar.second_partials(exprs, env, u, coords)
-    return val, J, Hu
-
-
 def _jacobian(exprs, coords, env):
     """Value and Jacobian over the names in ``coords``; one engine call."""
     val, _, J, _ = scalar.second_partials(exprs, env, {}, coords)
@@ -302,44 +329,75 @@ class PointFrameData:
         return PointFrameData(*(v[k] for v in vars(self).values()))
 
 
-def _first_brackets(pair: GenericPair, x_val, val, J):
-    """DX, the stack DV_j, the rows V_j and DV_j X, and the rows of
-    [X, V_j] = DV_j X - DX V_j, from X and a jet of ``pair.stacked`` at a
-    stack of points (rows 0 .. n-1 of a point's jet are X, rows
-    (j+1)*n .. (j+2)*n - 1 are V_j)."""
-    n, m = pair.n, pair.m
-    N = len(val)
-    J_X, J_V = J[:, :n], J[:, n:].reshape(N, m, n, n)
-    V_rows = val[:, n:].reshape(N, m, n)
-    JV_x = _rows(J_V, x_val[:, None])
-    return J_X, J_V, V_rows, JV_x, JV_x - V_rows @ _T(J_X)
-
-
 def frame_at(pair: GenericPair, x):
-    """V and [X, V] at x (n x m each) from one first-order jet of the pair."""
+    """V and [X, V] at x (n x m each) from one first-order jet of the pair:
+    the rows of [X, V_j] = DV_j X - DX V_j (rows 0 .. n-1 of a point's jet
+    are X, rows (j+1)*n .. (j+2)*n - 1 are V_j)."""
     one = np.ndim(x) == 1
+    n, m = pair.n, pair.m
     val, J = _lead(one, *_jacobian(pair.stacked, pair.coords, pair.bindings(x)))
-    _, _, V_rows, _, XV_rows = _first_brackets(pair, val[:, :pair.n], val, J)
+    N = len(val)
+    V_rows = val[:, n:].reshape(N, m, n)
+    XV_rows = _rows(J[:, n:].reshape(N, m, n, n), val[:, None, :n]) - V_rows @ _T(J[:, :n])
     return _unstack(one, _T(V_rows), _T(XV_rows))
 
 
+# -- field kernels ------------------------------------------------------------
+#
+# The Jacobi solve and the bracket readers run one field kernel per pair
+# (``scalar.field_kernel``): the jet of the pair's fields along X(x), which
+# the kernel computes itself, and the algebra that turns it into brackets or
+# into the solve's right-hand side, emitted as straight-line code.  Sums of
+# products run in index order; a component that is statically zero (a
+# constant frame entry, or a derivative the fields do not have) drops out of
+# them.
+
+def _nonzero(local):
+    return None if local == "0.0" else local
+
+
+def _bracket_algebra(gen, jet):
+    """X, then D = [V | XV] and XXV row-major, from the jet of X and the
+    frame columns along u = X(x): [X, V_j] = DV_j X - DX V_j, and
+    [X, [X, V_j]] from the directional derivative of [X, V_j] along X, with
+    the second derivatives of X and V_j along X, bracketed again."""
+    x = [_nonzero(v) for v in jet.along]
+    n = len(x)
+    m = len(jet.val) // n - 1
+    J, Hu = jet.dj, jet.dij                     # rows n + j n + i are V_j
+    V = [[_nonzero(v) for v in jet.val[n + j * n:n + (j + 1) * n]] for j in range(m)]
+    JV_x = [[gen.dot(zip(J[n + j * n + i], x)) for i in range(n)] for j in range(m)]
+    XV = [[gen.combine(("+", JV_x[j][i]), ("-", gen.dot(zip(V[j], J[i])))) for i in range(n)]
+          for j in range(m)]
+    JX_x = [gen.dot(zip(J[b], x)) for b in range(n)]
+    XXV = [[gen.combine(("+", gen.dot(zip(Hu[n + j * n + i], x))),
+                        ("+", gen.dot(zip(J[n + j * n + i], JX_x))),
+                        ("-", gen.dot(zip(V[j], Hu[i]))),
+                        ("-", gen.dot(zip(JV_x[j], J[i]))),
+                        ("-", gen.dot(zip(XV[j], J[i]))))
+            for i in range(n)] for j in range(m)]
+    D = [c for i in range(n) for c in [V[j][i] for j in range(m)] + [XV[j][i] for j in range(m)]]
+    return list(jet.along) + D + [XXV[j][i] for i in range(n) for j in range(m)]
+
+
+def _bracket_outputs(pair: GenericPair, x):
+    """X, D = [V | XV] and XXV at x, flat: (n + 3 n m,), or (N, n + 3 n m)
+    for a stack."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return scalar.run_field(pair.bracket_kernel, x.tolist(), pair.params)
+    return scalar.run_field(pair.bracket_kernel, list(x), pair.params, x.shape[1])
+
+
 def brackets_at(pair: GenericPair, x):
-    """X, V, [X,V], [X,[X,V]] at x, all m columns, exact AD."""
+    """X, V, [X,V], [X,[X,V]] at x, all m columns, exact AD: one call of the
+    pair's bracket kernel."""
     one = np.ndim(x) == 1
-    env = pair.bindings(x)
     n, m = pair.n, pair.m
-    x_val = evaluate(pair.X, env)
-    # one jet of X and all frame columns stacked along u = X(x)
-    val, J, Hu = _lead(one, *_jet(pair.stacked, pair.coords, env, dict(zip(pair.coords, x_val.T))))
-    x_val, = _lead(one, x_val)
-    J_X, J_V, V_rows, JV_x, XV_rows = _first_brackets(pair, x_val, val, J)
-    Hu_X, Hu_V = Hu[:, :n], Hu[:, n:].reshape(len(val), m, n, n)
-    # directional derivative of the bracket fields along X, with the second
-    # derivative of X along X and V_j, then bracket again
-    dW = (_rows(Hu_V, x_val[:, None]) + _rows(J_V, _rows(J_X, x_val)[:, None])
-          - V_rows @ _T(Hu_X) - JV_x @ _T(J_X))
-    XXV = dW - XV_rows @ _T(J_X)
-    return _unstack(one, x_val, _T(V_rows), _T(XV_rows), _T(XXV))
+    flat, = _lead(one, _bracket_outputs(pair, x))
+    D = flat[:, n:n + 2 * n * m].reshape(-1, n, 2 * m)
+    return _unstack(one, flat[:, :n], D[..., :m], D[..., m:],
+                    flat[:, n + 2 * n * m:].reshape(-1, n, m))
 
 
 def _raise_first_violation(points, cond_D, residual=0.0):
@@ -459,42 +517,106 @@ def sode_curvature(model: SODEModel, t, x, y):
     return -dFdx - 0.25 * dFdy @ dFdy + 0.5 * X_dFdy
 
 
+def _force_parts(jet):
+    """dF/dx, dF/dy and X(dF/dy), row-major, from the jet of the force along
+    the lifted field X = (1, y, F) and each x_k, then each y_k."""
+    m = len(jet.val)
+    return ([jet.dj[r][c] for r in range(m) for c in range(m)],
+            [jet.dj[r][m + c] for r in range(m) for c in range(m)],
+            [jet.dij[r][m + c] for r in range(m) for c in range(m)])
+
+
+def _force_algebra(gen, jet):
+    """F, dF/dx, dF/dy and X(dF/dy)."""
+    dFdx, dFdy, X_dFdy = _force_parts(jet)
+    return list(jet.val) + dFdx + dFdy + X_dFdy
+
+
+def _joint_algebra(gen, jet):
+    """The right-hand side of the joint Jacobi solve of a lifted system, with
+    state w = (z, vec G, vec a, vec b): z' = X, G' = -H1 G / 2, a' = -H0 b,
+    b' = -a - H1 b, with H1 = -dF/dy and H0 = dF/dx - X(dF/dy)."""
+    n, m = len(jet.along), len(jet.val)
+    neg = lambda v: None if v is None else gen.emit(f"-{v}")
+    dFdx, dFdy, X_dFdy = _force_parts(jet)
+    H1 = [neg(v) for v in dFdy]
+    H0 = [gen.combine(("+", p), ("-", q)) for p, q in zip(dFdx, X_dFdy)]
+    G, a, b = ([gen.state(n + s * m * m + k) for k in range(m * m)] for s in range(3))
+    half_H1 = [None if h is None else gen.emit(f"-0.5 * {h}") for h in H1]
+    minus_H0 = [neg(h) for h in H0]
+    prod = lambda A, B, r, c: gen.dot((A[r * m + k], B[k * m + c]) for k in range(m))
+    cells = [(r, c) for r in range(m) for c in range(m)]
+    return (list(jet.along) + [prod(half_H1, G, r, c) for r, c in cells]
+            + [prod(minus_H0, b, r, c) for r, c in cells]
+            + [gen.combine(("-", a[r * m + c]), ("-", prod(H1, b, r, c))) for r, c in cells])
+
+
+def _force_kernel(model: SODEModel, algebra):
+    """The field kernel of ``algebra`` over the jet of the force along the
+    lifted field X = (1, y, F) (no 1 when autonomous) and each x_k and y_k;
+    the state starts with the lifted coordinates."""
+    m = model.m
+    along = [] if model.autonomous else [("t", 1.0)]
+    along += [(f"x{k+1}", f"y{k+1}") for k in range(m)] + [(f"y{k+1}", k) for k in range(m)]
+    j = [f"x{k+1}" for k in range(m)] + [f"y{k+1}" for k in range(m)]
+    return scalar.field_kernel(model.F, model.coord_names, scalar.Along(tuple(along)), j, algebra)
+
+
 def _force_jet(model: SODEModel, t, x, y):
     """F, dF/dx, dF/dy and the derivative X(dF/dy) of dF/dy along the lifted
-    field X = (1, y, F), from one evaluation and one jet of the force."""
+    field X = (1, y, F), from one call of the force kernel."""
     m = model.m
-    env = model.force_bindings(t, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    F_val = evaluate(model.F, env)
-    x_names = [f"x{k+1}" for k in range(m)]
-    y_names = [f"y{k+1}" for k in range(m)]
-    u = dict(zip(x_names + y_names, [env[name] for name in y_names] + list(F_val.T)))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    count = None if x.ndim == 1 else x.shape[1]
+    w = x.tolist() + y.tolist() if count is None else [*x, *y]
     if not model.autonomous:
-        u["t"] = 1.0
-    _, J, Hu = _jet(model.F, x_names + y_names, env, u)
-    return F_val, J[..., :m], J[..., m:], Hu[..., m:]
+        w.insert(0, t if np.ndim(t) else float(t))
+    flat = scalar.run_field(model.jet_kernel, w, model.params, count)
+    mats = flat[..., m:].reshape(flat.shape[:-1] + (3, m, m))
+    return (flat[..., :m], *np.moveaxis(mats, -3, 0))
 
 
 def structure_at(pair: GenericPair, x):
     """X and the structure matrices (H0, H1) of [X, XV] = V H0 + XV H1 at the
-    point x, the base of the joint Jacobi solve: one evaluation and one jet
-    of the force for lifted second-order systems (X = (1, y, F), without the
-    1 when autonomous; H1 = -dF/dy, H0 = dF/dx - X(dF/dy)), one
-    ``brackets_at`` and one screened QR solve otherwise (``_screened_solve``).
-    A point that fails the screen is solved by ``extract_H``'s SVD, which
-    raises the RegularityViolation that ``extract_H`` raises."""
+    point x: one call of the force kernel for lifted second-order systems
+    (X = (1, y, F), without the 1 when autonomous; H1 = -dF/dy,
+    H0 = dF/dx - X(dF/dy)), one call of the bracket kernel and one screened
+    QR solve otherwise (``_screened_solve``).  A point that fails the screen
+    is solved by ``extract_H``'s SVD, which raises the RegularityViolation
+    that ``extract_H`` raises."""
     if pair.sode is not None:
         model, t, xs, ys = _sode_point(pair, x)
         F, dFdx, dFdy, X_dFdy = _force_jet(model, t, xs, ys)
         X = np.concatenate(([] if model.autonomous else [[1.0]]) + [ys, F])
         return X, dFdx - X_dFdy, -dFdy
-    x_val, V, XV, XXV = brackets_at(pair, x)
-    D = np.concatenate([V, XV], axis=1)
+    n, m = pair.n, pair.m
+    flat = _bracket_outputs(pair, x)
+    D, XXV = flat[n:n + 2 * n * m].reshape(n, 2 * m), flat[n + 2 * n * m:].reshape(n, m)
     S = _screened_solve(D, XXV)
     if S is None:
         S, cond_D, residual = _lstsq(D[None], XXV[None])
         _raise_first_violation(np.asarray(x, dtype=float)[:, None], cond_D, residual)
         S = S[0]
-    return x_val, S[:pair.m], S[pair.m:]
+    return flat[:n], S[:m], S[m:]
+
+
+def joint_rhs(pair: GenericPair):
+    """The right-hand side w' of the joint Jacobi solve of the pair, with
+    state w = (x, vec G, vec a, vec b) (``jacobi.integrate_jacobi``): one
+    call of the force kernel's joint algebra for lifted second-order
+    systems; for other pairs ``structure_at`` (one call of the bracket
+    kernel and the screened solve) and then the products."""
+    n, m = pair.n, pair.m
+    if pair.sode is not None:
+        kernel, env = pair.sode.joint_kernel, pair.sode.params
+        return lambda w: scalar.run_field(kernel, w.tolist(), env)
+
+    def rhs(w):
+        X, H0, H1 = structure_at(pair, w[:n])
+        G, a, b = w[n:].reshape(3, m, m)
+        return np.concatenate([X, (-0.5 * H1 @ G).ravel(), (-H0 @ b).ravel(),
+                               (-a - H1 @ b).ravel()])
+    return rhs
 
 
 def curvature_at(pair: GenericPair, x):

@@ -16,20 +16,32 @@ are left out of the generated code, and the value slot is bitwise equal to
 plain evaluation.
 
 The generated statements are written out twice.  The scalar kernel runs them
-over float locals at one point; the ODE right-hand sides call it.  The array
-kernel runs them over numpy arrays, one entry per point, so a whole block of
-a grid costs one call; each of its columns is bitwise equal to the scalar
-kernel at that point, and a failure at any point raises the error of the
-lowest failing point.  A binding of arrays selects it.
+over float locals at one point.  The array kernel runs them over numpy
+arrays, one entry per point, so a whole block of a grid costs one call; each
+of its columns is bitwise equal to the scalar kernel at that point, and a
+failure at any point raises the error of the lowest failing point.  A binding
+of arrays selects it.
+
+A field kernel (``field_kernel``) adds a request and an algebra to this.  The
+request jets a Field along a field that the kernel computes itself
+(``Along``), such as a vector field X along X(x): the values it reads are
+emitted first, so the jet's statements find them in the memo.  The algebra
+is emitted after the jet, as more straight-line statements (sums of products
+in index order), and reads the state it is called with by position, so one
+call gives, say, the whole right-hand side of an ODE (source transformation,
+Griewank & Walther, ch. 6).  The ODE right-hand sides and the bracket readers
+of ``pair`` and ``jacobi`` run field kernels.  Statements that no output
+reads are left out of every kernel, except those that can raise.
 
 Kernels are compiled on first use and cached on the program or Field that
 owns them, so they live exactly as long as it does: nothing compiles at parse
 or build time, no array kernel compiles before its first call over points,
-and no module-level cache holds programs.  ``second_partials``
-is the one seeding entry point: every other module obtains the derivatives of
-user-supplied fields through it.  The one finite difference in the package is
-X(H1) for generic pairs (``pair.flow_derivative_H1``), which needs a third
-derivative of the fields along X.
+and no module-level cache holds programs.  ``second_partials`` and
+``field_kernel`` are the two seeding entry points: every other module obtains
+the derivatives of user-supplied fields through them.  The one finite
+difference in the package is X(H1) for generic pairs
+(``pair.flow_derivative_H1``), which needs a third derivative of the fields
+along X.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +61,13 @@ from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownFuncti
 __all__ = [
     "ExprProgram",
     "Field",
+    "Along",
+    "FieldJet",
     "parse",
     "evaluate",
     "second_partials",
+    "field_kernel",
+    "run_field",
     "const_expr",
     "var_expr",
 ]
@@ -349,6 +366,29 @@ def _pretty(node, parent_level):
 # point, and any failure of an array call re-runs the scalar kernel point by
 # point, which raises the error of the lowest failing point.
 
+@dataclass(frozen=True)
+class Along:
+    """The i seed of a request along a field that the kernel computes
+    itself, such as a vector field X jetted along X(x): per seeded name, the
+    source of its component, an int (the value of that program of the
+    jetted sequence), a str (the value bound to that name) or a float (a
+    constant).  The values it reads are emitted first, as plain evaluation
+    computes them, so its checks come first too."""
+
+    components: tuple
+
+
+class FieldJet(NamedTuple):
+    """The locals of a jet that a field kernel's algebra reads, None where
+    statically zero: the seed components of ``along`` in coordinate order,
+    and per program its value, and per direction j its d/dj and d2/didj."""
+
+    along: tuple
+    val: tuple
+    dj: tuple
+    dij: tuple
+
+
 def _array_op(on_array, on_float):
     """One operation of the array kernel: ``on_array`` for an array local,
     ``on_float`` for a float one (a local that no array name reaches)."""
@@ -435,6 +475,8 @@ class _Codegen:
         self.memo = {}
         self.names = {}
         self.seeds = {}
+        self.checks = set()
+        self.along = {}
 
     def emit(self, expr, where=None, array=None):
         """Local holding ``expr`` (``array`` in the array kernel, when they
@@ -449,16 +491,56 @@ class _Codegen:
         return name
 
     def check(self, cond, message, node):
-        self.body.append(("check", cond, message, _pretty(node, 0)))
+        # a repeated check cannot fire: the first one would have
+        if (cond, message) not in self.checks:
+            self.checks.add((cond, message))
+            self.body.append(("check", cond, message, _pretty(node, 0)))
 
-    def load(self, name):
+    def load(self, name, source=None):
+        """Local of ``name``, bound by ``env`` or, with ``source``, read
+        from the state (``w[k]``); a state entry is keyed by its position."""
         if name not in self.names:
             self.names[name] = f"x{len(self.names)}"
-            self.head.append((self.names[name], f"env[{name!r}]"))
+            self.head.append((self.names[name], source or f"env[{name!r}]"))
+        return self.names[name]
+
+    def state(self, k):
+        """Local of entry k of the state ``w`` of a field kernel."""
+        return self.load(k, f"w[{k}]")
+
+    def value(self, node):
+        """Value local of ``node`` as plain evaluation computes it, with its
+        checks; the jet pass finds these statements in the memo."""
+        projections, zero = self.projections, self.zero
+        self.projections = self.zero = ()
+        try:
+            return self.gen(node)[0]
+        finally:
+            self.projections, self.zero = projections, zero
+
+    def seed_along(self, progs, along):
+        """Emit the values that an ``Along`` seed reads, programs in order,
+        ahead of every derivative statement."""
+        values = {p: self.value(progs[p].ast)
+                  for p in sorted({src for _, src in along.components if type(src) is int})}
+        for name, src in along.components:
+            self.along[name] = (values[src] if type(src) is int else
+                                self.load(src) if isinstance(src, str) else _literal(float(src)))
+
+    def dot(self, pairs):
+        """Local of the sum of the products a * b of ``pairs``, left to right,
+        with statically zero products left out; None when all are."""
+        return self.emit(_sum(*(("+", _chain(a, b)) for a, b in pairs)))
+
+    def combine(self, *terms):
+        """Local of the left-to-right sum of (sign, local) terms."""
+        return self.emit(_sum(*terms))
 
     def seed(self, key, name, source):
         if key is None:
             return None
+        if isinstance(key, Along):
+            return self.along.get(name)
         if isinstance(key, str):
             return "1.0" if key == name else None
         if name not in key:
@@ -615,12 +697,37 @@ class _Codegen:
         return val, tuple(self.lift(s, f1, f2) for s in rs)
 
 
-def _source(head, body, outputs, array):
+_LOCAL_RE = re.compile(r"\b[a-z]\d+\b")
+
+
+def _live(body, outputs):
+    """The statements of ``body`` that ``outputs`` read, with every check and
+    every statement that can raise (a math call with ``where``, a power)."""
+    need = set(_LOCAL_RE.findall(" ".join(outputs)))
+    kept = []
+    for stmt in reversed(body):
+        if stmt[0] == "check":
+            text = stmt[1]
+        else:
+            _, name, expr, array_expr, where = stmt
+            if name not in need and where is None and " ** " not in expr:
+                continue
+            text = f"{expr} {array_expr or ''}"
+        need.update(_LOCAL_RE.findall(text))
+        kept.append(stmt)
+    return kept[::-1]
+
+
+def _source(head, body, outputs, array, args):
     """Text of the scalar or the array kernel of the statements of a
-    ``_Codegen``, returning ``outputs``."""
-    lines = ["def _kernel(env, d1, d2):"]
-    lines += [f"    {local} = {'_load' if array else 'float'}({src})" for local, src in head]
-    for kind, *rest in body:
+    ``_Codegen``, returning ``outputs``; statements they do not read are left
+    out (``_live``).  ``args`` is ``"env, d1, d2"``, or ``"w, env"`` for a
+    field kernel, whose scalar kernel reads the floats of ``w`` as they are."""
+    lines = [f"def _kernel({args}):"]
+    for local, src in head:
+        load = "_load" if array else "" if src.startswith("w[") else "float"
+        lines.append(f"    {local} = {load}({src})" if load else f"    {local} = {src}")
+    for kind, *rest in _live(body, outputs):
         if kind == "check":
             cond, message, where = rest
             lines.append(f"    if {f'_any({cond})' if array else cond}: "
@@ -639,25 +746,46 @@ def _source(head, body, outputs, array):
     return "\n".join(lines)
 
 
-def _compile(progs, key):
-    """Kernels of the sequence ``progs`` for ``key``: None (plain values) or
-    (i seed, j seeds)."""
+def _jets(progs, key, coords=()):
+    """The ``_Codegen`` of the jets of ``progs`` for ``key``, None (plain
+    values) or (i seed, j seeds), with the names in ``coords`` read from the
+    state by position, and each program's (value, slots)."""
     projections = ()
     if key is not None:
         ikey, jkeys = key
         projections = ((ikey, None, None),) + tuple((ikey, jk, c) for c, jk in enumerate(jkeys))
     gen = _Codegen(projections)
+    for k, name in enumerate(coords):
+        gen.load(name, f"w[{k}]")
     for prog in progs:
         for name in prog.free_vars:
             gen.load(name)
-    results = [gen.gen(prog.ast) for prog in progs]
+    if key is not None and isinstance(key[0], Along):
+        gen.seed_along(progs, key[0])
+    return gen, [gen.gen(prog.ast) for prog in progs]
+
+
+def _compile(progs, key):
+    """Kernels of the sequence ``progs`` for ``key``: None (plain values),
+    (i seed, j seeds), or (coords, i seed, j names, algebra, extra) for a
+    field kernel (``field_kernel``)."""
+    if key is not None and len(key) == 5:
+        coords, ikey, jkeys, algebra, extra = key
+        gen, results = _jets(progs, (ikey, jkeys), coords)
+        jet = FieldJet(along=tuple(gen.along.get(name) for name in coords),
+                       val=tuple(v for v, _ in results),
+                       dj=tuple(tuple(p[1] for p in s[1:]) for _, s in results),
+                       dij=tuple(tuple(p[2] for p in s[1:]) for _, s in results))
+        out = ["0.0" if o is None else o for o in algebra(gen, jet, *extra)]
+        return _Kernel(gen, out, "w, env")
+    gen, results = _jets(progs, key)
     out = [v for v, _ in results]
-    if projections:
-        cols = range(1, len(projections))
+    if key is not None:
+        cols = range(1, len(key[1]) + 1)
         out += [s[0][0] for _, s in results]
         out += [s[c][1] for _, s in results for c in cols]
         out += [s[c][2] for _, s in results for c in cols]
-    return _Kernel(gen, out)
+    return _Kernel(gen, out, "env, d1, d2")
 
 
 class _Kernel:
@@ -668,14 +796,14 @@ class _Kernel:
     the object and the array kernel, written from the same statements, on
     its first call over points."""
 
-    def __init__(self, gen, out):
+    def __init__(self, gen, out, args):
         live = [k for k, o in enumerate(out) if o is not None]
         outputs = [out[k] for k in live]
         self.live = live
         self.index = None if len(live) == len(out) else np.array(live, dtype=np.intp)
         self.size = len(out)
-        self.scalar = _build(_source(gen.head, gen.body, outputs, False), _SCALAR_GLOBALS)
-        self._array_source = _source(gen.head, gen.body, outputs, True)
+        self.scalar = _build(_source(gen.head, gen.body, outputs, False, args), _SCALAR_GLOBALS)
+        self._array_source = _source(gen.head, gen.body, outputs, True, args)
         self._array = None
 
     @property
@@ -749,25 +877,24 @@ def _run(progs, key, point, i, cols):
     try:
         if count is None:
             return kernel, kernel.scalar(point, i, cols), None
-        return kernel, _run_points(kernel, point, i, cols, count), count
+        at = lambda k: (_select(point, k), _select(i, k),
+                        None if cols is None else tuple(_select(c, k) for c in cols))
+        return kernel, _run_points(kernel, (point, i, cols), at, count), count
     except KeyError as err:
         raise UnboundVariable(err.args[0]) from None
 
 
-def _run_points(kernel, point, i, cols, count):
-    """Outputs of ``kernel`` at a point of arrays over ``count`` points."""
-    def scalar_at(k):
-        return kernel.scalar(_select(point, k), _select(i, k),
-                             None if cols is None else tuple(_select(c, k) for c in cols))
-
+def _run_points(kernel, args, at, count):
+    """Outputs of ``kernel`` at ``args`` over ``count`` points, whose
+    point k has the scalar arguments ``at(k)``."""
     if count == 1:
-        return scalar_at(0)
+        return kernel.scalar(*at(0))
     try:
         with np.errstate(all="ignore"):
-            return kernel.array(point, i, cols)
+            return kernel.array(*args)
     except _EVAL_ERRORS:
         for k in range(count):        # the lowest failing point raises its own error
-            scalar_at(k)
+            kernel.scalar(*at(k))
         raise
 
 
@@ -852,6 +979,36 @@ def second_partials(progs, point, i, j):
         return tuple(out) if single else out
     return tuple(_fill(kernel, live, [np.zeros(head), np.zeros(head),
                                       np.zeros(head + (nc,)), np.zeros(head + (nc,))]))
+
+
+def field_kernel(progs, coords, i, j, algebra, *extra):
+    """The field kernel of ``algebra`` over the jet of the Field ``progs``
+    seeded along ``i`` (an ``Along``, or None for no i) and each name of
+    ``j``.  Its state ``w`` binds the names of ``coords`` by position, and
+    ``env`` every other name.  ``algebra(gen, jet, *extra)`` emits the
+    statements that combine the jet (a ``FieldJet``) through ``gen.emit``,
+    ``gen.dot`` and ``gen.combine``, reads further entries of the state
+    through ``gen.state``, and returns the output locals; one kernel call
+    gives them all (``run_field``).  Compiled on first use and cached on
+    ``progs``."""
+    return _kernel(progs, (tuple(coords), i, tuple(j), algebra, extra))
+
+
+def run_field(kernel, w, env, count=None):
+    """Outputs of a field kernel as an array: (size,) at a state ``w`` of
+    floats (a list, as ``ndarray.tolist`` gives), (count, size) at a state
+    whose entries are floats or arrays over ``count`` points.  Raises as
+    ``evaluate`` does."""
+    try:
+        if count is None:
+            return np.array(kernel.scalar(w, env))
+        at = lambda k: ([float(v[k]) if isinstance(v, np.ndarray) and v.ndim else float(v)
+                         for v in w], env)
+        live = _run_points(kernel, (w, env), at, count)
+    except KeyError as err:
+        raise UnboundVariable(err.args[0]) from None
+    out, = _fill(kernel, live, [np.zeros((count, kernel.size))])
+    return out
 
 
 # -- small AST builders used by model constructors ---------------------------

@@ -14,10 +14,13 @@ STATE_BOUND = 30.0
 def jacobi_in_time(K, m, T):
     """Jacobi solution for a curvature given as a function of time: the base
     system is t' = 1 from t = 0 with H0 = -K(t), H1 = 0 and G0 = I, so
-    P'' = -K P."""
-    one, zero = np.ones(1), np.zeros((m, m))
-    return jacobi.integrate_jacobi(lambda z: (one, -np.asarray(K(z[0]), dtype=float), zero),
-                                   [0.0], np.eye(m), T)
+    P'' = -K P (G' = 0, a' = K b, b' = -a)."""
+    def rhs(w):
+        a, b = w[1 + m * m:].reshape(2, m, m)
+        return np.concatenate([[1.0], np.zeros(m * m),
+                               (np.asarray(K(w[0]), dtype=float) @ b).ravel(), (-a).ravel()])
+
+    return jacobi.integrate_jacobi(rhs, [0.0], np.eye(m), T)
 
 
 def jacobi_Q(js, t, H1_at=None):

@@ -270,7 +270,8 @@ def test_sturm_zeros_match_the_airy_zeros():
     ts = np.linspace(0.0, 12.0, 800)
     zeros = bounds.sturm_zeros(ts, 1.0 + ts / 2.0, 12.0)
     assert len(roots) == len(zeros) == 7
-    assert all(abs(z - r) <= 1e-12 for z, r in zip(zeros, roots))
+    # 3.6e-15 measured
+    assert all(abs(z - r) <= 1e-14 for z, r in zip(zeros, roots))
 
 
 @pytest.mark.parametrize("lam, T, n", [(400.0, 2.0, 20), (2500.0, 2.0, 20), (1e4, 1.0, 30)])
@@ -280,7 +281,8 @@ def test_sturm_zeros_of_a_fast_oscillation_on_a_coarse_grid(lam, T, n):
     zeros = bounds.sturm_zeros(ts, np.full(n, lam), T)
     exact = np.pi / np.sqrt(lam) * np.arange(1, int(T * np.sqrt(lam) / np.pi) + 1)
     assert len(zeros) == len(exact)
-    assert np.max(np.abs(np.array(zeros) - exact)) <= 1e-12
+    # one spacing of floats at t = 2 (4.4e-16) measured
+    assert np.max(np.abs(np.array(zeros) - exact)) <= 2e-15
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0])
@@ -390,7 +392,8 @@ def test_refined_extrema_match_a_finer_local_reference():
 
 def test_sturm_zeros_match_detected_times_on_the_bench_dancing_fixtures():
     # the quintic spline through the curvature samples keeps the Sturm zeros
-    # on the detected times; a cubic one at 8 points per step is 9e-11 off
+    # on the detected times (1.9e-14 measured, on sin(x1)); a cubic one at 8
+    # points per step is 9e-11 off
     entry = catalog.ENTRIES["dancing"]
     for force, x0 in _bench_inputs().DANCING_FIXTURES:
         model, _ = catalog.build("dancing", {"F": force})
@@ -400,4 +403,4 @@ def test_sturm_zeros_match_detected_times_on_the_bench_dancing_fixtures():
         detected = sorted(c.t_star for c in res.conjugate_times)
         zeros = sorted(z for tr in res.bounds.eigenline_tracks for z in tr.sturm_zeros)
         assert len(zeros) == len(detected)
-        assert all(abs(z - t) <= 1e-12 for z, t in zip(zeros, detected))
+        assert all(abs(z - t) <= 1e-13 for z, t in zip(zeros, detected))

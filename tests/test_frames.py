@@ -277,18 +277,34 @@ def test_generic_K_normal_on_a_grid_matches_scalar_calls():
 
 @pytest.mark.parametrize("kind", ["autonomous", "nonautonomous", "generic"])
 def test_joint_solve_makes_one_field_evaluation_per_rhs_call(monkeypatch, kind):
-    # the base of the joint solve is the pair call structure_at, which gives X
-    # with (H0, H1): one scalar.evaluate per right-hand-side evaluation, on a
-    # lifted second-order system (the force) and on a generic pair (X)
-    calls = []
-    evaluate = scalar.evaluate
+    # the right-hand side of the joint solve (pair.joint_rhs) evaluates the
+    # fields once per call, in one compiled field kernel: on a lifted
+    # second-order system the force kernel gives all of w', on a generic
+    # pair the bracket kernel gives X, D and XXV for the screened solve; no
+    # plain evaluation, seeded jet or bracket reader runs during the solve
+    kernel_calls, other_calls = [], []
+    build = scalar._build
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return evaluate(*args, **kwargs)
+    def counting_build(*args):
+        kernel = build(*args)
 
-    monkeypatch.setattr(scalar, "evaluate", counting)
-    monkeypatch.setattr(pm, "evaluate", counting)
+        def counted(*a):
+            kernel_calls.append(1)
+            return kernel(*a)
+        return counted
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            other_calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(scalar, "_build", counting_build)
+    for module, name in ((scalar, "evaluate"), (pm, "evaluate"), (scalar, "second_partials"),
+                         (pm, "brackets_at")):
+        recording(module, name)
     model = pm.SODEModel(m=2, F=("-x1 - 0.2*y1*x2 + 0.1*t", "-2*x2 + 0.3*sin(t)*y2 - 0.1*y1"),
                          autonomous=False)
     if kind == "autonomous":
@@ -299,7 +315,8 @@ def test_joint_solve_makes_one_field_evaluation_per_rhs_call(monkeypatch, kind):
     x0 = pm.full_x0(model, pr, [0.3, -0.2, 1.0, 0.4])
     ft = frames.transport_normal_frame(pr, x0, 3.0)
     js = ft.jacobi_solution
-    assert len(calls) == js.joint.n_rhs_evals > 0
+    assert len(kernel_calls) == js.joint.n_rhs_evals > 0
+    assert other_calls == []
     # X is the pair's own field, bitwise
     z = js.joint.states[::7, :pr.n]
     assert np.array_equal(pm.structure_at(pr, z[3])[0], pr.X_at(z[3]))

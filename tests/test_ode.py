@@ -66,6 +66,20 @@ def test_locate_events_sin():
     assert abs(t2 - 2 * math.pi) < 1e-9
 
 
+def test_locate_events_close_at_float_resolution():
+    # a bracket closes within EVENT_ULPS spacings of floats of the zero: sin
+    # changes sign at the float nearest pi, and at a jump the search stops
+    # once its samples run into the bracket's ends
+    grid = np.linspace(0, 7, 50)
+    t1, t2 = ode.locate_events(np.sin, grid, np.sin(grid))
+    assert abs(t1 - math.pi) <= 2 * np.spacing(math.pi)
+    assert abs(t2 - 2 * math.pi) <= 2 * np.spacing(2 * math.pi)
+    jump = 1.0 + 3 * np.spacing(1.0)
+    f = lambda t: np.where(t < jump, -1.0, 1.0)
+    t, = ode.locate_events(f, grid, f(grid))
+    assert abs(t - jump) <= 2 * np.spacing(1.0)
+
+
 def test_locate_events_double_root_touch():
     # no sign change, so no event; the touch is a refined minimum of |f|
     # (jacobi's rank events merge the two below into one touch)

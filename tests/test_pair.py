@@ -397,3 +397,175 @@ def test_curvature_on_a_stack_raises_the_first_pointwise_violation():
         pm.curvature_at(gen, stack)
     assert (err.value.cond, err.value.residual) == (first.cond, first.residual)
     assert np.array_equal(err.value.point, first.point)
+
+
+# -- field kernels against the numpy algebra they replace ---------------------
+
+def _dot(A, B):
+    """A @ B (stacks broadcast) summed in index order, as the field kernels
+    sum; BLAS may sum in another order, or fuse multiply and add."""
+    out = A[..., :, :1] * B[..., :1, :]
+    for k in range(1, A.shape[-1]):
+        out = out + A[..., :, k:k + 1] * B[..., k:k + 1, :]
+    return out
+
+
+def _bracket_reference(pair, x):
+    """X, D = [V | XV] and XXV at x from one evaluation of X and one seeded
+    jet of the stacked fields along X(x), bracketed in numpy."""
+    n, m = pair.n, pair.m
+    env = pair.bindings(x)
+    X = scalar.evaluate(pair.X, env)
+    val, _, J, Hu = scalar.second_partials(pair.stacked, env, dict(zip(pair.coords, X)),
+                                           pair.coords)
+    J_X, J_V = J[:n], J[n:].reshape(m, n, n)
+    Hu_X, Hu_V = Hu[:n], Hu[n:].reshape(m, n, n)
+    V = val[n:].reshape(m, n)                   # rows V_j
+    col = X[:, None]
+    JV_x = _dot(J_V, col)[..., 0]
+    XV = JV_x - _dot(V, J_X.T)
+    JX_x = _dot(J_X, col)[:, 0]
+    XXV = (_dot(Hu_V, col)[..., 0] + _dot(J_V, JX_x[:, None])[..., 0] - _dot(V, Hu_X.T)
+           - _dot(JV_x, J_X.T) - _dot(XV, J_X.T))
+    return X, np.concatenate([V.T, XV.T], axis=1), XXV.T
+
+
+def _force_reference(model, x):
+    """X, H0 and H1 of a lifted point from one evaluation and one seeded
+    jet of the force along X = (1, y, F)."""
+    m = model.m
+    t, xs = (None, x) if model.autonomous else (x[0], x[1:])
+    env = model.force_bindings(t, xs[:m], xs[m:])
+    F = scalar.evaluate(model.F, env)
+    u = {**{f"x{k+1}": xs[m + k] for k in range(m)}, **{f"y{k+1}": F[k] for k in range(m)}}
+    if not model.autonomous:
+        u["t"] = 1.0
+    names = [f"x{k+1}" for k in range(m)] + [f"y{k+1}" for k in range(m)]
+    _, _, J, Hu = scalar.second_partials(model.F, env, u, names)
+    X = np.concatenate(([] if model.autonomous else [1.0]) + [xs[m:], F])
+    return X, J[:, :m] - Hu[:, m:], -J[:, m:]
+
+
+def _trajectory_points(pair, x0, T, count=20):
+    from conjscope import ode
+    return ode.integrate(pair.field_callable(), x0, T).at(np.linspace(0.0, T, count)).T
+
+
+def _as_generic(pair):
+    return pm.GenericPair(coords=pair.coords, X=pair.X, vframe=pair.vframe, params=pair.params)
+
+
+def _check_generic_parity(pair, x0, T):
+    stacked = []
+    for x in _trajectory_points(pair, x0, T):
+        X, D, XXV = _bracket_reference(pair, x)
+        S = pm._screened_solve(D, XXV)
+        assert S is not None
+        got = pm.structure_at(pair, x)
+        for a, b in zip(got, (X, S[:pair.m], S[pair.m:])):
+            assert np.array_equal(a, b)
+        stacked.append((x, X, D, XXV))
+    # the stack form of the same kernel: brackets_at on all points at once
+    xs = np.array([s[0] for s in stacked]).T
+    X, V, XV, XXV = pm.brackets_at(pair, xs)
+    assert np.array_equal(X, [s[1] for s in stacked])
+    assert np.array_equal(np.concatenate([V, XV], axis=-1), [s[2] for s in stacked])
+    assert np.array_equal(XXV, [s[3] for s in stacked])
+
+
+def _joint_reference(X, H0, H1, w):
+    """w' of the joint solve, products summed in index order."""
+    m = len(H0)
+    G, a, b = w[len(X):].reshape(3, m, m)
+    return np.concatenate([X, _dot(-0.5 * H1, G).ravel(), _dot(-H0, b).ravel(),
+                           (-a - _dot(H1, b)).ravel()])
+
+
+@pytest.mark.parametrize("name", ["dancing", "mechanical", "perturbed_pair", "sphere_spray",
+                                  "harmonic"])
+def test_field_kernels_match_the_numpy_algebra_on_the_catalog(name):
+    # the force kernel (lifted) and the bracket kernel (the same lift as a
+    # generic pair) give, bitwise, what the numpy algebra of the same jets gives
+    from conjscope import catalog
+    entry = catalog.ENTRIES[name]
+    model, _ = entry.build()
+    pr = pm.lift_sode(model)
+    x0 = pm.full_x0(model, pr, entry.default_x0)
+    rhs = pm.joint_rhs(pr)
+    rng = np.random.default_rng(5)
+    points = _trajectory_points(pr, x0, entry.default_T)
+    for x in points:
+        ref = _force_reference(model, x)
+        for a, b in zip(pm.structure_at(pr, x), ref):
+            assert np.array_equal(a, b)
+        w = np.concatenate([x, rng.standard_normal(3 * model.m ** 2)])
+        assert np.array_equal(rhs(w), _joint_reference(*ref, w))
+    # the stack form of the force kernel, which sode_curvature reads
+    _, t, xs, ys = pm._sode_point(pr, points.T)
+    _, dFdx, dFdy, X_dFdy = pm._force_jet(model, t, xs, ys)
+    for x, H0, H1 in zip(points, dFdx - X_dFdy, -dFdy):
+        _, H0_ref, H1_ref = _force_reference(model, x)
+        assert np.array_equal(H0, H0_ref) and np.array_equal(H1, H1_ref)
+    _check_generic_parity(_as_generic(pr), x0, entry.default_T)
+
+
+def test_bracket_kernel_matches_the_numpy_algebra_on_the_nonholonomic_config():
+    from pathlib import Path
+    from conjscope import cli
+    cfg = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "nonholonomic.ini")
+    pair, _, _, _ = cli.build_system(cfg["system"], cfg["params"])
+    x0 = [float(v) for v in cfg["analysis"]["x0"].split(",")]
+    _check_generic_parity(pair, x0, float(cfg["analysis"]["t"]))
+
+
+def test_bracket_kernel_matches_the_numpy_algebra_on_random_systems():
+    from conftest import screened_random_sodes
+    systems = screened_random_sodes(seed=77, count=8)
+    kinds = {(model.m, model.autonomous) for model, _ in systems}
+    assert {m for m, _ in kinds} == {1, 2, 3} and {a for _, a in kinds} == {True, False}
+    for model, x0 in systems:
+        pr = pm.lift_sode(model)
+        _check_generic_parity(_as_generic(pr), pm.full_x0(model, pr, x0), 2.0)
+
+
+def test_field_kernels_raise_what_evaluate_raises():
+    from conjscope.errors import DomainError, UnboundVariable
+    model = pm.SODEModel(m=1, F=("-x1 + 0.1*log(x1)*y1",), autonomous=True)
+    pr = pm.lift_sode(model)
+    x = np.array([-0.5, 0.3])
+    with pytest.raises(DomainError) as ref:
+        scalar.evaluate(model.F, model.force_bindings(0.0, x[:1], x[1:]))
+    generic = _as_generic(pr)
+    w = np.concatenate([x, [1.0, 1.0, 0.0]])
+    calls = [lambda: pm.structure_at(pr, x), lambda: pm.joint_rhs(pr)(w),
+             lambda: pm.curvature_at(pr, np.array([[0.5, -0.5, 0.7], [0.3, 0.3, 0.3]])),
+             lambda: pm.structure_at(generic, x), lambda: pm.joint_rhs(generic)(w),
+             lambda: pm.brackets_at(generic, np.array([[0.5, -0.5, 0.7], [0.3, 0.3, 0.3]]))]
+    for call in calls:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert (err.value.where, str(err.value)) == (ref.value.where, str(ref.value))
+    unbound = pm.GenericPair(coords=("q", "p"), X=("p", "-k*q"), vframe=(("0", "1"),))
+    with pytest.raises(UnboundVariable):
+        pm.structure_at(unbound, [0.1, 0.2])
+    with pytest.raises(UnboundVariable):
+        pm.brackets_at(unbound, np.array([[0.1, 0.2], [0.2, 0.1]]))
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_a_second_analysis_of_a_pair_compiles_nothing(monkeypatch, generic):
+    # the kernels live on the pair (on the model, for its lift), so only the
+    # first analysis compiles them
+    from conjscope import analysis, catalog
+    model, _ = catalog.build("perturbed_pair", {"eps": 0.05})
+    pair = _as_generic(pm.lift_sode(model)) if generic else model
+    keys = []
+    compile_kernel = scalar._compile
+    monkeypatch.setattr(scalar, "_compile",
+                        lambda progs, key: keys.append(key) or compile_kernel(progs, key))
+    x0 = [0.2, -0.1, 1.0, 0.4]
+    analysis.analyze(pair, x0=x0, T=4.0)
+    assert keys
+    keys.clear()
+    analysis.analyze(pair, x0=x0, T=4.0)
+    assert keys == []
