@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import os
 import sys
@@ -124,9 +125,10 @@ def _report_json(report):
 
 
 def _write_curves(fh, columns, rows):
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """The table in one %-format call, each value as ``_fmt`` writes it."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    fh.write(",".join(columns) + "\n"
+             + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _run_analysis(args, overrides=None):

@@ -44,7 +44,17 @@ class DomainError(ConjscopeError):
 
 class StepSizeUnderflow(ConjscopeError):
     """The adaptive integrator could not make progress (stiffness or a
-    singularity of the right-hand side)."""
+    singularity of the right-hand side).
+
+    ``t`` is the time the solve reached, ``point`` the state there, ``step``
+    the last step size and ``n_steps`` the accepted steps taken."""
+
+    def __init__(self, message, t=None, point=None, step=None, n_steps=None):
+        self.t = t
+        self.point = point
+        self.step = step
+        self.n_steps = n_steps
+        super().__init__(message)
 
 
 class NonFiniteState(ConjscopeError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobi, ode, pair as pair_mod
-from .errors import SingularG
+from .errors import SingularG, StepSizeUnderflow
 
 __all__ = ["FrameTransport", "transport_normal_frame"]
 
@@ -72,14 +72,22 @@ def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
 
     G0 defaults to the identity.  Raises SingularG if |det G| collapses
     relative to |det G0| (analytically impossible: det G obeys a linear
-    scalar equation, so this would signal numerical breakdown)."""
+    scalar equation, so this would signal numerical breakdown).  When the
+    solve stalls (StepSizeUnderflow), a generic pair is checked for
+    regularity where it stopped, and the R2 or I violation found there is
+    raised in its place."""
     m, n = pair.m, pair.n
     G0 = np.eye(m) if G0 is None else np.asarray(G0, dtype=float)
     if abs(np.linalg.det(G0)) < 1e-300:
         raise ValueError("G0 must be invertible")
 
-    js = jacobi.integrate_jacobi(pair_mod.joint_rhs(pair), x0, G0, T,
-                                 rel_tol=rel_tol, abs_tol=abs_tol)
+    try:
+        js = jacobi.integrate_jacobi(pair_mod.joint_rhs(pair), x0, G0, T,
+                                     rel_tol=rel_tol, abs_tol=abs_tol)
+    except StepSizeUnderflow as err:
+        if pair.sode is None:       # a stall at a singular [V | XV] is that violation
+            pair_mod.extract_H(pair, err.point[:n])
+        raise
 
     dets = np.abs(np.linalg.det(js.joint.states[:, n:n + m * m].reshape(-1, m, m)))
     collapsed = np.flatnonzero(dets < 1e-12 * abs(np.linalg.det(G0)))

@@ -436,10 +436,12 @@ def _screened_solve(D, B):
     if info != 0:
         return None
     rcond, info = _dtrcon(qr[:k])
-    out = S[k:].ravel()            # Q2^T B: |D S - B| is its norm
-    if (info != 0 or not rcond > 10.0 * k / COND_LIMIT or not np.isfinite(S).all()
-            or out @ out > (0.1 * INVARIANCE_TOL) ** 2 * np.vdot(B, B)):
+    if info != 0 or not rcond > 10.0 * k / COND_LIMIT or not np.isfinite(S).all():
         return None
+    if n > k:                      # a square D leaves no residual
+        out = S[k:].ravel()        # Q2^T B: |D S - B| is its norm
+        if out @ out > (0.1 * INVARIANCE_TOL) ** 2 * np.vdot(B, B):
+            return None
     return S[:k]
 
 

@@ -35,13 +35,13 @@ reads are left out of every kernel, except those that can raise.
 
 Kernels are compiled on first use and cached on the program or Field that
 owns them, so they live exactly as long as it does: nothing compiles at parse
-or build time, no array kernel compiles before its first call over points,
-and no module-level cache holds programs.  ``second_partials`` and
-``field_kernel`` are the two seeding entry points: every other module obtains
-the derivatives of user-supplied fields through them.  The one finite
-difference in the package is X(H1) for generic pairs
-(``pair.flow_derivative_H1``), which needs a third derivative of the fields
-along X.
+or build time, no scalar kernel compiles before its first call at a point
+and no array kernel before its first call over points, and no module-level
+cache holds programs.  ``second_partials`` and ``field_kernel`` are the two
+seeding entry points: every other module obtains the derivatives of
+user-supplied fields through them.  The one finite difference in the
+package is X(H1) for generic pairs (``pair.flow_derivative_H1``), which
+needs a third derivative of the fields along X.
 """
 
 from __future__ import annotations
@@ -792,9 +792,10 @@ class _Kernel:
     """The two kernels of one sequence and key.  Both return the flat
     outputs that are not statically zero; ``live`` holds their positions in
     the flat output (``index`` as an array, None when every output is
-    returned) and ``size`` its length.  The scalar kernel is compiled with
-    the object and the array kernel, written from the same statements, on
-    its first call over points."""
+    returned) and ``size`` its length.  Both sources are written from the
+    same statements with the object, and each kernel is compiled on its
+    first call: the scalar kernel over one point, the array kernel over
+    points."""
 
     def __init__(self, gen, out, args):
         live = [k for k, o in enumerate(out) if o is not None]
@@ -802,20 +803,29 @@ class _Kernel:
         self.live = live
         self.index = None if len(live) == len(out) else np.array(live, dtype=np.intp)
         self.size = len(out)
-        self.scalar = _build(_source(gen.head, gen.body, outputs, False, args), _SCALAR_GLOBALS)
-        self._array_source = _source(gen.head, gen.body, outputs, True, args)
-        self._array = None
+        self._sources = {"_scalar": _source(gen.head, gen.body, outputs, False, args),
+                         "_array": _source(gen.head, gen.body, outputs, True, args)}
+        self._scalar = self._array = None
+
+    @property
+    def scalar(self):
+        if self._scalar is None:
+            self._publish("_scalar", _SCALAR_GLOBALS)
+        return self._scalar
 
     @property
     def array(self):
+        if self._array is None:
+            self._publish("_array", _ARRAY_GLOBALS)
+        return self._array
+
+    def _publish(self, name, namespace_globals):
         # the source is dropped only once the kernel is set, so a thread
         # that finds no source finds the kernel
-        if self._array is None:
-            source = self._array_source
-            if source is not None:
-                self._array = _build(source, _ARRAY_GLOBALS)
-                self._array_source = None
-        return self._array
+        source = self._sources.get(name)
+        if source is not None:
+            setattr(self, name, _build(source, namespace_globals))
+            self._sources.pop(name, None)
 
 
 def _build(source, namespace_globals):

@@ -1,14 +1,14 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from conjscope import analysis, bounds, catalog, frames, jacobi, ode, pair as pm
 from conjscope import hamiltonian
-from conjscope.errors import ClosedOrbitWarning
+from conjscope.errors import ClosedOrbitWarning, RegularityViolation, StepSizeUnderflow
 
 
 def test_closed_orbit_warning_emitted():
@@ -459,7 +459,7 @@ def test_step_point_samples_read_the_stored_states(monkeypatch):
     # and the 24 points of the transported frames, are rows of one more
     # lookup, of MAX_SAMPLE_POINTS evenly spaced times
     looked_up = []
-    call = scipy.integrate.OdeSolution.__call__
+    call = ode.Trajectory._lookup
 
     def recording(self, t):
         if np.ndim(t) == 1:
@@ -479,7 +479,7 @@ def test_step_point_samples_read_the_stored_states(monkeypatch):
     spy(pm, "check_regularity")
     spy(hamiltonian, "check_lagrangian")
     spy(hamiltonian, "transported_frames")
-    monkeypatch.setattr(scipy.integrate.OdeSolution, "__call__", recording)
+    monkeypatch.setattr(ode.Trajectory, "_lookup", recording)
     model, sigma = catalog.build("mechanical")
     entry = catalog.ENTRIES["mechanical"]
     with warnings.catch_warnings():
@@ -487,10 +487,10 @@ def test_step_point_samples_read_the_stored_states(monkeypatch):
         res = analysis.analyze(model, x0=entry.default_x0, T=entry.default_T, sigma=sigma)
     ft = res.transport
     grid = ft.grid()
-    on_grid = [t for sol, t in looked_up if sol is ft.joint._sol and np.isin(t, grid).all()]
+    on_grid = [t for sol, t in looked_up if sol is ft.joint and np.isin(t, grid).all()]
     assert len(on_grid) == 1 and np.array_equal(on_grid[0], grid)
     sample_ts = np.linspace(0.0, entry.default_T, analysis.MAX_SAMPLE_POINTS)
-    assert sum(sol is ft.joint._sol and np.array_equal(t, sample_ts) for sol, t in looked_up) == 1
+    assert sum(sol is ft.joint and np.array_equal(t, sample_ts) for sol, t in looked_up) == 1
     assert len(sampled["check_regularity"]) == analysis.MAX_SAMPLE_POINTS
     assert len(sampled["check_lagrangian"]) == 12
     assert sampled["check_regularity"].tobytes() == ft.x(sample_ts).T.tobytes()
@@ -521,14 +521,14 @@ def test_analyze_and_curve_rows_interpolate_the_grid_once(monkeypatch, name):
     # the closed-orbit distances, the detection track, the sigma_min curve,
     # the curvature samples and det G in the curves all read one lookup
     looked_up = []
-    call = scipy.integrate.OdeSolution.__call__
+    call = ode.Trajectory._lookup
 
     def recording(self, t):
         if np.ndim(t) == 1:
             looked_up.append(np.array(t))
         return call(self, t)
 
-    monkeypatch.setattr(scipy.integrate.OdeSolution, "__call__", recording)
+    monkeypatch.setattr(ode.Trajectory, "_lookup", recording)
     entry = catalog.ENTRIES[name]
     model, _ = catalog.build(name)
     with warnings.catch_warnings():
@@ -544,3 +544,52 @@ def test_analyze_and_curve_rows_interpolate_the_grid_once(monkeypatch, name):
     assert res.sigma_min_track.tobytes() == js.sigma_min(fresh).tobytes()
     assert [row[-1] for row in rows] == res.transport.det_G(fresh).tolist()
     assert sum(np.array_equal(t, res.grid) for t in looked_up) == 4    # fresh ones did look up
+
+
+def test_a_stalled_solve_ends_with_a_typed_error():
+    # from this state the force 0.3 sin(t) - x1 drives the joint solve into a
+    # blow-up near t = 1.20171, where its steps fall below ode.MIN_STEP * T
+    # (at step 270); the solve stops there with the time and the state
+    model, _ = catalog.build("dancing", {"F": "0.3*sin(t) - x1"})
+    start = time.perf_counter()
+    with pytest.raises(StepSizeUnderflow) as err:
+        analysis.analyze(model, x0=(2.5, -2.0, 0.6, 0.1), T=3.0)
+    assert time.perf_counter() - start < 1.0
+    stall = err.value
+    assert abs(stall.t - 1.20171) < 1e-5 and stall.step < ode.MIN_STEP * 3.0
+    assert stall.n_steps < ode.MAX_STEPS
+    assert np.isfinite(stall.point).all() and abs(stall.point[0] - stall.t) < 1e-9   # t slot
+
+
+def _degenerating_pair():
+    # X = d/da, V = (1, (a - 1)^2 / 2): det[V | XV] = a - 1 vanishes at a = 1
+    return pm.GenericPair(coords=("a", "b"), X=("1", "0"), vframe=(("1", "0.5*(a-1)^2"),))
+
+
+def test_a_pair_degenerating_mid_trajectory_ends_with_a_typed_error():
+    # from a = 0.9 the trajectory reaches the singular set at t = 0.1; H grows
+    # like 1/(a - 1) and the steps shrink with the distance to it, so the
+    # solve stops at the step floor, with the point, once it has crept up to
+    # a = 1 (where cond[V | XV] is still below COND_LIMIT: a stall, not R2)
+    start = time.perf_counter()
+    with pytest.raises((StepSizeUnderflow, RegularityViolation)) as err:
+        analysis.analyze(_degenerating_pair(), x0=(0.9, 0.0), T=0.2)
+    assert time.perf_counter() - start < 5.0
+    assert 0.9999 < err.value.point[0] < 1.0 and err.value.point[1] == 0.0
+
+
+def test_a_stall_at_a_singular_frame_raises_the_violation_there(monkeypatch):
+    # where the solve stops at a point that fails R2, that violation is raised
+    point = np.array([1.0 - 1e-10, 0.0, 1.0, 0.0, 0.0])
+
+    def stalled(*args, **kwargs):
+        raise StepSizeUnderflow("stalled", t=0.1, point=point, step=1e-12, n_steps=300)
+
+    monkeypatch.setattr(jacobi, "integrate_jacobi", stalled)
+    with pytest.raises(RegularityViolation) as err:
+        frames.transport_normal_frame(_degenerating_pair(), [0.9, 0.0], 0.2)
+    assert err.value.cond == "R2" and np.array_equal(err.value.point, point[:2])
+    # a lifted second-order system has no frame to check: the stall stands
+    model, _ = catalog.build("harmonic")
+    with pytest.raises(StepSizeUnderflow):
+        frames.transport_normal_frame(pm.lift_sode(model), [0.1, 0.2], 1.0)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conjscope import ode
 from conjscope.errors import NonFiniteState, StepSizeUnderflow
@@ -134,12 +135,59 @@ def test_dense_evaluation_at_step_endpoints_returns_stored_states():
     assert block[:, :len(traj.steps[::7])].T.tobytes() == traj.states[::7].tobytes()
 
 
+def test_lookup_has_the_bits_of_scipys_dense_output():
+    # the coefficient array reproduces solve_ivp's solve and its OdeSolution,
+    # the reference here: the steps, the counts, the states and every value
+    # bitwise, at random times, at 0 and T, for scalar and array times; at a
+    # step endpoint the lookup returns the stepped state
+    def field(x):
+        return np.array([x[1], -math.sin(x[0]) - 0.1 * x[1], x[0] * x[1]])
+
+    x0, T = [1.2, 0.0, 0.3], 10.0
+    traj = ode.integrate(field, x0, T)
+    sol = solve_ivp(lambda t, x: field(x), (0.0, T), np.array(x0), method="DOP853",
+                    dense_output=True, rtol=ode.DEFAULT_REL_TOL, atol=ode.DEFAULT_ABS_TOL)
+    assert traj.steps.tobytes() == sol.t.tobytes()
+    assert traj.states.tobytes() == sol.y.T.tobytes()
+    assert (traj.n_steps, traj.n_rhs_evals) == (len(sol.t) - 1, sol.nfev)
+
+    def reference(t):
+        if np.ndim(t) == 0:
+            return sol.y[:, np.searchsorted(sol.t, t)] if np.isin(t, sol.t) else sol.sol(t)
+        out = sol.sol(t)
+        hit = np.isin(t, sol.t)
+        out[:, hit] = sol.y[:, np.searchsorted(sol.t, t[hit])]
+        return out
+
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([rng.uniform(0.0, T, 2000), traj.steps[1:-1], [0.0, T], traj.grid()])
+    rng.shuffle(ts)
+    got = traj.at(ts)
+    assert got.flags.c_contiguous and got.tobytes() == reference(ts).tobytes()
+    for t in np.concatenate([ts[:100], [0.0, T], traj.steps[1::9]]):
+        assert traj.at(t).tobytes() == reference(t).tobytes()
+
+
+def test_step_budget_ends_the_solve(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 5)
+    with pytest.raises(StepSizeUnderflow) as err:
+        ode.integrate(lambda x: np.array([x[1], -x[0]]), [0.0, 1.0], 24 * math.pi)
+    assert err.value.n_steps == 5 and 0.0 < err.value.t < 24 * math.pi
+    assert len(err.value.point) == 2
+    ode.integrate(lambda x: np.array([x[1], -x[0]]), [0.0, 1.0], 0.5)   # within budget
+
+
 def test_dense_grid_subdivision():
     steps = np.array([0.0, 1.0, 3.0])
     grid = ode.dense_grid(steps, per_step=4)
     assert grid[0] == 0.0 and grid[-1] == 3.0
     assert len(grid) == 9
     assert np.all(np.diff(grid) > 0)
+    # each step's points are np.linspace's, bitwise
+    traj = ode.integrate(lambda x: np.array([x[1], -x[0]]), [0.0, 1.0], 7.0)
+    parts = [np.linspace(a, b, ode.SAMPLES_PER_STEP, endpoint=False)
+             for a, b in zip(traj.steps[:-1], traj.steps[1:])]
+    assert traj.grid().tobytes() == np.concatenate(parts + [traj.steps[-1:]]).tobytes()
 
 
 def test_refine_minimum_kink():
