@@ -120,7 +120,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
 
     ham_section = None
     if sigma is not None:
-        sh = hamiltonian.SemiHamiltonianModel(pair=pair, sigma=sigma)
+        sh = hamiltonian.semi_hamiltonian(pair, sigma)
         pts = _subsample(points, 12)
         metric_info = hamiltonian.induced_metric(sh, x0_full)
         # G(0) = I, so the first normal curvature sample is K at x0

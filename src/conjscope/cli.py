@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, catalog, pair as pair_mod
-from .errors import ConjscopeError, RegularityViolation
+from .errors import ConjscopeError, RegularityViolation, StepSizeUnderflow
 
 __all__ = ["main", "build_system", "load_config"]
 
@@ -321,16 +321,22 @@ def _build_parser():
     return parser
 
 
+def _point(x):
+    return ", ".join(f"{v:.6g}" for v in x)
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except RegularityViolation as err:
-        point = ", ".join(f"{v:.6g}" for v in err.point)
         print(f"regularity failure: {err} [condition {err.cond}, residual {err.residual:.3e},"
-              f" point ({point})]", file=sys.stderr)
+              f" point ({_point(err.point)})]", file=sys.stderr)
         return 2
+    except StepSizeUnderflow as err:
+        print(f"error: {err} [point ({_point(err.point)})]", file=sys.stderr)
+        return 1
     except (ConjscopeError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -9,7 +9,8 @@ call of a compiled field kernel per evaluation: on a lifted second-order
 system it gives the whole derivative, and on a generic pair X with the
 brackets, from which a QR solve with a condition estimate reads the
 structure matrices H0, H1 of the bracket relation and leaves the SVD, which
-decides and reports regularity, to a point that fails the screen.  The
+decides and reports regularity, to a point that fails the screen; a second
+kernel, which evaluates no field, forms the products after it.  The
 normal curvature is computed afterwards, on whatever times it is asked for,
 from the transported point and G: on an array of times, one dense lookup (on
 the grid, the one every grid reader shares), one curvature call per block of
@@ -73,9 +74,11 @@ def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
     G0 defaults to the identity.  Raises SingularG if |det G| collapses
     relative to |det G0| (analytically impossible: det G obeys a linear
     scalar equation, so this would signal numerical breakdown).  When the
-    solve stalls (StepSizeUnderflow), a generic pair is checked for
-    regularity where it stopped, and the R2 or I violation found there is
-    raised in its place."""
+    solve stalls (StepSizeUnderflow), its ``point`` becomes the pair's point
+    where the solve stopped (the leading n entries of the joint state, the t
+    slot first on a nonautonomous system); a generic pair is checked for
+    regularity there, and the R2 or I violation found is raised in its
+    place."""
     m, n = pair.m, pair.n
     G0 = np.eye(m) if G0 is None else np.asarray(G0, dtype=float)
     if abs(np.linalg.det(G0)) < 1e-300:
@@ -85,8 +88,9 @@ def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
         js = jacobi.integrate_jacobi(pair_mod.joint_rhs(pair), x0, G0, T,
                                      rel_tol=rel_tol, abs_tol=abs_tol)
     except StepSizeUnderflow as err:
+        err.point = err.point[:n]
         if pair.sode is None:       # a stall at a singular [V | XV] is that violation
-            pair_mod.extract_H(pair, err.point[:n])
+            pair_mod.extract_H(pair, err.point)
         raise
 
     dets = np.abs(np.linalg.det(js.joint.states[:, n:n + m * m].reshape(-1, m, m)))

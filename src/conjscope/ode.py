@@ -4,11 +4,17 @@ Integration uses the explicit eighth-order Dormand-Prince method with its
 seventh-order continuous extension (scipy's DOP853; Hairer, Norsett &
 Wanner, Solving ODEs I, II.5-II.6): about 15 right-hand-side evaluations
 per accepted step, 12 for the step (the derivative at its end is the next
-step's first stage) and 3 for the dense output.  ``integrate`` drives
-scipy's ``DOP853`` class one step at a time, as ``solve_ivp`` does, so the
-steps and the counts are the ones ``solve_ivp`` takes; after each accepted
-step it keeps the step's seven dense-output coefficient rows, and all the
-steps' rows go into one array.  A Trajectory owns the step mesh, the states
+step's first stage) and 3 for the dense output.  ``integrate`` runs the step
+loop itself and calls the right-hand side directly; scipy's ``DOP853`` class
+is built once, only for f(0), the initial step and the validated
+tolerances, and its class attributes give the tableau.  Every operation of
+scipy's ``rk_step``, ``_step_impl``, ``_estimate_error_norm`` and
+``_dense_output_impl`` keeps scipy's form and order on arrays of the same
+layout, so the steps, the states, the coefficients and the counts are
+bitwise the ones ``solve_ivp`` gives; finiteness is checked once per
+attempt, on its stages.  After each accepted step the loop keeps the step's
+seven dense-output coefficient rows, and all the steps' rows go into one
+array.  A Trajectory owns the step mesh, the states
 there, that array and the evaluation grid used everywhere else for sampling,
 event search and report curves, and answers every lookup from them in one
 vectorised pass; the grid cuts each step into ``SAMPLES_PER_STEP`` pieces,
@@ -56,6 +62,12 @@ SECTION_POINTS = 16       # samples per bracket and round of the event searches
 MINIMUM_TOL = 1e-12       # relative width at which a minimum's bracket closes
 EVENT_ULPS = 4            # float spacings at which a sign change's bracket closes
 
+# scipy's DOP853 step control (scipy.integrate._ivp.rk) and interpolant size
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+INTERPOLATOR_POWER = 7
+
 __all__ = ["Trajectory", "integrate", "locate_events", "refine_minimum", "refined_minima",
            "dip_points", "dense_grid"]
 
@@ -76,7 +88,8 @@ class Trajectory:
     rel_tol: float
     abs_tol: float
     n_steps: int
-    n_rhs_evals: int
+    n_rhs_evals: int              # 2 + 12 (n_steps + n_rejected) + 3 n_steps
+    n_rejected: int               # attempts the error test rejected
     _coef: np.ndarray = field(repr=False)    # shape (7, n, n_steps): step k's F[p] in [p, :, k]
 
     @property
@@ -147,7 +160,9 @@ def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL) ->
     Deterministic for fixed inputs.  Raises NonFiniteState if the right-hand
     side returns NaN/inf, StepSizeUnderflow if the step control collapses:
     scipy's own stop, an accepted step short of T below MIN_STEP * T, or
-    MAX_STEPS steps taken before T.
+    MAX_STEPS steps taken before T.  The loop is scipy's DOP853 step loop
+    (see the module docstring); the time argument scipy would pass the
+    right-hand side is not formed, since ``field`` does not read it.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -160,25 +175,98 @@ def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL) ->
             raise NonFiniteState(f"non-finite derivative at t={t}")
         return dx
 
-    solver = DOP853(rhs, 0.0, x0, T, rtol=rel_tol, atol=abs_tol)
-    steps, states, coefs = [solver.t], [solver.y], []
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(message, t=float(solver.t), point=solver.y, step=solver.h_abs,
-                                    n_steps=len(coefs))
-        coefs.append(solver.dense_output().F)
-        steps.append(solver.t)
-        states.append(solver.y)
-        h = solver.t - solver.t_old
-        if solver.status == "running" and (h < MIN_STEP * T or len(coefs) >= MAX_STEPS):
+    start = DOP853(rhs, 0.0, x0, T, rtol=rel_tol, atol=abs_tol)
+    rtol, atol, exponent = start.rtol, start.atol, start.error_exponent
+    t, y, f, h_abs = start.t, start.y, start.f, start.h_abs
+    n = len(y)
+    # scipy's stage block: the 12 stages, f(t + h), the 3 dense-output stages
+    K_ext = np.empty((DOP853.n_stages + 1 + len(DOP853.A_EXTRA), n))
+    K = K_ext[:DOP853.n_stages + 1]
+    stages = [(s, K[:s].T, a[:s]) for s, a in enumerate(DOP853.A[1:], start=1)]
+    extra = [(s, K_ext[:s].T, a[:s]) for s, a in enumerate(DOP853.A_EXTRA, start=len(K))]
+    K_T, K_head_T = K.T, K[:-1].T
+    B, E3, E5, D = DOP853.B, DOP853.E3, DOP853.E5, DOP853.D
+    steps, states, coefs = [t], [y], []
+    n_evals, n_rejected = start.nfev, 0
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        step_start = h_abs
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:                # attempts: rk_step and the error test
+            if h_abs < min_step:
+                raise StepSizeUnderflow(
+                    "Required step size is less than spacing between numbers.", t=float(t),
+                    point=y, step=step_start, n_steps=len(coefs))
+            t_new = t + h_abs
+            if t_new - T > 0:
+                t_new = T
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            try:
+                for s, KsT, a in stages:
+                    K[s] = field(y + np.dot(KsT, a) * h)
+                s += 1
+                y_new = y + h * np.dot(K_head_T, B)
+                K[s] = field(y_new)
+            except Exception as err:
+                # an evaluation at a point that a non-finite stage led to
+                # fails because of that stage
+                if np.isfinite(K[:s]).all():
+                    raise
+                raise NonFiniteState(f"non-finite derivative near t={t}") from err
+            n_evals += 12
+            if not np.isfinite(K).all():
+                raise NonFiniteState(f"non-finite derivative in the step from t={t}")
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(K_T, E5) / scale
+            err3 = np.dot(K_T, E3) / scale
+            err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2     # np.linalg.norm's 1-d path
+            err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * n)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** exponent)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
+            rejected = True
+            n_rejected += 1
+        y_old, y, f_old, f = y, y_new, K[0], K[-1].copy()
+        for s, KsT, a in extra:    # the dense output of the accepted step
+            K_ext[s] = field(y_old + np.dot(KsT, a) * h)
+        n_evals += 3
+        F = np.empty((INTERPOLATOR_POWER, n))
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (f + f_old)
+        F[3:] = h * np.dot(D, K_ext)
+        coefs.append(F)
+        t = t_new
+        steps.append(t)
+        states.append(y)
+        if t - T >= 0:
+            break
+        if h < MIN_STEP * T or len(coefs) >= MAX_STEPS:
             reason = (f"step {h:.3e} below {MIN_STEP:g} T" if h < MIN_STEP * T
                       else "step budget spent")
             raise StepSizeUnderflow(
-                f"solve stalled: {reason} at t={solver.t:.17g} of T={T!r} after {len(coefs)}"
-                " steps", t=float(solver.t), point=solver.y, step=h, n_steps=len(coefs))
+                f"solve stalled: {reason} at t={t:.17g} of T={T!r} after {len(coefs)}"
+                " steps", t=float(t), point=y, step=h, n_steps=len(coefs))
     states = np.array(states)
-    if not np.all(np.isfinite(states)):
+    coef = np.stack(coefs, axis=-1)
+    if not (np.isfinite(states).all() and np.isfinite(coef).all()):
         raise NonFiniteState("integration produced non-finite state")
     return Trajectory(
         t_span=(0.0, T),
@@ -187,8 +275,9 @@ def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL) ->
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         n_steps=len(coefs),
-        n_rhs_evals=solver.nfev,
-        _coef=np.stack(coefs, axis=-1),
+        n_rhs_evals=n_evals,
+        n_rejected=n_rejected,
+        _coef=coef,
     )
 
 

@@ -16,12 +16,15 @@ which emits the bracket algebra after the jet, so ``brackets_at`` and
 ``_force_jet`` are its scalar form at one point and its array form on a
 stack.  ``joint_rhs`` gives the right-hand side of the joint Jacobi solve:
 one call of a force kernel that also emits the products for lifted
-second-order systems, and ``structure_at`` (the bracket kernel and a
-screened QR solve) followed by the products otherwise.
+second-order systems; otherwise ``structure_at`` (the bracket kernel and a
+screened QR solve) and one call of a second kernel that jets nothing and
+emits the same products from X, H0, H1 and the state
+(``GenericPair.products_kernel``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -160,6 +163,18 @@ class GenericPair:
         return scalar.field_kernel(self.stacked, self.coords,
                                    scalar.Along(tuple((c, k) for k, c in enumerate(self.coords))),
                                    self.coords, _bracket_algebra)
+
+    @cached_property
+    def products_kernel(self):
+        """The kernel of the joint right-hand side after ``structure_at``
+        (``_generic_algebra``), compiled on first use."""
+        return scalar.field_kernel(Field(()), (), None, (), _generic_algebra, self.n, self.m)
+
+    @cached_property
+    def _semi_hamiltonian(self):
+        """The semi-Hamiltonian models of the pair by 2-form
+        (``hamiltonian.semi_hamiltonian``), kept with their kernels."""
+        return {}
 
     def bindings(self, x):
         """The parameters and the coordinates of x: reals for one point
@@ -436,7 +451,10 @@ def _screened_solve(D, B):
     if info != 0:
         return None
     rcond, info = _dtrcon(qr[:k])
-    if info != 0 or not rcond > 10.0 * k / COND_LIMIT or not np.isfinite(S).all():
+    # one finite test: a sum is finite only when every entry is (an
+    # overflowing sum of finite entries leaves the point to the SVD too)
+    if info != 0 or not rcond > 10.0 * k / COND_LIMIT or not math.isfinite(
+            sum(S.ravel(order="K").tolist())):
         return None
     if n > k:                      # a square D leaves no residual
         out = S[k:].ravel()        # Q2^T B: |D S - B| is its norm
@@ -534,23 +552,41 @@ def _force_algebra(gen, jet):
     return list(jet.val) + dFdx + dFdy + X_dFdy
 
 
+def _products(gen, m, H0, H1, G, a, b):
+    """The Jacobi part of the joint right-hand side, -H1 G / 2, -H0 b and
+    -a - H1 b row-major, from the row-major entries of H0, H1, G, a and b
+    (locals, None where statically zero); each product is summed in index
+    order after the factor -H1 / 2 or -H0 is formed, as numpy forms it."""
+    neg = lambda v: None if v is None else gen.emit(f"-{v}")
+    half_H1 = [None if h is None else gen.emit(f"-0.5 * {h}") for h in H1]
+    minus_H0 = [neg(h) for h in H0]
+    prod = lambda A, B, r, c: gen.dot((A[r * m + k], B[k * m + c]) for k in range(m))
+    cells = [(r, c) for r in range(m) for c in range(m)]
+    return ([prod(half_H1, G, r, c) for r, c in cells]
+            + [prod(minus_H0, b, r, c) for r, c in cells]
+            + [gen.combine(("-", a[r * m + c]), ("-", prod(H1, b, r, c))) for r, c in cells])
+
+
 def _joint_algebra(gen, jet):
     """The right-hand side of the joint Jacobi solve of a lifted system, with
     state w = (z, vec G, vec a, vec b): z' = X, G' = -H1 G / 2, a' = -H0 b,
     b' = -a - H1 b, with H1 = -dF/dy and H0 = dF/dx - X(dF/dy)."""
     n, m = len(jet.along), len(jet.val)
-    neg = lambda v: None if v is None else gen.emit(f"-{v}")
     dFdx, dFdy, X_dFdy = _force_parts(jet)
-    H1 = [neg(v) for v in dFdy]
+    H1 = [None if v is None else gen.emit(f"-{v}") for v in dFdy]
     H0 = [gen.combine(("+", p), ("-", q)) for p, q in zip(dFdx, X_dFdy)]
     G, a, b = ([gen.state(n + s * m * m + k) for k in range(m * m)] for s in range(3))
-    half_H1 = [None if h is None else gen.emit(f"-0.5 * {h}") for h in H1]
-    minus_H0 = [neg(h) for h in H0]
-    prod = lambda A, B, r, c: gen.dot((A[r * m + k], B[k * m + c]) for k in range(m))
-    cells = [(r, c) for r in range(m) for c in range(m)]
-    return (list(jet.along) + [prod(half_H1, G, r, c) for r, c in cells]
-            + [prod(minus_H0, b, r, c) for r, c in cells]
-            + [gen.combine(("-", a[r * m + c]), ("-", prod(H1, b, r, c))) for r, c in cells])
+    return list(jet.along) + _products(gen, m, H0, H1, G, a, b)
+
+
+def _generic_algebra(gen, jet, n, m):
+    """The right-hand side of the joint Jacobi solve of a generic pair from
+    the state (X, vec H0, vec H1, vec G, vec a, vec b): X, then the products
+    of ``_joint_algebra``.  The kernel jets nothing; X, H0 and H1 come from
+    ``structure_at``."""
+    X = [gen.state(i) for i in range(n)]
+    H0, H1, G, a, b = ([gen.state(n + s * m * m + k) for k in range(m * m)] for s in range(5))
+    return X + _products(gen, m, H0, H1, G, a, b)
 
 
 def _force_kernel(model: SODEModel, algebra):
@@ -607,17 +643,18 @@ def joint_rhs(pair: GenericPair):
     state w = (x, vec G, vec a, vec b) (``jacobi.integrate_jacobi``): one
     call of the force kernel's joint algebra for lifted second-order
     systems; for other pairs ``structure_at`` (one call of the bracket
-    kernel and the screened solve) and then the products."""
-    n, m = pair.n, pair.m
+    kernel and the screened solve) and then one call of the pair's products
+    kernel, which emits the products as the force kernel does."""
+    n = pair.n
     if pair.sode is not None:
         kernel, env = pair.sode.joint_kernel, pair.sode.params
         return lambda w: scalar.run_field(kernel, w.tolist(), env)
+    kernel = pair.products_kernel
 
     def rhs(w):
         X, H0, H1 = structure_at(pair, w[:n])
-        G, a, b = w[n:].reshape(3, m, m)
-        return np.concatenate([X, (-0.5 * H1 @ G).ravel(), (-H0 @ b).ravel(),
-                               (-a - H1 @ b).ravel()])
+        return scalar.run_field(kernel, [*X.tolist(), *H0.ravel().tolist(), *H1.ravel().tolist(),
+                                         *w[n:].tolist()], {})
     return rhs
 
 

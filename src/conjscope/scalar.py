@@ -1011,7 +1011,7 @@ def run_field(kernel, w, env, count=None):
     ``evaluate`` does."""
     try:
         if count is None:
-            return np.array(kernel.scalar(w, env))
+            return np.fromiter(kernel.scalar(w, env), float)
         at = lambda k: ([float(v[k]) if isinstance(v, np.ndarray) and v.ndim else float(v)
                          for v in w], env)
         live = _run_points(kernel, (w, env), at, count)

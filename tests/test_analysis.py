@@ -559,6 +559,7 @@ def test_a_stalled_solve_ends_with_a_typed_error():
     assert abs(stall.t - 1.20171) < 1e-5 and stall.step < ode.MIN_STEP * 3.0
     assert stall.n_steps < ode.MAX_STEPS
     assert np.isfinite(stall.point).all() and abs(stall.point[0] - stall.t) < 1e-9   # t slot
+    assert len(stall.point) == pm.lift_sode(model).n
 
 
 def _degenerating_pair():

@@ -114,6 +114,18 @@ def test_regularity_failure_exit_code(tmp_path, capsys):
     assert "point (0.5, 0.5)" in err
 
 
+def test_a_stalled_solve_exits_1_and_names_its_point(tmp_path, capsys):
+    # the force blows up near t = 1.20171: the step floor ends the solve, and
+    # the message names the pair's point there, its t slot first
+    code = run_cli(["analyze", "--system", "dancing", "--param", "F=0.3*sin(t) - x1",
+                    "--x0=2.5,-2.0,0.6,0.1", "--T", "3", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "solve stalled" in err and "point (1.20171, " in err
+    point = err[err.index("point (") + 7:err.index(")]")].split(", ")
+    assert len(point) == 5
+
+
 def test_config_file_sode(tmp_path):
     cfg = tmp_path / "osc.cfg"
     cfg.write_text(

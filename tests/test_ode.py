@@ -168,6 +168,58 @@ def test_lookup_has_the_bits_of_scipys_dense_output():
         assert traj.at(t).tobytes() == reference(t).tobytes()
 
 
+def _assert_solve_ivp_bits(field, x0, T):
+    """The owned DOP853 loop takes solve_ivp's steps, states, counts and
+    dense-output coefficients, bitwise; returns the Trajectory."""
+    traj = ode.integrate(field, x0, T)
+    sol = solve_ivp(lambda t, x: field(x), (0.0, T), np.array(x0, dtype=float),
+                    method="DOP853", dense_output=True, rtol=ode.DEFAULT_REL_TOL,
+                    atol=ode.DEFAULT_ABS_TOL)
+    assert traj.steps.tobytes() == sol.t.tobytes()
+    assert traj.states.tobytes() == sol.y.T.tobytes()
+    assert (traj.n_steps, traj.n_rhs_evals) == (len(sol.t) - 1, sol.nfev)
+    coef = np.stack([piece.F for piece in sol.sol.interpolants], axis=-1)
+    assert traj._coef.tobytes() == coef.tobytes()
+    # 2 evaluations to start, 12 per attempt and 3 per dense output
+    assert traj.n_rhs_evals == 2 + 12 * (traj.n_steps + traj.n_rejected) + 3 * traj.n_steps
+    return traj
+
+
+def test_a_solve_that_rejects_steps_has_solve_ivps_bits():
+    # an eccentric Kepler orbit: the steps shrink at pericentre, where the
+    # error test rejects attempts, and the step after a rejection cannot grow
+    def kepler(x):
+        r3 = (x[0] ** 2 + x[1] ** 2) ** 1.5
+        return np.array([x[2], x[3], -x[0] / r3, -x[1] / r3])
+
+    traj = _assert_solve_ivp_bits(kepler, [0.4, 0.0, 0.0, 2.0], 6.0)
+    assert traj.n_rejected > 0
+
+
+def test_a_joint_jacobi_solve_has_solve_ivps_bits():
+    from conjscope import catalog, pair as pm
+    model, _ = catalog.build("perturbed_pair", {"eps": 0.05})
+    pr = pm.lift_sode(model)
+    x0 = pm.full_x0(model, pr, catalog.ENTRIES["perturbed_pair"].default_x0)
+    eye = np.eye(model.m).ravel()
+    w0 = np.concatenate([x0, eye, eye, np.zeros(model.m ** 2)])
+    _assert_solve_ivp_bits(pm.joint_rhs(pr), w0, catalog.ENTRIES["perturbed_pair"].default_T)
+
+
+def test_a_field_that_returns_nan_raises_non_finite_state():
+    # at the start, and inside a step: the attempt's stages are checked
+    # before its error test, so the step control never shrinks on a NaN
+    with pytest.raises(NonFiniteState):
+        ode.integrate(lambda x: np.array([np.nan, 1.0]), [0.0, 0.0], 1.0)
+    with pytest.raises(NonFiniteState):
+        ode.integrate(lambda x: np.array([1.0, np.nan if x[0] > 0.5 else 1.0]), [0.0, 0.0], 1.0)
+    # a later stage that fails on the infinite state an earlier stage led to
+    # fails because of that stage
+    with pytest.raises(NonFiniteState):
+        ode.integrate(lambda x: np.array([1.0, math.sin(x[1]) + (math.inf if x[0] > 0.5 else 0.0)]),
+                      [0.0, 0.0], 1.0)
+
+
 def test_step_budget_ends_the_solve(monkeypatch):
     monkeypatch.setattr(ode, "MAX_STEPS", 5)
     with pytest.raises(StepSizeUnderflow) as err:

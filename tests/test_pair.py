@@ -554,18 +554,20 @@ def test_field_kernels_raise_what_evaluate_raises():
 
 @pytest.mark.parametrize("generic", [False, True])
 def test_a_second_analysis_of_a_pair_compiles_nothing(monkeypatch, generic):
-    # the kernels live on the pair (on the model, for its lift), so only the
+    # the kernels live on the pair (on the model, for its lift), and so does
+    # the semi-Hamiltonian model of a 2-form with its kernels, so only the
     # first analysis compiles them
     from conjscope import analysis, catalog
-    model, _ = catalog.build("perturbed_pair", {"eps": 0.05})
+    model, sigma = catalog.build("perturbed_pair", {"eps": 0.05})
+    assert sigma is not None
     pair = _as_generic(pm.lift_sode(model)) if generic else model
     keys = []
     compile_kernel = scalar._compile
     monkeypatch.setattr(scalar, "_compile",
                         lambda progs, key: keys.append(key) or compile_kernel(progs, key))
     x0 = [0.2, -0.1, 1.0, 0.4]
-    analysis.analyze(pair, x0=x0, T=4.0)
+    analysis.analyze(pair, x0=x0, T=4.0, sigma=sigma)
     assert keys
     keys.clear()
-    analysis.analyze(pair, x0=x0, T=4.0)
+    analysis.analyze(pair, x0=x0, T=4.0, sigma=sigma)
     assert keys == []
