@@ -89,7 +89,9 @@ class SODEModel:
 
     @cached_property
     def lifted(self):
-        """The lifted pair (``lift_sode``)."""
+        """The lifted pair (``lift_sode``), built on first use; its kernels
+        come from ``scalar``'s kernel table when a model of the same
+        expressions compiled them before."""
         return _lift(self)
 
     @cached_property
@@ -194,8 +196,9 @@ class GenericPair:
 def lift_sode(model: SODEModel) -> GenericPair:
     """Total-derivative lift: X = d/dt + sum y_i d/dx_i + sum F_i d/dy_i with
     V spanned by the d/dy_i; the t coordinate is dropped for autonomous
-    systems.  Built once per model and kept on it, with the kernels it
-    compiles."""
+    systems.  Built once per model and kept on it; its kernels are kept
+    with it, and a model rebuilt from the same expressions finds them in
+    ``scalar``'s kernel table, so it compiles none again."""
     return model.lifted
 
 

@@ -33,11 +33,14 @@ Griewank & Walther, ch. 6).  The ODE right-hand sides and the bracket readers
 of ``pair`` and ``jacobi`` run field kernels.  Statements that no output
 reads are left out of every kernel, except those that can raise.
 
-Kernels are compiled on first use and cached on the program or Field that
-owns them, so they live exactly as long as it does: nothing compiles at parse
-or build time, no scalar kernel compiles before its first call at a point
-and no array kernel before its first call over points, and no module-level
-cache holds programs.  ``second_partials`` and ``field_kernel`` are the two
+Kernels are compiled on first use, once per structure per process: the
+program or Field that owns them keeps them, and a process-wide table keyed
+by the exact trees and seeding (``_TABLE``, bounded, oldest out first) gives
+them to every later owner of the same trees, such as a rebuilt model.
+Nothing compiles at parse or build time, no scalar kernel compiles before
+its first call at a point and no array kernel before its first call over
+points, and the table holds kernels and the keys derived from trees, never a
+program.  ``second_partials`` and ``field_kernel`` are the two
 seeding entry points: every other module obtains the derivatives of
 user-supplied fields through them.  The one finite difference in the
 package is X(H1) for generic pairs (``pair.flow_derivative_H1``), which
@@ -50,6 +53,8 @@ import bisect
 import math
 import operator
 import re
+import threading
+import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -279,7 +284,7 @@ def _free_vars(node, seen, order):
 class ExprProgram:
     """A parsed expression: the tree plus its variable names in order of
     first appearance.  Immutable; safe to evaluate concurrently.  Its
-    compiled kernels are cached on it, keyed by seeding pattern."""
+    compiled kernels are kept on it, keyed by seeding pattern."""
 
     ast: object
     free_vars: tuple
@@ -366,16 +371,24 @@ def _pretty(node, parent_level):
 # point, and any failure of an array call re-runs the scalar kernel point by
 # point, which raises the error of the lowest failing point.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Along:
     """The i seed of a request along a field that the kernel computes
     itself, such as a vector field X jetted along X(x): per seeded name, the
     source of its component, an int (the value of that program of the
     jetted sequence), a str (the value bound to that name) or a float (a
     constant).  The values it reads are emitted first, as plain evaluation
-    computes them, so its checks come first too."""
+    computes them, so its checks come first too.  Equality is exact: a
+    component 1 (a program) differs from 1.0 (a constant), and 0.0 from
+    -0.0."""
 
     components: tuple
+
+    def __eq__(self, other):
+        return type(other) is Along and _exact(self) == _exact(other)
+
+    def __hash__(self):
+        return hash(_exact(self))
 
 
 class FieldJet(NamedTuple):
@@ -821,11 +834,12 @@ class _Kernel:
 
     def _publish(self, name, namespace_globals):
         # the source is dropped only once the kernel is set, so a thread
-        # that finds no source finds the kernel
-        source = self._sources.get(name)
-        if source is not None:
-            setattr(self, name, _build(source, namespace_globals))
-            self._sources.pop(name, None)
+        # that finds no source finds the kernel; one thread builds it
+        with _LOCK:
+            source = self._sources.get(name)
+            if source is not None:
+                setattr(self, name, _build(source, namespace_globals))
+                self._sources.pop(name)
 
 
 def _build(source, namespace_globals):
@@ -844,16 +858,78 @@ class Field(tuple):
         return self
 
 
+# -- the process-wide kernel table --------------------------------------------
+#
+# A kernel depends on the trees and free variables of its sequence and on its
+# key alone, so an owner that misses looks it up here by those, and a model
+# rebuilt from the same trees compiles nothing.  Dataclass equality is not
+# exact enough for that: Const(0.0) == Const(-0.0), and an Along component 1
+# (a program) == 1.0 (a constant).  So the table's keys are built from types
+# and float bits: a program by its typed text (``_text``), which is compact,
+# and the seeding key by typed tuples (``_exact``), in which an algebra
+# stands for itself.  The table holds those keys and the kernels, never a
+# program or a Field, and keeps the _TABLE_SIZE newest.
+
+_TABLE_SIZE = 256
+_TABLE = {}
+_LOCK = threading.Lock()        # the table, and each kernel's first build
+_NODES = frozenset((Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call))
+_ATOMS = frozenset((int, str, type(None)))
+
+
+def _text(obj):
+    """Typed text of a program or a tree: each node's type and fields, a
+    float by its bits (``float.hex``), any other leaf by its repr."""
+    tp = type(obj)
+    if tp in _NODES:
+        return f"{tp.__name__}({','.join(map(_text, obj.__dict__.values()))})"
+    if tp is float:
+        return obj.hex()
+    if tp is ExprProgram:
+        return f"{_text(obj.ast)}:{obj.free_vars!r}"
+    return repr(obj)
+
+
+def _exact(obj):
+    """Hashable key of a seeding key or a part of one, equal only for the
+    same types and the same float bits."""
+    tp = type(obj)
+    if tp is float:
+        return tp, obj.hex()
+    if tp in _ATOMS:
+        return tp, obj
+    if tp is tuple:
+        return (tp, *map(_exact, obj))
+    if tp is Along:
+        return tp, _exact(obj.components)
+    if tp is types.FunctionType:
+        return obj
+    raise TypeError(f"no exact kernel key for {tp.__name__}")
+
+
+def _shared(seq, key):
+    """The kernel of ``seq`` for ``key`` from the table, compiled (and the
+    oldest dropped past the bound) when the table has none."""
+    exact = (tuple(map(_text, seq)), _exact(key))
+    with _LOCK:
+        kernel = _TABLE.get(exact)
+        if kernel is None:
+            kernel = _TABLE[exact] = _compile(seq, key)
+            if len(_TABLE) > _TABLE_SIZE:
+                del _TABLE[next(iter(_TABLE))]
+    return kernel
+
+
 def _kernel(progs, key):
     if isinstance(progs, (ExprProgram, Field)):
         owner, seq = progs, progs
         if isinstance(progs, ExprProgram):
             seq = (progs,)
     else:
-        owner = seq = Field(progs)    # a throwaway sequence compiles per call
+        owner = seq = Field(progs)    # a throwaway sequence: the table keeps its kernels
     kernel = owner._kernels.get(key)
     if kernel is None:
-        kernel = owner._kernels[key] = _compile(seq, key)
+        kernel = owner._kernels[key] = _shared(seq, key)
     return kernel
 
 
@@ -943,11 +1019,12 @@ def second_partials(progs, point, i, j):
     """Value, d/di, d/dj and d2/didj at a real point, or at N points.
 
     ``progs`` is one ExprProgram or a sequence of them (a Field keeps its
-    kernels; any other sequence compiles on every call).  ``point`` maps every
-    free variable to a real.  ``i`` and ``j`` are variable names (equal names
-    give the pure second derivative) or mappings from name to direction
-    component, which give directional derivatives; only the names they
-    mention are seeded.  ``j`` may also be a sequence of names or mappings.
+    kernels; any other sequence finds them in the process-wide table).
+    ``point`` maps every free variable to a real.  ``i`` and ``j`` are
+    variable names (equal names give the pure second derivative) or mappings
+    from name to direction component, which give directional derivatives;
+    only the names they mention are seeded.  ``j`` may also be a sequence of
+    names or mappings.
 
     A sequence of ncols directions j gives the value and d/di (floats, or
     arrays of k for a sequence of k programs), then d/dj and d2/didj with one
@@ -999,8 +1076,8 @@ def field_kernel(progs, coords, i, j, algebra, *extra):
     statements that combine the jet (a ``FieldJet``) through ``gen.emit``,
     ``gen.dot`` and ``gen.combine``, reads further entries of the state
     through ``gen.state``, and returns the output locals; one kernel call
-    gives them all (``run_field``).  Compiled on first use and cached on
-    ``progs``."""
+    gives them all (``run_field``).  Compiled on first use, once per
+    structure per process, and kept on ``progs``."""
     return _kernel(progs, (tuple(coords), i, tuple(j), algebra, extra))
 
 

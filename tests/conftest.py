@@ -1,6 +1,7 @@
-"""Shared fixtures: random polynomial second-order systems with screening,
-and the references the tests read: Q = P', the vertical/horizontal
-splitting, and linear combinations of expressions."""
+"""Shared fixtures: an empty kernel table for each test, random polynomial
+second-order systems with screening, and the references the tests read:
+Q = P', the vertical/horizontal splitting, and linear combinations of
+expressions."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,13 @@ from scipy.integrate import DOP853
 from conjscope import jacobi, ode, pair as pair_mod, scalar
 
 STATE_BOUND = 30.0
+
+
+@pytest.fixture(autouse=True)
+def empty_kernel_table():
+    """Each test starts with an empty process-wide kernel table, so a test
+    that counts compilations counts its own and not those of earlier tests."""
+    scalar._TABLE.clear()
 
 
 def jacobi_in_time(K, m, T):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conjscope import cli
+from conjscope import catalog, cli, scalar
 
 
 def run_cli(argv):
@@ -214,6 +214,68 @@ def test_sweep_perturbed(tmp_path):
     assert abs(float(row0[1]) - math.pi) < 1e-6
     assert row0[2] == "3"
     assert row1[1] == "NONE"
+
+
+def _count_kernels(monkeypatch):
+    """The exact keys that scalar._compile generates kernels for, and the
+    sources that scalar._build compiles, in call order."""
+    keys, sources = [], []
+    compile_kernel, build = scalar._compile, scalar._build
+
+    def counting_compile(progs, key):
+        keys.append((tuple(map(scalar._text, progs)), scalar._exact(key)))
+        return compile_kernel(progs, key)
+
+    def counting_build(source, namespace_globals):
+        sources.append(source)
+        return build(source, namespace_globals)
+
+    monkeypatch.setattr(scalar, "_compile", counting_compile)
+    monkeypatch.setattr(scalar, "_build", counting_build)
+    return keys, sources
+
+
+def test_rebuilt_catalog_entries_compile_nothing(monkeypatch, tmp_path):
+    # each analyze builds its model and 2-form again from the same
+    # expressions; the second round finds every kernel in the table
+    keys, sources = _count_kernels(monkeypatch)
+    codes = [run_cli(["analyze", "--system", name, "--out", str(tmp_path / f"{name}-1")])
+             for name in catalog.ENTRIES]
+    assert keys and sources
+    keys.clear()
+    sources.clear()
+    assert [run_cli(["analyze", "--system", name, "--out", str(tmp_path / f"{name}-2")])
+            for name in catalog.ENTRIES] == codes
+    assert keys == [] and sources == []
+    for name in catalog.ENTRIES:
+        for out in ("report.json", "curves.csv"):
+            assert ((tmp_path / f"{name}-1" / out).read_bytes()
+                    == (tmp_path / f"{name}-2" / out).read_bytes())
+
+
+def test_a_sweep_compiles_each_kernel_once(monkeypatch, tmp_path):
+    # every value rebuilds perturbed_pair, whose force reads eps by name, so
+    # a 4-value sweep compiles what one analysis compiles, on the pool (whose
+    # threads share the table) and serially, and writes the same rows
+    keys, sources = _count_kernels(monkeypatch)
+    args = ["--system", "perturbed_pair", "--T", "3.93"]
+    assert run_cli(["analyze", *args, "--param", "eps=0.05", "--out", str(tmp_path / "one")]) == 0
+    one_keys, one_builds = set(keys), len(sources)
+    assert len(one_keys) == len(keys)
+    for threads in (None, "1"):
+        if threads is None:
+            monkeypatch.delenv("CONJSCOPE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CONJSCOPE_THREADS", threads)
+        scalar._TABLE.clear()
+        keys.clear()
+        sources.clear()
+        out = tmp_path / f"sweep-{threads}"
+        assert run_cli(["sweep", *args, "--sweep", "eps=0,0.02,0.05,0.08", "--out", str(out)]) == 0
+        assert len(keys) == len(set(keys)) and set(keys) == one_keys
+        assert len(sources) == one_builds
+    assert ((tmp_path / "sweep-None" / "sweep.csv").read_bytes()
+            == (tmp_path / "sweep-1" / "sweep.csv").read_bytes())
 
 
 def test_sweep_harmonic_first_times(tmp_path):

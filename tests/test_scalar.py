@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -553,6 +554,7 @@ def test_kernels_are_freed_with_their_programs():
 def test_lazy_compilation_under_threads():
     points = [np.array([0.1 * k, 0.5 - 0.05 * k]) for k in range(40)]
     expected = [pair_mod.brackets_at(_planar_pair(), x) for x in points]
+    scalar._TABLE.clear()
     pr = _planar_pair()             # no kernel yet: the threads race to compile
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -566,3 +568,87 @@ def test_lazy_compilation_under_threads():
     # brackets_at is one field kernel of the stacked fields, which computes
     # X itself: X compiles nothing of its own
     assert not pr.X._kernels and len(pr.stacked._kernels) == 1
+
+
+def test_identical_pairs_share_one_kernel_under_threads(monkeypatch):
+    # two pairs built apart from the same expressions race on an empty
+    # table, four threads each, released together, through the bracket
+    # kernel and the plain kernel of X: each structure compiles once, and
+    # both pairs keep that kernel
+    points = [np.array([0.1 * k, 0.5 - 0.05 * k]) for k in range(40)]
+    read = lambda pr, x: (*pair_mod.brackets_at(pr, x), pr.X_at(x))
+    expected = [read(_planar_pair(), x) for x in points]
+    scalar._TABLE.clear()
+    keys = _count_compiles(monkeypatch)
+    pairs = [_planar_pair(), _planar_pair()]
+    start = threading.Barrier(8)
+
+    def worker(pr):
+        start.wait(timeout=60)
+        return [read(pr, x) for x in points]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(worker, pairs * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for outs in got:
+        for out, ref in zip(outs, expected):
+            assert all(u.tobytes() == v.tobytes() for u, v in zip(out, ref))
+    assert len(keys) == 2
+    for owners in ([pr.stacked for pr in pairs], [pr.X for pr in pairs]):
+        assert all(len(owner._kernels) == 1 for owner in owners)
+        assert list(owners[0]._kernels.values())[0] is list(owners[1]._kernels.values())[0]
+
+
+def test_signed_zero_constants_get_their_own_kernels():
+    # Const(0.0) == Const(-0.0) as dataclasses, yet they compile apart, in
+    # either order, and each keeps its sign
+    assert Const(0.0) == Const(-0.0)
+    for first in (0.0, -0.0):
+        scalar._TABLE.clear()
+        for c in (first, -first):
+            value = evaluate(ExprProgram(Const(c), ()), {})
+            assert value == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, c)
+            value, _, _, _ = second_partials(ExprProgram(Const(c), ()), {}, "x", "x")
+            assert math.copysign(1.0, value) == math.copysign(1.0, c)
+        assert len(scalar._TABLE) == 4
+
+
+def _along_algebra(gen, jet):
+    return list(jet.along) + [d for row in jet.dij for d in row]
+
+
+def test_along_seeds_of_a_program_and_a_constant_get_their_own_kernels():
+    # the component 1 reads program 1 (3*x), the component 1.0 is a
+    # constant: equal numbers, different seeds, on one owner or on two
+    seeds = (scalar.Along((("x", 1),)), scalar.Along((("x", 1.0),)))
+    assert seeds[0] != seeds[1] and seeds[0] == scalar.Along((("x", 1),))
+    field = lambda: scalar.Field((parse("x*x"), parse("3*x")))
+    shared = field()
+    for owner in (lambda: shared, field):
+        scalar._TABLE.clear()
+        got = [scalar.run_field(scalar.field_kernel(owner(), ("x",), seed, ("x",), _along_algebra),
+                                [2.0], {}).tolist() for seed in seeds]
+        assert got == [[6.0, 12.0, 0.0], [1.0, 2.0, 0.0]]
+        assert len(scalar._TABLE) == 2
+    assert len(shared._kernels) == 2
+
+
+def test_the_kernel_table_keeps_its_bound(monkeypatch):
+    # past the bound the oldest structures leave the table; owners keep
+    # their kernels, and a new owner of a dropped structure compiles it again
+    count = scalar._TABLE_SIZE + 8
+    progs = [parse(f"x + {k}") for k in range(count)]
+    first = [evaluate(p, {"x": 0.5}) for p in progs]
+    assert first == [0.5 + k for k in range(count)]
+    assert len(scalar._TABLE) == scalar._TABLE_SIZE
+    keys = _count_compiles(monkeypatch)
+    assert [evaluate(p, {"x": 0.5}) for p in progs] == first
+    assert keys == []
+    assert evaluate(parse(f"x + {count - 1}"), {"x": 0.5}) == first[-1] and keys == []
+    again = [evaluate(parse(f"x + {k}"), {"x": 0.5}) for k in range(8)]
+    assert again == first[:8] and len(keys) == 8
+    assert len(scalar._TABLE) == scalar._TABLE_SIZE
