@@ -51,6 +51,10 @@ class AnalysisResult:
 
 
 def _closed_orbit_suspected(ft):
+    """Whether the trajectory comes back to x(0) on [0.1 T, T] within 1e-6
+    of its largest distance from it: the smallest sampled distance there,
+    refined only when it can fall to that cut (the reach test of
+    ``ode._minima``; i >= 1, since grid[0] = 0 < 0.1 T)."""
     grid = ft.grid()
     x0 = ft.x(0.0)
     dist = lambda ts: np.linalg.norm(ft.x(ts) - x0[:, None], axis=0)
@@ -62,8 +66,12 @@ def _closed_orbit_suspected(ft):
     if len(cand) == 0:
         return False
     i = cand[np.argmin(vals[cand])]
-    _, d_min = ode.refine_minimum(dist, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
-    return d_min < 1e-6 * scale
+    right = min(i + 1, len(grid) - 1)
+    cut = 1e-6 * scale
+    if vals[i] - ode._reach(grid, vals, i, right) > cut:
+        return False
+    _, d_min = ode.refine_minimum(dist, grid[i - 1], grid[right])
+    return d_min < cut
 
 
 def _subsample(ts, cap):

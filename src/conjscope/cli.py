@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import json
 import os
@@ -285,7 +286,10 @@ def cmd_catalog(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing keeps no state
+    between calls."""
     parser = argparse.ArgumentParser(
         prog="conjscope",
         description="curvature and conjugate-point analysis for dynamic pairs")

@@ -18,9 +18,12 @@ solve's grid and then resamples the two grid intervals around every dip that
 can reach the zero cut (``ode.dip_points``), evaluating only the new points,
 so conjugate times closer together than the grid spacing fall in separate
 intervals wherever the steps happen to put the samples.  The events are then
-refined together, the track's minima in one ``ode.refine_minimum`` call and
-the determinant's sign changes in one ``ode.locate_events`` call, each round
-reading the track on the samples of every open bracket as one stack.
+refined together, the determinant's sign changes in one ``ode.locate_events``
+call and the track's minima in one ``ode.refine_minimum`` call, each round
+reading the track on the samples of every open bracket as one stack.  Each
+event is refined once: a minimum whose bracket holds a sign change of the
+determinant is that crossing, which the sign change refines and which wins
+the merge, so it is not searched again.
 """
 
 from __future__ import annotations
@@ -99,14 +102,15 @@ def _rank_events(sigma_min, sigma_values, det_like, det_values, grid, zero_tol, 
 
     Sign changes of the signed determinant-like companion (when available)
     give odd-multiplicity crossings; refined minima of the track at or below
-    zero_tol give tangential zeros (touches).  Events within MERGE_TOL of
-    each other count once, and a sign change wins over a touch.  Returns
-    sorted (t, mode) events."""
-    events = []
-    if det_like is not None:
-        events += [(t, "sign_change") for t in ode.locate_events(det_like, grid, det_values)]
+    zero_tol give tangential zeros (touches).  A minimum whose bracket holds
+    a sign change of the companion is not refined: that crossing is, and
+    wins the merge.  Events within MERGE_TOL of each other count once, and
+    a sign change wins over a touch.  Returns sorted (t, mode) events."""
+    crossings = [] if det_like is None else ode.locate_events(det_like, grid, det_values)
+    events = [(t, "sign_change") for t in crossings]
     events += [(t, "touch") for t, v in ode.refined_minima(sigma_min, grid, sigma_values,
-                                                            cut=zero_tol) if v <= zero_tol]
+                                                            cut=zero_tol, skip=crossings)
+               if v <= zero_tol]
     merged = []
     for t, mode in sorted(ev for ev in events if ev[0] > t_floor):
         if merged and abs(t - merged[-1][0]) < MERGE_TOL * (1.0 + abs(t)):

@@ -33,13 +33,18 @@ crosses the floor within a few hundred steps.
 Event search comes in two kinds, both over samples the caller has already
 taken on a grid: ``locate_events`` refines sign changes, and
 ``refined_minima`` refines discrete minima (the caller decides which minima
-count as touching zero, and may pass its cut so that minima that cannot reach
-it are not refined).  Both refine all their brackets together by
-multisection: each round samples ``SECTION_POINTS`` evenly spaced points
-inside every open bracket in one call of f, which maps an array of times to
-an array of values, and keeps a sub-interval of each.  ``dip_points`` gives
-extra times around those minima, for a caller that resamples before it
-searches, so that zeros closer together than the grid spacing separate.
+count as touching zero, may pass its cut so that minima that cannot reach
+it are not refined, and may pass zeros it has found otherwise, so that the
+minima around them are not refined again).  Both refine all their brackets together by multisection
+(``_multisect``): each round samples ``SECTION_POINTS`` points inside every
+open bracket in one call of f, which maps an array of times to an array of
+values, and keeps a sub-interval of each.  Minima are sampled evenly in
+every round.  Sign changes are sampled evenly in the first round only;
+later rounds sample a narrow window about the false-position point of the
+bracket's ends, so a bracket closes at float resolution in about four
+rounds instead of about ten.  ``dip_points`` gives extra times around those
+minima, for a caller that resamples before it searches, so that zeros
+closer together than the grid spacing separate.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ DIP_POINTS = 256          # extra samples around each dip of a detection track
 SECTION_POINTS = 16       # samples per bracket and round of the event searches
 MINIMUM_TOL = 1e-12       # relative width at which a minimum's bracket closes
 EVENT_ULPS = 4            # float spacings at which a sign change's bracket closes
+WINDOW = 2.0 ** -12       # half-width of a sign change's later rounds, relative to its bracket
 
 # scipy's DOP853 step control (scipy.integrate._ivp.rk) and interpolant size
 SAFETY = 0.9
@@ -281,25 +287,36 @@ def integrate(field, x0, T, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL) ->
     )
 
 
-def _multisect(f, lo, hi, narrow, closed):
+def _multisect(f, lo, hi, narrow, closed, place=None):
     """Shrink every bracket [lo_i, hi_i] (1-d arrays, narrowed in place) by
-    rounds of ``SECTION_POINTS`` evenly spaced interior samples, one call of
-    f over the samples of every open bracket per round.  ``narrow(idx, ts,
-    values)`` returns the new ends of the brackets ``idx`` from their times
-    ``ts`` (ends included, shape (len(idx), SECTION_POINTS + 2)) and interior
+    rounds of ``SECTION_POINTS`` interior samples, one call of f over the
+    samples of every open bracket per round.  The first round spaces them
+    evenly; later rounds do too, unless ``place(idx, lo, hi)`` gives them:
+    the sample times, shape (len(idx), SECTION_POINTS), of the brackets
+    ``idx`` with ends ``lo`` and ``hi``.  ``narrow(idx, ts, values)``
+    returns the new ends of the brackets ``idx`` from their times ``ts``
+    (ends included, shape (len(idx), SECTION_POINTS + 2)) and interior
     ``values``; a bracket closes once ``closed(lo, hi)`` holds for it, or
     when a round leaves it as it was (its samples have run into its ends).
-    A bracket's rounds depend on its own ends and samples alone."""
+    A bracket's rounds depend on its own ends and samples alone, whatever
+    the placement."""
     idx = np.arange(len(lo))
+    sample = _even
     while idx.size:
-        h = (hi[idx] - lo[idx]) / (SECTION_POINTS + 1)
-        inner = lo[idx, None] + h[:, None] * np.arange(1, SECTION_POINTS + 1)
+        inner = sample(idx, lo[idx], hi[idx])
         ts = np.column_stack([lo[idx], inner, hi[idx]])
         values = np.asarray(f(inner.ravel()), dtype=float).reshape(inner.shape)
         before = lo[idx], hi[idx]
         lo[idx], hi[idx] = narrow(idx, ts, values)
         still = (lo[idx] == before[0]) & (hi[idx] == before[1])
         idx = idx[~(closed(lo[idx], hi[idx]) | still)]
+        sample = place or _even
+
+
+def _even(idx, lo, hi):
+    """``SECTION_POINTS`` evenly spaced interior points of each bracket."""
+    h = (hi - lo) / (SECTION_POINTS + 1)
+    return lo[:, None] + h[:, None] * np.arange(1, SECTION_POINTS + 1)
 
 
 def _brackets(a, b):
@@ -326,16 +343,19 @@ def refine_minimum(f, a, b):
     return t_min.reshape(shape)[()], f_min.reshape(shape)[()]
 
 
-def refined_minima(f, grid, values, interior=False, cut=None):
+def refined_minima(f, grid, values, interior=False, cut=None, skip=()):
     """(t_min, f_min) of each discrete local minimum of the samples ``values``
     of f on ``grid`` (``_minima``), refined over its two neighbouring
     intervals; one ``refine_minimum`` call takes every bracket, so f maps an
-    array of times to an array of values."""
+    array of times to an array of values.  A minimum whose bracket holds
+    one of the sorted times ``skip`` (zeros found otherwise) is dropped."""
     found = np.array(_minima(grid, values, interior, cut), dtype=int).reshape(-1, 2)
-    if not len(found):
-        return []
     grid = np.asarray(grid, dtype=float)
-    t_min, f_min = refine_minimum(f, grid[found[:, 0] - 1], grid[found[:, 1]])
+    lo, hi = grid[found[:, 0] - 1], grid[found[:, 1]]
+    keep = np.searchsorted(skip, lo) == np.searchsorted(skip, hi, side="right")
+    if not keep.any():
+        return []
+    t_min, f_min = refine_minimum(f, lo[keep], hi[keep])
     return list(zip(t_min.tolist(), f_min.tolist()))
 
 
@@ -384,16 +404,24 @@ def locate_events(f, grid, values):
     round keeps the first sub-interval whose ends differ in sign, until it is
     at most EVENT_ULPS spacings of floats wide at its larger end, or a round
     no longer narrows it, and returns its midpoint; a sample that is exactly
-    zero ahead of the first change is returned.  A grid sample that is
-    exactly zero counts when its two neighbours have opposite signs.
-    Nothing is reported at the edges of the grid, and zeros where f touches
-    without changing sign are not found here (refine the minima of |f| with
-    ``refined_minima`` for those).  Returns the sorted times."""
+    zero ahead of the first change is returned.  The first round samples
+    evenly; each later one samples a window of +-WINDOW of the bracket's
+    width, at least EVENT_ULPS spacings wide and clipped inside the bracket,
+    about the false-position point of the bracket's ends (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4): on a smooth f the
+    window holds the zero from the second round on, so a bracket closes in
+    about four rounds, and a window that misses keeps one side of it and is
+    placed again.  A grid sample that is exactly zero counts when its two
+    neighbours have opposite signs.  Nothing is reported at the edges of
+    the grid, and zeros where f touches without changing sign are not found
+    here (refine the minima of |f| with ``refined_minima`` for those).
+    Returns the sorted times."""
     grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
     change = np.flatnonzero(values[:-1] * values[1:] < 0.0)
     zero = 1 + np.flatnonzero((values[1:-1] == 0.0) & (values[:-2] * values[2:] < 0.0))
     _, lo, hi = _brackets(grid[change], grid[change + 1])
     negative = values[change] < 0.0
+    f_lo, f_hi = values[change], values[change + 1]      # f at each bracket's ends
 
     def narrow(idx, ts, values):
         # keep the sub-interval that ends at the first sample exactly zero or
@@ -402,8 +430,23 @@ def locate_events(f, grid, values):
         zero = np.column_stack([values == 0.0, np.zeros(len(idx), bool)])
         across = np.column_stack([(values < 0.0) != negative[idx, None], np.ones(len(idx), bool)])
         rows, k = np.arange(len(idx)), np.argmax(zero | across, axis=1) + 1
-        return np.where(zero[rows, k - 1], ts[rows, k], ts[rows, k - 1]), ts[rows, k]
+        left = np.where(zero[rows, k - 1], k, k - 1)
+        full = np.column_stack([f_lo[idx], values, f_hi[idx]])
+        f_lo[idx], f_hi[idx] = full[rows, left], full[rows, k]
+        return ts[rows, left], ts[rows, k]
 
-    _multisect(f, lo, hi, narrow, lambda lo, hi: hi - lo <= EVENT_ULPS * np.spacing(
-        np.maximum(np.abs(lo), np.abs(hi))))
+    def place(idx, lo, hi):
+        # the ends differ in sign, so the false-position point lies in the bracket
+        width = hi - lo
+        at = lo + width * (f_lo[idx] / (f_lo[idx] - f_hi[idx]))
+        half = np.maximum(WINDOW * width, 0.5 * EVENT_ULPS * _spacing(lo, hi))
+        return np.linspace(np.maximum(at - half, lo), np.minimum(at + half, hi), SECTION_POINTS,
+                           axis=-1)
+
+    _multisect(f, lo, hi, narrow, lambda lo, hi: hi - lo <= EVENT_ULPS * _spacing(lo, hi), place)
     return np.sort(np.concatenate([0.5 * (lo + hi), grid[zero]])).tolist()
+
+
+def _spacing(lo, hi):
+    """Spacing of floats at the larger end of each bracket."""
+    return np.spacing(np.maximum(np.abs(lo), np.abs(hi)))

@@ -284,11 +284,13 @@ def _free_vars(node, seen, order):
 class ExprProgram:
     """A parsed expression: the tree plus its variable names in order of
     first appearance.  Immutable; safe to evaluate concurrently.  Its
-    compiled kernels are kept on it, keyed by seeding pattern."""
+    compiled kernels are kept on it, keyed by seeding pattern, and so is its
+    typed text (``_text``) once rendered."""
 
     ast: object
     free_vars: tuple
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _typed: str = field(default=None, init=False, repr=False, compare=False)
 
     def pretty(self):
         return _pretty(self.ast, 0)
@@ -879,14 +881,17 @@ _ATOMS = frozenset((int, str, type(None)))
 
 def _text(obj):
     """Typed text of a program or a tree: each node's type and fields, a
-    float by its bits (``float.hex``), any other leaf by its repr."""
+    float by its bits (``float.hex``), any other leaf by its repr.  A
+    program's is rendered once and kept on it."""
     tp = type(obj)
     if tp in _NODES:
         return f"{tp.__name__}({','.join(map(_text, obj.__dict__.values()))})"
     if tp is float:
         return obj.hex()
     if tp is ExprProgram:
-        return f"{_text(obj.ast)}:{obj.free_vars!r}"
+        if obj._typed is None:      # a race renders it twice, to the same text
+            object.__setattr__(obj, "_typed", f"{_text(obj.ast)}:{obj.free_vars!r}")
+        return obj._typed
     return repr(obj)
 
 

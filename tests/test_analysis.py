@@ -240,6 +240,19 @@ def test_batched_closed_orbit_check_matches_pointwise(name, x0, T):
     assert np.allclose(batched, pointwise, rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("times_cut", [0.5, 2.0])
+def test_closed_orbit_check_is_decided_at_its_cut(times_cut):
+    # the harmonic (omega = 1) rotates (x, x') about 0, so a horizon short of
+    # 2 pi by delta ends |x0| delta from x0, about delta / 2 of the largest
+    # distance: the horizons put the end at 0.5 and 2 times the cut
+    model, _ = catalog.build("harmonic")
+    pair = pm.as_pair(model)
+    x0 = pm.full_x0(model, pair, (0.3, 0.7))
+    T = 2 * math.pi - 2e-6 * times_cut
+    ft = frames.transport_normal_frame(pair, x0, T)
+    assert analysis._closed_orbit_suspected(ft) == _closed_orbit_pointwise(ft) == (times_cut < 1)
+
+
 @pytest.mark.parametrize("name, T", [("harmonic", 1.0), ("sphere_spray", 2.0)])
 def test_regularity_coverage_does_not_depend_on_the_grid(name, T):
     # regularity reads MAX_SAMPLE_POINTS evenly spaced times, however short

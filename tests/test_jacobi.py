@@ -104,10 +104,12 @@ def test_rank_events_touches_and_merge():
     assert events == [(t_sign, "sign_change")]
 
 
-def test_harmonic_detection_refines_only_sigma_min_minima(monkeypatch):
-    # m = 1: sigma_min = |det P|, so refining both would double the searches;
-    # the minima are searched on the detection grid, the solve's grid with
-    # DIP_POINTS / 2 points inside each interval next to a dip of the track
+def test_harmonic_detection_refines_each_crossing_once(monkeypatch):
+    # m = 1: sigma_min = |det P|, so each crossing is both a sign change of
+    # the determinant and a minimum of the track; the minima are found on the
+    # detection grid, the solve's grid with DIP_POINTS / 2 points inside each
+    # interval next to a dip of the track, and every one's bracket holds a
+    # crossing, which the sign change refines alone
     js = jacobi_in_time(lambda t: np.array([[1.0]]), 1, 7.0)
 
     def minima(grid):
@@ -124,7 +126,9 @@ def test_harmonic_detection_refines_only_sigma_min_minima(monkeypatch):
     fine = np.sort(np.concatenate([grid, *inside]))
     assert len(fine) == len(grid) + 2 * ode.DIP_POINTS
     last = len(fine) - 1
-    expected = [(fine[i - 1], fine[min(i + 1, last)]) for i in minima(fine)]
+    holds_crossing = lambda a, b: any(a <= k * math.pi <= b for k in (1, 2))
+    brackets = [(fine[i - 1], fine[min(i + 1, last)]) for i in minima(fine)]
+    assert len(brackets) == 2 and all(holds_crossing(a, b) for a, b in brackets)
     searched = []
     refine = ode.refine_minimum
 
@@ -134,8 +138,9 @@ def test_harmonic_detection_refines_only_sigma_min_minima(monkeypatch):
 
     monkeypatch.setattr(ode, "refine_minimum", spy)
     out = jacobi.find_conjugate_times(js)
-    assert len(out) == 2
-    assert searched == expected
+    assert not any(holds_crossing(a, b) for a, b in searched)
+    assert [c.mode for c in out] == ["sign_change", "sign_change"]
+    assert all(abs(c.t_star - k * math.pi) < 1e-6 for c, k in zip(out, (1, 2)))
 
 
 def test_find_conjugate_times_double_touch():
@@ -372,6 +377,28 @@ def test_close_pairs_separate_on_both_routes(T):
     assert len(expected) == 2 * int(T / math.pi)
     for found in (res.conjugate_times, oracle):
         assert [c.multiplicity for c in found] == [1] * len(expected)
+        for c, (t, _) in zip(found, expected):
+            assert abs(c.t_star - t) < 1e-6
+
+
+@pytest.mark.parametrize("eps, T", [(1e-2, 4.0), (1e-2, 7.0), (1e-3, 4.0), (1e-3, 7.0),
+                                    (1e-4, 4.0)])
+def test_touch_next_to_a_crossing_is_found_on_both_routes(eps, T):
+    # lambda = 1 twice and 1 + eps: a double touch at k pi and a crossing at
+    # k pi / sqrt(1 + eps), 5e-5 k pi before it at eps = 1e-4; the touch's
+    # minimum must be refined although a sign change lies so close
+    lam = [1.0, 1.0, 1.0 + eps]
+    S = np.eye(3) + np.reshape([0.2, -0.1, 0.3, 0.0, 0.1, -0.3, 0.25, 0.05, -0.2], (3, 3))
+    A = S @ np.diag(lam) @ np.linalg.inv(S)
+    xs = [scalar.var_expr(f"x{j+1}") for j in range(3)]
+    model = pm.SODEModel(m=3, F=tuple(linear_combination(xs, -row) for row in A),
+                         autonomous=True)
+    res, oracle = _both_routes(model, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6), T)
+    expected = _expected_times(lam, T)
+    assert [mult for _, mult in expected] == [1, 2] * int(T / math.pi)
+    for found in (res.conjugate_times, oracle):
+        assert [(c.multiplicity, c.mode) for c in found] == [
+            (mult, "sign_change" if mult == 1 else "touch") for _, mult in expected]
         for c, (t, _) in zip(found, expected):
             assert abs(c.t_star - t) < 1e-6
 

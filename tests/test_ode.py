@@ -350,6 +350,20 @@ def test_exact_zero_at_a_section_point_is_returned():
     assert len(calls) == 1 and 3.0 in calls[0]
 
 
+def test_a_sign_change_closes_in_about_four_rounds():
+    # the first round is evenly spaced; each later one samples a narrow
+    # window about the false-position point of the bracket's ends, so a
+    # bracket 1e-3 wide closes at float resolution in a handful of calls of
+    # f, where evenly spaced rounds alone take ten
+    f, calls = _counted(np.sin)
+    a, b = math.pi - 4e-4, math.pi + 6e-4
+    t, = ode.locate_events(f, [a, b], np.sin([a, b]))
+    assert abs(t - math.pi) <= ode.EVENT_ULPS * np.spacing(math.pi)
+    assert len(calls) <= 5
+    assert np.allclose(np.diff(calls[0]), (b - a) / (ode.SECTION_POINTS + 1), rtol=1e-9, atol=0)
+    assert all(np.ptp(c) <= 2 * ode.WINDOW * (b - a) for c in calls[1:])
+
+
 def test_a_bracket_narrower_than_the_tolerance_returns_a_sampled_point():
     f, calls = _counted(lambda t: (t - 2.0) ** 2)
     t_min, f_min = ode.refine_minimum(f, 2.0, 2.0 + 1e-13)

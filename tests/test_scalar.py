@@ -536,7 +536,8 @@ def test_kernels_are_freed_with_their_programs():
     del prog
     gc.collect()
     assert ref() is None
-    # a plain list compiles a throwaway kernel that dies with the call
+    # a plain list's programs die with the call; its kernel stays in the
+    # process-wide table until newer structures push it out
     progs = [parse("x + y"), parse("x*y")]
     refs = [weakref.ref(p) for p in progs]
     second_partials(progs, point, {}, ["x", "y"])
