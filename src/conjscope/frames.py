@@ -14,7 +14,10 @@ kernel, which evaluates no field, forms the products after it.  The
 normal curvature is computed afterwards, on whatever times it is asked for,
 from the transported point and G: on an array of times, one dense lookup (on
 the grid, the one every grid reader shares), one curvature call per block of
-points and one batched solve.
+points and one batched solve.  On a generic pair each curvature point is one
+column of a tangent-kernel call, the brackets with their derivatives along
+X, and one SVD, which gives H0, H1 and the exact X(H1)
+(``pair.flow_derivative_H1``).
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ lifted from a system of second order ODEs x'' = F(t, x, x').  The module
 computes Lie brackets and iterated brackets exactly through hyper-dual AD,
 extracts the structure matrices H0, H1 of the iterated bracket relation (the
 Jacobi solve reads them alone), evaluates the curvature operator and checks
-the regularity conditions.
+the regularity conditions.  The curvature is exact on both paths: in closed
+form from one jet of a second-order force, and for a generic pair from the
+tangent of its bracket kernel along X, which gives X(H1) through the SVD
+that solves for H0, H1 (``flow_derivative_H1``).
 
 The bracket and curvature functions take one point or a stack of points, and
 readers of a grid call them once per block of BLOCK points (``on_blocks``):
@@ -162,9 +165,14 @@ class GenericPair:
     def bracket_kernel(self):
         """The kernel of X, D = [V | XV] and XXV (``_bracket_outputs``),
         compiled on first use."""
-        return scalar.field_kernel(self.stacked, self.coords,
-                                   scalar.Along(tuple((c, k) for k, c in enumerate(self.coords))),
-                                   self.coords, _bracket_algebra)
+        return _bracket_kernel(self, tangent=False)
+
+    @cached_property
+    def tangent_kernel(self):
+        """The bracket kernel's outputs followed by their derivatives along
+        a direction given with the point (``flow_derivative_H1``), compiled
+        on first use."""
+        return _bracket_kernel(self, tangent=True)
 
     @cached_property
     def products_kernel(self):
@@ -249,8 +257,7 @@ def full_x0(model, pair: GenericPair, x0):
 # goes through the same per-point matrix products as it does alone, so it
 # gives the same bits.
 
-# points per call on a grid: bounds the memory of the jets of a block, which
-# for a generic curvature cover three points per grid point
+# points per call on a grid: bounds the memory of the jets of a block
 BLOCK = 64
 
 
@@ -308,22 +315,33 @@ def _jacobian(exprs, coords, env):
     return val, J
 
 
-def _lstsq(D, B):
+def _lstsq(D, B, dD=None, dB=None):
     """Least-squares solution S of D S = B, the condition number of D and the
     relative residual |D S - B| / |B|, all from one SVD of D; stacks of D
-    and B solve matrix by matrix in one batched SVD.
+    and B solve matrix by matrix in one batched SVD.  Given the derivatives
+    dD and dB of D and B along a direction, it also returns the derivative
+    dS of S along it, from the same SVD (the normal equations
+    differentiated): dS = D^+ (dB - dD S) + (D^T D)^-1 dD^T (B - D S), whose
+    second term, the least-squares part, vanishes for a square D.
 
     Singular values at or below numpy lstsq's cutoff eps * max(D.shape) * s_max
-    are dropped, so a singular D (cond = inf) still gives a finite solution
-    and residual."""
+    are dropped, from S and dS alike, so a singular D (cond = inf) still
+    gives a finite solution and residual."""
     U, s, Vt = np.linalg.svd(D, full_matrices=False)
     keep = s > _EPS * max(D.shape[-2:]) * s[..., :1]
-    S = _T(Vt) @ ((_T(U) @ B) / np.where(keep, s, np.inf)[..., None])
+    kept = np.where(keep, s, np.inf)[..., None]
+    S = _T(Vt) @ ((_T(U) @ B) / kept)
     cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf),
                      where=s[..., -1] > 0.0)
     scale = _fro(B)
-    residual = _fro(D @ S - B) / np.where(scale > 0, scale, 1.0)
-    return S, cond, residual
+    R = D @ S - B
+    residual = _fro(R) / np.where(scale > 0, scale, 1.0)
+    if dD is None:
+        return S, cond, residual
+    inner = (_T(U) @ (dB - dD @ S)) / kept
+    if D.shape[-2] > D.shape[-1]:
+        inner = inner - (Vt @ (_T(dD) @ R)) / (kept * kept)
+    return S, cond, residual, _T(Vt) @ inner
 
 
 @dataclass(frozen=True)
@@ -341,10 +359,6 @@ class PointFrameData:
     H1: np.ndarray
     cond_D: float
     residual: float               # relative residual of XXV outside span [V | XV]
-
-    def at(self, k):
-        """The data of point k (an index or a slice) of a stack."""
-        return PointFrameData(*(v[k] for v in vars(self).values()))
 
 
 def frame_at(pair: GenericPair, x):
@@ -398,24 +412,42 @@ def _bracket_algebra(gen, jet):
     return list(jet.along) + D + [XXV[j][i] for i in range(n) for j in range(m)]
 
 
-def _bracket_outputs(pair: GenericPair, x):
+def _bracket_kernel(pair: GenericPair, tangent):
+    """The field kernel of ``_bracket_algebra`` over the jet of the stacked
+    fields along X(x), with its tangent when ``tangent``."""
+    return scalar.field_kernel(pair.stacked, pair.coords,
+                               scalar.Along(tuple((c, k) for k, c in enumerate(pair.coords))),
+                               pair.coords, _bracket_algebra, tangent=tangent)
+
+
+def _bracket_outputs(pair: GenericPair, x, u=None):
     """X, D = [V | XV] and XXV at x, flat: (n + 3 n m,), or (N, n + 3 n m)
-    for a stack."""
+    for a stack; with a direction u at each point (shaped as x), followed by
+    their derivatives along u (twice as many columns, one tangent kernel
+    call)."""
     x = np.asarray(x, dtype=float)
+    kernel = pair.bracket_kernel
+    if u is not None:
+        kernel, x = pair.tangent_kernel, np.concatenate([x, u])
     if x.ndim == 1:
-        return scalar.run_field(pair.bracket_kernel, x.tolist(), pair.params)
-    return scalar.run_field(pair.bracket_kernel, list(x), pair.params, x.shape[1])
+        return scalar.run_field(kernel, x.tolist(), pair.params)
+    return scalar.run_field(kernel, list(x), pair.params, x.shape[1])
+
+
+def _split(flat, n, m):
+    """X, D = [V | XV] and XXV stacks from flat bracket outputs."""
+    return (flat[:, :n], flat[:, n:n + 2 * n * m].reshape(-1, n, 2 * m),
+            flat[:, n + 2 * n * m:].reshape(-1, n, m))
 
 
 def brackets_at(pair: GenericPair, x):
     """X, V, [X,V], [X,[X,V]] at x, all m columns, exact AD: one call of the
     pair's bracket kernel."""
     one = np.ndim(x) == 1
-    n, m = pair.n, pair.m
     flat, = _lead(one, _bracket_outputs(pair, x))
-    D = flat[:, n:n + 2 * n * m].reshape(-1, n, 2 * m)
-    return _unstack(one, flat[:, :n], D[..., :m], D[..., m:],
-                    flat[:, n + 2 * n * m:].reshape(-1, n, m))
+    m = pair.m
+    X, D, XXV = _split(flat, pair.n, m)
+    return _unstack(one, X, D[..., :m], D[..., m:], XXV)
 
 
 def _raise_first_violation(points, cond_D, residual=0.0):
@@ -488,7 +520,8 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
 
 def curvature_frame(pair: GenericPair, x):
     """Curvature matrix K = -H0 + X(H1)/2 - H1^2/4 in the working frame, with
-    H0, H1 and the derivative X(H1) of H1 along X from ``flow_derivative_H1``."""
+    H0, H1 and the exact derivative X(H1) of H1 along X from
+    ``flow_derivative_H1``."""
     data, XH1 = flow_derivative_H1(pair, x)
     return -data.H0 + 0.5 * XH1 - 0.25 * (data.H1 @ data.H1)
 
@@ -497,22 +530,25 @@ def flow_derivative_H1(pair: GenericPair, x):
     """X(H1) at x, the derivative of H1 along the vector X(x), together with
     the ``extract_H`` data at x: (data, X(H1)).
 
-    X(H1)(x) = DH1(x) X(x) depends on x alone, so it is approximated by the
-    central difference of H1 over the segment x +- h X(x), h = 1e-4 (1 + |x|),
-    with O(h^2) truncation error; no trajectory or flow is involved.  One
-    ``extract_H`` call reads the stack that interleaves x, x + h X(x) and
-    x - h X(x) point by point, so the first RegularityViolation is the one
-    that evaluating the points one at a time in that order raises."""
+    X(H1)(x) = DH1(x) X(x) depends on x alone, and it is exact to rounding:
+    one call of the pair's tangent kernel gives X, D = [V | XV] and
+    XXV = [X, [X, V]] with their derivatives along u = X(x) (read by
+    ``X_at``), which carry the terms in which X itself varies, and
+    differentiating D (H0; H1) = XXV gives X(H0; H1) from the SVD that
+    solves for (H0; H1) (``_lstsq``).  H0, H1 and the diagnostics are
+    ``extract_H``'s bits, and so is the RegularityViolation raised: the
+    first in stack order."""
     xs, one = _stack(x)
-    n, N = xs.shape
-    h = 1e-4 * (1.0 + _norms(xs.T))
-    step = h[:, None] * pair.X_at(xs)
-    points = np.stack([xs, xs + step.T, xs - step.T], axis=-1).reshape(n, 3 * N)
-    data = extract_H(pair, points)
-    H1 = data.H1.reshape((N, 3) + data.H1.shape[1:])
-    XH1 = (H1[:, 1] - H1[:, 2]) / (2.0 * h[:, None, None])
-    at_x = data.at(slice(0, None, 3))
-    return (at_x.at(0), XH1[0]) if one else (at_x, XH1)
+    n, m = pair.n, pair.m
+    flat = _bracket_outputs(pair, xs, pair.X_at(xs).T)
+    size = flat.shape[1] // 2
+    x_val, D, XXV = _split(flat[:, :size], n, m)
+    _, dD, dXXV = _split(flat[:, size:], n, m)
+    sol, cond_D, residual, dsol = _lstsq(D, XXV, dD, dXXV)
+    _raise_first_violation(xs, cond_D, residual)
+    data = PointFrameData(*_unstack(one, xs.T, x_val, D[..., :m], D[..., m:], XXV,
+                                    sol[:, :m], sol[:, m:], cond_D, residual))
+    return data, _unstack(one, dsol[:, m:])[0]
 
 
 # -- closed-form path for second-order systems -------------------------------
@@ -534,7 +570,7 @@ def sode_curvature(model: SODEModel, t, x, y):
     The last three terms are the Hessian of F contracted with the lifted
     field X = (1, y, F), so one jet of F along X gives all of it:
     K = -dF/dx - (1/4) (dF/dy)^2 + (1/2) X(dF/dy).  The derivative of H1
-    along X is exact here (no finite difference).  x and y may be (m, N)
+    along X is exact here, as on the generic path.  x and y may be (m, N)
     stacks, with t a real or N times."""
     _, dFdx, dFdy, X_dFdy = _force_jet(model, t, x, y)
     return -dFdx - 0.25 * dFdy @ dFdy + 0.5 * X_dFdy

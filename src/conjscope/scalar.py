@@ -42,13 +42,17 @@ its first call at a point and no array kernel before its first call over
 points, and the table holds kernels and the keys derived from trees, never a
 program.  ``second_partials`` and ``field_kernel`` are the two
 seeding entry points: every other module obtains the derivatives of
-user-supplied fields through them.  The one finite difference in the
-package is X(H1) for generic pairs (``pair.flow_derivative_H1``), which
-needs a third derivative of the fields along X.
+user-supplied fields through them.  A field kernel may also be requested
+with its tangent: the same statements followed by their derivatives along a
+direction of the coordinates, derived from the statements themselves (a
+separate kernel, ``_Tangent``).  That is how ``pair.flow_derivative_H1``
+gets the third derivatives of the fields along X that X(H1) needs, so the
+package takes no finite difference.
 """
 
 from __future__ import annotations
 
+import ast
 import bisect
 import math
 import operator
@@ -437,6 +441,8 @@ _ARRAY_GLOBALS = {
 }
 
 _NONE3 = (None, None, None)
+_SQRT_NEGATIVE = "sqrt of negative value"
+_SQRT_AT_ZERO = "sqrt of non-positive value (not differentiable at 0)"
 
 
 def _literal(value):
@@ -683,10 +689,9 @@ class _Codegen:
             self.check(f"{rv} <= 0.0", "log of non-positive value", node)
         elif fn == "sqrt":
             if hd:
-                self.check(f"{rv} <= 0.0",
-                           "sqrt of non-positive value (not differentiable at 0)", node)
+                self.check(f"{rv} <= 0.0", _SQRT_AT_ZERO, node)
             else:
-                self.check(f"{rv} < 0.0", "sqrt of negative value", node)
+                self.check(f"{rv} < 0.0", _SQRT_NEGATIVE, node)
         val = self.emit(f"_{fn}({rv})", where if fn in ("sin", "cos", "tan") else None)
         if not hd:
             return val, rs
@@ -780,18 +785,130 @@ def _jets(progs, key, coords=()):
     return gen, [gen.gen(prog.ast) for prog in progs]
 
 
+# -- tangents of a field kernel -----------------------------------------------
+#
+# A tangent kernel returns the outputs of a field kernel and then their
+# derivatives along a direction u of its coordinates (forward mode, Griewank &
+# Walther, ch. 3).  The tangents are derived from the kernel's own statements,
+# each parsed once: sums and differences term by term, products by the
+# product rule, a quotient v = a / b as (da - v db) / b, an integer power and
+# sin, cos, tan, exp, log and sqrt by their derivatives, abs by the sign its
+# jet uses (+1 at 0), and that sign, a step, with tangent zero.  So the jet's
+# seed values, such as an ``Along`` field, carry their own tangents.  The
+# tangent statements run after the whole jet and reuse its locals.  None of
+# them fails where the jet does not, except at a sqrt at 0, which is checked
+# in place as the jet checks a hyper-dual sqrt, and at a power whose
+# derivative overflows, which raises OverflowError as evaluation does.
+
+class _Tangent:
+    """Emits, through ``gen``, the tangent of each statement of its body."""
+
+    def __init__(self, gen, n):
+        self.gen = gen
+        self.tan = {}           # local -> its tangent (a local or a literal), or None
+        for local, src in list(gen.head):
+            if src.startswith("w["):
+                k = int(src[2:-1])
+                if k >= n:
+                    raise ValueError("a tangent kernel reads no state beyond its coordinates")
+                self.tan[local] = gen.state(n + k)
+
+    def run(self, outputs):
+        """The tangents of ``outputs``, "0.0" where statically zero; the
+        statements of ``gen`` gain them at their end."""
+        gen = self.gen
+        body, gen.body = gen.body, []
+        kept = []
+        for stmt in body:
+            if stmt[0] == "check":
+                _, cond, message, where = stmt
+                arg = cond.split(" ")[0]
+                if message == _SQRT_NEGATIVE and self.tan.get(arg) is not None:
+                    stmt = ("check", f"{arg} <= 0.0", _SQRT_AT_ZERO, where)
+            else:
+                self.tan[stmt[1]] = self.d(ast.parse(stmt[2], mode="eval").body, stmt[1])
+            kept.append(stmt)
+        gen.body = kept + gen.body
+        return [self.tan.get(o) or "0.0" for o in outputs]
+
+    def value(self, node, own=None):
+        """Local or literal of the value of ``node``: ``own`` when given."""
+        if own is not None:
+            return own
+        text = ast.unparse(node)
+        if type(node) is ast.UnaryOp and type(node.operand) is ast.Constant:
+            return f"({text})"
+        return self.gen.emit(text)
+
+    def d(self, node, own=None):
+        """Tangent of the value of ``node`` (held by ``own``, if a local)."""
+        emit, tp = self.gen.emit, type(node)
+        if tp is ast.Name:
+            return self.tan.get(node.id)
+        if tp is ast.Constant or tp is ast.IfExp:
+            return None
+        if tp is ast.UnaryOp:
+            da = self.d(node.operand)
+            return None if da is None else emit(f"-{da}")
+        if tp is ast.Call:
+            return self.call(node, own)
+        op = type(node.op)
+        da, db = self.d(node.left), self.d(node.right)
+        if da is None and db is None:
+            return None
+        if op is ast.Add or op is ast.Sub:
+            return emit(_sum(("+", da), ("+" if op is ast.Add else "-", db)))
+        a = self.value(node.left)
+        if op is ast.Pow:
+            k = ast.literal_eval(node.right)
+            p = a if k == 2 else emit(f"{a} ** {k - 1}", array=f"_pow({a}, {k - 1})")
+            return emit(_chain(_literal(float(k)), p, da))
+        b = self.value(node.right)
+        if op is ast.Mult:
+            return emit(_sum(("+", _chain(da, b)), ("+", _chain(a, db))))
+        if db is None:          # a quotient
+            return None if da is None else emit(f"{da} / {b}")
+        top = emit(_sum(("+", da), ("-", _chain(self.value(node, own), db))))
+        return None if top is None else emit(f"{top} / {b}")
+
+    def call(self, node, own):
+        arg = node.args[0]
+        da = self.d(arg)
+        if da is None:
+            return None
+        emit, fn = self.gen.emit, node.func.id
+        a, v = self.value(arg), self.value(node, own)
+        if fn == "_sin":
+            f1 = emit(f"_cos({a})")
+        elif fn == "_cos":
+            f1 = emit(f"-{emit(f'_sin({a})')}")
+        elif fn == "_tan":
+            f1 = emit(f"1.0 + {v} * {v}")
+        elif fn == "_exp":
+            f1 = v
+        elif fn == "_log":
+            return emit(f"{da} / {a}")
+        elif fn == "_sqrt":
+            f1 = emit(f"0.5 / {v}")
+        else:
+            f1 = emit(f"1.0 if {a} >= 0.0 else -1.0", array=f"_sign({a})")
+        return emit(_chain(f1, da))
+
+
 def _compile(progs, key):
     """Kernels of the sequence ``progs`` for ``key``: None (plain values),
-    (i seed, j seeds), or (coords, i seed, j names, algebra, extra) for a
-    field kernel (``field_kernel``)."""
-    if key is not None and len(key) == 5:
-        coords, ikey, jkeys, algebra, extra = key
+    (i seed, j seeds), or (coords, i seed, j names, algebra, extra, tangent)
+    for a field kernel (``field_kernel``)."""
+    if key is not None and len(key) == 6:
+        coords, ikey, jkeys, algebra, extra, tangent = key
         gen, results = _jets(progs, (ikey, jkeys), coords)
         jet = FieldJet(along=tuple(gen.along.get(name) for name in coords),
                        val=tuple(v for v, _ in results),
                        dj=tuple(tuple(p[1] for p in s[1:]) for _, s in results),
                        dij=tuple(tuple(p[2] for p in s[1:]) for _, s in results))
         out = ["0.0" if o is None else o for o in algebra(gen, jet, *extra)]
+        if tangent:
+            out += _Tangent(gen, len(coords)).run(out)
         return _Kernel(gen, out, "w, env")
     gen, results = _jets(progs, key)
     out = [v for v, _ in results]
@@ -876,7 +993,7 @@ _TABLE_SIZE = 256
 _TABLE = {}
 _LOCK = threading.Lock()        # the table, and each kernel's first build
 _NODES = frozenset((Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call))
-_ATOMS = frozenset((int, str, type(None)))
+_ATOMS = frozenset((bool, int, str, type(None)))
 
 
 def _text(obj):
@@ -1073,7 +1190,7 @@ def second_partials(progs, point, i, j):
                                       np.zeros(head + (nc,)), np.zeros(head + (nc,))]))
 
 
-def field_kernel(progs, coords, i, j, algebra, *extra):
+def field_kernel(progs, coords, i, j, algebra, *extra, tangent=False):
     """The field kernel of ``algebra`` over the jet of the Field ``progs``
     seeded along ``i`` (an ``Along``, or None for no i) and each name of
     ``j``.  Its state ``w`` binds the names of ``coords`` by position, and
@@ -1081,9 +1198,13 @@ def field_kernel(progs, coords, i, j, algebra, *extra):
     statements that combine the jet (a ``FieldJet``) through ``gen.emit``,
     ``gen.dot`` and ``gen.combine``, reads further entries of the state
     through ``gen.state``, and returns the output locals; one kernel call
-    gives them all (``run_field``).  Compiled on first use, once per
-    structure per process, and kept on ``progs``."""
-    return _kernel(progs, (tuple(coords), i, tuple(j), algebra, extra))
+    gives them all (``run_field``).  With ``tangent`` the state holds, after
+    the coordinates, a direction u (one component per coordinate; the
+    algebra then reads no further state), and the outputs are followed by
+    their derivatives along u, exact to rounding (a separate kernel).
+    Compiled on first use, once per structure per process, and kept on
+    ``progs``."""
+    return _kernel(progs, (tuple(coords), i, tuple(j), algebra, extra, tangent))
 
 
 def run_field(kernel, w, env, count=None):

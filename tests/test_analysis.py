@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import time
@@ -5,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conjscope import analysis, bounds, catalog, frames, jacobi, ode, pair as pm
 from conjscope import hamiltonian
@@ -348,8 +350,7 @@ def _nonholonomic(X):
     (("c + 0.5*d", "d", "-2*a + 0.1*b^2", "-b - 0.2*a*d"), 8),
 ])
 def test_jacobi_route_matches_the_oracle_on_nonintegrable_pairs(X, count):
-    # the solve reads the bracket relation alone, so no finite-difference
-    # curvature error reaches the conjugate times
+    # the solve reads the bracket relation alone, never the curvature
     pair = _nonholonomic(X)
     res = analysis.analyze(pair, x0=NONHOLONOMIC_X0, T=12.0)
     oracle = jacobi.variational_oracle(pair, NONHOLONOMIC_X0, 12.0)
@@ -381,12 +382,54 @@ def test_point_dependent_frame_change_keeps_times_and_curvature():
         times.append([c.t_star for c in res.conjugate_times])
         eigs.append(np.sort_complex(np.linalg.eigvals(res.transport.K_normal(ts))))
     assert np.max(np.abs(np.subtract(*times))) <= 1e-11
-    assert np.max(np.abs(eigs[0] - eigs[1])) <= 1e-9 * np.max(np.abs(eigs[0]))
+    assert np.max(np.abs(eigs[0] - eigs[1])) <= 1e-12 * np.max(np.abs(eigs[0]))
+
+
+FRAME_CHANGE_TS = np.linspace(0.5, 7.5, 15)
+
+
+@functools.cache
+def _mechanical_reference():
+    """mechanical at the parameters above, its conjugate times and its
+    curvature eigenvalues at FRAME_CHANGE_TS, computed once."""
+    model, _ = catalog.build("mechanical", {"quart": 0.4, "c": 0.15})
+    res = analysis.analyze(model, x0=catalog.ENTRIES["mechanical"].default_x0, T=8.0)
+    return (model, [(c.t_star, c.multiplicity) for c in res.conjugate_times],
+            np.sort_complex(np.linalg.eigvals(res.transport.K_normal(FRAME_CHANGE_TS))))
+
+
+FRAME_NAMES = st.sampled_from(["x1", "x2", "y1", "y2"])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.floats(-0.25, 0.25), min_size=2, max_size=2),
+       st.lists(st.floats(-0.4, 0.4), min_size=2, max_size=2),
+       st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=2),
+       st.lists(FRAME_NAMES, min_size=8, max_size=8))
+def test_property_point_dependent_frame_change_keeps_times_and_curvature(a, b, c, names):
+    # V -> V A(x) on mechanical with a random A(x): diagonal entries
+    # 1 + a sin(p) + b q / (1 + q^2) in [0.55, 1.45] and off-diagonal ones
+    # c cos(r) exp(-s^2) in [-0.2, 0.2], so A(x) is invertible everywhere;
+    # the conjugate times and the curvature eigenvalues do not move
+    model, ref_times, ref_eigs = _mechanical_reference()
+    lift = pm.lift_sode(model)
+    p, q, r, s = names[:2], names[2:4], names[4:6], names[6:]
+    diag = [f"1 + {a[k]!r}*sin({p[k]}) + {b[k]!r}*{q[k]}/(1 + {q[k]}^2)" for k in range(2)]
+    off = [f"{c[k]!r}*cos({r[k]})*exp(-{s[k]}^2)" for k in range(2)]
+    A = [[diag[0], off[0]], [off[1], diag[1]]]
+    changed = pm.GenericPair(coords=lift.coords, X=lift.X, params=lift.params,
+                             vframe=tuple(("0", "0", A[0][j], A[1][j]) for j in range(2)))
+    res = analysis.analyze(changed, x0=catalog.ENTRIES["mechanical"].default_x0, T=8.0)
+    times = [(c.t_star, c.multiplicity) for c in res.conjugate_times]
+    assert [mult for _, mult in times] == [mult for _, mult in ref_times]
+    assert max(abs(t - t_ref) for (t, _), (t_ref, _) in zip(times, ref_times)) <= 1e-11
+    eigs = np.sort_complex(np.linalg.eigvals(res.transport.K_normal(FRAME_CHANGE_TS)))
+    assert np.max(np.abs(eigs - ref_eigs)) <= 1e-12 * np.max(np.abs(ref_eigs))
 
 
 def test_generic_jacobi_solve_takes_no_curvature_derivative(monkeypatch):
-    # X(H1) (the finite difference) is read by the curvature samples after
-    # the solve, never by its right-hand side
+    # X(H1) (the tangent kernel) is read by the curvature samples after the
+    # solve, never by its right-hand side
     calls = []
     solving = []
     flow_derivative_H1 = pm.flow_derivative_H1
@@ -408,7 +451,7 @@ def test_generic_jacobi_solve_takes_no_curvature_derivative(monkeypatch):
     pair = _nonholonomic(("c", "d", "-a - 0.1*b + 0.2*a*c", "-b + 0.3*a - 0.1*c*d"))
     res = analysis.analyze(pair, x0=NONHOLONOMIC_X0, T=3.0)
     assert not any(inside for inside, _ in calls)
-    # the curvature samples difference H1 once at each grid point, in
+    # the curvature samples differentiate H1 once at each grid point, in
     # ceil(N / BLOCK) blocks; the bounds' refinement adds one block per round
     grid_blocks = -(-len(res.grid) // pm.BLOCK)
     sampled = np.concatenate([x for _, x in calls[:grid_blocks]], axis=1)

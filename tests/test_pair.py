@@ -216,8 +216,8 @@ def test_sode_vs_generic_curvature_on_random_systems():
         pr_gen = pm.GenericPair(coords=pr.coords, X=pr.X, vframe=pr.vframe)
         x = rng.uniform(-0.4, 0.4, size=2 * m)
         K_exact = pm.curvature_at(pr, x)
-        K_fd = pm.curvature_frame(pr_gen, x)
-        assert np.max(np.abs(K_exact - K_fd)) < 1e-6
+        K_gen = pm.curvature_frame(pr_gen, x)
+        assert np.max(np.abs(K_exact - K_gen)) <= 3e-13 * np.max(np.abs(K_exact))
 
 
 def test_check_regularity_sode_lift_passes():
@@ -571,3 +571,90 @@ def test_a_second_analysis_of_a_pair_compiles_nothing(monkeypatch, generic):
     keys.clear()
     analysis.analyze(pair, x0=x0, T=4.0, sigma=sigma)
     assert keys == []
+
+
+# -- exact X(H1) ----------------------------------------------------------------
+
+CATALOG_DEFAULTS = ["dancing", "mechanical", "perturbed_pair", "sphere_spray", "harmonic"]
+
+
+def _generic_and_closed_form(model, x0, T):
+    """Curvature of the lift read as a generic pair and its closed form, at
+    40 points of the trajectory, both as one stack; and the generic one
+    point by point."""
+    pr = pm.lift_sode(model)
+    points = _trajectory_points(pr, pm.full_x0(model, pr, x0), T, count=40)
+    generic = _as_generic(pr)
+    return (pm.curvature_at(generic, points.T), pm.curvature_at(pr, points.T),
+            [pm.curvature_at(generic, x) for x in points])
+
+
+@pytest.mark.parametrize("name", CATALOG_DEFAULTS)
+def test_generic_curvature_matches_the_closed_form_on_the_catalog_defaults(name):
+    from conjscope import catalog
+    entry = catalog.ENTRIES[name]
+    model, _ = entry.build()
+    generic, closed, pointwise = _generic_and_closed_form(model, entry.default_x0,
+                                                          entry.default_T)
+    assert np.max(np.abs(generic - closed)) <= 1e-12 * np.max(np.abs(closed))
+    assert np.array_equal(pointwise, generic)
+
+
+def test_generic_curvature_matches_the_closed_form_on_a_nonautonomous_lift():
+    # t is a coordinate, so n = 2m + 1 and H comes from a least-squares solve
+    from conjscope import catalog
+    model, _ = catalog.build("dancing", {"F": "0.3*sin(t) - x1"})
+    assert not model.autonomous
+    generic, closed, pointwise = _generic_and_closed_form(model, (0.0, -2.0, 0.5, 0.1), 6.0)
+    assert np.max(np.abs(generic - closed)) <= 1e-12 * np.max(np.abs(closed))
+    assert np.array_equal(pointwise, generic)
+
+
+def _H1_central_difference(pair, x, h=1e-3):
+    """Sixth-order central difference of extract_H's H1 along X(x)."""
+    u = pair.X_at(x)
+    H1 = lambda k: pm.extract_H(pair, x + k * h * u).H1
+    return (-H1(-3) + 9 * H1(-2) - 45 * H1(-1) + 45 * H1(1) - 9 * H1(2) + H1(3)) / (60 * h)
+
+
+def test_exact_XH1_keeps_the_least_squares_term():
+    # a nonautonomous lift pushed forward by (t, x, y) -> (t + 0.3 x^2, x, y),
+    # so that span[V | XV] turns along X, with X tilted by 1e-6 y^2 x in its
+    # first component: [X, [X, V]] leaves the span by a residual of 2e-7,
+    # within INVARIANCE_TOL, and the least-squares part of X(H1), about
+    # 3e-8 here, is what a solve of the square part alone would miss
+    pr = pm.GenericPair(coords=("s", "x", "y"),
+                        X=("1 + 0.6*x*y + 1e-6*y*y*x", "y",
+                           "-x - 0.3*y*y + 0.2*sin(s - 0.3*x*x)*y"),
+                        vframe=(("0", "0", "1"),))
+    points = np.array([[0.3, 0.4, -0.2], [1.1, -0.5, 0.6], [-0.7, 0.2, 0.9]])
+    data, XH1 = pm.flow_derivative_H1(pr, points.T)
+    assert np.all(data.residual > 1e-8) and np.all(data.residual < pm.INVARIANCE_TOL)
+    for k, x in enumerate(points):
+        assert np.max(np.abs(XH1[k] - _H1_central_difference(pr, x))) <= 1e-11
+        one, XH1_one = pm.flow_derivative_H1(pr, x)
+        assert np.array_equal(XH1_one, XH1[k]) and np.array_equal(one.H1, data.H1[k])
+
+
+def test_flow_derivative_H1_data_is_extract_H():
+    from conjscope import catalog
+    model, _ = catalog.build("dancing")
+    generic = _as_generic(pm.lift_sode(model))
+    points = _trajectory_points(generic, catalog.ENTRIES["dancing"].default_x0, 2.0).T
+    data, _ = pm.flow_derivative_H1(generic, points)
+    ref = pm.extract_H(generic, points)
+    for name in vars(ref):
+        assert np.array_equal(getattr(data, name), getattr(ref, name)), name
+
+
+def test_flow_derivative_H1_raises_the_first_violation_in_stack_order():
+    # det[V | XV] = a - 1: singular at a = 1, in the second and third points
+    pr = pm.GenericPair(coords=("a", "b"), X=("1", "0"), vframe=(("1", "0.5*(a - 1)^2"),))
+    points = np.array([[0.5, 1.0, 1.0, 2.0], [0.1, 0.2, 0.3, 0.4]])
+    errors = []
+    for call in (pm.extract_H, pm.flow_derivative_H1):
+        with pytest.raises(RegularityViolation) as err:
+            call(pr, points)
+        errors.append((err.value.cond, err.value.residual, list(err.value.point), str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == "R2" and errors[0][2] == [1.0, 0.2]

@@ -653,3 +653,109 @@ def test_the_kernel_table_keeps_its_bound(monkeypatch):
     again = [evaluate(parse(f"x + {k}"), {"x": 0.5}) for k in range(8)]
     assert again == first[:8] and len(keys) == 8
     assert len(scalar._TABLE) == scalar._TABLE_SIZE
+
+
+# -- tangent kernels -----------------------------------------------------------
+
+# every operator and function the parser knows: sums, differences, products,
+# quotients, unary minus, positive and negative integer powers and the seven
+# functions; x > 0 > y keeps every point away from a kink or a pole
+TANGENT_FIELD = ("sin(x)*y^3 - cos(x*y)/(1 + y^2)",
+                 "tan(0.3*x) + exp(-y)*log(2 + x) + sqrt(1 + x^2)*abs(x - y)",
+                 "x^-2 - y/x + -2*x^2 + abs(y)^-1")
+TANGENT_SEEDS = (None, scalar.Along((("x", 0), ("y", 1))))
+
+
+def _jet_algebra(gen, jet):
+    return list(jet.val) + [d for row in jet.dj for d in row] + [d for row in jet.dij for d in row]
+
+
+def _tangent_pair(along, field=TANGENT_FIELD, coords=("x", "y"), j=None):
+    """The field kernel of the value, d/dj and d2/didj of ``field`` (each
+    coordinate a j, unless ``j`` names them) and its tangent kernel."""
+    progs = scalar.Field(parse(e) for e in field)
+    j = coords if j is None else j
+    return [scalar.field_kernel(progs, coords, along, j, _jet_algebra, tangent=tangent)
+            for tangent in (False, True)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.3, 1.5), st.floats(-1.5, -0.3), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+       st.sampled_from(TANGENT_SEEDS))
+def test_property_tangent_matches_a_sixth_order_central_difference(x, y, ux, uy, along):
+    # along a field the kernel computes itself, the seed values carry their
+    # own tangents too
+    kernel, tangent = _tangent_pair(along)
+    point, u = np.array([x, y]), np.array([ux, uy])
+    out = scalar.run_field(tangent, [x, y, ux, uy], {})
+    f = lambda p: scalar.run_field(kernel, p.tolist(), {})
+    half = len(out) // 2
+    assert np.array_equal(out[:half], f(point))
+    h = 1e-3
+    fd = (-f(point - 3 * h * u) + 9 * f(point - 2 * h * u) - 45 * f(point - h * u)
+          + 45 * f(point + h * u) - 9 * f(point + 2 * h * u) + f(point + 3 * h * u)) / (60 * h)
+    assert np.max(np.abs(out[half:] - fd)) <= 1e-8 * max(np.max(np.abs(fd)), 1.0)
+
+
+@pytest.mark.parametrize("along", TANGENT_SEEDS)
+def test_tangent_array_kernel_columns_bitwise_equal_the_scalar_kernel(along):
+    _, tangent = _tangent_pair(along)
+    rng = np.random.default_rng(3)
+    w = np.vstack([rng.uniform(0.3, 1.5, 9), rng.uniform(-1.5, -0.3, 9),
+                   rng.standard_normal((2, 9))])
+    stacked = scalar.run_field(tangent, list(w), {}, 9)
+    for k in range(9):
+        assert stacked[k].tobytes() == scalar.run_field(tangent, w[:, k].tolist(), {}).tobytes()
+
+
+def test_tangent_kernel_raises_what_evaluate_raises():
+    # point 1 takes the log of 0 and point 3 divides by zero: both raise
+    # the error of point 1
+    field = ("log(x)*y", "y/(x - 2)")
+    _, tangent = _tangent_pair(TANGENT_SEEDS[1], field)
+    w = np.array([[0.5, 0.0, 1.0, 2.0], [0.1, 0.2, 0.3, 0.4], [1.0] * 4, [1.0] * 4])
+    with pytest.raises(DomainError) as ref:
+        evaluate([parse(e) for e in field], {"x": w[0], "y": w[1]})
+    for call in (lambda: scalar.run_field(tangent, list(w), {}, 4),
+                 lambda: scalar.run_field(tangent, w[:, 1].tolist(), {})):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert (err.value.where, str(err.value)) == (ref.value.where, str(ref.value))
+    with pytest.raises(UnboundVariable):
+        scalar.run_field(_tangent_pair(None, ("a*x",))[1], [1.0, 1.0, 1.0, 1.0], {})
+
+
+def test_sqrt_at_zero_raises_under_a_live_tangent():
+    # sqrt(x) at 0 has a value, and the plain jet takes it; its tangent
+    # along x has none, so the tangent kernel raises as a hyper-dual sqrt
+    # does, and a sqrt that no coordinate reaches keeps its tangent zero
+    kernel, tangent = _tangent_pair(None, ("sqrt(x)*y", "sqrt(a)*y"), j=())
+    env = {"a": 0.0}
+    assert scalar.run_field(kernel, [0.0, 2.0], env).tolist()[:2] == [0.0, 0.0]
+    with pytest.raises(DomainError) as ref:
+        second_partials(parse("sqrt(x)*y"), {"x": 0.0, "y": 2.0}, "x", "x")
+    for w in ([0.0, 2.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0]):
+        with pytest.raises(DomainError) as err:
+            scalar.run_field(tangent, w, env)
+        assert (err.value.where, str(err.value)) == (ref.value.where, str(ref.value))
+        assert "not differentiable at 0" in str(err.value)
+    _, only_a = _tangent_pair(None, ("sqrt(a)*y",), j=())
+    assert scalar.run_field(only_a, [0.0, 2.0, 1.0, 1.0], env).tolist() == [0.0, 0.0]
+
+
+def test_abs_tangent_takes_the_jet_sign_at_zero():
+    _, tangent = _tangent_pair(None, ("abs(x)",), ("x",))
+    _, d_di, _, _ = second_partials(parse("abs(x)"), {"x": 0.0}, "x", "x")
+    assert d_di == 1.0
+    for u in (1.0, -2.0):
+        assert scalar.run_field(tangent, [0.0, u], {}).tolist() == [0.0, 1.0, 0.0, u, 0.0, 0.0]
+
+
+def test_tangent_kernel_has_its_own_key_and_reads_no_other_state():
+    kernel, tangent = _tangent_pair(None)
+    assert kernel is not tangent
+    progs = scalar.Field((parse("x"),))
+    extra = lambda gen, jet: [gen.state(2)]
+    with pytest.raises(ValueError, match="no state beyond"):
+        scalar.run_field(scalar.field_kernel(progs, ("x",), None, (), extra, tangent=True),
+                         [1.0, 1.0, 1.0], {})
