@@ -52,22 +52,24 @@ class AnalysisResult:
 
 def _closed_orbit_suspected(ft):
     """Whether the trajectory comes back to x(0) on [0.1 T, T] within 1e-6
-    of its largest distance from it: the smallest sampled distance there,
-    refined only when it can fall to that cut (the reach test of
-    ``ode._minima``; i >= 1, since grid[0] = 0 < 0.1 T)."""
+    of the largest distance from it reached by then: the smallest sampled
+    distance there, refined only when it can fall to that cut (the reach
+    test of ``ode._minima``; i >= 1, since grid[0] = 0 < 0.1 T).  A closed
+    orbit has traced its whole loop before it returns, so its cut comes from
+    the loop's largest distance; growth after the candidate does not raise
+    the cut."""
     grid = ft.grid()
     x0 = ft.x(0.0)
     dist = lambda ts: np.linalg.norm(ft.x(ts) - x0[:, None], axis=0)
     vals = dist(grid)
-    scale = float(np.max(vals))
-    if scale == 0.0:
+    if float(np.max(vals)) == 0.0:
         return True
     cand = np.flatnonzero(grid >= 0.1 * ft.T)
     if len(cand) == 0:
         return False
     i = cand[np.argmin(vals[cand])]
     right = min(i + 1, len(grid) - 1)
-    cut = 1e-6 * scale
+    cut = 1e-6 * float(np.max(vals[:i + 1]))
     if vals[i] - ode._reach(grid, vals, i, right) > cut:
         return False
     _, d_min = ode.refine_minimum(dist, grid[i - 1], grid[right])
@@ -128,7 +130,7 @@ def analyze(model, x0=None, T=None, sigma=None, rel_tol=ode.DEFAULT_REL_TOL,
 
     ham_section = None
     if sigma is not None:
-        sh = hamiltonian.semi_hamiltonian(pair, sigma)
+        sh = hamiltonian.SemiHamiltonianModel(pair=pair, sigma=sigma)
         pts = _subsample(points, 12)
         metric_info = hamiltonian.induced_metric(sh, x0_full)
         # G(0) = I, so the first normal curvature sample is K at x0

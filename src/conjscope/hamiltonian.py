@@ -20,9 +20,9 @@ from . import pair as pair_mod
 from . import scalar
 from .errors import DegenerateMetric
 from .pair import _T, _fro, _norms, on_blocks
-from .scalar import Field, evaluate
+from .scalar import evaluate
 
-__all__ = ["SemiHamiltonianModel", "semi_hamiltonian", "check_lagrangian", "induced_metric",
+__all__ = ["SemiHamiltonianModel", "check_lagrangian", "induced_metric",
            "check_semi_invariance", "check_K_selfadjoint", "canonical_sigma",
            "transported_frames", "horizontal_lagrangian_residual",
            "metric_constancy_residual"]
@@ -45,8 +45,9 @@ class SemiHamiltonianModel:
 
     @cached_property
     def sigma_field(self):
-        """The n x n components row by row as one Field."""
-        return Field(e for row in self.sigma for e in row)
+        """The n x n components row by row as one sequence (a model
+        attribute: see the note above ``pair.SODEModel``)."""
+        return tuple(e for row in self.sigma for e in row)
 
     def sigma_at(self, x):
         """The n x n matrix of sigma at x; a stack (n, N) gives N matrices.
@@ -58,19 +59,6 @@ class SemiHamiltonianModel:
         if np.any((scale > 0) & (_fro(S + _T(S)) > 1e-12 * scale)):
             raise ValueError("sigma matrix is not antisymmetric at the evaluated point")
         return S
-
-
-def semi_hamiltonian(pair, sigma) -> SemiHamiltonianModel:
-    """The SemiHamiltonianModel of ``pair`` and the 2-form ``sigma``, built
-    once per pair and 2-form: it is kept on the pair, keyed by the rows of
-    sigma as given, so a second analysis parses sigma again nowhere and
-    compiles none of its kernels."""
-    key = tuple(tuple(row) for row in sigma)
-    models = pair._semi_hamiltonian
-    model = models.get(key)
-    if model is None:
-        model = models[key] = SemiHamiltonianModel(pair=pair, sigma=key)
-    return model
 
 
 def canonical_sigma(m):

@@ -151,12 +151,13 @@ def _read_only(a):
     return a
 
 
-def dense_grid(steps, per_step=SAMPLES_PER_STEP):
-    """Every accepted step subdivided into ``per_step`` pieces, each step's
-    points as ``np.linspace(a, b, per_step, endpoint=False)`` computes them."""
+def dense_grid(steps):
+    """Every accepted step subdivided into SAMPLES_PER_STEP pieces, each
+    step's points as ``np.linspace(a, b, SAMPLES_PER_STEP, endpoint=False)``
+    computes them."""
     steps = np.asarray(steps, dtype=float)
     a = steps[:-1, None]
-    pieces = np.arange(per_step) * ((steps[1:, None] - a) / per_step) + a
+    pieces = np.arange(SAMPLES_PER_STEP) * ((steps[1:, None] - a) / SAMPLES_PER_STEP) + a
     return np.concatenate([pieces.ravel(), steps[-1:]])
 
 

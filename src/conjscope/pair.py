@@ -36,7 +36,7 @@ from scipy.linalg.lapack import dgels as _dgels, dtrcon as _dtrcon
 
 from . import scalar
 from .errors import RegularityViolation
-from .scalar import ExprProgram, Field, evaluate, parse
+from .scalar import ExprProgram, evaluate, parse
 
 COND_LIMIT = 1e8
 INVARIANCE_TOL = 1e-6
@@ -62,6 +62,16 @@ def _as_expr(e) -> ExprProgram:
     return e if isinstance(e, ExprProgram) else parse(e)
 
 
+# The kernels that a solve reads on every step or block are model attributes,
+# although scalar's kernel table would give them back on every request:
+# SODEModel.jet_kernel and joint_kernel, GenericPair.bracket_kernel,
+# tangent_kernel, products_kernel and stacked, and
+# hamiltonian.SemiHamiltonianModel.sigma_field.  A table lookup builds the
+# exact key and takes the table's lock, 2.5-5.2 us against 0.3 us for an
+# attribute read (timed on 64-point blocks of random second-order systems read as
+# generic pairs, (n, m) = (2, 1) to (6, 3)), and the generic right-hand side
+# reads bracket_kernel at every evaluation.
+
 @dataclass(frozen=True)
 class SODEModel:
     """System x_i'' = F_i(t, x, x'), stored with x' renamed to y.
@@ -77,7 +87,7 @@ class SODEModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "F", Field(_as_expr(f) for f in self.F))
+        object.__setattr__(self, "F", tuple(_as_expr(f) for f in self.F))
         if len(self.F) != self.m:
             raise ValueError(f"expected {self.m} force components, got {len(self.F)}")
         if self.autonomous:
@@ -89,13 +99,6 @@ class SODEModel:
     def coord_names(self):
         names = [f"x{i+1}" for i in range(self.m)] + [f"y{i+1}" for i in range(self.m)]
         return tuple(names if self.autonomous else ["t"] + names)
-
-    @cached_property
-    def lifted(self):
-        """The lifted pair (``lift_sode``), built on first use; its kernels
-        come from ``scalar``'s kernel table when a model of the same
-        expressions compiled them before."""
-        return _lift(self)
 
     @cached_property
     def jet_kernel(self):
@@ -135,7 +138,7 @@ class GenericPair:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
-        object.__setattr__(self, "X", Field(_as_expr(e) for e in self.X))
+        object.__setattr__(self, "X", tuple(_as_expr(e) for e in self.X))
         object.__setattr__(
             self, "vframe",
             tuple(tuple(_as_expr(e) for e in col) for col in self.vframe),
@@ -157,9 +160,9 @@ class GenericPair:
 
     @cached_property
     def stacked(self):
-        """X followed by the m frame columns as one Field, so that one kernel
-        call jets the whole pair."""
-        return Field(self.X + tuple(e for col in self.vframe for e in col))
+        """X followed by the m frame columns as one sequence, so that one
+        kernel call jets the whole pair."""
+        return self.X + tuple(e for col in self.vframe for e in col)
 
     @cached_property
     def bracket_kernel(self):
@@ -178,13 +181,7 @@ class GenericPair:
     def products_kernel(self):
         """The kernel of the joint right-hand side after ``structure_at``
         (``_generic_algebra``), compiled on first use."""
-        return scalar.field_kernel(Field(()), (), None, (), _generic_algebra, self.n, self.m)
-
-    @cached_property
-    def _semi_hamiltonian(self):
-        """The semi-Hamiltonian models of the pair by 2-form
-        (``hamiltonian.semi_hamiltonian``), kept with their kernels."""
-        return {}
+        return scalar.field_kernel((), (), None, (), _generic_algebra, self.n, self.m)
 
     def bindings(self, x):
         """The parameters and the coordinates of x: reals for one point
@@ -204,13 +201,9 @@ class GenericPair:
 def lift_sode(model: SODEModel) -> GenericPair:
     """Total-derivative lift: X = d/dt + sum y_i d/dx_i + sum F_i d/dy_i with
     V spanned by the d/dy_i; the t coordinate is dropped for autonomous
-    systems.  Built once per model and kept on it; its kernels are kept
-    with it, and a model rebuilt from the same expressions finds them in
-    ``scalar``'s kernel table, so it compiles none again."""
-    return model.lifted
-
-
-def _lift(model: SODEModel) -> GenericPair:
+    systems.  Each call builds a new pair over the model's force programs;
+    its kernels come from ``scalar``'s kernel table whenever a pair of the
+    same expressions compiled them before."""
     m = model.m
     names = model.coord_names
     n = len(names)
@@ -655,17 +648,11 @@ def _force_jet(model: SODEModel, t, x, y):
 
 def structure_at(pair: GenericPair, x):
     """X and the structure matrices (H0, H1) of [X, XV] = V H0 + XV H1 at the
-    point x: one call of the force kernel for lifted second-order systems
-    (X = (1, y, F), without the 1 when autonomous; H1 = -dF/dy,
-    H0 = dF/dx - X(dF/dy)), one call of the bracket kernel and one screened
-    QR solve otherwise (``_screened_solve``).  A point that fails the screen
-    is solved by ``extract_H``'s SVD, which raises the RegularityViolation
-    that ``extract_H`` raises."""
-    if pair.sode is not None:
-        model, t, xs, ys = _sode_point(pair, x)
-        F, dFdx, dFdy, X_dFdy = _force_jet(model, t, xs, ys)
-        X = np.concatenate(([] if model.autonomous else [[1.0]]) + [ys, F])
-        return X, dFdx - X_dFdy, -dFdy
+    point x: one call of the bracket kernel and one screened QR solve
+    (``_screened_solve``), for every pair (``joint_rhs`` gives a lifted
+    second-order system the force kernel instead).  A point that fails the
+    screen is solved by ``extract_H``'s SVD, which raises the
+    RegularityViolation that ``extract_H`` raises."""
     n, m = pair.n, pair.m
     flat = _bracket_outputs(pair, x)
     D, XXV = flat[n:n + 2 * n * m].reshape(n, 2 * m), flat[n + 2 * n * m:].reshape(n, m)

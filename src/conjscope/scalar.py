@@ -3,8 +3,8 @@ compiled jet kernels.
 
 Expressions are parsed into immutable trees (``ExprProgram``).  Evaluation and
 differentiation run generated straight-line code, one kernel per program or
-per ``Field`` (a tuple of programs, such as a vector field) and per seeding
-pattern.  A kernel carries the hyper-dual slots of every node (Fike & Alonso,
+per sequence of programs (such as the components of a vector field) and per
+seeding pattern.  A kernel carries the hyper-dual slots of every node (Fike & Alonso,
 AIAA 2011-886): the value, the derivative e1 along a direction i, and per
 direction j the derivative e2 and the mixed second derivative e12, so one call
 yields the value, the Jacobian and the Hessian contracted with i of a whole
@@ -23,9 +23,9 @@ failure at any point raises the error of the lowest failing point.  A binding
 of arrays selects it.
 
 A field kernel (``field_kernel``) adds a request and an algebra to this.  The
-request jets a Field along a field that the kernel computes itself
-(``Along``), such as a vector field X along X(x): the values it reads are
-emitted first, so the jet's statements find them in the memo.  The algebra
+request jets a sequence of programs along a field that the kernel computes
+itself (``Along``), such as a vector field X along X(x): the values it reads
+are emitted first, so the jet's statements find them in the memo.  The algebra
 is emitted after the jet, as more straight-line statements (sums of products
 in index order), and reads the state it is called with by position, so one
 call gives, say, the whole right-hand side of an ODE (source transformation,
@@ -33,15 +33,15 @@ Griewank & Walther, ch. 6).  The ODE right-hand sides and the bracket readers
 of ``pair`` and ``jacobi`` run field kernels.  Statements that no output
 reads are left out of every kernel, except those that can raise.
 
-Kernels are compiled on first use, once per structure per process: the
-program or Field that owns them keeps them, and a process-wide table keyed
-by the exact trees and seeding (``_TABLE``, bounded, oldest out first) gives
-them to every later owner of the same trees, such as a rebuilt model.
-Nothing compiles at parse or build time, no scalar kernel compiles before
-its first call at a point and no array kernel before its first call over
-points, and the table holds kernels and the keys derived from trees, never a
-program.  ``second_partials`` and ``field_kernel`` are the two
-seeding entry points: every other module obtains the derivatives of
+Kernels are compiled on first use, once per structure per process: one
+process-wide table keyed by the exact trees and seeding (``_TABLE``, bounded,
+oldest out first) is the only cache, and every request of the same trees,
+such as a rebuilt model's, finds the kernel there; a structure pushed out
+compiles again on its next request.  Nothing compiles at parse or build
+time, no scalar kernel compiles before its first call at a point and no
+array kernel before its first call over points, and the table holds kernels
+and the keys derived from trees, never a program.  ``second_partials`` and
+``field_kernel`` are the two seeding entry points: every other module obtains the derivatives of
 user-supplied fields through them.  A field kernel may also be requested
 with its tangent: the same statements followed by their derivatives along a
 direction of the coordinates, derived from the statements themselves (a
@@ -69,7 +69,6 @@ from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownFuncti
 
 __all__ = [
     "ExprProgram",
-    "Field",
     "Along",
     "FieldJet",
     "parse",
@@ -287,13 +286,11 @@ def _free_vars(node, seen, order):
 @dataclass(frozen=True)
 class ExprProgram:
     """A parsed expression: the tree plus its variable names in order of
-    first appearance.  Immutable; safe to evaluate concurrently.  Its
-    compiled kernels are kept on it, keyed by seeding pattern, and so is its
-    typed text (``_text``) once rendered."""
+    first appearance.  Immutable; safe to evaluate concurrently.  Its typed
+    text (``_text``) is kept on it once rendered."""
 
     ast: object
     free_vars: tuple
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _typed: str = field(default=None, init=False, repr=False, compare=False)
 
     def pretty(self):
@@ -348,7 +345,7 @@ def _pretty(node, parent_level):
 
 # -- compiled jet kernels -----------------------------------------------------
 #
-# A kernel is generated from the trees of a program or a Field and a seeding
+# A kernel is generated from the trees of a sequence of programs and a seeding
 # pattern: the names seeded along i (e1), and per direction j the names seeded
 # along it (e2).  A seed given as a name has the unit component, written into
 # the code; a seed given as a mapping has its components read at call time.
@@ -967,27 +964,17 @@ def _build(source, namespace_globals):
     return namespace["_kernel"]
 
 
-class Field(tuple):
-    """Immutable tuple of ExprPrograms (a vector field, or several stacked)
-    that owns the kernels compiled for the whole sequence."""
-
-    def __new__(cls, progs):
-        self = super().__new__(cls, progs)
-        self._kernels = {}
-        return self
-
-
 # -- the process-wide kernel table --------------------------------------------
 #
 # A kernel depends on the trees and free variables of its sequence and on its
-# key alone, so an owner that misses looks it up here by those, and a model
-# rebuilt from the same trees compiles nothing.  Dataclass equality is not
-# exact enough for that: Const(0.0) == Const(-0.0), and an Along component 1
-# (a program) == 1.0 (a constant).  So the table's keys are built from types
-# and float bits: a program by its typed text (``_text``), which is compact,
-# and the seeding key by typed tuples (``_exact``), in which an algebra
-# stands for itself.  The table holds those keys and the kernels, never a
-# program or a Field, and keeps the _TABLE_SIZE newest.
+# key alone, so every request looks it up here by those, and a model rebuilt
+# from the same trees compiles nothing.  Dataclass equality is not exact
+# enough for that: Const(0.0) == Const(-0.0), and an Along component 1 (a
+# program) == 1.0 (a constant).  So the table's keys are built from types and
+# float bits: a program by its typed text (``_text``), which is compact, and
+# the seeding key by typed tuples (``_exact``), in which an algebra stands for
+# itself.  The table holds those keys and the kernels, never a program, and
+# keeps the _TABLE_SIZE newest.
 
 _TABLE_SIZE = 256
 _TABLE = {}
@@ -1029,9 +1016,11 @@ def _exact(obj):
     raise TypeError(f"no exact kernel key for {tp.__name__}")
 
 
-def _shared(seq, key):
-    """The kernel of ``seq`` for ``key`` from the table, compiled (and the
-    oldest dropped past the bound) when the table has none."""
+def _kernel(progs, key):
+    """The kernel of one program or a sequence of them for ``key`` from the
+    table, compiled (and the oldest dropped past the bound) when the table
+    has none."""
+    seq = (progs,) if isinstance(progs, ExprProgram) else tuple(progs)
     exact = (tuple(map(_text, seq)), _exact(key))
     with _LOCK:
         kernel = _TABLE.get(exact)
@@ -1039,19 +1028,6 @@ def _shared(seq, key):
             kernel = _TABLE[exact] = _compile(seq, key)
             if len(_TABLE) > _TABLE_SIZE:
                 del _TABLE[next(iter(_TABLE))]
-    return kernel
-
-
-def _kernel(progs, key):
-    if isinstance(progs, (ExprProgram, Field)):
-        owner, seq = progs, progs
-        if isinstance(progs, ExprProgram):
-            seq = (progs,)
-    else:
-        owner = seq = Field(progs)    # a throwaway sequence: the table keeps its kernels
-    kernel = owner._kernels.get(key)
-    if kernel is None:
-        kernel = owner._kernels[key] = _shared(seq, key)
     return kernel
 
 
@@ -1140,8 +1116,7 @@ def _seed_key(d):
 def second_partials(progs, point, i, j):
     """Value, d/di, d/dj and d2/didj at a real point, or at N points.
 
-    ``progs`` is one ExprProgram or a sequence of them (a Field keeps its
-    kernels; any other sequence finds them in the process-wide table).
+    ``progs`` is one ExprProgram or a sequence of them.
     ``point`` maps every free variable to a real.  ``i`` and ``j`` are
     variable names (equal names give the pure second derivative) or mappings
     from name to direction component, which give directional derivatives;
@@ -1191,8 +1166,8 @@ def second_partials(progs, point, i, j):
 
 
 def field_kernel(progs, coords, i, j, algebra, *extra, tangent=False):
-    """The field kernel of ``algebra`` over the jet of the Field ``progs``
-    seeded along ``i`` (an ``Along``, or None for no i) and each name of
+    """The field kernel of ``algebra`` over the jet of the sequence of
+    programs ``progs`` seeded along ``i`` (an ``Along``, or None for no i) and each name of
     ``j``.  Its state ``w`` binds the names of ``coords`` by position, and
     ``env`` every other name.  ``algebra(gen, jet, *extra)`` emits the
     statements that combine the jet (a ``FieldJet``) through ``gen.emit``,
@@ -1202,8 +1177,8 @@ def field_kernel(progs, coords, i, j, algebra, *extra, tangent=False):
     the coordinates, a direction u (one component per coordinate; the
     algebra then reads no further state), and the outputs are followed by
     their derivatives along u, exact to rounding (a separate kernel).
-    Compiled on first use, once per structure per process, and kept on
-    ``progs``."""
+    Compiled on first use, once per structure per process, and kept in
+    the kernel table, not on ``progs``."""
     return _kernel(progs, (tuple(coords), i, tuple(j), algebra, extra, tangent))
 
 

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conjscope import analysis, bounds, catalog, frames, jacobi, ode, pair as pm
-from conjscope import hamiltonian
+from conjscope import hamiltonian, scalar
 from conjscope.errors import ClosedOrbitWarning, RegularityViolation, StepSizeUnderflow
+
+from conftest import linear_combination
 
 
 def test_closed_orbit_warning_emitted():
@@ -211,20 +213,20 @@ def test_oracle_and_analyze_reject_a_wrong_length_x0_alike():
 
 
 def _closed_orbit_pointwise(ft):
-    # reference: one dense lookup per grid point
+    # reference: one dense lookup per grid point, and the cut from the
+    # largest distance reached up to the candidate
     grid = ft.grid()
     x0 = ft.x(0.0)
     dist = lambda ts: np.array([np.linalg.norm(ft.x(t) - x0) for t in ts])
     vals = dist(grid)
-    scale = float(np.max(vals))
-    if scale == 0.0:
+    if float(np.max(vals)) == 0.0:
         return True
     cand = np.where(grid >= 0.1 * ft.T)[0]
     if len(cand) == 0:
         return False
     i = cand[int(np.argmin(vals[cand]))]
     _, d_min = ode.refine_minimum(dist, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
-    return d_min < 1e-6 * scale
+    return d_min < 1e-6 * float(np.max(vals[:i + 1]))
 
 
 @pytest.mark.parametrize("name, x0, T", [(name, None, None) for name in catalog.ENTRIES]
@@ -253,6 +255,23 @@ def test_closed_orbit_check_is_decided_at_its_cut(times_cut):
     T = 2 * math.pi - 2e-6 * times_cut
     ft = frames.transport_normal_frame(pair, x0, T)
     assert analysis._closed_orbit_suspected(ft) == _closed_orbit_pointwise(ft) == (times_cut < 1)
+
+
+@pytest.mark.parametrize("T", [8.0, 12.0, 16.0, 20.0])
+def test_no_closed_orbit_on_a_growing_trajectory(T):
+    # x'' = -A x with A = S diag(4, -4, -1) S^-1: the hyperbolic modes carry
+    # the trajectory away from x0 for good.  Its largest distance on [0, T]
+    # (4.6e6 at T = 8, 1.2e11 at T = 20) must not set the cut for the
+    # nearest return after 0.1 T (2.85 at T = 8): the distance reached by
+    # then does
+    S = np.eye(3) + np.random.default_rng(0).uniform(-0.3, 0.3, (3, 3))
+    A = S @ np.diag([4.0, -4.0, -1.0]) @ np.linalg.inv(S)
+    xs = [scalar.var_expr(f"x{j+1}") for j in range(3)]
+    model = pm.SODEModel(m=3, F=tuple(linear_combination(xs, -row) for row in A),
+                         autonomous=True)
+    ft = frames.transport_normal_frame(pm.lift_sode(model), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], T)
+    assert not analysis._closed_orbit_suspected(ft)
+    assert not _closed_orbit_pointwise(ft)
 
 
 @pytest.mark.parametrize("name, T", [("harmonic", 1.0), ("sphere_spray", 2.0)])

@@ -231,9 +231,9 @@ def test_step_budget_ends_the_solve(monkeypatch):
 
 def test_dense_grid_subdivision():
     steps = np.array([0.0, 1.0, 3.0])
-    grid = ode.dense_grid(steps, per_step=4)
+    grid = ode.dense_grid(steps)
     assert grid[0] == 0.0 and grid[-1] == 3.0
-    assert len(grid) == 9
+    assert len(grid) == 2 * ode.SAMPLES_PER_STEP + 1
     assert np.all(np.diff(grid) > 0)
     # each step's points are np.linspace's, bitwise
     traj = ode.integrate(lambda x: np.array([x[1], -x[0]]), [0.0, 1.0], 7.0)

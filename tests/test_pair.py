@@ -296,7 +296,9 @@ def test_structure_at_matches_the_bracket_relation(name):
         floor = Fraction(np.finfo(float).eps * np.linalg.norm(data.XXV)) ** 2
         assert _exact_residual(D, H0_gen, H1_gen, data.XXV) <= \
             max(_exact_residual(D, data.H0, data.H1, data.XXV), floor)
-        for H, ref in zip(pm.structure_at(pr, x)[1:], (data.H0, data.H1)):
+        _, t, xs, ys = pm._sode_point(pr, x)
+        _, dFdx, dFdy, X_dFdy = pm._force_jet(model, t, xs, ys)
+        for H, ref in zip((dFdx - X_dFdy, -dFdy), (data.H0, data.H1)):
             assert np.max(np.abs(H - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -496,8 +498,10 @@ def test_field_kernels_match_the_numpy_algebra_on_the_catalog(name):
     points = _trajectory_points(pr, x0, entry.default_T)
     for x in points:
         ref = _force_reference(model, x)
-        for a, b in zip(pm.structure_at(pr, x), ref):
-            assert np.array_equal(a, b)
+        _, t, xs, ys = pm._sode_point(pr, x)
+        F, dFdx, dFdy, X_dFdy = pm._force_jet(model, t, xs, ys)
+        assert np.array_equal(F, ref[0][-model.m:])
+        assert np.array_equal(dFdx - X_dFdy, ref[1]) and np.array_equal(-dFdy, ref[2])
         w = np.concatenate([x, rng.standard_normal(3 * model.m ** 2)])
         assert np.array_equal(rhs(w), _joint_reference(*ref, w))
     # the stack form of the force kernel, which sode_curvature reads
@@ -554,9 +558,10 @@ def test_field_kernels_raise_what_evaluate_raises():
 
 @pytest.mark.parametrize("generic", [False, True])
 def test_a_second_analysis_of_a_pair_compiles_nothing(monkeypatch, generic):
-    # the kernels live on the pair (on the model, for its lift), and so does
-    # the semi-Hamiltonian model of a 2-form with its kernels, so only the
-    # first analysis compiles them
+    # the kernels live in scalar's kernel table, which every later request
+    # of the same expressions reads (a rebuilt lift and a rebuilt
+    # semi-Hamiltonian model of the 2-form alike), so only the first
+    # analysis compiles them
     from conjscope import analysis, catalog
     model, sigma = catalog.build("perturbed_pair", {"eps": 0.05})
     assert sigma is not None

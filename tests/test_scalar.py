@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conjscope import catalog, pair as pair_mod, scalar
+from conjscope import catalog, frames, pair as pair_mod, scalar
 from conjscope.errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownFunction
 from conjscope.scalar import (Const, ExprProgram, Mul, Neg, Pow, Var, const_expr,
                               evaluate, parse, second_partials, var_expr)
@@ -171,7 +171,7 @@ def test_domain_errors_carry_subexpression():
         prog, point = parse(text), {"x": x, "y": 2.0}
         calls = (lambda: evaluate(prog, point),
                  lambda: second_partials(prog, point, "x", "y"),
-                 lambda: second_partials(scalar.Field([prog, prog]), point, {"y": 1.0}, ["x", "y"]))
+                 lambda: second_partials((prog, prog), point, {"y": 1.0}, ["x", "y"]))
         for call in calls:
             with pytest.raises(DomainError) as err:
                 call()
@@ -192,7 +192,7 @@ def test_sqrt_domain_check_depends_on_differentiation():
 def test_direction_columns_take_their_own_division_formula():
     # numerators depend on x only and denominators on y only: in column x the
     # denominator is a plain value, in column y the numerator is
-    progs = scalar.Field([parse("x*x/y"), parse("sin(x)/(y*y - 1)")])
+    progs = (parse("x*x/y"), parse("sin(x)/(y*y - 1)"))
     for x in np.linspace(0.1, 2.0, 20):
         point = {"x": x, "y": 3.0 + x}
         _, _, e2, e12 = second_partials(progs, point, {}, ["x", "y"])
@@ -380,7 +380,7 @@ def test_property_evaluate_bitwise_equals_reference_interpreter(tree, point):
        st.lists(st.one_of(st.sampled_from(NAMES), directions), min_size=1, max_size=3))
 def test_property_direction_columns_bitwise_equal_single_direction(tree_list, point, i, js):
     progs = [program(t) for t in tree_list]
-    val, _, e2, e12 = engine(scalar.Field(progs), point, i, js)
+    val, _, e2, e12 = engine(tuple(progs), point, i, js)
     for k, prog in enumerate(progs):
         for b, j in enumerate(js):
             single = second_partials(prog, point, i, j)
@@ -393,7 +393,7 @@ def test_property_direction_columns_bitwise_equal_single_direction(tree_list, po
        st.lists(st.one_of(st.sampled_from(NAMES), directions), min_size=1, max_size=3))
 def test_property_d_di_does_not_depend_on_the_directions_requested(tree_list, point, i, js):
     progs = [program(t) for t in tree_list]
-    d_i = engine(scalar.Field(progs), point, i, js)[1]
+    d_i = engine(tuple(progs), point, i, js)[1]
     for k, prog in enumerate(progs):
         for j in js:
             assert float(second_partials(prog, point, i, j)[1]).hex() == d_i[k].hex()
@@ -425,7 +425,7 @@ def test_property_array_kernel_rows_bitwise_equal_scalar_kernel(tree_list, drawn
     pts, stack = _point_stack(drawn[0])
     i_pts, i_stack = _seed_stack(drawn[1])
     progs = program(tree_list[0]) if len(tree_list) == 1 else \
-        scalar.Field([program(t) for t in tree_list])
+        tuple(program(t) for t in tree_list)
     calls = (lambda pt, i: (evaluate(progs, pt),),
              lambda pt, i: tuple(second_partials(progs, pt, i, js[0])),
              lambda pt, i: tuple(second_partials(progs, pt, i, js)))
@@ -526,16 +526,23 @@ def test_building_models_compiles_no_kernel(monkeypatch):
     assert len(keys) == 2          # plain X, then the jet of X and the frame
 
 
-def test_kernels_are_freed_with_their_programs():
+def test_kernels_are_freed_with_their_programs(monkeypatch):
+    # the table holds kernels and keys derived from trees, never a program
+    keys = _count_compiles(monkeypatch)
     point = {"x": 0.3, "y": 0.7}
     prog = parse("x*sin(y)")
     evaluate(prog, point)
     second_partials(prog, point, "x", "y")
-    assert len(prog._kernels) == 2
+    assert len(keys) == 2 and len(scalar._TABLE) == 2
     ref = weakref.ref(prog)
     del prog
     gc.collect()
     assert ref() is None
+    # a new program of the same text finds both kernels
+    again = parse("x*sin(y)")
+    evaluate(again, point)
+    second_partials(again, point, "x", "y")
+    assert len(keys) == 2
     # a plain list's programs die with the call; its kernel stays in the
     # process-wide table until newer structures push it out
     progs = [parse("x + y"), parse("x*y")]
@@ -544,6 +551,7 @@ def test_kernels_are_freed_with_their_programs():
     del progs
     gc.collect()
     assert all(r() is None for r in refs)
+    assert len(keys) == 3 and len(scalar._TABLE) == 3
     pr = _planar_pair()
     pair_mod.extract_H(pr, [0.4, 0.1])
     ref = weakref.ref(pr)
@@ -552,10 +560,11 @@ def test_kernels_are_freed_with_their_programs():
     assert ref() is None
 
 
-def test_lazy_compilation_under_threads():
+def test_lazy_compilation_under_threads(monkeypatch):
     points = [np.array([0.1 * k, 0.5 - 0.05 * k]) for k in range(40)]
     expected = [pair_mod.brackets_at(_planar_pair(), x) for x in points]
     scalar._TABLE.clear()
+    keys = _count_compiles(monkeypatch)
     pr = _planar_pair()             # no kernel yet: the threads race to compile
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -567,15 +576,17 @@ def test_lazy_compilation_under_threads():
     for a, b in zip(got, expected):
         assert all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
     # brackets_at is one field kernel of the stacked fields, which computes
-    # X itself: X compiles nothing of its own
-    assert not pr.X._kernels and len(pr.stacked._kernels) == 1
+    # X itself: X compiles nothing of its own, and the one kernel compiled
+    # is the table's entry and the pair's bracket kernel
+    assert len(keys) == 1 and keys[0] is not None
+    assert list(scalar._TABLE.values()) == [pr.bracket_kernel]
 
 
 def test_identical_pairs_share_one_kernel_under_threads(monkeypatch):
     # two pairs built apart from the same expressions race on an empty
     # table, four threads each, released together, through the bracket
-    # kernel and the plain kernel of X: each structure compiles once, and
-    # both pairs keep that kernel
+    # kernel and the plain kernel of X: each structure compiles once, into
+    # the one table, and both pairs read that kernel
     points = [np.array([0.1 * k, 0.5 - 0.05 * k]) for k in range(40)]
     read = lambda pr, x: (*pair_mod.brackets_at(pr, x), pr.X_at(x))
     expected = [read(_planar_pair(), x) for x in points]
@@ -598,10 +609,9 @@ def test_identical_pairs_share_one_kernel_under_threads(monkeypatch):
     for outs in got:
         for out, ref in zip(outs, expected):
             assert all(u.tobytes() == v.tobytes() for u, v in zip(out, ref))
-    assert len(keys) == 2
-    for owners in ([pr.stacked for pr in pairs], [pr.X for pr in pairs]):
-        assert all(len(owner._kernels) == 1 for owner in owners)
-        assert list(owners[0]._kernels.values())[0] is list(owners[1]._kernels.values())[0]
+    assert len(keys) == 2 and len(scalar._TABLE) == 2
+    assert pairs[0].bracket_kernel is pairs[1].bracket_kernel
+    assert any(kernel is pairs[0].bracket_kernel for kernel in scalar._TABLE.values())
 
 
 def test_signed_zero_constants_get_their_own_kernels():
@@ -622,37 +632,67 @@ def _along_algebra(gen, jet):
     return list(jet.along) + [d for row in jet.dij for d in row]
 
 
-def test_along_seeds_of_a_program_and_a_constant_get_their_own_kernels():
+def test_along_seeds_of_a_program_and_a_constant_get_their_own_kernels(monkeypatch):
     # the component 1 reads program 1 (3*x), the component 1.0 is a
-    # constant: equal numbers, different seeds, on one owner or on two
+    # constant: equal numbers, different seeds, on one sequence or on two
+    # built apart, each compiled once
+    keys = _count_compiles(monkeypatch)
     seeds = (scalar.Along((("x", 1),)), scalar.Along((("x", 1.0),)))
     assert seeds[0] != seeds[1] and seeds[0] == scalar.Along((("x", 1),))
-    field = lambda: scalar.Field((parse("x*x"), parse("3*x")))
+    field = lambda: (parse("x*x"), parse("3*x"))
     shared = field()
-    for owner in (lambda: shared, field):
+    for progs in (lambda: shared, field):
         scalar._TABLE.clear()
-        got = [scalar.run_field(scalar.field_kernel(owner(), ("x",), seed, ("x",), _along_algebra),
+        keys.clear()
+        got = [scalar.run_field(scalar.field_kernel(progs(), ("x",), seed, ("x",), _along_algebra),
                                 [2.0], {}).tolist() for seed in seeds]
         assert got == [[6.0, 12.0, 0.0], [1.0, 2.0, 0.0]]
-        assert len(scalar._TABLE) == 2
-    assert len(shared._kernels) == 2
+        assert len(keys) == 2 and len(scalar._TABLE) == 2
 
 
 def test_the_kernel_table_keeps_its_bound(monkeypatch):
-    # past the bound the oldest structures leave the table; owners keep
-    # their kernels, and a new owner of a dropped structure compiles it again
+    # past the bound the oldest structures leave the table; a dropped
+    # structure compiles again once on its next request, whether its own
+    # program or a new one of the same text makes it, and the newest stay
     count = scalar._TABLE_SIZE + 8
     progs = [parse(f"x + {k}") for k in range(count)]
     first = [evaluate(p, {"x": 0.5}) for p in progs]
     assert first == [0.5 + k for k in range(count)]
     assert len(scalar._TABLE) == scalar._TABLE_SIZE
     keys = _count_compiles(monkeypatch)
-    assert [evaluate(p, {"x": 0.5}) for p in progs] == first
+    assert [evaluate(p, {"x": 0.5}) for p in progs[8:]] == first[8:]
     assert keys == []
     assert evaluate(parse(f"x + {count - 1}"), {"x": 0.5}) == first[-1] and keys == []
+    assert [evaluate(p, {"x": 0.5}) for p in progs[:8]] == first[:8] and len(keys) == 8
     again = [evaluate(parse(f"x + {k}"), {"x": 0.5}) for k in range(8)]
     assert again == first[:8] and len(keys) == 8
     assert len(scalar._TABLE) == scalar._TABLE_SIZE
+
+
+@pytest.mark.parametrize("generic", [True, False])
+def test_a_solve_keeps_its_kernels_past_the_table_bound(monkeypatch, generic):
+    # the kernels a joint solve reads at every step are model attributes
+    # (a generic pair's bracket and products kernels, a second-order
+    # model's joint kernel, which every lift of the model reads): after
+    # _TABLE_SIZE newer structures have pushed them out of the table, the
+    # same model solves again compiling nothing, to the same bits, while a
+    # model rebuilt from the same expressions compiles them again
+    def build():
+        if generic:
+            return _planar_pair()
+        return pair_mod.SODEModel(m=1, F=("-x1 - 0.3*x1^3",), autonomous=True)
+
+    def solve(model):
+        pr = model if generic else pair_mod.lift_sode(model)
+        return frames.transport_normal_frame(pr, [0.3, 0.1], 2.0).joint.states
+
+    model = build()
+    first = solve(model)
+    for k in range(scalar._TABLE_SIZE):
+        evaluate(parse(f"x + {k}"), {"x": 0.5})
+    keys = _count_compiles(monkeypatch)
+    assert np.array_equal(solve(model), first) and keys == []
+    assert np.array_equal(solve(build()), first) and len(keys) == (2 if generic else 1)
 
 
 # -- tangent kernels -----------------------------------------------------------
@@ -673,7 +713,7 @@ def _jet_algebra(gen, jet):
 def _tangent_pair(along, field=TANGENT_FIELD, coords=("x", "y"), j=None):
     """The field kernel of the value, d/dj and d2/didj of ``field`` (each
     coordinate a j, unless ``j`` names them) and its tangent kernel."""
-    progs = scalar.Field(parse(e) for e in field)
+    progs = tuple(parse(e) for e in field)
     j = coords if j is None else j
     return [scalar.field_kernel(progs, coords, along, j, _jet_algebra, tangent=tangent)
             for tangent in (False, True)]
@@ -754,7 +794,7 @@ def test_abs_tangent_takes_the_jet_sign_at_zero():
 def test_tangent_kernel_has_its_own_key_and_reads_no_other_state():
     kernel, tangent = _tangent_pair(None)
     assert kernel is not tangent
-    progs = scalar.Field((parse("x"),))
+    progs = (parse("x"),)
     extra = lambda gen, jet: [gen.state(2)]
     with pytest.raises(ValueError, match="no state beyond"):
         scalar.run_field(scalar.field_kernel(progs, ("x",), None, (), extra, tangent=True),
