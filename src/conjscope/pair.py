@@ -2,10 +2,11 @@
 
 A pair is either given directly (expression-valued X and a frame of V) or
 lifted from a system of second order ODEs x'' = F(t, x, x').  The module
-computes Lie brackets and iterated brackets exactly through hyper-dual AD,
-extracts the structure matrices H0, H1 of the iterated bracket relation (the
-Jacobi solve reads them alone), evaluates the curvature operator and checks
-the regularity conditions.  The curvature is exact on both paths: in closed
+computes Lie brackets and iterated brackets exactly through forward-mode AD
+(the tangent sweeps of ``scalar``'s compiled kernels), extracts the
+structure matrices H0, H1 of the iterated bracket relation (the Jacobi solve
+reads them alone), evaluates the curvature operator and checks the
+regularity conditions.  The curvature is exact on both paths: in closed
 form from one jet of a second-order force, and for a generic pair from the
 tangent of its bracket kernel along X, which gives X(H1) through the SVD
 that solves for H0, H1 (``flow_derivative_H1``).

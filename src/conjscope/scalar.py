@@ -4,16 +4,20 @@ compiled jet kernels.
 Expressions are parsed into immutable trees (``ExprProgram``).  Evaluation and
 differentiation run generated straight-line code, one kernel per program or
 per sequence of programs (such as the components of a vector field) and per
-seeding pattern.  A kernel carries the hyper-dual slots of every node (Fike & Alonso,
-AIAA 2011-886): the value, the derivative e1 along a direction i, and per
-direction j the derivative e2 and the mixed second derivative e12, so one call
+seeding pattern.  A kernel holds the value statements of its trees, as plain
+evaluation computes them, and their tangents (forward mode, Griewank &
+Walther, *Evaluating Derivatives*, 2008, ch. 3), derived from the statements
+by one set of chain rules (``_Tangent``).  A request is one direction i and a
+sequence of directions j (a single j is a sequence of one), served by two
+sweeps that visit each statement once for all their directions: one along
+every j over the value statements gives d/dj, and one along i over the value
+and d/dj statements gives d/di and d2/didj, as d/di of d/dj.  So one call
 yields the value, the Jacobian and the Hessian contracted with i of a whole
-field (forward-mode Taylor propagation, Griewank & Walther, *Evaluating
-Derivatives*, 2008).  A request is one i and a sequence of directions j (a
-single j is a sequence of one); e1 is always seeded along i alone, so no
-derivative depends on how it was requested.  Slots that are statically zero
-are left out of the generated code, and the value slot is bitwise equal to
-plain evaluation.
+field.  The value slot is bitwise equal to plain evaluation, d/di does not
+depend on the directions j requested with it, and each direction j is
+independent of the others.  Derivatives that are statically zero are left
+out of the generated code.  A sqrt at 0 has a value and no derivative, so it
+raises once it is differentiated.
 
 The generated statements are written out twice.  The scalar kernel runs them
 over float locals at one point.  The array kernel runs them over numpy
@@ -24,12 +28,12 @@ of arrays selects it.
 
 A field kernel (``field_kernel``) adds a request and an algebra to this.  The
 request jets a sequence of programs along a field that the kernel computes
-itself (``Along``), such as a vector field X along X(x): the values it reads
-are emitted first, so the jet's statements find them in the memo.  The algebra
-is emitted after the jet, as more straight-line statements (sums of products
-in index order), and reads the state it is called with by position, so one
-call gives, say, the whole right-hand side of an ODE (source transformation,
-Griewank & Walther, ch. 6).  The ODE right-hand sides and the bracket readers
+itself (``Along``), such as a vector field X along X(x), whose components are
+values of the programs.  The algebra is emitted after the jet, as more
+straight-line statements (sums of products in index order), and reads the
+state it is called with by position, so one call gives, say, the whole
+right-hand side of an ODE (source transformation, Griewank & Walther,
+ch. 6).  The ODE right-hand sides and the bracket readers
 of ``pair`` and ``jacobi`` run field kernels.  Statements that no output
 reads are left out of every kernel, except those that can raise.
 
@@ -41,19 +45,18 @@ compiles again on its next request.  Nothing compiles at parse or build
 time, no scalar kernel compiles before its first call at a point and no
 array kernel before its first call over points, and the table holds kernels
 and the keys derived from trees, never a program.  ``second_partials`` and
-``field_kernel`` are the two seeding entry points: every other module obtains the derivatives of
-user-supplied fields through them.  A field kernel may also be requested
-with its tangent: the same statements followed by their derivatives along a
-direction of the coordinates, derived from the statements themselves (a
-separate kernel, ``_Tangent``).  That is how ``pair.flow_derivative_H1``
-gets the third derivatives of the fields along X that X(H1) needs, so the
-package takes no finite difference.
+``field_kernel`` are the two seeding entry points: every other module
+obtains the derivatives of user-supplied fields through them.  A field
+kernel may also be requested with its tangent: the same statements followed
+by a third sweep, along a direction u of the coordinates, over all of them
+(a separate kernel).  That is how ``pair.flow_derivative_H1`` gets the third
+derivatives of the fields along X that X(H1) needs, so the package takes no
+finite difference.
 """
 
 from __future__ import annotations
 
 import ast
-import bisect
 import math
 import operator
 import re
@@ -170,8 +173,8 @@ class _Parser:
     """Recursive descent over the token stream.
 
     Precedence (tightest first): pow, unary minus, mul/div, add/sub.  The pow
-    exponent must be an integer literal so that differentiation stays within
-    the hyper-dual algebra.
+    exponent must be an integer literal, so a power and each of its
+    derivatives are integer powers, defined at every nonzero base.
     """
 
     def __init__(self, tokens):
@@ -346,21 +349,20 @@ def _pretty(node, parent_level):
 # -- compiled jet kernels -----------------------------------------------------
 #
 # A kernel is generated from the trees of a sequence of programs and a seeding
-# pattern: the names seeded along i (e1), and per direction j the names seeded
-# along it (e2).  A seed given as a name has the unit component, written into
-# the code; a seed given as a mapping has its components read at call time.
-# Every slot is computed by the hyper-dual formula of its node, term for term
-# and in the same order, with the terms of statically zero slots left out.
+# pattern: the names seeded along i, and per direction j the names seeded
+# along it.  A seed given as a name has the unit component, written into the
+# code; a seed given as a mapping has its components read at call time.
 #
-# A request is an i seed and a sequence of directions j.  The e1 slots are
-# computed as the hyper-dual evaluation seeded along i alone, and each
-# direction j is its own projection: its e2 and e12 slots, and the e1 slots
-# they read, are computed as the evaluation seeded along i and that j alone.
-# A node counts as hyper-dual in a projection when it depends on a name seeded
-# there, and division and sqrt take their formula and domain check from that.
-# So no output depends on the other directions of the request.  Identical
-# expressions are computed once, which shares the value slots and every e1
-# slot that does not depend on the projection.
+# The trees give the value statements alone, with their domain checks, as
+# plain evaluation computes them.  Every derivative is a tangent of
+# statements (``_Tangent``), taken by sweeps that visit each statement once
+# for all their directions: a sweep along every j over the value statements
+# gives d/dj, and a sweep along i over the value and d/dj statements gives
+# d/di and d2/didj.  d2/didj is d/di of d/dj, so the components of the i
+# seed, such as an ``Along`` field's values, are never differentiated.  So
+# the value slot is plain evaluation, d/di does not depend on the directions
+# j requested with it, and each direction j is independent of the others.
+# Identical expressions are computed once.
 #
 # The same generated statements make two kernels.  The scalar kernel binds
 # floats and runs on float locals.  The array kernel binds, per name, a float
@@ -380,10 +382,8 @@ class Along:
     itself, such as a vector field X jetted along X(x): per seeded name, the
     source of its component, an int (the value of that program of the
     jetted sequence), a str (the value bound to that name) or a float (a
-    constant).  The values it reads are emitted first, as plain evaluation
-    computes them, so its checks come first too.  Equality is exact: a
-    component 1 (a program) differs from 1.0 (a constant), and 0.0 from
-    -0.0."""
+    constant).  Equality is exact: a component 1 (a program) differs from
+    1.0 (a constant), and 0.0 from -0.0."""
 
     components: tuple
 
@@ -437,7 +437,6 @@ _ARRAY_GLOBALS = {
     "_any": np.any, "_DomainError": DomainError, "_INF": math.inf, "_NAN": math.nan,
 }
 
-_NONE3 = (None, None, None)
 _SQRT_NEGATIVE = "sqrt of negative value"
 _SQRT_AT_ZERO = "sqrt of non-positive value (not differentiable at 0)"
 
@@ -448,6 +447,15 @@ def _literal(value):
     if math.isinf(value):
         return "_INF" if value > 0 else "(-_INF)"
     return repr(value) if math.copysign(1.0, value) > 0 else f"({value!r})"
+
+
+def _number(expr):
+    """Value of a literal written by ``_literal`` with a finite value, None
+    for any other atom."""
+    try:
+        return float(expr.strip("()"))
+    except ValueError:
+        return None
 
 
 def _is_atom(expr):
@@ -483,18 +491,16 @@ class _Codegen:
     mapping seeds.  ``head`` holds the loads as (local, source) and ``body``
     the statements as ("let", local, expr, array expr or None, where) and
     ("check", condition, message, where); ``_source`` writes them out as the
-    scalar or the array kernel."""
+    scalar or the array kernel.  ``gen`` emits the value statements of a
+    tree; their derivatives are emitted by ``_Tangent``."""
 
-    def __init__(self, projections):
-        self.projections = projections
-        self.zero = (_NONE3,) * len(projections)
+    def __init__(self):
         self.head = []
         self.body = []
         self.memo = {}
         self.names = {}
-        self.seeds = {}
         self.checks = set()
-        self.along = {}
+        self.trees = {}
 
     def emit(self, expr, where=None, array=None):
         """Local holding ``expr`` (``array`` in the array kernel, when they
@@ -502,11 +508,20 @@ class _Codegen:
         on an infinite argument) is a DomainError."""
         if expr is None or _is_atom(expr):
             return expr
+        if expr[0] == "-" and (value := _number(expr[1:])) is not None:
+            return _literal(-value)         # a negated literal is a literal
         name = self.memo.get(expr)
         if name is None:
             name = self.memo[expr] = f"t{len(self.memo)}"
             self.body.append(("let", name, expr, array, where))
         return name
+
+    def tree(self, expr):
+        """The syntax tree of the expression of a statement, parsed once."""
+        node = self.trees.get(expr)
+        if node is None:
+            node = self.trees[expr] = ast.parse(expr, mode="eval").body
+        return node
 
     def check(self, cond, message, node):
         # a repeated check cannot fire: the first one would have
@@ -526,24 +541,18 @@ class _Codegen:
         """Local of entry k of the state ``w`` of a field kernel."""
         return self.load(k, f"w[{k}]")
 
-    def value(self, node):
-        """Value local of ``node`` as plain evaluation computes it, with its
-        checks; the jet pass finds these statements in the memo."""
-        projections, zero = self.projections, self.zero
-        self.projections = self.zero = ()
-        try:
-            return self.gen(node)[0]
-        finally:
-            self.projections, self.zero = projections, zero
-
-    def seed_along(self, progs, along):
-        """Emit the values that an ``Along`` seed reads, programs in order,
-        ahead of every derivative statement."""
-        values = {p: self.value(progs[p].ast)
-                  for p in sorted({src for _, src in along.components if type(src) is int})}
-        for name, src in along.components:
-            self.along[name] = (values[src] if type(src) is int else
-                                self.load(src) if isinstance(src, str) else _literal(float(src)))
+    def seed(self, key, source):
+        """The tangents of the loaded names along the seed ``key``: the unit
+        component of a name, or each component of a mapping, read from
+        ``source`` at call time."""
+        if isinstance(key, str):
+            return {self.names[key]: "1.0"} if key in self.names else {}
+        tangents = {}
+        for name, local in self.names.items():
+            if name in key:
+                tangents[local] = f"s{len(self.head)}"
+                self.head.append((tangents[local], f"{source}[{name!r}]"))
+        return tangents
 
     def dot(self, pairs):
         """Local of the sum of the products a * b of ``pairs``, left to right,
@@ -554,164 +563,40 @@ class _Codegen:
         """Local of the left-to-right sum of (sign, local) terms."""
         return self.emit(_sum(*terms))
 
-    def seed(self, key, name, source):
-        if key is None:
-            return None
-        if isinstance(key, Along):
-            return self.along.get(name)
-        if isinstance(key, str):
-            return "1.0" if key == name else None
-        if name not in key:
-            return None
-        local = self.seeds.get((source, name))
-        if local is None:
-            local = self.seeds[(source, name)] = f"s{len(self.seeds)}"
-            self.head.append((local, f"{source}[{name!r}]"))
-        return local
-
-    # -- nodes: each returns (value, slots), one (e1, e2, e12) per projection
-
     def gen(self, node):
+        """Local or literal of the value of ``node``, with its checks."""
         tp = type(node)
         if tp is Const:
-            return _literal(node.value), self.zero
+            return _literal(node.value)
         if tp is Var:
-            name = node.name
-            slots = tuple((self.seed(ik, name, "d1"), self.seed(jk, name, f"d2[{c}]"), None)
-                          for ik, jk, c in self.projections)
-            return self.names[name], slots
+            return self.names[node.name]
         if tp is Neg:
-            v, ps = self.gen(node.a)
-            return self.emit(f"-{v}"), tuple(
-                tuple(self.emit(None if x is None else f"-{x}") for x in p) for p in ps)
-        if tp is Add or tp is Sub:
-            return self.additive(node, "+" if tp is Add else "-")
-        if tp is Mul:
-            return self.mul(node)
+            return self.emit(f"-{self.gen(node.a)}")
+        if tp is Add or tp is Sub or tp is Mul:
+            a, b = self.gen(node.a), self.gen(node.b)
+            return self.emit(f"{a} {'+' if tp is Add else '-' if tp is Sub else '*'} {b}")
         if tp is Div:
-            return self.div(node)
+            # the denominator is evaluated and checked before the numerator
+            b = self.gen(node.b)
+            if _number(b) in (None, 0.0):
+                self.check(f"{b} == 0.0", "division by zero", node)
+            return self.emit(f"{self.gen(node.a)} / {b}")
         if tp is Pow:
-            return self.pow(node)
+            r, k = self.gen(node.base), node.exponent
+            if k < 0:
+                self.check(f"{r} == 0.0", "zero base with negative exponent", node)
+            if k in (0, 1):
+                return "1.0" if k == 0 else r
+            return self.emit(f"{r} ** {k}", array=f"_pow({r}, {k})")
         if tp is Call:
-            return self.func(node)
+            r, fn = self.gen(node.arg), node.fn
+            if fn == "log":
+                self.check(f"{r} <= 0.0", "log of non-positive value", node)
+            elif fn == "sqrt":
+                self.check(f"{r} < 0.0", _SQRT_NEGATIVE, node)
+            where = _pretty(node, 0) if fn in ("sin", "cos", "tan") else None
+            return self.emit(f"_{fn}({r})", where)
         raise TypeError(f"unknown node {node!r}")
-
-    def additive(self, node, op):
-        pv, ps = self.gen(node.a)
-        qv, qs = self.gen(node.b)
-        slots = tuple(
-            tuple(self.emit(_sum(("+", x), (op, y))) for x, y in zip(p, q))
-            for p, q in zip(ps, qs))
-        return self.emit(f"{pv} {op} {qv}"), slots
-
-    def mul(self, node):
-        pv, ps = self.gen(node.a)
-        qv, qs = self.gen(node.b)
-        slots = []
-        for (pa, pb, pc), (qa, qb, qc) in zip(ps, qs):
-            slots.append((
-                self.emit(_sum(("+", _chain(pv, qa)), ("+", _chain(pa, qv)))),
-                self.emit(_sum(("+", _chain(pv, qb)), ("+", _chain(pb, qv)))),
-                self.emit(_sum(("+", _chain(pv, qc)), ("+", _chain(pa, qb)),
-                               ("+", _chain(pb, qa)), ("+", _chain(pc, qv)))),
-            ))
-        return self.emit(f"{pv} * {qv}"), tuple(slots)
-
-    def div(self, node):
-        # the denominator is evaluated and checked before the numerator
-        qv, qs = self.gen(node.b)
-        if not (_is_atom(qv) and qv[0].isdigit() and float(qv) != 0.0):
-            self.check(f"{qv} == 0.0", "division by zero", node)
-        pv, ps = self.gen(node.a)
-        val = self.emit(f"{pv} / {qv}")
-        slots = []
-        for p, q in zip(ps, qs):
-            (pa, pb, pc), (qa, qb, qc) = p, q
-            if q == _NONE3:
-                slots.append(tuple(self.emit(None if x is None else f"{x} / {qv}") for x in p))
-            elif p != _NONE3:
-                inv = self.emit(f"1.0 / {qv}")
-                inv2 = self.emit(f"{inv} * {inv}")
-                cross = self.emit(_sum(("+", _chain(pa, qb)), ("+", _chain(pb, qa))))
-                slots.append((
-                    self.emit(_sum(("+", _chain(pa, inv)), ("-", _chain(pv, qa, inv2)))),
-                    self.emit(_sum(("+", _chain(pb, inv)), ("-", _chain(pv, qb, inv2)))),
-                    self.emit(_sum(("+", _chain(pc, inv)), ("-", _chain(cross, inv2)),
-                                   ("-", _chain(pv, qc, inv2)),
-                                   ("+", _chain("2.0", pv, qa, qb, inv2, inv)))),
-                ))
-            else:
-                # a numerator that is plain in this projection
-                inv = self.emit(f"1.0 / {qv}")
-                f1 = self.emit(f"-{val} * {inv}")
-                f2 = self.emit(f"2.0 * {val} * {inv} * {inv}")
-                slots.append(self.lift(q, f1, f2))
-        return val, tuple(slots)
-
-    def lift(self, slot, f1, f2):
-        """Chain rule through a scalar function with derivatives f1, f2 (f2
-        None when it is zero)."""
-        if slot == _NONE3:
-            return slot
-        a, b, c = slot
-        return (self.emit(_chain(f1, a)), self.emit(_chain(f1, b)),
-                self.emit(_sum(("+", _chain(f1, c)),
-                               ("+", _chain(f2, self.emit(_chain(a, b)))))))
-
-    def power(self, r, k):
-        return "1.0" if k == 0 else r if k == 1 else self.emit(f"{r} ** {k}", array=f"_pow({r}, {k})")
-
-    def pow(self, node):
-        rv, rs = self.gen(node.base)
-        n = node.exponent
-        if n < 0:
-            self.check(f"{rv} == 0.0", "zero base with negative exponent", node)
-        val = self.power(rv, n)
-        if rs == self.zero:
-            return val, rs
-        if n == 0:
-            f1 = f2 = "0.0"
-        else:
-            p1 = self.power(rv, n - 1)
-            f1 = repr(float(n)) if n == 1 else self.emit(f"{n} * {p1}")
-            f2 = None if n == 1 else self.emit(f"{n * (n - 1)} * {self.power(rv, n - 2)}")
-        return val, tuple(self.lift(s, f1, f2) for s in rs)
-
-    def func(self, node):
-        rv, rs = self.gen(node.arg)
-        fn = node.fn
-        hd = rs != self.zero
-        where = _pretty(node, 0)
-        if fn == "log":
-            self.check(f"{rv} <= 0.0", "log of non-positive value", node)
-        elif fn == "sqrt":
-            if hd:
-                self.check(f"{rv} <= 0.0", _SQRT_AT_ZERO, node)
-            else:
-                self.check(f"{rv} < 0.0", _SQRT_NEGATIVE, node)
-        val = self.emit(f"_{fn}({rv})", where if fn in ("sin", "cos", "tan") else None)
-        if not hd:
-            return val, rs
-        if fn == "sin":
-            f1, f2 = self.emit(f"_cos({rv})", where), self.emit(f"-{val}")
-        elif fn == "cos":
-            s = self.emit(f"_sin({rv})", where)
-            f1, f2 = self.emit(f"-{s}"), self.emit(f"-{val}")
-        elif fn == "tan":
-            f1 = self.emit(f"1.0 + {val} * {val}")
-            f2 = self.emit(f"2.0 * {val} * {f1}")
-        elif fn == "exp":
-            f1 = f2 = val
-        elif fn == "log":
-            f1 = self.emit(f"1.0 / {rv}")
-            f2 = self.emit(f"-{f1} * {f1}")
-        elif fn == "sqrt":
-            f1 = self.emit(f"0.5 / {val}")
-            f2 = self.emit(f"-0.5 * {f1} / {rv}")
-        else:
-            f1 = self.emit(f"1.0 if {rv} >= 0.0 else -1.0", array=f"_sign({rv})")
-            f2 = None
-        return val, tuple(self.lift(s, f1, f2) for s in rs)
 
 
 _LOCAL_RE = re.compile(r"\b[a-z]\d+\b")
@@ -763,114 +648,98 @@ def _source(head, body, outputs, array, args):
     return "\n".join(lines)
 
 
-def _jets(progs, key, coords=()):
-    """The ``_Codegen`` of the jets of ``progs`` for ``key``, None (plain
-    values) or (i seed, j seeds), with the names in ``coords`` read from the
-    state by position, and each program's (value, slots)."""
-    projections = ()
-    if key is not None:
-        ikey, jkeys = key
-        projections = ((ikey, None, None),) + tuple((ikey, jk, c) for c, jk in enumerate(jkeys))
-    gen = _Codegen(projections)
-    for k, name in enumerate(coords):
-        gen.load(name, f"w[{k}]")
-    for prog in progs:
-        for name in prog.free_vars:
-            gen.load(name)
-    if key is not None and isinstance(key[0], Along):
-        gen.seed_along(progs, key[0])
-    return gen, [gen.gen(prog.ast) for prog in progs]
-
-
-# -- tangents of a field kernel -----------------------------------------------
+# -- tangent sweeps -----------------------------------------------------------
 #
-# A tangent kernel returns the outputs of a field kernel and then their
-# derivatives along a direction u of its coordinates (forward mode, Griewank &
-# Walther, ch. 3).  The tangents are derived from the kernel's own statements,
-# each parsed once: sums and differences term by term, products by the
-# product rule, a quotient v = a / b as (da - v db) / b, an integer power and
-# sin, cos, tan, exp, log and sqrt by their derivatives, abs by the sign its
-# jet uses (+1 at 0), and that sign, a step, with tangent zero.  So the jet's
-# seed values, such as an ``Along`` field, carry their own tangents.  The
-# tangent statements run after the whole jet and reuse its locals.  None of
-# them fails where the jet does not, except at a sqrt at 0, which is checked
-# in place as the jet checks a hyper-dual sqrt, and at a power whose
-# derivative overflows, which raises OverflowError as evaluation does.
+# A sweep derives the tangents of statements from the statements themselves,
+# each parsed once (forward mode, Griewank & Walther, *Evaluating
+# Derivatives*, 2008, ch. 3): sums and differences term by term, products by
+# the product rule, a quotient v = a / b as (da - v db) / b, an integer power
+# and sin, cos, tan, exp, log and sqrt by their derivatives, abs by its sign,
+# taken as +1 at 0, and that sign, a step, with tangent zero.  It visits every
+# statement of the kernel so far once for all its directions, and its
+# statements follow them and reuse their locals.  None of them fails where
+# the statements it differentiates do not, except at a sqrt at 0, whose
+# check becomes the check at 0 in place once its argument has a tangent, and
+# at a power whose derivative overflows, which raises OverflowError as
+# evaluation does.  The jet of a request is two sweeps; a tangent kernel
+# sweeps once more, along u, over the whole field kernel, so the jet's seed
+# values, such as an ``Along`` field, carry their own tangents there.
 
 class _Tangent:
-    """Emits, through ``gen``, the tangent of each statement of its body."""
+    """One sweep of the statements of ``gen`` along the directions of
+    ``seeds``, each a mapping from locals to their tangents."""
 
-    def __init__(self, gen, n):
+    def __init__(self, gen, seeds):
         self.gen = gen
-        self.tan = {}           # local -> its tangent (a local or a literal), or None
-        for local, src in list(gen.head):
-            if src.startswith("w["):
-                k = int(src[2:-1])
-                if k >= n:
-                    raise ValueError("a tangent kernel reads no state beyond its coordinates")
-                self.tan[local] = gen.state(n + k)
+        self.tans = list(seeds)
+        self.text = ""         # the expression of the statement being differentiated
 
-    def run(self, outputs):
-        """The tangents of ``outputs``, "0.0" where statically zero; the
-        statements of ``gen`` gain them at their end."""
-        gen = self.gen
+    def run(self):
+        """The tangents of the locals per direction, a local or a literal,
+        absent where statically zero; the statements of ``gen`` gain them at
+        their end."""
+        gen, live = self.gen, [tan for tan in self.tans if tan]
+        if not live:
+            return self.tans
         body, gen.body = gen.body, []
-        kept = []
-        for stmt in body:
+        for k, stmt in enumerate(body):
             if stmt[0] == "check":
                 _, cond, message, where = stmt
                 arg = cond.split(" ")[0]
-                if message == _SQRT_NEGATIVE and self.tan.get(arg) is not None:
-                    stmt = ("check", f"{arg} <= 0.0", _SQRT_AT_ZERO, where)
-            else:
-                self.tan[stmt[1]] = self.d(ast.parse(stmt[2], mode="eval").body, stmt[1])
-            kept.append(stmt)
-        gen.body = kept + gen.body
-        return [self.tan.get(o) or "0.0" for o in outputs]
+                if message == _SQRT_NEGATIVE and any(arg in tan for tan in live):
+                    body[k] = ("check", f"{arg} <= 0.0", _SQRT_AT_ZERO, where)
+                continue
+            node, own, self.text = gen.tree(stmt[2]), stmt[1], stmt[2]
+            for tan in live:
+                d = self.d(node, tan, own)
+                if d is not None:
+                    tan[own] = d
+        gen.body = body + gen.body
+        return self.tans
 
     def value(self, node, own=None):
-        """Local or literal of the value of ``node``: ``own`` when given."""
+        """Local or literal of the value of ``node``, a part of the statement
+        being differentiated: ``own`` when given."""
         if own is not None:
             return own
-        text = ast.unparse(node)
+        text = self.text[node.col_offset:node.end_col_offset]
         if type(node) is ast.UnaryOp and type(node.operand) is ast.Constant:
             return f"({text})"
         return self.gen.emit(text)
 
-    def d(self, node, own=None):
-        """Tangent of the value of ``node`` (held by ``own``, if a local)."""
+    def d(self, node, tan, own=None):
+        """Tangent of the value of ``node`` (held by ``own``, if a local)
+        along the direction of ``tan``; None where statically zero."""
         emit, tp = self.gen.emit, type(node)
         if tp is ast.Name:
-            return self.tan.get(node.id)
+            return tan.get(node.id)
         if tp is ast.Constant or tp is ast.IfExp:
             return None
         if tp is ast.UnaryOp:
-            da = self.d(node.operand)
+            da = self.d(node.operand, tan)
             return None if da is None else emit(f"-{da}")
         if tp is ast.Call:
-            return self.call(node, own)
+            return self.call(node, tan, own)
         op = type(node.op)
-        da, db = self.d(node.left), self.d(node.right)
+        da, db = self.d(node.left, tan), self.d(node.right, tan)
         if da is None and db is None:
             return None
         if op is ast.Add or op is ast.Sub:
             return emit(_sum(("+", da), ("+" if op is ast.Add else "-", db)))
-        a = self.value(node.left)
         if op is ast.Pow:
-            k = ast.literal_eval(node.right)
+            a, k = self.value(node.left), ast.literal_eval(node.right)
             p = a if k == 2 else emit(f"{a} ** {k - 1}", array=f"_pow({a}, {k - 1})")
             return emit(_chain(_literal(float(k)), p, da))
         b = self.value(node.right)
         if op is ast.Mult:
-            return emit(_sum(("+", _chain(da, b)), ("+", _chain(a, db))))
-        if db is None:          # a quotient
-            return None if da is None else emit(f"{da} / {b}")
-        top = emit(_sum(("+", da), ("-", _chain(self.value(node, own), db))))
-        return None if top is None else emit(f"{top} / {b}")
+            return emit(_sum(("+", _chain(da, b)), ("+", _chain(self.value(node.left), db))))
+        # a quotient, (da - v db) / b in one statement
+        top = _sum(("+", da), ("-", _chain(self.value(node, own), db)))
+        return emit(f"({top}) / {b}" if " + " in top or " - " in top else f"{top} / {b}")
 
-    def call(self, node, own):
+    def call(self, node, tan, own):
         arg = node.args[0]
-        da = self.d(arg)
+        da = self.d(arg, tan)
         if da is None:
             return None
         emit, fn = self.gen.emit, node.func.id
@@ -892,28 +761,57 @@ class _Tangent:
         return emit(_chain(f1, da))
 
 
+def _jets(progs, key, coords=()):
+    """The ``_Codegen`` of the jets of ``progs`` for ``key``, None (plain
+    values) or (i seed, j seeds), with the names in ``coords`` read from the
+    state by position; their ``FieldJet``, and per program its d/di."""
+    gen = _Codegen()
+    for k, name in enumerate(coords):
+        gen.load(name, f"w[{k}]")
+    for prog in progs:
+        for name in prog.free_vars:
+            gen.load(name)
+    val = [gen.gen(prog.ast) for prog in progs]
+    ikey, jkeys = (None, ()) if key is None else key
+    tj = _Tangent(gen, [gen.seed(jk, f"d2[{c}]") for c, jk in enumerate(jkeys)]).run()
+    dj = [tuple(tan.get(v) for tan in tj) for v in val]
+    along = {}
+    if isinstance(ikey, Along):
+        along = {name: (val[src] if type(src) is int else
+                        gen.load(src) if isinstance(src, str) else _literal(float(src)))
+                 for name, src in ikey.components}
+        iseed = {gen.names[name]: c for name, c in along.items() if name in gen.names}
+    else:
+        iseed = {} if ikey is None else gen.seed(ikey, "d1")
+    ti, = _Tangent(gen, [iseed]).run()
+    jet = FieldJet(along=tuple(along.get(name) for name in coords), val=tuple(val), dj=tuple(dj),
+                   dij=tuple(tuple(ti.get(d) for d in row) for row in dj))
+    return gen, jet, [ti.get(v) for v in val]
+
+
 def _compile(progs, key):
     """Kernels of the sequence ``progs`` for ``key``: None (plain values),
     (i seed, j seeds), or (coords, i seed, j names, algebra, extra, tangent)
     for a field kernel (``field_kernel``)."""
     if key is not None and len(key) == 6:
         coords, ikey, jkeys, algebra, extra, tangent = key
-        gen, results = _jets(progs, (ikey, jkeys), coords)
-        jet = FieldJet(along=tuple(gen.along.get(name) for name in coords),
-                       val=tuple(v for v, _ in results),
-                       dj=tuple(tuple(p[1] for p in s[1:]) for _, s in results),
-                       dij=tuple(tuple(p[2] for p in s[1:]) for _, s in results))
+        gen, jet, _ = _jets(progs, (ikey, jkeys), coords)
         out = ["0.0" if o is None else o for o in algebra(gen, jet, *extra)]
         if tangent:
-            out += _Tangent(gen, len(coords)).run(out)
+            n, useed = len(coords), {}
+            for local, src in list(gen.head):
+                if src.startswith("w["):
+                    k = int(src[2:-1])
+                    if k >= n:
+                        raise ValueError("a tangent kernel reads no state beyond its coordinates")
+                    useed[local] = gen.state(n + k)
+            tu, = _Tangent(gen, [useed]).run()
+            out += [tu.get(o, "0.0") for o in out]
         return _Kernel(gen, out, "w, env")
-    gen, results = _jets(progs, key)
-    out = [v for v, _ in results]
+    gen, jet, di = _jets(progs, key)
+    out = list(jet.val)
     if key is not None:
-        cols = range(1, len(key[1]) + 1)
-        out += [s[0][0] for _, s in results]
-        out += [s[c][1] for _, s in results for c in cols]
-        out += [s[c][2] for _, s in results for c in cols]
+        out += di + [d for row in jet.dj for d in row] + [d for row in jet.dij for d in row]
     return _Kernel(gen, out, "env, d1, d2")
 
 
@@ -1082,16 +980,20 @@ def _run_points(kernel, args, at, count):
         raise
 
 
-def _fill(kernel, live, parts):
-    """Write the outputs of an array call into ``parts``: zeroed arrays with
-    a leading point axis that hold the flat output in order, each row-major
-    after that axis.  Returns ``parts``."""
-    rows = [part.reshape(len(part), -1) for part in parts]
-    edges = np.cumsum([0] + [r.shape[1] for r in rows]).tolist()
-    for c, value in zip(kernel.live, live):
-        p = bisect.bisect_right(edges, c) - 1
-        rows[p][:, c - edges[p]] = value
-    return parts
+def _rows(kernel, live, count):
+    """The flat outputs of an array call over ``count`` points as a
+    (size, count) array, written one output (one row) at a time; the rows
+    of outputs that are statically zero stay zero."""
+    rows = np.zeros((kernel.size, count))
+    for r, value in zip(kernel.live, live):
+        rows[r] = value
+    return rows
+
+
+def _points(rows, *shape):
+    """``rows`` of ``_rows`` with the point axis first and ``shape`` after
+    it, C-contiguous."""
+    return rows.T.copy().reshape(-1, *shape)
 
 
 def evaluate(progs, bindings):
@@ -1105,8 +1007,8 @@ def evaluate(progs, bindings):
     kernel, live, count = _run(progs, None, bindings, None, None)
     if count is None:
         return live[0] if isinstance(progs, ExprProgram) else np.array(live, dtype=float)
-    out, = _fill(kernel, live, [np.zeros((count, kernel.size))])
-    return out[:, 0] if isinstance(progs, ExprProgram) else out
+    rows = _rows(kernel, live, count)
+    return rows[0] if isinstance(progs, ExprProgram) else _points(rows, kernel.size)
 
 
 def _seed_key(d):
@@ -1127,10 +1029,10 @@ def second_partials(progs, point, i, j):
     arrays of k for a sequence of k programs), then d/dj and d2/didj with one
     entry per direction (ncols, or k x ncols arrays).  A single j is the
     request of one direction and gives its column: four floats for one
-    program, four arrays (the rows of a 4 x k array) for k.  d/di is always
-    the hyper-dual evaluation seeded along i alone, and each column the
-    evaluation seeded along i and its j alone, so no output depends on how
-    many directions are requested with it.
+    program, four arrays (the rows of a 4 x k array) for k.  d/di is the
+    tangent of the values along i alone, d/dj the tangent along its j alone
+    and d2/didj the tangent of d/dj along i, so no output depends on the
+    other directions requested with it.
 
     A point of arrays over N points (and direction components that are
     reals or such arrays) runs the array kernel once and gives every output
@@ -1156,13 +1058,13 @@ def second_partials(progs, point, i, j):
         e2 = flat[2 * k:].reshape(2, k, nc)
         return flat[:k], flat[k:2 * k], e2[0], e2[1]
     # a point of arrays: the same outputs with a leading point axis
-    head = (N,) if single else (N, k)
+    rows, head = _rows(kernel, live, N), () if single else (k,)
     if one:
-        out = np.zeros((4,) + head)
-        _fill(kernel, live, list(out))
-        return tuple(out) if single else out
-    return tuple(_fill(kernel, live, [np.zeros(head), np.zeros(head),
-                                      np.zeros(head + (nc,)), np.zeros(head + (nc,))]))
+        parts = [_points(part, *head) for part in np.split(rows, 4)]
+        return tuple(parts) if single else np.array(parts)
+    first, second = np.split(rows, [2 * k])
+    return (*(_points(part, *head) for part in np.split(first, 2)),
+            *(_points(part, *head, nc) for part in np.split(second, 2)))
 
 
 def field_kernel(progs, coords, i, j, algebra, *extra, tangent=False):
@@ -1195,8 +1097,7 @@ def run_field(kernel, w, env, count=None):
         live = _run_points(kernel, (w, env), at, count)
     except KeyError as err:
         raise UnboundVariable(err.args[0]) from None
-    out, = _fill(kernel, live, [np.zeros((count, kernel.size))])
-    return out
+    return _points(_rows(kernel, live, count), kernel.size)
 
 
 # -- small AST builders used by model constructors ---------------------------

@@ -1,13 +1,16 @@
 import gc
+import importlib.util
 import math
+import re
 import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conjscope import catalog, frames, pair as pair_mod, scalar
 from conjscope.errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownFunction
@@ -799,3 +802,61 @@ def test_tangent_kernel_has_its_own_key_and_reads_no_other_state():
     with pytest.raises(ValueError, match="no state beyond"):
         scalar.run_field(scalar.field_kernel(progs, ("x",), None, (), extra, tangent=True),
                          [1.0, 1.0, 1.0], {})
+
+
+def _value_algebra(gen, jet):
+    return list(jet.val)
+
+
+def _at(x, y):
+    return {"x": x, "y": y, "z": 0.0}
+
+
+@PROPERTY_SETTINGS
+@given(trees(negative=True), points, st.fixed_dictionaries({n: st.floats(-2.0, 2.0)
+                                                           for n in NAMES}))
+@example(parse("x*y/(1 + x*x)").ast, _at(-0.8, -0.3), _at(1.3, -0.4))
+@example(parse("sin(x)/(y - 3)").ast, _at(-0.7, 1.2), _at(-0.8, -0.2))
+@example(parse("exp(x*y)/sqrt(2 + y*y)").ast, _at(-1.4, 1.9), _at(0.1, -1.5))
+@example(parse("log(2 + x)*tan(0.3*y)").ast, _at(-1.2, 1.2), _at(-1.2, -1.7))
+@example(parse("(x - y)^-2 + x/y").ast, _at(1.3, -0.9), _at(-1.1, 0.6))
+def test_property_first_derivatives_come_from_one_sweep(tree, point, u):
+    # d/di of a jet along u and the tangent of a tangent kernel at the state
+    # (point, u) are one sweep over the same value statements, bit for bit;
+    # the examples are points where two chain rules for a quotient or a log,
+    # each exact to rounding, differ in the last bit
+    prog = program(tree)
+    d_u = engine(prog, point, u, {})[1]
+    kernel = scalar.field_kernel((prog,), NAMES, None, (), _value_algebra, tangent=True)
+    value, tangent = scalar.run_field(kernel, [point[n] for n in NAMES] + [u[n] for n in NAMES], {})
+    assert float(tangent).hex() == d_u.hex()
+
+
+def _bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_kernel_computes_a_statement_twice():
+    # every sweep of a kernel finds the statements of the sweeps before it
+    # in one memo: over the joint, jet, bracket and tangent kernels of the
+    # catalog defaults and the bracket and tangent kernels of random generic
+    # pairs, no two statements of a scalar kernel have one right-hand side
+    inputs = _bench_inputs()
+    pairs = [inputs.build_pair(op["spec"]) for op in inputs.crosscheck_cycle(1)]
+    scalar._TABLE.clear()               # kernels not yet called keep their sources
+    kernels = []
+    for name in catalog.ENTRIES:
+        model, _ = catalog.build(name)
+        lifted = pair_mod.lift_sode(model)
+        kernels += [model.joint_kernel, model.jet_kernel, lifted.bracket_kernel,
+                    lifted.tangent_kernel]
+    for pr in pairs:
+        kernels += [pr.bracket_kernel, pr.tangent_kernel]
+    assert len(kernels) == 32
+    for kernel in kernels:
+        statements = re.findall(r"^ +t\d+ = (.*)$", kernel._sources["_scalar"], re.M)
+        assert statements and len(set(statements)) == len(statements)
