@@ -5,12 +5,12 @@ after multiplication by the matrix solution G of the transport equation
 X(G) = -H1 G / 2; the curvature matrix expressed in that frame is the
 coefficient matrix of the Jacobi equation.  The base point, G and the Jacobi
 fields are one ODE solve, whose right-hand side (``pair.joint_rhs``) is one
-call of a compiled field kernel per evaluation: on a lifted second-order
-system it gives the whole derivative, and on a generic pair X with the
-brackets, from which a QR solve with a condition estimate reads the
-structure matrices H0, H1 of the bracket relation and leaves the SVD, which
-decides and reports regularity, to a point that fails the screen; a second
-kernel, which evaluates no field, forms the products after it.  The
+call of a compiled field kernel per evaluation, which gives the whole
+derivative: on a lifted second-order system from the force jet, and on a
+generic pair from the brackets, a Givens least-squares solve for the
+structure matrices H0, H1 of the bracket relation and the products after
+it; a point that fails the solve's screen (its exact condition number and
+residual) goes to the SVD, which decides and reports regularity.  The
 normal curvature is computed afterwards, on whatever times it is asked for,
 from the transported point and G: on an array of times, one dense lookup (on
 the grid, the one every grid reader shares), one curvature call per block of

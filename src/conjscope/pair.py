@@ -18,25 +18,25 @@ batched over the block.  The iterated brackets of a pair and the jet of a
 second-order force are each one field kernel (``scalar.field_kernel``),
 which emits the bracket algebra after the jet, so ``brackets_at`` and
 ``_force_jet`` are its scalar form at one point and its array form on a
-stack.  ``joint_rhs`` gives the right-hand side of the joint Jacobi solve:
-one call of a force kernel that also emits the products for lifted
-second-order systems; otherwise ``structure_at`` (the bracket kernel and a
-screened QR solve) and one call of a second kernel that jets nothing and
-emits the same products from X, H0, H1 and the state
-(``GenericPair.products_kernel``).
+stack.  ``joint_rhs`` gives the right-hand side of the joint Jacobi solve
+as one kernel call: for a lifted second-order system a force kernel that
+also emits the products; for any other pair its joint kernel, which emits
+the bracket algebra, then a Givens least-squares solve for H0, H1 with its
+regularity screen (``_least_squares``), then the same products.  A point
+that fails the screen raises inside the kernel and is solved by
+``extract_H``'s SVD instead, which decides and reports regularity.
+``structure_at`` reads H0, H1 from the same emitted solve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgels as _dgels, dtrcon as _dtrcon
 
 from . import scalar
-from .errors import RegularityViolation
+from .errors import DomainError, RegularityViolation
 from .scalar import ExprProgram, evaluate, parse
 
 COND_LIMIT = 1e8
@@ -65,13 +65,14 @@ def _as_expr(e) -> ExprProgram:
 
 # The kernels that a solve reads on every step or block are model attributes,
 # although scalar's kernel table would give them back on every request:
-# SODEModel.jet_kernel and joint_kernel, GenericPair.bracket_kernel,
-# tangent_kernel, products_kernel and stacked, and
+# SODEModel.jet_kernel and joint_kernel, GenericPair.joint_kernel,
+# bracket_kernel, tangent_kernel, products_kernel and stacked, and
 # hamiltonian.SemiHamiltonianModel.sigma_field.  A table lookup builds the
 # exact key and takes the table's lock, 2.5-5.2 us against 0.3 us for an
 # attribute read (timed on 64-point blocks of random second-order systems read as
-# generic pairs, (n, m) = (2, 1) to (6, 3)), and the generic right-hand side
-# reads bracket_kernel at every evaluation.
+# generic pairs, (n, m) = (2, 1) to (6, 3)), and a generic right-hand side,
+# which reads joint_kernel at every evaluation, takes 1.5-5.7 us in all on
+# those pairs (2 vCPU, Python 3.11).
 
 @dataclass(frozen=True)
 class SODEModel:
@@ -169,18 +170,26 @@ class GenericPair:
     def bracket_kernel(self):
         """The kernel of X, D = [V | XV] and XXV (``_bracket_outputs``),
         compiled on first use."""
-        return _bracket_kernel(self, tangent=False)
+        return _pair_kernel(self, _bracket_algebra)
 
     @cached_property
     def tangent_kernel(self):
         """The bracket kernel's outputs followed by their derivatives along
         a direction given with the point (``flow_derivative_H1``), compiled
         on first use."""
-        return _bracket_kernel(self, tangent=True)
+        return _pair_kernel(self, _bracket_algebra, tangent=True)
+
+    @cached_property
+    def joint_kernel(self):
+        """The kernel of the joint right-hand side with the solve for H0, H1
+        emitted after the bracket algebra (``_generic_joint_algebra``),
+        compiled on first use."""
+        return _pair_kernel(self, _generic_joint_algebra)
 
     @cached_property
     def products_kernel(self):
-        """The kernel of the joint right-hand side after ``structure_at``
+        """The kernel of the joint right-hand side from the SVD's X, H0 and
+        H1 at a point that fails the joint kernel's screen
         (``_generic_algebra``), compiled on first use."""
         return scalar.field_kernel((), (), None, (), _generic_algebra, self.n, self.m)
 
@@ -406,12 +415,12 @@ def _bracket_algebra(gen, jet):
     return list(jet.along) + D + [XXV[j][i] for i in range(n) for j in range(m)]
 
 
-def _bracket_kernel(pair: GenericPair, tangent):
-    """The field kernel of ``_bracket_algebra`` over the jet of the stacked
-    fields along X(x), with its tangent when ``tangent``."""
+def _pair_kernel(pair: GenericPair, algebra, tangent=False):
+    """The field kernel of ``algebra`` over the jet of the stacked fields
+    along X(x), with its tangent when ``tangent``."""
     return scalar.field_kernel(pair.stacked, pair.coords,
                                scalar.Along(tuple((c, k) for k, c in enumerate(pair.coords))),
-                               pair.coords, _bracket_algebra, tangent=tangent)
+                               pair.coords, algebra, tangent=tangent)
 
 
 def _bracket_outputs(pair: GenericPair, x, u=None):
@@ -461,37 +470,6 @@ def _raise_first_violation(points, cond_D, residual=0.0):
         cond="I", residual=float(residual[k]), point=x)
 
 
-def _screened_solve(D, B):
-    """Least-squares solution S of D S = B for one point from one QR solve
-    (LAPACK dgels) and a 1-norm condition estimate of its R factor (dtrcon),
-    or None when the point fails a conservative screen: a failed or
-    non-finite solve, an estimate above COND_LIMIT / (10 k) for the k
-    columns of D (cond_2 <= k cond_1, and the estimate may fall below
-    cond_1), a relative residual above INVARIANCE_TOL / 10 (read from the
-    trailing rows of the solve), or a wide D.  With these margins a point
-    that passes is regular by the SVD's reading too, unless the estimate
-    falls more than ten times below cond_1, which the 1-norm estimator
-    rarely does (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, 15.3); a point that fails is left to the SVD."""
-    n, k = D.shape
-    if n < k:
-        return None
-    qr, S, info = _dgels(D, B)
-    if info != 0:
-        return None
-    rcond, info = _dtrcon(qr[:k])
-    # one finite test: a sum is finite only when every entry is (an
-    # overflowing sum of finite entries leaves the point to the SVD too)
-    if info != 0 or not rcond > 10.0 * k / COND_LIMIT or not math.isfinite(
-            sum(S.ravel(order="K").tolist())):
-        return None
-    if n > k:                      # a square D leaves no residual
-        out = S[k:].ravel()        # Q2^T B: |D S - B| is its norm
-        if out @ out > (0.1 * INVARIANCE_TOL) ** 2 * np.vdot(B, B):
-            return None
-    return S[:k]
-
-
 def extract_H(pair: GenericPair, x, raise_on_violation=True):
     """Solve [V | XV] (H0; H1) = XXV column-wise, with the diagnostics.
 
@@ -499,8 +477,9 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
     dimension exceeds 2m) gives its condition number and the relative
     residual, the numerical witness of the invariance condition; this is
     the solve that decides and reports regularity.  The Jacobi solve does
-    not call it at every point: ``structure_at`` screens with a QR solve and
-    a condition estimate, and calls on this SVD only where the screen
+    not call it at every point: its joint kernel emits a Givens solve with
+    the exact cond_1 of its R factor and its residual as a screen
+    (``_least_squares``), and calls on this SVD only where the screen
     fails.  On a stack the violation raised is the first in stack order."""
     xs, one = _stack(x)
     x_val, V, XV, XXV = _lead(one, *brackets_at(pair, x))
@@ -590,9 +569,8 @@ def _products(gen, m, H0, H1, G, a, b):
     -a - H1 b row-major, from the row-major entries of H0, H1, G, a and b
     (locals, None where statically zero); each product is summed in index
     order after the factor -H1 / 2 or -H0 is formed, as numpy forms it."""
-    neg = lambda v: None if v is None else gen.emit(f"-{v}")
     half_H1 = [None if h is None else gen.emit(f"-0.5 * {h}") for h in H1]
-    minus_H0 = [neg(h) for h in H0]
+    minus_H0 = [gen.negate(h) for h in H0]
     prod = lambda A, B, r, c: gen.dot((A[r * m + k], B[k * m + c]) for k in range(m))
     cells = [(r, c) for r in range(m) for c in range(m)]
     return ([prod(half_H1, G, r, c) for r, c in cells]
@@ -622,6 +600,145 @@ def _generic_algebra(gen, jet, n, m):
     return X + _products(gen, m, H0, H1, G, a, b)
 
 
+# a rotation whose a^2 + b^2 is at most this leaves the point to the SVD:
+# above it the larger square is a normal float, so the rounding that
+# underflow adds to the smaller one is below 2^-115 of the sum
+_TINY = 2.0 ** -960
+_WHERE = "the least-squares solve of [V | XV] (H0; H1) = XXV"
+
+
+def _numeric(v):
+    """The value of a finite literal of the generated code, None for a local
+    (or an infinite or NaN literal)."""
+    try:
+        return float(v.strip("()"))
+    except ValueError:
+        return None
+
+
+def _least_squares(gen, D, B):
+    """The least-squares solve of D S = B and its screen, emitted as
+    straight-line code; returns S (k rows of p).
+
+    D (n rows of k) and B (n rows of p) hold locals or literals, None where
+    statically zero.  Givens QR without pivoting (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., 5.1.8-5.2.5) rotates the rows of [D | B] to
+    [R | Q^T B], column by column, each row below the diagonal against the
+    diagonal row; back substitution gives S = R^-1 (Q^T B)[:k], and the
+    columns of R^-1.  The screen is a check, so a point that fails it
+    raises DomainError: it passes when S, the column sums of |R| and |R^-1|
+    and the residual terms are finite, the exact cond_1(R) (the product of
+    the largest column sums) is at most COND_LIMIT / (10 k), and the
+    relative residual |D S - B| / |B|, read from the trailing rows of
+    Q^T B, is at most INVARIANCE_TOL / 10.  cond_2(D) = cond_2(R) <=
+    k cond_1(R), so with these margins a point that passes is regular by the
+    SVD's reading too.
+
+    Static entries fold.  A rotation whose lower entry is statically zero is
+    skipped; one whose upper entry is statically zero is a signed row swap,
+    rows (c, q) becoming (q, -c), with no sqrt; a division by a literal 1.0
+    or -1.0 is a sign, and |-u| reads |u|.  A rotation whose a^2 + b^2 is at
+    most _TINY (zero included), or a zero diagonal entry of R that no
+    rotation formed, raises DomainError too, and so does every point of a
+    wide D (n < k) or of one whose R has a statically zero diagonal entry."""
+    n, k, p = len(D), len(D[0]), len(B[0])
+    A = [list(d) + list(b) for d, b in zip(D, B)]
+    formed = set()                      # the rotation norms: nonzero by their check
+
+    def quotient(v, d):
+        if v is None or d == "1.0":
+            return v
+        if d == "(-1.0)":
+            return gen.negate(v)
+        if _numeric(d) is None and d not in formed:
+            gen.check(f"{d} == 0.0", "zero pivot", _WHERE)
+        return gen.emit(f"{v} / {d}")
+
+    for c in range(min(k, n)):
+        for q in range(c + 1, n):
+            a, b = A[c][c], A[q][c]
+            if b is None:
+                continue
+            if a is None:
+                A[c], A[q] = A[q], [gen.negate(v) for v in A[c]]
+                continue
+            r2 = gen.dot(((a, a), (b, b)))
+            gen.check(f"{r2} <= {_TINY!r}", "zero Givens rotation", _WHERE)
+            r = gen.emit(f"_sqrt({r2})")
+            cs, sn = gen.emit(f"{a} / {r}"), gen.emit(f"{b} / {r}")
+            top, low, minus_sn = A[c][c + 1:], A[q][c + 1:], gen.negate(sn)
+            A[c] = [None] * c + [r] + [gen.dot(((cs, u), (sn, v))) for u, v in zip(top, low)]
+            A[q] = [None] * (c + 1) + [gen.dot(((minus_sn, u), (cs, v)))
+                                       for u, v in zip(top, low)]
+            formed.add(r)
+    S = [[None] * p for _ in range(k)]
+    if n < k or any(A[c][c] is None for c in range(k)):
+        gen.check("True", "no least-squares solve", _WHERE)
+        return S
+    R = [row[:k] for row in A[:k]]
+    for i in reversed(range(k)):
+        for j in range(p):
+            rest = gen.dot((R[i][l], S[l][j]) for l in range(i + 1, k))
+            S[i][j] = quotient(gen.combine(("+", A[i][k + j]), ("-", rest)), R[i][i])
+    inverse = [[None] * k for _ in range(k)]
+    for c in range(k):
+        inverse[c][c] = quotient("1.0", R[c][c])
+        for i in reversed(range(c)):
+            inverse[i][c] = quotient(gen.negate(gen.dot((R[i][l], inverse[l][c])
+                                                        for l in range(i + 1, c + 1))), R[i][i])
+
+    def magnitude(v):
+        v = gen.negations.get(v, v)
+        if v is None or _numeric(v) is None:
+            return v and gen.emit(f"_abs({v})")
+        return repr(abs(_numeric(v)))
+
+    def largest(vs):
+        values = [_numeric(v) for v in vs if _numeric(v) is not None]
+        parts = list(dict.fromkeys(v for v in vs if _numeric(v) is None))
+        parts += [repr(max(values))] if values else []
+        return parts[0] if len(parts) == 1 else gen.emit(f"_max({', '.join(parts)})")
+
+    sums = [[gen.combine(*(("+", magnitude(M[i][c])) for i in range(c + 1))) for c in range(k)]
+            for M in (R, inverse)]
+    terms = [v for row in S for v in row] + sums[0] + sums[1]
+    fails = []
+    cond, cap = gen.dot([(largest(sums[0]), largest(sums[1]))]), COND_LIMIT / (10 * k)
+    if _numeric(cond) is None or _numeric(cond) > cap:
+        fails.append(f"({cond} > {cap!r})")
+    residual = gen.dot((v, v) for row in A[k:] for v in row[k:])
+    if residual is not None:
+        scale = gen.dot((v, v) for row in B for v in row)
+        fails.append(f"({residual} > {(0.1 * INVARIANCE_TOL) ** 2!r} * {scale})")
+        terms += [residual, scale]
+    # a sum is finite only when every term is (an overflowing sum of finite
+    # terms fails too), and v - v is 0.0 only for a finite v; a NaN compares
+    # false, so these come first
+    total = gen.combine(*(("+", v) for v in terms if v is not None and _numeric(v) is None))
+    if total is not None:
+        fails.insert(0, f"({total} - {total} != 0.0)")
+    if fails:
+        gen.check(" | ".join(fails), "the screen of the solve fails", _WHERE)
+    return S
+
+
+def _generic_joint_algebra(gen, jet):
+    """The right-hand side of the joint Jacobi solve of a generic pair, with
+    state w = (x, vec G, vec a, vec b): the bracket algebra, the solve of
+    D (H0; H1) = XXV (``_least_squares``) and the products of
+    ``_joint_algebra``."""
+    n = len(jet.along)
+    m = len(jet.val) // n - 1
+    k = 2 * m
+    out = _bracket_algebra(gen, jet)
+    D, B = out[n:n + n * k], out[n + n * k:]
+    S = _least_squares(gen, [D[i * k:(i + 1) * k] for i in range(n)],
+                       [B[i * m:(i + 1) * m] for i in range(n)])
+    H0, H1 = [v for row in S[:m] for v in row], [v for row in S[m:] for v in row]
+    G, a, b = ([gen.state(n + s * m * m + c) for c in range(m * m)] for s in range(3))
+    return out[:n] + _products(gen, m, H0, H1, G, a, b)
+
+
 def _force_kernel(model: SODEModel, algebra):
     """The field kernel of ``algebra`` over the jet of the force along the
     lifted field X = (1, y, F) (no 1 when autonomous) and each x_k and y_k;
@@ -649,39 +766,52 @@ def _force_jet(model: SODEModel, t, x, y):
 
 def structure_at(pair: GenericPair, x):
     """X and the structure matrices (H0, H1) of [X, XV] = V H0 + XV H1 at the
-    point x: one call of the bracket kernel and one screened QR solve
-    (``_screened_solve``), for every pair (``joint_rhs`` gives a lifted
-    second-order system the force kernel instead).  A point that fails the
-    screen is solved by ``extract_H``'s SVD, which raises the
+    point x, for every pair (``joint_rhs`` gives a lifted second-order
+    system the force kernel instead): one call of the joint kernel, which
+    emits the least-squares solve after the bracket algebra
+    (``_least_squares``), at the state G = 0, a = 0, b = I, where
+    a' = -H0 b and b' = -a - H1 b are -H0 and -H1 exactly (each entry a sum
+    of one product by 1.0 and products by 0.0).  A point that fails the
+    solve's screen is solved by ``extract_H``'s SVD, which raises the
     RegularityViolation that ``extract_H`` raises."""
     n, m = pair.n, pair.m
-    flat = _bracket_outputs(pair, x)
-    D, XXV = flat[n:n + 2 * n * m].reshape(n, 2 * m), flat[n + 2 * n * m:].reshape(n, m)
-    S = _screened_solve(D, XXV)
-    if S is None:
-        S, cond_D, residual = _lstsq(D[None], XXV[None])
-        _raise_first_violation(np.asarray(x, dtype=float)[:, None], cond_D, residual)
-        S = S[0]
-    return flat[:n], S[:m], S[m:]
+    x = np.asarray(x, dtype=float)
+    w = [*x.tolist(), *[0.0] * (2 * m * m), *np.eye(m).ravel().tolist()]
+    try:
+        out = scalar.run_field(pair.joint_kernel, w, pair.params)
+    except DomainError:
+        out = None
+    if out is None:                 # the fields' own DomainError is raised again here
+        data = extract_H(pair, x)
+        return data.X, data.H0, data.H1
+    H = out[n + m * m:].reshape(2, m, m)
+    return out[:n], -H[0], -H[1]
 
 
 def joint_rhs(pair: GenericPair):
     """The right-hand side w' of the joint Jacobi solve of the pair, with
     state w = (x, vec G, vec a, vec b) (``jacobi.integrate_jacobi``): one
     call of the force kernel's joint algebra for lifted second-order
-    systems; for other pairs ``structure_at`` (one call of the bracket
-    kernel and the screened solve) and then one call of the pair's products
-    kernel, which emits the products as the force kernel does."""
+    systems; for other pairs one call of the pair's joint kernel, whose
+    bracket algebra, least-squares solve and products give all of w' where
+    the solve passes its screen.  Elsewhere (the kernel raises DomainError)
+    ``structure_at`` reads H0 and H1 from ``extract_H``'s SVD (or raises its
+    RegularityViolation), calling the joint kernel once more, and the
+    products kernel forms the products from them."""
     n = pair.n
     if pair.sode is not None:
         kernel, env = pair.sode.joint_kernel, pair.sode.params
         return lambda w: scalar.run_field(kernel, w.tolist(), env)
-    kernel = pair.products_kernel
+    kernel, env = pair.joint_kernel, pair.params
 
     def rhs(w):
+        try:
+            return scalar.run_field(kernel, w.tolist(), env)
+        except DomainError:
+            pass                    # the fallback raises outside the handler
         X, H0, H1 = structure_at(pair, w[:n])
-        return scalar.run_field(kernel, [*X.tolist(), *H0.ravel().tolist(), *H1.ravel().tolist(),
-                                         *w[n:].tolist()], {})
+        return scalar.run_field(pair.products_kernel, [*X.tolist(), *H0.ravel().tolist(),
+                                                       *H1.ravel().tolist(), *w[n:].tolist()], {})
     return rhs
 
 

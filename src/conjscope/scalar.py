@@ -57,6 +57,7 @@ finite difference.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 import re
@@ -422,7 +423,7 @@ def _sign(a):
 
 _SCALAR_GLOBALS = {
     "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
-    "_log": math.log, "_sqrt": math.sqrt, "_abs": abs, "_DomainError": DomainError,
+    "_log": math.log, "_sqrt": math.sqrt, "_abs": abs, "_max": max, "_DomainError": DomainError,
     "_INF": math.inf, "_NAN": math.nan,
 }
 
@@ -431,6 +432,7 @@ _ARRAY_GLOBALS = {
        for fn in ("sin", "cos", "tan", "exp", "log")},
     "_sqrt": _array_op(np.sqrt, math.sqrt),
     "_abs": _array_op(np.abs, abs),
+    "_max": lambda *args: functools.reduce(np.maximum, args),
     "_pow": _array_op(_pointwise(operator.pow), operator.pow),
     "_sign": _array_op(lambda a: np.where(a >= 0.0, 1.0, -1.0), _sign),
     "_load": _array_op(lambda a: np.asarray(a, dtype=float) if a.ndim else float(a), float),
@@ -501,6 +503,7 @@ class _Codegen:
         self.names = {}
         self.checks = set()
         self.trees = {}
+        self.negations = {}             # a local holding -u: u
 
     def emit(self, expr, where=None, array=None):
         """Local holding ``expr`` (``array`` in the array kernel, when they
@@ -514,7 +517,14 @@ class _Codegen:
         if name is None:
             name = self.memo[expr] = f"t{len(self.memo)}"
             self.body.append(("let", name, expr, array, where))
+            if expr[0] == "-" and _is_atom(expr[1:]):
+                self.negations[name] = expr[1:]
         return name
+
+    def negate(self, v):
+        """Local or literal of -v, None for a statically zero v: u when v
+        holds -u (IEEE negation is exact)."""
+        return None if v is None else self.negations.get(v) or self.emit(f"-{v}")
 
     def tree(self, expr):
         """The syntax tree of the expression of a statement, parsed once."""
@@ -523,11 +533,14 @@ class _Codegen:
             node = self.trees[expr] = ast.parse(expr, mode="eval").body
         return node
 
-    def check(self, cond, message, node):
+    def check(self, cond, message, where):
+        """A DomainError(message, where) when ``cond`` holds; ``where`` is
+        the failing expression, as text or as its node."""
         # a repeated check cannot fire: the first one would have
         if (cond, message) not in self.checks:
             self.checks.add((cond, message))
-            self.body.append(("check", cond, message, _pretty(node, 0)))
+            self.body.append(("check", cond, message,
+                              where if isinstance(where, str) else _pretty(where, 0)))
 
     def load(self, name, source=None):
         """Local of ``name``, bound by ``env`` or, with ``source``, read
@@ -756,8 +769,10 @@ class _Tangent:
             return emit(f"{da} / {a}")
         elif fn == "_sqrt":
             f1 = emit(f"0.5 / {v}")
-        else:
+        elif fn == "_abs":
             f1 = emit(f"1.0 if {a} >= 0.0 else -1.0", array=f"_sign({a})")
+        else:               # such as the _max of pair's least-squares screen
+            raise TypeError(f"no tangent rule for {fn}")
         return emit(_chain(f1, da))
 
 
@@ -1073,9 +1088,10 @@ def field_kernel(progs, coords, i, j, algebra, *extra, tangent=False):
     ``j``.  Its state ``w`` binds the names of ``coords`` by position, and
     ``env`` every other name.  ``algebra(gen, jet, *extra)`` emits the
     statements that combine the jet (a ``FieldJet``) through ``gen.emit``,
-    ``gen.dot`` and ``gen.combine``, reads further entries of the state
-    through ``gen.state``, and returns the output locals; one kernel call
-    gives them all (``run_field``).  With ``tangent`` the state holds, after
+    ``gen.dot``, ``gen.combine``, ``gen.negate`` and ``gen.check``, reads
+    further entries of the state through ``gen.state``, and returns the
+    output locals; one kernel call gives them all (``run_field``), or raises
+    the DomainError of a check that holds.  With ``tangent`` the state holds, after
     the coordinates, a direction u (one component per coordinate; the
     algebra then reads no further state), and the outputs are followed by
     their derivatives along u, exact to rounding (a separate kernel).

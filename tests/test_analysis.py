@@ -380,6 +380,27 @@ def test_jacobi_route_matches_the_oracle_on_nonintegrable_pairs(X, count):
         assert abs(c.t_star - o.t_star) <= 1e-11
 
 
+def test_a_lifted_system_written_as_a_generic_pair_finds_its_sode_times():
+    # configs/lifted_pair.ini writes a nonautonomous second-order system out
+    # as a generic pair, whose joint kernel folds its least-squares solve to
+    # row swaps; the same forces as a second-order model take the force
+    # kernel, and both routes find the same conjugate times
+    from pathlib import Path
+    from conjscope import cli
+    cfg = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "lifted_pair.ini")
+    pair, _, _, _ = cli.build_system(cfg["system"], cfg["params"])
+    x0 = [float(v) for v in cfg["analysis"]["x0"].split(",")]
+    T = float(cfg["analysis"]["t"])
+    model = pm.SODEModel(m=pair.m, F=pair.X[-pair.m:], autonomous=False)
+    generic = analysis.analyze(pair, x0=x0, T=T)
+    sode = analysis.analyze(model, x0=x0, T=T)
+    assert generic.report["system"]["kind"] == "generic"
+    assert len(generic.conjugate_times) == len(sode.conjugate_times) >= 3
+    for c, ref in zip(generic.conjugate_times, sode.conjugate_times):
+        assert c.multiplicity == ref.multiplicity
+        assert abs(c.t_star - ref.t_star) <= 1e-11
+
+
 def test_point_dependent_frame_change_keeps_times_and_curvature():
     # V -> V A(x) on mechanical: the second-order lift and the changed
     # generic pair have the same conjugate times and curvature eigenvalues

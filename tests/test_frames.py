@@ -277,12 +277,12 @@ def test_generic_K_normal_on_a_grid_matches_scalar_calls():
 
 @pytest.mark.parametrize("kind", ["autonomous", "nonautonomous", "generic"])
 def test_joint_solve_makes_one_field_evaluation_per_rhs_call(monkeypatch, kind):
-    # the right-hand side of the joint solve (pair.joint_rhs) evaluates the
-    # fields once per call, in one compiled field kernel: on a lifted
-    # second-order system the force kernel gives all of w', on a generic
-    # pair the bracket kernel gives X, D and XXV for the screened solve, and
-    # a second kernel, which evaluates no field, forms the products after it;
-    # no plain evaluation, seeded jet or bracket reader runs during the solve
+    # the right-hand side of the joint solve (pair.joint_rhs) is one call of
+    # one compiled field kernel: on a lifted second-order system the force
+    # kernel gives all of w', on a generic pair the joint kernel does, with
+    # the least-squares solve for H0, H1 emitted between the bracket algebra
+    # and the products; no plain evaluation, seeded jet or bracket reader
+    # runs during the solve
     kernel_calls, other_calls = [], []
     build = scalar._build
 
@@ -317,7 +317,7 @@ def test_joint_solve_makes_one_field_evaluation_per_rhs_call(monkeypatch, kind):
     ft = frames.transport_normal_frame(pr, x0, 3.0)
     js = ft.jacobi_solution
     calls = [kernel_calls.count(k) for k in set(kernel_calls)]
-    assert calls == [js.joint.n_rhs_evals] * (2 if kind == "generic" else 1)
+    assert calls == [js.joint.n_rhs_evals]
     assert js.joint.n_rhs_evals > 0
     assert other_calls == []
     # X is the pair's own field, bitwise

@@ -5,7 +5,7 @@ import pytest
 
 from conjscope import pair as pm
 from conjscope import scalar
-from conjscope.errors import RegularityViolation
+from conjscope.errors import DomainError, RegularityViolation
 
 from conftest import linear_combination, random_sode, split_and_project
 
@@ -349,6 +349,27 @@ def test_structure_at_passes_the_dancing_pair_away_from_its_singular_set():
         assert np.max(np.abs(H - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
 
+def _solve_algebra(gen, jet, n, k, p):
+    """The emitted least-squares solve of D S = B, with D (n x k) and B
+    (n x p) read from the state, row-major."""
+    w = [gen.state(i) for i in range(n * (k + p))]
+    S = pm._least_squares(gen, [w[i * k:(i + 1) * k] for i in range(n)],
+                          [w[n * k + i * p:n * k + (i + 1) * p] for i in range(n)])
+    return [v for row in S for v in row]
+
+
+def _emitted_solve(D, B):
+    """S of the emitted solve, or None where it fails its screen (a zero
+    rotation or pivot included), as the joint kernel's readers decide."""
+    (n, k), p = D.shape, B.shape[1]
+    kernel = scalar.field_kernel((), (), None, (), _solve_algebra, n, k, p)
+    try:
+        return scalar.run_field(kernel, [*D.ravel().tolist(), *B.ravel().tolist()], {}) \
+            .reshape(k, p)
+    except DomainError:
+        return None
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (5, 4), (7, 6)])
 def test_screened_solve_matches_numpy(shape):
     rng = np.random.default_rng(11)
@@ -357,24 +378,24 @@ def test_screened_solve_matches_numpy(shape):
     S_true = rng.standard_normal((k, k // 2 or 1))
     # a relative residual of about 1e-9, below the screen's cut, when n > k
     B = D @ S_true + 1e-9 * rng.standard_normal((n, S_true.shape[1]))
-    S = pm._screened_solve(D, B)
+    S = _emitted_solve(D, B)
     ref = np.linalg.lstsq(D, B, rcond=None)[0]
     assert np.allclose(S, ref, rtol=1e-12, atol=1e-12)
     if n > k:
         # a residual past INVARIANCE_TOL / 10 fails the screen
-        assert pm._screened_solve(D, B + 1e-6 * np.linalg.norm(B) * rng.standard_normal(B.shape)) \
+        assert _emitted_solve(D, B + 1e-6 * np.linalg.norm(B) * rng.standard_normal(B.shape)) \
             is None
     # an exactly singular D, and one with cond_2 = COND_LIMIT / 2, which the
     # SVD passes but the screen leaves to it (cond_1 >= cond_2 / k)
     singular = D.copy()
     singular[:, -1] = 0.0
-    assert pm._screened_solve(singular, B) is None
+    assert _emitted_solve(singular, B) is None
     U, _, Vt = np.linalg.svd(D, full_matrices=False)
     s = np.geomspace(1.0, 2.0 / pm.COND_LIMIT, k)
-    assert pm._screened_solve((U * s) @ Vt, B) is None
-    assert pm._screened_solve(np.where(D > 1.0, np.nan, D), B) is None
+    assert _emitted_solve((U * s) @ Vt, B) is None
+    assert _emitted_solve(np.where(D > 1.0, np.nan, D), B) is None
     # a wide D (fewer rows than columns) is left to the SVD too
-    assert pm._screened_solve(D[:, :1].T, B[:1]) is None
+    assert _emitted_solve(D[:, :1].T, B[:1]) is None
 
 
 def test_curvature_on_a_stack_raises_the_first_pointwise_violation():
@@ -458,16 +479,26 @@ def _as_generic(pair):
 
 
 def _check_generic_parity(pair, x0, T):
+    # the joint kernel passes its screen at every point, and both of its
+    # readers use its one solve: joint_rhs is, bitwise, the products of
+    # structure_at's X, H0 and H1; those leave an exact residual in the
+    # bracket relation no larger than the SVD's, or than eps |XXV|
+    rhs = pm.joint_rhs(pair)
+    rng = np.random.default_rng(5)
     stacked = []
     for x in _trajectory_points(pair, x0, T):
         X, D, XXV = _bracket_reference(pair, x)
-        S = pm._screened_solve(D, XXV)
-        assert S is not None
+        w = np.concatenate([x, rng.standard_normal(3 * pair.m ** 2)])
+        out = scalar.run_field(pair.joint_kernel, w.tolist(), pair.params)  # raises on a fail
         got = pm.structure_at(pair, x)
-        for a, b in zip(got, (X, S[:pair.m], S[pair.m:])):
-            assert np.array_equal(a, b)
+        assert np.array_equal(got[0], X)
+        assert np.array_equal(rhs(w), out) and np.array_equal(out, _joint_reference(*got, w))
+        data = pm.extract_H(pair, x)
+        floor = Fraction(np.finfo(float).eps * np.linalg.norm(XXV)) ** 2
+        assert _exact_residual(D, got[1], got[2], XXV) <= \
+            max(_exact_residual(D, data.H0, data.H1, XXV), floor)
         stacked.append((x, X, D, XXV))
-    # the stack form of the same kernel: brackets_at on all points at once
+    # the stack form of the bracket kernel: brackets_at on all points at once
     xs = np.array([s[0] for s in stacked]).T
     X, V, XV, XXV = pm.brackets_at(pair, xs)
     assert np.array_equal(X, [s[1] for s in stacked])
@@ -513,13 +544,17 @@ def test_field_kernels_match_the_numpy_algebra_on_the_catalog(name):
     _check_generic_parity(_as_generic(pr), x0, entry.default_T)
 
 
-def test_bracket_kernel_matches_the_numpy_algebra_on_the_nonholonomic_config():
+def _config_pair(name):
+    """The pair, x0 and T of a generic-pair config under configs/."""
     from pathlib import Path
     from conjscope import cli
-    cfg = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "nonholonomic.ini")
+    cfg = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.ini")
     pair, _, _, _ = cli.build_system(cfg["system"], cfg["params"])
-    x0 = [float(v) for v in cfg["analysis"]["x0"].split(",")]
-    _check_generic_parity(pair, x0, float(cfg["analysis"]["t"]))
+    return pair, [float(v) for v in cfg["analysis"]["x0"].split(",")], float(cfg["analysis"]["t"])
+
+
+def test_bracket_kernel_matches_the_numpy_algebra_on_the_nonholonomic_config():
+    _check_generic_parity(*_config_pair("nonholonomic"))
 
 
 def test_bracket_kernel_matches_the_numpy_algebra_on_random_systems():
@@ -530,6 +565,24 @@ def test_bracket_kernel_matches_the_numpy_algebra_on_random_systems():
     for model, x0 in systems:
         pr = pm.lift_sode(model)
         _check_generic_parity(_as_generic(pr), pm.full_x0(model, pr, x0), 2.0)
+
+
+def test_every_rotation_folds_on_a_lifted_system():
+    # a second-order system read as a generic pair has the constant frame
+    # pattern [V | XV] = [[0, -I], [I, -dF/dy]] (after an all-zero t row when
+    # nonautonomous), so every Givens rotation of its joint kernel's solve
+    # is skipped or is a signed row swap, and the kernel takes no sqrt; the
+    # nonholonomic pair, whose frame varies, keeps its rotations
+    from conftest import screened_random_sodes
+    from conjscope import catalog
+    lifts = [pm.lift_sode(catalog.build(name)[0]) for name in catalog.ENTRIES]
+    lifts += [pm.lift_sode(model) for model, _ in screened_random_sodes(seed=77, count=8)]
+    lifts += [pm.lift_sode(pm.SODEModel(m=1, F=("-x1 - 0.1*t*y1",))),
+              _config_pair("lifted_pair")[0]]
+    assert {(pr.m, pr.n % 2) for pr in lifts} == {(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)}
+    for pr in lifts:
+        assert "_sqrt(" not in _as_generic(pr).joint_kernel._sources["_scalar"]
+    assert "_sqrt(" in _config_pair("nonholonomic")[0].joint_kernel._sources["_scalar"]
 
 
 def test_field_kernels_raise_what_evaluate_raises():
