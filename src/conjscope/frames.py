@@ -5,16 +5,16 @@ after multiplication by the matrix solution G of the transport equation
 X(G) = -H1 G / 2; the curvature matrix expressed in that frame is the
 coefficient matrix of the Jacobi equation.  The base point, G and the Jacobi
 fields are one ODE solve, whose right-hand side (``pair.joint_rhs``) is one
-call of a compiled field kernel per evaluation, which gives the whole
-derivative: on a lifted second-order system from the force jet, and on a
-generic pair from the brackets, a Givens least-squares solve for the
-structure matrices H0, H1 of the bracket relation and the products after
-it; a point that fails the solve's screen (its exact condition number and
-residual) goes to the SVD, which decides and reports regularity.  The
-normal curvature is computed afterwards, on whatever times it is asked for,
-from the transported point and G: on an array of times, one dense lookup (on
-the grid, the one every grid reader shares), one curvature call per block of
-points and one batched solve.  On a generic pair each curvature point is one
+call of the pair's compiled joint kernel per evaluation, which gives the
+whole derivative, on a lifted second-order system as on any other pair:
+the brackets, a Givens least-squares solve for the structure matrices H0,
+H1 of the bracket relation and the products after it.  A point that fails
+the solve's screen (its exact condition number and residual) is decided by
+the SVD, which reports regularity; where the SVD passes, the kernel's own
+derivative stands.  The normal curvature is computed afterwards, on
+whatever times it is asked for, from the transported point and G: on an
+array of times, one dense lookup (on the grid, the one every grid reader
+shares), one curvature call per block of points and one batched solve.  On a generic pair each curvature point is one
 column of a tangent-kernel call, the brackets with their derivatives along
 X, and one SVD, which gives H0, H1 and the exact X(H1)
 (``pair.flow_derivative_H1``).
@@ -79,7 +79,7 @@ def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
     scalar equation, so this would signal numerical breakdown).  When the
     solve stalls (StepSizeUnderflow), its ``point`` becomes the pair's point
     where the solve stopped (the leading n entries of the joint state, the t
-    slot first on a nonautonomous system); a generic pair is checked for
+    slot first on a nonautonomous system); the pair is checked for
     regularity there, and the R2 or I violation found is raised in its
     place."""
     m, n = pair.m, pair.n
@@ -92,8 +92,7 @@ def transport_normal_frame(pair, x0, T, G0=None, rel_tol=ode.DEFAULT_REL_TOL,
                                      rel_tol=rel_tol, abs_tol=abs_tol)
     except StepSizeUnderflow as err:
         err.point = err.point[:n]
-        if pair.sode is None:       # a stall at a singular [V | XV] is that violation
-            pair_mod.extract_H(pair, err.point)
+        pair_mod.extract_H(pair, err.point)     # a stall at a singular [V | XV] is that violation
         raise
 
     dets = np.abs(np.linalg.det(js.joint.states[:, n:n + m * m].reshape(-1, m, m)))

@@ -19,13 +19,13 @@ second-order force are each one field kernel (``scalar.field_kernel``),
 which emits the bracket algebra after the jet, so ``brackets_at`` and
 ``_force_jet`` are its scalar form at one point and its array form on a
 stack.  ``joint_rhs`` gives the right-hand side of the joint Jacobi solve
-as one kernel call: for a lifted second-order system a force kernel that
-also emits the products; for any other pair its joint kernel, which emits
-the bracket algebra, then a Givens least-squares solve for H0, H1 with its
-regularity screen (``_least_squares``), then the same products.  A point
-that fails the screen raises inside the kernel and is solved by
-``extract_H``'s SVD instead, which decides and reports regularity.
-``structure_at`` reads H0, H1 from the same emitted solve.
+of every pair, a lifted second-order system included, as one call of the
+pair's joint kernel, which emits the bracket algebra, then a Givens
+least-squares solve for H0, H1 (``_least_squares``), then the products,
+then the solve's regularity screen.  On a lifted system the solve folds to
+H1 = -dF/dy and H0 = dF/dx - X(dF/dy).  A point that fails the screen is
+decided by ``extract_H``'s SVD, which raises the violation it finds; where
+the SVD passes, the right-hand side is still the kernel's own.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "RegularityReport",
     "lift_sode",
     "extract_H",
-    "structure_at",
     "joint_rhs",
     "curvature_frame",
     "sode_curvature",
@@ -65,14 +64,13 @@ def _as_expr(e) -> ExprProgram:
 
 # The kernels that a solve reads on every step or block are model attributes,
 # although scalar's kernel table would give them back on every request:
-# SODEModel.jet_kernel and joint_kernel, GenericPair.joint_kernel,
-# bracket_kernel, tangent_kernel, products_kernel and stacked, and
-# hamiltonian.SemiHamiltonianModel.sigma_field.  A table lookup builds the
-# exact key and takes the table's lock, 2.5-5.2 us against 0.3 us for an
-# attribute read (timed on 64-point blocks of random second-order systems read as
-# generic pairs, (n, m) = (2, 1) to (6, 3)), and a generic right-hand side,
-# which reads joint_kernel at every evaluation, takes 1.5-5.7 us in all on
-# those pairs (2 vCPU, Python 3.11).
+# SODEModel.jet_kernel, GenericPair.joint_kernel, bracket_kernel,
+# tangent_kernel and stacked, and hamiltonian.SemiHamiltonianModel.sigma_field.
+# A table lookup builds the exact key and takes the table's lock, 2.5-5.2 us
+# against 0.3 us for an attribute read (timed on 64-point blocks of random
+# second-order systems read as generic pairs, (n, m) = (2, 1) to (6, 3)), and
+# a right-hand side, which reads joint_kernel at every evaluation, takes
+# 1.5-5.7 us in all on those pairs (2 vCPU, Python 3.11).
 
 @dataclass(frozen=True)
 class SODEModel:
@@ -106,13 +104,7 @@ class SODEModel:
     def jet_kernel(self):
         """The force kernel of F, dF/dx, dF/dy and X(dF/dy) (``_force_jet``),
         compiled on first use."""
-        return _force_kernel(self, _force_algebra)
-
-    @cached_property
-    def joint_kernel(self):
-        """The force kernel of the joint Jacobi right-hand side
-        (``joint_rhs``), compiled on first use."""
-        return _force_kernel(self, _joint_algebra)
+        return _force_kernel(self)
 
     def force_bindings(self, t, x, y):
         env = dict(self.params)
@@ -182,16 +174,9 @@ class GenericPair:
     @cached_property
     def joint_kernel(self):
         """The kernel of the joint right-hand side with the solve for H0, H1
-        emitted after the bracket algebra (``_generic_joint_algebra``),
-        compiled on first use."""
-        return _pair_kernel(self, _generic_joint_algebra)
-
-    @cached_property
-    def products_kernel(self):
-        """The kernel of the joint right-hand side from the SVD's X, H0 and
-        H1 at a point that fails the joint kernel's screen
-        (``_generic_algebra``), compiled on first use."""
-        return scalar.field_kernel((), (), None, (), _generic_algebra, self.n, self.m)
+        emitted after the bracket algebra (``_rhs_algebra``), compiled on
+        first use."""
+        return _pair_kernel(self, _rhs_algebra)
 
     def bindings(self, x):
         """The parameters and the coordinates of x: reals for one point
@@ -249,16 +234,15 @@ def full_x0(model, pair: GenericPair, x0):
 
 # -- jets of expression-valued vector fields ---------------------------------
 #
-# Every function below but ``structure_at`` and ``joint_rhs`` takes one point
-# x of shape (n,) or a stack of N points as the columns of an (n, N) array,
-# and is written once, for stacks: a point is a stack of one, and its outputs
-# lose the leading point axis that the outputs of a stack carry.  A stack
-# binds each coordinate to an array, so one array-kernel call jets every
-# point (``scalar.second_partials``, ``scalar.run_field``); one point binds
-# reals and runs the scalar kernel, whose outputs ``_lead`` gives the point
-# axis.  Each point of a stack
-# goes through the same per-point matrix products as it does alone, so it
-# gives the same bits.
+# Every function below but ``joint_rhs`` takes one point x of shape (n,) or a
+# stack of N points as the columns of an (n, N) array, and is written once,
+# for stacks: a point is a stack of one, and its outputs lose the leading
+# point axis that the outputs of a stack carry.  A stack binds each
+# coordinate to an array, so one array-kernel call jets every point
+# (``scalar.second_partials``, ``scalar.run_field``); one point binds reals
+# and runs the scalar kernel, whose outputs ``_lead`` gives the point axis.
+# Each point of a stack goes through the same per-point matrix products as
+# it does alone, so it gives the same bits.
 
 # points per call on a grid: bounds the memory of the jets of a block
 BLOCK = 64
@@ -479,8 +463,9 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
     the solve that decides and reports regularity.  The Jacobi solve does
     not call it at every point: its joint kernel emits a Givens solve with
     the exact cond_1 of its R factor and its residual as a screen
-    (``_least_squares``), and calls on this SVD only where the screen
-    fails.  On a stack the violation raised is the first in stack order."""
+    (``_least_squares``), and calls on this SVD only to decide a point that
+    fails the screen.  On a stack the violation raised is the first in
+    stack order."""
     xs, one = _stack(x)
     x_val, V, XV, XXV = _lead(one, *brackets_at(pair, x))
     m = pair.m
@@ -549,20 +534,50 @@ def sode_curvature(model: SODEModel, t, x, y):
     return -dFdx - 0.25 * dFdy @ dFdy + 0.5 * X_dFdy
 
 
-def _force_parts(jet):
-    """dF/dx, dF/dy and X(dF/dy), row-major, from the jet of the force along
-    the lifted field X = (1, y, F) and each x_k, then each y_k."""
-    m = len(jet.val)
-    return ([jet.dj[r][c] for r in range(m) for c in range(m)],
-            [jet.dj[r][m + c] for r in range(m) for c in range(m)],
-            [jet.dij[r][m + c] for r in range(m) for c in range(m)])
-
-
 def _force_algebra(gen, jet):
-    """F, dF/dx, dF/dy and X(dF/dy)."""
-    dFdx, dFdy, X_dFdy = _force_parts(jet)
-    return list(jet.val) + dFdx + dFdy + X_dFdy
+    """F, then dF/dx, dF/dy and X(dF/dy) row-major, from the jet of the
+    force along the lifted field X = (1, y, F) and each x_k, then each y_k."""
+    m = len(jet.val)
+    cells = [(r, c) for r in range(m) for c in range(m)]
+    return (list(jet.val) + [jet.dj[r][c] for r, c in cells]
+            + [jet.dj[r][m + c] for r, c in cells] + [jet.dij[r][m + c] for r, c in cells])
 
+
+def _force_kernel(model: SODEModel):
+    """The field kernel of ``_force_algebra`` over the jet of the force along
+    the lifted field X = (1, y, F) (no 1 when autonomous) and each x_k and
+    y_k; the state holds the lifted coordinates."""
+    m = model.m
+    along = [] if model.autonomous else [("t", 1.0)]
+    along += [(f"x{k+1}", f"y{k+1}") for k in range(m)] + [(f"y{k+1}", k) for k in range(m)]
+    j = [f"x{k+1}" for k in range(m)] + [f"y{k+1}" for k in range(m)]
+    return scalar.field_kernel(model.F, model.coord_names, scalar.Along(tuple(along)), j,
+                               _force_algebra)
+
+
+def _force_jet(model: SODEModel, t, x, y):
+    """F, dF/dx, dF/dy and the derivative X(dF/dy) of dF/dy along the lifted
+    field X = (1, y, F), from one call of the force kernel."""
+    m = model.m
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    count = None if x.ndim == 1 else x.shape[1]
+    w = x.tolist() + y.tolist() if count is None else [*x, *y]
+    if not model.autonomous:
+        w.insert(0, t if np.ndim(t) else float(t))
+    flat = scalar.run_field(model.jet_kernel, w, model.params, count)
+    mats = flat[..., m:].reshape(flat.shape[:-1] + (3, m, m))
+    return (flat[..., :m], *np.moveaxis(mats, -3, 0))
+
+
+def curvature_at(pair: GenericPair, x):
+    """Curvature in the working frame: closed form for lifted second-order
+    systems, ``curvature_frame`` otherwise."""
+    if pair.sode is not None:
+        return sode_curvature(*_sode_point(pair, x))
+    return curvature_frame(pair, x)
+
+
+# -- the right-hand side of the joint Jacobi solve -----------------------------
 
 def _products(gen, m, H0, H1, G, a, b):
     """The Jacobi part of the joint right-hand side, -H1 G / 2, -H0 b and
@@ -578,29 +593,8 @@ def _products(gen, m, H0, H1, G, a, b):
             + [gen.combine(("-", a[r * m + c]), ("-", prod(H1, b, r, c))) for r, c in cells])
 
 
-def _joint_algebra(gen, jet):
-    """The right-hand side of the joint Jacobi solve of a lifted system, with
-    state w = (z, vec G, vec a, vec b): z' = X, G' = -H1 G / 2, a' = -H0 b,
-    b' = -a - H1 b, with H1 = -dF/dy and H0 = dF/dx - X(dF/dy)."""
-    n, m = len(jet.along), len(jet.val)
-    dFdx, dFdy, X_dFdy = _force_parts(jet)
-    H1 = [None if v is None else gen.emit(f"-{v}") for v in dFdy]
-    H0 = [gen.combine(("+", p), ("-", q)) for p, q in zip(dFdx, X_dFdy)]
-    G, a, b = ([gen.state(n + s * m * m + k) for k in range(m * m)] for s in range(3))
-    return list(jet.along) + _products(gen, m, H0, H1, G, a, b)
-
-
-def _generic_algebra(gen, jet, n, m):
-    """The right-hand side of the joint Jacobi solve of a generic pair from
-    the state (X, vec H0, vec H1, vec G, vec a, vec b): X, then the products
-    of ``_joint_algebra``.  The kernel jets nothing; X, H0 and H1 come from
-    ``structure_at``."""
-    X = [gen.state(i) for i in range(n)]
-    H0, H1, G, a, b = ([gen.state(n + s * m * m + k) for k in range(m * m)] for s in range(5))
-    return X + _products(gen, m, H0, H1, G, a, b)
-
-
-# a rotation whose a^2 + b^2 is at most this leaves the point to the SVD:
+# a rotation whose a^2 + b^2 is at most this is not formed, unless both
+# entries are 0.0:
 # above it the larger square is a normal float, so the rounding that
 # underflow adds to the smaller one is below 2^-115 of the sum
 _TINY = 2.0 ** -960
@@ -625,8 +619,9 @@ def _least_squares(gen, D, B):
     Computations*, 4th ed., 5.1.8-5.2.5) rotates the rows of [D | B] to
     [R | Q^T B], column by column, each row below the diagonal against the
     diagonal row; back substitution gives S = R^-1 (Q^T B)[:k], and the
-    columns of R^-1.  The screen is a check, so a point that fails it
-    raises DomainError: it passes when S, the column sums of |R| and |R^-1|
+    columns of R^-1.  The screen is a check that runs after the kernel's
+    other statements, so a point that fails it raises DomainError carrying
+    the kernel's outputs: it passes when S, the column sums of |R| and |R^-1|
     and the residual terms are finite, the exact cond_1(R) (the product of
     the largest column sums) is at most COND_LIMIT / (10 k), and the
     relative residual |D S - B| / |B|, read from the trailing rows of
@@ -637,20 +632,20 @@ def _least_squares(gen, D, B):
     Static entries fold.  A rotation whose lower entry is statically zero is
     skipped; one whose upper entry is statically zero is a signed row swap,
     rows (c, q) becoming (q, -c), with no sqrt; a division by a literal 1.0
-    or -1.0 is a sign, and |-u| reads |u|.  A rotation whose a^2 + b^2 is at
-    most _TINY (zero included), or a zero diagonal entry of R that no
-    rotation formed, raises DomainError too, and so does every point of a
-    wide D (n < k) or of one whose R has a statically zero diagonal entry."""
+    or -1.0 is a sign, and |-u| reads |u|.  A rotation of two entries that
+    are both 0.0 at a point is the identity there.  A rotation whose
+    a^2 + b^2 is at most _TINY otherwise, or a zero diagonal entry of R,
+    raises DomainError where it occurs, with no outputs, and so does every
+    point of a wide D (n < k) or of one whose R has a statically zero
+    diagonal entry."""
     n, k, p = len(D), len(D[0]), len(B[0])
     A = [list(d) + list(b) for d, b in zip(D, B)]
-    formed = set()                      # the rotation norms: nonzero by their check
-
     def quotient(v, d):
         if v is None or d == "1.0":
             return v
         if d == "(-1.0)":
             return gen.negate(v)
-        if _numeric(d) is None and d not in formed:
+        if _numeric(d) is None:
             gen.check(f"{d} == 0.0", "zero pivot", _WHERE)
         return gen.emit(f"{v} / {d}")
 
@@ -663,14 +658,18 @@ def _least_squares(gen, D, B):
                 A[c], A[q] = A[q], [gen.negate(v) for v in A[c]]
                 continue
             r2 = gen.dot(((a, a), (b, b)))
-            gen.check(f"{r2} <= {_TINY!r}", "zero Givens rotation", _WHERE)
-            r = gen.emit(f"_sqrt({r2})")
-            cs, sn = gen.emit(f"{a} / {r}"), gen.emit(f"{b} / {r}")
+            # two entries that are both 0.0 at a point rotate by the identity
+            # there (as LAPACK's dlartg takes them), and r = 0 is a pivot
+            gen.check(f"({r2} <= {_TINY!r}) & (({a} != 0.0) | ({b} != 0.0))",
+                      "tiny Givens rotation", _WHERE)
+            r, turn = gen.emit(f"_sqrt({r2})"), f"{r2} != 0.0"
+            cs, sn = (gen.emit(f"{v} / {r} if {turn} else {one}",
+                               array=f"_where({turn}, {v} / {r}, {one})")
+                      for v, one in ((a, "1.0"), (b, "0.0")))
             top, low, minus_sn = A[c][c + 1:], A[q][c + 1:], gen.negate(sn)
             A[c] = [None] * c + [r] + [gen.dot(((cs, u), (sn, v))) for u, v in zip(top, low)]
             A[q] = [None] * (c + 1) + [gen.dot(((minus_sn, u), (cs, v)))
                                        for u, v in zip(top, low)]
-            formed.add(r)
     S = [[None] * p for _ in range(k)]
     if n < k or any(A[c][c] is None for c in range(k)):
         gen.check("True", "no least-squares solve", _WHERE)
@@ -718,15 +717,15 @@ def _least_squares(gen, D, B):
     if total is not None:
         fails.insert(0, f"({total} - {total} != 0.0)")
     if fails:
-        gen.check(" | ".join(fails), "the screen of the solve fails", _WHERE)
+        gen.check(" | ".join(fails), "the screen of the solve fails", _WHERE, carry=True)
     return S
 
 
-def _generic_joint_algebra(gen, jet):
-    """The right-hand side of the joint Jacobi solve of a generic pair, with
-    state w = (x, vec G, vec a, vec b): the bracket algebra, the solve of
-    D (H0; H1) = XXV (``_least_squares``) and the products of
-    ``_joint_algebra``."""
+def _rhs_algebra(gen, jet):
+    """The right-hand side of the joint Jacobi solve of a pair, with state
+    w = (x, vec G, vec a, vec b): x' = X, G' = -H1 G / 2, a' = -H0 b and
+    b' = -a - H1 b (``_products``), with H0, H1 from the bracket algebra and
+    the solve of D (H0; H1) = XXV (``_least_squares``)."""
     n = len(jet.along)
     m = len(jet.val) // n - 1
     k = 2 * m
@@ -739,88 +738,28 @@ def _generic_joint_algebra(gen, jet):
     return out[:n] + _products(gen, m, H0, H1, G, a, b)
 
 
-def _force_kernel(model: SODEModel, algebra):
-    """The field kernel of ``algebra`` over the jet of the force along the
-    lifted field X = (1, y, F) (no 1 when autonomous) and each x_k and y_k;
-    the state starts with the lifted coordinates."""
-    m = model.m
-    along = [] if model.autonomous else [("t", 1.0)]
-    along += [(f"x{k+1}", f"y{k+1}") for k in range(m)] + [(f"y{k+1}", k) for k in range(m)]
-    j = [f"x{k+1}" for k in range(m)] + [f"y{k+1}" for k in range(m)]
-    return scalar.field_kernel(model.F, model.coord_names, scalar.Along(tuple(along)), j, algebra)
-
-
-def _force_jet(model: SODEModel, t, x, y):
-    """F, dF/dx, dF/dy and the derivative X(dF/dy) of dF/dy along the lifted
-    field X = (1, y, F), from one call of the force kernel."""
-    m = model.m
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    count = None if x.ndim == 1 else x.shape[1]
-    w = x.tolist() + y.tolist() if count is None else [*x, *y]
-    if not model.autonomous:
-        w.insert(0, t if np.ndim(t) else float(t))
-    flat = scalar.run_field(model.jet_kernel, w, model.params, count)
-    mats = flat[..., m:].reshape(flat.shape[:-1] + (3, m, m))
-    return (flat[..., :m], *np.moveaxis(mats, -3, 0))
-
-
-def structure_at(pair: GenericPair, x):
-    """X and the structure matrices (H0, H1) of [X, XV] = V H0 + XV H1 at the
-    point x, for every pair (``joint_rhs`` gives a lifted second-order
-    system the force kernel instead): one call of the joint kernel, which
-    emits the least-squares solve after the bracket algebra
-    (``_least_squares``), at the state G = 0, a = 0, b = I, where
-    a' = -H0 b and b' = -a - H1 b are -H0 and -H1 exactly (each entry a sum
-    of one product by 1.0 and products by 0.0).  A point that fails the
-    solve's screen is solved by ``extract_H``'s SVD, which raises the
-    RegularityViolation that ``extract_H`` raises."""
-    n, m = pair.n, pair.m
-    x = np.asarray(x, dtype=float)
-    w = [*x.tolist(), *[0.0] * (2 * m * m), *np.eye(m).ravel().tolist()]
-    try:
-        out = scalar.run_field(pair.joint_kernel, w, pair.params)
-    except DomainError:
-        out = None
-    if out is None:                 # the fields' own DomainError is raised again here
-        data = extract_H(pair, x)
-        return data.X, data.H0, data.H1
-    H = out[n + m * m:].reshape(2, m, m)
-    return out[:n], -H[0], -H[1]
-
-
 def joint_rhs(pair: GenericPair):
     """The right-hand side w' of the joint Jacobi solve of the pair, with
     state w = (x, vec G, vec a, vec b) (``jacobi.integrate_jacobi``): one
-    call of the force kernel's joint algebra for lifted second-order
-    systems; for other pairs one call of the pair's joint kernel, whose
-    bracket algebra, least-squares solve and products give all of w' where
-    the solve passes its screen.  Elsewhere (the kernel raises DomainError)
-    ``structure_at`` reads H0 and H1 from ``extract_H``'s SVD (or raises its
-    RegularityViolation), calling the joint kernel once more, and the
-    products kernel forms the products from them."""
-    n = pair.n
-    if pair.sode is not None:
-        kernel, env = pair.sode.joint_kernel, pair.sode.params
-        return lambda w: scalar.run_field(kernel, w.tolist(), env)
-    kernel, env = pair.joint_kernel, pair.params
+    call of the pair's joint kernel, whose bracket algebra, least-squares
+    solve and products give all of w'.  Where the solve cannot be formed or
+    fails its screen (the kernel raises DomainError), ``extract_H``'s SVD
+    decides the point and raises the RegularityViolation it finds (or the
+    fields' own DomainError); where it passes, w' is the outputs that the
+    screen's DomainError carries, and a solve that could not be formed
+    raises its DomainError."""
+    n, kernel, env = pair.n, pair.joint_kernel, pair.params
 
     def rhs(w):
         try:
             return scalar.run_field(kernel, w.tolist(), env)
-        except DomainError:
-            pass                    # the fallback raises outside the handler
-        X, H0, H1 = structure_at(pair, w[:n])
-        return scalar.run_field(pair.products_kernel, [*X.tolist(), *H0.ravel().tolist(),
-                                                       *H1.ravel().tolist(), *w[n:].tolist()], {})
+        except DomainError as err:
+            failed = err            # the SVD raises outside the handler
+        extract_H(pair, w[:n])
+        if failed.outputs is None:
+            raise failed
+        return np.fromiter(failed.outputs, float)
     return rhs
-
-
-def curvature_at(pair: GenericPair, x):
-    """Curvature in the working frame: closed form for lifted second-order
-    systems, ``curvature_frame`` otherwise."""
-    if pair.sode is not None:
-        return sode_curvature(*_sode_point(pair, x))
-    return curvature_frame(pair, x)
 
 
 # -- regularity ---------------------------------------------------------------

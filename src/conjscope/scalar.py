@@ -435,6 +435,7 @@ _ARRAY_GLOBALS = {
     "_max": lambda *args: functools.reduce(np.maximum, args),
     "_pow": _array_op(_pointwise(operator.pow), operator.pow),
     "_sign": _array_op(lambda a: np.where(a >= 0.0, 1.0, -1.0), _sign),
+    "_where": np.where,
     "_load": _array_op(lambda a: np.asarray(a, dtype=float) if a.ndim else float(a), float),
     "_any": np.any, "_DomainError": DomainError, "_INF": math.inf, "_NAN": math.nan,
 }
@@ -492,9 +493,9 @@ class _Codegen:
     ``env`` binds the names, ``d1`` and ``d2[c]`` hold the components of
     mapping seeds.  ``head`` holds the loads as (local, source) and ``body``
     the statements as ("let", local, expr, array expr or None, where) and
-    ("check", condition, message, where); ``_source`` writes them out as the
-    scalar or the array kernel.  ``gen`` emits the value statements of a
-    tree; their derivatives are emitted by ``_Tangent``."""
+    ("check", condition, message, where, carry); ``_source`` writes them out
+    as the scalar or the array kernel.  ``gen`` emits the value statements
+    of a tree; their derivatives are emitted by ``_Tangent``."""
 
     def __init__(self):
         self.head = []
@@ -533,14 +534,16 @@ class _Codegen:
             node = self.trees[expr] = ast.parse(expr, mode="eval").body
         return node
 
-    def check(self, cond, message, where):
+    def check(self, cond, message, where, carry=False):
         """A DomainError(message, where) when ``cond`` holds; ``where`` is
-        the failing expression, as text or as its node."""
+        the failing expression, as text or as its node.  A check that
+        ``carry``s runs after every statement of the kernel, and its
+        DomainError carries the kernel's outputs (``DomainError.outputs``)."""
         # a repeated check cannot fire: the first one would have
         if (cond, message) not in self.checks:
             self.checks.add((cond, message))
             self.body.append(("check", cond, message,
-                              where if isinstance(where, str) else _pretty(where, 0)))
+                              where if isinstance(where, str) else _pretty(where, 0), carry))
 
     def load(self, name, source=None):
         """Local of ``name``, bound by ``env`` or, with ``source``, read
@@ -638,15 +641,17 @@ def _source(head, body, outputs, array, args):
     ``_Codegen``, returning ``outputs``; statements they do not read are left
     out (``_live``).  ``args`` is ``"env, d1, d2"``, or ``"w, env"`` for a
     field kernel, whose scalar kernel reads the floats of ``w`` as they are."""
-    lines = [f"def _kernel({args}):"]
+    lines, last = [f"def _kernel({args}):"], []
+    returned = f"({''.join(o + ', ' for o in outputs)})"
     for local, src in head:
         load = "_load" if array else "" if src.startswith("w[") else "float"
         lines.append(f"    {local} = {load}({src})" if load else f"    {local} = {src}")
     for kind, *rest in _live(body, outputs):
         if kind == "check":
-            cond, message, where = rest
-            lines.append(f"    if {f'_any({cond})' if array else cond}: "
-                         f"raise _DomainError({message!r}, {where!r})")
+            cond, message, where, carry = rest
+            (last if carry else lines).append(
+                f"    if {f'_any({cond})' if array else cond}: "
+                f"raise _DomainError({message!r}, {where!r}{', ' + returned if carry else ''})")
             continue
         name, expr, array_expr, where = rest
         if array:
@@ -657,7 +662,7 @@ def _source(head, body, outputs, array, args):
             lines += ["    try:", f"        {name} = {expr}",
                       "    except ValueError as err:",
                       f"        raise _DomainError(str(err), {where!r}) from None"]
-    lines.append(f"    return ({''.join(o + ', ' for o in outputs)})")
+    lines += last + [f"    return {returned}"]
     return "\n".join(lines)
 
 
@@ -697,10 +702,10 @@ class _Tangent:
         body, gen.body = gen.body, []
         for k, stmt in enumerate(body):
             if stmt[0] == "check":
-                _, cond, message, where = stmt
+                _, cond, message, where, carry = stmt
                 arg = cond.split(" ")[0]
                 if message == _SQRT_NEGATIVE and any(arg in tan for tan in live):
-                    body[k] = ("check", f"{arg} <= 0.0", _SQRT_AT_ZERO, where)
+                    body[k] = ("check", f"{arg} <= 0.0", _SQRT_AT_ZERO, where, carry)
                 continue
             node, own, self.text = gen.tree(stmt[2]), stmt[1], stmt[2]
             for tan in live:
@@ -1091,7 +1096,8 @@ def field_kernel(progs, coords, i, j, algebra, *extra, tangent=False):
     ``gen.dot``, ``gen.combine``, ``gen.negate`` and ``gen.check``, reads
     further entries of the state through ``gen.state``, and returns the
     output locals; one kernel call gives them all (``run_field``), or raises
-    the DomainError of a check that holds.  With ``tangent`` the state holds, after
+    the DomainError of a check that holds (with the outputs, for a check
+    that carries them).  With ``tangent`` the state holds, after
     the coordinates, a direction u (one component per coordinate; the
     algebra then reads no further state), and the outputs are followed by
     their derivatives along u, exact to rounding (a separate kernel).

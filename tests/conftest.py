@@ -1,7 +1,7 @@
 """Shared fixtures: an empty kernel table for each test, random polynomial
 second-order systems with screening, and the references the tests read:
-Q = P', the vertical/horizontal splitting, and linear combinations of
-expressions."""
+Q = P', the vertical/horizontal splitting, X, H0 and H1 as the joint
+right-hand side solves them, and linear combinations of expressions."""
 
 import numpy as np
 import pytest
@@ -44,6 +44,19 @@ def jacobi_Q(js, t, H1_at=None):
     else:
         H1 = H1_at(z)
     return np.linalg.solve(G, a + 0.5 * H1 @ b)
+
+
+def rhs_structure(pair, x):
+    """X, H0 and H1 at the point x as the joint right-hand side of the pair
+    (``pair.joint_rhs``) solves them: one call at the state G = 0, a = 0,
+    b = I, where a' = -H0 b and b' = -a - H1 b are -H0 and -H1 exactly (each
+    entry a sum of one product by 1.0 and products by 0.0).  A point that
+    fails the solve's screen raises what ``extract_H`` raises."""
+    n, m = pair.n, pair.m
+    w = np.concatenate([np.asarray(x, dtype=float), np.zeros(2 * m * m), np.eye(m).ravel()])
+    out = pair_mod.joint_rhs(pair)(w)
+    H = out[n + m * m:].reshape(2, m, m)
+    return out[:n], -H[0], -H[1]
 
 
 def split_and_project(pair, x):

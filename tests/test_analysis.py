@@ -643,19 +643,53 @@ def test_analyze_and_curve_rows_interpolate_the_grid_once(monkeypatch, name):
 
 
 def test_a_stalled_solve_ends_with_a_typed_error():
-    # from this state the force 0.3 sin(t) - x1 drives the joint solve into a
-    # blow-up near t = 1.20171, where its steps fall below ode.MIN_STEP * T
-    # (at step 270); the solve stops there with the time and the state
-    model, _ = catalog.build("dancing", {"F": "0.3*sin(t) - x1"})
+    # from this state the force x1^3 + 0.1 sin(t) drives the joint solve into
+    # a blow-up near t = 1.50101, where its steps fall below ode.MIN_STEP * T
+    # (at step 501, with cond[V | XV] still below COND_LIMIT); the solve
+    # stops there with the time and the state
+    model = pm.SODEModel(m=1, F=("x1^3 + 0.1*sin(t)",))
     start = time.perf_counter()
     with pytest.raises(StepSizeUnderflow) as err:
-        analysis.analyze(model, x0=(2.5, -2.0, 0.6, 0.1), T=3.0)
+        analysis.analyze(model, x0=(1.0, 0.5), T=3.0)
     assert time.perf_counter() - start < 1.0
     stall = err.value
-    assert abs(stall.t - 1.20171) < 1e-5 and stall.step < ode.MIN_STEP * 3.0
+    assert abs(stall.t - 1.50101) < 1e-5 and stall.step < ode.MIN_STEP * 3.0
     assert stall.n_steps < ode.MAX_STEPS
     assert np.isfinite(stall.point).all() and abs(stall.point[0] - stall.t) < 1e-9   # t slot
     assert len(stall.point) == pm.lift_sode(model).n
+
+
+@pytest.mark.parametrize("force, t", [("0.3*sin(t) - x1", 1.20161), ("x1^3", None)])
+def test_a_second_order_system_past_the_cond_limit_ends_with_R2(force, t):
+    # a lifted system's joint solve passes the same R2 screen as a generic
+    # pair's: on the dancing pair from this state, cond[V | XV] passes
+    # COND_LIMIT as |dF/dy| grows, and the SVD that decides the point raises
+    # R2 there, before the step floor would stop the solve (the
+    # nonautonomous force at t = 1.20161, its t slot, against a stall at
+    # 1.20171)
+    model, _ = catalog.build("dancing", {"F": force})
+    start = time.perf_counter()
+    with pytest.raises(RegularityViolation) as err:
+        analysis.analyze(model, x0=(2.5, -2.0, 0.6, 0.1), T=3.0)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.cond == "R2" and err.value.residual > pm.COND_LIMIT
+    assert len(err.value.point) == pm.lift_sode(model).n
+    assert t is None or abs(err.value.point[0] - t) < 1e-5
+
+
+def test_a_generic_pair_past_the_cond_limit_ends_with_R2_promptly():
+    # the dancing pair with F = x1^3 written as a generic pair: points that
+    # fail the screen but pass the SVD keep the kernel's own right-hand side,
+    # so the solve reaches the point where the SVD reads R2, as the lift does
+    # (a second solver there made the solve spend its whole step budget)
+    model, _ = catalog.build("dancing", {"F": "x1^3"})
+    pr = pm.lift_sode(model)
+    generic = pm.GenericPair(coords=pr.coords, X=pr.X, vframe=pr.vframe, params=pr.params)
+    start = time.perf_counter()
+    with pytest.raises(RegularityViolation) as err:
+        analysis.analyze(generic, x0=(2.5, -2.0, 0.6, 0.1), T=3.0)
+    assert time.perf_counter() - start < 2.0
+    assert err.value.cond == "R2" and err.value.residual > pm.COND_LIMIT
 
 
 def _degenerating_pair():
@@ -686,7 +720,8 @@ def test_a_stall_at_a_singular_frame_raises_the_violation_there(monkeypatch):
     with pytest.raises(RegularityViolation) as err:
         frames.transport_normal_frame(_degenerating_pair(), [0.9, 0.0], 0.2)
     assert err.value.cond == "R2" and np.array_equal(err.value.point, point[:2])
-    # a lifted second-order system has no frame to check: the stall stands
+    # a lifted second-order system is checked there too; its frame is
+    # regular at that point, so the stall stands
     model, _ = catalog.build("harmonic")
     with pytest.raises(StepSizeUnderflow):
         frames.transport_normal_frame(pm.lift_sode(model), [0.1, 0.2], 1.0)

@@ -115,15 +115,34 @@ def test_regularity_failure_exit_code(tmp_path, capsys):
 
 
 def test_a_stalled_solve_exits_1_and_names_its_point(tmp_path, capsys):
-    # the force blows up near t = 1.20171: the step floor ends the solve, and
+    # the force blows up near t = 1.50101: the step floor ends the solve, and
     # the message names the pair's point there, its t slot first
-    code = run_cli(["analyze", "--system", "dancing", "--param", "F=0.3*sin(t) - x1",
-                    "--x0=2.5,-2.0,0.6,0.1", "--T", "3", "--out", str(tmp_path)])
+    cfg = tmp_path / "stall.cfg"
+    cfg.write_text(
+        "[system]\n"
+        "type = sode\n"
+        "m = 1\n"
+        "F1 = x1^3 + 0.1*sin(t)\n"
+        "\n"
+        "[analysis]\n"
+        "x0 = 1.0, 0.5\n"
+        "T = 3\n")
+    code = run_cli(["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "solve stalled" in err and "point (1.20171, " in err
+    assert "solve stalled" in err and "point (1.50101, " in err
     point = err[err.index("point (") + 7:err.index(")]")].split(", ")
-    assert len(point) == 5
+    assert len(point) == 3
+
+
+def test_a_second_order_system_past_the_cond_limit_exits_2(tmp_path, capsys):
+    # the dancing force 0.3 sin(t) - x1 from this state takes cond[V | XV]
+    # of the lift past COND_LIMIT at t = 1.20161: R2, as for a generic pair
+    code = run_cli(["analyze", "--system", "dancing", "--param", "F=0.3*sin(t) - x1",
+                    "--x0=2.5,-2.0,0.6,0.1", "--T", "3", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "condition R2" in err and "point (1.20161, " in err
 
 
 def test_config_file_sode(tmp_path):

@@ -5,6 +5,8 @@ from conjscope import catalog, frames, jacobi, ode, pair as pm
 from conjscope import scalar
 from conjscope.errors import ConjscopeError
 
+from conftest import rhs_structure
+
 
 class ZeroDirection(ConjscopeError):
     """Directional curvature requested along a g-null direction."""
@@ -278,11 +280,10 @@ def test_generic_K_normal_on_a_grid_matches_scalar_calls():
 @pytest.mark.parametrize("kind", ["autonomous", "nonautonomous", "generic"])
 def test_joint_solve_makes_one_field_evaluation_per_rhs_call(monkeypatch, kind):
     # the right-hand side of the joint solve (pair.joint_rhs) is one call of
-    # one compiled field kernel: on a lifted second-order system the force
-    # kernel gives all of w', on a generic pair the joint kernel does, with
-    # the least-squares solve for H0, H1 emitted between the bracket algebra
-    # and the products; no plain evaluation, seeded jet or bracket reader
-    # runs during the solve
+    # one compiled field kernel, the pair's joint kernel, on a lifted
+    # second-order system as on a generic pair, with the least-squares solve
+    # for H0, H1 emitted between the bracket algebra and the products; no
+    # plain evaluation, seeded jet or bracket reader runs during the solve
     kernel_calls, other_calls = [], []
     build = scalar._build
 
@@ -322,4 +323,4 @@ def test_joint_solve_makes_one_field_evaluation_per_rhs_call(monkeypatch, kind):
     assert other_calls == []
     # X is the pair's own field, bitwise
     z = js.joint.states[::7, :pr.n]
-    assert np.array_equal(pm.structure_at(pr, z[3])[0], pr.X_at(z[3]))
+    assert np.array_equal(rhs_structure(pr, z[3])[0], pr.X_at(z[3]))

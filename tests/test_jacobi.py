@@ -12,7 +12,7 @@ from scipy.interpolate import CubicSpline
 from conjscope import analysis, catalog, jacobi, ode, pair as pm, scalar
 from conjscope.errors import ConjscopeError, RegularityViolation
 
-from conftest import jacobi_Q, jacobi_in_time, linear_combination
+from conftest import jacobi_Q, jacobi_in_time, linear_combination, rhs_structure
 
 
 class EndpointNotZero(ConjscopeError):
@@ -536,7 +536,7 @@ def test_Q_is_the_derivative_of_P(name, params):
                                        entry.default_T).jacobi_solution
     h = 1e-4
     ts = np.linspace(0.1, js.joint.T - 0.1, 41)
-    Q = jacobi_Q(js, ts, lambda z: pm.structure_at(pr, z)[2])
+    Q = jacobi_Q(js, ts, lambda z: rhs_structure(pr, z)[2])
     fd = (js.P(ts + h) - js.P(ts - h)) / (2.0 * h)
     for Qi, fdi in zip(Q, fd):
         scale = max(1.0, np.max(np.abs(Qi)))

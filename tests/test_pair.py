@@ -7,7 +7,7 @@ from conjscope import pair as pm
 from conjscope import scalar
 from conjscope.errors import DomainError, RegularityViolation
 
-from conftest import linear_combination, random_sode, split_and_project
+from conftest import linear_combination, random_sode, rhs_structure, split_and_project
 
 
 def bracket(pair, A_exprs, B_exprs, x):
@@ -275,11 +275,11 @@ def _exact_residual(D, H0, H1, B):
                                   "harmonic"])
 def test_structure_at_matches_the_bracket_relation(name):
     # one force jet (H1 = -dF/dy, H0 = dF/dx - X(dF/dy)) solves the bracket
-    # relation of the same lift read as a generic pair, whose structure_at
-    # (one QR solve) agrees with extract_H's SVD to rounding; the exact
-    # residual it leaves in the relation is no larger than the SVD's, or
-    # than eps |XXV| where both are rounding (one dancing point reads
-    # 3.6e-17 against 3.4e-17, relative)
+    # relation of the same lift read as a generic pair, whose joint
+    # right-hand side (one QR solve) agrees with extract_H's SVD to
+    # rounding; the exact residual it leaves in the relation is no larger
+    # than the SVD's, or than eps |XXV| where both are rounding (one dancing
+    # point reads 3.6e-17 against 3.4e-17, relative)
     from conjscope import catalog
     model, _ = catalog.build(name)
     pr = pm.lift_sode(model)
@@ -288,7 +288,7 @@ def test_structure_at_matches_the_bracket_relation(name):
     for _ in range(5):
         x = catalog.ENTRIES[name].default_x0 + rng.uniform(-0.05, 0.05, size=pr.n)
         data = pm.extract_H(gen, x)
-        X_gen, H0_gen, H1_gen = pm.structure_at(gen, x)
+        X_gen, H0_gen, H1_gen = rhs_structure(gen, x)
         assert np.array_equal(X_gen, data.X)
         D = np.hstack([data.V, data.XV])
         for H, ref in ((H0_gen, data.H0), (H1_gen, data.H1)):
@@ -332,9 +332,9 @@ _DANCING_REGULAR = [1.2, 0.1, 0.1 + 0.5, 0.3]
 ])
 def test_structure_at_raises_what_extract_H_raises(pair, x, cond, figure):
     # a point that fails the QR screen is decided by extract_H's SVD, so the
-    # violation, its figure and its point are extract_H's own
+    # joint right-hand side raises extract_H's own violation, figure and point
     ref = _raised(pm.extract_H, pair, x)
-    err = _raised(pm.structure_at, pair, x)
+    err = _raised(rhs_structure, pair, x)
     assert err.cond == ref.cond == cond
     assert err.residual == ref.residual
     assert figure is None or err.residual == figure
@@ -344,7 +344,23 @@ def test_structure_at_raises_what_extract_H_raises(pair, x, cond, figure):
 def test_structure_at_passes_the_dancing_pair_away_from_its_singular_set():
     gen = _dancing_generic()
     data = pm.extract_H(gen, _DANCING_REGULAR)
-    _, H0, H1 = pm.structure_at(gen, _DANCING_REGULAR)
+    _, H0, H1 = rhs_structure(gen, _DANCING_REGULAR)
+    for H, ref in ((H0, data.H0), (H1, data.H1)):
+        assert np.max(np.abs(H - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_a_rotation_of_two_zeros_is_the_identity():
+    # V1 = (a, b, 1, 0) has the Givens solve rotate its a and b rows against
+    # each other; at a = b = 0 that rotation is the identity, so the joint
+    # kernel solves the point itself, as the SVD does
+    pair = pm.GenericPair(coords=("a", "b", "c", "d"), X=("c", "d", "-a", "-b"),
+                          vframe=(("a", "b", "1", "0"), ("0", "0", "0", "1")))
+    x = [0.0, 0.0, 0.5, 0.3]
+    w = x + [0.0] * 8 + [1.0, 0.0, 0.0, 1.0]
+    assert np.array_equal(scalar.run_field(pair.joint_kernel, w, pair.params),   # no raise
+                          pm.joint_rhs(pair)(np.array(w)))
+    data = pm.extract_H(pair, x)
+    _, H0, H1 = rhs_structure(pair, x)
     for H, ref in ((H0, data.H0), (H1, data.H1)):
         assert np.max(np.abs(H - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
@@ -359,8 +375,9 @@ def _solve_algebra(gen, jet, n, k, p):
 
 
 def _emitted_solve(D, B):
-    """S of the emitted solve, or None where it fails its screen (a zero
-    rotation or pivot included), as the joint kernel's readers decide."""
+    """S of the emitted solve, or None where it raises (its screen, a tiny
+    rotation or a zero pivot), which the joint kernel's reader leaves to the
+    SVD to decide."""
     (n, k), p = D.shape, B.shape[1]
     kernel = scalar.field_kernel((), (), None, (), _solve_algebra, n, k, p)
     try:
@@ -381,6 +398,13 @@ def test_screened_solve_matches_numpy(shape):
     S = _emitted_solve(D, B)
     ref = np.linalg.lstsq(D, B, rcond=None)[0]
     assert np.allclose(S, ref, rtol=1e-12, atol=1e-12)
+    if n > 2:
+        # two entries of a column that are both 0.0 rotate by the identity
+        zeros = D.copy()
+        zeros[:2, 0] = 0.0
+        B_zeros = zeros @ S_true
+        assert np.allclose(_emitted_solve(zeros, B_zeros),
+                           np.linalg.lstsq(zeros, B_zeros, rcond=None)[0], rtol=1e-12, atol=1e-12)
     if n > k:
         # a residual past INVARIANCE_TOL / 10 fails the screen
         assert _emitted_solve(D, B + 1e-6 * np.linalg.norm(B) * rng.standard_normal(B.shape)) \
@@ -479,9 +503,9 @@ def _as_generic(pair):
 
 
 def _check_generic_parity(pair, x0, T):
-    # the joint kernel passes its screen at every point, and both of its
-    # readers use its one solve: joint_rhs is, bitwise, the products of
-    # structure_at's X, H0 and H1; those leave an exact residual in the
+    # the joint kernel passes its screen at every point, and joint_rhs is
+    # its one call: bitwise the products of the X, H0 and H1 it solves
+    # (read at G = 0, a = 0, b = I); those leave an exact residual in the
     # bracket relation no larger than the SVD's, or than eps |XXV|
     rhs = pm.joint_rhs(pair)
     rng = np.random.default_rng(5)
@@ -490,7 +514,7 @@ def _check_generic_parity(pair, x0, T):
         X, D, XXV = _bracket_reference(pair, x)
         w = np.concatenate([x, rng.standard_normal(3 * pair.m ** 2)])
         out = scalar.run_field(pair.joint_kernel, w.tolist(), pair.params)  # raises on a fail
-        got = pm.structure_at(pair, x)
+        got = rhs_structure(pair, x)
         assert np.array_equal(got[0], X)
         assert np.array_equal(rhs(w), out) and np.array_equal(out, _joint_reference(*got, w))
         data = pm.extract_H(pair, x)
@@ -518,13 +542,17 @@ def _joint_reference(X, H0, H1, w):
                                   "harmonic"])
 def test_field_kernels_match_the_numpy_algebra_on_the_catalog(name):
     # the force kernel (lifted) and the bracket kernel (the same lift as a
-    # generic pair) give, bitwise, what the numpy algebra of the same jets gives
+    # generic pair) give, bitwise, what the numpy algebra of the same jets
+    # gives; the lift's joint right-hand side is the generic pair's, bitwise,
+    # and its folded solve is the force jet's closed form to rounding (within
+    # 5.6e-17 of the largest entry on dancing, bitwise on harmonic,
+    # perturbed_pair and mechanical)
     from conjscope import catalog
     entry = catalog.ENTRIES[name]
     model, _ = entry.build()
     pr = pm.lift_sode(model)
     x0 = pm.full_x0(model, pr, entry.default_x0)
-    rhs = pm.joint_rhs(pr)
+    rhs, generic_rhs = pm.joint_rhs(pr), pm.joint_rhs(_as_generic(pr))
     rng = np.random.default_rng(5)
     points = _trajectory_points(pr, x0, entry.default_T)
     for x in points:
@@ -534,7 +562,9 @@ def test_field_kernels_match_the_numpy_algebra_on_the_catalog(name):
         assert np.array_equal(F, ref[0][-model.m:])
         assert np.array_equal(dFdx - X_dFdy, ref[1]) and np.array_equal(-dFdy, ref[2])
         w = np.concatenate([x, rng.standard_normal(3 * model.m ** 2)])
-        assert np.array_equal(rhs(w), _joint_reference(*ref, w))
+        got, closed = rhs(w), _joint_reference(*ref, w)
+        assert np.array_equal(got, generic_rhs(w))
+        assert np.max(np.abs(got - closed)) <= 1e-15 * max(1.0, np.max(np.abs(closed)))
     # the stack form of the force kernel, which sode_curvature reads
     _, t, xs, ys = pm._sode_point(pr, points.T)
     _, dFdx, dFdy, X_dFdy = pm._force_jet(model, t, xs, ys)
@@ -594,9 +624,9 @@ def test_field_kernels_raise_what_evaluate_raises():
         scalar.evaluate(model.F, model.force_bindings(0.0, x[:1], x[1:]))
     generic = _as_generic(pr)
     w = np.concatenate([x, [1.0, 1.0, 0.0]])
-    calls = [lambda: pm.structure_at(pr, x), lambda: pm.joint_rhs(pr)(w),
+    calls = [lambda: rhs_structure(pr, x), lambda: pm.joint_rhs(pr)(w),
              lambda: pm.curvature_at(pr, np.array([[0.5, -0.5, 0.7], [0.3, 0.3, 0.3]])),
-             lambda: pm.structure_at(generic, x), lambda: pm.joint_rhs(generic)(w),
+             lambda: rhs_structure(generic, x), lambda: pm.joint_rhs(generic)(w),
              lambda: pm.brackets_at(generic, np.array([[0.5, -0.5, 0.7], [0.3, 0.3, 0.3]]))]
     for call in calls:
         with pytest.raises(DomainError) as err:
@@ -604,7 +634,7 @@ def test_field_kernels_raise_what_evaluate_raises():
         assert (err.value.where, str(err.value)) == (ref.value.where, str(ref.value))
     unbound = pm.GenericPair(coords=("q", "p"), X=("p", "-k*q"), vframe=(("0", "1"),))
     with pytest.raises(UnboundVariable):
-        pm.structure_at(unbound, [0.1, 0.2])
+        rhs_structure(unbound, [0.1, 0.2])
     with pytest.raises(UnboundVariable):
         pm.brackets_at(unbound, np.array([[0.1, 0.2], [0.2, 0.1]]))
 

@@ -181,6 +181,27 @@ def test_domain_errors_carry_subexpression():
             assert err.value.where == where
 
 
+def _carrying_algebra(gen, jet):
+    x = gen.state(0)
+    gen.check(f"{x} > 1.0", "too large", "x", carry=True)
+    y = gen.emit(f"{x} * {x}")
+    gen.check(f"{x} < -1.0", "too small", "x")
+    return [y, gen.emit(f"{y} + 1.0")]
+
+
+def test_a_carrying_check_raises_with_the_outputs():
+    # a check that carries runs after every statement, although emitted
+    # first, and its DomainError holds the outputs; any other check raises
+    # where it stands, with none; over points, the lowest failing point's
+    kernel = scalar.field_kernel((), (), None, (), _carrying_algebra)
+    assert scalar.run_field(kernel, [0.5], {}).tolist() == [0.25, 1.25]
+    for w, count, outputs in (([2.0], None, (4.0, 5.0)), ([-2.0], None, None),
+                              ([np.array([0.5, 3.0, 2.0])], 3, (9.0, 10.0))):
+        with pytest.raises(DomainError) as err:
+            scalar.run_field(kernel, w, {}, count)
+        assert err.value.outputs == outputs and err.value.where == "x"
+
+
 def test_sqrt_domain_check_depends_on_differentiation():
     # sqrt is differentiable only on positive arguments; a plain value at 0 is fine
     assert evaluate(parse("sqrt(x)"), {"x": 0.0}) == 0.0
@@ -674,27 +695,27 @@ def test_the_kernel_table_keeps_its_bound(monkeypatch):
 
 @pytest.mark.parametrize("generic", [True, False])
 def test_a_solve_keeps_its_kernels_past_the_table_bound(monkeypatch, generic):
-    # the kernel a joint solve reads at every step is a model attribute (a
-    # generic pair's joint kernel, or a second-order model's, which every
-    # lift of the model reads): after _TABLE_SIZE newer structures have
-    # pushed it out of the table, the same model solves again compiling
-    # nothing, to the same bits, while a model rebuilt from the same
-    # expressions compiles it again
+    # the kernel a joint solve reads at every step is an attribute of the
+    # pair (its joint kernel, a lift's as a generic pair's): after
+    # _TABLE_SIZE newer structures have pushed it out of the table, the same
+    # pair solves again compiling nothing, to the same bits, while a pair
+    # rebuilt from the same expressions (a new lift of the model) compiles
+    # it again
     def build():
         if generic:
             return _planar_pair()
-        return pair_mod.SODEModel(m=1, F=("-x1 - 0.3*x1^3",), autonomous=True)
+        return pair_mod.lift_sode(pair_mod.SODEModel(m=1, F=("-x1 - 0.3*x1^3",),
+                                                     autonomous=True))
 
-    def solve(model):
-        pr = model if generic else pair_mod.lift_sode(model)
+    def solve(pr):
         return frames.transport_normal_frame(pr, [0.3, 0.1], 2.0).joint.states
 
-    model = build()
-    first = solve(model)
+    pr = build()
+    first = solve(pr)
     for k in range(scalar._TABLE_SIZE):
         evaluate(parse(f"x + {k}"), {"x": 0.5})
     keys = _count_compiles(monkeypatch)
-    assert np.array_equal(solve(model), first) and keys == []
+    assert np.array_equal(solve(pr), first) and keys == []
     assert np.array_equal(solve(build()), first) and len(keys) == 1
 
 
@@ -852,9 +873,10 @@ def _bench_inputs():
 
 def test_no_kernel_computes_a_statement_twice():
     # every sweep of a kernel finds the statements of the sweeps before it
-    # in one memo: over the joint, jet, bracket and tangent kernels of the
-    # catalog defaults and the bracket and tangent kernels of random generic
-    # pairs, no two statements of a scalar kernel have one right-hand side
+    # in one memo: over the joint, bracket and tangent kernels of the
+    # catalog defaults' lifts, their force kernels, and the bracket and
+    # tangent kernels of random generic pairs, no two statements of a scalar
+    # kernel have one right-hand side
     inputs = _bench_inputs()
     pairs = [inputs.build_pair(op["spec"]) for op in inputs.crosscheck_cycle(1)]
     scalar._TABLE.clear()               # kernels not yet called keep their sources
@@ -862,7 +884,7 @@ def test_no_kernel_computes_a_statement_twice():
     for name in catalog.ENTRIES:
         model, _ = catalog.build(name)
         lifted = pair_mod.lift_sode(model)
-        kernels += [model.joint_kernel, model.jet_kernel, lifted.bracket_kernel,
+        kernels += [lifted.joint_kernel, model.jet_kernel, lifted.bracket_kernel,
                     lifted.tangent_kernel]
     for pr in pairs:
         kernels += [pr.bracket_kernel, pr.tangent_kernel]
