@@ -14,10 +14,12 @@ the SVD, which reports regularity; where the SVD passes, the kernel's own
 derivative stands.  The normal curvature is computed afterwards, on
 whatever times it is asked for, from the transported point and G: on an
 array of times, one dense lookup (on the grid, the one every grid reader
-shares), one curvature call per block of points and one batched solve.  On a generic pair each curvature point is one
-column of a tangent-kernel call, the brackets with their derivatives along
-X, and one SVD, which gives H0, H1 and the exact X(H1)
-(``pair.flow_derivative_H1``).
+shares), one curvature call per block of points and one batched solve.
+On a generic pair each curvature block is one call of the pair's curvature
+kernel (``pair.flow_derivative_H1``): the brackets with their derivatives
+along X, the same Givens solve for H0, H1, its tangent, which gives the
+exact X(H1), and its screen.  A block in which a point fails the screen
+takes the brackets' tangent kernel and one batched SVD instead.
 """
 
 from __future__ import annotations

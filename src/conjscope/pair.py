@@ -7,9 +7,12 @@ computes Lie brackets and iterated brackets exactly through forward-mode AD
 structure matrices H0, H1 of the iterated bracket relation (the Jacobi solve
 reads them alone), evaluates the curvature operator and checks the
 regularity conditions.  The curvature is exact on both paths: in closed
-form from one jet of a second-order force, and for a generic pair from the
-tangent of its bracket kernel along X, which gives X(H1) through the SVD
-that solves for H0, H1 (``flow_derivative_H1``).
+form from one jet of a second-order force, and for a generic pair from one
+call of its curvature kernel (``flow_derivative_H1``): the brackets with
+their tangents along X, then the Givens solve for H0, H1, the tangent of
+that solve, which gives X(H1), and its screen.  A block of curvature points
+that fails the screen takes the tangent of the bracket kernel and the SVD
+instead.
 
 The bracket and curvature functions take one point or a stack of points, and
 readers of a grid call them once per block of BLOCK points (``on_blocks``):
@@ -64,8 +67,9 @@ def _as_expr(e) -> ExprProgram:
 
 # The kernels that a solve reads on every step or block are model attributes,
 # although scalar's kernel table would give them back on every request:
-# SODEModel.jet_kernel, GenericPair.joint_kernel, bracket_kernel,
-# tangent_kernel and stacked, and hamiltonian.SemiHamiltonianModel.sigma_field.
+# SODEModel.jet_kernel, GenericPair.joint_kernel, curvature_kernel,
+# bracket_kernel, tangent_kernel and stacked, and
+# hamiltonian.SemiHamiltonianModel.sigma_field.
 # A table lookup builds the exact key and takes the table's lock, 2.5-5.2 us
 # against 0.3 us for an attribute read (timed on 64-point blocks of random
 # second-order systems read as generic pairs, (n, m) = (2, 1) to (6, 3)), and
@@ -160,16 +164,23 @@ class GenericPair:
 
     @cached_property
     def bracket_kernel(self):
-        """The kernel of X, D = [V | XV] and XXV (``_bracket_outputs``),
+        """The kernel of X, D = [V | XV] and XXV (``_bracket_algebra``),
         compiled on first use."""
         return _pair_kernel(self, _bracket_algebra)
 
     @cached_property
     def tangent_kernel(self):
         """The bracket kernel's outputs followed by their derivatives along
-        a direction given with the point (``flow_derivative_H1``), compiled
-        on first use."""
+        a direction given with the point (the SVD path of
+        ``flow_derivative_H1``), compiled on first use."""
         return _pair_kernel(self, _bracket_algebra, tangent=True)
+
+    @cached_property
+    def curvature_kernel(self):
+        """The tangent kernel's values and derivatives, then the solve for
+        H0, H1 and its tangent along u (``_curvature_algebra``), compiled
+        on first use."""
+        return _pair_kernel(self, _bracket_algebra, tangent=_curvature_algebra)
 
     @cached_property
     def joint_kernel(self):
@@ -309,7 +320,11 @@ def _lstsq(D, B, dD=None, dB=None):
     dD and dB of D and B along a direction, it also returns the derivative
     dS of S along it, from the same SVD (the normal equations
     differentiated): dS = D^+ (dB - dD S) + (D^T D)^-1 dD^T (B - D S), whose
-    second term, the least-squares part, vanishes for a square D.
+    second term, the least-squares part, vanishes for a square D.  The
+    kernels emit the same solve and tangent by Givens QR
+    (``_least_squares``); this SVD decides regularity (``extract_H``,
+    ``check_regularity``) and serves the curvature blocks that fail the
+    kernels' screen (``flow_derivative_H1``).
 
     Singular values at or below numpy lstsq's cutoff eps * max(D.shape) * s_max
     are dropped, from S and dS alike, so a singular D (cond = inf) still
@@ -335,7 +350,15 @@ def _lstsq(D, B, dD=None, dB=None):
 class PointFrameData:
     """Frame, first and second iterated brackets and the structure matrices
     of the relation [X,[X,V]] = V H0 + [X,V] H1 at one point, or at a stack
-    of points (every field then has a leading point axis)."""
+    of points (every field then has a leading point axis).
+
+    ``extract_H`` and a curvature block that takes the SVD give cond_2 of
+    [V | XV] and the relative residual of the SVD's solve.  A curvature block
+    that passes the kernel's screen (``flow_derivative_H1``) gives the
+    screen's own figures: the bound k cond_1(R) >= cond_2([V | XV]), with R
+    the Givens R factor and k = 2m its columns, and the exact relative
+    residual |Q^T XXV|[k:] / |XXV|, 0.0 where those rows are statically
+    zero."""
 
     point: np.ndarray
     X: np.ndarray
@@ -401,24 +424,19 @@ def _bracket_algebra(gen, jet):
 
 def _pair_kernel(pair: GenericPair, algebra, tangent=False):
     """The field kernel of ``algebra`` over the jet of the stacked fields
-    along X(x), with its tangent when ``tangent``."""
+    along X(x), with its tangent when ``tangent`` (``scalar.field_kernel``)."""
     return scalar.field_kernel(pair.stacked, pair.coords,
                                scalar.Along(tuple((c, k) for k, c in enumerate(pair.coords))),
                                pair.coords, algebra, tangent=tangent)
 
 
-def _bracket_outputs(pair: GenericPair, x, u=None):
-    """X, D = [V | XV] and XXV at x, flat: (n + 3 n m,), or (N, n + 3 n m)
-    for a stack; with a direction u at each point (shaped as x), followed by
-    their derivatives along u (twice as many columns, one tangent kernel
-    call)."""
-    x = np.asarray(x, dtype=float)
-    kernel = pair.bracket_kernel
-    if u is not None:
-        kernel, x = pair.tangent_kernel, np.concatenate([x, u])
-    if x.ndim == 1:
-        return scalar.run_field(kernel, x.tolist(), pair.params)
-    return scalar.run_field(kernel, list(x), pair.params, x.shape[1])
+def _outputs(pair: GenericPair, kernel, w):
+    """Outputs of one of the pair's field kernels at the state w: (size,),
+    or (N, size) for a stack of N states as the columns of w."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim == 1:
+        return scalar.run_field(kernel, w.tolist(), pair.params)
+    return scalar.run_field(kernel, list(w), pair.params, w.shape[1])
 
 
 def _split(flat, n, m):
@@ -431,7 +449,7 @@ def brackets_at(pair: GenericPair, x):
     """X, V, [X,V], [X,[X,V]] at x, all m columns, exact AD: one call of the
     pair's bracket kernel."""
     one = np.ndim(x) == 1
-    flat, = _lead(one, _bracket_outputs(pair, x))
+    flat, = _lead(one, _outputs(pair, pair.bracket_kernel, x))
     m = pair.m
     X, D, XXV = _split(flat, pair.n, m)
     return _unstack(one, X, D[..., :m], D[..., m:], XXV)
@@ -460,12 +478,14 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
     One SVD of the 2m-column matrix (least squares when the ambient
     dimension exceeds 2m) gives its condition number and the relative
     residual, the numerical witness of the invariance condition; this is
-    the solve that decides and reports regularity.  The Jacobi solve does
-    not call it at every point: its joint kernel emits a Givens solve with
-    the exact cond_1 of its R factor and its residual as a screen
-    (``_least_squares``), and calls on this SVD only to decide a point that
-    fails the screen.  On a stack the violation raised is the first in
-    stack order."""
+    the solve that decides and reports regularity.  Neither the Jacobi
+    solve nor the curvature calls it at every point: the joint and the
+    curvature kernels emit a Givens solve with the exact cond_1 of its R
+    factor and its residual as a screen (``_least_squares``), and the
+    curvature kernel the tangent of that solve too.  The joint solve calls
+    on this SVD only to decide a point that fails the screen, and a
+    curvature block that fails it takes the same SVD (``flow_derivative_H1``).
+    On a stack the violation raised is the first in stack order."""
     xs, one = _stack(x)
     x_val, V, XV, XXV = _lead(one, *brackets_at(pair, x))
     m = pair.m
@@ -488,25 +508,41 @@ def flow_derivative_H1(pair: GenericPair, x):
     """X(H1) at x, the derivative of H1 along the vector X(x), together with
     the ``extract_H`` data at x: (data, X(H1)).
 
-    X(H1)(x) = DH1(x) X(x) depends on x alone, and it is exact to rounding:
-    one call of the pair's tangent kernel gives X, D = [V | XV] and
-    XXV = [X, [X, V]] with their derivatives along u = X(x) (read by
-    ``X_at``), which carry the terms in which X itself varies, and
-    differentiating D (H0; H1) = XXV gives X(H0; H1) from the SVD that
-    solves for (H0; H1) (``_lstsq``).  H0, H1 and the diagnostics are
-    ``extract_H``'s bits, and so is the RegularityViolation raised: the
-    first in stack order."""
+    X(H1)(x) = DH1(x) X(x) depends on x alone, and it is exact to rounding.
+    One call of the pair's curvature kernel per block gives X, D = [V | XV]
+    and XXV = [X, [X, V]] with their derivatives along u = X(x) (read by
+    ``X_at``), which carry the terms in which X itself varies, then the
+    Givens solve of D (H0; H1) = XXV, its tangent X(H0; H1) and its screen
+    (``_least_squares``), so X, V, XV, XXV and the point are ``extract_H``'s
+    bits and H0, H1 and X(H1) are the SVD's to rounding.  A block in which
+    the kernel raises (a point fails the screen, or the solve cannot be
+    formed) takes the tangent kernel and the SVD (``_lstsq``) instead, whose
+    data, diagnostics included, are ``extract_H``'s bits, and which raises
+    the RegularityViolation that ``extract_H`` raises: the first in stack
+    order."""
     xs, one = _stack(x)
     n, m = pair.n, pair.m
-    flat = _bracket_outputs(pair, xs, pair.X_at(xs).T)
-    size = flat.shape[1] // 2
-    x_val, D, XXV = _split(flat[:, :size], n, m)
-    _, dD, dXXV = _split(flat[:, size:], n, m)
-    sol, cond_D, residual, dsol = _lstsq(D, XXV, dD, dXXV)
-    _raise_first_violation(xs, cond_D, residual)
-    data = PointFrameData(*_unstack(one, xs.T, x_val, D[..., :m], D[..., m:], XXV,
-                                    sol[:, :m], sol[:, m:], cond_D, residual))
-    return data, _unstack(one, dsol[:, m:])[0]
+    w = np.concatenate([xs, pair.X_at(xs).T])
+    size = n + 3 * n * m
+    try:
+        flat = _outputs(pair, pair.curvature_kernel, w)
+    except DomainError:
+        flat = None                     # the SVD raises outside the handler
+    if flat is None:
+        flat = _outputs(pair, pair.tangent_kernel, w)
+        x_val, D, XXV = _split(flat[:, :size], n, m)
+        _, dD, dXXV = _split(flat[:, size:], n, m)
+        sol, cond_D, residual, dsol = _lstsq(D, XXV, dD, dXXV)
+        _raise_first_violation(xs, cond_D, residual)
+        H0, H1, XH1 = sol[:, :m], sol[:, m:], dsol[:, m:]
+    else:
+        x_val, D, XXV = _split(flat[:, :size], n, m)
+        H = flat[:, size:size + 3 * m * m].reshape(-1, 3, m, m)
+        H0, H1, XH1 = H[:, 0], H[:, 1], H[:, 2]
+        cond_D, residual = flat[:, -2], flat[:, -1]
+    data = PointFrameData(*_unstack(one, xs.T, x_val, D[..., :m], D[..., m:], XXV, H0, H1,
+                                    cond_D, residual))
+    return data, _unstack(one, XH1)[0]
 
 
 # -- closed-form path for second-order systems -------------------------------
@@ -610,24 +646,79 @@ def _numeric(v):
         return None
 
 
-def _least_squares(gen, D, B):
-    """The least-squares solve of D S = B and its screen, emitted as
-    straight-line code; returns S (k rows of p).
+def _quotient(gen, v, d):
+    """Local of v / d, with d a diagonal entry of R: a sign for a literal
+    1.0 or -1.0, and a zero pivot check for a local."""
+    if v is None or d == "1.0":
+        return v
+    if d == "(-1.0)":
+        return gen.negate(v)
+    if _numeric(d) is None:
+        gen.check(f"{d} == 0.0", "zero pivot", _WHERE)
+    return gen.emit(f"{v} / {d}")
 
-    D (n rows of k) and B (n rows of p) hold locals or literals, None where
-    statically zero.  Givens QR without pivoting (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., 5.1.8-5.2.5) rotates the rows of [D | B] to
-    [R | Q^T B], column by column, each row below the diagonal against the
-    diagonal row; back substitution gives S = R^-1 (Q^T B)[:k], and the
-    columns of R^-1.  The screen is a check that runs after the kernel's
-    other statements, so a point that fails it raises DomainError carrying
-    the kernel's outputs: it passes when S, the column sums of |R| and |R^-1|
-    and the residual terms are finite, the exact cond_1(R) (the product of
-    the largest column sums) is at most COND_LIMIT / (10 k), and the
-    relative residual |D S - B| / |B|, read from the trailing rows of
-    Q^T B, is at most INVARIANCE_TOL / 10.  cond_2(D) = cond_2(R) <=
-    k cond_1(R), so with these margins a point that passes is regular by the
-    SVD's reading too.
+
+def _turn(gen, turn, top, low):
+    """Rows ``top`` and ``low`` after the rotation ``turn`` of a Givens QR:
+    (c, s) maps (u, v) to (c u + s v, -s u + c v), and None is the signed
+    row swap (u, v) -> (v, -u)."""
+    if turn is None:
+        return low, [gen.negate(v) for v in top]
+    cs, sn = turn
+    minus_sn = gen.negate(sn)
+    return ([gen.dot(((cs, u), (sn, v))) for u, v in zip(top, low)],
+            [gen.dot(((minus_sn, u), (cs, v))) for u, v in zip(top, low)])
+
+
+def _substitute(gen, R, Y):
+    """R^-1 Y by back substitution, with R upper triangular (k x k) and Y
+    k rows; row i reads only the rows below it."""
+    k, p = len(R), len(Y[0])
+    S = [[None] * p for _ in range(k)]
+    for i in reversed(range(k)):
+        for j in range(p):
+            rest = gen.dot((R[i][l], S[l][j]) for l in range(i + 1, k))
+            top = gen.negate(rest) if Y[i][j] is None else gen.combine(("+", Y[i][j]),
+                                                                       ("-", rest))
+            S[i][j] = _quotient(gen, top, R[i][i])
+    return S
+
+
+def _residual(gen, D, B, S):
+    """B - D S, entry by entry."""
+    return [[gen.combine(("+", b[j]), ("-", gen.dot((d[l], S[l][j]) for l in range(len(S)))))
+             for j in range(len(b))] for d, b in zip(D, B)]
+
+
+def _least_squares(gen, D, B, dD=None, dB=None):
+    """The least-squares solve of D S = B and its screen, emitted as
+    straight-line code; returns S (k rows of p).  Given the derivatives dD
+    and dB of D and B along a direction, it returns S, the derivative dS of
+    S along it, the bound k cond_1(R) on cond_2(D) and the relative
+    residual |D S - B| / |B|.
+
+    D and dD (n rows of k) and B and dB (n rows of p) hold locals or
+    literals, None where statically zero.  Givens QR without pivoting
+    (Golub & Van Loan, *Matrix Computations*, 4th ed., 5.1.8-5.2.5) rotates
+    the rows of [D | B] to [R | Q^T B], column by column, each row below the
+    diagonal against the diagonal row; back substitution gives
+    S = R^-1 (Q^T B)[:k], and the columns of R^-1.  The tangent of the
+    solve (Giles, "Collected matrix derivative results for forward and
+    reverse mode algorithmic differentiation", 2008, differentiating the
+    normal equations) is dS = R^-1 (Q^T (dB - dD S))[:k]
+    + R^-1 R^-T dD^T (B - D S): the same rotations turn the columns of
+    dB - dD S, and R substitutes; the second term, the least-squares part,
+    is left out where Q^T B has no trailing rows that are not statically
+    zero (a square D, or a lifted second-order system).
+
+    The screen is a check that runs after the kernel's other statements,
+    so a point that fails it raises DomainError carrying the kernel's
+    outputs: it passes when S, the column sums of |R| and |R^-1| and the
+    residual terms are finite, the exact cond_1(R) (the product of the
+    largest column sums) is at most COND_LIMIT / (10 k), and the relative
+    residual, read from the trailing rows of Q^T B, is at most
+    INVARIANCE_TOL / 10.  cond_2(D) = cond_2(R) <= k cond_1(R), so with
+    these margins a point that passes is regular by the SVD's reading too.
 
     Static entries fold.  A rotation whose lower entry is statically zero is
     skipped; one whose upper entry is statically zero is a signed row swap,
@@ -640,51 +731,36 @@ def _least_squares(gen, D, B):
     diagonal entry."""
     n, k, p = len(D), len(D[0]), len(B[0])
     A = [list(d) + list(b) for d, b in zip(D, B)]
-    def quotient(v, d):
-        if v is None or d == "1.0":
-            return v
-        if d == "(-1.0)":
-            return gen.negate(v)
-        if _numeric(d) is None:
-            gen.check(f"{d} == 0.0", "zero pivot", _WHERE)
-        return gen.emit(f"{v} / {d}")
-
+    rotations = []
     for c in range(min(k, n)):
         for q in range(c + 1, n):
             a, b = A[c][c], A[q][c]
             if b is None:
                 continue
             if a is None:
-                A[c], A[q] = A[q], [gen.negate(v) for v in A[c]]
-                continue
-            r2 = gen.dot(((a, a), (b, b)))
-            # two entries that are both 0.0 at a point rotate by the identity
-            # there (as LAPACK's dlartg takes them), and r = 0 is a pivot
-            gen.check(f"({r2} <= {_TINY!r}) & (({a} != 0.0) | ({b} != 0.0))",
-                      "tiny Givens rotation", _WHERE)
-            r, turn = gen.emit(f"_sqrt({r2})"), f"{r2} != 0.0"
-            cs, sn = (gen.emit(f"{v} / {r} if {turn} else {one}",
-                               array=f"_where({turn}, {v} / {r}, {one})")
-                      for v, one in ((a, "1.0"), (b, "0.0")))
-            top, low, minus_sn = A[c][c + 1:], A[q][c + 1:], gen.negate(sn)
-            A[c] = [None] * c + [r] + [gen.dot(((cs, u), (sn, v))) for u, v in zip(top, low)]
-            A[q] = [None] * (c + 1) + [gen.dot(((minus_sn, u), (cs, v)))
-                                       for u, v in zip(top, low)]
+                r, turn = b, None
+            else:
+                r2 = gen.dot(((a, a), (b, b)))
+                # two entries that are both 0.0 at a point rotate by the
+                # identity there (as LAPACK's dlartg takes them), and r = 0
+                # is a pivot
+                gen.check(f"({r2} <= {_TINY!r}) & (({a} != 0.0) | ({b} != 0.0))",
+                          "tiny Givens rotation", _WHERE)
+                r, nonzero = gen.emit(f"_sqrt({r2})"), f"{r2} != 0.0"
+                turn = tuple(gen.emit(f"{v} / {r} if {nonzero} else {one}",
+                                      array=f"_where({nonzero}, {v} / {r}, {one})")
+                             for v, one in ((a, "1.0"), (b, "0.0")))
+            top, low = _turn(gen, turn, A[c][c + 1:], A[q][c + 1:])
+            A[c], A[q] = [None] * c + [r] + top, [None] * (c + 1) + low
+            rotations.append((c, q, turn))
     S = [[None] * p for _ in range(k)]
     if n < k or any(A[c][c] is None for c in range(k)):
         gen.check("True", "no least-squares solve", _WHERE)
-        return S
+        return S if dD is None else (S, S, None, None)
     R = [row[:k] for row in A[:k]]
-    for i in reversed(range(k)):
-        for j in range(p):
-            rest = gen.dot((R[i][l], S[l][j]) for l in range(i + 1, k))
-            S[i][j] = quotient(gen.combine(("+", A[i][k + j]), ("-", rest)), R[i][i])
-    inverse = [[None] * k for _ in range(k)]
-    for c in range(k):
-        inverse[c][c] = quotient("1.0", R[c][c])
-        for i in reversed(range(c)):
-            inverse[i][c] = quotient(gen.negate(gen.dot((R[i][l], inverse[l][c])
-                                                        for l in range(i + 1, c + 1))), R[i][i])
+    S = _substitute(gen, R, [row[k:] for row in A[:k]])
+    inverse = _substitute(gen, R, [[None] * c + ["1.0"] + [None] * (k - c - 1)
+                                   for c in range(k)])
 
     def magnitude(v):
         v = gen.negations.get(v, v)
@@ -718,7 +794,33 @@ def _least_squares(gen, D, B):
         fails.insert(0, f"({total} - {total} != 0.0)")
     if fails:
         gen.check(" | ".join(fails), "the screen of the solve fails", _WHERE, carry=True)
-    return S
+    if dD is None:
+        return S
+    Y = _residual(gen, dD, dB, S)
+    for c, q, turn in rotations:
+        Y[c], Y[q] = _turn(gen, turn, Y[c], Y[q])
+    Y = Y[:k]
+    relative = "0.0"
+    if residual is not None:
+        # the least-squares term R^-T dD^T (B - D S), before R substitutes
+        rest = _residual(gen, D, B, S)
+        Z = [[gen.dot((d[l], r[j]) for d, r in zip(dD, rest)) for j in range(p)]
+             for l in range(k)]
+        Y = [[gen.combine(("+", Y[i][j]), ("+", gen.dot((inverse[l][i], Z[l][j])
+                                                         for l in range(i + 1))))
+              for j in range(p)] for i in range(k)]
+        num, den = gen.emit(f"_sqrt({residual})"), gen.emit(f"_sqrt({scale})")
+        relative = gen.emit(f"{num} / {den} if {den} > 0.0 else {num}",
+                            array=f"_where({den} > 0.0, {num} / {den}, {num})")
+    return S, _substitute(gen, R, Y), gen.emit(f"{float(k)!r} * {cond}"), relative
+
+
+def _solve_rows(flat, n, m):
+    """D (n rows of k = 2m) and XXV (n rows of m) from the flat bracket
+    outputs that follow X."""
+    k = 2 * m
+    D, B = flat[n:n + n * k], flat[n + n * k:]
+    return [D[i * k:(i + 1) * k] for i in range(n)], [B[i * m:(i + 1) * m] for i in range(n)]
 
 
 def _rhs_algebra(gen, jet):
@@ -728,14 +830,23 @@ def _rhs_algebra(gen, jet):
     the solve of D (H0; H1) = XXV (``_least_squares``)."""
     n = len(jet.along)
     m = len(jet.val) // n - 1
-    k = 2 * m
     out = _bracket_algebra(gen, jet)
-    D, B = out[n:n + n * k], out[n + n * k:]
-    S = _least_squares(gen, [D[i * k:(i + 1) * k] for i in range(n)],
-                       [B[i * m:(i + 1) * m] for i in range(n)])
+    S = _least_squares(gen, *_solve_rows(out, n, m))
     H0, H1 = [v for row in S[:m] for v in row], [v for row in S[m:] for v in row]
     G, a, b = ([gen.state(n + s * m * m + c) for c in range(m * m)] for s in range(3))
     return out[:n] + _products(gen, m, H0, H1, G, a, b)
+
+
+def _curvature_algebra(gen, jet, out, d_out):
+    """The bracket algebra's outputs X, D = [V | XV] and XXV, then H0, H1,
+    X(H1) row-major, the bound k cond_1(R) on cond_2(D) and the relative
+    residual, from the solve of D (H0; H1) = XXV and its tangent along u
+    (``_least_squares``), emitted after the sweep that gives ``d_out``."""
+    n = len(jet.along)
+    m = len(jet.val) // n - 1
+    S, dS, cond, residual = _least_squares(gen, *_solve_rows(out, n, m),
+                                           *_solve_rows(d_out, n, m))
+    return out + [v for row in S + dS[m:] for v in row] + [cond, residual]
 
 
 def joint_rhs(pair: GenericPair):

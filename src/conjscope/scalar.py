@@ -51,7 +51,9 @@ kernel may also be requested with its tangent: the same statements followed
 by a third sweep, along a direction u of the coordinates, over all of them
 (a separate kernel).  That is how ``pair.flow_derivative_H1`` gets the third
 derivatives of the fields along X that X(H1) needs, so the package takes no
-finite difference.
+finite difference.  Statements that need no derivative, such as a linear
+solve whose tangent is written out by hand, come after that sweep, as a
+second algebra over the outputs and their tangents.
 """
 
 from __future__ import annotations
@@ -816,7 +818,7 @@ def _compile(progs, key):
     if key is not None and len(key) == 6:
         coords, ikey, jkeys, algebra, extra, tangent = key
         gen, jet, _ = _jets(progs, (ikey, jkeys), coords)
-        out = ["0.0" if o is None else o for o in algebra(gen, jet, *extra)]
+        out = list(algebra(gen, jet, *extra))
         if tangent:
             n, useed = len(coords), {}
             for local, src in list(gen.head):
@@ -826,8 +828,9 @@ def _compile(progs, key):
                         raise ValueError("a tangent kernel reads no state beyond its coordinates")
                     useed[local] = gen.state(n + k)
             tu, = _Tangent(gen, [useed]).run()
-            out += [tu.get(o, "0.0") for o in out]
-        return _Kernel(gen, out, "w, env")
+            d_out = [tu.get(o) for o in out]
+            out = out + d_out if tangent is True else tangent(gen, jet, out, d_out)
+        return _Kernel(gen, ["0.0" if o is None else o for o in out], "w, env")
     gen, jet, di = _jets(progs, key)
     out = list(jet.val)
     if key is not None:
@@ -1101,6 +1104,10 @@ def field_kernel(progs, coords, i, j, algebra, *extra, tangent=False):
     the coordinates, a direction u (one component per coordinate; the
     algebra then reads no further state), and the outputs are followed by
     their derivatives along u, exact to rounding (a separate kernel).
+    ``tangent`` may also be an algebra, ``tangent(gen, jet, out, d_out)``,
+    emitted after the sweep and so never differentiated, which combines
+    the outputs ``out`` and their derivatives ``d_out`` (locals, None where
+    statically zero) and returns the kernel's outputs in their place.
     Compiled on first use, once per structure per process, and kept in
     the kernel table, not on ``progs``."""
     return _kernel(progs, (tuple(coords), i, tuple(j), algebra, extra, tangent))

@@ -615,6 +615,22 @@ def test_every_rotation_folds_on_a_lifted_system():
     assert "_sqrt(" in _config_pair("nonholonomic")[0].joint_kernel._sources["_scalar"]
 
 
+def test_a_lifted_system_takes_no_sqrt_in_its_curvature_kernel():
+    # the curvature kernel carries the joint kernel's folded solve and its
+    # tangent; on a lift the trailing rows of Q^T XXV are statically zero,
+    # so there is no least-squares term and no residual to take a sqrt of
+    from conftest import screened_random_sodes
+    from conjscope import catalog
+    lifts = [pm.lift_sode(catalog.build(name)[0]) for name in catalog.ENTRIES]
+    lifts += [pm.lift_sode(model) for model, _ in screened_random_sodes(seed=77, count=8)]
+    lifts += [pm.lift_sode(pm.SODEModel(m=1, F=("-x1 - 0.1*t*y1",))),
+              _config_pair("lifted_pair")[0]]
+    assert {(pr.m, pr.n % 2) for pr in lifts} == {(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)}
+    for pr in lifts:
+        assert "_sqrt(" not in _as_generic(pr).curvature_kernel._sources["_scalar"]
+    assert "_sqrt(" in _config_pair("nonholonomic")[0].curvature_kernel._sources["_scalar"]
+
+
 def test_field_kernels_raise_what_evaluate_raises():
     from conjscope.errors import DomainError, UnboundVariable
     model = pm.SODEModel(m=1, F=("-x1 + 0.1*log(x1)*y1",), autonomous=True)
@@ -724,15 +740,116 @@ def test_exact_XH1_keeps_the_least_squares_term():
         assert np.array_equal(XH1_one, XH1[k]) and np.array_equal(one.H1, data.H1[k])
 
 
-def test_flow_derivative_H1_data_is_extract_H():
+def _svd_flow_derivative(pair, xs):
+    """(data, X(H1)) at a stack as the tangent kernel and the SVD give them
+    (``pm._lstsq``), with extract_H's diagnostics."""
+    n, m = pair.n, pair.m
+    size = n + 3 * n * m
+    flat = pm._outputs(pair, pair.tangent_kernel, np.concatenate([xs, pair.X_at(xs).T]))
+    X, D, XXV = pm._split(flat[:, :size], n, m)
+    _, dD, dXXV = pm._split(flat[:, size:], n, m)
+    S, cond_D, residual, dS = pm._lstsq(D, XXV, dD, dXXV)
+    return pm.PointFrameData(xs.T, X, D[..., :m], D[..., m:], XXV, S[:, :m], S[:, m:], cond_D,
+                             residual), dS[:, m:]
+
+
+def _assert_close_to_the_svd(data, XH1, ref, ref_XH1, tol=1e-13):
+    """H0, H1 and X(H1) within tol of the SVD's, relative to the largest
+    entry of the three at each point."""
+    scale = np.max(np.abs(np.concatenate([ref.H0, ref.H1, ref_XH1], axis=1)), axis=(1, 2))
+    for got, want in ((data.H0, ref.H0), (data.H1, ref.H1), (XH1, ref_XH1)):
+        assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= tol * scale)
+
+
+def _cond_1_bound(D):
+    """k cond_1(R) of the R factor of each D of a stack, k its columns; the
+    column sums of |R| and |R^-1| do not depend on the signs of R's rows."""
+    R = np.linalg.qr(D, mode="r")
+    norm_1 = lambda A: np.max(np.sum(np.abs(A), axis=-2), axis=-1)
+    return D.shape[-1] * norm_1(R) * norm_1(np.linalg.inv(R))
+
+
+@pytest.mark.parametrize("which", ["dancing", "nonholonomic"])
+def test_flow_derivative_H1_reads_the_curvature_kernel(which):
+    # one curvature-kernel call per block: the brackets are extract_H's
+    # bits, H0, H1 and X(H1) the SVD's to rounding, and the diagnostics are
+    # the screen's own figures: the bound k cond_1(R) >= cond_2(D) and the
+    # relative residual (0 here: [V | XV] is square on both pairs)
     from conjscope import catalog
-    model, _ = catalog.build("dancing")
-    generic = _as_generic(pm.lift_sode(model))
-    points = _trajectory_points(generic, catalog.ENTRIES["dancing"].default_x0, 2.0).T
-    data, _ = pm.flow_derivative_H1(generic, points)
-    ref = pm.extract_H(generic, points)
+    if which == "dancing":
+        pair = _as_generic(pm.lift_sode(catalog.build("dancing")[0]))
+        x0, T = catalog.ENTRIES["dancing"].default_x0, 2.0
+    else:
+        pair, x0, T = _config_pair("nonholonomic")
+    points = _trajectory_points(pair, x0, T).T
+    scalar.run_field(pair.curvature_kernel, list(np.concatenate([points, pair.X_at(points).T])),
+                     pair.params, points.shape[1])           # the screen passes
+    data, XH1 = pm.flow_derivative_H1(pair, points)
+    ref = pm.extract_H(pair, points)
+    for name in ("point", "X", "V", "XV", "XXV"):
+        assert np.array_equal(getattr(data, name), getattr(ref, name)), name
+    svd, svd_XH1 = _svd_flow_derivative(pair, points)
+    assert np.array_equal(svd.H1, ref.H1) and np.array_equal(svd.cond_D, ref.cond_D)
+    _assert_close_to_the_svd(data, XH1, svd, svd_XH1)
+    bound = _cond_1_bound(np.concatenate([ref.V, ref.XV], axis=-1))
+    assert np.all(np.abs(data.cond_D - bound) <= 1e-12 * bound)
+    assert np.all(data.cond_D >= ref.cond_D * (1 - 1e-12))
+    assert np.all(data.residual == 0.0)
+
+
+def test_the_kernel_path_keeps_the_least_squares_term():
+    # the pair of test_exact_XH1_keeps_the_least_squares_term tilted by
+    # 1e-7: a residual of 1.6e-8 to 4.7e-8 passes the screen's cap of
+    # INVARIANCE_TOL / 10, so the kernel's tangent of the solve, least-squares
+    # term included, gives X(H1)
+    pr = pm.GenericPair(coords=("s", "x", "y"),
+                        X=("1 + 0.6*x*y + 1e-7*y*y*x", "y",
+                           "-x - 0.3*y*y + 0.2*sin(s - 0.3*x*x)*y"),
+                        vframe=(("0", "0", "1"),))
+    points = np.array([[0.3, 0.4, -0.2], [1.1, -0.5, 0.6], [-0.7, 0.2, 0.9]]).T
+    scalar.run_field(pr.curvature_kernel, list(np.concatenate([points, pr.X_at(points).T])),
+                     pr.params, 3)                           # the screen passes
+    data, XH1 = pm.flow_derivative_H1(pr, points)
+    svd, svd_XH1 = _svd_flow_derivative(pr, points)
+    assert np.all(data.residual > 1e-8) and np.all(data.residual < 0.1 * pm.INVARIANCE_TOL)
+    assert np.all(np.abs(data.residual - svd.residual) <= 1e-6 * svd.residual)
+    _assert_close_to_the_svd(data, XH1, svd, svd_XH1)
+    for k, x in enumerate(points.T):
+        assert np.max(np.abs(XH1[k] - _H1_central_difference(pr, x))) <= 1e-11
+
+
+def test_a_block_that_fails_the_screen_takes_the_svd(monkeypatch):
+    # x'' = -x - 5000 x^2 x' as a generic pair: cond_1(R) of
+    # [V | XV] = [[0, -1], [1, 5000 x^2]] is about (1 + 5000 x^2)^2, within
+    # the screen's cap at x = 0.3 and past it at x = 1.0, where the SVD
+    # still passes (cond_2 2.5e7); a block spanning both takes the tangent
+    # kernel and the SVD, bit for bit
+    pr = pm.GenericPair(coords=("x", "y"), X=("y", "-x - 5000*x^2*y"), vframe=(("0", "1"),))
+    state = lambda xs: list(np.concatenate([xs, pr.X_at(xs).T]))
+    scalar.run_field(pr.curvature_kernel, state(np.array([[0.3], [0.2]])), {}, 1)
+    with pytest.raises(DomainError, match="screen"):
+        scalar.run_field(pr.curvature_kernel, state(np.array([[1.0], [0.2]])), {}, 1)
+    assert 2.4e7 < pm.extract_H(pr, [1.0, 0.2]).cond_D < pm.COND_LIMIT
+    block = np.array([np.linspace(0.3, 1.0, pm.BLOCK), np.full(pm.BLOCK, 0.2)])
+    data, XH1 = pm.flow_derivative_H1(pr, block)
+    ref, ref_XH1 = _svd_flow_derivative(pr, block)
+    assert np.array_equal(XH1, ref_XH1)
     for name in vars(ref):
         assert np.array_equal(getattr(data, name), getattr(ref, name)), name
+        assert np.array_equal(getattr(data, name), getattr(pm.extract_H(pr, block), name)), name
+    # every block of the screened random systems passes: no SVD is taken
+    from conftest import screened_random_sodes
+    blocks = []
+    for model, x0 in screened_random_sodes(seed=77, count=8):
+        lift = pm.lift_sode(model)
+        pair = _as_generic(lift)
+        blocks.append((pair, _trajectory_points(pair, pm.full_x0(model, lift, x0), 2.0).T))
+    calls = []
+    lstsq = pm._lstsq
+    monkeypatch.setattr(pm, "_lstsq", lambda *args: calls.append(1) or lstsq(*args))
+    for pair, points in blocks:
+        pm.flow_derivative_H1(pair, points)
+    assert calls == []
 
 
 def test_flow_derivative_H1_raises_the_first_violation_in_stack_order():

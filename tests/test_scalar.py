@@ -839,6 +839,23 @@ def _value_algebra(gen, jet):
     return list(jet.val)
 
 
+def _larger_of_value_and_tangent(gen, jet, out, d_out):
+    return [gen.emit(f"_max({v}, {d})") for v, d in zip(out, d_out)]
+
+
+def test_an_algebra_after_the_sweep_is_not_differentiated():
+    # the same _max, emitted after the sweep by a tangent algebra, builds:
+    # it combines the outputs and their tangents, which replace them
+    progs = (parse("x*y"), parse("x + y"))
+    kernel = scalar.field_kernel(progs, ("x", "y"), None, (), _value_algebra,
+                                 tangent=_larger_of_value_and_tangent)
+    plain = scalar.field_kernel(progs, ("x", "y"), None, (), _value_algebra, tangent=True)
+    assert kernel is not plain
+    w = [0.5, 3.0, 1.0, -2.0]           # d(xy) = 3 - 1 = 2, d(x + y) = -1
+    assert scalar.run_field(kernel, w, {}).tolist() == [2.0, 3.5]
+    assert scalar.run_field(plain, w, {}).tolist() == [1.5, 3.5, 2.0, -1.0]
+
+
 def _at(x, y):
     return {"x": x, "y": y, "z": 0.0}
 
