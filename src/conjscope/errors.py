@@ -33,13 +33,10 @@ class UnboundVariable(ConjscopeError):
 
 class DomainError(ConjscopeError):
     """Evaluation left the domain of a subexpression (log of non-positive,
-    division by zero, ...). ``where`` is the offending subexpression, printed.
-    ``outputs`` holds a compiled kernel's outputs when the check that failed
-    ran after all of them, and is None otherwise."""
+    division by zero, ...). ``where`` is the offending subexpression, printed."""
 
-    def __init__(self, message, where=None, outputs=None):
+    def __init__(self, message, where=None):
         self.where = where
-        self.outputs = outputs
         if where is not None:
             message = f"{message} in {where!r}"
         super().__init__(message)

@@ -8,18 +8,19 @@ fields are one ODE solve, whose right-hand side (``pair.joint_rhs``) is one
 call of the pair's compiled joint kernel per evaluation, which gives the
 whole derivative, on a lifted second-order system as on any other pair:
 the brackets, a Givens least-squares solve for the structure matrices H0,
-H1 of the bracket relation and the products after it.  A point that fails
-the solve's screen (its exact condition number and residual) is decided by
-the SVD, which reports regularity; where the SVD passes, the kernel's own
-derivative stands.  The normal curvature is computed afterwards, on
+H1 of the bracket relation, the products after it and the verdict of the
+solve's screen (a bound on its condition number, and its residual).  The
+derivative is always the kernel's; a point whose screen fails is decided
+by the SVD (``pair.extract_H``), which reports regularity and raises the
+violation it finds.  The normal curvature is computed afterwards, on
 whatever times it is asked for, from the transported point and G: on an
 array of times, one dense lookup (on the grid, the one every grid reader
 shares), one curvature call per block of points and one batched solve.
 On a generic pair each curvature block is one call of the pair's curvature
 kernel (``pair.flow_derivative_H1``): the brackets with their derivatives
 along X, the same Givens solve for H0, H1, its tangent, which gives the
-exact X(H1), and its screen.  A block in which a point fails the screen
-takes the brackets' tangent kernel and one batched SVD instead.
+exact X(H1), and its screen, whose failing points go to the SVD in the
+same way.
 """
 
 from __future__ import annotations

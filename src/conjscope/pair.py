@@ -10,9 +10,7 @@ regularity conditions.  The curvature is exact on both paths: in closed
 form from one jet of a second-order force, and for a generic pair from one
 call of its curvature kernel (``flow_derivative_H1``): the brackets with
 their tangents along X, then the Givens solve for H0, H1, the tangent of
-that solve, which gives X(H1), and its screen.  A block of curvature points
-that fails the screen takes the tangent of the bracket kernel and the SVD
-instead.
+that solve, which gives X(H1), and the verdict of its screen.
 
 The bracket and curvature functions take one point or a stack of points, and
 readers of a grid call them once per block of BLOCK points (``on_blocks``):
@@ -25,10 +23,11 @@ stack.  ``joint_rhs`` gives the right-hand side of the joint Jacobi solve
 of every pair, a lifted second-order system included, as one call of the
 pair's joint kernel, which emits the bracket algebra, then a Givens
 least-squares solve for H0, H1 (``_least_squares``), then the products,
-then the solve's regularity screen.  On a lifted system the solve folds to
-H1 = -dF/dy and H0 = dF/dx - X(dF/dy).  A point that fails the screen is
-decided by ``extract_H``'s SVD, which raises the violation it finds; where
-the SVD passes, the right-hand side is still the kernel's own.
+then the verdict of the solve's regularity screen.  On a lifted system the
+solve folds to H1 = -dF/dy and H0 = dF/dx - X(dF/dy).  Both readers keep
+the kernel's outputs; ``extract_H``'s SVD alone decides regularity, and
+they call it only on the points whose verdict fails, where it raises the
+violation it finds.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def _as_expr(e) -> ExprProgram:
 # The kernels that a solve reads on every step or block are model attributes,
 # although scalar's kernel table would give them back on every request:
 # SODEModel.jet_kernel, GenericPair.joint_kernel, curvature_kernel,
-# bracket_kernel, tangent_kernel and stacked, and
+# bracket_kernel and stacked, and
 # hamiltonian.SemiHamiltonianModel.sigma_field.
 # A table lookup builds the exact key and takes the table's lock, 2.5-5.2 us
 # against 0.3 us for an attribute read (timed on 64-point blocks of random
@@ -169,17 +168,11 @@ class GenericPair:
         return _pair_kernel(self, _bracket_algebra)
 
     @cached_property
-    def tangent_kernel(self):
-        """The bracket kernel's outputs followed by their derivatives along
-        a direction given with the point (the SVD path of
-        ``flow_derivative_H1``), compiled on first use."""
-        return _pair_kernel(self, _bracket_algebra, tangent=True)
-
-    @cached_property
     def curvature_kernel(self):
-        """The tangent kernel's values and derivatives, then the solve for
-        H0, H1 and its tangent along u (``_curvature_algebra``), compiled
-        on first use."""
+        """The bracket kernel's outputs with their derivatives along a
+        direction u given with the point, then the solve for H0, H1, its
+        tangent along u and its screen (``_curvature_algebra``), compiled on
+        first use."""
         return _pair_kernel(self, _bracket_algebra, tangent=_curvature_algebra)
 
     @cached_property
@@ -313,37 +306,24 @@ def _jacobian(exprs, coords, env):
     return val, J
 
 
-def _lstsq(D, B, dD=None, dB=None):
+def _lstsq(D, B):
     """Least-squares solution S of D S = B, the condition number of D and the
     relative residual |D S - B| / |B|, all from one SVD of D; stacks of D
-    and B solve matrix by matrix in one batched SVD.  Given the derivatives
-    dD and dB of D and B along a direction, it also returns the derivative
-    dS of S along it, from the same SVD (the normal equations
-    differentiated): dS = D^+ (dB - dD S) + (D^T D)^-1 dD^T (B - D S), whose
-    second term, the least-squares part, vanishes for a square D.  The
-    kernels emit the same solve and tangent by Givens QR
-    (``_least_squares``); this SVD decides regularity (``extract_H``,
-    ``check_regularity``) and serves the curvature blocks that fail the
-    kernels' screen (``flow_derivative_H1``).
+    and B solve matrix by matrix in one batched SVD.  The kernels emit the
+    same solve by Givens QR (``_least_squares``); this SVD decides
+    regularity (``extract_H``, ``check_regularity``).
 
     Singular values at or below numpy lstsq's cutoff eps * max(D.shape) * s_max
-    are dropped, from S and dS alike, so a singular D (cond = inf) still
-    gives a finite solution and residual."""
+    are dropped, so a singular D (cond = inf) still gives a finite solution
+    and residual."""
     U, s, Vt = np.linalg.svd(D, full_matrices=False)
     keep = s > _EPS * max(D.shape[-2:]) * s[..., :1]
-    kept = np.where(keep, s, np.inf)[..., None]
-    S = _T(Vt) @ ((_T(U) @ B) / kept)
+    S = _T(Vt) @ ((_T(U) @ B) / np.where(keep, s, np.inf)[..., None])
     cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf),
                      where=s[..., -1] > 0.0)
     scale = _fro(B)
-    R = D @ S - B
-    residual = _fro(R) / np.where(scale > 0, scale, 1.0)
-    if dD is None:
-        return S, cond, residual
-    inner = (_T(U) @ (dB - dD @ S)) / kept
-    if D.shape[-2] > D.shape[-1]:
-        inner = inner - (Vt @ (_T(dD) @ R)) / (kept * kept)
-    return S, cond, residual, _T(Vt) @ inner
+    residual = _fro(D @ S - B) / np.where(scale > 0, scale, 1.0)
+    return S, cond, residual
 
 
 @dataclass(frozen=True)
@@ -352,12 +332,11 @@ class PointFrameData:
     of the relation [X,[X,V]] = V H0 + [X,V] H1 at one point, or at a stack
     of points (every field then has a leading point axis).
 
-    ``extract_H`` and a curvature block that takes the SVD give cond_2 of
-    [V | XV] and the relative residual of the SVD's solve.  A curvature block
-    that passes the kernel's screen (``flow_derivative_H1``) gives the
-    screen's own figures: the bound k cond_1(R) >= cond_2([V | XV]), with R
-    the Givens R factor and k = 2m its columns, and the exact relative
-    residual |Q^T XXV|[k:] / |XXV|, 0.0 where those rows are statically
+    ``extract_H`` gives cond_2 of [V | XV] and the relative residual of the
+    SVD's solve.  ``flow_derivative_H1`` gives the figures of the curvature
+    kernel's screen: the bound |R|_F |R^-1|_F >= cond_2([V | XV]), with R
+    the Givens R factor, and the exact relative residual
+    |Q^T XXV|[k:] / |XXV| (k = 2m), 0.0 where those rows are statically
     zero."""
 
     point: np.ndarray
@@ -478,14 +457,15 @@ def extract_H(pair: GenericPair, x, raise_on_violation=True):
     One SVD of the 2m-column matrix (least squares when the ambient
     dimension exceeds 2m) gives its condition number and the relative
     residual, the numerical witness of the invariance condition; this is
-    the solve that decides and reports regularity.  Neither the Jacobi
+    the one solve that decides and reports regularity.  Neither the Jacobi
     solve nor the curvature calls it at every point: the joint and the
-    curvature kernels emit a Givens solve with the exact cond_1 of its R
-    factor and its residual as a screen (``_least_squares``), and the
-    curvature kernel the tangent of that solve too.  The joint solve calls
-    on this SVD only to decide a point that fails the screen, and a
-    curvature block that fails it takes the same SVD (``flow_derivative_H1``).
-    On a stack the violation raised is the first in stack order."""
+    curvature kernels emit a Givens solve whose screen, a bound on the
+    condition number of its R factor and its residual, is one more output
+    (``_least_squares``).  Their readers (``joint_rhs``,
+    ``flow_derivative_H1``) keep the kernel's outputs and call this SVD
+    only on the points whose screen fails, or that the solve could not be
+    formed at, so that it raises the violation there.  On a stack the
+    violation raised is the first in stack order."""
     xs, one = _stack(x)
     x_val, V, XV, XXV = _lead(one, *brackets_at(pair, x))
     m = pair.m
@@ -514,35 +494,32 @@ def flow_derivative_H1(pair: GenericPair, x):
     ``X_at``), which carry the terms in which X itself varies, then the
     Givens solve of D (H0; H1) = XXV, its tangent X(H0; H1) and its screen
     (``_least_squares``), so X, V, XV, XXV and the point are ``extract_H``'s
-    bits and H0, H1 and X(H1) are the SVD's to rounding.  A block in which
-    the kernel raises (a point fails the screen, or the solve cannot be
-    formed) takes the tangent kernel and the SVD (``_lstsq``) instead, whose
-    data, diagnostics included, are ``extract_H``'s bits, and which raises
-    the RegularityViolation that ``extract_H`` raises: the first in stack
-    order."""
+    bits and H0, H1 and X(H1) are the SVD's to rounding; the diagnostics
+    are the screen's figures (``PointFrameData``).  The points whose screen
+    fails go to ``extract_H``, which raises the RegularityViolation it
+    finds, the first in stack order; where it passes, the kernel's outputs
+    stand.  A block at which the solve cannot be formed (the kernel raises
+    DomainError) goes to ``extract_H`` whole, and the DomainError is raised
+    where it passes."""
     xs, one = _stack(x)
     n, m = pair.n, pair.m
     w = np.concatenate([xs, pair.X_at(xs).T])
-    size = n + 3 * n * m
     try:
         flat = _outputs(pair, pair.curvature_kernel, w)
-    except DomainError:
-        flat = None                     # the SVD raises outside the handler
-    if flat is None:
-        flat = _outputs(pair, pair.tangent_kernel, w)
-        x_val, D, XXV = _split(flat[:, :size], n, m)
-        _, dD, dXXV = _split(flat[:, size:], n, m)
-        sol, cond_D, residual, dsol = _lstsq(D, XXV, dD, dXXV)
-        _raise_first_violation(xs, cond_D, residual)
-        H0, H1, XH1 = sol[:, :m], sol[:, m:], dsol[:, m:]
+    except DomainError as err:
+        failed = err
     else:
+        fails = flat[:, -1] != 0.0
+        if fails.any():
+            extract_H(pair, xs[:, fails])
+        size = n + 3 * n * m
         x_val, D, XXV = _split(flat[:, :size], n, m)
         H = flat[:, size:size + 3 * m * m].reshape(-1, 3, m, m)
-        H0, H1, XH1 = H[:, 0], H[:, 1], H[:, 2]
-        cond_D, residual = flat[:, -2], flat[:, -1]
-    data = PointFrameData(*_unstack(one, xs.T, x_val, D[..., :m], D[..., m:], XXV, H0, H1,
-                                    cond_D, residual))
-    return data, _unstack(one, XH1)[0]
+        data = PointFrameData(*_unstack(one, xs.T, x_val, D[..., :m], D[..., m:], XXV,
+                                        H[:, 0], H[:, 1], np.sqrt(flat[:, -3]), flat[:, -2]))
+        return data, _unstack(one, H[:, 2])[0]
+    extract_H(pair, xs)                 # raises outside the handler
+    raise failed
 
 
 # -- closed-form path for second-order systems -------------------------------
@@ -690,12 +667,13 @@ def _residual(gen, D, B, S):
              for j in range(len(b))] for d, b in zip(D, B)]
 
 
-def _least_squares(gen, D, B, dD=None, dB=None):
+def _least_squares(gen, D, B, *tangent):
     """The least-squares solve of D S = B and its screen, emitted as
-    straight-line code; returns S (k rows of p).  Given the derivatives dD
-    and dB of D and B along a direction, it returns S, the derivative dS of
-    S along it, the bound k cond_1(R) on cond_2(D) and the relative
-    residual |D S - B| / |B|.
+    straight-line code; returns S (k rows of p), the screen's bound
+    |R|_F^2 |R^-1|_F^2 on cond_2(D)^2, the relative residual
+    |D S - B| / |B|, the screen's verdict (true where it fails) and, given
+    in ``tangent`` the derivatives dD and dB of D and B along a direction,
+    the derivative dS of S along it (else None).
 
     D and dD (n rows of k) and B and dB (n rows of p) hold locals or
     literals, None where statically zero.  Givens QR without pivoting
@@ -711,24 +689,24 @@ def _least_squares(gen, D, B, dD=None, dB=None):
     is left out where Q^T B has no trailing rows that are not statically
     zero (a square D, or a lifted second-order system).
 
-    The screen is a check that runs after the kernel's other statements,
-    so a point that fails it raises DomainError carrying the kernel's
-    outputs: it passes when S, the column sums of |R| and |R^-1| and the
-    residual terms are finite, the exact cond_1(R) (the product of the
-    largest column sums) is at most COND_LIMIT / (10 k), and the relative
-    residual, read from the trailing rows of Q^T B, is at most
-    INVARIANCE_TOL / 10.  cond_2(D) = cond_2(R) <= k cond_1(R), so with
-    these margins a point that passes is regular by the SVD's reading too.
+    The screen raises nothing: its verdict is an output, and the kernel's
+    reader leaves the points where it fails to ``extract_H``.  It passes
+    when S, the bound and the residual terms are finite, the bound is at
+    most (COND_LIMIT / 10)^2 and the relative residual, read from the
+    trailing rows of Q^T B, is at most INVARIANCE_TOL / 10.  D = Q R keeps
+    the singular values, and |A|_2 <= |A|_F, so |R|_F |R^-1|_F >= cond_2(D)
+    (Golub & Van Loan, 2.3 and 5.2); with these margins a point that passes
+    is regular by the SVD's reading too.  The bound is compared as a square,
+    so the screen takes no sqrt.
 
     Static entries fold.  A rotation whose lower entry is statically zero is
     skipped; one whose upper entry is statically zero is a signed row swap,
     rows (c, q) becoming (q, -c), with no sqrt; a division by a literal 1.0
-    or -1.0 is a sign, and |-u| reads |u|.  A rotation of two entries that
-    are both 0.0 at a point is the identity there.  A rotation whose
-    a^2 + b^2 is at most _TINY otherwise, or a zero diagonal entry of R,
-    raises DomainError where it occurs, with no outputs, and so does every
-    point of a wide D (n < k) or of one whose R has a statically zero
-    diagonal entry."""
+    or -1.0 is a sign.  A rotation of two entries that are both 0.0 at a
+    point is the identity there.  A solve that cannot be formed raises
+    DomainError where it occurs: a rotation whose a^2 + b^2 is at most
+    _TINY otherwise, a zero diagonal entry of R, and every point of a wide D
+    (n < k) or of one whose R has a statically zero diagonal entry."""
     n, k, p = len(D), len(D[0]), len(B[0])
     A = [list(d) + list(b) for d, b in zip(D, B)]
     rotations = []
@@ -756,51 +734,38 @@ def _least_squares(gen, D, B, dD=None, dB=None):
     S = [[None] * p for _ in range(k)]
     if n < k or any(A[c][c] is None for c in range(k)):
         gen.check("True", "no least-squares solve", _WHERE)
-        return S if dD is None else (S, S, None, None)
+        return S, None, None, None, S
     R = [row[:k] for row in A[:k]]
     S = _substitute(gen, R, [row[k:] for row in A[:k]])
     inverse = _substitute(gen, R, [[None] * c + ["1.0"] + [None] * (k - c - 1)
                                    for c in range(k)])
-
-    def magnitude(v):
-        v = gen.negations.get(v, v)
-        if v is None or _numeric(v) is None:
-            return v and gen.emit(f"_abs({v})")
-        return repr(abs(_numeric(v)))
-
-    def largest(vs):
-        values = [_numeric(v) for v in vs if _numeric(v) is not None]
-        parts = list(dict.fromkeys(v for v in vs if _numeric(v) is None))
-        parts += [repr(max(values))] if values else []
-        return parts[0] if len(parts) == 1 else gen.emit(f"_max({', '.join(parts)})")
-
-    sums = [[gen.combine(*(("+", magnitude(M[i][c])) for i in range(c + 1))) for c in range(k)]
-            for M in (R, inverse)]
-    terms = [v for row in S for v in row] + sums[0] + sums[1]
-    fails = []
-    cond, cap = gen.dot([(largest(sums[0]), largest(sums[1]))]), COND_LIMIT / (10 * k)
-    if _numeric(cond) is None or _numeric(cond) > cap:
-        fails.append(f"({cond} > {cap!r})")
-    residual = gen.dot((v, v) for row in A[k:] for v in row[k:])
+    bound = gen.dot([tuple(gen.dot((v, v) for row in M for v in row) for M in (R, inverse))])
+    cap = (COND_LIMIT / 10) ** 2
+    terms, fails = [v for row in S for v in row] + [bound], []
+    if _numeric(bound) is None or _numeric(bound) > cap:
+        fails.append(f"({bound} > {cap!r})")
+    residual, relative = gen.dot((v, v) for row in A[k:] for v in row[k:]), "0.0"
     if residual is not None:
         scale = gen.dot((v, v) for row in B for v in row)
         fails.append(f"({residual} > {(0.1 * INVARIANCE_TOL) ** 2!r} * {scale})")
         terms += [residual, scale]
+        num, den = gen.emit(f"_sqrt({residual})"), gen.emit(f"_sqrt({scale})")
+        relative = gen.emit(f"{num} / {den} if {den} > 0.0 else {num}",
+                            array=f"_where({den} > 0.0, {num} / {den}, {num})")
     # a sum is finite only when every term is (an overflowing sum of finite
     # terms fails too), and v - v is 0.0 only for a finite v; a NaN compares
     # false, so these come first
     total = gen.combine(*(("+", v) for v in terms if v is not None and _numeric(v) is None))
     if total is not None:
         fails.insert(0, f"({total} - {total} != 0.0)")
-    if fails:
-        gen.check(" | ".join(fails), "the screen of the solve fails", _WHERE, carry=True)
-    if dD is None:
-        return S
+    verdict = gen.emit(" | ".join(fails)) if fails else None
+    if not tangent:
+        return S, bound, relative, verdict, None
+    dD, dB = tangent
     Y = _residual(gen, dD, dB, S)
     for c, q, turn in rotations:
         Y[c], Y[q] = _turn(gen, turn, Y[c], Y[q])
     Y = Y[:k]
-    relative = "0.0"
     if residual is not None:
         # the least-squares term R^-T dD^T (B - D S), before R substitutes
         rest = _residual(gen, D, B, S)
@@ -809,10 +774,7 @@ def _least_squares(gen, D, B, dD=None, dB=None):
         Y = [[gen.combine(("+", Y[i][j]), ("+", gen.dot((inverse[l][i], Z[l][j])
                                                          for l in range(i + 1))))
               for j in range(p)] for i in range(k)]
-        num, den = gen.emit(f"_sqrt({residual})"), gen.emit(f"_sqrt({scale})")
-        relative = gen.emit(f"{num} / {den} if {den} > 0.0 else {num}",
-                            array=f"_where({den} > 0.0, {num} / {den}, {num})")
-    return S, _substitute(gen, R, Y), gen.emit(f"{float(k)!r} * {cond}"), relative
+    return S, bound, relative, verdict, _substitute(gen, R, Y)
 
 
 def _solve_rows(flat, n, m):
@@ -827,49 +789,54 @@ def _rhs_algebra(gen, jet):
     """The right-hand side of the joint Jacobi solve of a pair, with state
     w = (x, vec G, vec a, vec b): x' = X, G' = -H1 G / 2, a' = -H0 b and
     b' = -a - H1 b (``_products``), with H0, H1 from the bracket algebra and
-    the solve of D (H0; H1) = XXV (``_least_squares``)."""
+    the solve of D (H0; H1) = XXV (``_least_squares``), then the verdict of
+    the solve's screen."""
     n = len(jet.along)
     m = len(jet.val) // n - 1
     out = _bracket_algebra(gen, jet)
-    S = _least_squares(gen, *_solve_rows(out, n, m))
+    S, _, _, verdict, _ = _least_squares(gen, *_solve_rows(out, n, m))
     H0, H1 = [v for row in S[:m] for v in row], [v for row in S[m:] for v in row]
     G, a, b = ([gen.state(n + s * m * m + c) for c in range(m * m)] for s in range(3))
-    return out[:n] + _products(gen, m, H0, H1, G, a, b)
+    return out[:n] + _products(gen, m, H0, H1, G, a, b) + [verdict]
 
 
 def _curvature_algebra(gen, jet, out, d_out):
     """The bracket algebra's outputs X, D = [V | XV] and XXV, then H0, H1,
-    X(H1) row-major, the bound k cond_1(R) on cond_2(D) and the relative
-    residual, from the solve of D (H0; H1) = XXV and its tangent along u
-    (``_least_squares``), emitted after the sweep that gives ``d_out``."""
+    X(H1) row-major, the bound |R|_F^2 |R^-1|_F^2 on cond_2(D)^2, the
+    relative residual and the verdict of the screen, from the solve of
+    D (H0; H1) = XXV and its tangent along u (``_least_squares``), emitted
+    after the sweep that gives ``d_out``."""
     n = len(jet.along)
     m = len(jet.val) // n - 1
-    S, dS, cond, residual = _least_squares(gen, *_solve_rows(out, n, m),
-                                           *_solve_rows(d_out, n, m))
-    return out + [v for row in S + dS[m:] for v in row] + [cond, residual]
+    S, bound, residual, verdict, dS = _least_squares(gen, *_solve_rows(out, n, m),
+                                                     *_solve_rows(d_out, n, m))
+    return out + [v for row in S + dS[m:] for v in row] + [bound, residual, verdict]
 
 
 def joint_rhs(pair: GenericPair):
     """The right-hand side w' of the joint Jacobi solve of the pair, with
     state w = (x, vec G, vec a, vec b) (``jacobi.integrate_jacobi``): one
     call of the pair's joint kernel, whose bracket algebra, least-squares
-    solve and products give all of w'.  Where the solve cannot be formed or
-    fails its screen (the kernel raises DomainError), ``extract_H``'s SVD
-    decides the point and raises the RegularityViolation it finds (or the
-    fields' own DomainError); where it passes, w' is the outputs that the
-    screen's DomainError carries, and a solve that could not be formed
-    raises its DomainError."""
+    solve and products give all of w', and whose last output is the verdict
+    of the solve's screen.  A point that fails the screen goes to
+    ``extract_H``, which raises the RegularityViolation it finds; where it
+    passes, w' is the kernel's.  Where the solve cannot be formed (the
+    kernel raises DomainError), ``extract_H`` decides the point first (or
+    raises the fields' own DomainError), and the kernel's DomainError is
+    raised where it passes."""
     n, kernel, env = pair.n, pair.joint_kernel, pair.params
 
     def rhs(w):
         try:
-            return scalar.run_field(kernel, w.tolist(), env)
+            out = scalar.run_field(kernel, w.tolist(), env)
         except DomainError as err:
-            failed = err            # the SVD raises outside the handler
-        extract_H(pair, w[:n])
-        if failed.outputs is None:
-            raise failed
-        return np.fromiter(failed.outputs, float)
+            failed = err
+        else:
+            if out[-1]:
+                extract_H(pair, w[:n])
+            return out[:-1]
+        extract_H(pair, w[:n])          # raises outside the handler
+        raise failed
     return rhs
 
 

@@ -495,7 +495,7 @@ class _Codegen:
     ``env`` binds the names, ``d1`` and ``d2[c]`` hold the components of
     mapping seeds.  ``head`` holds the loads as (local, source) and ``body``
     the statements as ("let", local, expr, array expr or None, where) and
-    ("check", condition, message, where, carry); ``_source`` writes them out
+    ("check", condition, message, where); ``_source`` writes them out
     as the scalar or the array kernel.  ``gen`` emits the value statements
     of a tree; their derivatives are emitted by ``_Tangent``."""
 
@@ -536,16 +536,14 @@ class _Codegen:
             node = self.trees[expr] = ast.parse(expr, mode="eval").body
         return node
 
-    def check(self, cond, message, where, carry=False):
+    def check(self, cond, message, where):
         """A DomainError(message, where) when ``cond`` holds; ``where`` is
-        the failing expression, as text or as its node.  A check that
-        ``carry``s runs after every statement of the kernel, and its
-        DomainError carries the kernel's outputs (``DomainError.outputs``)."""
+        the failing expression, as text or as its node."""
         # a repeated check cannot fire: the first one would have
         if (cond, message) not in self.checks:
             self.checks.add((cond, message))
             self.body.append(("check", cond, message,
-                              where if isinstance(where, str) else _pretty(where, 0), carry))
+                              where if isinstance(where, str) else _pretty(where, 0)))
 
     def load(self, name, source=None):
         """Local of ``name``, bound by ``env`` or, with ``source``, read
@@ -643,17 +641,15 @@ def _source(head, body, outputs, array, args):
     ``_Codegen``, returning ``outputs``; statements they do not read are left
     out (``_live``).  ``args`` is ``"env, d1, d2"``, or ``"w, env"`` for a
     field kernel, whose scalar kernel reads the floats of ``w`` as they are."""
-    lines, last = [f"def _kernel({args}):"], []
-    returned = f"({''.join(o + ', ' for o in outputs)})"
+    lines = [f"def _kernel({args}):"]
     for local, src in head:
         load = "_load" if array else "" if src.startswith("w[") else "float"
         lines.append(f"    {local} = {load}({src})" if load else f"    {local} = {src}")
     for kind, *rest in _live(body, outputs):
         if kind == "check":
-            cond, message, where, carry = rest
-            (last if carry else lines).append(
-                f"    if {f'_any({cond})' if array else cond}: "
-                f"raise _DomainError({message!r}, {where!r}{', ' + returned if carry else ''})")
+            cond, message, where = rest
+            lines.append(f"    if {f'_any({cond})' if array else cond}: "
+                         f"raise _DomainError({message!r}, {where!r})")
             continue
         name, expr, array_expr, where = rest
         if array:
@@ -664,7 +660,7 @@ def _source(head, body, outputs, array, args):
             lines += ["    try:", f"        {name} = {expr}",
                       "    except ValueError as err:",
                       f"        raise _DomainError(str(err), {where!r}) from None"]
-    lines += last + [f"    return {returned}"]
+    lines.append(f"    return ({''.join(o + ', ' for o in outputs)})")
     return "\n".join(lines)
 
 
@@ -704,10 +700,10 @@ class _Tangent:
         body, gen.body = gen.body, []
         for k, stmt in enumerate(body):
             if stmt[0] == "check":
-                _, cond, message, where, carry = stmt
+                _, cond, message, where = stmt
                 arg = cond.split(" ")[0]
                 if message == _SQRT_NEGATIVE and any(arg in tan for tan in live):
-                    body[k] = ("check", f"{arg} <= 0.0", _SQRT_AT_ZERO, where, carry)
+                    body[k] = ("check", f"{arg} <= 0.0", _SQRT_AT_ZERO, where)
                 continue
             node, own, self.text = gen.tree(stmt[2]), stmt[1], stmt[2]
             for tan in live:
@@ -778,7 +774,7 @@ class _Tangent:
             f1 = emit(f"0.5 / {v}")
         elif fn == "_abs":
             f1 = emit(f"1.0 if {a} >= 0.0 else -1.0", array=f"_sign({a})")
-        else:               # such as the _max of pair's least-squares screen
+        else:               # such as _max, which no sweep differentiates
             raise TypeError(f"no tangent rule for {fn}")
         return emit(_chain(f1, da))
 
@@ -1099,11 +1095,11 @@ def field_kernel(progs, coords, i, j, algebra, *extra, tangent=False):
     ``gen.dot``, ``gen.combine``, ``gen.negate`` and ``gen.check``, reads
     further entries of the state through ``gen.state``, and returns the
     output locals; one kernel call gives them all (``run_field``), or raises
-    the DomainError of a check that holds (with the outputs, for a check
-    that carries them).  With ``tangent`` the state holds, after
-    the coordinates, a direction u (one component per coordinate; the
-    algebra then reads no further state), and the outputs are followed by
-    their derivatives along u, exact to rounding (a separate kernel).
+    the DomainError of a check that holds.  With ``tangent`` the state
+    holds, after the coordinates, a direction u (one component per
+    coordinate; the algebra then reads no further state), and the outputs
+    are followed by their derivatives along u, exact to rounding (a
+    separate kernel).
     ``tangent`` may also be an algebra, ``tangent(gen, jet, out, d_out)``,
     emitted after the sweep and so never differentiated, which combines
     the outputs ``out`` and their derivatives ``d_out`` (locals, None where

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from conjscope import analysis, bounds, catalog, frames, jacobi, ode, pair as pm
 from conjscope import hamiltonian, scalar
-from conjscope.errors import ClosedOrbitWarning, RegularityViolation, StepSizeUnderflow
+from conjscope.errors import (ClosedOrbitWarning, RegularityViolation, SingularG,
+                              StepSizeUnderflow)
 
 from conftest import linear_combination
 
@@ -468,7 +469,7 @@ def test_property_point_dependent_frame_change_keeps_times_and_curvature(a, b, c
 
 
 def test_generic_jacobi_solve_takes_no_curvature_derivative(monkeypatch):
-    # X(H1) (the tangent kernel) is read by the curvature samples after the
+    # X(H1) (the curvature kernel) is read by the curvature samples after the
     # solve, never by its right-hand side
     calls = []
     solving = []
@@ -690,6 +691,22 @@ def test_a_generic_pair_past_the_cond_limit_ends_with_R2_promptly():
         analysis.analyze(generic, x0=(2.5, -2.0, 0.6, 0.1), T=3.0)
     assert time.perf_counter() - start < 2.0
     assert err.value.cond == "R2" and err.value.residual > pm.COND_LIMIT
+
+
+def test_a_stiff_lifted_system_passes_the_screen_without_extract_H(monkeypatch):
+    # x'' = -x - 2500 x' - 0.1 x^3: cond_2[V | XV] is about 6.25e6, below
+    # COND_LIMIT, and the screen's bound |R|_F |R^-1|_F = 6.25e6 + 2 passes
+    # its cap of COND_LIMIT / 10, so no right-hand side goes to extract_H;
+    # the frame transport collapses at t = 0.0221655 (a bound k cond_1(R),
+    # 1.25e7, failed at every evaluation and sent each to the SVD)
+    calls, extract_H = [], pm.extract_H
+    monkeypatch.setattr(pm, "extract_H", lambda *args, **kw: calls.append(1)
+                        or extract_H(*args, **kw))
+    model = pm.SODEModel(m=1, F=("-x1 - 2500*y1 - 0.1*x1^3",), autonomous=True)
+    with pytest.raises(SingularG, match="collapsed at t=") as err:
+        analysis.analyze(model, x0=(1.0, 0.0), T=3.0)
+    assert abs(float(str(err.value).rpartition("t=")[2]) - 0.0221655099154) < 1e-9
+    assert calls == []
 
 
 def _degenerating_pair():

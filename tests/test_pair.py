@@ -357,8 +357,9 @@ def test_a_rotation_of_two_zeros_is_the_identity():
                           vframe=(("a", "b", "1", "0"), ("0", "0", "0", "1")))
     x = [0.0, 0.0, 0.5, 0.3]
     w = x + [0.0] * 8 + [1.0, 0.0, 0.0, 1.0]
-    assert np.array_equal(scalar.run_field(pair.joint_kernel, w, pair.params),   # no raise
-                          pm.joint_rhs(pair)(np.array(w)))
+    out = scalar.run_field(pair.joint_kernel, w, pair.params)       # no raise
+    assert out[-1] == 0.0                                           # the screen passes
+    assert np.array_equal(out[:-1], pm.joint_rhs(pair)(np.array(w)))
     data = pm.extract_H(pair, x)
     _, H0, H1 = rhs_structure(pair, x)
     for H, ref in ((H0, data.H0), (H1, data.H1)):
@@ -367,24 +368,25 @@ def test_a_rotation_of_two_zeros_is_the_identity():
 
 def _solve_algebra(gen, jet, n, k, p):
     """The emitted least-squares solve of D S = B, with D (n x k) and B
-    (n x p) read from the state, row-major."""
+    (n x p) read from the state, row-major, then its screen's verdict."""
     w = [gen.state(i) for i in range(n * (k + p))]
-    S = pm._least_squares(gen, [w[i * k:(i + 1) * k] for i in range(n)],
-                          [w[n * k + i * p:n * k + (i + 1) * p] for i in range(n)])
-    return [v for row in S for v in row]
+    S, _, _, verdict, _ = pm._least_squares(
+        gen, [w[i * k:(i + 1) * k] for i in range(n)],
+        [w[n * k + i * p:n * k + (i + 1) * p] for i in range(n)])
+    return [v for row in S for v in row] + [verdict]
 
 
 def _emitted_solve(D, B):
-    """S of the emitted solve, or None where it raises (its screen, a tiny
-    rotation or a zero pivot), which the joint kernel's reader leaves to the
-    SVD to decide."""
+    """S of the emitted solve, or None where its screen fails or it raises
+    (a tiny rotation or a zero pivot): the points that the joint kernel's
+    reader leaves to extract_H to decide."""
     (n, k), p = D.shape, B.shape[1]
     kernel = scalar.field_kernel((), (), None, (), _solve_algebra, n, k, p)
     try:
-        return scalar.run_field(kernel, [*D.ravel().tolist(), *B.ravel().tolist()], {}) \
-            .reshape(k, p)
+        out = scalar.run_field(kernel, [*D.ravel().tolist(), *B.ravel().tolist()], {})
     except DomainError:
         return None
+    return None if out[-1] else out[:-1].reshape(k, p)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (5, 4), (7, 6)])
@@ -410,7 +412,7 @@ def test_screened_solve_matches_numpy(shape):
         assert _emitted_solve(D, B + 1e-6 * np.linalg.norm(B) * rng.standard_normal(B.shape)) \
             is None
     # an exactly singular D, and one with cond_2 = COND_LIMIT / 2, which the
-    # SVD passes but the screen leaves to it (cond_1 >= cond_2 / k)
+    # SVD passes but the screen leaves to it (|R|_F |R^-1|_F >= cond_2)
     singular = D.copy()
     singular[:, -1] = 0.0
     assert _emitted_solve(singular, B) is None
@@ -513,7 +515,8 @@ def _check_generic_parity(pair, x0, T):
     for x in _trajectory_points(pair, x0, T):
         X, D, XXV = _bracket_reference(pair, x)
         w = np.concatenate([x, rng.standard_normal(3 * pair.m ** 2)])
-        out = scalar.run_field(pair.joint_kernel, w.tolist(), pair.params)  # raises on a fail
+        *out, verdict = scalar.run_field(pair.joint_kernel, w.tolist(), pair.params)
+        assert verdict == 0.0                                       # the screen passes
         got = rhs_structure(pair, x)
         assert np.array_equal(got[0], X)
         assert np.array_equal(rhs(w), out) and np.array_equal(out, _joint_reference(*got, w))
@@ -741,14 +744,25 @@ def test_exact_XH1_keeps_the_least_squares_term():
 
 
 def _svd_flow_derivative(pair, xs):
-    """(data, X(H1)) at a stack as the tangent kernel and the SVD give them
-    (``pm._lstsq``), with extract_H's diagnostics."""
+    """(data, X(H1)) at a stack from the bracket kernel's tangent kernel and
+    the SVD (``pm._lstsq``), with extract_H's diagnostics: the reference for
+    the curvature kernel.  The tangent of the solve is the normal equations
+    differentiated, dS = D^+ (dB - dD S) + (D^T D)^-1 dD^T (B - D S), from
+    the same SVD and with the same cutoff; its second term, the
+    least-squares part, vanishes for a square D."""
     n, m = pair.n, pair.m
     size = n + 3 * n * m
-    flat = pm._outputs(pair, pair.tangent_kernel, np.concatenate([xs, pair.X_at(xs).T]))
+    kernel = pm._pair_kernel(pair, pm._bracket_algebra, tangent=True)
+    flat = pm._outputs(pair, kernel, np.concatenate([xs, pair.X_at(xs).T]))
     X, D, XXV = pm._split(flat[:, :size], n, m)
     _, dD, dXXV = pm._split(flat[:, size:], n, m)
-    S, cond_D, residual, dS = pm._lstsq(D, XXV, dD, dXXV)
+    S, cond_D, residual = pm._lstsq(D, XXV)
+    U, s, Vt = np.linalg.svd(D, full_matrices=False)
+    kept = np.where(s > np.finfo(float).eps * max(D.shape[-2:]) * s[..., :1], s, np.inf)
+    inner = (pm._T(U) @ (dXXV - dD @ S)) / kept[..., None]
+    if n > 2 * m:
+        inner = inner - (Vt @ (pm._T(dD) @ (D @ S - XXV))) / (kept * kept)[..., None]
+    dS = pm._T(Vt) @ inner
     return pm.PointFrameData(xs.T, X, D[..., :m], D[..., m:], XXV, S[:, :m], S[:, m:], cond_D,
                              residual), dS[:, m:]
 
@@ -761,20 +775,29 @@ def _assert_close_to_the_svd(data, XH1, ref, ref_XH1, tol=1e-13):
         assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= tol * scale)
 
 
-def _cond_1_bound(D):
-    """k cond_1(R) of the R factor of each D of a stack, k its columns; the
-    column sums of |R| and |R^-1| do not depend on the signs of R's rows."""
+def _frobenius_bound(D):
+    """|R|_F |R^-1|_F of the R factor of each D of a stack; the norms do not
+    depend on the signs of R's rows."""
     R = np.linalg.qr(D, mode="r")
-    norm_1 = lambda A: np.max(np.sum(np.abs(A), axis=-2), axis=-1)
-    return D.shape[-1] * norm_1(R) * norm_1(np.linalg.inv(R))
+    return np.linalg.norm(R, axis=(-2, -1)) * np.linalg.norm(np.linalg.inv(R), axis=(-2, -1))
+
+
+def _screen_verdicts(pair, points):
+    """The screen's verdict of the curvature kernel at each point of a stack,
+    true where it fails."""
+    flat = scalar.run_field(pair.curvature_kernel,
+                            list(np.concatenate([points, pair.X_at(points).T])),
+                            pair.params, points.shape[1])
+    return flat[:, -1] != 0.0
 
 
 @pytest.mark.parametrize("which", ["dancing", "nonholonomic"])
 def test_flow_derivative_H1_reads_the_curvature_kernel(which):
     # one curvature-kernel call per block: the brackets are extract_H's
     # bits, H0, H1 and X(H1) the SVD's to rounding, and the diagnostics are
-    # the screen's own figures: the bound k cond_1(R) >= cond_2(D) and the
-    # relative residual (0 here: [V | XV] is square on both pairs)
+    # the screen's own figures: the bound |R|_F |R^-1|_F, between cond_2(D)
+    # and k cond_1(R), and the relative residual (0 here: [V | XV] is
+    # square on both pairs)
     from conjscope import catalog
     if which == "dancing":
         pair = _as_generic(pm.lift_sode(catalog.build("dancing")[0]))
@@ -782,8 +805,7 @@ def test_flow_derivative_H1_reads_the_curvature_kernel(which):
     else:
         pair, x0, T = _config_pair("nonholonomic")
     points = _trajectory_points(pair, x0, T).T
-    scalar.run_field(pair.curvature_kernel, list(np.concatenate([points, pair.X_at(points).T])),
-                     pair.params, points.shape[1])           # the screen passes
+    assert not _screen_verdicts(pair, points).any()             # the screen passes
     data, XH1 = pm.flow_derivative_H1(pair, points)
     ref = pm.extract_H(pair, points)
     for name in ("point", "X", "V", "XV", "XXV"):
@@ -791,9 +813,12 @@ def test_flow_derivative_H1_reads_the_curvature_kernel(which):
     svd, svd_XH1 = _svd_flow_derivative(pair, points)
     assert np.array_equal(svd.H1, ref.H1) and np.array_equal(svd.cond_D, ref.cond_D)
     _assert_close_to_the_svd(data, XH1, svd, svd_XH1)
-    bound = _cond_1_bound(np.concatenate([ref.V, ref.XV], axis=-1))
+    D = np.concatenate([ref.V, ref.XV], axis=-1)
+    bound = _frobenius_bound(D)
     assert np.all(np.abs(data.cond_D - bound) <= 1e-12 * bound)
-    assert np.all(data.cond_D >= ref.cond_D * (1 - 1e-12))
+    R = np.linalg.qr(D, mode="r")
+    assert np.all(ref.cond_D * (1 - 1e-12) <= data.cond_D)
+    assert np.all(data.cond_D <= D.shape[-1] * np.linalg.cond(R, 1) * (1 + 1e-12))
     assert np.all(data.residual == 0.0)
 
 
@@ -807,8 +832,7 @@ def test_the_kernel_path_keeps_the_least_squares_term():
                            "-x - 0.3*y*y + 0.2*sin(s - 0.3*x*x)*y"),
                         vframe=(("0", "0", "1"),))
     points = np.array([[0.3, 0.4, -0.2], [1.1, -0.5, 0.6], [-0.7, 0.2, 0.9]]).T
-    scalar.run_field(pr.curvature_kernel, list(np.concatenate([points, pr.X_at(points).T])),
-                     pr.params, 3)                           # the screen passes
+    assert not _screen_verdicts(pr, points).any()               # the screen passes
     data, XH1 = pm.flow_derivative_H1(pr, points)
     svd, svd_XH1 = _svd_flow_derivative(pr, points)
     assert np.all(data.residual > 1e-8) and np.all(data.residual < 0.1 * pm.INVARIANCE_TOL)
@@ -818,35 +842,41 @@ def test_the_kernel_path_keeps_the_least_squares_term():
         assert np.max(np.abs(XH1[k] - _H1_central_difference(pr, x))) <= 1e-11
 
 
-def test_a_block_that_fails_the_screen_takes_the_svd(monkeypatch):
-    # x'' = -x - 5000 x^2 x' as a generic pair: cond_1(R) of
-    # [V | XV] = [[0, -1], [1, 5000 x^2]] is about (1 + 5000 x^2)^2, within
-    # the screen's cap at x = 0.3 and past it at x = 1.0, where the SVD
-    # still passes (cond_2 2.5e7); a block spanning both takes the tangent
-    # kernel and the SVD, bit for bit
+def _counting_extract_H(monkeypatch):
+    """The stacks that pm.extract_H is called on, from now on."""
+    calls, extract_H = [], pm.extract_H
+    monkeypatch.setattr(pm, "extract_H", lambda pair, x, **kw: calls.append(np.array(x))
+                        or extract_H(pair, x, **kw))
+    return calls
+
+
+def test_only_the_points_that_fail_the_screen_go_to_extract_H(monkeypatch):
+    # x'' = -x - 5000 x^2 x' as a generic pair: |R|_F^2 |R^-1|_F^2 of
+    # [V | XV] = [[0, -1], [1, 5000 x^2]] is (2 + (5000 x^2)^2)^2, within the
+    # screen's cap at x = 0.3 and past it at x = 1.0, where the SVD still
+    # passes (cond_2 2.5e7); a block spanning both keeps the kernel's
+    # outputs, and extract_H is called once, on the points that fail
     pr = pm.GenericPair(coords=("x", "y"), X=("y", "-x - 5000*x^2*y"), vframe=(("0", "1"),))
-    state = lambda xs: list(np.concatenate([xs, pr.X_at(xs).T]))
-    scalar.run_field(pr.curvature_kernel, state(np.array([[0.3], [0.2]])), {}, 1)
-    with pytest.raises(DomainError, match="screen"):
-        scalar.run_field(pr.curvature_kernel, state(np.array([[1.0], [0.2]])), {}, 1)
     assert 2.4e7 < pm.extract_H(pr, [1.0, 0.2]).cond_D < pm.COND_LIMIT
     block = np.array([np.linspace(0.3, 1.0, pm.BLOCK), np.full(pm.BLOCK, 0.2)])
+    fails = _screen_verdicts(pr, block)
+    assert not fails[0] and fails[-1] and fails.sum() == 19
+    calls = _counting_extract_H(monkeypatch)
     data, XH1 = pm.flow_derivative_H1(pr, block)
+    assert len(calls) == 1 and np.array_equal(calls[0], block[:, fails])
     ref, ref_XH1 = _svd_flow_derivative(pr, block)
-    assert np.array_equal(XH1, ref_XH1)
-    for name in vars(ref):
+    assert np.max(np.abs(XH1 - ref_XH1)) <= 1e-12 * np.max(np.abs(ref_XH1))
+    for name in ("point", "X", "V", "XV", "XXV"):
         assert np.array_equal(getattr(data, name), getattr(ref, name)), name
-        assert np.array_equal(getattr(data, name), getattr(pm.extract_H(pr, block), name)), name
     # every block of the screened random systems passes: no SVD is taken
     from conftest import screened_random_sodes
+    monkeypatch.undo()
     blocks = []
     for model, x0 in screened_random_sodes(seed=77, count=8):
         lift = pm.lift_sode(model)
         pair = _as_generic(lift)
         blocks.append((pair, _trajectory_points(pair, pm.full_x0(model, lift, x0), 2.0).T))
-    calls = []
-    lstsq = pm._lstsq
-    monkeypatch.setattr(pm, "_lstsq", lambda *args: calls.append(1) or lstsq(*args))
+    calls = _counting_extract_H(monkeypatch)
     for pair, points in blocks:
         pm.flow_derivative_H1(pair, points)
     assert calls == []

@@ -181,27 +181,6 @@ def test_domain_errors_carry_subexpression():
             assert err.value.where == where
 
 
-def _carrying_algebra(gen, jet):
-    x = gen.state(0)
-    gen.check(f"{x} > 1.0", "too large", "x", carry=True)
-    y = gen.emit(f"{x} * {x}")
-    gen.check(f"{x} < -1.0", "too small", "x")
-    return [y, gen.emit(f"{y} + 1.0")]
-
-
-def test_a_carrying_check_raises_with_the_outputs():
-    # a check that carries runs after every statement, although emitted
-    # first, and its DomainError holds the outputs; any other check raises
-    # where it stands, with none; over points, the lowest failing point's
-    kernel = scalar.field_kernel((), (), None, (), _carrying_algebra)
-    assert scalar.run_field(kernel, [0.5], {}).tolist() == [0.25, 1.25]
-    for w, count, outputs in (([2.0], None, (4.0, 5.0)), ([-2.0], None, None),
-                              ([np.array([0.5, 3.0, 2.0])], 3, (9.0, 10.0))):
-        with pytest.raises(DomainError) as err:
-            scalar.run_field(kernel, w, {}, count)
-        assert err.value.outputs == outputs and err.value.where == "x"
-
-
 def test_sqrt_domain_check_depends_on_differentiation():
     # sqrt is differentiable only on positive arguments; a plain value at 0 is fine
     assert evaluate(parse("sqrt(x)"), {"x": 0.0}) == 0.0
@@ -826,9 +805,8 @@ def test_tangent_kernel_has_its_own_key_and_reads_no_other_state():
 
 
 def test_a_tangent_sweep_refuses_a_call_without_a_rule():
-    # the least-squares screen of a generic pair's joint kernel takes _max,
-    # whose tangent no sweep knows: a tangent kernel over it does not build,
-    # where abs's sign rule would give a wrong derivative
+    # no sweep knows a tangent for _max: a tangent kernel over it does not
+    # build, where abs's sign rule would give a wrong derivative
     largest = lambda gen, jet: [gen.emit(f"_max({jet.val[0]}, {jet.val[1]})")]
     with pytest.raises(TypeError, match="_max"):
         scalar.field_kernel((parse("x*y"), parse("x + y")), ("x", "y"), None, (), largest,
@@ -890,10 +868,10 @@ def _bench_inputs():
 
 def test_no_kernel_computes_a_statement_twice():
     # every sweep of a kernel finds the statements of the sweeps before it
-    # in one memo: over the joint, bracket and tangent kernels of the
+    # in one memo: over the joint, bracket and curvature kernels of the
     # catalog defaults' lifts, their force kernels, and the bracket and
-    # tangent kernels of random generic pairs, no two statements of a scalar
-    # kernel have one right-hand side
+    # curvature kernels of random generic pairs, no two statements of a
+    # scalar kernel have one right-hand side
     inputs = _bench_inputs()
     pairs = [inputs.build_pair(op["spec"]) for op in inputs.crosscheck_cycle(1)]
     scalar._TABLE.clear()               # kernels not yet called keep their sources
@@ -902,9 +880,9 @@ def test_no_kernel_computes_a_statement_twice():
         model, _ = catalog.build(name)
         lifted = pair_mod.lift_sode(model)
         kernels += [lifted.joint_kernel, model.jet_kernel, lifted.bracket_kernel,
-                    lifted.tangent_kernel]
+                    lifted.curvature_kernel]
     for pr in pairs:
-        kernels += [pr.bracket_kernel, pr.tangent_kernel]
+        kernels += [pr.bracket_kernel, pr.curvature_kernel]
     assert len(kernels) == 32
     for kernel in kernels:
         statements = re.findall(r"^ +t\d+ = (.*)$", kernel._sources["_scalar"], re.M)
