@@ -5,8 +5,9 @@ and the Jacobi fields (no curvature in it); then, all on that solve's grid
 and its one dense lookup (``Trajectory.grid``), the closed-orbit distances,
 detection on a scale-free track, the sigma_min curve of P, the normal
 curvature samples (one (N, m, m) array) and the bound verdicts (the Sturm
-comparison is solved exactly on a spline's pieces, not integrated).  Detection
-resamples around its dips and the bounds refine their extrema locally.
+comparison is solved exactly on a quintic interpolant's pieces, not
+integrated).  Detection resamples around its dips and the bounds refine
+their extrema locally.
 Regularity and (when a 2-form is supplied) the semi-Hamiltonian checks read
 MAX_SAMPLE_POINTS evenly spaced times, one more dense lookup: unlike the
 grid, which follows the step-size control, these times depend on T alone,

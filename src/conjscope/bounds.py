@@ -21,10 +21,11 @@ the smallest trace, the symmetry residual and each eigenline's infimum) are
 extrema of the samples.  When ``bounds_report`` can evaluate K at new times,
 it adds REFINE_ROUNDS rounds of REFINE_POINTS samples across the two
 intervals next to each extremum, so the figures do not move with the
-sampling grid.  The Sturm coefficient is a quintic interpolating spline
-through the samples, and its scalar equation is solved exactly on the
-spline's polynomial pieces by Taylor series (Pruess, SIAM J. Numer. Anal.
-10, 1973; Corliss & Chang, ACM TOMS 8, 1982), with no ODE solve.
+sampling grid.  The Sturm coefficient is a local quintic interpolant of
+the samples, on each interval between them the polynomial through the six
+samples around it, and its scalar equation is solved exactly on the
+interpolant's polynomial pieces by Taylor series (Pruess, SIAM J. Numer.
+Anal. 10, 1973; Corliss & Chang, ACM TOMS 8, 1982), with no ODE solve.
 
 Every verdict compares a bound against the detected conjugate times with a
 fixed slack; the bounds are sharp for the harmonic oscillator, so the safe
@@ -33,11 +34,9 @@ interval is half-open.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from . import ode
 from .errors import NonFiniteState
@@ -196,17 +195,17 @@ def detect_parallel_eigenlines(K_samples, tol=EIGENLINE_TOL):
 
 def sturm_zeros(ts, lam_track, T):
     """Zeros on (0, T] of y'' = -lam(t) y, y(0) = 0, y'(0) = 1 with lam
-    the quintic spline interpolating the samples (held at its end values
-    outside them), solved exactly piece by piece (``_series_pieces``).
-    Sign changes are located between the nodes of the pieces, at most one
-    zero apart, and refined on each piece's series; T itself counts when y
-    vanishes there within the verdicts' slack, |y(T)| <= VERDICT_SLACK
-    |y'(T)|, as detection counts a touch at the last grid point."""
+    the local quintic interpolant of the samples (``_quintic``; held at its
+    end values outside them), solved exactly piece by piece
+    (``_series_pieces``).  Sign changes are located between the nodes of
+    the pieces, at most one zero apart, and refined on each piece's series;
+    T itself counts when y vanishes there within the verdicts' slack,
+    |y(T)| <= VERDICT_SLACK |y'(T)|, as detection counts a touch at the last
+    grid point."""
     if T <= 0:
         raise ValueError("T must be positive")
     ts = np.asarray(ts, dtype=float)
-    lam = make_interp_spline(ts, np.asarray(lam_track, dtype=float), k=5)
-    nodes, series = _series_pieces(lam, ts, T)
+    nodes, series = _series_pieces(_quintic(ts, np.asarray(lam_track, dtype=float)), ts, T)
     h = np.diff(nodes)
     # u(h), v(h) / h and h u'(h), v'(h) on each piece
     (u0, v0), (u1, v1) = series.sum(axis=0), (np.arange(len(series))[:, None, None] * series).sum(0)
@@ -235,30 +234,70 @@ def sturm_zeros(ts, lam_track, T):
     return zeros
 
 
-def _series_pieces(lam, ts, T):
+def _quintic(ts, values):
+    """The local quintic interpolant of ``values`` on the increasing nodes
+    ``ts``, as its Taylor coefficients: a map from times t to the array
+    (6, len(t)) of coefficients about each t (from the right at a node;
+    constant past the nodes' ends).
+
+    On each interval [ts_i, ts_(i+1)] it is the polynomial through the six
+    nodes around it, its own two and two on each side (the six at an end,
+    all of them when there are fewer), in s = (t - ts_i) / w_i with w_i the
+    span of those nodes, so |s| <= 1 on them: Newton's divided differences
+    multiplied out, all the intervals together.  Neighbouring polynomials
+    meet at their shared node, so the interpolant is continuous but not
+    smooth there, and ``_series_pieces`` starts a piece at every node."""
+    k = min(6, len(ts))
+    first = np.clip(np.arange(len(ts) - 1) - (k - 2) // 2, 0, len(ts) - k)
+    window = first + np.arange(k)[:, None]
+    width = ts[window[-1]] - ts[window[0]]
+    s, c = (ts[window] - ts[:-1]) / width, values[window]
+    for j in range(1, k):         # Newton's divided differences, every interval at once
+        c[j:] = (c[j:] - c[j - 1:-1]) / (s[j:] - s[:k - j])
+    coef = np.zeros((6, len(ts) - 1))
+    coef[0] = c[-1]
+    for j in range(k - 2, -1, -1):        # the Newton form multiplied out, as Horner's rule
+        coef[1:] = coef[:-1] - s[j] * coef[1:]
+        coef[0] = c[j] - s[j] * coef[0]
+
+    def taylor(t):
+        inside = (t >= ts[0]) & (t < ts[-1])
+        t = np.clip(t, ts[0], ts[-1])
+        i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        s0, p = (t - ts[i]) / width[i], coef[:, i]
+        for j in range(5):        # shift the polynomial to s0 (Horner's rule, repeated)
+            for r in range(4, j - 1, -1):
+                p[r] += s0 * p[r + 1]
+        p /= width[i] ** np.arange(6)[:, None]
+        p[1:, ~inside] = 0.0
+        return p
+    return taylor
+
+
+def _series_pieces(taylor, ts, T):
     """Nodes 0 = t_0 < ... < t_n = T and the Taylor coefficients (K, 2, n),
     in s = (t - t_i) / h_i, of the two basis solutions of y'' = -lam y on
-    each piece: u (1, 0) and v / h (0, 1).
+    each piece: u (1, 0) and v / h (0, 1).  ``taylor`` maps times to the
+    Taylor coefficients (6, len(t)) of lam there (``_quintic``).
 
-    The pieces are the spline's (its repeated end knots give none), each
-    cut into equal sub-pieces so that sqrt(sum_j |p_j| h^j) h <= PIECE_PHASE
-    for lam(t_i + r) = sum_j p_j r^j: the phase of a solution across a piece
+    The pieces are the intervals between the samples ``ts``, each cut into
+    equal sub-pieces so that sqrt(sum_j |p_j| h^j) h <= PIECE_PHASE for
+    lam(t_i + r) = sum_j p_j r^j: the phase of a solution across a piece
     stays below pi, so a piece holds at most one zero, and the series sum
     with no cancellation beyond rounding.  With q_j = p_j h^(j+2), about
     each sub-piece's left end, the coefficients obey
     c_(k+2) = -sum_(j <= min(5, k)) q_j c_(k-j) / ((k+1)(k+2)); they are
     summed until the last two terms of a solution and of its derivative
     fall below rounding on every piece."""
-    breaks = np.unique(np.clip(np.concatenate([[0.0, T], lam.t]), 0.0, T))
+    breaks = np.unique(np.clip(np.concatenate([[0.0, T], ts]), 0.0, T))
     h = np.diff(breaks)
-    phase = np.sqrt(np.sum(np.abs(_taylor(lam, ts, breaks[:-1])) * h ** np.arange(6)[:, None],
-                           axis=0)) * h
+    phase = np.sqrt(np.sum(np.abs(taylor(breaks[:-1])) * h ** np.arange(6)[:, None], axis=0)) * h
     cuts = np.maximum(1, np.ceil(phase / PIECE_PHASE)).astype(int)
     first = np.repeat(np.cumsum(cuts) - cuts, cuts)
     nodes = np.append(np.repeat(breaks[:-1], cuts)
                       + np.repeat(h / cuts, cuts) * (np.arange(first.size) - first), T)
     h = np.diff(nodes)
-    q = _taylor(lam, ts, nodes[:-1]) * h ** np.arange(2, 8)[:, None]
+    q = taylor(nodes[:-1]) * h ** np.arange(2, 8)[:, None]
     series = [np.array([np.ones_like(h), np.zeros_like(h)]),
               np.array([np.zeros_like(h), np.ones_like(h)])]
     k = 0
@@ -267,16 +306,6 @@ def _series_pieces(lam, ts, T):
                       / ((k + 1) * (k + 2)))
         k += 1
     return nodes, np.array(series)
-
-
-def _taylor(lam, ts, t):
-    """Taylor coefficients (6, len(t)) of the spline about each t (from the
-    right at a knot); constant past the samples' ends."""
-    inside = (t >= ts[0]) & (t < ts[-1])
-    t = np.clip(t, ts[0], ts[-1])
-    p = np.array([lam(t, nu=j) / math.factorial(j) for j in range(6)])
-    p[1:, ~inside] = 0.0
-    return p
 
 
 def bounds_report(K_samples, ts, m, T, detected_times, K_at=None) -> BoundsReport:

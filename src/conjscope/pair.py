@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import scalar
-from .errors import DomainError, RegularityViolation
+from .errors import DomainError, RegularityViolation, UnboundVariable
 from .scalar import ExprProgram, evaluate, parse
 
 COND_LIMIT = 1e8
@@ -825,16 +825,21 @@ def joint_rhs(pair: GenericPair):
     raises the fields' own DomainError), and the kernel's DomainError is
     raised where it passes."""
     n, kernel, env = pair.n, pair.joint_kernel, pair.params
+    size = kernel.size - 1
 
     def rhs(w):
+        # one scalar kernel call: w' is its tuple but the last entry, the
+        # verdict; a KeyError is an unbound parameter, as in scalar.run_field
         try:
-            out = scalar.run_field(kernel, w.tolist(), env)
+            out = kernel.scalar(w.tolist(), env)
+        except KeyError as err:
+            raise UnboundVariable(err.args[0]) from None
         except DomainError as err:
             failed = err
         else:
             if out[-1]:
                 extract_H(pair, w[:n])
-            return out[:-1]
+            return np.fromiter(out, float, size)
         extract_H(pair, w[:n])          # raises outside the handler
         raise failed
     return rhs

@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 
 import numpy as np
@@ -369,3 +370,57 @@ def test_a_bracket_narrower_than_the_tolerance_returns_a_sampled_point():
     t_min, f_min = ode.refine_minimum(f, 2.0, 2.0 + 1e-13)
     assert len(calls) == 1
     assert t_min in calls[0] and f_min == f(np.array([t_min]))[0]
+
+
+def test_the_tableau_is_bitwise_scipys():
+    from scipy.integrate import DOP853
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        ours, theirs = getattr(ode, name), getattr(DOP853, name)
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+    assert ode.N_STAGES == DOP853.n_stages
+    assert ode.ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+
+
+@pytest.mark.parametrize("x0, T, rtol, atol", [
+    ([1.2, 0.0, 0.3], 10.0, 1e-13, 1e-15),
+    ([0.4, 0.0, 0.0, 2.0], 6.0, 1e-6, 1e-9),
+    ([0.0, 0.0, 0.0], 1e-3, 1e-13, 1e-15),          # d0 = 0: h0 = 1e-6
+    ([3.0, -1e-7, 2e5], 0.5, 1e-10, [1e-12, 1e-3, 0.0]),
+    ([1.0, 2.0, 3.0], 4.0, 1e-16, 1e-15),            # rtol clamped to 100 eps
+])
+def test_the_initial_step_is_scipys(x0, T, rtol, atol):
+    from scipy.integrate import DOP853
+
+    def field(x):
+        return np.roll(x, -1) - 0.5 * np.sin(x) + 1e-3 * x * x
+
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return field(x)
+
+    def clamp():
+        return (pytest.warns(UserWarning, match="rtol") if rtol < 100 * ode.EPS
+                else contextlib.nullcontext())
+
+    x0 = np.array(x0, dtype=float)
+    with clamp():
+        ref = DOP853(lambda t, x: field(x), 0.0, x0, T, rtol=rtol, atol=atol)
+    with clamp():
+        rtol_ok, atol_ok = ode._validate_tol(rtol, atol, len(x0))
+    assert (np.asarray(rtol_ok).tobytes(), atol_ok.tobytes()) == \
+        (np.asarray(ref.rtol).tobytes(), np.asarray(ref.atol).tobytes())
+    f = rhs(0.0, x0)
+    h_abs = ode._select_initial_step(rhs, x0, T, f, rtol_ok, atol_ok)
+    assert f.tobytes() == ref.f.tobytes()
+    assert np.float64(h_abs).tobytes() == np.float64(ref.h_abs).tobytes()
+    assert len(calls) == ref.nfev == 2
+
+
+def test_a_negative_abs_tol_raises_as_in_scipy():
+    from scipy.integrate import DOP853
+    with pytest.raises(ValueError, match="`atol` must be positive"):
+        DOP853(lambda t, x: -x, 0.0, np.ones(1), 1.0, atol=-1e-15)
+    with pytest.raises(ValueError, match="`atol` must be positive"):
+        ode.integrate(lambda x: -x, [1.0], 1.0, abs_tol=-1e-15)
