@@ -12,7 +12,7 @@ neither required nor checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -43,10 +43,9 @@ class SemiHamiltonianModel:
         if len(self.sigma) != n or any(len(row) != n for row in self.sigma):
             raise ValueError("sigma must be an n x n matrix of expressions")
 
-    @cached_property
+    @property
     def sigma_field(self):
-        """The n x n components row by row as one sequence (a model
-        attribute: see the note above ``pair.SODEModel``)."""
+        """The n x n components row by row as one sequence."""
         return tuple(e for row in self.sigma for e in row)
 
     def sigma_at(self, x):
@@ -123,8 +122,10 @@ def check_semi_invariance(model: SemiHamiltonianModel, points):
     matrix of the Lie derivative L_X sigma (S the matrix of sigma, X(S) its
     derivative along X, DX the Jacobian of X), so one first-order jet of
     sigma along X and the Jacobian of X give the residual exactly.  The
-    points are read as one stack: one bracket jet, one jet of sigma along X
-    with per-point directions and one Jacobian of X per block."""
+    points are read as one stack: per block, one call of the pair's bracket
+    kernel (``pair.brackets_at``), one jet of sigma along X with per-point
+    directions, and one first-order jet of X alone for DX
+    (``scalar.second_partials``, every coordinate seeded)."""
     pr = model.pair
 
     def at(xs):
@@ -132,7 +133,7 @@ def check_semi_invariance(model: SemiHamiltonianModel, points):
         S = model.sigma_at(xs)
         _, XS, _, _ = scalar.second_partials(model.sigma_field, pr.bindings(xs),
                                              dict(zip(pr.coords, x_val.T)), {})
-        _, DX = pair_mod._jacobian(pr.X, pr.coords, pr.bindings(xs))
+        _, _, DX, _ = scalar.second_partials(pr.X, pr.bindings(xs), {}, pr.coords)
         L = XS.reshape(S.shape) + _T(DX) @ S + S @ DX
         return S, L, np.concatenate([V, XV], axis=-1), np.concatenate([XV, XXV], axis=-1)
 

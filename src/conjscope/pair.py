@@ -19,21 +19,27 @@ batched over the block.  The iterated brackets of a pair and the jet of a
 second-order force are each one field kernel (``scalar.field_kernel``),
 which emits the bracket algebra after the jet, so ``brackets_at`` and
 ``_force_jet`` are its scalar form at one point and its array form on a
-stack.  ``joint_rhs`` gives the right-hand side of the joint Jacobi solve
-of every pair, a lifted second-order system included, as one call of the
-pair's joint kernel, which emits the bracket algebra, then a Givens
-least-squares solve for H0, H1 (``_least_squares``), then the products,
-then the verdict of the solve's regularity screen.  On a lifted system the
-solve folds to H1 = -dF/dy and H0 = dF/dx - X(dF/dy).  Both readers keep
-the kernel's outputs; ``extract_H``'s SVD alone decides regularity, and
+stack.  The first bracket [X, V] is written once (``_first_brackets``):
+``frame_at`` runs the frame kernel, whose algebra is that first half of the
+bracket algebra alone.  ``joint_rhs`` gives the right-hand side of the
+joint Jacobi solve of every pair, a lifted second-order system included,
+as one call of the pair's joint kernel, which emits the bracket algebra,
+then a Givens least-squares solve for H0, H1 (``_least_squares``), then the
+products, then the verdict of the solve's regularity screen.  On a lifted
+system the solve folds to H1 = -dF/dy and H0 = dF/dx - X(dF/dy).  Both
+readers keep the kernel's outputs; ``extract_H``'s SVD alone decides regularity, and
 they call it only on the points whose verdict fails, where it raises the
 violation it finds.
+
+Models hold no kernels: every reader requests its kernel from ``scalar``'s
+kernel table, the only kernel cache (``_pair_kernel``, ``_force_kernel``),
+and ``joint_rhs`` requests its kernel once, when it builds the right-hand
+side, so a solve keeps the kernel it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -64,17 +70,6 @@ def _as_expr(e) -> ExprProgram:
     return e if isinstance(e, ExprProgram) else parse(e)
 
 
-# The kernels that a solve reads on every step or block are model attributes,
-# although scalar's kernel table would give them back on every request:
-# SODEModel.jet_kernel, GenericPair.joint_kernel, curvature_kernel,
-# bracket_kernel and stacked, and
-# hamiltonian.SemiHamiltonianModel.sigma_field.
-# A table lookup builds the exact key and takes the table's lock, 2.5-5.2 us
-# against 0.3 us for an attribute read (timed on 64-point blocks of random
-# second-order systems read as generic pairs, (n, m) = (2, 1) to (6, 3)), and
-# a right-hand side, which reads joint_kernel at every evaluation, takes
-# 1.5-5.7 us in all on those pairs (2 vCPU, Python 3.11).
-
 @dataclass(frozen=True)
 class SODEModel:
     """System x_i'' = F_i(t, x, x'), stored with x' renamed to y.
@@ -102,20 +97,6 @@ class SODEModel:
     def coord_names(self):
         names = [f"x{i+1}" for i in range(self.m)] + [f"y{i+1}" for i in range(self.m)]
         return tuple(names if self.autonomous else ["t"] + names)
-
-    @cached_property
-    def jet_kernel(self):
-        """The force kernel of F, dF/dx, dF/dy and X(dF/dy) (``_force_jet``),
-        compiled on first use."""
-        return _force_kernel(self)
-
-    def force_bindings(self, t, x, y):
-        env = dict(self.params)
-        env["t"] = t
-        for i in range(self.m):
-            env[f"x{i+1}"] = x[i]
-            env[f"y{i+1}"] = y[i]
-        return env
 
 
 @dataclass(frozen=True)
@@ -155,32 +136,11 @@ class GenericPair:
     def m(self):
         return len(self.vframe)
 
-    @cached_property
+    @property
     def stacked(self):
         """X followed by the m frame columns as one sequence, so that one
         kernel call jets the whole pair."""
         return self.X + tuple(e for col in self.vframe for e in col)
-
-    @cached_property
-    def bracket_kernel(self):
-        """The kernel of X, D = [V | XV] and XXV (``_bracket_algebra``),
-        compiled on first use."""
-        return _pair_kernel(self, _bracket_algebra)
-
-    @cached_property
-    def curvature_kernel(self):
-        """The bracket kernel's outputs with their derivatives along a
-        direction u given with the point, then the solve for H0, H1, its
-        tangent along u and its screen (``_curvature_algebra``), compiled on
-        first use."""
-        return _pair_kernel(self, _bracket_algebra, tangent=_curvature_algebra)
-
-    @cached_property
-    def joint_kernel(self):
-        """The kernel of the joint right-hand side with the solve for H0, H1
-        emitted after the bracket algebra (``_rhs_algebra``), compiled on
-        first use."""
-        return _pair_kernel(self, _rhs_algebra)
 
     def bindings(self, x):
         """The parameters and the coordinates of x: reals for one point
@@ -243,8 +203,8 @@ def full_x0(model, pair: GenericPair, x0):
 # for stacks: a point is a stack of one, and its outputs lose the leading
 # point axis that the outputs of a stack carry.  A stack binds each
 # coordinate to an array, so one array-kernel call jets every point
-# (``scalar.second_partials``, ``scalar.run_field``); one point binds reals
-# and runs the scalar kernel, whose outputs ``_lead`` gives the point axis.
+# (``scalar.run_field``); one point binds reals and runs the scalar kernel,
+# whose outputs ``_lead`` gives the point axis.
 # Each point of a stack goes through the same per-point matrix products as
 # it does alone, so it gives the same bits.
 
@@ -285,11 +245,6 @@ def _T(A):
     return A.swapaxes(-1, -2)
 
 
-def _rows(A, rows):
-    """A applied to each vector of a stack ``rows`` (stacks broadcast)."""
-    return (A @ rows[..., None])[..., 0]
-
-
 def _norms(rows):
     """Euclidean norm of each row, summed along the row alone."""
     return np.sqrt(np.add.reduce(np.square(rows, order="C"), axis=-1))
@@ -298,12 +253,6 @@ def _norms(rows):
 def _fro(A):
     """Frobenius norm of each matrix of a stack."""
     return _norms(A.reshape(A.shape[:-2] + (-1,)))
-
-
-def _jacobian(exprs, coords, env):
-    """Value and Jacobian over the names in ``coords``; one engine call."""
-    val, _, J, _ = scalar.second_partials(exprs, env, {}, coords)
-    return val, J
 
 
 def _lstsq(D, B):
@@ -350,19 +299,6 @@ class PointFrameData:
     residual: float               # relative residual of XXV outside span [V | XV]
 
 
-def frame_at(pair: GenericPair, x):
-    """V and [X, V] at x (n x m each) from one first-order jet of the pair:
-    the rows of [X, V_j] = DV_j X - DX V_j (rows 0 .. n-1 of a point's jet
-    are X, rows (j+1)*n .. (j+2)*n - 1 are V_j)."""
-    one = np.ndim(x) == 1
-    n, m = pair.n, pair.m
-    val, J = _lead(one, *_jacobian(pair.stacked, pair.coords, pair.bindings(x)))
-    N = len(val)
-    V_rows = val[:, n:].reshape(N, m, n)
-    XV_rows = _rows(J[:, n:].reshape(N, m, n, n), val[:, None, :n]) - V_rows @ _T(J[:, :n])
-    return _unstack(one, _T(V_rows), _T(XV_rows))
-
-
 # -- field kernels ------------------------------------------------------------
 #
 # The Jacobi solve and the bracket readers run one field kernel per pair
@@ -377,19 +313,36 @@ def _nonzero(local):
     return None if local == "0.0" else local
 
 
-def _bracket_algebra(gen, jet):
-    """X, then D = [V | XV] and XXV row-major, from the jet of X and the
-    frame columns along u = X(x): [X, V_j] = DV_j X - DX V_j, and
-    [X, [X, V_j]] from the directional derivative of [X, V_j] along X, with
-    the second derivatives of X and V_j along X, bracketed again."""
+def _first_brackets(gen, jet):
+    """X(x), the frame columns V_j, DV_j X and [X, V_j] = DV_j X - DX V_j
+    (per column j, n locals each, None where statically zero), then
+    D = [V | XV] row-major, from the jet of X and the frame columns along
+    u = X(x) (rows n + j n + i of the jet are V_j)."""
     x = [_nonzero(v) for v in jet.along]
     n = len(x)
     m = len(jet.val) // n - 1
-    J, Hu = jet.dj, jet.dij                     # rows n + j n + i are V_j
+    J = jet.dj
     V = [[_nonzero(v) for v in jet.val[n + j * n:n + (j + 1) * n]] for j in range(m)]
     JV_x = [[gen.dot(zip(J[n + j * n + i], x)) for i in range(n)] for j in range(m)]
     XV = [[gen.combine(("+", JV_x[j][i]), ("-", gen.dot(zip(V[j], J[i])))) for i in range(n)]
           for j in range(m)]
+    D = [c for i in range(n) for c in [V[j][i] for j in range(m)] + [XV[j][i] for j in range(m)]]
+    return x, V, JV_x, XV, D
+
+
+def _frame_algebra(gen, jet):
+    """D = [V | XV] row-major (``_first_brackets``)."""
+    return _first_brackets(gen, jet)[-1]
+
+
+def _bracket_algebra(gen, jet):
+    """X, then D = [V | XV] and XXV row-major: the first brackets
+    (``_first_brackets``), then [X, [X, V_j]] from the directional
+    derivative of [X, V_j] along X, with the second derivatives of X and
+    V_j along X, bracketed again."""
+    x, V, JV_x, XV, D = _first_brackets(gen, jet)
+    n, m = len(x), len(V)
+    J, Hu = jet.dj, jet.dij
     JX_x = [gen.dot(zip(J[b], x)) for b in range(n)]
     XXV = [[gen.combine(("+", gen.dot(zip(Hu[n + j * n + i], x))),
                         ("+", gen.dot(zip(J[n + j * n + i], JX_x))),
@@ -397,7 +350,6 @@ def _bracket_algebra(gen, jet):
                         ("-", gen.dot(zip(JV_x[j], J[i]))),
                         ("-", gen.dot(zip(XV[j], J[i]))))
             for i in range(n)] for j in range(m)]
-    D = [c for i in range(n) for c in [V[j][i] for j in range(m)] + [XV[j][i] for j in range(m)]]
     return list(jet.along) + D + [XXV[j][i] for i in range(n) for j in range(m)]
 
 
@@ -428,10 +380,21 @@ def brackets_at(pair: GenericPair, x):
     """X, V, [X,V], [X,[X,V]] at x, all m columns, exact AD: one call of the
     pair's bracket kernel."""
     one = np.ndim(x) == 1
-    flat, = _lead(one, _outputs(pair, pair.bracket_kernel, x))
+    flat, = _lead(one, _outputs(pair, _pair_kernel(pair, _bracket_algebra), x))
     m = pair.m
     X, D, XXV = _split(flat, pair.n, m)
     return _unstack(one, X, D[..., :m], D[..., m:], XXV)
+
+
+def frame_at(pair: GenericPair, x):
+    """V and [X, V] at x (n x m each), exact AD: one call of the pair's
+    frame kernel, whose algebra is the first half of the bracket kernel's
+    (``_first_brackets``), so both are ``brackets_at``'s bits."""
+    one = np.ndim(x) == 1
+    flat, = _lead(one, _outputs(pair, _pair_kernel(pair, _frame_algebra), x))
+    m = pair.m
+    D = flat.reshape(-1, pair.n, 2 * m)
+    return _unstack(one, D[..., :m], D[..., m:])
 
 
 def _raise_first_violation(points, cond_D, residual=0.0):
@@ -505,7 +468,7 @@ def flow_derivative_H1(pair: GenericPair, x):
     n, m = pair.n, pair.m
     w = np.concatenate([xs, pair.X_at(xs).T])
     try:
-        flat = _outputs(pair, pair.curvature_kernel, w)
+        flat = _outputs(pair, _pair_kernel(pair, _bracket_algebra, tangent=_curvature_algebra), w)
     except DomainError as err:
         failed = err
     else:
@@ -577,7 +540,7 @@ def _force_jet(model: SODEModel, t, x, y):
     w = x.tolist() + y.tolist() if count is None else [*x, *y]
     if not model.autonomous:
         w.insert(0, t if np.ndim(t) else float(t))
-    flat = scalar.run_field(model.jet_kernel, w, model.params, count)
+    flat = scalar.run_field(_force_kernel(model), w, model.params, count)
     mats = flat[..., m:].reshape(flat.shape[:-1] + (3, m, m))
     return (flat[..., :m], *np.moveaxis(mats, -3, 0))
 
@@ -824,7 +787,7 @@ def joint_rhs(pair: GenericPair):
     kernel raises DomainError), ``extract_H`` decides the point first (or
     raises the fields' own DomainError), and the kernel's DomainError is
     raised where it passes."""
-    n, kernel, env = pair.n, pair.joint_kernel, pair.params
+    n, kernel, env = pair.n, _pair_kernel(pair, _rhs_algebra), pair.params
     size = kernel.size - 1
 
     def rhs(w):

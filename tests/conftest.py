@@ -46,6 +46,17 @@ def jacobi_Q(js, t, H1_at=None):
     return np.linalg.solve(G, a + 0.5 * H1 @ b)
 
 
+def force_bindings(model, t, x, y):
+    """The bindings of a second-order model's force at t, x and x' = y: its
+    parameters, t and each x_i and y_i."""
+    env = dict(model.params)
+    env["t"] = t
+    for i in range(model.m):
+        env[f"x{i+1}"] = x[i]
+        env[f"y{i+1}"] = y[i]
+    return env
+
+
 def rhs_structure(pair, x):
     """X, H0 and H1 at the point x as the joint right-hand side of the pair
     (``pair.joint_rhs``) solves them: one call at the state G = 0, a = 0,

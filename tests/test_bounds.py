@@ -391,9 +391,9 @@ def test_refined_extrema_match_a_finer_local_reference():
 
 
 def test_sturm_zeros_match_detected_times_on_the_bench_dancing_fixtures():
-    # the quintic spline through the curvature samples keeps the Sturm zeros
-    # on the detected times (1.9e-14 measured, on sin(x1)); a cubic one at 8
-    # points per step is 9e-11 off
+    # the local quintic interpolant of the curvature samples
+    # (``bounds._quintic``) keeps the Sturm zeros on the detected times
+    # (2.3e-14 measured, on sin(x1), the one fixture with a conjugate time)
     entry = catalog.ENTRIES["dancing"]
     for force, x0 in _bench_inputs().DANCING_FIXTURES:
         model, _ = catalog.build("dancing", {"F": force})

@@ -6,7 +6,7 @@ import pytest
 from conjscope import catalog, pair as pm, scalar
 from conjscope.errors import MissingParam, UnknownEntry
 
-from conftest import split_and_project
+from conftest import force_bindings, split_and_project
 
 
 def test_entry_names():
@@ -35,7 +35,7 @@ def test_missing_param_error():
 def test_harmonic_build_scales_force():
     model, sigma = catalog.build("harmonic", {"omega": 2.0})
     assert sigma is None
-    env = model.force_bindings(0.0, [0.7], [0.0])
+    env = force_bindings(model, 0.0, [0.7], [0.0])
     assert scalar.evaluate(model.F[0], env) == -4 * 0.7
 
 
@@ -86,7 +86,7 @@ def test_dancing_eigenvector_fields_are_parallel():
         data = sp["data"]
         # vertical coordinates of [X, V_j] are H1[:, j] / 2
         coeffs = 0.5 * data.H1
-        env = model.force_bindings(0.0, [x1, x2], [y1, y2])
+        env = force_bindings(model, 0.0, [x1, x2], [y1, y2])
         Fv = scalar.evaluate(model.F[0], env)
         mu = -0.5 * (Fv - 4 * y2) / (y1 - x2)
         assert abs(coeffs[1, 1] - mu) < 1e-6

@@ -7,15 +7,18 @@ from conjscope import pair as pm
 from conjscope import scalar
 from conjscope.errors import DomainError, RegularityViolation
 
-from conftest import linear_combination, random_sode, rhs_structure, split_and_project
+from conftest import (force_bindings, linear_combination, random_sode, rhs_structure,
+                      split_and_project)
 
 
 def bracket(pair, A_exprs, B_exprs, x):
     """Lie bracket [A, B](x) = (DB)(x) A(x) - (DA)(x) B(x), Jacobians by AD;
     a reference for the tests below."""
     env = pair.bindings(np.asarray(x, dtype=float))
-    a_val, Ja = pm._jacobian(tuple(scalar.parse(e) for e in A_exprs), pair.coords, env)
-    b_val, Jb = pm._jacobian(tuple(scalar.parse(e) for e in B_exprs), pair.coords, env)
+    a_val, _, Ja, _ = scalar.second_partials(tuple(scalar.parse(e) for e in A_exprs), env, {},
+                                             pair.coords)
+    b_val, _, Jb, _ = scalar.second_partials(tuple(scalar.parse(e) for e in B_exprs), env, {},
+                                             pair.coords)
     return Jb @ a_val - Ja @ b_val
 
 
@@ -357,7 +360,7 @@ def test_a_rotation_of_two_zeros_is_the_identity():
                           vframe=(("a", "b", "1", "0"), ("0", "0", "0", "1")))
     x = [0.0, 0.0, 0.5, 0.3]
     w = x + [0.0] * 8 + [1.0, 0.0, 0.0, 1.0]
-    out = scalar.run_field(pair.joint_kernel, w, pair.params)       # no raise
+    out = scalar.run_field(pm._pair_kernel(pair, pm._rhs_algebra), w, pair.params)  # no raise
     assert out[-1] == 0.0                                           # the screen passes
     assert np.array_equal(out[:-1], pm.joint_rhs(pair)(np.array(w)))
     data = pm.extract_H(pair, x)
@@ -484,7 +487,7 @@ def _force_reference(model, x):
     jet of the force along X = (1, y, F)."""
     m = model.m
     t, xs = (None, x) if model.autonomous else (x[0], x[1:])
-    env = model.force_bindings(t, xs[:m], xs[m:])
+    env = force_bindings(model, t, xs[:m], xs[m:])
     F = scalar.evaluate(model.F, env)
     u = {**{f"x{k+1}": xs[m + k] for k in range(m)}, **{f"y{k+1}": F[k] for k in range(m)}}
     if not model.autonomous:
@@ -504,18 +507,23 @@ def _as_generic(pair):
     return pm.GenericPair(coords=pair.coords, X=pair.X, vframe=pair.vframe, params=pair.params)
 
 
+def _curvature_kernel(pair):
+    """The pair's curvature kernel, from the kernel table."""
+    return pm._pair_kernel(pair, pm._bracket_algebra, tangent=pm._curvature_algebra)
+
+
 def _check_generic_parity(pair, x0, T):
     # the joint kernel passes its screen at every point, and joint_rhs is
     # its one call: bitwise the products of the X, H0 and H1 it solves
     # (read at G = 0, a = 0, b = I); those leave an exact residual in the
     # bracket relation no larger than the SVD's, or than eps |XXV|
-    rhs = pm.joint_rhs(pair)
+    rhs, joint_kernel = pm.joint_rhs(pair), pm._pair_kernel(pair, pm._rhs_algebra)
     rng = np.random.default_rng(5)
     stacked = []
     for x in _trajectory_points(pair, x0, T):
         X, D, XXV = _bracket_reference(pair, x)
         w = np.concatenate([x, rng.standard_normal(3 * pair.m ** 2)])
-        *out, verdict = scalar.run_field(pair.joint_kernel, w.tolist(), pair.params)
+        *out, verdict = scalar.run_field(joint_kernel, w.tolist(), pair.params)
         assert verdict == 0.0                                       # the screen passes
         got = rhs_structure(pair, x)
         assert np.array_equal(got[0], X)
@@ -600,6 +608,72 @@ def test_bracket_kernel_matches_the_numpy_algebra_on_random_systems():
         _check_generic_parity(_as_generic(pr), pm.full_x0(model, pr, x0), 2.0)
 
 
+def _random_generic_pair(rng, n, m):
+    """A generic pair on z1..zn with quadratic X (a sine in its first
+    component) and affine frame columns, so V and [X, V] vary."""
+    names = [f"z{i+1}" for i in range(n)]
+    affine = lambda: " + ".join([f"{rng.uniform(-1, 1):.6f}"]
+                                + [f"{rng.uniform(-1, 1):.6f}*{z}" for z in names])
+    X = [f"{affine()} + {rng.uniform(-1, 1):.6f}*{rng.choice(names)}*{rng.choice(names)}"
+         for _ in range(n)]
+    X[0] += f" + sin({names[-1]})"
+    return pm.GenericPair(coords=tuple(names), X=tuple(X),
+                          vframe=tuple(tuple(affine() for _ in range(n)) for _ in range(m)))
+
+
+def _frame_reference(pair, x):
+    """V and [X, V] at a point or a stack from the value and the Jacobian of
+    the stacked fields (``scalar.second_partials``), [X, V_j] = DV_j X - DX V_j
+    formed in numpy."""
+    n, m = pair.n, pair.m
+    val, _, J, _ = scalar.second_partials(pair.stacked, pair.bindings(x), {}, pair.coords)
+    lead = val.shape[:-1]
+    X, V = val[..., :n], val[..., n:].reshape(lead + (m, n))        # rows V_j
+    J_X, J_V = J[..., :n, :], J[..., n:, :].reshape(lead + (m, n, n))
+    XV = _dot(J_V, X[..., None, :, None])[..., 0] - _dot(V, J_X.swapaxes(-1, -2))
+    return V.swapaxes(-1, -2), XV.swapaxes(-1, -2)
+
+
+def _frame_pairs():
+    """The catalog defaults' lifts, the nonholonomic config and random
+    generic pairs from (n, m) = (2, 1) to (6, 3), each with points along a
+    stretch of its trajectory (a line through the origin for the random
+    pairs)."""
+    from conjscope import catalog
+    out = []
+    for name, entry in catalog.ENTRIES.items():
+        model, _ = entry.build()
+        pr = pm.lift_sode(model)
+        out.append((pr, _trajectory_points(pr, pm.full_x0(model, pr, entry.default_x0), 1.0).T))
+    pair, x0, _ = _config_pair("nonholonomic")
+    out.append((pair, _trajectory_points(pair, x0, 1.0).T))
+    rng = np.random.default_rng(11)
+    for n, m in ((2, 1), (3, 1), (4, 2), (5, 2), (6, 3)):
+        pair = _random_generic_pair(rng, n, m)
+        out.append((pair, np.outer(np.linspace(-1.0, 1.0, 20), rng.uniform(-1, 1, n)).T))
+    return out
+
+
+def test_frame_at_is_the_first_half_of_the_bracket_kernel():
+    # one emitter writes [X, V]: the frame kernel's V and [X, V] are
+    # brackets_at's bits, and the numpy formula DV_j X - DX V_j over the
+    # Jacobian of the stacked fields gives them too, at one point and on a
+    # stack
+    pairs = _frame_pairs()
+    assert {(pr.n, pr.m) for pr, _ in pairs} >= {(2, 1), (4, 2), (5, 2), (6, 3)}
+    for pair, xs in pairs:
+        V, XV = pm.frame_at(pair, xs)
+        assert V.shape == XV.shape == (xs.shape[1], pair.n, pair.m)
+        _, V_ref, XV_ref, _ = pm.brackets_at(pair, xs)
+        assert np.array_equal(V, V_ref) and np.array_equal(XV, XV_ref)
+        for got, want in zip((V, XV), _frame_reference(pair, xs)):
+            assert np.array_equal(got, want)
+        for k in (0, xs.shape[1] // 2, xs.shape[1] - 1):
+            one = pm.frame_at(pair, xs[:, k])
+            for got, stacked, want in zip(one, (V, XV), _frame_reference(pair, xs[:, k])):
+                assert np.array_equal(got, stacked[k]) and np.array_equal(got, want)
+
+
 def test_every_rotation_folds_on_a_lifted_system():
     # a second-order system read as a generic pair has the constant frame
     # pattern [V | XV] = [[0, -I], [I, -dF/dy]] (after an all-zero t row when
@@ -613,9 +687,10 @@ def test_every_rotation_folds_on_a_lifted_system():
     lifts += [pm.lift_sode(pm.SODEModel(m=1, F=("-x1 - 0.1*t*y1",))),
               _config_pair("lifted_pair")[0]]
     assert {(pr.m, pr.n % 2) for pr in lifts} == {(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)}
+    source = lambda pr: pm._pair_kernel(pr, pm._rhs_algebra)._sources["_scalar"]
     for pr in lifts:
-        assert "_sqrt(" not in _as_generic(pr).joint_kernel._sources["_scalar"]
-    assert "_sqrt(" in _config_pair("nonholonomic")[0].joint_kernel._sources["_scalar"]
+        assert "_sqrt(" not in source(_as_generic(pr))
+    assert "_sqrt(" in source(_config_pair("nonholonomic")[0])
 
 
 def test_a_lifted_system_takes_no_sqrt_in_its_curvature_kernel():
@@ -629,9 +704,10 @@ def test_a_lifted_system_takes_no_sqrt_in_its_curvature_kernel():
     lifts += [pm.lift_sode(pm.SODEModel(m=1, F=("-x1 - 0.1*t*y1",))),
               _config_pair("lifted_pair")[0]]
     assert {(pr.m, pr.n % 2) for pr in lifts} == {(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)}
+    source = lambda pr: _curvature_kernel(pr)._sources["_scalar"]
     for pr in lifts:
-        assert "_sqrt(" not in _as_generic(pr).curvature_kernel._sources["_scalar"]
-    assert "_sqrt(" in _config_pair("nonholonomic")[0].curvature_kernel._sources["_scalar"]
+        assert "_sqrt(" not in source(_as_generic(pr))
+    assert "_sqrt(" in source(_config_pair("nonholonomic")[0])
 
 
 def test_field_kernels_raise_what_evaluate_raises():
@@ -640,7 +716,7 @@ def test_field_kernels_raise_what_evaluate_raises():
     pr = pm.lift_sode(model)
     x = np.array([-0.5, 0.3])
     with pytest.raises(DomainError) as ref:
-        scalar.evaluate(model.F, model.force_bindings(0.0, x[:1], x[1:]))
+        scalar.evaluate(model.F, force_bindings(model, 0.0, x[:1], x[1:]))
     generic = _as_generic(pr)
     w = np.concatenate([x, [1.0, 1.0, 0.0]])
     calls = [lambda: rhs_structure(pr, x), lambda: pm.joint_rhs(pr)(w),
@@ -785,7 +861,7 @@ def _frobenius_bound(D):
 def _screen_verdicts(pair, points):
     """The screen's verdict of the curvature kernel at each point of a stack,
     true where it fails."""
-    flat = scalar.run_field(pair.curvature_kernel,
+    flat = scalar.run_field(_curvature_kernel(pair),
                             list(np.concatenate([points, pair.X_at(points).T])),
                             pair.params, points.shape[1])
     return flat[:, -1] != 0.0

@@ -582,7 +582,7 @@ def test_lazy_compilation_under_threads(monkeypatch):
     # X itself: X compiles nothing of its own, and the one kernel compiled
     # is the table's entry and the pair's bracket kernel
     assert len(keys) == 1 and keys[0] is not None
-    assert list(scalar._TABLE.values()) == [pr.bracket_kernel]
+    assert list(scalar._TABLE.values()) == [pair_mod._pair_kernel(pr, pair_mod._bracket_algebra)]
 
 
 def test_identical_pairs_share_one_kernel_under_threads(monkeypatch):
@@ -613,8 +613,8 @@ def test_identical_pairs_share_one_kernel_under_threads(monkeypatch):
         for out, ref in zip(outs, expected):
             assert all(u.tobytes() == v.tobytes() for u, v in zip(out, ref))
     assert len(keys) == 2 and len(scalar._TABLE) == 2
-    assert pairs[0].bracket_kernel is pairs[1].bracket_kernel
-    assert any(kernel is pairs[0].bracket_kernel for kernel in scalar._TABLE.values())
+    first, second = (pair_mod._pair_kernel(pr, pair_mod._bracket_algebra) for pr in pairs)
+    assert first is second and any(kernel is first for kernel in scalar._TABLE.values())
 
 
 def test_signed_zero_constants_get_their_own_kernels():
@@ -673,13 +673,13 @@ def test_the_kernel_table_keeps_its_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("generic", [True, False])
-def test_a_solve_keeps_its_kernels_past_the_table_bound(monkeypatch, generic):
-    # the kernel a joint solve reads at every step is an attribute of the
-    # pair (its joint kernel, a lift's as a generic pair's): after
-    # _TABLE_SIZE newer structures have pushed it out of the table, the same
-    # pair solves again compiling nothing, to the same bits, while a pair
-    # rebuilt from the same expressions (a new lift of the model) compiles
-    # it again
+def test_a_solve_past_the_table_bound_compiles_its_joint_kernel_again(monkeypatch, generic):
+    # the table is the only kernel cache, and a solve reads its joint kernel
+    # (a lift's as a generic pair's) once, when it builds its right-hand
+    # side: after _TABLE_SIZE newer structures have pushed the pair's
+    # kernels out of the table, the same pair solves again to the same bits
+    # compiling that one kernel, and a pair rebuilt from the same
+    # expressions (a new lift of the model) then compiles nothing
     def build():
         if generic:
             return _planar_pair()
@@ -694,7 +694,8 @@ def test_a_solve_keeps_its_kernels_past_the_table_bound(monkeypatch, generic):
     for k in range(scalar._TABLE_SIZE):
         evaluate(parse(f"x + {k}"), {"x": 0.5})
     keys = _count_compiles(monkeypatch)
-    assert np.array_equal(solve(pr), first) and keys == []
+    assert np.array_equal(solve(pr), first)
+    assert len(keys) == 1 and keys[0][3] is pair_mod._rhs_algebra
     assert np.array_equal(solve(build()), first) and len(keys) == 1
 
 
@@ -868,22 +869,24 @@ def _bench_inputs():
 
 def test_no_kernel_computes_a_statement_twice():
     # every sweep of a kernel finds the statements of the sweeps before it
-    # in one memo: over the joint, bracket and curvature kernels of the
-    # catalog defaults' lifts, their force kernels, and the bracket and
-    # curvature kernels of random generic pairs, no two statements of a
-    # scalar kernel have one right-hand side
+    # in one memo: over the joint, frame, bracket and curvature kernels of
+    # the catalog defaults' lifts, their force kernels, and the frame,
+    # bracket and curvature kernels of random generic pairs, no two
+    # statements of a scalar kernel have one right-hand side (a lift's frame
+    # kernel may have none: perturbed_pair's [V | XV] is constant)
     inputs = _bench_inputs()
     pairs = [inputs.build_pair(op["spec"]) for op in inputs.crosscheck_cycle(1)]
     scalar._TABLE.clear()               # kernels not yet called keep their sources
-    kernels = []
-    for name in catalog.ENTRIES:
-        model, _ = catalog.build(name)
-        lifted = pair_mod.lift_sode(model)
-        kernels += [lifted.joint_kernel, model.jet_kernel, lifted.bracket_kernel,
-                    lifted.curvature_kernel]
-    for pr in pairs:
-        kernels += [pr.bracket_kernel, pr.curvature_kernel]
-    assert len(kernels) == 32
-    for kernel in kernels:
-        statements = re.findall(r"^ +t\d+ = (.*)$", kernel._sources["_scalar"], re.M)
-        assert statements and len(set(statements)) == len(statements)
+    kernel = lambda pr, algebra, tangent=False: pair_mod._pair_kernel(pr, algebra, tangent)
+    frames, kernels = [], []
+    for pr in [pair_mod.lift_sode(catalog.build(name)[0]) for name in catalog.ENTRIES] + pairs:
+        frames.append(kernel(pr, pair_mod._frame_algebra))
+        kernels += [kernel(pr, pair_mod._bracket_algebra),
+                    kernel(pr, pair_mod._bracket_algebra, pair_mod._curvature_algebra)]
+        if pr.sode is not None:
+            kernels += [kernel(pr, pair_mod._rhs_algebra), pair_mod._force_kernel(pr.sode)]
+    assert len(frames) == 11 and len(kernels) == 32
+    for k in frames + kernels:
+        statements = re.findall(r"^ +t\d+ = (.*)$", k._sources["_scalar"], re.M)
+        assert len(set(statements)) == len(statements)
+        assert statements or k in frames
