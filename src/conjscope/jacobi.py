@@ -14,13 +14,17 @@ Both routes hand that tail a scale-free track, built from orthonormalised
 stacks, whose singular values measure principal angles between subspaces
 (Bjorck & Golub, 1973): the rank and zero cuts are absolute, whatever the
 growth of the fields along the flow.  The tail samples the track on the
-solve's grid and then resamples the two grid intervals around every dip that
-can reach the zero cut (``ode.dip_points``), evaluating only the new points,
-so conjugate times closer together than the grid spacing fall in separate
-intervals wherever the steps happen to put the samples.  The events are then
-refined together, the determinant's sign changes in one ``ode.locate_events``
-call and the track's minima in one ``ode.refine_minimum`` call, each round
-reading the track on the samples of every open bracket as one stack.  Each
+solve's grid and then resamples around every dip that can reach the zero
+cut (``ode.dip_points``): 32 points in each grid interval next to the dip,
+then 16 in each of those pieces next to the dip of the merged samples, one
+read of the track a level and only at the new points, so conjugate times
+closer together than the grid spacing fall in separate intervals wherever
+the steps happen to put the samples, at 96 points an isolated dip.  The
+events are then refined together, the determinant's sign changes in one
+``ode.locate_events`` call and the track's minima in one
+``ode.refine_minimum`` call, each round reading the track on the samples of
+every open bracket as one stack; after an evenly spaced first round each
+round samples a narrow window about an interpolated zero or minimum.  Each
 event is refined once: a minimum whose bracket holds a sign change of the
 determinant is that crossing, which the sign change refines and which wins
 the merge, so it is not searched again.
@@ -33,6 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ode, pair as pair_mod, scalar
+from .errors import UnboundVariable
 
 DETECT_TOL = 1e-8        # refined dip of a scale-free track counted as zero
 RANK_TOL = 1e-7          # singular values of a scale-free track below this count into the kernel
@@ -127,24 +132,23 @@ def _conjugate_times(matrix_at, grid, rank_tol):
     stack on it.  The singular values measure principal angles (they lie in
     [0, sqrt 2]), so both cuts are absolute: multiplicity counts those at t*
     below rank_tol.  Square tracks add the determinant as a signed
-    companion.  Both are searched on ``grid`` merged with ``ode.dip_points``
-    of the track.  Kernel bases are in the coordinates of the track's
-    columns."""
+    companion.  Both are searched on ``grid`` resampled around the dips of
+    the track (``ode.dip_points``, which reads the track at the new points
+    only, a level at a time); every sample's matrix is kept, so the
+    determinant is read off the same stacks.  Kernel bases are in the
+    coordinates of the track's columns."""
     # events inside the first dense subinterval are sign noise of the
     # structural rank drop at t = 0, not conjugate times
     t_floor = grid[1]
-    samples = matrix_at(grid)
-    sigma_values = np.linalg.svd(samples, compute_uv=False)[:, -1]
+
+    def read(ts):
+        stack = matrix_at(ts)
+        return np.linalg.svd(stack, compute_uv=False)[:, -1], stack
+
     # resample around every dip that can reach the zero cut, so that zeros
     # closer than the grid spacing fall in separate intervals
-    extra = ode.dip_points(grid, sigma_values, DETECT_TOL)
-    if len(extra):
-        new = matrix_at(extra)
-        order = np.argsort(np.concatenate([grid, extra]))
-        merge = lambda old, added: np.concatenate([old, added])[order]
-        sigma_values = merge(sigma_values, np.linalg.svd(new, compute_uv=False)[:, -1])
-        grid, samples = merge(grid, extra), merge(samples, new)
-    sigma_min = lambda ts: np.linalg.svd(matrix_at(ts), compute_uv=False)[:, -1]
+    grid, (sigma_values, samples) = ode.dip_points(read, grid, read(grid), DETECT_TOL)
+    sigma_min = lambda ts: read(ts)[0]
     det_like = det_values = None
     if samples.shape[1] == samples.shape[2]:
         det_like = lambda ts: np.linalg.det(matrix_at(ts))
@@ -226,9 +230,19 @@ def variational_oracle(pair, x0, T, rel_tol=ode.DEFAULT_REL_TOL, abs_tol=ode.DEF
     x0 = pair_mod.full_x0(model, pair, x0)
 
     kernel = scalar.field_kernel(pair.X, pair.coords, None, pair.coords, _flow_algebra, m)
+    env, size = pair.params, kernel.size
+
+    def rhs(z):
+        # one scalar kernel call, as in pair.joint_rhs; a KeyError is an
+        # unbound parameter, as in scalar.run_field
+        try:
+            return np.fromiter(kernel.scalar(z.tolist(), env), float, size)
+        except KeyError as err:
+            raise UnboundVariable(err.args[0]) from None
+
     V0, _ = pair_mod.frame_at(pair, x0)
-    joint = ode.integrate(lambda z: scalar.run_field(kernel, z.tolist(), pair.params),
-                          np.concatenate([x0, V0.ravel()]), T, rel_tol=rel_tol, abs_tol=abs_tol)
+    joint = ode.integrate(rhs, np.concatenate([x0, V0.ravel()]), T, rel_tol=rel_tol,
+                          abs_tol=abs_tol)
 
     def track(t):
         """[V | W], halves orthonormalised, at t; an array of times gives the

@@ -37,16 +37,18 @@ taken on a grid: ``locate_events`` refines sign changes, and
 ``refined_minima`` refines discrete minima (the caller decides which minima
 count as touching zero, may pass its cut so that minima that cannot reach
 it are not refined, and may pass zeros it has found otherwise, so that the
-minima around them are not refined again).  Both refine all their brackets together by multisection
-(``_multisect``): each round samples ``SECTION_POINTS`` points inside every
-open bracket in one call of f, which maps an array of times to an array of
-values, and keeps a sub-interval of each.  Minima are sampled evenly in
-every round.  Sign changes are sampled evenly in the first round only;
-later rounds sample a narrow window about the false-position point of the
-bracket's ends, so a bracket closes at float resolution in about four
-rounds instead of about ten.  ``dip_points`` gives extra times around those
-minima, for a caller that resamples before it searches, so that zeros
-closer together than the grid spacing separate.
+minima around them are not refined again).  Both refine all their brackets
+together by multisection (``_multisect``): each round samples
+``SECTION_POINTS`` points inside every open bracket in one call of f, which
+maps an array of times to an array of values, and keeps a sub-interval of
+each.  The first round samples evenly; later rounds sample a narrow window
+about an interpolated point, so a bracket closes in about four rounds
+instead of about ten: a sign change's window lies about the false-position
+point of the bracket's ends, a minimum's about the vertex of a parabola or
+the crossing of two secants through the samples around the smallest
+(``_interpolated_minimum``).  ``dip_points`` resamples a caller's grid
+around those minima before it searches, in nested levels that each read f
+once, so that zeros closer together than the grid spacing separate.
 """
 
 from __future__ import annotations
@@ -64,11 +66,12 @@ DEFAULT_ABS_TOL = 1e-15
 MIN_STEP = 1e-9           # smallest accepted step short of T, relative to T
 MAX_STEPS = 20_000        # accepted steps of one solve
 SAMPLES_PER_STEP = 8
-DIP_POINTS = 256          # extra samples around each dip of a detection track
+DIP_SPLITS = (32, 16)     # points added inside an interval next to a dip, at its 1st and 2nd cut
 SECTION_POINTS = 16       # samples per bracket and round of the event searches
 MINIMUM_TOL = 1e-12       # relative width at which a minimum's bracket closes
 EVENT_ULPS = 4            # float spacings at which a sign change's bracket closes
 WINDOW = 2.0 ** -12       # half-width of a sign change's later rounds, relative to its bracket
+MINIMUM_WINDOW = 2.0 ** -8    # half-width of a minimum's later rounds, relative to its bracket
 
 # DOP853 (Dormand & Prince 1980; Hairer, Norsett & Wanner 1993, II.5-II.6):
 # the coefficients of Hairer's dop853.f as scipy.integrate._ivp keeps them,
@@ -494,18 +497,77 @@ def refine_minimum(f, a, b):
     f_min) of the shape of the bracket ends (scalars or equal-shape arrays).
     ``f`` maps an array of times to an array of values.  Each round keeps the
     two sub-intervals around the smallest sample, until the bracket is
-    narrower than MINIMUM_TOL (1 + |a| + |b|); the result is that sample."""
+    narrower than MINIMUM_TOL (1 + |a| + |b|); the result is that sample.
+
+    The first round samples evenly.  Each later one samples a window of
+    +-MINIMUM_WINDOW of the bracket's width, clipped inside it, about an
+    interpolated minimum of the smallest sample and its two neighbours on
+    each side (``_interpolated_minimum``), so a smooth minimum or a kink
+    closes in about four rounds; a round whose smallest sample has fewer
+    than two samples on a side samples evenly.  A window whose smallest
+    sample lands on one of its edges has missed the minimum: that bracket
+    samples evenly from then on, so it takes at most one round more than
+    evenly spaced rounds alone."""
     shape, lo, hi = _brackets(a, b)
     t_min, f_min = np.empty_like(lo), np.empty_like(lo)
+    at = np.full_like(lo, np.nan)       # the next window's centre; NaN samples evenly
+    missed = np.zeros(len(lo), bool)
 
     def narrow(idx, ts, values):
-        rows, k = np.arange(len(idx)), np.argmin(values, axis=1) + 1
+        rows, k = np.arange(len(idx)), _smallest(values) + 1
+        missed[idx] |= ~np.isnan(at[idx]) & ((k == 1) | (k == SECTION_POINTS))
+        at[idx] = np.where(missed[idx], np.nan, _interpolated_minimum(ts[:, 1:-1], values, k - 1))
         t_min[idx], f_min[idx] = ts[rows, k], values[rows, k - 1]
         return ts[rows, k - 1], ts[rows, k + 1]
 
-    _multisect(f, lo, hi, narrow,
-               lambda lo, hi: hi - lo < MINIMUM_TOL * (1.0 + np.abs(lo) + np.abs(hi)))
+    def place(idx, lo, hi):
+        # at least half the closing width, so that a window that holds the
+        # minimum closes its bracket
+        half = np.maximum(MINIMUM_WINDOW * (hi - lo), 0.5 * closing(lo, hi))
+        centre = at[idx]
+        window = np.linspace(np.maximum(centre - half, lo), np.minimum(centre + half, hi),
+                             SECTION_POINTS, axis=-1)
+        return np.where(np.isnan(centre)[:, None], _even(idx, lo, hi), window)
+
+    closing = lambda lo, hi: MINIMUM_TOL * (1.0 + np.abs(lo) + np.abs(hi))
+    _multisect(f, lo, hi, narrow, lambda lo, hi: hi - lo < closing(lo, hi), place)
     return t_min.reshape(shape)[()], f_min.reshape(shape)[()]
+
+
+def _smallest(values):
+    """Index of the smallest value of each row; of equal smallest values,
+    the one nearest the row's middle."""
+    off_middle = np.abs(np.arange(values.shape[1]) - 0.5 * (values.shape[1] - 1))
+    return np.argmin(np.where(values == values.min(axis=1, keepdims=True), off_middle, np.inf),
+                     axis=1)
+
+
+def _interpolated_minimum(ts, values, k):
+    """Estimated minimum of f about the smallest sample ``k`` of each row of
+    times ``ts`` and ``values``, from the five samples k - 2 .. k + 2: the
+    vertex of the parabola through the middle three, or, for a kink such as
+    |t - t0|, the crossing of the secant lines through the two samples on
+    each side, whichever model predicts the samples it did not use the
+    better.  Clipped to the samples k - 1 and k + 1; NaN where the row has
+    no five samples about k."""
+    rows = np.arange(len(k))[:, None]
+    j = np.clip(k[:, None] + np.arange(-2, 3), 0, ts.shape[1] - 1)
+    t, v = ts[rows, j], values[rows, j]
+    (t0, t1, t2, t3, t4), (v0, v1, v2, v3, v4) = t.T, v.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s01, s12, s23, s34 = (np.diff(v, axis=1) / np.diff(t, axis=1)).T
+        # the parabola v1 + s12 (t - t1) + c (t - t1)(t - t2) and its vertex
+        c = (s23 - s12) / (t3 - t1)
+        parabola = lambda x: v1 + s12 * (x - t1) + c * (x - t1) * (x - t2)
+        vertex = 0.5 * (t1 + t2) - s12 / (2.0 * c)
+        parabola_miss = np.maximum(np.abs(parabola(t0) - v0), np.abs(parabola(t4) - v4))
+        # the secants through samples 0, 1 and 3, 4 and where they cross
+        crossing = (v3 - v1 + s01 * t1 - s34 * t3) / (s01 - s34)
+        kink_miss = np.abs(np.maximum(v1 + s01 * (t2 - t1), v3 + s34 * (t2 - t3)) - v2)
+        guess = np.where(parabola_miss <= kink_miss, vertex, crossing)
+    guess = np.where(np.isnan(guess), t2, guess)
+    inside = (k >= 2) & (k <= ts.shape[1] - 3)
+    return np.where(inside, np.clip(guess, t1, t3), np.nan)
 
 
 def refined_minima(f, grid, values, interior=False, cut=None, skip=()):
@@ -543,15 +605,35 @@ def _minima(grid, values, interior=False, cut=None):
             if cut is None or values[i] - _reach(grid, values, i, r) <= cut]
 
 
-def dip_points(grid, values, cut):
-    """Sorted times that resample the two intervals around each minimum of
-    ``values`` on ``grid`` that can fall to ``cut`` (``_minima``, the last
-    grid point included): DIP_POINTS / 2 evenly spaced points inside each
-    interval, an interval two dips share once.  Merged into the grid, they
-    resolve zeros closer together than the grid spacing."""
-    ends = sorted({j for i, right in _minima(grid, values, cut=cut) for j in (i, right)})
-    parts = [np.linspace(grid[j - 1], grid[j], DIP_POINTS // 2 + 2)[1:-1] for j in ends]
-    return np.concatenate(parts) if parts else np.empty(0)
+def dip_points(f, grid, out, cut):
+    """``grid`` with times added around each minimum of f that can fall to
+    ``cut`` (``_minima``, the last point included), and f's outputs at all
+    of them, both in time order.  ``f`` maps an array of times to a tuple of
+    arrays along them, the first the values whose minima are searched;
+    ``out`` is that tuple on ``grid``.
+
+    The times come in nested levels, each one call of f over every dip's new
+    points: each interval next to a dip of the samples so far is cut into
+    DIP_SPLITS[0] + 1 even pieces the first time and DIP_SPLITS[1] + 1 the
+    second, an interval two dips share once, until every interval next to a
+    dip has been cut twice (to 1/561 of its grid interval), or no more dips
+    remain.  An isolated dip thus costs 96 new points, and zeros closer
+    together than the grid spacing separate.  Returns (times, outputs)."""
+    ts, out = np.asarray(grid, dtype=float), tuple(out)
+    cuts = np.zeros(len(ts), int)        # cuts[j]: times the interval that ends at point j was cut
+    while True:
+        ends = sorted({j for i, right in _minima(ts, out[0], cut=cut) for j in (i, right)
+                       if cuts[j] < len(DIP_SPLITS)})
+        if not ends:
+            return ts, out
+        parts = [np.linspace(ts[j - 1], ts[j], DIP_SPLITS[cuts[j]] + 2)[1:-1] for j in ends]
+        cuts[ends] += 1
+        added = np.concatenate([np.full(len(part), cuts[j]) for part, j in zip(parts, ends)])
+        new = np.concatenate(parts)
+        order = np.argsort(np.concatenate([ts, new]))
+        merge = lambda old, more: np.concatenate([old, more])[order]
+        ts, cuts = merge(ts, new), merge(cuts, added)
+        out = tuple(merge(old, more) for old, more in zip(out, f(new)))
 
 
 def _reach(grid, values, i, right):

@@ -104,12 +104,30 @@ def test_rank_events_touches_and_merge():
     assert events == [(t_sign, "sign_change")]
 
 
+def _resampling(monkeypatch):
+    """Spy on ``ode.dip_points``: the number of times each call of its track
+    reader reads, and the (grid, detection grid) of each call."""
+    reads, grids = [], []
+    dip_points = ode.dip_points
+
+    def spy(f, grid, out, cut):
+        def counted(ts):
+            reads.append(len(ts))
+            return f(ts)
+        times, out = dip_points(counted, grid, out, cut)
+        grids.append((grid, times))
+        return times, out
+
+    monkeypatch.setattr(ode, "dip_points", spy)
+    return reads, grids
+
+
 def test_harmonic_detection_refines_each_crossing_once(monkeypatch):
     # m = 1: sigma_min = |det P|, so each crossing is both a sign change of
     # the determinant and a minimum of the track; the minima are found on the
-    # detection grid, the solve's grid with DIP_POINTS / 2 points inside each
-    # interval next to a dip of the track, and every one's bracket holds a
-    # crossing, which the sign change refines alone
+    # detection grid, the solve's grid resampled around each dip of the
+    # track, and every one's bracket holds a crossing, which the sign change
+    # refines alone
     js = jacobi_in_time(lambda t: np.array([[1.0]]), 1, 7.0)
 
     def minima(grid):
@@ -121,14 +139,7 @@ def test_harmonic_detection_refines_each_crossing_once(monkeypatch):
     grid = js.grid()
     dips = minima(grid)
     assert [round(grid[i], 2) for i in dips] == [round(math.pi, 2), round(2 * math.pi, 2)]
-    inside = [np.linspace(grid[j - 1], grid[j], ode.DIP_POINTS // 2 + 2)[1:-1]
-              for i in dips for j in (i, i + 1)]
-    fine = np.sort(np.concatenate([grid, *inside]))
-    assert len(fine) == len(grid) + 2 * ode.DIP_POINTS
-    last = len(fine) - 1
-    holds_crossing = lambda a, b: any(a <= k * math.pi <= b for k in (1, 2))
-    brackets = [(fine[i - 1], fine[min(i + 1, last)]) for i in minima(fine)]
-    assert len(brackets) == 2 and all(holds_crossing(a, b) for a, b in brackets)
+    _, grids = _resampling(monkeypatch)
     searched = []
     refine = ode.refine_minimum
 
@@ -138,9 +149,32 @@ def test_harmonic_detection_refines_each_crossing_once(monkeypatch):
 
     monkeypatch.setattr(ode, "refine_minimum", spy)
     out = jacobi.find_conjugate_times(js)
+    (_, fine), = grids
+    last = len(fine) - 1
+    holds_crossing = lambda a, b: any(a <= k * math.pi <= b for k in (1, 2))
+    brackets = [(fine[i - 1], fine[min(i + 1, last)]) for i in minima(fine)]
+    assert len(brackets) == 2 and all(holds_crossing(a, b) for a, b in brackets)
     assert not any(holds_crossing(a, b) for a, b in searched)
     assert [c.mode for c in out] == ["sign_change", "sign_change"]
     assert all(abs(c.t_star - k * math.pi) < 1e-6 for c, k in zip(out, (1, 2)))
+
+
+def test_an_isolated_crossing_resamples_at_most_100_track_points(monkeypatch):
+    # x'' = -x to T = 4: one crossing, at pi; each route reads its track at
+    # 64 points in the two grid intervals next to the dip and at 32 next to
+    # the dip of the merged samples, one read a level (256 points in one
+    # read before the resampling was nested)
+    reads, grids = _resampling(monkeypatch)
+    model = pm.SODEModel(m=1, F=("-x1",), autonomous=True)
+    res, oracle = _both_routes(model, (0.1, 0.2), 4.0)
+    assert reads == [64, 32, 64, 32]
+    for found in (res.conjugate_times, oracle):
+        c, = found
+        assert abs(c.t_star - math.pi) < 1e-12
+    # no interval next to the dip is wider than the grid interval / 129
+    for grid, fine in grids:
+        j, i = np.searchsorted(grid, math.pi), np.searchsorted(fine, math.pi)
+        assert max(np.diff(fine[i - 2:i + 2])) <= min(np.diff(grid[j - 2:j + 2])) / 129
 
 
 def test_find_conjugate_times_double_touch():
@@ -377,6 +411,26 @@ def test_close_pairs_separate_on_both_routes(T):
     assert len(expected) == 2 * int(T / math.pi)
     for found in (res.conjugate_times, oracle):
         assert [c.multiplicity for c in found] == [1] * len(expected)
+        for c, (t, _) in zip(found, expected):
+            assert abs(c.t_star - t) < 1e-6
+
+
+@pytest.mark.parametrize("T", [4.0, 7.0])
+def test_a_pair_at_a_385th_of_the_grid_spacing_separates_on_both_routes(T):
+    # lambda = 1 and 1 + 3e-5 put the times 4.7e-5 k apart, about 1/385 of
+    # the grid spacing, closer than the 1/129 of the old 256-point
+    # resampling: the second level of the resampling splits every pair
+    lam = [1.0, 1.0 + 3e-5]
+    S = np.eye(2) + np.reshape([0.2, -0.1, 0.3, 0.0], (2, 2))
+    A = S @ np.diag(lam) @ np.linalg.inv(S)
+    xs = [scalar.var_expr(f"x{j+1}") for j in range(2)]
+    model = pm.SODEModel(m=2, F=tuple(linear_combination(xs, -row) for row in A),
+                         autonomous=True)
+    res, oracle = _both_routes(model, (0.1, 0.2, 0.3, 0.4), T)
+    expected = _expected_times(lam, T)
+    assert len(expected) == 2 * int(T / math.pi)
+    for found in (res.conjugate_times, oracle):
+        assert [(c.multiplicity, c.mode) for c in found] == [(1, "sign_change")] * len(expected)
         for c, (t, _) in zip(found, expected):
             assert abs(c.t_star - t) < 1e-6
 

@@ -279,15 +279,33 @@ def test_refined_minima_cut_skips_plateaus_and_keeps_zeros():
 
 
 def test_dip_points_resample_each_interval_next_to_a_dip_once():
-    # dips at 1 and 2 share the interval [1, 2], the last point counts, and
-    # the shallow minimum at 4 cannot fall to the cut
+    # zeros at 1 and 2 share the interval [1, 2], the last point counts, and
+    # the shallow minimum at 4 cannot fall to the cut; level 1 cuts each
+    # interval next to a dip once, into 33 pieces, and level 2 each piece
+    # next to a dip of the merged samples, into 17, one call of f a level
     grid = np.arange(7.0)
-    values = np.array([4.0, 0.0, 0.0, 4.0, 3.0, 4.0, 0.0])
-    extra = ode.dip_points(grid, values, 1e-8)
-    inside = [np.linspace(j - 1.0, j, ode.DIP_POINTS // 2 + 2)[1:-1] for j in (1, 2, 3, 6)]
-    assert extra.tobytes() == np.concatenate(inside).tobytes()
-    assert len(np.unique(np.concatenate([grid, extra]))) == len(grid) + 4 * ode.DIP_POINTS // 2
-    assert ode.dip_points(grid, values + 10.0, 1e-8).size == 0
+    g = lambda t: np.minimum.reduce([4.0 * np.abs((t - 1.0) * (t - 2.0)), 4.0 * np.abs(t - 6.0),
+                                     3.0 + np.abs(t - 4.0)])
+    assert g(grid).tolist() == [7.0, 0.0, 0.0, 4.0, 3.0, 4.0, 0.0]
+    f, calls = _counted(lambda t: (g(t), -t))
+    times, (values, minus) = ode.dip_points(f, grid, f(grid), 1e-8)
+    calls.pop(0)
+    level1 = {j: np.linspace(j - 1.0, j, ode.DIP_SPLITS[0] + 2) for j in (1, 2, 3, 6)}
+    assert calls[0].tobytes() == np.concatenate([p[1:-1] for p in level1.values()]).tobytes()
+    pieces = [(level1[1][-2], 1.0), (1.0, level1[2][1]), (level1[2][-2], 2.0),
+              (2.0, level1[3][1]), (level1[6][-2], 6.0)]
+    level2 = [np.linspace(a, b, ode.DIP_SPLITS[1] + 2)[1:-1] for a, b in pieces]
+    assert len(calls) == 2 and calls[1].tobytes() == np.concatenate(level2).tobytes()
+    # only new points are read, and the outputs are merged in time order
+    assert times.tobytes() == np.sort(np.concatenate([grid, *calls])).tobytes()
+    assert values.tobytes() == g(times).tobytes() and minus.tobytes() == (-times).tobytes()
+    # no interval next to a dip is wider than its grid interval / 129 (the
+    # spacing of 256 points a dip): 1 / 561
+    for i, right in ode._minima(times, values, cut=1e-8):
+        assert max(np.diff(times[i - 1:right + 1])) <= 1.0 / 561 * (1.0 + 1e-9)
+    calls.clear()
+    times, _ = ode.dip_points(f, grid, (g(grid) + 10.0, -grid), 1e-8)
+    assert calls == [] and times.tobytes() == grid.tobytes()
 
 
 def _counted(f):
@@ -340,7 +358,16 @@ def _search_calls(k):
 
 
 def test_search_rounds_do_not_grow_with_the_number_of_brackets():
-    assert _search_calls(20) == _search_calls(1)
+    # a batch takes as many rounds as its slowest bracket alone: the kink
+    # lies inside the first brackets and before the later ones, whose
+    # minima on their boundary take evenly spaced rounds
+    alone = []
+    for shift in np.linspace(0.0, 0.5, 20):
+        f, calls = _counted(lambda t: np.abs(np.sin(t - 0.25)))
+        ode.refine_minimum(f, 0.1 + shift, 1.1 + shift)
+        alone.append(len(calls))
+    assert min(alone) < max(alone)
+    assert _search_calls(20) == (max(alone), _search_calls(1)[1])
 
 
 def test_exact_zero_at_a_section_point_is_returned():
@@ -363,6 +390,61 @@ def test_a_sign_change_closes_in_about_four_rounds():
     assert len(calls) <= 5
     assert np.allclose(np.diff(calls[0]), (b - a) / (ode.SECTION_POINTS + 1), rtol=1e-9, atol=0)
     assert all(np.ptp(c) <= 2 * ode.WINDOW * (b - a) for c in calls[1:])
+
+
+def test_a_kink_and_a_smooth_minimum_close_in_about_four_rounds():
+    # the first round is evenly spaced; each later one samples a narrow
+    # window about an interpolated minimum: the crossing of the secants of
+    # the two sides for the kink, the parabola's vertex for the smooth
+    # minimum (flat to rounding within about 1e-8 of pi), where evenly spaced
+    # rounds alone take eleven
+    a, b = math.pi - 4e-4, math.pi + 6e-4
+    tol = ode.MINIMUM_TOL * (1.0 + a + b)
+    for g, near in ((lambda t: np.abs(np.sin(t)), tol), (np.cos, 1e-7)):
+        f, calls = _counted(g)
+        t, v = ode.refine_minimum(f, a, b)
+        assert abs(t - math.pi) <= near and v == g(np.array([t]))[0]
+        assert len(calls) <= 5
+        assert np.allclose(np.diff(calls[0]), (b - a) / (ode.SECTION_POINTS + 1), rtol=1e-9, atol=0)
+        assert all(np.ptp(c) <= 2 * ode.MINIMUM_WINDOW * (b - a) for c in calls[1:])
+
+
+def _even_rounds(g, lo, hi):
+    """Calls of g that evenly spaced rounds alone take on [lo, hi]."""
+    rounds = 0
+    while True:
+        ts = np.linspace(lo, hi, ode.SECTION_POINTS + 2)
+        k = int(np.argmin(g(ts[1:-1]))) + 1
+        rounds += 1
+        lo, hi = ts[k - 1], ts[k + 1]
+        if hi - lo < ode.MINIMUM_TOL * (1.0 + abs(lo) + abs(hi)):
+            return rounds
+
+
+@pytest.mark.parametrize("g, misses", [
+    (lambda t: np.abs(t - 0.7371), False),
+    (lambda t: (t - 0.7371) ** 2, False),
+    (lambda t: np.sqrt(1e-6 + (t - 0.7371) ** 2), False),
+    (lambda t: np.sqrt(np.abs(t - 0.7371)), True),     # a cusp fits neither model: a miss
+    (lambda t: t, False),                              # the minimum on the bracket's end
+])
+def test_a_minimum_takes_at_most_one_round_more_than_evenly_spaced_rounds(g, misses):
+    f, calls = _counted(g)
+    ode.refine_minimum(f, 0.0, 1.7)
+    assert len(calls) <= _even_rounds(g, 0.0, 1.7) + 1
+    # replay the brackets: after a window whose smallest sample lands on its
+    # edge, every round samples evenly
+    lo, hi, even, missed = 0.0, 1.7, [], None
+    for r, c in enumerate(calls):
+        even.append(np.allclose(c, np.linspace(lo, hi, ode.SECTION_POINTS + 2)[1:-1],
+                                rtol=0, atol=1e-3 * (hi - lo)))
+        k = int(np.argmin(g(c))) + 1
+        if missed is None and not even[-1] and k in (1, ode.SECTION_POINTS):
+            missed = r
+        ts = np.concatenate([[lo], c, [hi]])
+        lo, hi = ts[k - 1], ts[k + 1]
+    assert even[0] and (missed is not None or not misses)
+    assert missed is None or all(even[missed + 1:])
 
 
 def test_a_bracket_narrower_than_the_tolerance_returns_a_sampled_point():
